@@ -20,7 +20,8 @@ from .ir import Module, validate_module
 from .parser import ParseError, parse_module, print_module
 from .pdg import PdgError, build_pdg
 from .rules import (
-    parse_rules, rule_stats, rule_stats_csv, serialize_rules, taint_rule_gen,
+    RuleParseError, parse_rules, rule_stats, rule_stats_csv, serialize_rules,
+    taint_rule_gen,
 )
 from .summaries import (
     Summary, flatten_prim_types, function_body_hash, summarize_library,
@@ -66,10 +67,12 @@ def _summaries_for(m: Module, args) -> dict[str, Summary]:
     return summaries
 
 
-def _write_if_changed(path: Path, text: str) -> None:
+def _write_if_changed(path: Path, text: str) -> bool:
+    """Write unless the file already holds `text`; True if it wrote."""
     if path.exists() and path.read_text(encoding="utf-8") == text:
-        return
+        return False
     path.write_text(text, encoding="utf-8")
+    return True
 
 
 def cmd_parse(args) -> int:
@@ -120,25 +123,13 @@ def cmd_pdg(args) -> int:
 def cmd_summarize(args) -> int:
     m = _load_module(args.module)
     out = _out_dir(args)
-    cdeps = _control_deps(args)
-    summaries, diags = summarize_library(m, cdeps)
-    for d in diags:
-        print(f"note: {d}", file=sys.stderr)
+    summaries = _summaries_for(m, args)
     for name in sorted(summaries):
         path = out / f"{name}.summary.json"
-        body_hash = function_body_hash(m.functions[name])
-        if path.exists():
-            try:
-                old = json.loads(path.read_text(encoding="utf-8"))
-                if (old.get("bodyHash") == body_hash
-                        and old.get("controlDeps") == cdeps):
-                    continue        # cached result still valid
-            except (json.JSONDecodeError, OSError):
-                pass
         doc = summaries[name].to_json()
-        doc["bodyHash"] = body_hash
-        _write_if_changed(path, json.dumps(doc, indent=2) + "\n")
-        print(f"wrote {path}")
+        doc["bodyHash"] = function_body_hash(m.functions[name])
+        if _write_if_changed(path, json.dumps(doc, indent=2) + "\n"):
+            print(f"wrote {path}")
     return 0
 
 
@@ -163,7 +154,10 @@ def cmd_rules(args) -> int:
 def _load_rules_dir(path: str) -> dict:
     progs = {}
     for p in sorted(Path(path).glob("*.rules.json")):
-        prog = parse_rules(p.read_text(encoding="utf-8"))
+        try:
+            prog = parse_rules(p.read_text(encoding="utf-8"))
+        except RuleParseError as e:
+            raise SystemExit(f"error: {p}: {e}")
         progs[prog.function] = prog
     return progs
 
@@ -344,7 +338,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 1
+        if isinstance(e.code, int):
+            return e.code
+        print(e.code, file=sys.stderr)
+        return 1
     except PdgError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

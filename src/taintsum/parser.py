@@ -149,6 +149,19 @@ def parse_type(cur: _Cursor) -> Type:
     raise _LineError(f"expected a type, got {text!r}", col)
 
 
+def parse_type_text(text: str) -> Type:
+    """Parse one whole type written as type_str() prints it; ValueError
+    if the text is not exactly one type."""
+    cur = _Cursor(_tokenize(text), 0)
+    try:
+        ty = parse_type(cur)
+    except _LineError as e:
+        raise ValueError(f"bad type {text!r}: {e.message}") from None
+    if not cur.at_end():
+        raise ValueError(f"bad type {text!r}: {cur.peek()[1]!r} after the type")
+    return ty
+
+
 def _parse_operand(cur: _Cursor) -> Operand:
     kind, text, col = cur.next()
     if kind == "pct":

@@ -13,6 +13,7 @@ cdep only on request.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -65,8 +66,45 @@ class Path:
     kinds: tuple[str, ...]
 
 
+FieldPath = tuple[str, ...]
+
+
+def _rows(table: dict[tuple, int]) -> list[tuple]:
+    """A call-site table as sorted (key..., node) rows."""
+    return sorted(key + (node,) for key, node in table.items())
+
+
+class FunctionIndex:
+    """One pass over a function's instructions, taken when its graph is
+    built: program order, uid lookup, the last definition of each temp and
+    the ascending positions of the instructions that use it."""
+
+    def __init__(self, fn: Function):
+        self.instrs: tuple[Instr, ...] = tuple(fn.instructions())
+        self.position: dict[str, int] = {}
+        self.by_uid: dict[str, Instr] = {}
+        self.defs: dict[str, Instr] = {}
+        self.use_positions: dict[str, list[int]] = {}
+        for i, ins in enumerate(self.instrs):
+            self.position[ins.uid] = i
+            self.by_uid[ins.uid] = ins
+            d = ins.defined_temp()
+            if d is not None:
+                self.defs[d] = ins
+            for op in ins.operands():
+                if isinstance(op, Temp):
+                    at = self.use_positions.setdefault(op.name, [])
+                    if not at or at[-1] != i:
+                        at.append(i)
+
+
 class Pdg:
-    """Built graph plus the lookup tables the summary derivation needs."""
+    """Built graph plus the lookup tables the summary derivation needs.
+
+    Call-site tables are keyed by call uid: ActualOut nodes by (arg index,
+    field path), field-refined ActualIn nodes likewise, and global-out
+    nodes by (global name, field path).
+    """
 
     def __init__(self, module: Module, root: Function):
         self.module = module
@@ -84,11 +122,13 @@ class Pdg:
         self._returns: dict[str, list[int]] = {}
         self._gv: dict[tuple[str, str], int] = {}
         self._ai: dict[tuple[str, int], int] = {}
-        self._ao: dict[tuple[str, int, tuple[str, ...]], int] = {}
-        self._ai_field: dict[tuple[str, int, tuple[str, ...]], int] = {}
-        self._gout: dict[tuple[str, str, tuple[str, ...]], int] = {}
+        self._ao: dict[str, dict[tuple[int, FieldPath], int]] = {}
+        self._ai_field: dict[str, dict[tuple[int, FieldPath], int]] = {}
+        self._gout: dict[str, dict[tuple[str, FieldPath], int]] = {}
         self._attached: dict[str, list[int]] = {}    # instr uid -> node ids
         self._succ: dict[int, list[tuple[int, str]]] = {}
+        self._index: dict[str, FunctionIndex] = {}
+        self._reach: dict[tuple[int, bool], frozenset[int]] = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -109,8 +149,9 @@ class Pdg:
 
     # -- lookups --------------------------------------------------------------
 
-    def entry_node(self, fn: Optional[str] = None) -> int:
-        return self._entry[fn or self.function_name]
+    def index(self, fn: str) -> FunctionIndex:
+        """The instruction index of an included function."""
+        return self._index[fn]
 
     def formal_in(self, i: int, fn: Optional[str] = None) -> int:
         return self._formal_in[(fn or self.function_name, i)]
@@ -124,8 +165,28 @@ class Pdg:
     def actual_in(self, call_uid: str, arg: int) -> Optional[int]:
         return self._ai.get((call_uid, arg))
 
-    def actual_outs(self, call_uid: str) -> list[int]:
-        return [n for (cu, _, _), n in sorted(self._ao.items()) if cu == call_uid]
+    def actual_in_fields(self, call_uid: str) -> list[tuple[int, FieldPath, int]]:
+        """(arg index, field path, node) of the call's field-refined
+        ActualIn nodes, sorted."""
+        return _rows(self._ai_field.get(call_uid, {}))
+
+    def actual_out_nodes(self, call_uid: str) -> list[tuple[int, FieldPath, int]]:
+        """(arg index, field path, node) of the call's ActualOut nodes, sorted."""
+        return _rows(self._ao.get(call_uid, {}))
+
+    def global_out_nodes(self, call_uid: str) -> list[tuple[str, FieldPath, int]]:
+        """(global name, field path, node) of the globals a summarized
+        callee writes at this call, sorted."""
+        return _rows(self._gout.get(call_uid, {}))
+
+    def is_summary_output(self, node_id: int) -> bool:
+        """True for nodes that stand for a summarized callee's outputs."""
+        n = self.nodes[node_id]
+        if n.kind == "actual_out":
+            return True
+        if n.kind == "global_value" and n.call_uid is not None:
+            return True
+        return n.kind == "call_site" and n.instr in self.summarized_calls
 
     def node_of_instr(self, uid: str) -> Optional[int]:
         return self.instr_index.get(uid)
@@ -140,8 +201,14 @@ class Pdg:
             return TRAVERSABLE | {"cdep"}
         return TRAVERSABLE
 
-    def reachable_from(self, src: int, include_control_deps: bool = False) -> set[int]:
-        """Brute-force-equivalent forward closure over traversable edges."""
+    def reachable_from(self, src: int,
+                       include_control_deps: bool = False) -> frozenset[int]:
+        """Brute-force-equivalent forward closure over traversable edges,
+        computed once per (node, include_control_deps) of the built graph."""
+        key = (src, bool(include_control_deps))
+        hit = self._reach.get(key)
+        if hit is not None:
+            return hit
         allowed = self._allowed(include_control_deps)
         seen = {src}
         stack = [src]
@@ -152,7 +219,8 @@ class Pdg:
                     seen.add(dst)
                     stack.append(dst)
         seen.discard(src)
-        return seen
+        hit = self._reach[key] = frozenset(seen)
+        return hit
 
     def find_path(self, src: int, dst: int, include_control_deps: bool = False,
                   max_paths: int = MAX_PATHS) -> list[Path]:
@@ -220,27 +288,14 @@ class Pdg:
     def find_next_use(self, instr_uid: str) -> Optional[str]:
         """Nearest later instruction (textual program order) using the
         temporary defined at instr_uid; None if the value is dead."""
-        fn = self.included.get(instr_uid.split(":")[0])
-        if fn is None:
-            return None
-        target = None
-        for ins in fn.instructions():
-            if ins.uid == instr_uid:
-                target = ins.defined_temp()
-                break
+        idx = self._index.get(instr_uid.split(":")[0])
+        ins = idx.by_uid.get(instr_uid) if idx is not None else None
+        target = ins.defined_temp() if ins is not None else None
         if target is None:
             return None
-        pos = fn.instr_positions()
-        mypos = pos[instr_uid]
-        best = None
-        for ins in fn.instructions():
-            if pos[ins.uid] <= mypos:
-                continue
-            if any(isinstance(op, Temp) and op.name == target
-                   for op in ins.operands()):
-                if best is None or pos[ins.uid] < pos[best]:
-                    best = ins.uid
-        return best
+        uses = idx.use_positions.get(target, [])
+        k = bisect_right(uses, idx.position[instr_uid])
+        return idx.instrs[uses[k]].uid if k < len(uses) else None
 
     # -- export ----------------------------------------------------------------
 
@@ -332,7 +387,7 @@ class _PointsTo:
         while changed:
             changed = False
             for fn in self.pdg.included.values():
-                for ins in fn.instructions():
+                for ins in self.pdg.index(fn.name).instrs:
                     changed |= self._transfer(fn, ins)
 
     def _union_into(self, dst: set, extra: Iterable) -> bool:
@@ -377,7 +432,7 @@ class _PointsTo:
                             self.of_operand(fn.name, ins.args[j]))
                 if ins.dest is not None:
                     rets = set()
-                    for cins in callee.instructions():
+                    for cins in self.pdg.index(callee.name).instrs:
                         if isinstance(cins, Ret) and cins.value is not None:
                             rets |= self.of_operand(callee.name, cins.value)
                     if rets:
@@ -510,6 +565,7 @@ def build_pdg(module: Module, fn: Function | str,
 
     for f in _collect_included(module, fn, summaries):
         g.included[f.name] = f
+        g._index[f.name] = FunctionIndex(f)
     for f in g.included.values():
         _build_function_nodes(g, f)
     for f in g.included.values():
@@ -551,7 +607,8 @@ def _build_function_nodes(g: Pdg, fn: Function) -> None:
                     label=f"{type_str(fty)} arg_pos: {i} -f_id: {fidx}")
                 g._add_edge(fi.id, fld.id, "p_fld")
 
-    for ins in fn.instructions():
+    instrs = g.index(fn.name).instrs
+    for ins in instrs:
         if isinstance(ins, Call):
             node = g._new_node(kind="call_site", fn=fn.name, instr=ins.uid,
                                call_uid=ins.uid, label=_label_for(ins))
@@ -565,7 +622,7 @@ def _build_function_nodes(g: Pdg, fn: Function) -> None:
         g.instr_index[ins.uid] = node.id
 
     # one static value node per referenced global
-    for ins in fn.instructions():
+    for ins in instrs:
         for op in ins.operands():
             if isinstance(op, GlobalRef) and (fn.name, op.name) not in g._gv:
                 _ensure_global_node(g, fn.name, op.name)
@@ -583,10 +640,9 @@ def _ensure_global_node(g: Pdg, fn_name: str, gname: str) -> int:
 
 
 def _build_call_sites(g: Pdg, fn: Function, summaries: Mapping[str, object]) -> None:
-    for ins in fn.instructions():
+    for ins in g.index(fn.name).instrs:
         if not isinstance(ins, Call):
             continue
-        cs = g.instr_index[ins.uid]
         callee = g.module.functions.get(ins.callee)
         summary = summaries.get(ins.callee)
         arg_types: list[Optional[Type]] = []
@@ -616,28 +672,30 @@ def _summary_out_node(g: Pdg, fn: Function, ins: Call, slot) -> int:
     if slot.kind == "ret":
         return cs
     if slot.kind == "param":
-        key = (ins.uid, slot.index, slot.field_path)
-        if key not in g._ao:
+        aos = g._ao.setdefault(ins.uid, {})
+        key = (slot.index, slot.field_path)
+        if key not in aos:
             node = g._new_node(
                 kind="actual_out", fn=fn.name, instr=ins.uid, call_uid=ins.uid,
                 arg_index=slot.index, field_path=slot.field_path, ty=slot.ty,
                 label=f"ACTUAL_OUT: {slot.index} @{ins.callee}"
                       + ("." + ".".join(slot.field_path) if slot.field_path else ""))
-            g._ao[key] = node.id
+            aos[key] = node.id
             ai = g._ai.get((ins.uid, slot.index))
             if ai is not None:
                 g._add_edge(ai, node.id, "p_act")
-        return g._ao[key]
-    key = (ins.uid, slot.name, slot.field_path)
-    if key not in g._gout:
+        return aos[key]
+    gouts = g._gout.setdefault(ins.uid, {})
+    key = (slot.name, slot.field_path)
+    if key not in gouts:
         node = g._new_node(
             kind="global_value", fn=fn.name, instr=ins.uid, call_uid=ins.uid,
             global_name=slot.name, field_path=slot.field_path, ty=slot.ty,
             label=f"GLOBAL_VALUE:@{slot.name}"
                   + ("." + ".".join(slot.field_path) if slot.field_path else "")
                   + f" (out of @{ins.callee})")
-        g._gout[key] = node.id
-    return g._gout[key]
+        gouts[key] = node.id
+    return gouts[key]
 
 
 def _summary_in_node(g: Pdg, fn: Function, ins: Call, slot) -> Optional[int]:
@@ -647,16 +705,17 @@ def _summary_in_node(g: Pdg, fn: Function, ins: Call, slot) -> Optional[int]:
         ai = g._ai[(ins.uid, slot.index)]
         if not slot.field_path:
             return ai
-        key = (ins.uid, slot.index, slot.field_path)
-        if key not in g._ai_field:
+        fields = g._ai_field.setdefault(ins.uid, {})
+        key = (slot.index, slot.field_path)
+        if key not in fields:
             node = g._new_node(
                 kind="field", fn=fn.name, instr=ins.uid, call_uid=ins.uid,
                 arg_index=slot.index, field_path=slot.field_path, ty=slot.ty,
                 label=f"{type_str(slot.ty) if slot.ty else '?'} arg_pos:"
                       f" {slot.index} -f_id: {'.'.join(slot.field_path)}")
-            g._ai_field[key] = node.id
+            fields[key] = node.id
             g._add_edge(ai, node.id, "p_fld")
-        return g._ai_field[key]
+        return fields[key]
     if slot.kind == "global":
         return _ensure_global_node(g, fn.name, slot.name)
     return None
@@ -678,14 +737,14 @@ def _link_inlined_call(g: Pdg, fn: Function, ins: Call, callee: Function) -> Non
         ai = g._ai[(ins.uid, j)]
         g._add_edge(ai, g._formal_in[(callee.name, j)], "p_in")
         if isinstance(callee.params[j][1], Ptr):
-            key = (ins.uid, j, ())
-            if key not in g._ao:
+            aos = g._ao.setdefault(ins.uid, {})
+            if (j, ()) not in aos:
                 node = g._new_node(
                     kind="actual_out", fn=fn.name, instr=ins.uid,
                     call_uid=ins.uid, arg_index=j, ty=callee.params[j][1],
                     label=f"ACTUAL_OUT: {j} @{ins.callee}")
-                g._ao[key] = node.id
-            ao = g._ao[key]
+                aos[(j, ())] = node.id
+            ao = aos[(j, ())]
             g._add_edge(g._formal_out[(callee.name, j)], ao, "p_out")
             g._add_edge(ai, ao, "p_act")
     for ret_node in g._returns.get(callee.name, ()):
@@ -696,10 +755,8 @@ def _def_sites(g: Pdg, fn: Function) -> dict[str, int]:
     sites: dict[str, int] = {}
     for i, (pname, _) in enumerate(fn.params):
         sites[pname] = g._formal_in[(fn.name, i)]
-    for ins in fn.instructions():
-        d = ins.defined_temp()
-        if d is not None:
-            sites[d] = g.instr_index[ins.uid]
+    for d, ins in g.index(fn.name).defs.items():
+        sites[d] = g.instr_index[ins.uid]
     return sites
 
 
@@ -709,7 +766,7 @@ def _build_operand_edges(g: Pdg, fn: Function) -> None:
     instruction's own node."""
     defs = _def_sites(g, fn)
     params = set(fn.param_names())
-    for ins in fn.instructions():
+    for ins in g.index(fn.name).instrs:
         if isinstance(ins, Call):
             targets = [(op, g._ai[(ins.uid, j)]) for j, op in enumerate(ins.args)]
         else:
@@ -726,14 +783,33 @@ def _build_operand_edges(g: Pdg, fn: Function) -> None:
                 g._add_edge(src, dst, "d_gnrl")
 
 
-def _is_summary_out_node(g: Pdg, node_id: int) -> bool:
-    """True for nodes that stand for a summarized callee's outputs."""
-    n = g.nodes[node_id]
-    if n.kind == "actual_out":
-        return True
-    if n.kind == "global_value" and n.call_uid is not None:
-        return True
-    return n.kind == "call_site" and n.instr in g.summarized_calls
+def _first_step(path: tuple):
+    """A points-to path's first step, or None when it may be any step."""
+    return path[0] if path and path[0] is not None and path[0] != _ANY else None
+
+
+def _region_buckets(entries: list[tuple[int, set]]) -> dict[tuple, list[int]]:
+    """Ascending entry indices by (root,) and by (root, first step)."""
+    buckets: dict[tuple, list[int]] = {}
+    for k, (_, regions) in enumerate(entries):
+        keys = {(r,) for r, _ in regions} | {(r, _first_step(p)) for r, p in regions}
+        for key in keys:
+            buckets.setdefault(key, []).append(k)
+    return buckets
+
+
+def _compat_candidates(buckets: dict[tuple, list[int]], regions: set) -> list[int]:
+    """Ascending indices of the bucketed entries that regions_compat can
+    accept: a shared root, with first steps that are equal or unknown."""
+    found: set[int] = set()
+    for r, p in regions:
+        step = _first_step(p)
+        if step is None:
+            found.update(buckets.get((r,), ()))
+        else:
+            found.update(buckets.get((r, step), ()))
+            found.update(buckets.get((r, None), ()))
+    return sorted(found)
 
 
 def _build_memory_edges(g: Pdg, pts: _PointsTo) -> None:
@@ -742,7 +818,7 @@ def _build_memory_edges(g: Pdg, pts: _PointsTo) -> None:
     ptr_defs: list[tuple[int, set]] = []
 
     for f in g.included.values():
-        for ins in f.instructions():
+        for ins in g.index(f.name).instrs:
             if isinstance(ins, Store):
                 regions = pts.of_operand(f.name, ins.addr)
                 if regions:
@@ -762,32 +838,39 @@ def _build_memory_edges(g: Pdg, pts: _PointsTo) -> None:
                 if rs:
                     ptr_defs.append((g.instr_index[ins.uid], rs))
 
-    for (cu, j, fp), nid in sorted(g._ao.items()):
-        fn_name = g.nodes[nid].fn
-        call = next(i for i in g.included[fn_name].instructions() if i.uid == cu)
-        regions = pts.of_operand(fn_name, call.args[j])
-        if regions:
-            writers.append((nid, regions))
-    for (cu, gname, fp), nid in sorted(g._gout.items()):
-        writers.append((nid, {(("g", gname), ())}))
+    for cu in sorted(g._ao):
+        for j, fp, nid in g.actual_out_nodes(cu):
+            fn_name = g.nodes[nid].fn
+            call = g.index(fn_name).by_uid[cu]
+            regions = pts.of_operand(fn_name, call.args[j])
+            if regions:
+                writers.append((nid, regions))
+    for cu in sorted(g._gout):
+        for gname, fp, nid in g.global_out_nodes(cu):
+            writers.append((nid, {(("g", gname), ())}))
     # static global nodes read by a callee summary act as memory readers;
     # plain address uses (operand edges into geps/stores) do not qualify
     summary_reader_gvs = {
         e.src for e in g.edges
         if e.kind == "d_gnrl" and g.nodes[e.src].kind == "global_value"
-        and g.nodes[e.src].call_uid is None and _is_summary_out_node(g, e.dst)
+        and g.nodes[e.src].call_uid is None and g.is_summary_output(e.dst)
     }
     for nid in sorted(summary_reader_gvs):
         readers.append((nid, {(("g", g.nodes[nid].global_name), ())}))
 
+    # candidates are visited in list order, so edges keep the order an
+    # all-pairs scan would give them
+    buckets = _region_buckets(readers)
     for wnode, wregs in writers:
-        for rnode, rregs in readers:
+        for k in _compat_candidates(buckets, wregs):
+            rnode, rregs = readers[k]
             if wnode != rnode and pts.regions_compat(wregs, rregs):
                 g._add_edge(wnode, rnode, "raw")
 
-    for i in range(len(ptr_defs)):
-        for j in range(i + 1, len(ptr_defs)):
-            n1, r1 = ptr_defs[i]
+    buckets = _region_buckets(ptr_defs)
+    for i, (n1, r1) in enumerate(ptr_defs):
+        later = _compat_candidates(buckets, r1)
+        for j in later[bisect_right(later, i):]:
             n2, r2 = ptr_defs[j]
             if n1 != n2 and pts.regions_compat(r1, r2):
                 g._add_edge(min(n1, n2), max(n1, n2), "d_alias")

@@ -152,7 +152,9 @@ def parse_rules(text: str) -> TaintRuleProgram:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise RuleParseError(f"malformed rule JSON at byte offset {e.pos}: {e.msg}")
-    if not isinstance(doc, dict) or doc.get("v") != SCHEMA_VERSION:
+    if not isinstance(doc, dict):
+        raise RuleParseError("rule JSON is not an object")
+    if doc.get("v") != SCHEMA_VERSION:
         raise RuleParseError(
             f"unsupported rule schema version {doc.get('v')!r},"
             f" expected {SCHEMA_VERSION}")
@@ -162,6 +164,8 @@ def parse_rules(text: str) -> TaintRuleProgram:
                                 doc.get("controlDeps", False))
     except (KeyError, TypeError) as e:
         raise RuleParseError(f"rule JSON missing field: {e}")
+    except ValueError as e:
+        raise RuleParseError(str(e))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from .ir import (
     Module, Ptr, Store, StructDecl, StructRef, Temp, Type, VOID,
     field_path_offset, is_prim_type, is_struct_like, type_str,
 )
-from .parser import parse_type as _parse_type, _Cursor, _tokenize, print_module
-from .pdg import Pdg, PdgError, build_pdg, _is_summary_out_node
+from .parser import parse_type_text, print_module
+from .pdg import Pdg, PdgError, build_pdg
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +90,8 @@ class SlotRef:
 
     @staticmethod
     def from_json(d: dict) -> "SlotRef":
-        ty = _parse_type(_Cursor(_tokenize(d["type"]), 0))
-        return SlotRef(d["kind"], d.get("index"), d.get("name"), ty,
+        return SlotRef(d["kind"], d.get("index"), d.get("name"),
+                       parse_type_text(d["type"]),
                        tuple(d.get("fieldPath", ())))
 
 
@@ -177,14 +177,14 @@ def _chain_root(fn: Function, defs: Mapping[str, Instr], module: Module,
     degrades to the whole parameter/global); loads break the chain."""
     path: tuple[str, ...] = ()
     whole = False
+    params = fn.param_names()
     for _ in range(64):
         if isinstance(op, GlobalRef):
             return ("global", op.name, () if whole else path)
         if not isinstance(op, Temp):
             return None
-        if op.name in fn.param_names():
-            idx = fn.param_names().index(op.name)
-            return ("param", idx, () if whole else path)
+        if op.name in params:
+            return ("param", params.index(op.name), () if whole else path)
         d = defs.get(op.name)
         if not isinstance(d, Gep):
             return None
@@ -213,15 +213,10 @@ def _gep_field_names(module: Module, gep: Gep) -> tuple[tuple[str, ...], bool]:
     return tuple(names), imprecise
 
 
-def _defs_of(fn: Function) -> dict[str, Instr]:
-    return {ins.defined_temp(): ins for ins in fn.instructions()
-            if ins.defined_temp() is not None}
-
-
 def _is_summary_in(g: Pdg, node_id: int) -> bool:
     """True when the node feeds a summarized callee (its outgoing d_gnrl
     edges were induced by a callee summary)."""
-    return any(kind == "d_gnrl" and _is_summary_out_node(g, dst)
+    return any(kind == "d_gnrl" and g.is_summary_output(dst)
                for dst, kind in g.successors(node_id))
 
 
@@ -269,10 +264,10 @@ def _struct_refinements(module: Module, fn: Function, g: Pdg, root: tuple,
         reach.add(n)
     out = []
     for f in g.included.values():
-        defs = _defs_of(f)
-        for ins in f.instructions():
+        idx = g.index(f.name)
+        for ins in idx.instrs:
             if isinstance(ins, Gep):
-                chain = _chain_root(f, defs, module, Temp(ins.dest))
+                chain = _chain_root(f, idx.defs, module, Temp(ins.dest))
                 if chain is None or (chain[0], chain[1]) != root:
                     continue
                 gnode = g.node_of_instr(ins.uid)
@@ -281,7 +276,7 @@ def _struct_refinements(module: Module, fn: Function, g: Pdg, root: tuple,
                 nxt = g.find_next_use(ins.uid)
                 if nxt is None:
                     continue
-                nxt_ins = next(i for i in f.instructions() if i.uid == nxt)
+                nxt_ins = idx.by_uid[nxt]
                 if want_load:
                     if isinstance(nxt_ins, Load) and nxt_ins.addr == Temp(ins.dest):
                         out.append((g.node_of_instr(nxt),
@@ -304,12 +299,12 @@ def _call_arg_bindings(module: Module, fn: Function, g: Pdg, root: tuple,
     ins_nodes = []     # (node, slot) feeding the callee
     out_nodes = []     # (node, slot) written by the callee
     for f in g.included.values():
-        defs = _defs_of(f)
-        for ins in f.instructions():
+        idx = g.index(f.name)
+        for ins in idx.instrs:
             if not isinstance(ins, Call) or ins.uid not in g.summarized_calls:
                 continue
             for j, arg in enumerate(ins.args):
-                chain = _chain_root(f, defs, module, arg)
+                chain = _chain_root(f, idx.defs, module, arg)
                 if chain is None or (chain[0], chain[1]) != root:
                     continue
                 base_path = chain[2]
@@ -318,13 +313,13 @@ def _call_arg_bindings(module: Module, fn: Function, g: Pdg, root: tuple,
                     if _is_summary_in(g, ai):
                         ins_nodes.append(
                             (ai, _base_slot(module, fn, root, base_path)))
-                    for (cu, aj, fp), fnode in sorted(g._ai_field.items()):
-                        if cu == ins.uid and aj == j:
+                    for aj, fp, fnode in g.actual_in_fields(ins.uid):
+                        if aj == j:
                             ins_nodes.append(
                                 (fnode,
                                  _base_slot(module, fn, root, base_path + fp)))
-                for (cu, aj, fp), anode in sorted(g._ao.items()):
-                    if cu == ins.uid and aj == j and cu in g.summarized_calls:
+                for aj, fp, anode in g.actual_out_nodes(ins.uid):
+                    if aj == j:
                         out_nodes.append(
                             (anode,
                              _base_slot(module, fn, root, base_path + fp)))
@@ -368,18 +363,18 @@ def target_nodes(module: Module, fn: Function, g: Pdg) -> NodeBinding:
 
         # stores whose address chains back through constant geps
         for f in g.included.values():
-            defs = _defs_of(f)
-            for ins in f.instructions():
+            idx = g.index(f.name)
+            for ins in idx.instrs:
                 if not isinstance(ins, Store):
                     continue
-                chain = _chain_root(f, defs, module, ins.addr)
+                chain = _chain_root(f, idx.defs, module, ins.addr)
                 if chain is not None and (chain[0], chain[1]) == root:
                     binding.add_target(g.node_of_instr(ins.uid),
                                        _base_slot(module, fn, root, chain[2]))
                     continue
                 # stashed-pointer writes: load-then-store
                 if isinstance(ins.addr, Temp):
-                    d = defs.get(ins.addr.name)
+                    d = idx.defs.get(ins.addr.name)
                     if isinstance(d, Load):
                         lnode = g.node_of_instr(d.uid)
                         reach_ok = any(
@@ -392,10 +387,11 @@ def target_nodes(module: Module, fn: Function, g: Pdg) -> NodeBinding:
             binding.add_target(n, s)
 
     # globals written by summarized callees, regardless of local references
-    for (cu, gname, fp), nid in sorted(g._gout.items()):
-        binding.add_target(
-            nid, make_slot(module, "global", name=gname,
-                           base_ty=module.globals[gname].ty, path=fp))
+    for cu in sorted(g.summarized_calls):
+        for gname, fp, nid in g.global_out_nodes(cu):
+            binding.add_target(
+                nid, make_slot(module, "global", name=gname,
+                               base_ty=module.globals[gname].ty, path=fp))
     binding.targets.sort()
     return binding
 

@@ -55,6 +55,26 @@ class TestOffline:
         main(["summarize", student_flow_path(workdir), "--out", str(out)])
         assert "wrote" not in capsys.readouterr().out
 
+    def test_summarize_reflects_edited_callee(self, workdir, capsys):
+        # copy_twice's summary comes from memcpy's; editing only memcpy
+        # must still refresh it
+        lib = workdir / "corpus" / "libcorpus.ir"
+        out = workdir / "build"
+        assert main(["summarize", str(lib), "--out", str(out)]) == 0
+        assert len(json.loads(
+            (out / "copy_twice.summary.json").read_text())["entries"]) == 2
+        text = lib.read_text()
+        first = text.index("  store char %ch, %dp0\n")
+        lib.write_text(text[:first]
+                       + text[first + len("  store char %ch, %dp0\n"):])
+        assert main(["summarize", str(lib), "--out", str(out)]) == 0
+        fresh = workdir / "fresh"
+        assert main(["summarize", str(lib), "--out", str(fresh)]) == 0
+        for p in fresh.glob("*.summary.json"):
+            assert (out / p.name).read_text() == p.read_text(), p.name
+        assert json.loads(
+            (out / "copy_twice.summary.json").read_text())["entries"] == []
+
     def test_rules_and_stats(self, workdir, capsys):
         out = workdir / "build"
         assert main(["rules", student_flow_path(workdir), "--out", str(out),
@@ -142,6 +162,60 @@ class TestOnline:
         out = capsys.readouterr().out
         assert out.startswith("mode,instr_total")
         assert "reduction," in out
+
+
+class TestBadRuleFiles:
+    """A malformed rule file is a diagnostic and exit 1, never a traceback."""
+
+    @pytest.fixture()
+    def bad_rules(self, workdir):
+        rules = workdir / "r"
+        assert main(["rules", str(workdir / "corpus" / "libcorpus.ir"),
+                     "--out", str(rules)]) == 0
+        (rules / "memcpy.rules.json").write_text('{"v": 1, "steps": [')
+        return rules
+
+    def _assert_diagnostic(self, rc, capsys, rules):
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        assert f"error: {rules / 'memcpy.rules.json'}: " in err
+
+    def test_run(self, workdir, bad_rules, capsys):
+        rc = main(["run", student_flow_path(workdir), "--mode", "hybrid",
+                   "--rules", str(bad_rules)])
+        self._assert_diagnostic(rc, capsys, bad_rules)
+
+    def test_compare(self, workdir, bad_rules, capsys):
+        rc = main(["--trials", "2", "compare",
+                   str(workdir / "corpus" / "libcorpus.ir"),
+                   "--rules", str(bad_rules)])
+        self._assert_diagnostic(rc, capsys, bad_rules)
+
+    def test_nitest(self, workdir, bad_rules, capsys):
+        rc = main(["--trials", "2", "nitest",
+                   str(workdir / "corpus" / "libcorpus.ir"),
+                   "--rules", str(bad_rules)])
+        self._assert_diagnostic(rc, capsys, bad_rules)
+
+    def test_bench(self, workdir, bad_rules, capsys):
+        rc = main(["bench", str(workdir / "corpus" / "bench_memcpy.ir"),
+                   "--args", "16", "--rules", str(bad_rules)])
+        self._assert_diagnostic(rc, capsys, bad_rules)
+
+    def test_rule_file_that_is_not_an_object(self, workdir, bad_rules, capsys):
+        (bad_rules / "memcpy.rules.json").write_text("[]")
+        rc = main(["bench", str(workdir / "corpus" / "bench_memcpy.ir"),
+                   "--args", "16", "--rules", str(bad_rules)])
+        self._assert_diagnostic(rc, capsys, bad_rules)
+
+    def test_rule_slot_with_bad_type(self, workdir, bad_rules, capsys):
+        good = json.loads((bad_rules / "strcpy_a.rules.json").read_text())
+        good["steps"][0]["slot"]["type"] = "ptr(char"
+        (bad_rules / "memcpy.rules.json").write_text(json.dumps(good))
+        rc = main(["bench", str(workdir / "corpus" / "bench_memcpy.ir"),
+                   "--args", "16", "--rules", str(bad_rules)])
+        self._assert_diagnostic(rc, capsys, bad_rules)
 
 
 class TestUsage:

@@ -6,14 +6,19 @@ the block CFG.
 """
 
 from collections import deque
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taintsum import build_pdg, corpus, find_node, parse_module
-from taintsum.ir import Br, Jmp, Ret
+from taintsum import pdg as pdg_module
+from taintsum.ir import Br, Jmp, Ret, Temp
 from taintsum.pdg import (
     PdgError, TRAVERSABLE, control_dependencies, postdominators,
 )
+from taintsum.summaries import summarize_library
+from test_ir import _straightline_function
 
 
 def _adjacency(g, kinds):
@@ -362,3 +367,125 @@ class TestExports:
         assert doc["function"] == "memcpy"
         assert {"id", "kind", "instr", "label"} <= set(doc["nodes"][0])
         assert {"src", "dst", "kind"} == set(doc["edges"][0])
+
+
+def brute_force_next_use(fn, uid):
+    """Linear scan: the first later instruction, in program order, that
+    reads the temp defined at uid."""
+    instrs = list(fn.instructions())
+    at = next((k for k, ins in enumerate(instrs) if ins.uid == uid), None)
+    target = instrs[at].defined_temp() if at is not None else None
+    if target is None:
+        return None
+    for ins in instrs[at + 1:]:
+        if any(isinstance(op, Temp) and op.name == target
+               for op in ins.operands()):
+            return ins.uid
+    return None
+
+
+def _every_entry(buckets, regions):
+    """All-pairs stand-in for the bucket lookup: every entry is a
+    candidate, in list order."""
+    return sorted({k for ks in buckets.values() for k in ks})
+
+
+def build_all_pairs(module, name, summaries):
+    """build_pdg with memory edges found by testing every writer against
+    every reader and every pointer def against every later one."""
+    with mock.patch.object(pdg_module, "_compat_candidates", _every_entry):
+        return build_pdg(module, name, summaries)
+
+
+def _edge_list(g):
+    return [(e.src, e.dst, e.kind) for e in g.edges]
+
+
+@st.composite
+def _pointer_function(draw):
+    """Random straight-line function that stashes cell pointers in pointer
+    slots and reloads them, so one address may point to several cells."""
+    n_cells, n_slots = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    lines = ["fn @f(%x: i64) -> i64 {", "entry:"]
+    lines += [f"  %c{i} = alloca i64" for i in range(n_cells)]
+    lines += [f"  %q{i} = alloca ptr(i64)" for i in range(n_slots)]
+    # a pointer reloaded from %q0 may point to any cell
+    lines += [f"  store ptr(i64) %c{i}, %q0" for i in range(n_cells)]
+    ptrs = [f"%c{i}" for i in range(n_cells)]
+    vals = ["%x"]
+    for k in range(draw(st.integers(1, 16))):
+        op = draw(st.sampled_from(["stash", "fetch", "write", "read"]))
+        slot = f"%q{draw(st.integers(0, n_slots - 1))}"
+        ptr = draw(st.sampled_from(ptrs))
+        if op == "stash":
+            lines.append(f"  store ptr(i64) {ptr}, {slot}")
+        elif op == "fetch":
+            lines.append(f"  %p{k} = load ptr(i64), {slot}")
+            ptrs.append(f"%p{k}")
+        elif op == "write":
+            lines.append(f"  store i64 {draw(st.sampled_from(vals))}, {ptr}")
+        else:
+            lines.append(f"  %v{k} = load i64, {ptr}")
+            vals.append(f"%v{k}")
+    lines += [f"  ret i64 {vals[-1]}", "}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def corpus_graphs():
+    """(module, function name, callee summaries) for every corpus function."""
+    out = []
+    for mod_name in corpus.NAMES:
+        m = corpus.load_module(mod_name)
+        summaries, _ = summarize_library(m, include_control_deps=True)
+        for name in sorted(m.functions):
+            out.append((m, name, {k: v for k, v in summaries.items()
+                                  if k != name}))
+    return out
+
+
+class TestIndexEquivalence:
+    """The per-function index and the bucketed memory-edge search against
+    brute-force recomputations."""
+
+    def test_next_use_matches_linear_scan_on_corpus(self, corpus_graphs):
+        for m, name, summaries in corpus_graphs:
+            g = build_pdg(m, name, summaries)
+            for fn in g.included.values():
+                for ins in fn.instructions():
+                    assert (g.find_next_use(ins.uid)
+                            == brute_force_next_use(fn, ins.uid)), ins.uid
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_straightline_function(), _pointer_function()))
+    def test_next_use_matches_linear_scan_on_random_functions(self, src):
+        m = parse_module(src)
+        g = build_pdg(m, "f", {})
+        fn = m.functions["f"]
+        for ins in fn.instructions():
+            assert g.find_next_use(ins.uid) == brute_force_next_use(fn, ins.uid)
+
+    def test_edge_order_matches_all_pairs_on_corpus(self, corpus_graphs):
+        for m, name, summaries in corpus_graphs:
+            g = build_pdg(m, name, summaries)
+            oracle = build_all_pairs(m, name, summaries)
+            assert _edge_list(g) == _edge_list(oracle), name
+            assert all(g.successors(n) == oracle.successors(n) for n in g.nodes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(_straightline_function(), _pointer_function()))
+    def test_edge_order_matches_all_pairs_on_random_functions(self, src):
+        m = parse_module(src)
+        assert _edge_list(build_pdg(m, "f", {})) == _edge_list(
+            build_all_pairs(m, "f", {}))
+
+    def test_reachable_from_result_is_not_shared_state(self, memcpy_pdg):
+        g = memcpy_pdg
+        src = g.formal_in(0)
+        first = g.reachable_from(src)
+        want = set(first)
+        with pytest.raises(AttributeError):
+            first.add(-1)
+        first |= {-1}
+        assert -1 not in g.reachable_from(src)
+        assert g.reachable_from(src) == want == brute_force_reachable(g, src)

@@ -6,12 +6,15 @@ test_validate) and then frozen here; the brute-force cross-check also
 runs inline so a traversal regression cannot silently change the goldens.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
 from taintsum import build_pdg, corpus, parse_module
 from taintsum.ir import (
-    Array, CHAR, F32, I32, I64, Int, Ptr, StructDecl, StructRef, is_prim_type,
+    Array, CHAR, F32, Function, I32, I64, Int, Ptr, StructDecl, StructRef,
+    is_prim_type,
 )
 from taintsum.summaries import (
     NodeBinding, SlotRef, Summary, flatten_prim_types, source_nodes,
@@ -301,3 +304,63 @@ class TestSerialization:
         a = summary_to_text(lib_summaries["student_cpy"])
         b = summary_to_text(lib_summaries["student_cpy"])
         assert a == b
+
+
+def _straightline_library(lanes):
+    """One library function of 10 * lanes + 1 instructions with a fixed
+    signature: each lane loads a field of %s and of @g, passes through a
+    local, and writes a field of %o through the summarized @put."""
+    lines = ["struct %rec { i64 f0, i64 f1, i64 f2, i64 f3 }",
+             "global @g : %rec",
+             "fn @put(%d: ptr(i64), %v: i64) -> void library {",
+             "entry:", "  store i64 %v, %d", "  ret", "}",
+             "fn @lib(%x: i64, %s: ptr(%rec), %o: ptr(%rec)) -> i64 library {",
+             "entry:"]
+    for k in range(lanes):
+        lines += [f"  %a{k} = gep %rec, %s, 0, {k % 4}",
+                  f"  %v{k} = load i64, %a{k}",
+                  f"  %m{k} = alloca i64",
+                  f"  store i64 %v{k}, %m{k}",
+                  f"  %l{k} = load i64, %m{k}",
+                  f"  %c{k} = add i64 %l{k}, %x",
+                  f"  %b{k} = gep %rec, %o, 0, {(k + 1) % 4}",
+                  f"  call void @put(%b{k}, %c{k})",
+                  f"  %h{k} = gep %rec, @g, 0, {k % 4}",
+                  f"  %w{k} = load i64, %h{k}"]
+    lines += [f"  ret i64 %c{lanes - 1}", "}"]
+    return parse_module("\n".join(lines) + "\n")
+
+
+class TestScaling:
+    """Work counts, not wall time: summarizing a longer function must not
+    rescan it once per instruction."""
+
+    def _summarize_counting_scans(self, module):
+        scans = 0
+        plain = Function.instructions
+
+        def counted(fn):
+            nonlocal scans
+            scans += 1
+            return plain(fn)
+
+        with mock.patch.object(Function, "instructions", counted):
+            summaries, diags = summarize_library(module)
+        assert diags == []
+        return summaries, scans
+
+    def test_instruction_scans_do_not_grow_with_function_size(self):
+        small, large = _straightline_library(40), _straightline_library(160)
+        assert sum(len(b.instrs) for b in small.functions["lib"].blocks) == 401
+        assert sum(len(b.instrs) for b in large.functions["lib"].blocks) == 1601
+        small_sums, small_scans = self._summarize_counting_scans(small)
+        large_sums, large_scans = self._summarize_counting_scans(large)
+        assert large_scans == small_scans
+        assert small_sums == large_sums
+        assert entries_as_strs(large_sums["lib"]) == {
+            "param2.f0": ["param0", "param1.f3"],
+            "param2.f1": ["param0", "param1.f0"],
+            "param2.f2": ["param0", "param1.f1"],
+            "param2.f3": ["param0", "param1.f2"],
+            "ret": ["param0", "param1.f3"],
+        }
