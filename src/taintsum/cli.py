@@ -16,19 +16,18 @@ import json
 import sys
 from pathlib import Path
 
-from .ir import Module, validate_module
+from .ir import Module, type_str, validate_module
 from .parser import ParseError, parse_module, print_module
 from .pdg import PdgError, build_pdg
 from .rules import (
-    RuleParseError, parse_rules, rule_stats, rule_stats_csv, serialize_rules,
-    taint_rule_gen,
+    RuleParseError, TaintRuleProgram, check_rules, compile_library,
+    parse_rules, rule_stats, rule_stats_csv, serialize_rules,
 )
 from .summaries import (
     Summary, flatten_prim_types, function_body_hash, summarize_library,
 )
 from .tracker import MachineTrap, TaintConfig, run
 from .validate import HarnessError, bench, noninterference_check, oracle_compare
-from .ir import type_str
 
 
 def _load_module(path: str) -> Module:
@@ -65,6 +64,17 @@ def _summaries_for(m: Module, args) -> dict[str, Summary]:
     for d in diags:
         print(f"note: {d}", file=sys.stderr)
     return summaries
+
+
+def _rules_for(m: Module, args) -> dict[str, TaintRuleProgram]:
+    """The rule programs in --rules, checked against the module, or else
+    the ones compiled from the module's library summaries."""
+    if args.rules:
+        return _load_rules_dir(args.rules, m)
+    progs, diags = compile_library(m, _control_deps(args), args.default_len)
+    for d in diags:
+        print(f"note: {d}", file=sys.stderr)
+    return progs
 
 
 def _write_if_changed(path: Path, text: str) -> bool:
@@ -136,13 +146,10 @@ def cmd_summarize(args) -> int:
 def cmd_rules(args) -> int:
     m = _load_module(args.module)
     out = _out_dir(args)
-    summaries = _summaries_for(m, args)
-    progs = {}
-    for name in sorted(summaries):
-        prog = taint_rule_gen(summaries[name], m, args.default_len)
-        progs[name] = prog
+    progs = _rules_for(m, args)
+    for name in sorted(progs):
         path = out / f"{name}.rules.json"
-        _write_if_changed(path, serialize_rules(prog))
+        _write_if_changed(path, serialize_rules(progs[name]))
         print(f"wrote {path}")
     stats_text = rule_stats_csv(rule_stats(progs))
     _write_if_changed(out / "rule_stats.csv", stats_text)
@@ -151,11 +158,12 @@ def cmd_rules(args) -> int:
     return 0
 
 
-def _load_rules_dir(path: str) -> dict:
+def _load_rules_dir(path: str, module: Module) -> dict[str, TaintRuleProgram]:
     progs = {}
     for p in sorted(Path(path).glob("*.rules.json")):
         try:
             prog = parse_rules(p.read_text(encoding="utf-8"))
+            check_rules(prog, module)
         except RuleParseError as e:
             raise SystemExit(f"error: {p}: {e}")
         progs[prog.function] = prog
@@ -165,19 +173,11 @@ def _load_rules_dir(path: str) -> dict:
 def cmd_run(args) -> int:
     m = _load_module(args.module)
     cfg = TaintConfig.load(args.taint_config) if args.taint_config else None
-    if args.rules:
-        progs = _load_rules_dir(args.rules)
-    elif args.mode == "hybrid":
-        summaries, _ = summarize_library(m, _control_deps(args))
-        progs = {n: taint_rule_gen(s, m, args.default_len)
-                 for n, s in summaries.items()}
-    else:
-        progs = {}
+    progs = _rules_for(m, args) if args.rules or args.mode == "hybrid" else {}
     entry_args = [int(a) for a in args.args.split(",") if a] if args.args else []
     try:
         report = run(m, args.entry, entry_args, cfg, args.mode, progs,
-                     step_budget=args.step_budget, seed=args.seed,
-                     default_len=args.default_len)
+                     step_budget=args.step_budget, default_len=args.default_len)
     except (MachineTrap, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -188,66 +188,48 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _rules_for_harness(m: Module, args) -> dict:
-    if args.rules:
-        return _load_rules_dir(args.rules)
-    summaries = _summaries_for(m, args)
-    return {n: taint_rule_gen(s, m, args.default_len)
-            for n, s in summaries.items()}
+def _harness(args, check, describe, out_name: str) -> int:
+    """Run `check` on --fn or every library function; exit 1 on any
+    violation or harness error."""
+    m = _load_module(args.module)
+    progs = _rules_for(m, args)
+    names = [args.fn] if args.fn else sorted(
+        corpus_fn.name for corpus_fn in m.library_functions())
+    failed = False
+    results = []
+    for name in names:
+        try:
+            rep = check(m, name, trials=args.trials, seed=args.seed,
+                        rule_programs=progs)
+        except HarnessError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
+        results.append(rep.to_json())
+        print(f"{name}: {describe(rep)}")
+        failed = failed or bool(rep.violations)
+    if args.out:
+        _write_if_changed(_out_dir(args) / out_name,
+                          json.dumps(results, indent=2) + "\n")
+    return 1 if failed else 0
 
 
 def cmd_compare(args) -> int:
-    m = _load_module(args.module)
-    progs = _rules_for_harness(m, args)
-    names = [args.fn] if args.fn else sorted(
-        corpus_fn.name for corpus_fn in m.library_functions())
-    failed = False
-    results = []
-    for name in names:
-        try:
-            rep = oracle_compare(m, name, trials=args.trials, seed=args.seed,
-                                 rule_programs=progs)
-        except HarnessError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
-        results.append(rep.to_json())
-        flag = "" if not rep.violations else f"  ({len(rep.violations)} violations)"
-        print(f"{name}: instr={rep.avg_tainted_instr:.1f}"
-              f" hybrid={rep.avg_tainted_hybrid:.1f} ratio={rep.ratio:.3f}"
-              f" ret {rep.return_tainted_instr}->{rep.return_tainted_hybrid}{flag}")
-        failed = failed or bool(rep.violations)
-    if args.out:
-        _write_if_changed(_out_dir(args) / "compare.json",
-                          json.dumps(results, indent=2) + "\n")
-    return 1 if failed else 0
+    def describe(rep) -> str:
+        flag = f"  ({len(rep.violations)} violations)" if rep.violations else ""
+        return (f"instr={rep.avg_tainted_instr:.1f}"
+                f" hybrid={rep.avg_tainted_hybrid:.1f} ratio={rep.ratio:.3f}"
+                f" ret {rep.return_tainted_instr}->{rep.return_tainted_hybrid}{flag}")
+    return _harness(args, oracle_compare, describe, "compare.json")
 
 
 def cmd_nitest(args) -> int:
-    m = _load_module(args.module)
-    progs = _rules_for_harness(m, args)
-    names = [args.fn] if args.fn else sorted(
-        corpus_fn.name for corpus_fn in m.library_functions())
-    failed = False
-    results = []
-    for name in names:
-        try:
-            rep = noninterference_check(m, name, trials=args.trials,
-                                        seed=args.seed, rule_programs=progs)
-        except HarnessError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
-        results.append(rep.to_json())
-        print(f"{name}: {rep.trials} trials, {len(rep.violations)} violations")
-        failed = failed or bool(rep.violations)
-    if args.out:
-        _write_if_changed(_out_dir(args) / "nitest.json",
-                          json.dumps(results, indent=2) + "\n")
-    return 1 if failed else 0
+    return _harness(args, noninterference_check, lambda rep: (
+        f"{rep.trials} trials, {len(rep.violations)} violations"), "nitest.json")
 
 
 def cmd_bench(args) -> int:
     m = _load_module(args.module)
-    progs = _rules_for_harness(m, args)
+    progs = _rules_for(m, args)
     entry_args = [int(a) for a in args.args.split(",") if a] if args.args else []
     rep = bench(m, args.entry, entry_args, rule_programs=progs,
                 step_budget=args.step_budget)
@@ -257,13 +239,23 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
+
+
 def build_argparser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="taintsum",
         description="Library-summary-based hybrid dynamic data-flow tracking")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--trials", type=int, default=100)
-    ap.add_argument("--default-len", type=int, default=64,
+    ap.add_argument("--trials", type=_positive_int, default=100)
+    ap.add_argument("--default-len", type=_positive_int, default=64,
                     help="string scan cap for rule regions")
     ap.add_argument("--control-deps", choices=("on", "off"), default="on")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -294,7 +286,7 @@ def build_argparser() -> argparse.ArgumentParser:
     p.add_argument("module")
     p.add_argument("--out", default="build")
     p.add_argument("--stats", action="store_true")
-    p.set_defaults(func=cmd_rules)
+    p.set_defaults(func=cmd_rules, rules=None)
 
     p = sub.add_parser("run", help="execute under taint tracking")
     p.add_argument("module")

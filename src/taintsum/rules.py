@@ -19,8 +19,10 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .ir import Module, Ptr, Void, is_char_or_void_ptr, size_of
-from .summaries import SlotRef, Summary
+from .ir import (
+    Diagnostic, LayoutError, Module, Ptr, Void, is_char_or_void_ptr, size_of,
+)
+from .summaries import SlotRef, Summary, make_slot, summarize_library
 
 DEFAULT_STRING_CAP = 64
 SCHEMA_VERSION = 1
@@ -133,6 +135,62 @@ def taint_rule_gen(summary: Summary, module: Module,
     return TaintRuleProgram(summary.function, tuple(steps), summary.control_deps)
 
 
+def compile_library(module: Module, include_control_deps: bool = True,
+                    default_len: int = DEFAULT_STRING_CAP,
+                    ) -> tuple[dict[str, TaintRuleProgram], list[Diagnostic]]:
+    """Summarize every library function and compile each summary; returns
+    the programs and the summarizer's diagnostics."""
+    summaries, diags = summarize_library(module, include_control_deps)
+    return ({name: taint_rule_gen(s, module, default_len)
+             for name, s in summaries.items()}, diags)
+
+
+def _module_slot(slot: SlotRef, fn, module: Module) -> SlotRef:
+    """`make_slot` re-derived from the module for the slot's root and path."""
+    if not all(isinstance(f, str) for f in slot.field_path):
+        raise RuleParseError(f"field path {list(slot.field_path)!r} is not names")
+    if (slot.kind == "param" and type(slot.index) is int
+            and 0 <= slot.index < len(fn.params)):
+        root = dict(index=slot.index, base_ty=fn.params[slot.index][1])
+    elif (slot.kind == "global" and isinstance(slot.name, str)
+          and slot.name in module.globals):
+        root = dict(name=slot.name, base_ty=module.globals[slot.name].ty)
+    elif slot.kind == "ret" and not slot.field_path:
+        root = dict(base_ty=fn.ret_ty)
+    else:
+        raise RuleParseError(f"slot {slot} names nothing in @{fn.name}")
+    try:
+        return make_slot(module, slot.kind, path=slot.field_path, **root)
+    except (KeyError, LayoutError) as e:
+        raise RuleParseError(f"slot {slot}: field path does not resolve: {e}")
+
+
+def check_rules(prog: TaintRuleProgram, module: Module) -> None:
+    """Raise RuleParseError unless `prog` is exactly what `taint_rule_gen`
+    compiles from its own entries: a library function, slots typed as the
+    module types them, one positive string cap, and extents that match the
+    slot types.  A program for a function the module lacks never fires and
+    is not checked."""
+    fn = module.functions.get(prog.function)
+    if fn is None:
+        return
+    if not fn.is_library:
+        raise RuleParseError(f"@{fn.name} is not a library function")
+    for step in prog.steps:
+        if type(step.entry) is not int:
+            raise RuleParseError(f"step entry {step.entry!r} is not an integer")
+        if _module_slot(step.slot, fn, module) != step.slot:
+            raise RuleParseError(f"slot {step.slot} does not match @{fn.name}")
+    cap = next((s.max_len for s in prog.steps if s.max_len is not None),
+               DEFAULT_STRING_CAP)
+    if type(cap) is not int or cap < 1:
+        raise RuleParseError(f"maxLen {cap!r} is not a positive integer")
+    summary = Summary(fn.name, tuple(prog.decompiled_entries()), prog.control_deps)
+    if prog != taint_rule_gen(summary, module, cap):
+        raise RuleParseError(
+            f"steps of @{fn.name} differ from the rules compiled from its entries")
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -158,6 +216,8 @@ def parse_rules(text: str) -> TaintRuleProgram:
         raise RuleParseError(
             f"unsupported rule schema version {doc.get('v')!r},"
             f" expected {SCHEMA_VERSION}")
+    if not isinstance(doc.get("function"), str):
+        raise RuleParseError("rule JSON has no function name")
     try:
         steps = tuple(RuleStep.from_json(s) for s in doc["steps"])
         return TaintRuleProgram(doc["function"], steps,

@@ -25,10 +25,7 @@ from .ir import (
     StructRef, Temp, Type, Void, align_of, align_up, field_offset,
     field_path_offset, size_of, validate_module,
 )
-from .rules import (
-    GATHER_FIXED, GATHER_STRING, READ_OUT, SET_FIXED, SET_STRING,
-    TaintRuleProgram,
-)
+from .rules import READ_OUT, SET_FIXED, SET_STRING, TaintRuleProgram
 
 PAGE = 4096
 GLOBALS_BASE = 0x1000
@@ -272,8 +269,7 @@ class Machine:
                  mem_size: int = DEFAULT_MEMORY,
                  step_budget: int = DEFAULT_STEP_BUDGET,
                  max_frames: int = DEFAULT_MAX_FRAMES,
-                 default_len: int = 64,
-                 seed: int = 0):
+                 default_len: int = 64):
         if mode not in ("instr", "hybrid"):
             raise ValueError(f"unknown mode {mode!r}")
         self.module = module
@@ -287,7 +283,6 @@ class Machine:
         self.step_budget = step_budget
         self.max_frames = max_frames
         self.default_len = default_len
-        self.seed = seed
 
         self.in_lib_depth = 0
         self.shadow_ops_instr = 0
@@ -723,49 +718,31 @@ class Machine:
 # ---------------------------------------------------------------------------
 
 def _rule_region(machine: Machine, fn_name: str, slot,
-                 arg_record) -> Optional[tuple[str, object]]:
-    """Resolve a slot to ("mem", (addr, size-or-None)), ("nu", argindex),
-    or ("ret", None); None means the step is a no-op (null pointer or an
-    unresolvable slot).  A size of None marks string extents scanned at
-    application time."""
-    structs = machine.module.structs
+                 arg_record) -> Optional[tuple[str, int]]:
+    """Resolve a slot to ("ret", 0), ("nu", argindex) for a by-value
+    scalar, or ("mem", address); None for a null pointer, which makes the
+    step a no-op.  Extents come from the step, never from the slot."""
     if slot.kind == "ret":
-        return ("ret", None)
+        return ("ret", 0)
     if slot.kind == "global":
-        base = machine.global_addr.get(slot.name)
-        if base is None:
+        base = machine.global_addr[slot.name]
+        base_ty = machine.module.globals[slot.name].ty
+    elif slot.field_path or isinstance(slot.ty, Ptr):
+        base = arg_record[slot.index][0]
+        if base == 0:
             return None
-        gty = machine.module.globals[slot.name].ty
-        off, leaf = (0, gty)
-        if slot.field_path:
-            off, leaf = field_path_offset(gty, slot.field_path, structs)
-        return ("mem", (base + off, size_of(leaf, structs)))
-    if slot.index is None or slot.index >= len(arg_record):
-        return None
-    value, _vec = arg_record[slot.index]
+        base_ty = machine.module.functions[fn_name].params[slot.index][1]
+    else:
+        return ("nu", slot.index)
     if slot.field_path:
-        # the recorded value is the struct pointer; offset into the pointee
-        if not isinstance(value, int) or value == 0:
-            return None
-        fn = machine.module.functions.get(fn_name)
-        if fn is None or slot.index >= len(fn.params):
-            return None
-        off, leaf = field_path_offset(fn.params[slot.index][1],
-                                      slot.field_path, structs)
-        return ("mem", (value + off, size_of(leaf, structs)))
-    if isinstance(slot.ty, Ptr):
-        if not isinstance(value, int) or value == 0:
-            return None
-        pointee = slot.ty.pointee
-        if isinstance(pointee, (Char, Void)):
-            return ("mem", (value, None))
-        return ("mem", (value, size_of(pointee, structs)))
-    return ("nu", slot.index)
+        base += field_path_offset(base_ty, slot.field_path, machine.module.structs)[0]
+    return ("mem", base)
 
 
 def apply_rule_program(prog: TaintRuleProgram, arg_record, machine: Machine) -> None:
     """Execute a compiled rule program against the shadow state using the
-    argument values recorded at call entry."""
+    argument values recorded at call entry.  Each region covers the step's
+    `nbytes`, or the string scanned at application time up to `max_len`."""
     acc = 0
     out_tag = 0
     current_entry = -1
@@ -779,43 +756,25 @@ def apply_rule_program(prog: TaintRuleProgram, arg_record, machine: Machine) -> 
         loc = _rule_region(machine, prog.function, step.slot, arg_record)
         if loc is None:
             continue
-        kind, payload = loc
-
-        if step.op in (GATHER_FIXED, GATHER_STRING):
-            if kind == "nu":
-                acc |= _fold(arg_record[payload][1])
+        kind, where = loc
+        if kind == "mem":
+            n = (step.nbytes if step.nbytes is not None
+                 else machine.scan_string(where, step.max_len))
+        if step.op in (SET_FIXED, SET_STRING):
+            # by-value scalars have no caller-visible cell to set
+            if kind == "mem":
+                machine.tagmap.set_taint(where, out_tag | acc, n)
             elif kind == "ret":
-                acc |= _fold(machine.ret_shadow)
-            else:
-                addr, sz = payload
-                if sz is None or step.op == GATHER_STRING:
-                    sz = machine.scan_string(addr, step.max_len
-                                             or machine.default_len)
-                acc |= machine.tagmap.get_taint(addr, sz)
-        elif step.op == READ_OUT:
-            if kind == "ret":
-                out_tag = _fold(machine.ret_shadow)
-            elif kind == "nu":
-                out_tag = _fold(arg_record[payload][1])
-            else:
-                addr, sz = payload
-                if sz is None or step.max_len is not None:
-                    sz = machine.scan_string(addr, step.max_len
-                                             or machine.default_len)
-                out_tag = machine.tagmap.get_taint(addr, sz)
-        elif step.op in (SET_FIXED, SET_STRING):
-            tag = out_tag | acc
-            if kind == "ret":
-                w = step.nbytes if step.nbytes is not None else len(machine.ret_shadow)
-                machine.ret_shadow = bytes([tag]) * w
-            elif kind == "nu":
-                pass        # by-value scalars have no caller-visible cell
-            else:
-                addr, sz = payload
-                if sz is None or step.op == SET_STRING:
-                    sz = machine.scan_string(addr, step.max_len
-                                             or machine.default_len)
-                machine.tagmap.set_taint(addr, tag, sz)
+                machine.ret_shadow = bytes([out_tag | acc]) * step.nbytes
+            continue
+        if kind == "mem":
+            tag = machine.tagmap.get_taint(where, n)
+        else:
+            tag = _fold(machine.ret_shadow if kind == "ret" else arg_record[where][1])
+        if step.op == READ_OUT:
+            out_tag = tag
+        else:
+            acc |= tag
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ from .ir import (
     Array, Char, Float, Int, Module, StructRef, Type, Void, field_offset,
     size_of,
 )
-from .rules import TaintRuleProgram, taint_rule_gen
-from .summaries import summarize_library
+from .rules import TaintRuleProgram, compile_library
 from .tracker import GLOBALS_BASE, Machine, run
 
 HARNESS_MEMORY = 1 * 1024 * 1024
@@ -158,9 +157,7 @@ def _run_trial(module: Module, fn_name: str, plan, mode: str,
 
 def default_rules(module: Module, include_control_deps: bool = True,
                   default_len: int = 64) -> dict[str, TaintRuleProgram]:
-    summaries, _ = summarize_library(module, include_control_deps)
-    return {name: taint_rule_gen(s, module, default_len)
-            for name, s in summaries.items()}
+    return compile_library(module, include_control_deps, default_len)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +190,6 @@ class ComparisonReport:
         }
 
 
-def _persistent_ranges(machine: Machine) -> list[tuple[int, int]]:
-    ranges = [(GLOBALS_BASE, machine.globals_end)]
-    for r in machine.trial_regions:
-        if r is not None:
-            ranges.append(r)
-    return ranges
-
-
 def oracle_compare(module: Module, fn_name: str, trials: int = 100,
                    seed: int = 0,
                    rule_programs: Optional[Mapping[str, TaintRuleProgram]] = None,
@@ -228,10 +217,12 @@ def oracle_compare(module: Module, fn_name: str, trials: int = 100,
         sum_h += m_h.tagmap.count_nonzero()
         ret_i = ret_i or any(m_i.ret_shadow)
         ret_h = ret_h or any(m_h.ret_shadow)
-        for lo, hi in _persistent_ranges(m_i):
-            for addr, tag in _iter_nonzero_in(m_i, lo, hi):
-                if m_h.tagmap.get_taint(addr, 1) == 0:
-                    violations.append((t, addr))
+        ranges = [(GLOBALS_BASE, m_i.globals_end)] + [
+            r for r in m_i.trial_regions if r is not None]
+        for addr, _tag in m_i.tagmap.nonzero_bytes():
+            if (any(lo <= addr < hi for lo, hi in ranges)
+                    and m_h.tagmap.get_taint(addr, 1) == 0):
+                violations.append((t, addr))
     avg_i = sum_i / trials if trials else 0.0
     avg_h = sum_h / trials if trials else 0.0
     if avg_i > 0:
@@ -240,12 +231,6 @@ def oracle_compare(module: Module, fn_name: str, trials: int = 100,
         ratio = 1.0 if avg_h == 0 else float("inf")
     return ComparisonReport(fn_name, trials, avg_i, avg_h, ratio,
                             ret_i, ret_h, tuple(violations), sum_i, sum_h)
-
-
-def _iter_nonzero_in(machine: Machine, lo: int, hi: int):
-    for addr, tag in machine.tagmap.nonzero_bytes():
-        if lo <= addr < hi:
-            yield addr, tag
 
 
 # ---------------------------------------------------------------------------

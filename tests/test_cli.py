@@ -218,6 +218,73 @@ class TestBadRuleFiles:
         self._assert_diagnostic(rc, capsys, bad_rules)
 
 
+class TestRuleFilesCheckedAgainstModule:
+    """A rule file that parses but does not fit the module is a diagnostic
+    and exit 1 at load, not a silently skipped step at run time."""
+
+    @pytest.fixture()
+    def sf_rules(self, workdir):
+        rules = workdir / "sf"
+        assert main(["rules", student_flow_path(workdir), "--out", str(rules)]) == 0
+        return rules
+
+    def _edit(self, path, change):
+        doc = json.loads(path.read_text())
+        for step in doc["steps"]:
+            change(step)
+        path.write_text(json.dumps(doc))
+
+    def _run_hybrid(self, workdir, rules):
+        return main(["run", student_flow_path(workdir), "--mode", "hybrid",
+                     "--rules", str(rules),
+                     "--taint-config", str(workdir / "cfg.json")])
+
+    def _assert_diagnostic(self, rc, capsys, path):
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        assert f"error: {path}: " in err
+
+    def test_gather_index_beyond_arity(self, workdir, sf_rules, capsys):
+        def retarget(step):
+            if step["op"].startswith("gather") and step["slot"]["kind"] == "param":
+                step["slot"]["index"] = 7
+        for p in sf_rules.glob("*.rules.json"):
+            self._edit(p, retarget)
+        rc = self._run_hybrid(workdir, sf_rules)
+        self._assert_diagnostic(rc, capsys, sf_rules / "memcpy.rules.json")
+
+    def test_edited_fixed_extent(self, workdir, sf_rules, capsys):
+        def widen(step):
+            if "bytes" in step:
+                step["bytes"] += 1
+        self._edit(sf_rules / "student_cpy.rules.json", widen)
+        rc = self._run_hybrid(workdir, sf_rules)
+        self._assert_diagnostic(rc, capsys, sf_rules / "student_cpy.rules.json")
+
+    def test_zero_string_cap(self, workdir, sf_rules, capsys):
+        def zero(step):
+            if "maxLen" in step:
+                step["maxLen"] = 0
+        self._edit(sf_rules / "memcpy.rules.json", zero)
+        rc = self._run_hybrid(workdir, sf_rules)
+        self._assert_diagnostic(rc, capsys, sf_rules / "memcpy.rules.json")
+
+    def test_rules_for_a_non_library_function(self, workdir, sf_rules, capsys):
+        (sf_rules / "main.rules.json").write_text(
+            json.dumps({"v": 1, "function": "main", "steps": []}))
+        rc = self._run_hybrid(workdir, sf_rules)
+        self._assert_diagnostic(rc, capsys, sf_rules / "main.rules.json")
+
+    def test_rules_for_absent_functions_are_ignored(self, workdir, capsys):
+        lib_rules = workdir / "lib"
+        assert main(["rules", str(workdir / "corpus" / "libcorpus.ir"),
+                     "--out", str(lib_rules)]) == 0
+        assert self._run_hybrid(workdir, lib_rules) == 0
+        assert main(["bench", str(workdir / "corpus" / "bench_memcpy.ir"),
+                     "--args", "16", "--rules", str(lib_rules)]) == 0
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_two(self, workdir):
         with pytest.raises(SystemExit) as exc:
@@ -240,3 +307,19 @@ class TestUsage:
         rc = main(["--trials", "2", "compare", str(nodrv)])
         assert rc == 1
         assert "no argument recipe" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_default_len_must_be_positive(self, workdir, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([f"--default-len={value}", "run", student_flow_path(workdir),
+                  "--mode", "hybrid"])
+        assert exc.value.code == 2
+        assert "--default-len" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_trials_must_be_positive(self, workdir, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([f"--trials={value}", "nitest",
+                  str(workdir / "corpus" / "libcorpus.ir"), "--fn", "memcpy"])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err

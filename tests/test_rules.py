@@ -1,17 +1,53 @@
 """Taint-rule compilation, serialization, statistics, and monotonicity."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from taintsum import parse_module, parse_rules, serialize_rules, taint_rule_gen
+from taintsum import (
+    apply_rule_program, corpus, parse_module, parse_rules, serialize_rules,
+    taint_rule_gen,
+)
 from taintsum.ir import I32, Ptr, VOID, Void
 from taintsum.rules import (
-    GATHER_FIXED, GATHER_STRING, READ_OUT, RuleParseError, SET_FIXED,
-    SET_STRING, rule_stats, rule_stats_csv,
+    DEFAULT_STRING_CAP, GATHER_FIXED, GATHER_STRING, READ_OUT, RuleParseError,
+    SET_FIXED, SET_STRING, check_rules, compile_library, rule_stats,
+    rule_stats_csv,
 )
 from taintsum.summaries import SlotRef, Summary
 from taintsum.tracker import Machine
+from test_fixtures import GLOBAL_READER, INT_SINK, UNION_PIPE
+from test_ir import _straightline_function
+
+
+def rule_modules():
+    """Every corpus module plus the end-to-end fixture modules."""
+    return ([corpus.load_module(n) for n in corpus.NAMES]
+            + [parse_module(t) for t in (GLOBAL_READER, INT_SINK, UNION_PIPE)])
+
+
+def random_shadow_state(module, fn, rng, null_rate=0.0):
+    """A fresh machine whose pointer parameters point at random strings
+    under random tags, and an argument record with random scalar tags;
+    with `null_rate`, that share of pointer arguments is null."""
+    machine = Machine(module, mode="instr", mem_size=1 << 20)
+    record = []
+    for pname, pty in fn.params:
+        if isinstance(pty, Ptr):
+            addr = machine.alloc(64)
+            data = bytes(rng.randrange(1, 127) for _ in range(32))
+            machine.write_bytes(addr, data + b"\0")
+            machine.tagmap.set_vector(
+                addr, bytes(rng.randrange(0, 4) for _ in range(64)))
+            if null_rate and rng.random() < null_rate:
+                addr = 0
+            record.append((addr, bytes(8)))
+        else:
+            record.append((rng.randrange(1, 30), bytes(
+                [rng.randrange(0, 4)]) * 8))
+    return machine, record
 
 
 def step_shapes(prog):
@@ -115,6 +151,10 @@ class TestSerialization:
         with pytest.raises(RuleParseError, match="schema version"):
             parse_rules('{"v": 99, "function": "f", "steps": []}')
 
+    def test_function_name_must_be_a_string(self):
+        with pytest.raises(RuleParseError, match="function name"):
+            parse_rules('{"v": 1, "function": ["f"], "steps": []}')
+
 
 class TestStats:
     def test_memcpy_categories(self, libcorpus, lib_summaries):
@@ -147,26 +187,85 @@ class TestMonotonicity:
         for name, prog in sorted(lib_rules.items()):
             fn = libcorpus.functions[name]
             for _ in range(25):
-                machine = Machine(libcorpus, mode="instr", mem_size=1 << 20)
-                record = []
-                for pname, pty in fn.params:
-                    if isinstance(pty, Ptr):
-                        addr = machine.alloc(64)
-                        data = bytes(rng.randrange(1, 127) for _ in range(32))
-                        machine.write_bytes(addr, data + b"\0")
-                        record.append((addr, bytes(
-                            rng.randrange(0, 4) for _ in range(64))))
-                    else:
-                        record.append((rng.randrange(1, 30), bytes(
-                            [rng.randrange(0, 4)]) * 8))
-                for (addr, vec) in record:
-                    if isinstance(addr, int) and addr >= 0x1000:
-                        machine.tagmap.set_vector(addr, vec)
+                machine, arg_record = random_shadow_state(libcorpus, fn, rng)
                 pre = {a: t for a, t in machine.tagmap.nonzero_bytes()}
-                from taintsum import apply_rule_program
-                arg_record = [(a, v if not isinstance(a, int) or a < 0x1000
-                               else bytes(8)) for a, v in record]
                 apply_rule_program(prog, arg_record, machine)
                 post = {a: t for a, t in machine.tagmap.nonzero_bytes()}
                 for addr, tag in pre.items():
                     assert post.get(addr, 0) & tag == tag, (name, addr)
+
+
+def _reloaded(prog, module):
+    """Serialize, parse and check a program as the CLI loads a rule file."""
+    loaded = parse_rules(serialize_rules(prog))
+    check_rules(loaded, module)
+    return loaded
+
+
+class TestLoadCheck:
+    def test_compiled_programs_pass(self):
+        for module in rule_modules():
+            for cdeps in (True, False):
+                for default_len in (1, 64):
+                    progs, _ = compile_library(module, cdeps, default_len)
+                    for prog in progs.values():
+                        assert _reloaded(prog, module) == prog
+
+    @settings(max_examples=40, deadline=None)
+    @given(_straightline_function(), st.booleans(), st.sampled_from([1, 64]))
+    def test_compiled_programs_of_random_functions_pass(self, src, cdeps,
+                                                        default_len):
+        m = parse_module(src.replace("-> i64 {", "-> i64 library {", 1))
+        progs, _ = compile_library(m, cdeps, default_len)
+        for prog in progs.values():
+            assert _reloaded(prog, m) == prog
+
+    def test_well_typed_retarget_is_accepted(self, libcorpus, lib_rules):
+        # strcpy_a's two char* parameters are interchangeable to the check;
+        # only a module/function hash stamp could tell them apart
+        doc = json.loads(serialize_rules(lib_rules["strcpy_a"]))
+        for step in doc["steps"]:
+            if step["slot"].get("index") == 1:
+                step["slot"]["index"] = 0
+        prog = parse_rules(json.dumps(doc))
+        check_rules(prog, libcorpus)
+        assert prog != lib_rules["strcpy_a"]
+
+    JSON_VALUES = st.one_of(
+        st.none(), st.booleans(), st.integers(-2, 70), st.text(max_size=3),
+        st.sampled_from([
+            "param", "global", "ret", "stu", "id", "score", "a", "b",
+            "i32", "i64", "char", "ptr(char)", "ptr(void)", "ptr(%pair)",
+            "ptr(%student)", "%student", "[8 x char]", GATHER_FIXED,
+            GATHER_STRING, READ_OUT, SET_FIXED, SET_STRING]),
+        st.lists(st.sampled_from(["id", "score", "a", "b", "x"]), max_size=2),
+        st.lists(st.integers(0, 2), max_size=2),
+        st.dictionaries(st.sampled_from(["a", "id"]), st.integers(0, 2),
+                        max_size=1))
+    STEP_FIELDS = ("bytes", "maxLen", "op", "entry")
+    SLOT_FIELDS = ("index", "type", "fieldPath", "kind", "name")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_single_field_corruption_is_diagnosed_or_sound(
+            self, libcorpus, lib_rules, data):
+        name = data.draw(st.sampled_from(
+            sorted(n for n, p in lib_rules.items() if p.steps)))
+        doc = json.loads(serialize_rules(lib_rules[name]))
+        step = data.draw(st.sampled_from(doc["steps"]))
+        field = data.draw(st.sampled_from(self.STEP_FIELDS + self.SLOT_FIELDS))
+        (step if field in self.STEP_FIELDS else step["slot"])[field] = \
+            data.draw(self.JSON_VALUES)
+        try:
+            prog = parse_rules(json.dumps(doc))
+            check_rules(prog, libcorpus)
+        except RuleParseError:
+            return
+        cap = next((s.max_len for s in prog.steps if s.max_len is not None),
+                   DEFAULT_STRING_CAP)
+        entries = Summary(name, tuple(prog.decompiled_entries()),
+                          prog.control_deps)
+        assert prog == taint_rule_gen(entries, libcorpus, cap)
+        machine, record = random_shadow_state(
+            libcorpus, libcorpus.functions[name], random.Random(0))
+        apply_rule_program(prog, record, machine)

@@ -9,7 +9,13 @@ from hypothesis import given, strategies as st
 from taintsum import (
     Machine, MachineTrap, TaintConfig, apply_rule_program, parse_module, run,
 )
+from taintsum.ir import Char, Ptr, Void, field_path_offset, size_of
+from taintsum.rules import (
+    GATHER_FIXED, GATHER_STRING, READ_OUT, SET_FIXED, SET_STRING,
+    compile_library,
+)
 from taintsum.tracker import SinkHit, Tagmap
+from test_rules import random_shadow_state, rule_modules
 
 
 class TestTagmapAlgebra:
@@ -236,6 +242,132 @@ class TestApplyRules:
         apply_rule_program(lib_rules["memcpy"],
                            [(dest, bytes(8)), (src, bytes(8)), (4, bytes(8))], m)
         assert m.shadow_ops_rules == len(lib_rules["memcpy"].steps)
+
+
+def _fold(vec):
+    tag = 0
+    for b in vec:
+        tag |= b
+    return tag
+
+
+def _reference_region(machine, fn_name, slot, arg_record):
+    """Slot resolution that re-derives each extent from the module on every
+    step: ("mem", (addr, size-or-None)), ("nu", argindex) or ("ret", None);
+    None for a null pointer or an unresolvable slot.  A size of None marks
+    a string extent scanned at application time."""
+    structs = machine.module.structs
+    if slot.kind == "ret":
+        return ("ret", None)
+    if slot.kind == "global":
+        base = machine.global_addr.get(slot.name)
+        if base is None:
+            return None
+        gty = machine.module.globals[slot.name].ty
+        off, leaf = (0, gty)
+        if slot.field_path:
+            off, leaf = field_path_offset(gty, slot.field_path, structs)
+        return ("mem", (base + off, size_of(leaf, structs)))
+    if slot.index is None or slot.index >= len(arg_record):
+        return None
+    value, _vec = arg_record[slot.index]
+    if slot.field_path:
+        if not isinstance(value, int) or value == 0:
+            return None
+        fn = machine.module.functions.get(fn_name)
+        if fn is None or slot.index >= len(fn.params):
+            return None
+        off, leaf = field_path_offset(fn.params[slot.index][1],
+                                      slot.field_path, structs)
+        return ("mem", (value + off, size_of(leaf, structs)))
+    if isinstance(slot.ty, Ptr):
+        if not isinstance(value, int) or value == 0:
+            return None
+        pointee = slot.ty.pointee
+        if isinstance(pointee, (Char, Void)):
+            return ("mem", (value, None))
+        return ("mem", (value, size_of(pointee, structs)))
+    return ("nu", slot.index)
+
+
+def reference_apply(prog, arg_record, machine):
+    """Rule application with per-step extents taken from the slot types,
+    kept as the oracle for `apply_rule_program`, which takes them from the
+    step."""
+    acc = 0
+    out_tag = 0
+    current_entry = -1
+    for step in prog.steps:
+        if step.entry != current_entry:
+            current_entry = step.entry
+            acc = 0
+            out_tag = 0
+        machine.shadow_ops_rules += 1
+        loc = _reference_region(machine, prog.function, step.slot, arg_record)
+        if loc is None:
+            continue
+        kind, payload = loc
+        if step.op in (GATHER_FIXED, GATHER_STRING):
+            if kind == "nu":
+                acc |= _fold(arg_record[payload][1])
+            elif kind == "ret":
+                acc |= _fold(machine.ret_shadow)
+            else:
+                addr, sz = payload
+                if sz is None or step.op == GATHER_STRING:
+                    sz = machine.scan_string(addr, step.max_len
+                                             or machine.default_len)
+                acc |= machine.tagmap.get_taint(addr, sz)
+        elif step.op == READ_OUT:
+            if kind == "ret":
+                out_tag = _fold(machine.ret_shadow)
+            elif kind == "nu":
+                out_tag = _fold(arg_record[payload][1])
+            else:
+                addr, sz = payload
+                if sz is None or step.max_len is not None:
+                    sz = machine.scan_string(addr, step.max_len
+                                             or machine.default_len)
+                out_tag = machine.tagmap.get_taint(addr, sz)
+        elif step.op in (SET_FIXED, SET_STRING):
+            tag = out_tag | acc
+            if kind == "ret":
+                w = step.nbytes if step.nbytes is not None else len(machine.ret_shadow)
+                machine.ret_shadow = bytes([tag]) * w
+            elif kind == "mem":
+                addr, sz = payload
+                if sz is None or step.op == SET_STRING:
+                    sz = machine.scan_string(addr, step.max_len
+                                             or machine.default_len)
+                machine.tagmap.set_taint(addr, tag, sz)
+
+
+class TestRuleApplicationOracle:
+    def test_matches_reference_on_random_shadow_states(self):
+        """Step-carried extents give the same shadow state as extents
+        re-derived from the module, for every corpus and fixture program
+        (control deps on and off, string caps 1 and 64), with some null
+        pointer arguments and a random return shadow."""
+        for module in rule_modules():
+            for cdeps in (True, False):
+                for default_len in (1, 64):
+                    progs, _ = compile_library(module, cdeps, default_len)
+                    for name, prog in sorted(progs.items()):
+                        fn = module.functions[name]
+                        for trial in range(20):
+                            got = []
+                            for apply in (reference_apply, apply_rule_program):
+                                rng = random.Random(f"{name}:{trial}")
+                                machine, record = random_shadow_state(
+                                    module, fn, rng, null_rate=0.2)
+                                machine.ret_shadow = bytes(
+                                    rng.randrange(0, 4)
+                                    for _ in range(rng.choice((0, 4, 8))))
+                                apply(prog, record, machine)
+                                got.append((machine.tagmap.nonzero_bytes(),
+                                            machine.ret_shadow,
+                                            machine.shadow_ops_rules))
+                            assert got[0] == got[1], (name, trial)
 
 
 class TestHybridSwitching:
