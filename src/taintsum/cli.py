@@ -172,7 +172,10 @@ def _load_rules_dir(path: str, module: Module) -> dict[str, TaintRuleProgram]:
 
 def cmd_run(args) -> int:
     m = _load_module(args.module)
-    cfg = TaintConfig.load(args.taint_config) if args.taint_config else None
+    try:
+        cfg = TaintConfig.load(args.taint_config) if args.taint_config else None
+    except (OSError, ValueError) as e:
+        raise SystemExit(f"error: {args.taint_config}: {e}")
     progs = _rules_for(m, args) if args.rules or args.mode == "hybrid" else {}
     entry_args = [int(a) for a in args.args.split(",") if a] if args.args else []
     try:

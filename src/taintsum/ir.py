@@ -144,9 +144,6 @@ class StructDecl:
     fields: tuple[tuple[str, Type], ...]
     is_union: bool = False
 
-    def field_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.fields)
-
     def field_type(self, name: str) -> Type:
         for n, t in self.fields:
             if n == name:
@@ -315,15 +312,8 @@ class Function:
                 ins.uid = f"{self.name}:{idx}"
                 idx += 1
 
-    @property
-    def entry_label(self) -> str:
-        return self.blocks[0].label if self.blocks else ""
-
     def param_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.params)
-
-    def param_type(self, i: int) -> Type:
-        return self.params[i][1]
 
     def instructions(self) -> Iterator[Instr]:
         for b in self.blocks:
@@ -342,9 +332,6 @@ class Module:
 
     def library_functions(self) -> list[Function]:
         return [f for f in self.functions.values() if f.is_library]
-
-    def struct(self, name: str) -> StructDecl:
-        return self.structs[name]
 
 
 # ---------------------------------------------------------------------------
@@ -528,17 +515,6 @@ def check_gep_indices(base_ty: Type, indices: tuple[Operand, ...],
         else:
             return f"cannot index into {type_str(t)}"
     return None
-
-
-def gep_result_type(base_ty: Type, indices: tuple[Operand, ...],
-                    structs: Mapping[str, StructDecl]) -> Type:
-    t = base_ty
-    for idx in indices[1:]:
-        if isinstance(t, StructRef):
-            t = structs[t.name].fields[idx.value][1]  # type: ignore[union-attr]
-        elif isinstance(t, Array):
-            t = t.elem
-    return Ptr(t)
 
 
 def validate_module(m: Module) -> list[Diagnostic]:

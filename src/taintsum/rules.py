@@ -62,9 +62,6 @@ class TaintRuleProgram:
     steps: tuple[RuleStep, ...]
     control_deps: bool = False
 
-    def entry_count(self) -> int:
-        return 1 + max((s.entry for s in self.steps), default=-1)
-
     def decompiled_entries(self) -> list[tuple[SlotRef, tuple[SlotRef, ...]]]:
         """Recover the summary's slot structure from the step list."""
         outs: dict[int, SlotRef] = {}

@@ -128,9 +128,6 @@ class Summary:
     entries: tuple[tuple[SlotRef, tuple[SlotRef, ...]], ...]
     control_deps: bool = False
 
-    def outputs(self) -> tuple[SlotRef, ...]:
-        return tuple(out for out, _ in self.entries)
-
     def to_json(self) -> dict:
         return {
             "function": self.function,

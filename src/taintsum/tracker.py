@@ -8,6 +8,10 @@ Two tracking modes share identical concrete semantics:
     applied at the outermost library call's return point against the
     recorded argument values.
 
+`Machine.live` says whether the running code is tracked.  It drops on entry
+to the outermost call with a rule program and rises at that call's return;
+while it is down no tag vector is built or stored.
+
 Tainting is observation-only: concrete execution never depends on it.
 """
 
@@ -17,7 +21,8 @@ import json
 import math
 import struct as _struct
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from itertools import compress
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .ir import (
     Alloca, Array, BinOp, Br, Call, Char, ConstInt, Float, Function, Gep,
@@ -56,78 +61,81 @@ class Tagmap:
     def __init__(self):
         self.pages: dict[int, bytearray] = {}
 
-    def get_taint(self, addr: int, sz: int) -> int:
-        tag = 0
-        i = addr
-        end = addr + sz
-        while i < end:
-            page = self.pages.get(i // PAGE)
-            off = i % PAGE
-            chunk = min(end - i, PAGE - off)
-            if page is not None:
-                for b in page[off:off + chunk]:
-                    tag |= b
-            i += chunk
-        return tag
-
-    def set_taint(self, addr: int, tag: int, sz: int) -> None:
-        i = addr
-        end = addr + sz
-        while i < end:
-            pno = i // PAGE
-            off = i % PAGE
-            chunk = min(end - i, PAGE - off)
-            page = self.pages.get(pno)
-            if page is None:
-                if tag == 0:
-                    i += chunk
-                    continue
-                page = self.pages.setdefault(pno, bytearray(PAGE))
-            page[off:off + chunk] = bytes([tag]) * chunk
-            i += chunk
-
-    def or_taint(self, addr: int, tag: int, sz: int) -> None:
-        if tag == 0:
-            return
-        for i in range(addr, addr + sz):
-            page = self.pages.setdefault(i // PAGE, bytearray(PAGE))
-            page[i % PAGE] |= tag
+    @staticmethod
+    def _pieces(addr: int, sz: int) -> Iterator[tuple[int, int, int, int]]:
+        """(page number, page offset, range offset, length) for each page
+        piece of [addr, addr + sz)."""
+        i = 0
+        while i < sz:
+            pno, off = divmod(addr + i, PAGE)
+            n = min(sz - i, PAGE - off)
+            yield pno, off, i, n
+            i += n
 
     def get_vector(self, addr: int, sz: int) -> bytes:
         out = bytearray(sz)
-        for i in range(sz):
-            page = self.pages.get((addr + i) // PAGE)
+        for pno, off, i, n in self._pieces(addr, sz):
+            page = self.pages.get(pno)
             if page is not None:
-                out[i] = page[(addr + i) % PAGE]
+                out[i:i + n] = page[off:off + n]
         return bytes(out)
 
     def set_vector(self, addr: int, vec: bytes) -> None:
-        for i, b in enumerate(vec):
-            pno = (addr + i) // PAGE
+        for pno, off, i, n in self._pieces(addr, len(vec)):
+            piece = vec[i:i + n]
             page = self.pages.get(pno)
             if page is None:
-                if b == 0:
+                if not any(piece):
                     continue
-                page = self.pages.setdefault(pno, bytearray(PAGE))
-            page[(addr + i) % PAGE] = b
+                page = self.pages[pno] = bytearray(PAGE)
+            page[off:off + n] = piece
+
+    def get_taint(self, addr: int, sz: int) -> int:
+        return _fold(self.get_vector(addr, sz))
+
+    def set_taint(self, addr: int, tag: int, sz: int) -> None:
+        self.set_vector(addr, bytes([tag]) * sz)
+
+    def or_taint(self, addr: int, tag: int, sz: int) -> None:
+        old = int.from_bytes(self.get_vector(addr, sz), "little")
+        mask = int.from_bytes(bytes([tag]) * sz, "little")
+        self.set_vector(addr, (old | mask).to_bytes(sz, "little"))
 
     def nonzero_bytes(self) -> list[tuple[int, int]]:
         out = []
         for pno in sorted(self.pages):
             page = self.pages[pno]
             base = pno * PAGE
-            for off, b in enumerate(page):
-                if b:
-                    out.append((base + off, b))
+            out.extend(zip(compress(range(base, base + PAGE), page),
+                           page.translate(None, b"\0")))
         return out
 
     def count_nonzero(self) -> int:
-        return sum(1 for page in self.pages.values() for b in page if b)
+        return sum(PAGE - page.count(0) for page in self.pages.values())
 
 
 # ---------------------------------------------------------------------------
 # Taint configuration and the run report
 # ---------------------------------------------------------------------------
+
+def _entries(doc: dict, key: str) -> list:
+    items = doc.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(s, dict) for s in items):
+        raise ValueError(f'"{key}" must be a list of objects')
+    return items
+
+
+def _field(spec: dict, key: str, ok, what: str, default=None):
+    value = spec.get(key, default)
+    if not ok(value):
+        raise ValueError(f'"{key}" must be {what}, got {json.dumps(value)}'
+                         f" in {json.dumps(spec)}")
+    return value
+
+
+def _is_index(v) -> bool:
+    return type(v) is int and v >= 0
+
 
 @dataclass(frozen=True)
 class SourceSpec:
@@ -149,16 +157,24 @@ class TaintConfig:
     sinks: tuple[SinkSpec, ...] = ()
 
     @staticmethod
-    def from_json(doc: dict) -> "TaintConfig":
-        sources = []
-        for s in doc.get("sources", ()):
-            label = int(s.get("label", 1))
-            if not (1 <= label <= 255):
-                raise ValueError(f"source label {label} outside one tag byte")
-            sources.append(SourceSpec(s["fn"], s.get("where", "param"),
-                                      s.get("index"), label))
-        sinks = [SinkSpec(s["fn"], int(s["index"])) for s in doc.get("sinks", ())]
-        return TaintConfig(tuple(sources), tuple(sinks))
+    def from_json(doc) -> "TaintConfig":
+        """Raises ValueError on a missing field or one of the wrong kind."""
+        if not isinstance(doc, dict):
+            raise ValueError("a taint config is a JSON object")
+        sources = tuple(SourceSpec(
+            _field(s, "fn", lambda v: isinstance(v, str), "a function name"),
+            _field(s, "where", lambda v: v in ("param", "ret"),
+                   '"param" or "ret"', "param"),
+            _field(s, "index", lambda v: v is None or _is_index(v),
+                   "a parameter index"),
+            _field(s, "label", lambda v: type(v) is int and 1 <= v <= 255,
+                   "an integer within one tag byte (1..255)", 1),
+        ) for s in _entries(doc, "sources"))
+        sinks = tuple(SinkSpec(
+            _field(s, "fn", lambda v: isinstance(v, str), "a function name"),
+            _field(s, "index", _is_index, "a parameter index"),
+        ) for s in _entries(doc, "sinks"))
+        return TaintConfig(sources, sinks)
 
     @staticmethod
     def load(path: str) -> "TaintConfig":
@@ -232,7 +248,7 @@ def _norm_int(v: int, ty: Type) -> int:
 
 def _fold(vec: bytes) -> int:
     tag = 0
-    for b in vec:
+    for b in set(vec):      # distinct tags: at most 256, whatever the length
         tag |= b
     return tag
 
@@ -253,9 +269,9 @@ class _Frame:
     block: int
     pc: int
     stack_mark: int
-    fires_rules: bool = False
+    call_ins: Optional[Call]
+    # argument values and tags at entry; set only on a rule-firing frame
     arg_record: Optional[list[tuple[object, bytes]]] = None
-    call_ins: Optional[Call] = None
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +290,8 @@ class Machine:
             raise ValueError(f"unknown mode {mode!r}")
         self.module = module
         self.mode = mode
-        self.rules = dict(rule_programs or {})
+        # in instr mode no rule ever fires
+        self.rules = dict(rule_programs or {}) if mode == "hybrid" else {}
         self.cfg = taint_config or TaintConfig()
         self.mem_size = mem_size
         self.memory = bytearray(mem_size)
@@ -284,7 +301,7 @@ class Machine:
         self.max_frames = max_frames
         self.default_len = default_len
 
-        self.in_lib_depth = 0
+        self.live = True        # false while a rule-firing call runs
         self.shadow_ops_instr = 0
         self.shadow_ops_rules = 0
         self.instr_total = 0
@@ -372,9 +389,6 @@ class Machine:
 
     # -- tags -------------------------------------------------------------------
 
-    def _instrumented(self) -> bool:
-        return self.mode == "instr" or self.in_lib_depth == 0
-
     def _operand_value(self, frame: _Frame, op: Operand, ty: Type):
         if isinstance(op, Temp):
             try:
@@ -428,22 +442,16 @@ class Machine:
         if len(self._frames) >= self.max_frames:
             raise MachineTrap("stack overflow (frame cap)",
                               call_ins.uid if call_ins else None)
-        temps: dict[str, object] = {}
-        tags: dict[str, bytes] = {}
-        for (pname, pty), v, vec in zip(fn.params, args, vecs):
-            temps[pname] = self._coerce(v, pty)
-            tags[pname] = vec
-        frame = _Frame(fn, temps, tags, 0, 0, self.stack_ptr)
-        if (self.mode == "hybrid" and self.in_lib_depth == 0
-                and fn.name in self.rules):
-            frame.fires_rules = True
+        temps = {p: self._coerce(v, t) for (p, t), v in zip(fn.params, args)}
+        tags = dict(zip((p for p, _ in fn.params), vecs))
+        frame = _Frame(fn, temps, tags, 0, 0, self.stack_ptr, call_ins)
+        if self.live and fn.name in self.rules:
             frame.arg_record = [(temps[p], tags[p]) for p, _ in fn.params]
-            self.in_lib_depth += 1
-        frame.call_ins = call_ins
+            self.live = False
         return frame
 
     def _check_sinks(self, fn_name: str, args, vecs, call_uid: str) -> None:
-        if self.in_lib_depth > 0 or fn_name not in self._sinks:
+        if not self.live or fn_name not in self._sinks:
             return
         fn = self.module.functions[fn_name]
         for spec in self._sinks[fn_name]:
@@ -460,7 +468,7 @@ class Machine:
                 self.sink_hits.append(SinkHit(fn_name, tag, call_uid))
 
     def _apply_sources(self, frame: _Frame, caller: Optional[_Frame]) -> None:
-        if self.in_lib_depth > 0:
+        if not self.live:
             return
         specs = self._sources.get(frame.fn.name)
         if not specs:
@@ -510,13 +518,13 @@ class Machine:
             self.instr_total += 1
             if self.instr_total > self.step_budget:
                 raise MachineTrap("step budget exhausted", ins.uid)
-            if self.mode == "hybrid" and self.in_lib_depth > 0:
+            if not self.live:
                 self.instr_unins += 1
             exit_value = self._step(frame, ins)
         return exit_value
 
     def _step(self, frame: _Frame, ins: Instr) -> int:
-        live = self._instrumented()
+        live = self.live
         fn = frame.fn
         if isinstance(ins, Alloca):
             sz = size_of(ins.ty, self.module.structs)
@@ -533,12 +541,9 @@ class Machine:
         elif isinstance(ins, Load):
             addr = self._operand_value(frame, ins.addr, Ptr(ins.ty))
             frame.temps[ins.dest] = self.read_value(ins.ty, addr, ins.uid)
-            w = _width(ins.ty)
             if live:
-                frame.tags[ins.dest] = self.tagmap.get_vector(addr, w)
+                frame.tags[ins.dest] = self.tagmap.get_vector(addr, _width(ins.ty))
                 self.shadow_ops_instr += 1
-            else:
-                frame.tags[ins.dest] = bytes(w)
             frame.pc += 1
         elif isinstance(ins, Store):
             addr = self._operand_value(frame, ins.addr, Ptr(ins.ty))
@@ -557,19 +562,15 @@ class Machine:
                     tag |= _fold(self._operand_tags(frame, idx, 8))
                 frame.tags[ins.dest] = bytes([tag]) * 8
                 self.shadow_ops_instr += 1
-            else:
-                frame.tags[ins.dest] = bytes(8)
             frame.pc += 1
         elif isinstance(ins, BinOp):
             frame.temps[ins.dest] = self._binop(frame, ins)
-            w = _width(ins.ty)
             if live:
+                w = _width(ins.ty)
                 tag = (_fold(self._operand_tags(frame, ins.lhs, w))
                        | _fold(self._operand_tags(frame, ins.rhs, w)))
                 frame.tags[ins.dest] = bytes([tag]) * w
                 self.shadow_ops_instr += 1
-            else:
-                frame.tags[ins.dest] = bytes(w)
             frame.pc += 1
         elif isinstance(ins, Br):
             cond = self._operand_value(frame, ins.cond, _COND_TY)
@@ -671,8 +672,9 @@ class Machine:
         vecs = []
         for (pname, pty), op in zip(callee.params, ins.args):
             args.append(self._operand_value(frame, op, pty))
-            vecs.append(self._operand_tags(frame, op, _width(pty)))
-        if self._instrumented() and ins.args:
+            if self.live:
+                vecs.append(self._operand_tags(frame, op, _width(pty)))
+        if self.live and ins.args:
             self.shadow_ops_instr += 1
         self._check_sinks(callee.name, args, vecs, ins.uid)
         frame.pc += 1
@@ -684,7 +686,7 @@ class Machine:
         value = 0
         if ins.value is not None:
             value = self._operand_value(frame, ins.value, fn.ret_ty)
-        if self._instrumented():
+        if self.live:
             if ins.value is not None:
                 self.ret_shadow = self._operand_tags(
                     frame, ins.value, _width(fn.ret_ty))
@@ -694,21 +696,18 @@ class Machine:
         self.stack_ptr = frame.stack_mark
         self._frames.pop()
         caller = self._frames[-1] if self._frames else None
-        if frame.fires_rules:
-            self.in_lib_depth -= 1
-            prog = self.rules.get(fn.name)
-            if prog is not None:
-                apply_rule_program(prog, frame.arg_record or [], self)
+        if frame.arg_record is not None:
+            self.live = True
+            self.ret_shadow = b""     # the untracked body's `ret` set none
+            apply_rule_program(self.rules[fn.name], frame.arg_record, self)
         self._apply_sources(frame, caller)
         if caller is not None and frame.call_ins is not None:
             dest = frame.call_ins.dest
             if dest is not None:
                 caller.temps[dest] = self._coerce(value, fn.ret_ty)
-                w = _width(fn.ret_ty)
-                if self._instrumented():
+                if self.live:
+                    w = _width(fn.ret_ty)
                     caller.tags[dest] = _resize_vec(self.ret_shadow or bytes(w), w)
-                else:
-                    caller.tags[dest] = bytes(w)
         return int(value)
 
 

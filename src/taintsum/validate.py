@@ -218,7 +218,7 @@ def oracle_compare(module: Module, fn_name: str, trials: int = 100,
         ret_i = ret_i or any(m_i.ret_shadow)
         ret_h = ret_h or any(m_h.ret_shadow)
         ranges = [(GLOBALS_BASE, m_i.globals_end)] + [
-            r for r in m_i.trial_regions if r is not None]
+            (addr, addr + n) for addr, n in filter(None, m_i.trial_regions)]
         for addr, _tag in m_i.tagmap.nonzero_bytes():
             if (any(lo <= addr < hi for lo, hi in ranges)
                     and m_h.tagmap.get_taint(addr, 1) == 0):

@@ -218,6 +218,37 @@ class TestBadRuleFiles:
         self._assert_diagnostic(rc, capsys, bad_rules)
 
 
+class TestBadTaintConfig:
+    """A malformed --taint-config is a diagnostic and exit 1, never a
+    traceback."""
+
+    def _run(self, workdir, cfg, capsys):
+        rc = main(["run", student_flow_path(workdir), "--taint-config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        assert err.startswith(f"error: {cfg}: ")
+
+    def test_source_without_fn(self, workdir, capsys):
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps({"sources": [{"where": "param"}]}))
+        self._run(workdir, cfg, capsys)
+
+    def test_bad_json(self, workdir, capsys):
+        cfg = workdir / "cfg.json"
+        cfg.write_text('{"sources": [')
+        self._run(workdir, cfg, capsys)
+
+    def test_index_that_is_not_an_integer(self, workdir, capsys):
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps({"sources": [
+            {"fn": "fgets_a", "where": "param", "index": "x"}]}))
+        self._run(workdir, cfg, capsys)
+
+    def test_missing_file(self, workdir, capsys):
+        self._run(workdir, workdir / "absent.json", capsys)
+
+
 class TestRuleFilesCheckedAgainstModule:
     """A rule file that parses but does not fit the module is a diagnostic
     and exit 1 at load, not a silently skipped step at run time."""

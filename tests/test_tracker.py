@@ -14,7 +14,7 @@ from taintsum.rules import (
     GATHER_FIXED, GATHER_STRING, READ_OUT, SET_FIXED, SET_STRING,
     compile_library,
 )
-from taintsum.tracker import SinkHit, Tagmap
+from taintsum.tracker import PAGE, SinkHit, Tagmap
 from test_rules import random_shadow_state, rule_modules
 
 
@@ -75,21 +75,56 @@ class TestTagmapAlgebra:
                     folded |= tm.get_taint(base + start + i, 1)
                 assert tm.get_taint(base + start, n) == folded
 
-    @given(st.lists(st.tuples(st.integers(0, 120), st.integers(0, 255),
-                              st.integers(0, 16)), max_size=12))
+    @given(st.lists(st.tuples(
+        st.sampled_from(("set_taint", "or_taint", "set_vector")),
+        st.integers(0, 120), st.integers(0, 255),
+        st.binary(max_size=16)), max_size=12))
     def test_matches_reference_dict_model(self, ops):
+        """Every operation against a byte-at-a-time dict model, on a
+        region that straddles a page boundary; a page exists exactly when
+        a nonzero tag has landed on it."""
         tm = Tagmap()
         model = {}
-        base = 0x5000 - 8
-        for off, tag, sz in ops:
-            tm.set_taint(base + off, tag, sz)
-            for i in range(sz):
-                model[base + off + i] = tag
+        touched = set()
+        base = 0x5000 - 64
+        for kind, off, tag, vec in ops:
+            addr = base + off
+            if kind == "set_vector":
+                tm.set_vector(addr, vec)
+                new = list(vec)
+            elif kind == "set_taint":
+                tm.set_taint(addr, tag, len(vec))
+                new = [tag] * len(vec)
+            else:
+                tm.or_taint(addr, tag, len(vec))
+                new = [model.get(addr + i, 0) | tag for i in range(len(vec))]
+            for i, t in enumerate(new):
+                model[addr + i] = t
+                if t:
+                    touched.add((addr + i) // PAGE)
+        want = [model.get(base + i, 0) for i in range(200)]
+        assert list(tm.get_vector(base, 200)) == want
         fold = 0
         for a, t in model.items():
             assert tm.get_taint(a, 1) == t
             fold |= t
-        assert tm.get_taint(base, 160) == fold
+        assert tm.get_taint(base, 200) == fold
+        nonzero = sorted((a, t) for a, t in model.items() if t)
+        assert tm.nonzero_bytes() == nonzero
+        assert tm.count_nonzero() == len(nonzero)
+        assert set(tm.pages) == touched
+
+    def test_all_zero_writes_create_no_page(self):
+        tm = Tagmap()
+        tm.set_taint(PAGE - 3, 0, 2 * PAGE + 6)
+        tm.set_vector(PAGE - 3, bytes(2 * PAGE + 6))
+        tm.or_taint(PAGE - 3, 0, 2 * PAGE + 6)
+        assert tm.pages == {}
+        tm.set_taint(PAGE - 3, 0x07, 2 * PAGE + 6)     # spans four pages
+        assert sorted(tm.pages) == [0, 1, 2, 3]
+        assert tm.get_vector(PAGE - 4, 2 * PAGE + 8) == (
+            b"\0" + b"\x07" * (2 * PAGE + 6) + b"\0")
+        assert tm.count_nonzero() == 2 * PAGE + 6
 
 
 FLOW_CFG = TaintConfig.from_json({
@@ -406,6 +441,34 @@ entry:
         assert (hyb.shadow_ops_instr + standalone.shadow_ops_instr
                 == full.shadow_ops_instr)
         assert full.exit_value == hyb.exit_value == 5
+
+    def test_library_return_tag_is_not_left_over(self):
+        """A summarized call's return tag comes from its rules alone, not
+        from the previous tracked `ret`."""
+        src = """fn @secret(%x: i64) -> i64 {
+entry:
+  ret i64 %x
+}
+fn @id(%x: i64) -> i64 library {
+entry:
+  %y = add i64 %x, 0
+  ret i64 %y
+}
+fn @main(%s: i64) -> i64 {
+entry:
+  %a = call i64 @secret(%s)
+  %b = call i64 @id(5)
+  ret i64 %b
+}
+"""
+        m = parse_module(src)
+        rules, _ = compile_library(m)
+        shadow = {}
+        for mode in ("instr", "hybrid"):
+            machine = Machine(m, mode=mode, rule_programs=rules)
+            machine.call_entry("main", [7], [bytes([1]) * 8])
+            shadow[mode] = machine.ret_shadow
+        assert shadow["instr"] == shadow["hybrid"] == bytes(8)
 
     def test_concrete_state_identical_across_modes(self, student_flow,
                                                    student_flow_rules):

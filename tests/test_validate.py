@@ -2,12 +2,15 @@
 shadow-operation benchmark, including the negative cases that justify
 control-dependency summaries."""
 
+import random
+
 import pytest
 
-from taintsum import corpus, parse_module
+from taintsum import Machine, TaintRuleProgram, corpus, parse_module
 from taintsum.validate import (
-    bench, build_plan, default_rules, noninterference_check, oracle_compare,
-    transparency_check, transparency_check_fn,
+    HARNESS_MEMORY, bench, build_plan, default_rules, materialize_plan,
+    noninterference_check, oracle_compare, transparency_check,
+    transparency_check_fn,
 )
 
 
@@ -51,6 +54,20 @@ entry:
             rep = oracle_compare(libcorpus, fn, trials=25, seed=9,
                                  rule_programs=lib_rules)
             assert rep.violations == (), fn
+
+    def test_empty_programs_violate_on_argument_buffers(self, libcorpus):
+        """Rules that taint nothing must be caught on the caller's buffers,
+        not only on globals: memcpy's copied bytes land in `dest`."""
+        empty = {f.name: TaintRuleProgram(f.name, ())
+                 for f in libcorpus.library_functions()}
+        rep = oracle_compare(libcorpus, "memcpy", trials=4, seed=0,
+                             rule_programs=empty)
+        assert rep.violations
+        for t, addr in rep.violations:
+            plan = build_plan(libcorpus, "memcpy", random.Random(f"0:memcpy:{t}"))
+            machine = Machine(libcorpus, mem_size=HARNESS_MEMORY)
+            dest, n = materialize_plan(machine, plan)[1][0]
+            assert dest <= addr < dest + n
 
     def test_deterministic_given_seed(self, libcorpus, lib_rules):
         a = oracle_compare(libcorpus, "memcpy", trials=12, seed=5,
