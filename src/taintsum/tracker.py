@@ -17,18 +17,20 @@ Tainting is observation-only: concrete execution never depends on it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 import struct as _struct
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .ir import (
-    Alloca, Array, BinOp, Br, Call, Char, ConstInt, Float, Function, Gep,
-    GlobalRef, Instr, Int, Jmp, Load, Module, Operand, Ptr, Ret, Store,
-    StructRef, Temp, Type, Void, align_of, align_up, field_offset,
-    field_path_offset, size_of, validate_module,
+    Alloca, Array, BinOp, Br, Call, Char, Float, Function, Gep, GlobalRef,
+    Instr, Int, Jmp, Load, Module, Operand, Ptr, Ret, Store, StructRef, Temp,
+    Type, Void, align_of, align_up, field_offset, field_path_offset, size_of,
+    validate_module,
 )
 from .rules import READ_OUT, SET_FIXED, SET_STRING, TaintRuleProgram
 
@@ -37,7 +39,6 @@ GLOBALS_BASE = 0x1000
 DEFAULT_MEMORY = 16 * 1024 * 1024
 DEFAULT_STEP_BUDGET = 10 ** 8
 DEFAULT_MAX_FRAMES = 512
-_COND_TY = Int(64)
 
 
 class MachineTrap(Exception):
@@ -181,6 +182,19 @@ class TaintConfig:
         with open(path, "r", encoding="utf-8") as fp:
             return TaintConfig.from_json(json.load(fp))
 
+    def check(self, module: Module) -> None:
+        """Raises ValueError for a source or sink on a function the module
+        lacks, or on a parameter index at or beyond the function's arity."""
+        for spec in self.sources + self.sinks:
+            fn = module.functions.get(spec.fn)
+            if fn is None:
+                raise ValueError(f"taint config names @{spec.fn}, which the"
+                                 " module does not define")
+            i = spec.index or 0
+            if (isinstance(spec, SinkSpec) or spec.where == "param") and i >= len(fn.params):
+                raise ValueError(f"taint config names parameter {i} of @{fn.name},"
+                                 f" which takes {len(fn.params)}")
+
 
 @dataclass(frozen=True)
 class SinkHit:
@@ -234,16 +248,18 @@ def _width(ty: Type) -> int:
     raise MachineTrap("bad value type", detail=str(ty))
 
 
-def _norm_int(v: int, ty: Type) -> int:
-    if isinstance(ty, Char):
-        return v & 0xFF
-    if isinstance(ty, Ptr):
-        return v & (2 ** 64 - 1)
-    bits = ty.bits
-    v &= (1 << bits) - 1
-    if ty.signed and v >= 1 << (bits - 1):
-        v -= 1 << bits
-    return v
+def _kind(ty: Type):
+    """How a value of `ty` is normalized: "f", or the int (bias, mask) with
+    ((v + bias) & mask) - bias wrapping `v` to `ty`."""
+    if isinstance(ty, (Char, Ptr)):
+        return (0, 0xFF) if isinstance(ty, Char) else _PTR
+    if isinstance(ty, Float):
+        return "f"
+    return (1 << (ty.bits - 1) if ty.signed else 0), (1 << ty.bits) - 1
+
+
+def _wrap(v, kind):
+    return float(v) if kind == "f" else ((int(v) + kind[0]) & kind[1]) - kind[0]
 
 
 def _fold(vec: bytes) -> int:
@@ -261,17 +277,303 @@ def _resize_vec(vec: bytes, n: int) -> bytes:
     return vec + bytes([_fold(vec)]) * (n - len(vec))
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
     fn: Function
     temps: dict[str, object]
     tags: dict[str, bytes]
-    block: int
-    pc: int
     stack_mark: int
     call_ins: Optional[Call]
+    code: list[list[Handler]]       # fn decoded, tracked or untracked
     # argument values and tags at entry; set only on a rule-firing frame
     arg_record: Optional[list[tuple[object, bytes]]] = None
+    block: int = 0
+    pc: int = 0
+
+
+class _Temps(dict):
+    """A frame's temporaries; reading one not yet defined traps."""
+
+    def __missing__(self, name: str):
+        raise MachineTrap("undefined temporary", detail=f"%{name}")
+
+
+# ---------------------------------------------------------------------------
+# Decoding
+# ---------------------------------------------------------------------------
+#
+# A machine decodes each function it enters, once, into per-block lists of
+# handlers `h(machine, frame)` with what the instruction fixes resolved:
+# operand readers, widths, masks, formats, gep strides and offsets, block
+# indices, the temps whose tags it folds.  A handler returns None to stay in
+# its frame, 0 after a call and the value after a return.  It never holds
+# the machine, so the decode cache forms no reference cycle.
+
+Handler = Callable[["Machine", "_Frame"], Optional[int]]
+_MASK64 = 2 ** 64 - 1
+_PTR, _I64 = (0, _MASK64), (1 << 63, _MASK64)
+_Z1 = b"\0"
+_F32 = _struct.Struct("<f")
+
+
+@functools.cache
+def _tag_tables() -> tuple[list, dict]:
+    """The uniform tag vectors of 0 to 8 bytes by width and tag, and the
+    tag of each one that is not empty."""
+    splat = [tuple(bytes([t]) * w for t in range(256)) for w in range(9)]
+    return splat, {vec: t for row in splat[1:] for t, vec in enumerate(row)}
+
+
+def _tag(uniform: dict, vec: bytes, w: int) -> int:
+    """The fold of a value's tag vector resized to `w` (>= 1) bytes."""
+    t = uniform.get(vec)
+    return _fold(vec[:w]) if t is None else t
+
+
+def _codec(ty: Type) -> tuple[int, Callable, Callable]:
+    """(width, unpack_from, pack_into) of `ty` in memory, for the 8- to
+    64-bit ints the parser admits; pack_into takes a value normalized to
+    `ty`."""
+    w = _width(ty)
+    if not w:       # void: nothing to move, and it reads as 0
+        return 0, lambda mem, a: (0,), lambda mem, a, v: None
+    if isinstance(ty, Float):
+        s = _struct.Struct("<f" if ty.bits == 32 else "<d")
+    else:
+        fmt = "bhiq"[w.bit_length() - 1]
+        s = _struct.Struct("<" + (fmt if getattr(ty, "signed", False) else fmt.upper()))
+    return w, s.unpack_from, s.pack_into
+
+
+def _temp_kinds(fn: Function, functions) -> dict:
+    """The kind of value each temp holds; None where its definitions differ."""
+    defs = list(fn.params)
+    for i in fn.instructions():
+        if isinstance(i, (Gep, Alloca)):
+            defs.append((i.dest, Ptr(Void())))     # an address
+        elif isinstance(i, (Load, BinOp)):
+            defs.append((i.dest, i.ty))
+        elif isinstance(i, Call) and i.dest and i.callee in functions:
+            defs.append((i.dest, functions[i.callee].ret_ty))
+    kinds: dict = {}
+    for name, ty in defs:
+        try:
+            k = _kind(ty)
+        except AttributeError:      # not a value type
+            k = None
+        kinds[name] = k if kinds.get(name, k) == k else None
+    return kinds
+
+
+def _idiv(a: int, b: int) -> int:
+    q = abs(a) // abs(b)        # ZeroDivisionError when b == 0
+    return -q if (a < 0) != (b < 0) else q
+
+
+_INT_OPS = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+    "div": _idiv, "rem": lambda a, b: a - _idiv(a, b) * b, "and": operator.and_,
+    "or": operator.or_, "xor": operator.xor, "cmp": operator.eq}
+_FLOAT_OPS = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+    "div": lambda a, b: (a / b if b != 0.0 else
+                         math.copysign(math.inf, a) if a else math.nan),
+    "rem": lambda a, b: math.fmod(a, b) if b != 0.0 else math.nan,
+    "cmp": lambda a, b: 1.0 if a == b else 0.0}
+
+
+def _calc(ins: BinOp, kind) -> Callable:
+    """`ins`'s operation on two operand values, the result normalized."""
+    uid = ins.uid
+
+    def trap(a, b):
+        raise MachineTrap("float bit operation" if kind == "f" else "unknown op", uid)
+    if kind == "f":
+        f = _FLOAT_OPS.get(ins.op, trap)
+        return f if ins.ty.bits != 32 or ins.op == "cmp" else (
+            lambda a, b: _F32.unpack(_F32.pack(f(a, b)))[0])
+    bias, mask = kind
+    sh = mask.bit_length() - 1      # shift counts wrap at the width
+    f = {"shl": lambda a, b: a << (b & sh),
+         "shr": lambda a, b: a >> (b & sh),     # arithmetic for signed, logical otherwise
+         }.get(ins.op) or _INT_OPS.get(ins.op, trap)
+
+    def calc(a, b):
+        try:
+            return ((f(a, b) + bias) & mask) - bias
+        except ZeroDivisionError:
+            raise MachineTrap("division by zero", uid) from None
+    return calc
+
+
+def _decoded_or_deferred(ins: Instr, fn: Function, live: bool, env) -> Handler:
+    """The instruction's handler.  One that cannot be decoded (no width, a
+    malformed gep, an unresolved callee, ...) is decoded again each time it
+    runs, and so raises then what running the instruction raises."""
+    try:
+        return _decode(ins, fn, live, env)
+    except Exception:
+        return lambda m, f: _decode(ins, fn, live, env)(m, f)
+
+
+def _decode(ins: Instr, fn: Function, live: bool, env) -> Handler:
+    """The handler of one instruction; tracked when `live`."""
+    labels, kinds, global_addr, module, mem_size = env
+    uid, dest = ins.uid, getattr(ins, "dest", None)
+    splat, uniform = _tag_tables()
+
+    def val(op: Operand, kind, wrap_globals: bool = False):
+        """A reader of the operand as a `kind` value; a global's address is
+        used as it is unless `wrap_globals`."""
+        if isinstance(op, Temp):
+            name = op.name
+            if kinds.get(name) == kind:     # its producer normalized it
+                return operator.itemgetter(name)
+            return lambda t: _wrap(t[name], kind)
+        v = global_addr[op.name] if isinstance(op, GlobalRef) else op.value
+        v = _wrap(v, kind) if wrap_globals or not isinstance(op, GlobalRef) else v
+        return lambda t: v
+
+    def key(op: Operand) -> Optional[str]:
+        return op.name if isinstance(op, Temp) else None
+
+    if isinstance(ins, Alloca):
+        sz = size_of(ins.ty, module.structs)
+        align, zeros = ~(max(align_of(ins.ty, module.structs), 1) - 1), bytes(sz)
+
+        def alloca(m, f):
+            addr = (m.stack_ptr - sz) & align
+            if addr <= m.heap_ptr:
+                raise MachineTrap("stack overflow", uid)
+            m.stack_ptr = addr
+            m.memory[addr:addr + sz] = zeros
+            m.tagmap.set_vector(addr, zeros)    # allocation bookkeeping
+            f.temps[dest], f.tags[dest] = addr, splat[8][0]
+            f.pc += 1
+        return alloca
+    if isinstance(ins, (Load, Store)):
+        w, unpack, pack = _codec(ins.ty)
+        hi, ra = mem_size - w, val(ins.addr, _PTR)
+    if isinstance(ins, Load):
+        def load(m, f):
+            addr = ra(f.temps)
+            if not GLOBALS_BASE <= addr <= hi:
+                m._check_bounds(addr, w, uid)
+            f.temps[dest] = unpack(m.memory, addr)[0]
+            if live:
+                f.tags[dest] = m.tagmap.get_vector(addr, w)
+                m.shadow_ops_instr += 1
+            f.pc += 1
+        return load
+    if isinstance(ins, Store):
+        rv, kv = val(ins.value, _kind(ins.ty), wrap_globals=True), key(ins.value)
+
+        def store(m, f):
+            addr, v = ra(f.temps), rv(f.temps)
+            if not GLOBALS_BASE <= addr <= hi:
+                m._check_bounds(addr, w, uid)
+            pack(m.memory, addr, v)
+            if live:
+                m.tagmap.set_vector(addr, _resize_vec(f.tags.get(kv, _Z1), w))
+                m.shadow_ops_instr += 1
+            f.pc += 1
+        return store
+    if isinstance(ins, Gep):
+        structs, t, off = module.structs, ins.base_ty, 0
+        strides = [(ins.indices[0], size_of(t, structs))]
+        for idx in ins.indices[1:]:
+            if isinstance(t, StructRef):
+                decl = structs[t.name]
+                fname, t = decl.fields[idx.value]   # validated constant
+                off += field_offset(decl, fname, structs)
+            elif isinstance(t, Array):
+                strides.append((idx, size_of(t.elem, structs)))
+                t = t.elem
+            else:
+                raise MachineTrap("malformed gep", uid)
+        base, terms = val(ins.base, _PTR), []
+        for idx, stride in strides:
+            if isinstance(idx, Temp):
+                terms.append((val(idx, _I64), stride))
+            else:       # a constant's reader ignores the temps
+                off += val(idx, _I64)(None) * stride
+        keys = [k for k in map(key, (ins.base, *ins.indices)) if k is not None]
+
+        def gep(m, f):
+            t = f.temps
+            addr = base(t) + off
+            for r, stride in terms:
+                addr += r(t) * stride
+            t[dest] = addr & _MASK64
+            if live:
+                tags, tag = f.tags, 0
+                for k in keys:
+                    tag |= _tag(uniform, tags.get(k, _Z1), 8)
+                tags[dest] = splat[8][tag]
+                m.shadow_ops_instr += 1
+            f.pc += 1
+        return gep
+    if isinstance(ins, BinOp):
+        kind = _kind(ins.ty)
+        calc, ra, rb = _calc(ins, kind), val(ins.lhs, kind), val(ins.rhs, kind)
+        ka, kb, w = key(ins.lhs), key(ins.rhs), _width(ins.ty)
+        vecs = splat[w]
+
+        def binop(m, f):
+            t = f.temps
+            t[dest] = calc(ra(t), rb(t))
+            if live:
+                tags = f.tags
+                tags[dest] = vecs[_tag(uniform, tags.get(ka, _Z1), w)
+                                  | _tag(uniform, tags.get(kb, _Z1), w)]
+                m.shadow_ops_instr += 1
+            f.pc += 1
+        return binop
+    if isinstance(ins, Br):     # a label the function lacks fails when taken
+        rc, then_b = val(ins.cond, _I64), labels.get(ins.then_label)
+        else_b = labels.get(ins.else_label)
+
+        def br(m, f):
+            f.block = then_b if rc(f.temps) != 0 else else_b
+            f.pc = 0
+        return br
+    if isinstance(ins, Jmp):
+        target = labels.get(ins.label)
+
+        def jmp(m, f):
+            f.block, f.pc = target, 0
+        return jmp
+    if isinstance(ins, Call):
+        callee = module.functions.get(ins.callee)
+        if callee is None:
+            raise MachineTrap("unresolved callee", uid, f"@{ins.callee}")
+        pairs = list(zip(callee.params, ins.args))
+        readers = [val(op, _kind(pty)) for (_, pty), op in pairs]
+        vec_of = [(key(op), _width(pty)) for (_, pty), op in pairs] if live else []
+        counted = int(live and bool(ins.args))
+
+        def call(m, f):
+            args = [r(f.temps) for r in readers]
+            vecs = [_resize_vec(f.tags.get(k, _Z1), w) for k, w in vec_of]
+            m.shadow_ops_instr += counted
+            m._check_sinks(callee.name, args, vecs, uid)
+            f.pc += 1
+            m._frames.append(m._make_frame(callee, args, vecs, ins))
+            return 0
+        return call
+    if isinstance(ins, Ret):
+        has = ins.value is not None
+        rv = val(ins.value, _kind(fn.ret_ty)) if has else (lambda t: 0)
+        kv, w = (key(ins.value), _width(fn.ret_ty)) if has and live else (None, 0)
+
+        def ret(m, f):
+            value = rv(f.temps)
+            if live:
+                m.ret_shadow = _resize_vec(f.tags.get(kv, _Z1), w) if has else b""
+                m.shadow_ops_instr += has
+            return m._do_ret(f, value)
+        return ret
+    raise MachineTrap("unknown instruction", uid)
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +614,9 @@ class Machine:
         self._layout_globals()
         self.stack_ptr = mem_size
         self._frames: list[_Frame] = []
-        self._labels = {
-            f.name: {b.label: i for i, b in enumerate(f.blocks)}
-            for f in module.functions.values()
-        }
+        # (function name, tracked) -> its blocks as handler lists, decoded
+        # at the first frame that runs them
+        self._code: dict[tuple[str, bool], list[list[Handler]]] = {}
         self._sources = {}
         for s in self.cfg.sources:
             self._sources.setdefault(s.fn, []).append(s)
@@ -351,24 +652,14 @@ class Machine:
                               f"addr=0x{addr:x} size={sz}")
 
     def read_value(self, ty: Type, addr: int, uid: Optional[str] = None):
-        w = _width(ty)
+        w, unpack, _ = _codec(ty)
         self._check_bounds(addr, w, uid)
-        raw = bytes(self.memory[addr:addr + w])
-        if isinstance(ty, Float):
-            return _struct.unpack("<f" if ty.bits == 32 else "<d", raw)[0]
-        v = int.from_bytes(raw, "little")
-        if isinstance(ty, Int) and ty.signed and v >= 1 << (ty.bits - 1):
-            v -= 1 << ty.bits
-        return v
+        return unpack(self.memory, addr)[0]
 
     def write_value(self, ty: Type, addr: int, value, uid: Optional[str] = None):
-        w = _width(ty)
+        w, _, pack = _codec(ty)
         self._check_bounds(addr, w, uid)
-        if isinstance(ty, Float):
-            raw = _struct.pack("<f" if ty.bits == 32 else "<d", value)
-        else:
-            raw = (int(value) & (2 ** (w * 8) - 1)).to_bytes(w, "little")
-        self.memory[addr:addr + w] = raw
+        pack(self.memory, addr, _wrap(value, _kind(ty)) if w else None)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         self._check_bounds(addr, len(data), None)
@@ -386,28 +677,6 @@ class Machine:
             if self.memory[i] == 0:
                 return i - addr + 1
         return max(end - addr, 0)
-
-    # -- tags -------------------------------------------------------------------
-
-    def _operand_value(self, frame: _Frame, op: Operand, ty: Type):
-        if isinstance(op, Temp):
-            try:
-                v = frame.temps[op.name]
-            except KeyError:
-                raise MachineTrap("undefined temporary", detail=f"%{op.name}")
-            if isinstance(ty, Float):
-                return float(v)
-            return _norm_int(int(v), ty)
-        if isinstance(op, GlobalRef):
-            return self.global_addr[op.name]
-        if isinstance(op, ConstInt):
-            return float(op.value) if isinstance(ty, Float) else _norm_int(op.value, ty)
-        return op.value if isinstance(ty, Float) else _norm_int(int(op.value), ty)
-
-    def _operand_tags(self, frame: _Frame, op: Operand, n: int) -> bytes:
-        if isinstance(op, Temp):
-            return _resize_vec(frame.tags.get(op.name, b"\0"), n)
-        return bytes(n)
 
     # -- calls -------------------------------------------------------------------
 
@@ -428,27 +697,36 @@ class Machine:
             if arg_tags is not None and arg_tags[i]:
                 vec = _resize_vec(arg_tags[i], w)
             vecs.append(vec)
-        self._check_sinks(fn.name, [self._coerce(a, t) for a, (_, t) in
+        self._check_sinks(fn.name, [_wrap(a, _kind(t)) for a, (_, t) in
                                     zip(args, fn.params)], vecs, "<entry>")
         frame = self._make_frame(fn, list(args), vecs, call_ins=None)
         self._frames.append(frame)
         return self._run_loop()
-
-    def _coerce(self, v, ty: Type):
-        return float(v) if isinstance(ty, Float) else _norm_int(int(v), ty)
 
     def _make_frame(self, fn: Function, args: Sequence[object],
                     vecs: Sequence[bytes], call_ins: Optional[Call]) -> _Frame:
         if len(self._frames) >= self.max_frames:
             raise MachineTrap("stack overflow (frame cap)",
                               call_ins.uid if call_ins else None)
-        temps = {p: self._coerce(v, t) for (p, t), v in zip(fn.params, args)}
+        temps = _Temps((p, _wrap(v, _kind(t))) for (p, t), v in zip(fn.params, args))
         tags = dict(zip((p for p, _ in fn.params), vecs))
-        frame = _Frame(fn, temps, tags, 0, 0, self.stack_ptr, call_ins)
+        record = None
         if self.live and fn.name in self.rules:
-            frame.arg_record = [(temps[p], tags[p]) for p, _ in fn.params]
+            record = [(temps[p], tags[p]) for p, _ in fn.params]
             self.live = False
-        return frame
+        return _Frame(fn, temps, tags, self.stack_ptr, call_ins,
+                      self._decoded(fn, self.live), record)
+
+    def _decoded(self, fn: Function, live: bool) -> list[list[Handler]]:
+        code = self._code.get((fn.name, live))
+        if code is None:
+            env = ({b.label: i for i, b in enumerate(fn.blocks)},
+                   _temp_kinds(fn, self.module.functions),
+                   self.global_addr, self.module, self.mem_size)
+            code = self._code[fn.name, live] = [
+                [_decoded_or_deferred(ins, fn, live, env) for ins in b.instrs]
+                for b in fn.blocks]
+        return code
 
     def _check_sinks(self, fn_name: str, args, vecs, call_uid: str) -> None:
         if not self.live or fn_name not in self._sinks:
@@ -510,189 +788,27 @@ class Machine:
     # -- interpreter -------------------------------------------------------------
 
     def _run_loop(self) -> int:
-        exit_value = 0
-        while self._frames:
-            frame = self._frames[-1]
-            block = frame.fn.blocks[frame.block]
-            ins = block.instrs[frame.pc]
-            self.instr_total += 1
-            if self.instr_total > self.step_budget:
-                raise MachineTrap("step budget exhausted", ins.uid)
-            if not self.live:
-                self.instr_unins += 1
-            exit_value = self._step(frame, ins)
-        return exit_value
+        frames, budget, n = self._frames, self.step_budget, self.instr_total
+        try:
+            while frames:
+                frame = frames[-1]
+                code, live, start, ret = frame.code, self.live, n, None
+                try:
+                    while ret is None:      # until this frame calls or returns
+                        n += 1
+                        if n > budget:
+                            ins = frame.fn.blocks[frame.block].instrs[frame.pc]
+                            raise MachineTrap("step budget exhausted", ins.uid)
+                        ret = code[frame.block][frame.pc](self, frame)
+                finally:
+                    if not live:    # the budget trap's instruction never ran
+                        self.instr_unins += n - start - (n > budget)
+        finally:
+            self.instr_total = n
+        return ret
 
-    def _step(self, frame: _Frame, ins: Instr) -> int:
-        live = self.live
+    def _do_ret(self, frame: _Frame, value) -> int:
         fn = frame.fn
-        if isinstance(ins, Alloca):
-            sz = size_of(ins.ty, self.module.structs)
-            a = align_of(ins.ty, self.module.structs)
-            addr = (self.stack_ptr - sz) & ~(max(a, 1) - 1)
-            if addr <= self.heap_ptr:
-                raise MachineTrap("stack overflow", ins.uid)
-            self.stack_ptr = addr
-            self.memory[addr:addr + sz] = bytes(sz)
-            self.tagmap.set_taint(addr, 0, sz)     # allocation bookkeeping
-            frame.temps[ins.dest] = addr
-            frame.tags[ins.dest] = bytes(8)
-            frame.pc += 1
-        elif isinstance(ins, Load):
-            addr = self._operand_value(frame, ins.addr, Ptr(ins.ty))
-            frame.temps[ins.dest] = self.read_value(ins.ty, addr, ins.uid)
-            if live:
-                frame.tags[ins.dest] = self.tagmap.get_vector(addr, _width(ins.ty))
-                self.shadow_ops_instr += 1
-            frame.pc += 1
-        elif isinstance(ins, Store):
-            addr = self._operand_value(frame, ins.addr, Ptr(ins.ty))
-            value = self._operand_value(frame, ins.value, ins.ty)
-            self.write_value(ins.ty, addr, value, ins.uid)
-            if live:
-                w = _width(ins.ty)
-                self.tagmap.set_vector(addr, self._operand_tags(frame, ins.value, w))
-                self.shadow_ops_instr += 1
-            frame.pc += 1
-        elif isinstance(ins, Gep):
-            frame.temps[ins.dest] = self._gep_addr(frame, ins)
-            if live:
-                tag = _fold(self._operand_tags(frame, ins.base, 8))
-                for idx in ins.indices:
-                    tag |= _fold(self._operand_tags(frame, idx, 8))
-                frame.tags[ins.dest] = bytes([tag]) * 8
-                self.shadow_ops_instr += 1
-            frame.pc += 1
-        elif isinstance(ins, BinOp):
-            frame.temps[ins.dest] = self._binop(frame, ins)
-            if live:
-                w = _width(ins.ty)
-                tag = (_fold(self._operand_tags(frame, ins.lhs, w))
-                       | _fold(self._operand_tags(frame, ins.rhs, w)))
-                frame.tags[ins.dest] = bytes([tag]) * w
-                self.shadow_ops_instr += 1
-            frame.pc += 1
-        elif isinstance(ins, Br):
-            cond = self._operand_value(frame, ins.cond, _COND_TY)
-            label = ins.then_label if cond != 0 else ins.else_label
-            frame.block = self._labels[fn.name][label]
-            frame.pc = 0
-        elif isinstance(ins, Jmp):
-            frame.block = self._labels[fn.name][ins.label]
-            frame.pc = 0
-        elif isinstance(ins, Call):
-            return self._do_call(frame, ins)
-        elif isinstance(ins, Ret):
-            return self._do_ret(frame, ins)
-        else:
-            raise MachineTrap("unknown instruction", ins.uid)
-        return 0
-
-    def _gep_addr(self, frame: _Frame, ins: Gep) -> int:
-        base = self._operand_value(frame, ins.base, Ptr(ins.base_ty))
-        structs = self.module.structs
-        t: Type = ins.base_ty
-        first = self._operand_value(frame, ins.indices[0], Int(64))
-        addr = base + first * size_of(t, structs)
-        for idx in ins.indices[1:]:
-            if isinstance(t, StructRef):
-                decl = structs[t.name]
-                fname, fty = decl.fields[idx.value]  # validated constant
-                addr += field_offset(decl, fname, structs)
-                t = fty
-            elif isinstance(t, Array):
-                i = self._operand_value(frame, idx, Int(64))
-                addr += i * size_of(t.elem, structs)
-                t = t.elem
-            else:
-                raise MachineTrap("malformed gep", ins.uid)
-        return addr & (2 ** 64 - 1)
-
-    def _binop(self, frame: _Frame, ins: BinOp):
-        ty = ins.ty
-        a = self._operand_value(frame, ins.lhs, ty)
-        b = self._operand_value(frame, ins.rhs, ty)
-        op = ins.op
-        if isinstance(ty, Float):
-            if op == "add":
-                r = a + b
-            elif op == "sub":
-                r = a - b
-            elif op == "mul":
-                r = a * b
-            elif op == "div":
-                if b != 0.0:
-                    r = a / b
-                else:
-                    r = math.copysign(math.inf, a) if a else math.nan
-            elif op == "rem":
-                r = math.fmod(a, b) if b != 0.0 else math.nan
-            elif op == "cmp":
-                return 1.0 if a == b else 0.0
-            else:
-                raise MachineTrap("float bit operation", ins.uid)
-            if ty.bits == 32:
-                r = _struct.unpack("<f", _struct.pack("<f", r))[0]
-            return r
-        bits = 8 if isinstance(ty, Char) else 64 if isinstance(ty, Ptr) else ty.bits
-        if op == "add":
-            r = a + b
-        elif op == "sub":
-            r = a - b
-        elif op == "mul":
-            r = a * b
-        elif op in ("div", "rem"):
-            if b == 0:
-                raise MachineTrap("division by zero", ins.uid)
-            q = abs(a) // abs(b)
-            if (a < 0) != (b < 0):
-                q = -q
-            r = q if op == "div" else a - q * b
-        elif op == "and":
-            r = a & b
-        elif op == "or":
-            r = a | b
-        elif op == "xor":
-            r = a ^ b
-        elif op == "shl":
-            r = a << (b & (bits - 1))
-        elif op == "shr":
-            r = a >> (b & (bits - 1))   # arithmetic for signed, logical otherwise
-        elif op == "cmp":
-            r = 1 if a == b else 0
-        else:
-            raise MachineTrap("unknown op", ins.uid)
-        return _norm_int(r, ty)
-
-    def _do_call(self, frame: _Frame, ins: Call) -> int:
-        callee = self.module.functions.get(ins.callee)
-        if callee is None:
-            raise MachineTrap("unresolved callee", ins.uid, f"@{ins.callee}")
-        args = []
-        vecs = []
-        for (pname, pty), op in zip(callee.params, ins.args):
-            args.append(self._operand_value(frame, op, pty))
-            if self.live:
-                vecs.append(self._operand_tags(frame, op, _width(pty)))
-        if self.live and ins.args:
-            self.shadow_ops_instr += 1
-        self._check_sinks(callee.name, args, vecs, ins.uid)
-        frame.pc += 1
-        self._frames.append(self._make_frame(callee, args, vecs, call_ins=ins))
-        return 0
-
-    def _do_ret(self, frame: _Frame, ins: Ret) -> int:
-        fn = frame.fn
-        value = 0
-        if ins.value is not None:
-            value = self._operand_value(frame, ins.value, fn.ret_ty)
-        if self.live:
-            if ins.value is not None:
-                self.ret_shadow = self._operand_tags(
-                    frame, ins.value, _width(fn.ret_ty))
-                self.shadow_ops_instr += 1
-            else:
-                self.ret_shadow = b""
         self.stack_ptr = frame.stack_mark
         self._frames.pop()
         caller = self._frames[-1] if self._frames else None
@@ -704,12 +820,11 @@ class Machine:
         if caller is not None and frame.call_ins is not None:
             dest = frame.call_ins.dest
             if dest is not None:
-                caller.temps[dest] = self._coerce(value, fn.ret_ty)
+                caller.temps[dest] = _wrap(value, _kind(fn.ret_ty))
                 if self.live:
                     w = _width(fn.ret_ty)
                     caller.tags[dest] = _resize_vec(self.ret_shadow or bytes(w), w)
         return int(value)
-
 
 
 # ---------------------------------------------------------------------------
@@ -784,13 +899,15 @@ def run(module: Module, entry: str, args: Sequence[int] = (),
         cfg: Optional[TaintConfig] = None, mode: str = "instr",
         rule_programs: Optional[Mapping[str, TaintRuleProgram]] = None,
         fallback: Sequence[str] = (), **machine_kw) -> RunReport:
-    """Validate, execute, and report.  In hybrid mode every library
-    function must either carry a rule program or be listed in `fallback`
-    (falling back to instruction-level tracking)."""
+    """Validate, check the taint config, execute, and report.  In hybrid
+    mode every library function must either carry a rule program or be
+    listed in `fallback` (falling back to instruction-level tracking)."""
     diags = validate_module(module)
     if diags:
         raise ValueError("module is not well-formed: "
                          + "; ".join(str(d) for d in diags[:5]))
+    if cfg is not None:
+        cfg.check(module)
     rule_programs = dict(rule_programs or {})
     if mode == "hybrid":
         missing = [f.name for f in module.library_functions()

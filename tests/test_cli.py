@@ -249,6 +249,48 @@ class TestBadTaintConfig:
         self._run(workdir, workdir / "absent.json", capsys)
 
 
+class TestTaintConfigCheckedAgainstModule:
+    """A taint config that names a function the module lacks, or a
+    parameter past a function's arity, is a diagnostic and exit 1, not a
+    run with no tainted byte and no sink hit."""
+
+    def _run(self, workdir, doc, capsys, mode="instr"):
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["run", student_flow_path(workdir), "--taint-config", str(cfg),
+                   "--mode", mode])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: taint config names ")
+        return err
+
+    @pytest.mark.parametrize("mode", ["instr", "hybrid"])
+    def test_function_the_module_lacks(self, workdir, capsys, mode):
+        err = self._run(workdir, {
+            "sources": [{"fn": "fgets_b", "index": 0}],
+            "sinks": [{"fn": "printf_a", "index": 0}]}, capsys, mode)
+        assert "@fgets_b" in err
+
+    def test_sink_index_beyond_arity(self, workdir, capsys):
+        err = self._run(workdir, {
+            "sources": [{"fn": "fgets_a", "index": 0}],
+            "sinks": [{"fn": "printf_a", "index": 3}]}, capsys)
+        assert "parameter 3 of @printf_a" in err
+
+    def test_source_index_beyond_arity(self, workdir, capsys):
+        err = self._run(workdir, {
+            "sources": [{"fn": "fgets_a", "where": "param", "index": 2}]}, capsys)
+        assert "parameter 2 of @fgets_a" in err
+
+    def test_return_source_needs_no_index(self, workdir, capsys):
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps({
+            "sources": [{"fn": "fgets_a", "where": "ret", "label": 2}]}))
+        assert main(["run", student_flow_path(workdir), "--taint-config",
+                     str(cfg)]) == 0
+
+
 class TestRuleFilesCheckedAgainstModule:
     """A rule file that parses but does not fit the module is a diagnostic
     and exit 1 at load, not a silently skipped step at run time."""

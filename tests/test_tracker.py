@@ -1,20 +1,32 @@
 """Shadow-store algebra, interpreter semantics, hybrid switching, rule
-application, traps, and sources/sinks."""
+application, traps, sources/sinks, and the decoded handlers against the
+step interpreter they replaced."""
 
+import gc
+import math
 import random
+import struct
+import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from taintsum import (
-    Machine, MachineTrap, TaintConfig, apply_rule_program, parse_module, run,
+    Machine, MachineTrap, TaintConfig, apply_rule_program, corpus,
+    parse_module, run,
 )
-from taintsum.ir import Char, Ptr, Void, field_path_offset, size_of
+from taintsum.ir import (
+    Alloca, Array, BinOp, Br, Call, Char, ConstInt, Float, Gep, GlobalRef,
+    Int, Jmp, Load, Ptr, Ret, Store, StructRef, Temp, Void, align_of,
+    field_offset, field_path_offset, size_of,
+)
 from taintsum.rules import (
     GATHER_FIXED, GATHER_STRING, READ_OUT, SET_FIXED, SET_STRING,
     compile_library,
 )
-from taintsum.tracker import PAGE, SinkHit, Tagmap
+from taintsum.tracker import PAGE, RunReport, SinkHit, Tagmap, _resize_vec
+from taintsum.validate import build_plan, materialize_plan
+from test_ir import _straightline_function
 from test_rules import random_shadow_state, rule_modules
 
 
@@ -523,3 +535,744 @@ entry:
     def test_sink_hit_names_call_site(self, student_flow, student_flow_rules):
         rep = run(student_flow, "main", [], FLOW_CFG, "instr", student_flow_rules)
         assert rep.sink_hits == (SinkHit("printf_a", 1, "main:7"),)
+
+
+# ---------------------------------------------------------------------------
+# The step interpreter the decoded handlers replaced, kept as their oracle
+# ---------------------------------------------------------------------------
+
+_COND_TY = Int(64)
+
+
+def _ref_width(ty):
+    if isinstance(ty, Int):
+        return ty.bits // 8
+    if isinstance(ty, Float):
+        return ty.bits // 8
+    if isinstance(ty, Char):
+        return 1
+    if isinstance(ty, Ptr):
+        return 8
+    if isinstance(ty, Void):
+        return 0
+    raise MachineTrap("bad value type", detail=str(ty))
+
+
+def _ref_norm_int(v, ty):
+    if isinstance(ty, Char):
+        return v & 0xFF
+    if isinstance(ty, Ptr):
+        return v & (2 ** 64 - 1)
+    bits = ty.bits
+    v &= (1 << bits) - 1
+    if ty.signed and v >= 1 << (bits - 1):
+        v -= 1 << bits
+    return v
+
+
+class ReferenceMachine(Machine):
+    """Runs each instruction through an `isinstance` chain that re-derives
+    widths, masks, strides and label indices every time.  Frames, memory,
+    the Tagmap, sources, sinks, rule application and the tail of a return
+    are `Machine`'s own; only instruction execution differs."""
+
+    def __init__(self, module, **kw):
+        super().__init__(module, **kw)
+        self._labels = {
+            f.name: {b.label: i for i, b in enumerate(f.blocks)}
+            for f in module.functions.values()
+        }
+
+    def read_value(self, ty, addr, uid=None):
+        w = _ref_width(ty)
+        self._check_bounds(addr, w, uid)
+        raw = bytes(self.memory[addr:addr + w])
+        if isinstance(ty, Float):
+            return struct.unpack("<f" if ty.bits == 32 else "<d", raw)[0]
+        v = int.from_bytes(raw, "little")
+        if isinstance(ty, Int) and ty.signed and v >= 1 << (ty.bits - 1):
+            v -= 1 << ty.bits
+        return v
+
+    def write_value(self, ty, addr, value, uid=None):
+        w = _ref_width(ty)
+        self._check_bounds(addr, w, uid)
+        if isinstance(ty, Float):
+            raw = struct.pack("<f" if ty.bits == 32 else "<d", value)
+        else:
+            raw = (int(value) & (2 ** (w * 8) - 1)).to_bytes(w, "little")
+        self.memory[addr:addr + w] = raw
+
+    def _operand_value(self, frame, op, ty):
+        if isinstance(op, Temp):
+            try:
+                v = frame.temps[op.name]
+            except KeyError:
+                raise MachineTrap("undefined temporary", detail=f"%{op.name}")
+            if isinstance(ty, Float):
+                return float(v)
+            return _ref_norm_int(int(v), ty)
+        if isinstance(op, GlobalRef):
+            return self.global_addr[op.name]
+        if isinstance(op, ConstInt):
+            return float(op.value) if isinstance(ty, Float) else _ref_norm_int(op.value, ty)
+        return op.value if isinstance(ty, Float) else _ref_norm_int(int(op.value), ty)
+
+    def _operand_tags(self, frame, op, n):
+        if isinstance(op, Temp):
+            return _resize_vec(frame.tags.get(op.name, b"\0"), n)
+        return bytes(n)
+
+    def _run_loop(self):
+        exit_value = 0
+        while self._frames:
+            frame = self._frames[-1]
+            block = frame.fn.blocks[frame.block]
+            ins = block.instrs[frame.pc]
+            self.instr_total += 1
+            if self.instr_total > self.step_budget:
+                raise MachineTrap("step budget exhausted", ins.uid)
+            if not self.live:
+                self.instr_unins += 1
+            exit_value = self._step(frame, ins)
+        return exit_value
+
+    def _step(self, frame, ins):
+        live = self.live
+        fn = frame.fn
+        if isinstance(ins, Alloca):
+            sz = size_of(ins.ty, self.module.structs)
+            a = align_of(ins.ty, self.module.structs)
+            addr = (self.stack_ptr - sz) & ~(max(a, 1) - 1)
+            if addr <= self.heap_ptr:
+                raise MachineTrap("stack overflow", ins.uid)
+            self.stack_ptr = addr
+            self.memory[addr:addr + sz] = bytes(sz)
+            self.tagmap.set_taint(addr, 0, sz)
+            frame.temps[ins.dest] = addr
+            frame.tags[ins.dest] = bytes(8)
+            frame.pc += 1
+        elif isinstance(ins, Load):
+            addr = self._operand_value(frame, ins.addr, Ptr(ins.ty))
+            frame.temps[ins.dest] = self.read_value(ins.ty, addr, ins.uid)
+            if live:
+                frame.tags[ins.dest] = self.tagmap.get_vector(addr, _ref_width(ins.ty))
+                self.shadow_ops_instr += 1
+            frame.pc += 1
+        elif isinstance(ins, Store):
+            addr = self._operand_value(frame, ins.addr, Ptr(ins.ty))
+            value = self._operand_value(frame, ins.value, ins.ty)
+            self.write_value(ins.ty, addr, value, ins.uid)
+            if live:
+                w = _ref_width(ins.ty)
+                self.tagmap.set_vector(addr, self._operand_tags(frame, ins.value, w))
+                self.shadow_ops_instr += 1
+            frame.pc += 1
+        elif isinstance(ins, Gep):
+            frame.temps[ins.dest] = self._gep_addr(frame, ins)
+            if live:
+                tag = _fold(self._operand_tags(frame, ins.base, 8))
+                for idx in ins.indices:
+                    tag |= _fold(self._operand_tags(frame, idx, 8))
+                frame.tags[ins.dest] = bytes([tag]) * 8
+                self.shadow_ops_instr += 1
+            frame.pc += 1
+        elif isinstance(ins, BinOp):
+            frame.temps[ins.dest] = self._binop(frame, ins)
+            if live:
+                w = _ref_width(ins.ty)
+                tag = (_fold(self._operand_tags(frame, ins.lhs, w))
+                       | _fold(self._operand_tags(frame, ins.rhs, w)))
+                frame.tags[ins.dest] = bytes([tag]) * w
+                self.shadow_ops_instr += 1
+            frame.pc += 1
+        elif isinstance(ins, Br):
+            cond = self._operand_value(frame, ins.cond, _COND_TY)
+            label = ins.then_label if cond != 0 else ins.else_label
+            frame.block = self._labels[fn.name][label]
+            frame.pc = 0
+        elif isinstance(ins, Jmp):
+            frame.block = self._labels[fn.name][ins.label]
+            frame.pc = 0
+        elif isinstance(ins, Call):
+            return self._do_call(frame, ins)
+        elif isinstance(ins, Ret):
+            return self._ref_ret(frame, ins)
+        else:
+            raise MachineTrap("unknown instruction", ins.uid)
+        return 0
+
+    def _gep_addr(self, frame, ins):
+        base = self._operand_value(frame, ins.base, Ptr(ins.base_ty))
+        structs = self.module.structs
+        t = ins.base_ty
+        first = self._operand_value(frame, ins.indices[0], Int(64))
+        addr = base + first * size_of(t, structs)
+        for idx in ins.indices[1:]:
+            if isinstance(t, StructRef):
+                decl = structs[t.name]
+                fname, fty = decl.fields[idx.value]
+                addr += field_offset(decl, fname, structs)
+                t = fty
+            elif isinstance(t, Array):
+                i = self._operand_value(frame, idx, Int(64))
+                addr += i * size_of(t.elem, structs)
+                t = t.elem
+            else:
+                raise MachineTrap("malformed gep", ins.uid)
+        return addr & (2 ** 64 - 1)
+
+    def _binop(self, frame, ins):
+        ty = ins.ty
+        a = self._operand_value(frame, ins.lhs, ty)
+        b = self._operand_value(frame, ins.rhs, ty)
+        op = ins.op
+        if isinstance(ty, Float):
+            if op == "add":
+                r = a + b
+            elif op == "sub":
+                r = a - b
+            elif op == "mul":
+                r = a * b
+            elif op == "div":
+                if b != 0.0:
+                    r = a / b
+                else:
+                    r = math.copysign(math.inf, a) if a else math.nan
+            elif op == "rem":
+                r = math.fmod(a, b) if b != 0.0 else math.nan
+            elif op == "cmp":
+                return 1.0 if a == b else 0.0
+            else:
+                raise MachineTrap("float bit operation", ins.uid)
+            if ty.bits == 32:
+                r = struct.unpack("<f", struct.pack("<f", r))[0]
+            return r
+        bits = 8 if isinstance(ty, Char) else 64 if isinstance(ty, Ptr) else ty.bits
+        if op == "add":
+            r = a + b
+        elif op == "sub":
+            r = a - b
+        elif op == "mul":
+            r = a * b
+        elif op in ("div", "rem"):
+            if b == 0:
+                raise MachineTrap("division by zero", ins.uid)
+            q = abs(a) // abs(b)
+            if (a < 0) != (b < 0):
+                q = -q
+            r = q if op == "div" else a - q * b
+        elif op == "and":
+            r = a & b
+        elif op == "or":
+            r = a | b
+        elif op == "xor":
+            r = a ^ b
+        elif op == "shl":
+            r = a << (b & (bits - 1))
+        elif op == "shr":
+            r = a >> (b & (bits - 1))
+        elif op == "cmp":
+            r = 1 if a == b else 0
+        else:
+            raise MachineTrap("unknown op", ins.uid)
+        return _ref_norm_int(r, ty)
+
+    def _do_call(self, frame, ins):
+        callee = self.module.functions.get(ins.callee)
+        if callee is None:
+            raise MachineTrap("unresolved callee", ins.uid, f"@{ins.callee}")
+        args = []
+        vecs = []
+        for (pname, pty), op in zip(callee.params, ins.args):
+            args.append(self._operand_value(frame, op, pty))
+            if self.live:
+                vecs.append(self._operand_tags(frame, op, _ref_width(pty)))
+        if self.live and ins.args:
+            self.shadow_ops_instr += 1
+        self._check_sinks(callee.name, args, vecs, ins.uid)
+        frame.pc += 1
+        self._frames.append(self._make_frame(callee, args, vecs, call_ins=ins))
+        return 0
+
+    def _ref_ret(self, frame, ins):
+        fn = frame.fn
+        value = 0
+        if ins.value is not None:
+            value = self._operand_value(frame, ins.value, fn.ret_ty)
+        if self.live:
+            if ins.value is not None:
+                self.ret_shadow = self._operand_tags(
+                    frame, ins.value, _ref_width(fn.ret_ty))
+                self.shadow_ops_instr += 1
+            else:
+                self.ret_shadow = b""
+        return self._do_ret(frame, value)
+
+
+def outcome(cls, module, entry, args, *, arg_tags=None, before=None, **kw):
+    """Everything a run leaves behind: its RunReport or how it stopped,
+    the counters, final memory, Tagmap pages, ret_shadow and sink hits."""
+    m = cls(module, **kw)
+    if before is not None:
+        before(m)
+    try:
+        exit_value = m.call_entry(entry, list(args), arg_tags)
+    except MachineTrap as e:
+        result = ("trap", e.kind, e.instr)
+    except (OverflowError, ValueError) as e:    # an inf or NaN read as an int,
+        result = (type(e).__name__,)            # or a float beyond f32
+    else:
+        result = RunReport(
+            exit_value, m.shadow_ops_instr, m.shadow_ops_rules, m.instr_total,
+            m.instr_unins, tuple(m.tagmap.nonzero_bytes()), tuple(m.sink_hits),
+            _fold(m.ret_shadow))
+    return (result, m.instr_total, m.instr_unins, m.shadow_ops_instr,
+            m.shadow_ops_rules, bytes(m.memory),
+            {p: bytes(page) for p, page in m.tagmap.pages.items()},
+            m.ret_shadow, tuple(m.sink_hits), m.live)
+
+
+def assert_same_runs(module, entry, args, rules=None, **kw):
+    """Both interpreters, both modes: identical outcomes.  Returns the
+    decoded interpreter's outcome per mode."""
+    got = {}
+    for mode in ("instr", "hybrid"):
+        decoded = outcome(Machine, module, entry, args, mode=mode,
+                          rule_programs=rules, **kw)
+        reference = outcome(ReferenceMachine, module, entry, args, mode=mode,
+                            rule_programs=rules, **kw)
+        assert decoded[0] == reference[0], (mode, decoded[0], reference[0])
+        assert decoded == reference, mode
+        got[mode] = decoded
+    return got
+
+
+_INT_TYPES = ("i8", "u8", "i16", "u16", "i32", "u32", "i64", "u64", "char")
+_FLOAT_TYPES = ("f32", "f64")
+_INT_OP_NAMES = ("add", "sub", "mul", "div", "rem", "and", "or", "xor", "shl",
+            "shr", "cmp")
+_FLOAT_OP_NAMES = ("add", "sub", "mul", "div", "rem", "cmp")
+
+HELPERS = """\
+global @gv : [8 x i32]
+
+fn @h(%x: i32, %y: u8) -> i16 library {
+entry:
+  %s = add i32 %x, %y
+  %p = alloca i32
+  store i32 %s, %p
+  %v = load i32, %p
+  ret i16 %v
+}
+
+fn @k(%x: f64, %y: i8) -> i64 {
+entry:
+  %r = mul f64 %x, 2.5
+  %c = cmp i8 %y, 0
+  br %c, zero, other
+zero:
+  ret i64 %r
+other:
+  %q = div i8 100, %y
+  ret i64 %q
+}
+"""
+
+
+@st.composite
+def typed_function(draw):
+    """A random well-formed entry `@f` over mixed int, char and float types:
+    operands read as other types than they were made with, a global's
+    address as an operand of any type, every binop
+    (division by a drawn zero, float bit operations), stores and loads of
+    other widths through allocas and an array gep, calls to two helpers,
+    and a branch to two returns.  Returns (source, entry argument count)."""
+    n_params = draw(st.integers(1, 3))
+    temps = []          # (name, type)
+    params = []
+    for i in range(n_params):
+        ty = draw(st.sampled_from(_INT_TYPES + _FLOAT_TYPES))
+        params.append(f"%p{i}: {ty}")
+        temps.append((f"p{i}", ty))
+    lines = ["  %pad = alloca [16 x char]"]     # wide loads stay in bounds
+
+    def operand(ty):
+        pick = draw(st.integers(0, 19))
+        if pick < 14:
+            return "%" + draw(st.sampled_from(temps))[0]
+        if pick < 16:
+            return "@gv"        # an address, read as any type
+        if ty in _FLOAT_TYPES:
+            return draw(st.sampled_from(("0.0", "1.5", "-2.25", "1.0e30", "3.0")))
+        return str(draw(st.sampled_from((0, 1, -1, 2, 7, 127, 128, 255, 256,
+                                         -129, 65537, 2 ** 31, 2 ** 40))))
+
+    for i in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(("binop", "binop", "memory", "array", "call")))
+        if kind == "binop":
+            ty = draw(st.sampled_from(_INT_TYPES + _FLOAT_TYPES))
+            ops = _FLOAT_OP_NAMES if ty in _FLOAT_TYPES else _INT_OP_NAMES
+            op = draw(st.sampled_from(ops + (("xor",) if ty in _FLOAT_TYPES
+                                             and draw(st.booleans()) else ())))
+            lines.append(f"  %t{i} = {op} {ty} {operand(ty)}, {operand(ty)}")
+            temps.append((f"t{i}", ty))
+        elif kind == "memory":
+            sty = draw(st.sampled_from(_INT_TYPES + _FLOAT_TYPES))
+            lty = draw(st.sampled_from((sty,) + _INT_TYPES + _FLOAT_TYPES))
+            lines.append(f"  %a{i} = alloca {sty}")
+            lines.append(f"  store {sty} {operand(sty)}, %a{i}")
+            lines.append(f"  %t{i} = load {lty}, %a{i}")
+            temps.append((f"t{i}", lty))
+        elif kind == "array":
+            ety = draw(st.sampled_from(("i32", "char", "u16")))
+            lines.append(f"  %a{i} = alloca [4 x {ety}]")
+            lines.append(f"  %j{i} = and i64 {operand('i64')}, 3")
+            lines.append(f"  %g{i} = gep [4 x {ety}], %a{i}, 0, %j{i}")
+            lines.append(f"  store {ety} {operand(ety)}, %g{i}")
+            lines.append(f"  %t{i} = load {ety}, %g{i}")
+            temps.append((f"t{i}", ety))
+        elif draw(st.booleans()):
+            lines.append(f"  %t{i} = call i16 @h({operand('i32')}, {operand('u8')})")
+            temps.append((f"t{i}", "i16"))
+        else:
+            lines.append(f"  %t{i} = call i64 @k({operand('f64')}, {operand('i8')})")
+            temps.append((f"t{i}", "i64"))
+    rty = draw(st.sampled_from(_INT_TYPES + _FLOAT_TYPES))
+    lines.append(f"  br {operand('i64')}, a, b")
+    lines += ["a:", f"  ret {rty} {operand(rty)}", "b:", f"  ret {rty} {operand(rty)}"]
+    src = (HELPERS + f"\nfn @f({', '.join(params)}) -> {rty} {{\nentry:\n"
+           + "\n".join(lines) + "\n}\n")
+    return src, n_params
+
+
+def _arg_values(rng, n):
+    return [rng.choice((0, 1, -1, 3, 255, 256, -70000, 2 ** 33, 2 ** 63))
+            for _ in range(n)]
+
+
+def _arg_tags(rng, n):
+    return [bytes(rng.randrange(0, 8) for _ in range(rng.choice((1, 2, 8))))
+            for _ in range(n)]
+
+
+SINK_IN_LIBRARY_CFG = TaintConfig.from_json({
+    "sources": [{"fn": "fgets_a", "where": "param", "index": 0, "label": 1},
+                {"fn": "printf_a", "where": "ret", "label": 4}],
+    "sinks": [{"fn": "memcpy", "index": 1}, {"fn": "printf_a", "index": 0}],
+})
+
+BUDGETS = st.one_of(st.just(None), st.integers(1, 400))
+
+
+def _budget(budget):
+    return {} if budget is None else {"step_budget": budget}
+
+
+class TestDecodedMatchesReference:
+    """The decoded handlers against the step interpreter they replaced:
+    the same RunReport, memory, Tagmap pages, ret_shadow and sink hits on
+    every run, and the same trap kind and instruction on every trap."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_straightline_function(), st.integers(0, 2 ** 32), BUDGETS)
+    def test_random_straight_line_library_functions(self, src, seed, budget):
+        m = parse_module(src.replace("-> i64 {", "-> i64 library {", 1))
+        rules, _ = compile_library(m)
+        n = len(m.functions["f"].params)
+        rng = random.Random(seed)
+        assert_same_runs(m, "f", _arg_values(rng, n), rules,
+                         arg_tags=_arg_tags(rng, n), mem_size=1 << 16,
+                         **_budget(budget))
+
+    @settings(max_examples=200, deadline=None)
+    @given(typed_function(), st.integers(0, 2 ** 32), BUDGETS)
+    def test_random_typed_functions(self, fn_src, seed, budget):
+        src, n = fn_src
+        m = parse_module(src)
+        rules, _ = compile_library(m)
+        rng = random.Random(seed)
+        assert_same_runs(m, "f", _arg_values(rng, n), rules,
+                         arg_tags=_arg_tags(rng, n), mem_size=1 << 16,
+                         **_budget(budget))
+
+    @settings(max_examples=25, deadline=None)
+    @given(BUDGETS)
+    def test_student_flow(self, student_flow, student_flow_rules, budget):
+        for cfg in (None, FLOW_CFG, SINK_IN_LIBRARY_CFG):
+            assert_same_runs(student_flow, "main", [], student_flow_rules,
+                             taint_config=cfg, mem_size=1 << 20, **_budget(budget))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 40), BUDGETS)
+    def test_bench_memcpy(self, bench_memcpy, n, budget):
+        rules, _ = compile_library(bench_memcpy)
+
+        def pretaint(m):
+            m.tagmap.set_taint(m.global_addr["src_buf"], 3, 24)
+        got = assert_same_runs(bench_memcpy, "main", [n], rules, before=pretaint,
+                               mem_size=1 << 20, **_budget(budget))
+        if budget is None:
+            assert got["instr"][0].instr_executed_total == 14 * n + 19
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 30), st.binary(min_size=30, max_size=30), BUDGETS)
+    def test_bench_user(self, bench_user, n, data, budget):
+        def pretaint(m):
+            m.write_bytes(m.global_addr["data"], data)
+            m.tagmap.set_taint(m.global_addr["data"] + 5, 2, 9)
+        assert_same_runs(bench_user, "main", [n], {}, before=pretaint,
+                         mem_size=1 << 20, **_budget(budget))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(corpus.DRIVERS)), st.integers(0, 2 ** 32),
+           BUDGETS)
+    def test_libcorpus_functions(self, libcorpus, lib_rules, fn, seed, budget):
+        plan = build_plan(libcorpus, fn, random.Random(seed))
+        tags = random.Random(seed + 1)
+
+        def materialized(m):
+            args, regions = materialize_plan(m, plan)
+            for region in regions:
+                if region is not None:
+                    m.tagmap.set_vector(region[0], bytes(
+                        tags.randrange(0, 4) for _ in range(region[1])))
+            return args
+        args = materialized(Machine(libcorpus, mem_size=1 << 20))
+        for mode in ("instr", "hybrid"):
+            runs = []
+            for cls in (Machine, ReferenceMachine):
+                tags.seed(seed + 1)
+                runs.append(outcome(cls, libcorpus, fn, args, mode=mode,
+                                    rule_programs=lib_rules, mem_size=1 << 20,
+                                    before=materialized, **_budget(budget)))
+            assert runs[0] == runs[1], (fn, mode)
+
+
+TRAPS = {
+    "division by zero": ("""fn @main(%a: i32) -> i32 {
+entry:
+  %x = add i32 %a, 1
+  %y = div i32 7, %a
+  ret i32 %y
+}
+""", [0], {}),
+    "out-of-bounds access": ("""fn @main(%a: i64) -> i32 {
+entry:
+  %v = load i32, %a
+  ret i32 %v
+}
+""", [16], {}),
+    "stack overflow (frame cap)": ("""fn @r(%n: i64) -> i64 {
+entry:
+  %m = add i64 %n, 1
+  %x = call i64 @r(%m)
+  ret i64 %x
+}
+fn @main(%a: i64) -> i64 {
+entry:
+  %x = call i64 @r(%a)
+  ret i64 %x
+}
+""", [1], {"max_frames": 9}),
+    "stack overflow": ("""fn @main(%a: i64) -> i32 {
+entry:
+  jmp l
+l:
+  %x = alloca [512 x char]
+  %p = gep [512 x char], %x, 0, 3
+  store char %a, %p
+  jmp l
+}
+""", [5], {"mem_size": 1 << 16}),
+    "step budget exhausted": ("""fn @main(%a: i64) -> i32 {
+entry:
+  jmp l
+l:
+  %b = add i64 %a, 1
+  jmp l
+}
+""", [5], {"step_budget": 333}),
+}
+
+
+class TestTrapsMatchReference:
+    @pytest.mark.parametrize("kind", sorted(TRAPS))
+    def test_trap(self, kind):
+        src, args, kw = TRAPS[kind]
+        m = parse_module(src)
+        got = assert_same_runs(m, "main", args, {}, arg_tags=[b"\x01"] * len(args),
+                               **kw)
+        assert got["instr"][0][:2] == ("trap", kind)
+
+
+class TestMachineLifetime:
+    """Handlers take the machine as an argument; a machine that held its
+    decode cache through handlers closing over it would stay alive, with
+    its 16 MiB of memory, until a cyclic collection."""
+
+    def test_freed_by_reference_counting(self, bench_memcpy, student_flow,
+                                         student_flow_rules):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            m = Machine(bench_memcpy, mode="instr")
+            m.call_entry("main", [64])
+            ref = weakref.ref(m)
+            del m
+            assert ref() is None
+            m = Machine(student_flow, mode="hybrid", rule_programs=student_flow_rules,
+                        taint_config=FLOW_CFG)
+            m.call_entry("main", [])
+            ref = weakref.ref(m)
+            del m
+            assert ref() is None
+            m = Machine(parse_module(TRAPS["division by zero"][0]))
+            try:
+                m.call_entry("main", [0])
+            except MachineTrap:
+                pass
+            ref = weakref.ref(m)
+            del m
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+
+LAZY = """\
+struct %pair { i32 a, i32 b }
+
+fn @widthless(%p: ptr(%pair)) -> i32 {
+entry:
+  %v = load %pair, %p
+  ret i32 0
+}
+
+fn @main(%x: i32, %p: ptr(%pair)) -> i32 {
+entry:
+  %z = cmp i32 %x, 0
+  br %z, done, one
+one:
+  %o = cmp i32 %x, 1
+  br %o, gep, two
+gep:
+  %g = gep i32, %p, 0, 1
+  ret i32 1
+two:
+  %t = cmp i32 %x, 2
+  br %t, call, load
+call:
+  %r = call i32 @absent(%x)
+  ret i32 %r
+load:
+  %w = call i32 @widthless(%p)
+  ret i32 %w
+done:
+  ret i32 0
+}
+"""
+
+
+class TestLazyDecoding:
+    """Instructions that cannot run decode without trapping; running one
+    traps with the step interpreter's kind and instruction."""
+
+    @pytest.mark.parametrize("x, kind, instr", [
+        (1, "malformed gep", "main:4"),
+        (2, "unresolved callee", "main:8"),
+        (3, "bad value type", None),
+    ])
+    def test_trap_only_when_run(self, x, kind, instr):
+        m = parse_module(LAZY)
+        for mode in ("instr", "hybrid"):
+            machine = Machine(m, mode=mode, mem_size=1 << 16)
+            p = machine.alloc(8)
+            assert machine.call_entry("main", [0, p]) == 0      # nothing traps
+            got = []
+            for cls in (Machine, ReferenceMachine):
+                machine = cls(m, mode=mode, mem_size=1 << 16)
+                with pytest.raises(MachineTrap) as e:
+                    machine.call_entry("main", [x, machine.alloc(8)])
+                got.append((e.value.kind, e.value.instr))
+            assert got[0] == got[1] == (kind, instr)
+
+    def test_decodes_only_the_functions_it_enters(self, libcorpus, lib_rules,
+                                                  student_flow, student_flow_rules):
+        m = Machine(libcorpus, mode="hybrid", rule_programs=lib_rules,
+                    mem_size=1 << 20)
+        s = m.alloc(16)
+        m.write_bytes(s, b"abc\0")
+        assert m.call_entry("strlen_a", [s]) == 3
+        assert set(m._code) == {("strlen_a", False)}
+        m = Machine(student_flow, mode="hybrid", rule_programs=student_flow_rules)
+        m.call_entry("main", [])
+        assert set(m._code) == {("main", True), ("fgets_a", True),
+                                ("printf_a", True), ("student_cpy", False),
+                                ("memcpy", False)}
+        m = Machine(student_flow, mode="instr")
+        m.call_entry("main", [])
+        assert set(m._code) == {("main", True), ("fgets_a", True),
+                                ("printf_a", True), ("student_cpy", True),
+                                ("memcpy", True)}
+
+
+MOVES_NUL = """\
+fn @shorten(%d: ptr(char), %s: ptr(char)) -> void library {
+entry:
+  %c = load char, %s
+  store char %c, %d
+  %d1 = gep char, %d, 1
+  store char 0, %d1
+  %s1 = gep char, %s, 1
+  store char 0, %s1
+  ret
+}
+
+fn @lengthen(%d: ptr(char), %s: ptr(char)) -> void library {
+entry:
+  %c = load char, %s
+  store char %c, %d
+  %d2 = gep char, %d, 2
+  store char 81, %d2
+  %s1 = gep char, %s, 1
+  store char 90, %s1
+  ret
+}
+"""
+
+
+class TestStringExtentsAtReturn:
+    """A library call that moves a NUL: rule steps scan string extents on
+    concrete memory when the call returns, not when it starts, both for
+    the gathered source and for the set destination."""
+
+    def _run(self, fn, d_text, s_text, s_tags):
+        m = parse_module(MOVES_NUL)
+        rules, _ = compile_library(m)
+        ops = [(s.op, str(s.slot)) for s in rules[fn].steps]
+        assert (GATHER_STRING, "param1") in ops and (SET_STRING, "param0") in ops
+        machine = Machine(m, mode="hybrid", rule_programs=rules, mem_size=1 << 16)
+        d, s = machine.alloc(16), machine.alloc(16)
+        machine.write_bytes(d, d_text)
+        machine.write_bytes(s, s_text)
+        machine.tagmap.set_vector(s, s_tags)
+        machine.call_entry(fn, [d, s])
+        return (machine.read_bytes(d, len(d_text)), machine.read_bytes(s, len(s_text)),
+                list(machine.tagmap.get_vector(d, 16)))
+
+    def test_shortening_call(self):
+        d_after, s_after, d_tags = self._run(
+            "shorten", b"abcdef\0", b"xyzw\0", bytes([1, 0, 0, 2, 0]))
+        assert d_after == b"x\0cdef\0" and s_after == b"x\0zw\0"
+        # at return @d spans 2 bytes and @s 2 bytes: label 1 only; at
+        # entry they spanned 7 and 5, and @s's label 2 was inside
+        assert d_tags == [1, 1] + [0] * 14
+
+    def test_lengthening_call(self):
+        d_after, s_after, d_tags = self._run(
+            "lengthen", b"ab\0def\0", b"x\0zw\0", bytes([1, 0, 0, 2, 0]))
+        assert d_after == b"xbQdef\0" and s_after == b"xZzw\0"
+        # at return @d spans 7 bytes and @s 5, taking in label 2; at entry
+        # they spanned 3 and 2, label 1 only
+        assert d_tags == [3] * 7 + [0] * 9
