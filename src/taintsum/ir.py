@@ -638,6 +638,11 @@ def _validate_function(m: Module, fn: Function) -> list[Diagnostic]:
             if not isinstance(fn.ret_ty, Void) and ins.value is None:
                 diags.append(Diagnostic(
                     f"@{fn.name} must return a value", instr=ins.uid))
+        elif isinstance(ins, (Load, Store)) and not isinstance(
+                ins.ty, (Int, Float, Char, Ptr)):
+            diags.append(Diagnostic(
+                f"{'load' if isinstance(ins, Load) else 'store'} of"
+                f" {type_str(ins.ty)}, a type with no width", instr=ins.uid))
         elif isinstance(ins, BinOp) and ins.op not in BINOPS:
             diags.append(Diagnostic(f"unknown op {ins.op!r}", instr=ins.uid))
     return diags

@@ -34,7 +34,8 @@ from .ir import (
 )
 from .rules import READ_OUT, SET_FIXED, SET_STRING, TaintRuleProgram
 
-PAGE = 4096
+_PAGE_SHIFT = 12
+PAGE = 1 << _PAGE_SHIFT
 GLOBALS_BASE = 0x1000
 DEFAULT_MEMORY = 16 * 1024 * 1024
 DEFAULT_STEP_BUDGET = 10 ** 8
@@ -74,22 +75,25 @@ class Tagmap:
             i += n
 
     def get_vector(self, addr: int, sz: int) -> bytes:
-        out = bytearray(sz)
-        for pno, off, i, n in self._pieces(addr, sz):
-            page = self.pages.get(pno)
-            if page is not None:
-                out[i:i + n] = page[off:off + n]
-        return bytes(out)
+        off = addr & (PAGE - 1)
+        if off + sz <= PAGE:        # one page: nearly every load and store
+            page = self.pages.get(addr >> _PAGE_SHIFT)
+            return bytes(sz) if page is None else bytes(page[off:off + sz])
+        return b"".join(self.get_vector(pno * PAGE + off, n)
+                        for pno, off, _, n in self._pieces(addr, sz))
 
     def set_vector(self, addr: int, vec: bytes) -> None:
-        for pno, off, i, n in self._pieces(addr, len(vec)):
-            piece = vec[i:i + n]
-            page = self.pages.get(pno)
-            if page is None:
-                if not any(piece):
-                    continue
-                page = self.pages[pno] = bytearray(PAGE)
-            page[off:off + n] = piece
+        off, n = addr & (PAGE - 1), len(vec)
+        if off + n > PAGE:          # each piece takes the one-page path
+            for pno, off, i, k in self._pieces(addr, n):
+                self.set_vector(pno * PAGE + off, vec[i:i + k])
+            return
+        page = self.pages.get(addr >> _PAGE_SHIFT)
+        if page is None:
+            if vec.count(0) == n:
+                return
+            page = self.pages[addr >> _PAGE_SHIFT] = bytearray(PAGE)
+        page[off:off + n] = vec
 
     def get_taint(self, addr: int, sz: int) -> int:
         return _fold(self.get_vector(addr, sz))
@@ -302,12 +306,12 @@ class _Temps(dict):
 # Decoding
 # ---------------------------------------------------------------------------
 #
-# A machine decodes each function it enters, once, into per-block lists of
-# handlers `h(machine, frame)` with what the instruction fixes resolved:
-# operand readers, widths, masks, formats, gep strides and offsets, block
-# indices, the temps whose tags it folds.  A handler returns None to stay in
-# its frame, 0 after a call and the value after a return.  It never holds
-# the machine, so the decode cache forms no reference cycle.
+# An image decodes each function its machines enter, once, into per-block
+# lists of handlers `h(machine, frame)` with what the instruction fixes
+# resolved: operand readers, widths, masks, formats, gep strides and offsets,
+# block indices, the temps whose tags it folds.  A handler returns None to
+# stay in its frame, 0 after a call and the value after a return.  It never
+# holds a machine, so the image keeps none alive.
 
 Handler = Callable[["Machine", "_Frame"], Optional[int]]
 _MASK64 = 2 ** 64 - 1
@@ -577,67 +581,123 @@ def _decode(ins: Instr, fn: Function, live: bool, env) -> Handler:
 
 
 # ---------------------------------------------------------------------------
+# The module image
+# ---------------------------------------------------------------------------
+
+class Image:
+    """What no run changes, built once and shared by every machine made from
+    it: the global layout, each function's handler tables and the rule
+    programs bound to the module.  It holds no machine, so a machine is
+    freed by reference counting while its image lives on."""
+
+    def __init__(self, module: Module,
+                 rule_programs: Optional[Mapping[str, TaintRuleProgram]] = None,
+                 mem_size: int = DEFAULT_MEMORY):
+        self.module = module
+        self.rules = dict(rule_programs or {})
+        self.mem_size = mem_size
+        self.global_addr: dict[str, int] = {}
+        self.inits: list[tuple[int, bytes]] = []    # copied into each memory
+        addr, structs = GLOBALS_BASE, module.structs
+        for g in module.globals.values():
+            addr = align_up(addr, max(align_of(g.ty, structs), 1))
+            self.global_addr[g.name] = addr
+            if g.init:
+                self.inits.append((addr, g.init))
+            addr += size_of(g.ty, structs)
+        self.globals_end = addr
+        self.heap_start = align_up(addr, 16)
+        # (function name, tracked) -> its blocks as handler lists, decoded
+        # at the first frame that runs them
+        self.code: dict[tuple[str, bool], list[list[Handler]]] = {}
+        self._bound: dict[str, tuple[TaintRuleProgram, tuple]] = {}
+
+    def decoded(self, fn: Function, live: bool) -> list[list[Handler]]:
+        code = self.code.get((fn.name, live))
+        if code is None:
+            env = ({b.label: i for i, b in enumerate(fn.blocks)},
+                   _temp_kinds(fn, self.module.functions),
+                   self.global_addr, self.module, self.mem_size)
+            code = self.code[fn.name, live] = [
+                [_decoded_or_deferred(ins, fn, live, env) for ins in b.instrs]
+                for b in fn.blocks]
+        return code
+
+    def bound(self, prog: TaintRuleProgram) -> tuple:
+        """`prog`'s steps as (entry, op, kind, where, offset, nbytes, max_len),
+        kind "ret", "nu" (by-value scalar argument `where`), "arg" (memory
+        behind pointer argument `where`, plus `offset`) or "mem" (at `offset`)."""
+        hit = self._bound.get(prog.function)
+        if hit is None or hit[0] is not prog:
+            module, steps = self.module, []
+            for step in prog.steps:
+                slot, where, off = step.slot, step.slot.index, 0
+                if slot.kind == "ret":
+                    kind = "ret"
+                elif slot.kind == "global":
+                    kind, off = "mem", self.global_addr[slot.name]
+                    base_ty = module.globals[slot.name].ty
+                elif slot.field_path or isinstance(slot.ty, Ptr):
+                    kind = "arg"
+                    base_ty = module.functions[prog.function].params[where][1]
+                else:
+                    kind = "nu"
+                if slot.field_path:
+                    off += field_path_offset(base_ty, slot.field_path, module.structs)[0]
+                op = {READ_OUT: "read", SET_FIXED: "set", SET_STRING: "set"}.get(
+                    step.op, "gather")
+                steps.append((step.entry, op, kind, where, off, step.nbytes, step.max_len))
+            hit = self._bound[prog.function] = (prog, tuple(steps))
+        return hit[1]
+
+
+# ---------------------------------------------------------------------------
 # The machine
 # ---------------------------------------------------------------------------
 
 class Machine:
-    def __init__(self, module: Module, *, mode: str = "instr",
+    """The state of one run: memory, Tagmap, frames and counters.  The first
+    argument is an `Image`, or a `Module` to build a private one from; an
+    image fixes the rule programs and the memory size."""
+
+    def __init__(self, image: Image | Module, *, mode: str = "instr",
                  rule_programs: Optional[Mapping[str, TaintRuleProgram]] = None,
                  taint_config: Optional[TaintConfig] = None,
-                 mem_size: int = DEFAULT_MEMORY,
+                 mem_size: Optional[int] = None,
                  step_budget: int = DEFAULT_STEP_BUDGET,
                  max_frames: int = DEFAULT_MAX_FRAMES,
                  default_len: int = 64):
         if mode not in ("instr", "hybrid"):
             raise ValueError(f"unknown mode {mode!r}")
-        self.module = module
-        self.mode = mode
+        if isinstance(image, Module):
+            image = Image(image, rule_programs,
+                          DEFAULT_MEMORY if mem_size is None else mem_size)
+        elif rule_programs is not None or mem_size is not None:
+            raise ValueError("an image fixes the rule programs and memory size")
+        self.image, self.module, self.mode = image, image.module, mode
         # in instr mode no rule ever fires
-        self.rules = dict(rule_programs or {}) if mode == "hybrid" else {}
+        self.rules = image.rules if mode == "hybrid" else {}
         self.cfg = taint_config or TaintConfig()
-        self.mem_size = mem_size
-        self.memory = bytearray(mem_size)
-        self.tagmap = Tagmap()
-        self.ret_shadow = b""
-        self.step_budget = step_budget
-        self.max_frames = max_frames
+        self.mem_size = image.mem_size
+        self.memory = bytearray(image.mem_size)
+        for addr, init in image.inits:
+            self.memory[addr:addr + len(init)] = init
+        self.global_addr, self.globals_end = image.global_addr, image.globals_end
+        self.heap_ptr, self.stack_ptr = image.heap_start, image.mem_size
+        self.tagmap, self.ret_shadow = Tagmap(), b""
+        self.step_budget, self.max_frames = step_budget, max_frames
         self.default_len = default_len
-
         self.live = True        # false while a rule-firing call runs
-        self.shadow_ops_instr = 0
-        self.shadow_ops_rules = 0
-        self.instr_total = 0
-        self.instr_unins = 0
+        self.shadow_ops_instr = self.shadow_ops_rules = 0
+        self.instr_total = self.instr_unins = 0
         self.sink_hits: list[SinkHit] = []
-
-        self.global_addr: dict[str, int] = {}
-        self._layout_globals()
-        self.stack_ptr = mem_size
         self._frames: list[_Frame] = []
-        # (function name, tracked) -> its blocks as handler lists, decoded
-        # at the first frame that runs them
-        self._code: dict[tuple[str, bool], list[list[Handler]]] = {}
-        self._sources = {}
-        for s in self.cfg.sources:
-            self._sources.setdefault(s.fn, []).append(s)
-        self._sinks = {}
-        for s in self.cfg.sinks:
-            self._sinks.setdefault(s.fn, []).append(s)
+        self._sources, self._sinks = {}, {}
+        for s in self.cfg.sources + self.cfg.sinks:
+            by_fn = self._sources if isinstance(s, SourceSpec) else self._sinks
+            by_fn.setdefault(s.fn, []).append(s)
 
     # -- memory ----------------------------------------------------------------
-
-    def _layout_globals(self) -> None:
-        addr = GLOBALS_BASE
-        for g in self.module.globals.values():
-            a = align_of(g.ty, self.module.structs)
-            addr = align_up(addr, max(a, 1))
-            sz = size_of(g.ty, self.module.structs)
-            self.global_addr[g.name] = addr
-            if g.init:
-                self.memory[addr:addr + len(g.init)] = g.init
-            addr += sz
-        self.heap_ptr = align_up(addr, 16)
-        self.globals_end = addr
 
     def alloc(self, n: int, align: int = 8) -> int:
         addr = align_up(self.heap_ptr, align)
@@ -673,10 +733,8 @@ class Machine:
         """Byte extent of a NUL-terminated region: terminator included,
         capped at `cap` when no terminator shows up."""
         end = min(addr + cap, self.mem_size)
-        for i in range(addr, end):
-            if self.memory[i] == 0:
-                return i - addr + 1
-        return max(end - addr, 0)
+        i = self.memory.find(0, addr, end)
+        return i - addr + 1 if i >= 0 else max(end - addr, 0)
 
     # -- calls -------------------------------------------------------------------
 
@@ -690,17 +748,12 @@ class Machine:
         if len(args) != len(fn.params):
             raise MachineTrap("entry argument count mismatch",
                               detail=f"{fn_name} wants {len(fn.params)}")
-        vecs = []
-        for i, (pname, pty) in enumerate(fn.params):
-            w = _width(pty)
-            vec = bytes(w)
-            if arg_tags is not None and arg_tags[i]:
-                vec = _resize_vec(arg_tags[i], w)
-            vecs.append(vec)
+        vecs = [_resize_vec(arg_tags[i], _width(pty))
+                if arg_tags is not None and arg_tags[i] else bytes(_width(pty))
+                for i, (_, pty) in enumerate(fn.params)]
         self._check_sinks(fn.name, [_wrap(a, _kind(t)) for a, (_, t) in
                                     zip(args, fn.params)], vecs, "<entry>")
-        frame = self._make_frame(fn, list(args), vecs, call_ins=None)
-        self._frames.append(frame)
+        self._frames.append(self._make_frame(fn, list(args), vecs, call_ins=None))
         return self._run_loop()
 
     def _make_frame(self, fn: Function, args: Sequence[object],
@@ -715,18 +768,7 @@ class Machine:
             record = [(temps[p], tags[p]) for p, _ in fn.params]
             self.live = False
         return _Frame(fn, temps, tags, self.stack_ptr, call_ins,
-                      self._decoded(fn, self.live), record)
-
-    def _decoded(self, fn: Function, live: bool) -> list[list[Handler]]:
-        code = self._code.get((fn.name, live))
-        if code is None:
-            env = ({b.label: i for i, b in enumerate(fn.blocks)},
-                   _temp_kinds(fn, self.module.functions),
-                   self.global_addr, self.module, self.mem_size)
-            code = self._code[fn.name, live] = [
-                [_decoded_or_deferred(ins, fn, live, env) for ins in b.instrs]
-                for b in fn.blocks]
-        return code
+                      self.image.decoded(fn, self.live), record)
 
     def _check_sinks(self, fn_name: str, args, vecs, call_uid: str) -> None:
         if not self.live or fn_name not in self._sinks:
@@ -736,22 +778,15 @@ class Machine:
             i = spec.index
             if i >= len(args):
                 continue
-            pty = fn.params[i][1]
-            region = self._param_region(pty, args[i])
-            if region is None:
-                tag = _fold(vecs[i])
-            else:
-                tag = self.tagmap.get_taint(*region)
+            region = self._param_region(fn.params[i][1], args[i])
+            tag = _fold(vecs[i]) if region is None else self.tagmap.get_taint(*region)
             if tag:
                 self.sink_hits.append(SinkHit(fn_name, tag, call_uid))
 
     def _apply_sources(self, frame: _Frame, caller: Optional[_Frame]) -> None:
         if not self.live:
             return
-        specs = self._sources.get(frame.fn.name)
-        if not specs:
-            return
-        for spec in specs:
+        for spec in self._sources.get(frame.fn.name, ()):
             if spec.where == "ret":
                 w = len(self.ret_shadow) or _width(frame.fn.ret_ty)
                 self.ret_shadow = bytes(
@@ -831,61 +866,34 @@ class Machine:
 # Rule application
 # ---------------------------------------------------------------------------
 
-def _rule_region(machine: Machine, fn_name: str, slot,
-                 arg_record) -> Optional[tuple[str, int]]:
-    """Resolve a slot to ("ret", 0), ("nu", argindex) for a by-value
-    scalar, or ("mem", address); None for a null pointer, which makes the
-    step a no-op.  Extents come from the step, never from the slot."""
-    if slot.kind == "ret":
-        return ("ret", 0)
-    if slot.kind == "global":
-        base = machine.global_addr[slot.name]
-        base_ty = machine.module.globals[slot.name].ty
-    elif slot.field_path or isinstance(slot.ty, Ptr):
-        base = arg_record[slot.index][0]
-        if base == 0:
-            return None
-        base_ty = machine.module.functions[fn_name].params[slot.index][1]
-    else:
-        return ("nu", slot.index)
-    if slot.field_path:
-        base += field_path_offset(base_ty, slot.field_path, machine.module.structs)[0]
-    return ("mem", base)
-
-
 def apply_rule_program(prog: TaintRuleProgram, arg_record, machine: Machine) -> None:
-    """Execute a compiled rule program against the shadow state using the
-    argument values recorded at call entry.  Each region covers the step's
-    `nbytes`, or the string scanned at application time up to `max_len`."""
-    acc = 0
-    out_tag = 0
-    current_entry = -1
-
-    for step in prog.steps:
-        if step.entry != current_entry:
-            current_entry = step.entry
-            acc = 0
-            out_tag = 0
-        machine.shadow_ops_rules += 1
-        loc = _rule_region(machine, prog.function, step.slot, arg_record)
-        if loc is None:
+    """Execute a compiled rule program, bound to the machine's image,
+    against the shadow state using the argument values recorded at call
+    entry.  Each region covers the step's `nbytes`, or the string scanned at
+    application time up to `max_len`; a null pointer makes its step a no-op."""
+    steps, tagmap, current = machine.image.bound(prog), machine.tagmap, -1
+    machine.shadow_ops_rules += len(steps)
+    for entry, op, kind, where, off, nbytes, max_len in steps:
+        if entry != current:
+            current, acc, out_tag = entry, 0, 0
+        if kind == "arg" or kind == "mem":
+            addr = off
+            if kind == "arg":
+                if arg_record[where][0] == 0:
+                    continue
+                addr += arg_record[where][0]
+            n = nbytes if nbytes is not None else machine.scan_string(addr, max_len)
+            if op == "set":
+                tagmap.set_taint(addr, out_tag | acc, n)
+                continue
+            tag = tagmap.get_taint(addr, n)
+        elif op == "set":       # by-value scalars have no caller-visible cell
+            if kind == "ret":
+                machine.ret_shadow = bytes([out_tag | acc]) * nbytes
             continue
-        kind, where = loc
-        if kind == "mem":
-            n = (step.nbytes if step.nbytes is not None
-                 else machine.scan_string(where, step.max_len))
-        if step.op in (SET_FIXED, SET_STRING):
-            # by-value scalars have no caller-visible cell to set
-            if kind == "mem":
-                machine.tagmap.set_taint(where, out_tag | acc, n)
-            elif kind == "ret":
-                machine.ret_shadow = bytes([out_tag | acc]) * step.nbytes
-            continue
-        if kind == "mem":
-            tag = machine.tagmap.get_taint(where, n)
         else:
             tag = _fold(machine.ret_shadow if kind == "ret" else arg_record[where][1])
-        if step.op == READ_OUT:
+        if op == "read":
             out_tag = tag
         else:
             acc |= tag

@@ -20,7 +20,7 @@ from .ir import (
     size_of,
 )
 from .rules import TaintRuleProgram, compile_library
-from .tracker import GLOBALS_BASE, Machine, run
+from .tracker import GLOBALS_BASE, Image, Machine, run
 
 HARNESS_MEMORY = 1 * 1024 * 1024
 MAX_SUBSETS = 256
@@ -136,13 +136,10 @@ def _subsets(k: int) -> list[tuple[int, ...]]:
     return out[:MAX_SUBSETS]
 
 
-def _run_trial(module: Module, fn_name: str, plan, mode: str,
-               rules: Mapping[str, TaintRuleProgram],
-               subset: tuple[int, ...], mem_size: int) -> Machine:
-    machine = Machine(module, mode=mode, rule_programs=rules,
-                      mem_size=mem_size)
+def _run_trial(image: Image, fn_name: str, plan, mode: str,
+               subset: tuple[int, ...]) -> Machine:
+    machine = Machine(image, mode=mode)
     args, regions = materialize_plan(machine, plan)
-    fn = module.functions[fn_name]
     arg_tags: list[Optional[bytes]] = [None] * len(args)
     for i in subset:
         label = 1 << (i % 8)
@@ -150,7 +147,7 @@ def _run_trial(module: Module, fn_name: str, plan, mode: str,
             machine.tagmap.set_taint(regions[i][0], label, regions[i][1])
         else:
             arg_tags[i] = bytes([label]) * 8
-    machine.call_entry(fn.name, args, arg_tags)
+    machine.call_entry(fn_name, args, arg_tags)
     machine.trial_regions = regions        # for the persistent-byte walk
     return machine
 
@@ -158,6 +155,13 @@ def _run_trial(module: Module, fn_name: str, plan, mode: str,
 def default_rules(module: Module, include_control_deps: bool = True,
                   default_len: int = 64) -> dict[str, TaintRuleProgram]:
     return compile_library(module, include_control_deps, default_len)[0]
+
+
+def _image(module: Module, rule_programs: Optional[Mapping[str, TaintRuleProgram]],
+           mem_size: int) -> Image:
+    """The one image of a harness call: its rules, or else the module's own."""
+    return Image(module, default_rules(module) if rule_programs is None
+                 else rule_programs, mem_size)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +204,8 @@ def oracle_compare(module: Module, fn_name: str, trials: int = 100,
     every nonempty parameter subset, comparing tainted-byte counts and
     asserting that rules never miss a persistent byte the instruction-level
     oracle taints."""
-    rules = (dict(rule_programs) if rule_programs is not None
-             else default_rules(module))
-    fn = module.functions[fn_name]
-    subsets = _subsets(len(fn.params))
+    image = _image(module, rule_programs, mem_size)
+    subsets = _subsets(len(module.functions[fn_name].params))
     sum_i = sum_h = 0
     ret_i = ret_h = False
     violations: list[tuple[int, int]] = []
@@ -211,8 +213,8 @@ def oracle_compare(module: Module, fn_name: str, trials: int = 100,
         rng = random.Random(f"{seed}:{fn_name}:{t}")
         plan = build_plan(module, fn_name, rng, drivers)
         subset = subsets[t % len(subsets)] if subsets else ()
-        m_i = _run_trial(module, fn_name, plan, "instr", rules, subset, mem_size)
-        m_h = _run_trial(module, fn_name, plan, "hybrid", rules, subset, mem_size)
+        m_i = _run_trial(image, fn_name, plan, "instr", subset)
+        m_h = _run_trial(image, fn_name, plan, "hybrid", subset)
         sum_i += m_i.tagmap.count_nonzero()
         sum_h += m_h.tagmap.count_nonzero()
         ret_i = ret_i or any(m_i.ret_shadow)
@@ -303,7 +305,7 @@ def noninterference_check(
         raise HarnessError(f"@{fn_name} has no rule program")
     choices: list[int] = []
     violations: list[NIViolation] = []
-    nparams = len(fn.params)
+    nparams, image = len(fn.params), Image(module, mem_size=mem_size)
     for t in range(trials):
         rng = random.Random(f"{seed}:ni:{fn_name}:{t}")
         p_star = rng.randrange(nparams)
@@ -313,8 +315,8 @@ def noninterference_check(
         rng_b = random.Random(f"{seed}:ni:{fn_name}:{t}:twin")
         plan_b[p_star] = build_plan(module, fn_name, rng_b, drivers)[p_star]
 
-        m_a = Machine(module, mode="instr", mem_size=mem_size)
-        m_b = Machine(module, mode="instr", mem_size=mem_size)
+        m_a = Machine(image)
+        m_b = Machine(image)
         args_a, regions = materialize_plan(m_a, plan_shared)
         args_b, _ = materialize_plan(m_b, plan_b)
         ret_a = m_a.call_entry(fn_name, args_a)
@@ -324,22 +326,14 @@ def noninterference_check(
         if ("ret",) not in high and not isinstance(fn.ret_ty, Void):
             if ret_a != ret_b:
                 violations.append(NIViolation("ret", str(ret_a), str(ret_b), t))
-        for i, region in enumerate(regions):
-            if region is None or i == p_star or ("param", i) in high:
-                continue
-            lo, n = region
-            a = m_a.read_bytes(lo, n)
-            b = m_b.read_bytes(lo, n)
+        low = [(f"param{i}", *region) for i, region in enumerate(regions)
+               if region is not None and i != p_star and ("param", i) not in high]
+        low += [(f"@{g}", addr, size_of(module.globals[g].ty, module.structs))
+                for g, addr in m_a.global_addr.items() if ("global", g) not in high]
+        for slot, lo, n in low:
+            a, b = m_a.read_bytes(lo, n), m_b.read_bytes(lo, n)
             if a != b:
-                violations.append(NIViolation(f"param{i}", a.hex(), b.hex(), t))
-        for gname, addr in m_a.global_addr.items():
-            if ("global", gname) in high:
-                continue
-            n = size_of(module.globals[gname].ty, module.structs)
-            a = m_a.read_bytes(addr, n)
-            b = m_b.read_bytes(addr, n)
-            if a != b:
-                violations.append(NIViolation(f"@{gname}", a.hex(), b.hex(), t))
+                violations.append(NIViolation(slot, a.hex(), b.hex(), t))
     return NIReport(fn_name, trials, tuple(choices), tuple(violations))
 
 
@@ -400,21 +394,26 @@ def bench(module: Module, entry: str = "main", args: Sequence[int] = (),
     return BenchReport(entry, tuple(args), tuple(rows))
 
 
+def _both_modes(image: Image, entry: str, args_of) -> list[tuple]:
+    """(exit value, final memory) of an instr and then a hybrid machine of
+    `image`, each called with `args_of(machine)`."""
+    out = []
+    for mode in ("instr", "hybrid"):
+        m = Machine(image, mode=mode)
+        out.append((m.call_entry(entry, args_of(m)), m.memory))
+    return out
+
+
 def transparency_check(module: Module, entry: str, args: Sequence[int],
                        rule_programs: Optional[Mapping[str, TaintRuleProgram]] = None,
                        mem_size: int = HARNESS_MEMORY) -> list[str]:
     """Concrete exit value and final memory must not depend on the mode."""
-    rules = dict(rule_programs) if rule_programs is not None else default_rules(module)
-    outcomes = {}
-    for mode in ("instr", "hybrid"):
-        m = Machine(module, mode=mode, rule_programs=rules, mem_size=mem_size)
-        exit_value = m.call_entry(entry, list(args))
-        outcomes[mode] = (exit_value, bytes(m.memory))
+    (x_i, mem_i), (x_h, mem_h) = _both_modes(
+        _image(module, rule_programs, mem_size), entry, lambda m: list(args))
     mismatches = []
-    if outcomes["instr"][0] != outcomes["hybrid"][0]:
-        mismatches.append(
-            f"exit value differs: {outcomes['instr'][0]} vs {outcomes['hybrid'][0]}")
-    if outcomes["instr"][1] != outcomes["hybrid"][1]:
+    if x_i != x_h:
+        mismatches.append(f"exit value differs: {x_i} vs {x_h}")
+    if mem_i != mem_h:
         mismatches.append("final concrete memory differs")
     return mismatches
 
@@ -425,16 +424,8 @@ def transparency_check_fn(
         mem_size: int = HARNESS_MEMORY,
         drivers: Optional[Mapping[str, tuple]] = None) -> list[str]:
     """Driver-based variant for library functions with generated inputs."""
-    rules = dict(rule_programs) if rule_programs is not None else default_rules(module)
-    rng = random.Random(f"transparency:{seed}:{fn_name}")
-    plan = build_plan(module, fn_name, rng, drivers)
-    final = {}
-    for mode in ("instr", "hybrid"):
-        m = Machine(module, mode=mode, rule_programs=rules, mem_size=mem_size)
-        args, _ = materialize_plan(m, plan)
-        exit_value = m.call_entry(fn_name, args)
-        final[mode] = (exit_value, bytes(m.memory))
-    mismatches = []
-    if final["instr"] != final["hybrid"]:
-        mismatches.append(f"@{fn_name} diverges between modes (seed {seed})")
-    return mismatches
+    image = _image(module, rule_programs, mem_size)
+    plan = build_plan(module, fn_name, random.Random(f"transparency:{seed}:{fn_name}"),
+                      drivers)
+    instr, hybrid = _both_modes(image, fn_name, lambda m: materialize_plan(m, plan)[0])
+    return [f"@{fn_name} diverges between modes (seed {seed})"] if instr != hybrid else []

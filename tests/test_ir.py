@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taintsum import corpus, parse_module, print_module, size_of, validate_module
+from taintsum.cli import main
 from taintsum.ir import (
     Array, CHAR, Char, F32, F64, I8, I16, I32, I64, Int, LayoutError, Module,
     Ptr, StructDecl, StructRef, U8, U64, VOID, align_of, field_offset,
@@ -207,6 +208,23 @@ class TestValidator:
         m = parse_module("fn @f() -> i32 {\nentry:\n  ret\n}\n")
         assert any("must return a value" in d.message
                    for d in validate_module(m))
+
+    @pytest.mark.parametrize("ty", ["%pair", "[4 x i32]", "void", "fn(i32) -> i32"])
+    def test_widthless_load_and_store(self, ty):
+        src = ("struct %pair { i32 a, i32 b }\n"
+               "fn @f(%p: ptr(i32)) -> void {\nentry:\n"
+               f"  %v = load {ty}, %p\n  store {ty} 0, %p\n  ret\n}}\n")
+        assert [(d.instr, d.message) for d in validate_module(parse_module(src))] == [
+            ("f:0", f"load of {ty}, a type with no width"),
+            ("f:1", f"store of {ty}, a type with no width")]
+
+    def test_widthless_load_stops_run(self, tmp_path, capsys):
+        path = tmp_path / "widthless.ir"
+        path.write_text("struct %pair { i32 a, i32 b }\n"
+                        "fn @main(%p: ptr(%pair)) -> i32 {\nentry:\n"
+                        "  %v = load %pair, %p\n  ret i32 0\n}\n")
+        assert main(["run", str(path), "--entry", "main", "--args", "4096"]) == 1
+        assert "load of %pair, a type with no width [main:0]" in capsys.readouterr().err
 
 
 @settings(max_examples=60)

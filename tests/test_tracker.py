@@ -2,8 +2,10 @@
 application, traps, sources/sinks, and the decoded handlers against the
 step interpreter they replaced."""
 
+import functools
 import gc
 import math
+import operator
 import random
 import struct
 import weakref
@@ -24,7 +26,9 @@ from taintsum.rules import (
     GATHER_FIXED, GATHER_STRING, READ_OUT, SET_FIXED, SET_STRING,
     compile_library,
 )
-from taintsum.tracker import PAGE, RunReport, SinkHit, Tagmap, _resize_vec
+from taintsum.tracker import (
+    DEFAULT_MEMORY, PAGE, Image, RunReport, SinkHit, Tagmap, _resize_vec,
+)
 from taintsum.validate import build_plan, materialize_plan
 from test_ir import _straightline_function
 from test_rules import random_shadow_state, rule_modules
@@ -138,6 +142,52 @@ class TestTagmapAlgebra:
             b"\0" + b"\x07" * (2 * PAGE + 6) + b"\0")
         assert tm.count_nonzero() == 2 * PAGE + 6
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(("set_vector", "get_vector", "set_taint", "or_taint",
+                         "get_taint")),
+        st.one_of(st.builds(lambda p, d: p * PAGE + d,     # near a page edge
+                            st.integers(1, 3), st.integers(-8, 8)),
+                  st.integers(PAGE, 4 * PAGE)),
+        st.one_of(st.integers(0, 9), st.integers(0, 2 * PAGE)),
+        st.integers(0, 255)), max_size=12))
+    def test_matches_byte_model_near_page_edges(self, ops):
+        """Random operations against a per-byte dict model, at addresses
+        that start on either side of a page edge and with sizes from one
+        page piece to three: the same reads after every operation and at
+        the end around each page edge, and a page exists exactly when a
+        nonzero tag has landed on it, so a zero write to an absent page
+        creates none."""
+        tm, model, touched = Tagmap(), {}, set()
+        for kind, addr, n, tag in ops:
+            old = [model.get(addr + i, 0) for i in range(n)]
+            if kind == "get_vector":
+                assert tm.get_vector(addr, n) == bytes(old)
+                continue
+            if kind == "get_taint":
+                assert tm.get_taint(addr, n) == functools.reduce(operator.or_, old, 0)
+                continue
+            if kind == "set_vector":        # zero and nonzero bytes mixed
+                new = [tag if (i + tag) % 3 else 0 for i in range(n)]
+                tm.set_vector(addr, bytes(new))
+            elif kind == "set_taint":
+                new = [tag] * n
+                tm.set_taint(addr, tag, n)
+            else:
+                new = [t | tag for t in old]
+                tm.or_taint(addr, tag, n)
+            for i, t in enumerate(new):
+                model[addr + i] = t
+                if t:
+                    touched.add((addr + i) // PAGE)
+            assert set(tm.pages) == touched
+        assert tm.nonzero_bytes() == sorted((a, t) for a, t in model.items() if t)
+        for edge in (PAGE, 2 * PAGE, 3 * PAGE, 4 * PAGE):     # every short read
+            for addr in range(edge - 9, edge + 10):            # across an edge
+                for n in range(11):
+                    assert tm.get_vector(addr, n) == bytes(
+                        model.get(addr + i, 0) for i in range(n))
+
 
 FLOW_CFG = TaintConfig.from_json({
     "sources": [{"fn": "fgets_a", "where": "param", "index": 0, "label": 1}],
@@ -243,6 +293,41 @@ class TestTraps:
                "  %x = alloca [4096 x char]\n  jmp l\n}\n")
         with pytest.raises(MachineTrap, match="stack overflow|step budget"):
             self._run(src, step_budget=10 ** 6)
+
+
+SCAN_MEM = 1 << 16
+
+
+class TestScanString:
+    """`scan_string` against the byte loop it replaced, on memory holding
+    "abcdefgh\\0" at 0x2100, a NUL at 0x2000 and four non-NUL bytes at the
+    very end."""
+
+    @staticmethod
+    def _loop(memory, addr, cap):
+        end = min(addr + cap, SCAN_MEM)
+        for i in range(addr, end):
+            if memory[i] == 0:
+                return i - addr + 1
+        return max(end - addr, 0)
+
+    @pytest.mark.parametrize("addr, cap, want", [
+        (0x2000, 64, 1),                # terminator at addr
+        (0x2100, 64, 9),                # terminator within cap
+        (0x2100, 9, 9),                 # terminator at the last byte of cap
+        (0x2100, 5, 5),                 # no terminator within cap
+        (SCAN_MEM - 4, 64, 4),          # cap runs past mem_size
+        (SCAN_MEM - 4, 2, 2),
+        (0x2100, 0, 0),                 # addr == end
+        (SCAN_MEM, 8, 0),               # addr >= end
+        (SCAN_MEM + 100, 8, 0),
+    ])
+    def test_matches_byte_loop(self, addr, cap, want):
+        m = Machine(parse_module(""), mem_size=SCAN_MEM)
+        m.memory[:] = b"\x01" * SCAN_MEM
+        m.memory[0x2000] = 0
+        m.memory[0x2100:0x2109] = b"abcdefgh\0"
+        assert m.scan_string(addr, cap) == self._loop(m.memory, addr, cap) == want
 
 
 class TestApplyRules:
@@ -580,7 +665,7 @@ class ReferenceMachine(Machine):
         super().__init__(module, **kw)
         self._labels = {
             f.name: {b.label: i for i, b in enumerate(f.blocks)}
-            for f in module.functions.values()
+            for f in self.module.functions.values()
         }
 
     def read_value(self, ty, addr, uid=None):
@@ -834,16 +919,22 @@ def outcome(cls, module, entry, args, *, arg_tags=None, before=None, **kw):
 
 
 def assert_same_runs(module, entry, args, rules=None, **kw):
-    """Both interpreters, both modes: identical outcomes.  Returns the
+    """Both interpreters, both modes: identical outcomes, also from the
+    consecutive machines of one image shared by both modes.  Returns the
     decoded interpreter's outcome per mode."""
+    mem_size = kw.pop("mem_size", DEFAULT_MEMORY)
+    images = {cls: Image(module, rules, mem_size) for cls in (Machine, ReferenceMachine)}
     got = {}
     for mode in ("instr", "hybrid"):
         decoded = outcome(Machine, module, entry, args, mode=mode,
-                          rule_programs=rules, **kw)
+                          rule_programs=rules, mem_size=mem_size, **kw)
         reference = outcome(ReferenceMachine, module, entry, args, mode=mode,
-                            rule_programs=rules, **kw)
+                            rule_programs=rules, mem_size=mem_size, **kw)
         assert decoded[0] == reference[0], (mode, decoded[0], reference[0])
         assert decoded == reference, mode
+        for cls, image in images.items():
+            assert outcome(cls, image, entry, args, mode=mode, **kw) == decoded, (
+                cls.__name__, mode)
         got[mode] = decoded
     return got
 
@@ -1140,6 +1231,67 @@ class TestMachineLifetime:
                 gc.enable()
 
 
+    def test_freed_while_its_image_lives(self, student_flow, student_flow_rules):
+        """The image keeps its decoded handlers and bound rules after each
+        of its machines is gone, so it must hold none of them."""
+        image = Image(student_flow, student_flow_rules, 1 << 16)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for mode, budget in (("instr", None), ("hybrid", None), ("hybrid", 100)):
+                m = Machine(image, mode=mode, taint_config=FLOW_CFG, **_budget(budget))
+                try:
+                    m.call_entry("main", [])
+                except MachineTrap:
+                    pass
+                ref = weakref.ref(m)
+                del m
+                assert ref() is None, (mode, budget)
+        finally:
+            if enabled:
+                gc.enable()
+        assert ("memcpy", False) in image.code and ("memcpy", True) in image.code
+
+
+class TestImage:
+    def test_machines_from_one_image_are_independent(self, student_flow,
+                                                     student_flow_rules):
+        """Machines that overwrote a global's initializer, tainted bytes,
+        hit a sink, or trapped with frames left inside a summarized call
+        leave nothing behind for the next machine of their image: it runs
+        as a machine with a private image does."""
+        image = Image(student_flow, student_flow_rules, 1 << 16)
+        dirty = Machine(image, mode="hybrid", taint_config=FLOW_CFG)
+        stdin = dirty.global_addr["stdin_buf"]
+        dirty.write_bytes(stdin, b"zzzzzzz")
+        dirty.tagmap.set_taint(stdin, 4, 32)
+        dirty.call_entry("main", [])
+        assert dirty.sink_hits and dirty.tagmap.pages
+        stuck = Machine(image, mode="hybrid", taint_config=FLOW_CFG, step_budget=100)
+        with pytest.raises(MachineTrap, match="step budget"):
+            stuck.call_entry("main", [])
+        assert not stuck.live and [f.fn.name for f in stuck._frames] == [
+            "main", "student_cpy", "memcpy"]
+        for mode in ("hybrid", "instr"):
+            want = outcome(Machine, student_flow, "main", [], mode=mode,
+                           rule_programs=student_flow_rules, taint_config=FLOW_CFG,
+                           mem_size=1 << 16)
+            assert outcome(Machine, image, "main", [], mode=mode,
+                           taint_config=FLOW_CFG) == want, mode
+        fresh = Machine(image)
+        assert fresh.read_bytes(stdin, 6) == b"alice\0"
+        assert (fresh.heap_ptr, fresh.stack_ptr, fresh.tagmap.pages) == (
+            image.heap_start, 1 << 16, {})
+
+    def test_image_fixes_rules_and_memory_size(self, student_flow, student_flow_rules):
+        image = Image(student_flow, student_flow_rules, 1 << 16)
+        assert Machine(image, mode="hybrid").rules == student_flow_rules
+        assert Machine(image, mode="instr").rules == {}
+        for kw in ({"rule_programs": {}}, {"mem_size": 1 << 16}):
+            with pytest.raises(ValueError, match="an image fixes"):
+                Machine(image, **kw)
+
+
 LAZY = """\
 struct %pair { i32 a, i32 b }
 
@@ -1204,15 +1356,15 @@ class TestLazyDecoding:
         s = m.alloc(16)
         m.write_bytes(s, b"abc\0")
         assert m.call_entry("strlen_a", [s]) == 3
-        assert set(m._code) == {("strlen_a", False)}
+        assert set(m.image.code) == {("strlen_a", False)}
         m = Machine(student_flow, mode="hybrid", rule_programs=student_flow_rules)
         m.call_entry("main", [])
-        assert set(m._code) == {("main", True), ("fgets_a", True),
+        assert set(m.image.code) == {("main", True), ("fgets_a", True),
                                 ("printf_a", True), ("student_cpy", False),
                                 ("memcpy", False)}
         m = Machine(student_flow, mode="instr")
         m.call_entry("main", [])
-        assert set(m._code) == {("main", True), ("fgets_a", True),
+        assert set(m.image.code) == {("main", True), ("fgets_a", True),
                                 ("printf_a", True), ("student_cpy", True),
                                 ("memcpy", True)}
 

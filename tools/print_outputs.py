@@ -1,0 +1,90 @@
+"""Print every output a user sees from the bundled corpus, so that two trees
+can be diffed to show a change leaves them byte-identical:
+
+  * `compare` and `nitest` text and their `--out` JSON for libcorpus at
+    seeds 0, 1, 7 and 42, control dependences on and off;
+  * `taintsum run` reports for the four corpus programs in both modes,
+    with and without `--rules`;
+  * the transparency checks on the libcorpus drivers and the programs.
+
+Usage, from the root of each tree:
+
+    python3 tools/print_outputs.py > outputs.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from taintsum import corpus  # noqa: E402
+from taintsum.cli import main as taintsum  # noqa: E402
+from taintsum.validate import (  # noqa: E402
+    default_rules, transparency_check, transparency_check_fn,
+)
+
+SEEDS = (0, 1, 7, 42)
+# (program, entry, entry arguments, taint config)
+RUNS = (
+    ("student_flow", "main", "", {
+        "sources": [{"fn": "fgets_a", "where": "param", "index": 0, "label": 1}],
+        "sinks": [{"fn": "printf_a", "index": 0}]}),
+    ("bench_memcpy", "main", "300", {
+        "sources": [{"fn": "main", "where": "param", "index": 0, "label": 2}]}),
+    ("bench_user", "main", "64", {
+        "sources": [{"fn": "main", "where": "param", "index": 0, "label": 4}]}),
+    ("libcorpus", "enroll", "4096", {
+        "sources": [{"fn": "enroll", "where": "param", "index": 0, "label": 8}],
+        "sinks": [{"fn": "student_cpy", "index": 0}]}),
+)
+
+
+def cli(tmp: Path, *argv) -> str:
+    """The command line, exit code, stdout and stderr, with `tmp` elided."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = taintsum([str(a) for a in argv])
+    text = f"$ taintsum {' '.join(map(str, argv))}\nrc={rc}\n{out.getvalue()}{err.getvalue()}"
+    return text.replace(str(tmp), "<tmp>")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus.materialize(tmp)
+        lib = tmp / "libcorpus.ir"
+        for cdeps in ("on", "off"):
+            for seed in SEEDS:
+                for cmd in ("compare", "nitest"):
+                    out = tmp / f"{cmd}-{cdeps}-{seed}"
+                    print(cli(tmp, "--seed", seed, "--control-deps", cdeps, cmd, lib,
+                              "--out", out), end="")
+                    print((out / f"{cmd}.json").read_text(encoding="utf-8"), end="")
+        for name, entry, args, cfg in RUNS:
+            cfg_path = tmp / f"{name}.cfg.json"
+            cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+            rules_dir = tmp / f"{name}.rules"
+            cli(tmp, "rules", tmp / f"{name}.ir", "--out", rules_dir)
+            for mode in ("instr", "hybrid"):
+                for extra in ((), ("--rules", rules_dir)):
+                    print(cli(tmp, "run", tmp / f"{name}.ir", "--entry", entry, "--args", args,
+                              "--mode", mode, "--taint-config", cfg_path, *extra), end="")
+    lib_module = corpus.load_module("libcorpus")
+    rules = default_rules(lib_module)
+    for fn in sorted(corpus.DRIVERS):
+        for seed in SEEDS:
+            print("transparency", fn, seed, transparency_check_fn(lib_module, fn, seed, rules))
+    for name, entry, args, _ in RUNS:
+        module = corpus.load_module(name)
+        print("transparency", name, transparency_check(
+            module, entry, [int(a) for a in args.split(",") if a]))
+
+
+if __name__ == "__main__":
+    main()
