@@ -177,9 +177,8 @@ def cmd_run(args) -> int:
     except (OSError, ValueError) as e:
         raise SystemExit(f"error: {args.taint_config}: {e}")
     progs = _rules_for(m, args) if args.rules or args.mode == "hybrid" else {}
-    entry_args = [int(a) for a in args.args.split(",") if a] if args.args else []
     try:
-        report = run(m, args.entry, entry_args, cfg, args.mode, progs,
+        report = run(m, args.entry, args.args, cfg, args.mode, progs,
                      step_budget=args.step_budget, default_len=args.default_len)
     except (MachineTrap, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -233,9 +232,12 @@ def cmd_nitest(args) -> int:
 def cmd_bench(args) -> int:
     m = _load_module(args.module)
     progs = _rules_for(m, args)
-    entry_args = [int(a) for a in args.args.split(",") if a] if args.args else []
-    rep = bench(m, args.entry, entry_args, rule_programs=progs,
-                step_budget=args.step_budget)
+    try:
+        rep = bench(m, args.entry, args.args, rule_programs=progs,
+                    step_budget=args.step_budget)
+    except (MachineTrap, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     sys.stdout.write(rep.to_csv())
     if args.out:
         _write_if_changed(_out_dir(args) / "bench.csv", rep.to_csv())
@@ -250,6 +252,14 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return n
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(a) for a in text.split(",") if a]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers, got {text!r}") from None
 
 
 def build_argparser() -> argparse.ArgumentParser:
@@ -297,8 +307,9 @@ def build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("instr", "hybrid"), default="instr")
     p.add_argument("--rules", default=None, help="directory of *.rules.json")
     p.add_argument("--taint-config", default=None)
-    p.add_argument("--args", default="", help="comma-separated entry arguments")
-    p.add_argument("--step-budget", type=int, default=10 ** 8)
+    p.add_argument("--args", type=_int_list, default="",
+                   help="comma-separated entry arguments")
+    p.add_argument("--step-budget", type=_positive_int, default=10 ** 8)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_run)
 
@@ -319,9 +330,10 @@ def build_argparser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="shadow-operation benchmark")
     p.add_argument("module")
     p.add_argument("--entry", default="main")
-    p.add_argument("--args", default="")
+    p.add_argument("--args", type=_int_list, default="",
+                   help="comma-separated entry arguments")
     p.add_argument("--rules", default=None)
-    p.add_argument("--step-budget", type=int, default=10 ** 8)
+    p.add_argument("--step-budget", type=_positive_int, default=10 ** 8)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
     return ap

@@ -10,7 +10,6 @@ by a field path into a struct.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -137,15 +136,6 @@ class Summary:
                 for out, ins in self.entries
             ],
         }
-
-    @staticmethod
-    def from_json(d: dict) -> "Summary":
-        entries = tuple(
-            (SlotRef.from_json(e["out"]),
-             tuple(SlotRef.from_json(s) for s in e["ins"]))
-            for e in d["entries"]
-        )
-        return Summary(d["function"], entries, d["controlDeps"])
 
 
 def _slot_field_ty(module: Module, base_ty: Type, path: tuple[str, ...]) -> Type:
@@ -503,16 +493,8 @@ def summarize_library(module: Module, include_control_deps: bool = False,
 
 
 # ---------------------------------------------------------------------------
-# Serialization helpers
+# Body hash
 # ---------------------------------------------------------------------------
-
-def summary_to_text(s: Summary) -> str:
-    return json.dumps(s.to_json(), indent=2) + "\n"
-
-
-def summary_from_text(text: str) -> Summary:
-    return Summary.from_json(json.loads(text))
-
 
 def function_body_hash(fn: Function) -> str:
     m = Module(functions={fn.name: fn})

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import mmap
 import operator
 import struct as _struct
 from dataclasses import dataclass
@@ -50,6 +51,54 @@ class MachineTrap(Exception):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
+
+
+# ---------------------------------------------------------------------------
+# Concrete memory
+# ---------------------------------------------------------------------------
+
+class Memory(mmap.mmap):
+    """A machine's memory: an anonymous private mapping, so building one
+    costs the same whatever its size and the kernel zeroes a page only when
+    it is first touched.  Every write marks the pages it touches in `dirty`:
+    item and slice assignment do it themselves, a write through the buffer
+    protocol (`struct.pack_into`) calls `mark`; `write`, `write_byte` and
+    `move` mark nothing and are not used.  Two memories are equal when
+    their bytes are; only the pages either one wrote are compared, since the
+    rest are zero in both."""
+
+    __slots__ = ("dirty",)
+    __hash__ = None
+
+    def __new__(cls, size: int):
+        self = super().__new__(cls, -1, size, flags=mmap.MAP_PRIVATE)
+        self.dirty: set[int] = set()
+        return self
+
+    def mark(self, addr: int, n: int) -> None:
+        """Mark the pages of [addr, addr + n) written."""
+        if n > 0:
+            self.dirty.update(range(addr >> _PAGE_SHIFT,
+                                    ((addr + n - 1) >> _PAGE_SHIFT) + 1))
+
+    def __setitem__(self, key, value) -> None:
+        super().__setitem__(key, value)     # raises before anything is marked
+        if isinstance(key, slice):      # marks the span the slice steps through
+            lo, hi, step = key.indices(len(self))
+            if step < 0:
+                lo, hi = hi + 1, lo + 1
+            self.mark(lo, hi - lo)
+        else:
+            self.mark(operator.index(key) % len(self), 1)
+
+    def __eq__(self, other):
+        if isinstance(other, Memory):
+            return len(self) == len(other) and all(
+                self[a:a + PAGE] == other[a:a + PAGE]
+                for a in (p << _PAGE_SHIFT for p in self.dirty | other.dirty))
+        if isinstance(other, (bytes, bytearray, memoryview, mmap.mmap)):
+            return self[:] == bytes(other)      # bytes.__eq__ takes no mmap
+        return NotImplemented
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +506,7 @@ def _decode(ins: Instr, fn: Function, live: bool, env) -> Handler:
         return alloca
     if isinstance(ins, (Load, Store)):
         w, unpack, pack = _codec(ins.ty)
-        hi, ra = mem_size - w, val(ins.addr, _PTR)
+        hi, ra, last = mem_size - w, val(ins.addr, _PTR), max(w - 1, 0)
     if isinstance(ins, Load):
         def load(m, f):
             addr = ra(f.temps)
@@ -476,7 +525,10 @@ def _decode(ins: Instr, fn: Function, live: bool, env) -> Handler:
             addr, v = ra(f.temps), rv(f.temps)
             if not GLOBALS_BASE <= addr <= hi:
                 m._check_bounds(addr, w, uid)
-            pack(m.memory, addr, v)
+            mem = m.memory
+            pack(mem, addr, v)
+            mem.dirty.add(addr >> _PAGE_SHIFT)
+            mem.dirty.add((addr + last) >> _PAGE_SHIFT)
             if live:
                 m.tagmap.set_vector(addr, _resize_vec(f.tags.get(kv, _Z1), w))
                 m.shadow_ops_instr += 1
@@ -588,7 +640,9 @@ class Image:
     """What no run changes, built once and shared by every machine made from
     it: the global layout, each function's handler tables and the rule
     programs bound to the module.  It holds no machine, so a machine is
-    freed by reference counting while its image lives on."""
+    freed by reference counting while its image lives on.  Raises
+    ValueError when the globals reach past the lower half of `mem_size`,
+    which is the heap's."""
 
     def __init__(self, module: Module,
                  rule_programs: Optional[Mapping[str, TaintRuleProgram]] = None,
@@ -607,6 +661,9 @@ class Image:
             addr += size_of(g.ty, structs)
         self.globals_end = addr
         self.heap_start = align_up(addr, 16)
+        if self.heap_start > mem_size // 2:
+            raise ValueError(f"the globals need 0x{self.heap_start:x} bytes, more than"
+                             f" half of mem_size 0x{mem_size:x}")
         # (function name, tracked) -> its blocks as handler lists, decoded
         # at the first frame that runs them
         self.code: dict[tuple[str, bool], list[list[Handler]]] = {}
@@ -679,7 +736,7 @@ class Machine:
         self.rules = image.rules if mode == "hybrid" else {}
         self.cfg = taint_config or TaintConfig()
         self.mem_size = image.mem_size
-        self.memory = bytearray(image.mem_size)
+        self.memory = Memory(image.mem_size)
         for addr, init in image.inits:
             self.memory[addr:addr + len(init)] = init
         self.global_addr, self.globals_end = image.global_addr, image.globals_end
@@ -720,6 +777,7 @@ class Machine:
         w, _, pack = _codec(ty)
         self._check_bounds(addr, w, uid)
         pack(self.memory, addr, _wrap(value, _kind(ty)) if w else None)
+        self.memory.mark(addr, w)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         self._check_bounds(addr, len(data), None)
@@ -727,13 +785,13 @@ class Machine:
 
     def read_bytes(self, addr: int, n: int) -> bytes:
         self._check_bounds(addr, n, None)
-        return bytes(self.memory[addr:addr + n])
+        return self.memory[addr:addr + n]
 
     def scan_string(self, addr: int, cap: int) -> int:
         """Byte extent of a NUL-terminated region: terminator included,
         capped at `cap` when no terminator shows up."""
         end = min(addr + cap, self.mem_size)
-        i = self.memory.find(0, addr, end)
+        i = self.memory.find(b"\0", addr, end)
         return i - addr + 1 if i >= 0 else max(end - addr, 0)
 
     # -- calls -------------------------------------------------------------------

@@ -396,3 +396,39 @@ class TestUsage:
                   str(workdir / "corpus" / "libcorpus.ir"), "--fn", "memcpy"])
         assert exc.value.code == 2
         assert "--trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd, corpus_file, value", [
+        ("run", "bench_user.ir", "x"),
+        ("bench", "bench_memcpy.ir", "1,x"),
+    ])
+    def test_args_must_be_integers(self, workdir, cmd, corpus_file, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, str(workdir / "corpus" / corpus_file), f"--args={value}"])
+        assert exc.value.code == 2
+        assert "--args" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["run", "bench"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_step_budget_must_be_positive(self, workdir, cmd, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, str(workdir / "corpus" / "bench_memcpy.ir"), "--args", "4",
+                  f"--step-budget={value}"])
+        assert exc.value.code == 2
+        assert "--step-budget" in capsys.readouterr().err
+
+
+class TestBenchErrors:
+    """A run that traps or cannot start is a diagnostic and exit 1, as for
+    `run`, never a traceback."""
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--args", "64", "--step-budget", "5"], "step budget exhausted"),
+        (["--args", "64", "--entry", "nosuch"], "unknown entry function"),
+        ([], "entry argument count mismatch"),
+    ])
+    def test_diagnostic(self, workdir, extra, message, capsys):
+        rc = main(["bench", str(workdir / "corpus" / "bench_memcpy.ir"), *extra])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""

@@ -6,6 +6,7 @@ test_validate) and then frozen here; the brute-force cross-check also
 runs inline so a traversal regression cannot silently change the goldens.
 """
 
+import json
 from unittest import mock
 
 import pytest
@@ -18,8 +19,7 @@ from taintsum.ir import (
 )
 from taintsum.summaries import (
     NodeBinding, SlotRef, Summary, flatten_prim_types, source_nodes,
-    summarize_function, summarize_library, summary_from_text, summary_gen,
-    summary_to_text, target_nodes,
+    summarize_function, summarize_library, summary_gen, target_nodes,
 )
 from test_pdg import brute_force_reachable
 
@@ -278,10 +278,6 @@ entry:
 
 
 class TestSerialization:
-    def test_round_trip(self, lib_summaries_cdep):
-        for s in lib_summaries_cdep.values():
-            assert summary_from_text(summary_to_text(s)) == s
-
     def test_json_shape(self, lib_summaries):
         doc = lib_summaries["memcpy"].to_json()
         assert doc["function"] == "memcpy"
@@ -300,9 +296,10 @@ class TestSerialization:
             ks = [i.sort_key() for i in ins]
             assert ks == sorted(ks)
 
-    def test_text_is_stable(self, lib_summaries):
-        a = summary_to_text(lib_summaries["student_cpy"])
-        b = summary_to_text(lib_summaries["student_cpy"])
+    def test_text_is_stable(self, libcorpus, lib_summaries):
+        again, _ = summarize_library(libcorpus, include_control_deps=False)
+        a = json.dumps(lib_summaries["student_cpy"].to_json(), indent=2)
+        b = json.dumps(again["student_cpy"].to_json(), indent=2)
         assert a == b
 
 

@@ -27,7 +27,8 @@ from taintsum.rules import (
     compile_library,
 )
 from taintsum.tracker import (
-    DEFAULT_MEMORY, PAGE, Image, RunReport, SinkHit, Tagmap, _resize_vec,
+    DEFAULT_MEMORY, GLOBALS_BASE, PAGE, Image, Memory, RunReport, SinkHit,
+    Tagmap, _resize_vec,
 )
 from taintsum.validate import build_plan, materialize_plan
 from test_ir import _straightline_function
@@ -1200,7 +1201,7 @@ class TestTrapsMatchReference:
 class TestMachineLifetime:
     """Handlers take the machine as an argument; a machine that held its
     decode cache through handlers closing over it would stay alive, with
-    its 16 MiB of memory, until a cyclic collection."""
+    its 16 MiB mapping, until a cyclic collection."""
 
     def test_freed_by_reference_counting(self, bench_memcpy, student_flow,
                                          student_flow_rules):
@@ -1209,23 +1210,23 @@ class TestMachineLifetime:
         try:
             m = Machine(bench_memcpy, mode="instr")
             m.call_entry("main", [64])
-            ref = weakref.ref(m)
+            refs = weakref.ref(m), weakref.ref(m.memory)
             del m
-            assert ref() is None
+            assert refs[0]() is None and refs[1]() is None
             m = Machine(student_flow, mode="hybrid", rule_programs=student_flow_rules,
                         taint_config=FLOW_CFG)
             m.call_entry("main", [])
-            ref = weakref.ref(m)
+            refs = weakref.ref(m), weakref.ref(m.memory)
             del m
-            assert ref() is None
+            assert refs[0]() is None and refs[1]() is None
             m = Machine(parse_module(TRAPS["division by zero"][0]))
             try:
                 m.call_entry("main", [0])
             except MachineTrap:
                 pass
-            ref = weakref.ref(m)
+            refs = weakref.ref(m), weakref.ref(m.memory)
             del m
-            assert ref() is None
+            assert refs[0]() is None and refs[1]() is None
         finally:
             if enabled:
                 gc.enable()
@@ -1251,6 +1252,158 @@ class TestMachineLifetime:
             if enabled:
                 gc.enable()
         assert ("memcpy", False) in image.code and ("memcpy", True) in image.code
+
+
+POKES = """\
+fn @poke1(%p: ptr(u8), %v: u8) -> void {
+entry:
+  store u8 %v, %p
+  ret
+}
+
+fn @poke2(%p: ptr(u16), %v: u16) -> void {
+entry:
+  store u16 %v, %p
+  ret
+}
+
+fn @poke4(%p: ptr(u32), %v: u32) -> void {
+entry:
+  store u32 %v, %p
+  ret
+}
+
+fn @poke8(%p: ptr(u64), %v: u64) -> void {
+entry:
+  store u64 %v, %p
+  ret
+}
+
+fn @frame() -> void {
+entry:
+  %a = alloca [5000 x char]
+  ret
+}
+"""
+MEM_PAGES = 16
+WRITE_PATHS = ("store", "alloca", "write_value", "write_bytes", "slice",
+               "stepped", "index")
+
+
+def _write(machine, path, addr, data):
+    """Write `data` (or its first 1, 2, 4 or 8 bytes) at `addr` through one
+    of the machine's write paths; "alloca" zeroes the top 5000 bytes."""
+    mem, w = machine.memory, min(1 << (len(data).bit_length() - 1), 8)
+    value = int.from_bytes(data[:w], "little")
+    if path == "store":
+        machine.call_entry(f"poke{w}", [addr, value])
+    elif path == "alloca":
+        machine.call_entry("frame", [])
+    elif path == "write_value":
+        machine.write_value(Int(8 * w, False), addr, value)
+    elif path == "write_bytes":
+        machine.write_bytes(addr, data)
+    elif path == "slice":
+        mem[addr:addr + len(data)] = data
+    elif path == "stepped":     # backwards, every third byte
+        mem[addr + 3 * (len(data) - 1):addr - 1:-3] = data
+    else:       # by a negative index when the value is odd
+        mem[addr - len(mem) if value & 1 else addr] = data[0]
+
+
+# addresses at and around page edges, where a write may cross
+_ADDRS = st.builds(lambda page, off: page * PAGE + off,
+                   st.integers(2, MEM_PAGES - 2), st.integers(-8, 8))
+_WRITES = st.lists(st.tuples(st.sampled_from(("a", "b", "both")),
+                             st.sampled_from(WRITE_PATHS), _ADDRS,
+                             st.binary(min_size=1, max_size=16)), max_size=12)
+
+
+class TestMemory:
+    """`Memory` compares only the pages either side wrote, so every write
+    path must mark each page it touches; the byte-for-byte compare of the
+    two whole memories is the oracle."""
+
+    @pytest.fixture(scope="class")
+    def pokes(self):
+        return Image(parse_module(POKES), mem_size=MEM_PAGES * PAGE)
+
+    @staticmethod
+    def _assert_compare_exact(a, b):
+        same = bytes(a) == bytes(b)
+        assert (a == b) is same and (b == a) is same
+        assert (a != b) is (not same) and (b != a) is (not same)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_WRITES)
+    def test_equal_exactly_when_bytes_are(self, pokes, writes):
+        machines = {"a": Machine(pokes), "b": Machine(pokes)}
+        for target, path, addr, data in writes:
+            for key in ("a", "b") if target == "both" else (target,):
+                _write(machines[key], path, addr, data)
+        self._assert_compare_exact(machines["a"].memory, machines["b"].memory)
+
+    @pytest.mark.parametrize("path", sorted(set(WRITE_PATHS) - {"alloca", "index"}))
+    @pytest.mark.parametrize("addr", [4 * PAGE - 1, 4 * PAGE - 4, 4 * PAGE])
+    def test_write_that_crosses_a_page(self, pokes, path, addr):
+        """The bytes it puts on its first page are zero, so a write that
+        marked only that page would compare equal to a fresh memory."""
+        data = bytes(4 * PAGE - addr) + b"\xff" * 12
+        a, b = Machine(pokes), Machine(pokes)
+        _write(a, path, addr, data)
+        self._assert_compare_exact(a.memory, b.memory)
+        assert a.memory != b.memory
+
+    def test_compares_with_bytes_both_ways(self, pokes):
+        m = Machine(pokes)
+        m.write_bytes(0x2ffe, b"xyz")
+        raw = bytes(m.memory)
+        for same in (raw, bytearray(raw), memoryview(raw)):
+            assert m.memory == same and same == m.memory
+            assert not (m.memory != same) and not (same != m.memory)
+        other = bytearray(raw)
+        other[0x9000] = 1
+        for differs in (bytes(other), other, raw[:-1]):
+            assert m.memory != differs and differs != m.memory
+        assert m.memory != 0 and m.memory != "x" * len(m.memory)
+        with pytest.raises(TypeError):
+            hash(m.memory)
+
+    def test_bad_item_assignment_marks_nothing(self, pokes):
+        mem = Machine(pokes).memory
+        with pytest.raises(IndexError):
+            mem[len(mem)] = 1
+        with pytest.raises(IndexError):
+            mem[PAGE:PAGE + 2] = b"abc"
+        assert mem.dirty == set()
+
+    def test_fresh_machine_reads_zero_outside_initializers(
+            self, student_flow, student_flow_rules):
+        image = Image(student_flow, student_flow_rules, 1 << 16)
+        want = bytearray(1 << 16)
+        for addr, init in image.inits:
+            want[addr:addr + len(init)] = init
+        for mode in ("instr", "hybrid"):
+            dirty = Machine(image, mode=mode, taint_config=FLOW_CFG)
+            dirty.call_entry("main", [])
+            dirty.memory[GLOBALS_BASE:] = b"\xee" * ((1 << 16) - GLOBALS_BASE)
+        fresh = Machine(image)
+        assert bytes(fresh.memory) == want and fresh.memory == want
+        assert fresh.memory.dirty == {a >> 12 for a, _ in image.inits}
+
+    @pytest.mark.parametrize("mem_size", [0x2000, 0x3001, 1 << 16, DEFAULT_MEMORY])
+    def test_length_is_mem_size(self, mem_size):
+        m = Machine(parse_module(""), mem_size=mem_size)
+        assert isinstance(m.memory, Memory) and len(m.memory) == mem_size
+
+    def test_mem_size_that_cannot_hold_the_globals(self, student_flow):
+        heap_start = Image(student_flow).heap_start
+        assert Image(student_flow, mem_size=2 * heap_start).heap_start == heap_start
+        for mem_size in (2 * heap_start - 2, 0x1010):
+            with pytest.raises(ValueError) as exc:
+                Machine(student_flow, mem_size=mem_size)
+            assert f"0x{heap_start:x}" in str(exc.value)
+            assert f"0x{mem_size:x}" in str(exc.value)
 
 
 class TestImage:
