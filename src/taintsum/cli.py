@@ -159,6 +159,8 @@ def cmd_rules(args) -> int:
 
 
 def _load_rules_dir(path: str, module: Module) -> dict[str, TaintRuleProgram]:
+    if not Path(path).is_dir():
+        raise SystemExit(f"error: {path}: not a directory")
     progs = {}
     for p in sorted(Path(path).glob("*.rules.json")):
         try:

@@ -22,10 +22,11 @@ import json
 import math
 import mmap
 import operator
+import re
 import struct as _struct
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .ir import (
     Alloca, Array, BinOp, Br, Call, Char, Float, Function, Gep, GlobalRef,
@@ -45,8 +46,7 @@ DEFAULT_MAX_FRAMES = 512
 
 class MachineTrap(Exception):
     def __init__(self, kind: str, instr: Optional[str] = None, detail: str = ""):
-        self.kind = kind
-        self.instr = instr
+        self.kind, self.instr, self.detail = kind, instr, detail
         msg = kind + (f" at {instr}" if instr else "")
         if detail:
             msg += f": {detail}"
@@ -337,11 +337,10 @@ class _Frame:
     tags: dict[str, bytes]
     stack_mark: int
     call_ins: Optional[Call]
-    code: list[list[Handler]]       # fn decoded, tracked or untracked
+    code: "_Code"       # fn compiled, tracked or untracked
     # argument values and tags at entry; set only on a rule-firing frame
     arg_record: Optional[list[tuple[object, bytes]]] = None
-    block: int = 0
-    pc: int = 0
+    seg: int = 0        # the segment it runs next
 
 
 class _Temps(dict):
@@ -352,190 +351,236 @@ class _Temps(dict):
 
 
 # ---------------------------------------------------------------------------
-# Decoding
+# Compiled segments
 # ---------------------------------------------------------------------------
 #
-# An image decodes each function its machines enter, once, into per-block
-# lists of handlers `h(machine, frame)` with what the instruction fixes
-# resolved: operand readers, widths, masks, formats, gep strides and offsets,
-# block indices, the temps whose tags it folds.  A handler returns None to
-# stay in its frame, 0 after a call and the value after a return.  It never
-# holds a machine, so the image keeps none alive.
+# An image compiles each function its machines enter, tracked or untracked,
+# into Python source: one function `s<i>(m, f)` per segment, the
+# instructions from a block's start or from just after a call up to and
+# including the next call or terminator.  What an instruction fixes is a
+# literal there: constants, global addresses, widths, masks, gep offsets,
+# segment indices.  A temp a segment defines before reading it is a Python
+# local, stored in the frame only when a read elsewhere needs it.  A segment
+# returns the index of its frame's next segment, or None after a call or a
+# return; tracked code adds its shadow-op count once, just before its call
+# or terminator takes effect.  When a segment raises, the line it stopped on
+# gives the instructions it did not run and the shadow ops it did not count.
+# Code objects are shared process-wide by source text; the functions hold
+# no machine.
 
-Handler = Callable[["Machine", "_Frame"], Optional[int]]
+_SOURCE = "<taintsum segment>"
 _MASK64 = 2 ** 64 - 1
 _PTR, _I64 = (0, _MASK64), (1 << 63, _MASK64)
-_Z1 = b"\0"
-_F32 = _struct.Struct("<f")
+_PTR_TY = Ptr(Void())
+_STRUCTS = {c: _struct.Struct("<" + c) for c in "bBhHiIqQfd"}
+_OPS = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^"}
+_PROLOGUE = (("t", "f.temps"), ("tg", "f.tags"), ("mem", "m.memory"),
+             ("tm", "m.tagmap"), ("dirty", "mem.dirty"))
+_ATOM = re.compile(r"[\w.]+|\(-[\w.]+\)")
+_COUNT = object()      # where a segment's shadow count goes
+
+
+class _Code(list):
+    """A function's segments in order as (function, instruction count), and
+    for each line of their source the (instructions not run, shadow ops not
+    counted) when a segment raises on it."""
+
+    __slots__ = ("lines",)
+
+
+@functools.lru_cache(maxsize=512)
+def _compiled(source: str):
+    return compile(source, _SOURCE, "exec")
+
+
+def _stopped(e: BaseException, lines: list) -> tuple[int, int]:
+    """(instructions not run, shadow ops not counted) of the segment `e`
+    came out of into the run loop; none when the loop itself raised it."""
+    tb = e.__traceback__.tb_next
+    if tb is None or tb.tb_frame.f_code.co_filename != _SOURCE:
+        return 0, 0
+    return lines[tb.tb_lineno]
 
 
 @functools.cache
-def _tag_tables() -> tuple[list, dict]:
-    """The uniform tag vectors of 0 to 8 bytes by width and tag, and the
-    tag of each one that is not empty."""
+def _helpers() -> dict:
+    """The names generated code uses besides its own constants: splat[w][t]
+    is the w-byte tag vector of tag t, `_tag` folds a tag vector resized to
+    w (>= 1) bytes."""
     splat = [tuple(bytes([t]) * w for t in range(256)) for w in range(9)]
-    return splat, {vec: t for row in splat[1:] for t, vec in enumerate(row)}
+    uniform = {vec: t for row in splat[1:] for t, vec in enumerate(row)}
+    f32 = _STRUCTS["f"]
+
+    def idiv(a, b, uid):
+        if b == 0:
+            raise MachineTrap("division by zero", uid)
+        q = abs(a) // abs(b)
+        return -q if (a < 0) != (b < 0) else q
+
+    def bad(kind, uid, *operands):
+        raise MachineTrap(kind, uid)
+    ns = {"MachineTrap": MachineTrap, "_resize": _resize_vec, "_idiv": idiv, "_bad": bad,
+          "_tag": lambda vec, w: _fold(vec[:w]) if (t := uniform.get(vec)) is None else t,
+          "_irem": lambda a, b, uid: a - idiv(a, b, uid) * b,
+          "_fdiv": lambda a, b: (a / b if b != 0.0 else
+                                 math.copysign(math.inf, a) if a else math.nan),
+          "_frem": lambda a, b: math.fmod(a, b) if b != 0.0 else math.nan,
+          "_f32": lambda x: f32.unpack(f32.pack(x))[0]}
+    ns.update((f"_S{w}", row) for w, row in enumerate(splat))
+    for c, s in _STRUCTS.items():
+        ns["_u" + c], ns["_p" + c] = s.unpack_from, s.pack_into
+    return ns
 
 
-def _tag(uniform: dict, vec: bytes, w: int) -> int:
-    """The fold of a value's tag vector resized to `w` (>= 1) bytes."""
-    t = uniform.get(vec)
-    return _fold(vec[:w]) if t is None else t
-
-
-def _codec(ty: Type) -> tuple[int, Callable, Callable]:
-    """(width, unpack_from, pack_into) of `ty` in memory, for the 8- to
-    64-bit ints the parser admits; pack_into takes a value normalized to
-    `ty`."""
+def _fmt(ty: Type) -> str:
+    """The struct format character of `ty` in memory, for the 8- to 64-bit
+    ints the parser admits."""
     w = _width(ty)
-    if not w:       # void: nothing to move, and it reads as 0
-        return 0, lambda mem, a: (0,), lambda mem, a, v: None
     if isinstance(ty, Float):
-        s = _struct.Struct("<f" if ty.bits == 32 else "<d")
-    else:
-        fmt = "bhiq"[w.bit_length() - 1]
-        s = _struct.Struct("<" + (fmt if getattr(ty, "signed", False) else fmt.upper()))
-    return w, s.unpack_from, s.pack_into
+        return "f" if w == 4 else "d"
+    c = "bhiq"[w.bit_length() - 1]
+    return c if getattr(ty, "signed", False) else c.upper()
 
 
-def _temp_kinds(fn: Function, functions) -> dict:
-    """The kind of value each temp holds; None where its definitions differ."""
-    defs = list(fn.params)
-    for i in fn.instructions():
-        if isinstance(i, (Gep, Alloca)):
-            defs.append((i.dest, Ptr(Void())))     # an address
-        elif isinstance(i, (Load, BinOp)):
-            defs.append((i.dest, i.ty))
-        elif isinstance(i, Call) and i.dest and i.callee in functions:
-            defs.append((i.dest, functions[i.callee].ret_ty))
-    kinds: dict = {}
-    for name, ty in defs:
+def _lit(v) -> str:
+    text = repr(v) if not isinstance(v, float) or math.isfinite(v) else f"float('{v}')"
+    return f"({text})" if text.startswith("-") else text
+
+
+class _Writer:
+    """Writes one function's segments as Python, tracked when `live`.  The
+    lines of an instruction that ends a segment hold `_COUNT` where the
+    segment's shadow count goes: after what it reads, before what it
+    changes."""
+
+    def __init__(self, image: "Image", fn: Function, live: bool):
+        self.image, self.fn, self.live = image, fn, live
+        functions = image.module.functions
+        # the kind of value each temp holds, None where its definitions differ
+        self.kinds: dict = {}
+        for name, ty in fn.params:
+            self.note(name, ty)
+        # (block index, instructions) of each segment; what follows a
+        # terminator never runs, and a segment without one falls off its block
+        self.segs: list[tuple[int, list[Instr]]] = []
+        self.shared: set[str] = set()       # temps read where no local holds them
+        starts = []
+        for b, block in enumerate(fn.blocks):
+            starts.append(len(self.segs))
+            seg, defined, dead = [], set(), False
+            self.segs.append((b, seg))
+            for ins in block.instrs:
+                kind = type(ins)
+                if kind in (Gep, Alloca, Load, BinOp) or (
+                        kind is Call and ins.dest and ins.callee in functions):
+                    self.note(ins.dest, _PTR_TY if kind in (Gep, Alloca) else ins.ty
+                              if kind is not Call else functions[ins.callee].ret_ty)
+                if dead:
+                    continue
+                seg.append(ins)
+                for op in ins.operands():
+                    if type(op) is Temp and op.name not in defined:
+                        self.shared.add(op.name)
+                dead = kind in (Br, Jmp, Ret)
+                if kind is Call:
+                    seg, defined = [], set()
+                    self.segs.append((b, seg))
+                elif getattr(ins, "dest", None) is not None:
+                    defined.add(ins.dest)
+        self.labels = {block.label: starts[b] for b, block in enumerate(fn.blocks)}
+        self.ids: dict[str, int] = {}
+        self.ns: dict[str, object] = {}     # the constants the source names
+        self.src: list[str] = []
+        self.lines: list[tuple[int, int]] = [(0, 0)]
+
+    def note(self, name: str, ty: Type) -> None:
         try:
             k = _kind(ty)
         except AttributeError:      # not a value type
             k = None
-        kinds[name] = k if kinds.get(name, k) == k else None
-    return kinds
+        self.kinds[name] = k if self.kinds.get(name, k) == k else None
 
+    def code(self, only: Optional[tuple[int, int]] = None) -> _Code:
+        """Every segment compiled, or when `only` is (i, j) segment i cut to
+        its first j instructions, which ends without a trap."""
+        todo = (list(enumerate(instrs for _, instrs in self.segs)) if only is None
+                else [(only[0], self.segs[only[0]][1][:only[1]])])
+        for i, instrs in todo:
+            self.segment(i, instrs, only is not None)
+        ns = dict(_helpers(), **self.ns)
+        exec(_compiled("\n".join(self.src)), ns)
+        code = _Code((ns[f"s{i}"], len(instrs)) for i, instrs in todo)
+        code.lines = self.lines
+        return code
 
-def _idiv(a: int, b: int) -> int:
-    q = abs(a) // abs(b)        # ZeroDivisionError when b == 0
-    return -q if (a < 0) != (b < 0) else q
+    def segment(self, i: int, instrs: list[Instr], cut: bool) -> None:
+        self.local: dict[str, tuple[int, int, bool]] = {}
+        self.used: set[str] = set()
+        head, marks, done, tail = [], [], 0, None   # marks: (not run, not counted)
+        for p, ins in enumerate(instrs):
+            left = len(instrs) - p - 1
+            try:
+                lines = _EMIT.get(type(ins), _Writer.unknown)(self, ins, i)
+            except Exception as e:      # undecodable: raises the same whenever it runs
+                args = (e.kind, e.instr, e.detail) if isinstance(e, MachineTrap) else e.args
+                head.append(f"raise {self.const(functools.partial(type(e), *args))}()")
+                marks.append((left, done))
+                break
+            at = lines.index(_COUNT) if _COUNT in lines else len(lines)
+            head += lines[:at]
+            marks += [(left, done)] * at
+            if self.live:
+                done += type(ins) in (Load, Store, Gep, BinOp) or (
+                    type(ins) in (Call, Ret) and bool(ins.operands()))
+            if at < len(lines):
+                tail = lines[at + 1:]
+                break
+        else:
+            tail = [] if cut else [f"raise MachineTrap('no terminator', detail="
+                                   f"{self.fn.blocks[self.segs[i][0]].label!r})"]
+        tail = [] if tail is None else [f"m.shadow_ops_instr += {done}"] * bool(done) + tail
+        prologue = [f"{name} = {value}" for name, value in _PROLOGUE if name in self.used]
+        body = prologue + head + tail or ["pass"]
+        self.src += [f"def s{i}(m, f):"] + ["    " + line for line in body]
+        self.lines += ([(0, 0)] * (1 + len(prologue)) + marks
+                       + [(0, 0)] * (len(body) - len(prologue) - len(head)))
 
+    # The lines of each kind of instruction
 
-_INT_OPS = {
-    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
-    "div": _idiv, "rem": lambda a, b: a - _idiv(a, b) * b, "and": operator.and_,
-    "or": operator.or_, "xor": operator.xor, "cmp": operator.eq}
-_FLOAT_OPS = {
-    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
-    "div": lambda a, b: (a / b if b != 0.0 else
-                         math.copysign(math.inf, a) if a else math.nan),
-    "rem": lambda a, b: math.fmod(a, b) if b != 0.0 else math.nan,
-    "cmp": lambda a, b: 1.0 if a == b else 0.0}
+    def alloca(self, ins: Alloca, i: int) -> list:
+        structs = self.image.module.structs
+        sz = size_of(ins.ty, structs)
+        align, zeros = ~(max(align_of(ins.ty, structs), 1) - 1), self.const(bytes(sz))
+        self.used.update(("mem", "tm"))
+        return [f"a = (m.stack_ptr - {sz}) & {align}",
+                f"if a <= m.heap_ptr: raise MachineTrap('stack overflow', {ins.uid!r})",
+                "m.stack_ptr = a", f"mem[a:a + {sz}] = {zeros}",
+                f"tm.set_vector(a, {zeros})",       # allocation bookkeeping
+                *self.define(ins.dest, "a", 8, tag="0")]
 
+    def load(self, ins: Load, i: int) -> list:
+        w = _width(ins.ty)
+        a, lines = self.atom(self.val(ins.addr, _PTR), "a")
+        self.used.update(("mem", "tm") if self.live else ("mem",))
+        return lines + [self.check(a, w, ins)] + self.define(
+            ins.dest, f"_u{_fmt(ins.ty)}(mem, {a})[0]" if w else "0", w,
+            vec=f"tm.get_vector({a}, {w})")
 
-def _calc(ins: BinOp, kind) -> Callable:
-    """`ins`'s operation on two operand values, the result normalized."""
-    uid = ins.uid
+    def store(self, ins: Store, i: int) -> list:
+        w = _width(ins.ty)
+        a, lines = self.atom(self.val(ins.addr, _PTR), "a")
+        x, more = self.atom(self.val(ins.value, _kind(ins.ty), wrap_globals=True), "x")
+        self.used.update(("mem", "dirty", "tm") if self.live else ("mem", "dirty"))
+        lines += more + [self.check(a, w, ins), f"_p{_fmt(ins.ty)}(mem, {a}, {x})",
+                         f"dirty.add({a} >> {_PAGE_SHIFT})"]
+        if w > 1:
+            lines.append(f"dirty.add(({a} + {w - 1}) >> {_PAGE_SHIFT})")
+        if self.live:
+            lines.append(f"tm.set_vector({a}, {self.vec(ins.value, w)})")
+        return lines
 
-    def trap(a, b):
-        raise MachineTrap("float bit operation" if kind == "f" else "unknown op", uid)
-    if kind == "f":
-        f = _FLOAT_OPS.get(ins.op, trap)
-        return f if ins.ty.bits != 32 or ins.op == "cmp" else (
-            lambda a, b: _F32.unpack(_F32.pack(f(a, b)))[0])
-    bias, mask = kind
-    sh = mask.bit_length() - 1      # shift counts wrap at the width
-    f = {"shl": lambda a, b: a << (b & sh),
-         "shr": lambda a, b: a >> (b & sh),     # arithmetic for signed, logical otherwise
-         }.get(ins.op) or _INT_OPS.get(ins.op, trap)
-
-    def calc(a, b):
-        try:
-            return ((f(a, b) + bias) & mask) - bias
-        except ZeroDivisionError:
-            raise MachineTrap("division by zero", uid) from None
-    return calc
-
-
-def _decoded_or_deferred(ins: Instr, fn: Function, live: bool, env) -> Handler:
-    """The instruction's handler.  One that cannot be decoded (no width, a
-    malformed gep, an unresolved callee, ...) is decoded again each time it
-    runs, and so raises then what running the instruction raises."""
-    try:
-        return _decode(ins, fn, live, env)
-    except Exception:
-        return lambda m, f: _decode(ins, fn, live, env)(m, f)
-
-
-def _decode(ins: Instr, fn: Function, live: bool, env) -> Handler:
-    """The handler of one instruction; tracked when `live`."""
-    labels, kinds, global_addr, module, mem_size = env
-    uid, dest = ins.uid, getattr(ins, "dest", None)
-    splat, uniform = _tag_tables()
-
-    def val(op: Operand, kind, wrap_globals: bool = False):
-        """A reader of the operand as a `kind` value; a global's address is
-        used as it is unless `wrap_globals`."""
-        if isinstance(op, Temp):
-            name = op.name
-            if kinds.get(name) == kind:     # its producer normalized it
-                return operator.itemgetter(name)
-            return lambda t: _wrap(t[name], kind)
-        v = global_addr[op.name] if isinstance(op, GlobalRef) else op.value
-        v = _wrap(v, kind) if wrap_globals or not isinstance(op, GlobalRef) else v
-        return lambda t: v
-
-    def key(op: Operand) -> Optional[str]:
-        return op.name if isinstance(op, Temp) else None
-
-    if isinstance(ins, Alloca):
-        sz = size_of(ins.ty, module.structs)
-        align, zeros = ~(max(align_of(ins.ty, module.structs), 1) - 1), bytes(sz)
-
-        def alloca(m, f):
-            addr = (m.stack_ptr - sz) & align
-            if addr <= m.heap_ptr:
-                raise MachineTrap("stack overflow", uid)
-            m.stack_ptr = addr
-            m.memory[addr:addr + sz] = zeros
-            m.tagmap.set_vector(addr, zeros)    # allocation bookkeeping
-            f.temps[dest], f.tags[dest] = addr, splat[8][0]
-            f.pc += 1
-        return alloca
-    if isinstance(ins, (Load, Store)):
-        w, unpack, pack = _codec(ins.ty)
-        hi, ra, last = mem_size - w, val(ins.addr, _PTR), max(w - 1, 0)
-    if isinstance(ins, Load):
-        def load(m, f):
-            addr = ra(f.temps)
-            if not GLOBALS_BASE <= addr <= hi:
-                m._check_bounds(addr, w, uid)
-            f.temps[dest] = unpack(m.memory, addr)[0]
-            if live:
-                f.tags[dest] = m.tagmap.get_vector(addr, w)
-                m.shadow_ops_instr += 1
-            f.pc += 1
-        return load
-    if isinstance(ins, Store):
-        rv, kv = val(ins.value, _kind(ins.ty), wrap_globals=True), key(ins.value)
-
-        def store(m, f):
-            addr, v = ra(f.temps), rv(f.temps)
-            if not GLOBALS_BASE <= addr <= hi:
-                m._check_bounds(addr, w, uid)
-            mem = m.memory
-            pack(mem, addr, v)
-            mem.dirty.add(addr >> _PAGE_SHIFT)
-            mem.dirty.add((addr + last) >> _PAGE_SHIFT)
-            if live:
-                m.tagmap.set_vector(addr, _resize_vec(f.tags.get(kv, _Z1), w))
-                m.shadow_ops_instr += 1
-            f.pc += 1
-        return store
-    if isinstance(ins, Gep):
-        structs, t, off = module.structs, ins.base_ty, 0
+    def gep(self, ins: Gep, i: int) -> list:
+        structs, t, off = self.image.module.structs, ins.base_ty, 0
         strides = [(ins.indices[0], size_of(t, structs))]
         for idx in ins.indices[1:]:
             if isinstance(t, StructRef):
@@ -546,90 +591,162 @@ def _decode(ins: Instr, fn: Function, live: bool, env) -> Handler:
                 strides.append((idx, size_of(t.elem, structs)))
                 t = t.elem
             else:
-                raise MachineTrap("malformed gep", uid)
-        base, terms = val(ins.base, _PTR), []
+                raise MachineTrap("malformed gep", ins.uid)
+        terms = [self.val(ins.base, _PTR)]
         for idx, stride in strides:
-            if isinstance(idx, Temp):
-                terms.append((val(idx, _I64), stride))
-            else:       # a constant's reader ignores the temps
-                off += val(idx, _I64)(None) * stride
-        keys = [k for k in map(key, (ins.base, *ins.indices)) if k is not None]
+            if type(idx) is Temp:
+                terms.append(f"{self.val(idx, _I64)} * {stride}")
+            else:
+                off += self.konst(idx, _I64) * stride
+        terms.insert(1, _lit(off))
+        tags = [self.tag(op, 8) for op in (ins.base, *ins.indices) if type(op) is Temp]
+        return self.define(ins.dest, f"({' + '.join(terms)}) & {_MASK64:#x}", 8,
+                           tag=" | ".join(tags) or "0")
 
-        def gep(m, f):
-            t = f.temps
-            addr = base(t) + off
-            for r, stride in terms:
-                addr += r(t) * stride
-            t[dest] = addr & _MASK64
-            if live:
-                tags, tag = f.tags, 0
-                for k in keys:
-                    tag |= _tag(uniform, tags.get(k, _Z1), 8)
-                tags[dest] = splat[8][tag]
-                m.shadow_ops_instr += 1
-            f.pc += 1
-        return gep
-    if isinstance(ins, BinOp):
-        kind = _kind(ins.ty)
-        calc, ra, rb = _calc(ins, kind), val(ins.lhs, kind), val(ins.rhs, kind)
-        ka, kb, w = key(ins.lhs), key(ins.rhs), _width(ins.ty)
-        vecs = splat[w]
+    def binop(self, ins: BinOp, i: int) -> list:
+        kind, w, op, uid = _kind(ins.ty), _width(ins.ty), ins.op, repr(ins.uid)
+        a, b = self.val(ins.lhs, kind), self.val(ins.rhs, kind)
+        if op == "cmp":
+            e = f"1.0 if {a} == {b} else 0.0" if kind == "f" else f"1 if {a} == {b} else 0"
+        elif op in _OPS and (kind != "f" or op in ("add", "sub", "mul")):
+            e = f"{a} {_OPS[op]} {b}"
+        elif op in ("div", "rem"):
+            e = f"_f{op}({a}, {b})" if kind == "f" else f"_i{op}({a}, {b}, {uid})"
+        elif op in ("shl", "shr") and kind != "f":
+            e = f"{a} {'<<' if op == 'shl' else '>>'} ({b} & {kind[1].bit_length() - 1})"
+        else:
+            bad = "float bit operation" if kind == "f" else "unknown op"
+            e = f"_bad({bad!r}, {uid}, {a}, {b})"
+        if kind == "f" and ins.ty.bits == 32 and op != "cmp":
+            e = f"_f32({e})"
+        elif kind != "f" and op != "cmp":
+            bias, mask = kind
+            e = f"(({e}) + {bias} & {mask:#x}) - {bias}" if bias else f"({e}) & {mask:#x}"
+        return self.define(ins.dest, e, w, tag=f"{self.tag(ins.lhs, w)}"
+                           f" | {self.tag(ins.rhs, w)}")
 
-        def binop(m, f):
-            t = f.temps
-            t[dest] = calc(ra(t), rb(t))
-            if live:
-                tags = f.tags
-                tags[dest] = vecs[_tag(uniform, tags.get(ka, _Z1), w)
-                                  | _tag(uniform, tags.get(kb, _Z1), w)]
-                m.shadow_ops_instr += 1
-            f.pc += 1
-        return binop
-    if isinstance(ins, Br):     # a label the function lacks fails when taken
-        rc, then_b = val(ins.cond, _I64), labels.get(ins.then_label)
-        else_b = labels.get(ins.else_label)
+    def br(self, ins: Br, i: int) -> list:
+        then, other = self.target(ins.then_label, ins), self.target(ins.else_label, ins)
+        return [_COUNT, f"return {then} if {self.val(ins.cond, _I64)} != 0 else {other}"]
 
-        def br(m, f):
-            f.block = then_b if rc(f.temps) != 0 else else_b
-            f.pc = 0
-        return br
-    if isinstance(ins, Jmp):
-        target = labels.get(ins.label)
+    def jmp(self, ins: Jmp, i: int) -> list:
+        return [_COUNT, f"return {self.target(ins.label, ins)}"]
 
-        def jmp(m, f):
-            f.block, f.pc = target, 0
-        return jmp
-    if isinstance(ins, Call):
-        callee = module.functions.get(ins.callee)
+    def call(self, ins: Call, i: int) -> list:
+        callee = self.image.module.functions.get(ins.callee)
         if callee is None:
-            raise MachineTrap("unresolved callee", uid, f"@{ins.callee}")
+            raise MachineTrap("unresolved callee", ins.uid, f"@{ins.callee}")
         pairs = list(zip(callee.params, ins.args))
-        readers = [val(op, _kind(pty)) for (_, pty), op in pairs]
-        vec_of = [(key(op), _width(pty)) for (_, pty), op in pairs] if live else []
-        counted = int(live and bool(ins.args))
+        args = ", ".join(self.val(op, _kind(pty)) for (_, pty), op in pairs)
+        vecs = ", ".join(self.vec(op, _width(pty)) for (_, pty), op in pairs
+                         ) if self.live else ""
+        return [f"args = [{args}]", f"vecs = [{vecs}]", _COUNT, f"f.seg = {i + 1}",
+                f"m._call({self.const(callee)}, args, vecs, {self.const(ins)})"]
 
-        def call(m, f):
-            args = [r(f.temps) for r in readers]
-            vecs = [_resize_vec(f.tags.get(k, _Z1), w) for k, w in vec_of]
-            m.shadow_ops_instr += counted
-            m._check_sinks(callee.name, args, vecs, uid)
-            f.pc += 1
-            m._frames.append(m._make_frame(callee, args, vecs, ins))
-            return 0
-        return call
-    if isinstance(ins, Ret):
-        has = ins.value is not None
-        rv = val(ins.value, _kind(fn.ret_ty)) if has else (lambda t: 0)
-        kv, w = (key(ins.value), _width(fn.ret_ty)) if has and live else (None, 0)
+    def ret(self, ins: Ret, i: int) -> list:
+        has, ty = ins.value is not None, self.fn.ret_ty
+        x, lines = self.atom(self.val(ins.value, _kind(ty)) if has else "0", "x")
+        if self.live:
+            shadow = self.vec(ins.value, _width(ty)) if has else "b''"
+            lines.append(f"m.ret_shadow = {shadow}")
+        return lines + [_COUNT, f"m.exit_value = m._do_ret(f, {x})"]
 
-        def ret(m, f):
-            value = rv(f.temps)
-            if live:
-                m.ret_shadow = _resize_vec(f.tags.get(kv, _Z1), w) if has else b""
-                m.shadow_ops_instr += has
-            return m._do_ret(f, value)
-        return ret
-    raise MachineTrap("unknown instruction", uid)
+    def unknown(self, ins: Instr, i: int) -> list:
+        raise MachineTrap("unknown instruction", ins.uid)
+
+    # Operands and temps
+
+    def check(self, a: str, w: int, ins: Instr) -> str:
+        """The bounds check of a `w`-byte access at `a`."""
+        return (f"if not {GLOBALS_BASE} <= {a} <= {self.image.mem_size - w}:"
+                f" m._check_bounds({a}, {w}, {ins.uid!r})")
+
+    def define(self, name: str, value: str, width: int, vec: str = "",
+               tag: str = "") -> list[str]:
+        """Lines binding temp `name` to `value` and, when tracked, to a tag
+        vector of `width` bytes: `vec`, or the splat of the int tag `tag`."""
+        n = self.ids.setdefault(name, len(self.ids))
+        lines = [f"v{n} = {value}"]
+        if self.live:
+            if tag:
+                lines.append(f"n{n} = {tag}")
+                vec = f"_S{width}[n{n}]"
+            lines.append(f"g{n} = {vec}")
+        if name in self.shared:
+            lines.append(f"t[{name!r}] = v{n}")
+            if self.live:
+                lines.append(f"tg[{name!r}] = g{n}")
+            self.used.update(("t", "tg") if self.live else ("t",))
+        self.local[name] = (n, width, bool(tag))
+        return lines
+
+    def konst(self, op: Operand, kind, wrap_globals: bool = False):
+        """A constant or global operand's value as a `kind` value; a
+        global's address is used as it is unless `wrap_globals`."""
+        if type(op) is GlobalRef:
+            v = self.image.global_addr[op.name]
+            return _wrap(v, kind) if wrap_globals else v
+        return _wrap(op.value, kind)
+
+    def val(self, op: Operand, kind, wrap_globals: bool = False) -> str:
+        """An expression of the operand as a `kind` value."""
+        if type(op) is not Temp:
+            return _lit(self.konst(op, kind, wrap_globals))
+        hit, have = self.local.get(op.name), self.kinds.get(op.name)
+        if hit:
+            e = f"v{hit[0]}"
+        else:
+            e = f"t[{op.name!r}]"
+            self.used.add("t")
+        if have == kind:        # its producer normalized it
+            return e
+        if kind == "f":
+            return f"float({e})"
+        bias, mask = kind
+        e = e if isinstance(have, tuple) else f"int({e})"
+        return f"(({e} + {bias} & {mask:#x}) - {bias})" if bias else f"({e} & {mask:#x})"
+
+    def vec(self, op: Operand, w: int) -> str:
+        """An expression of the operand's tag vector resized to `w` bytes."""
+        if type(op) is not Temp:
+            return repr(bytes(w))
+        hit = self.local.get(op.name)
+        if hit is None:
+            self.used.add("tg")
+            return f"_resize(tg.get({op.name!r}, b'\\0'), {w})"
+        return f"g{hit[0]}" if hit[1] == w else f"_resize(g{hit[0]}, {w})"
+
+    def tag(self, op: Operand, w: int) -> str:
+        """An expression of the fold of the operand's tag vector resized to
+        `w` (>= 1) bytes."""
+        if type(op) is not Temp:
+            return "0"
+        hit = self.local.get(op.name)
+        if hit is None:
+            self.used.add("tg")
+            return f"_tag(tg.get({op.name!r}, b'\\0'), {w})"
+        return f"n{hit[0]}" if hit[2] else f"_tag(g{hit[0]}, {w})"
+
+    def target(self, label: str, ins: Instr) -> str:
+        """The segment a branch to `label` goes to; a label the function
+        lacks traps when taken."""
+        i = self.labels.get(label)
+        return f"_bad('unknown label', {ins.uid!r})" if i is None else str(i)
+
+    def atom(self, e: str, name: str) -> tuple[str, list[str]]:
+        """`e` itself when it is a name or a literal, else `name` and the
+        line assigning `e` to it."""
+        return (e, []) if _ATOM.fullmatch(e) else (name, [f"{name} = {e}"])
+
+    def const(self, obj) -> str:
+        name = f"k{len(self.ns)}"
+        self.ns[name] = obj
+        return name
+
+
+_EMIT = {Alloca: _Writer.alloca, Load: _Writer.load, Store: _Writer.store,
+         Gep: _Writer.gep, BinOp: _Writer.binop, Br: _Writer.br, Jmp: _Writer.jmp,
+         Call: _Writer.call, Ret: _Writer.ret}
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +755,7 @@ def _decode(ins: Instr, fn: Function, live: bool, env) -> Handler:
 
 class Image:
     """What no run changes, built once and shared by every machine made from
-    it: the global layout, each function's handler tables and the rule
+    it: the global layout, each function's compiled segments and the rule
     programs bound to the module.  It holds no machine, so a machine is
     freed by reference counting while its image lives on.  Raises
     ValueError when the globals reach past the lower half of `mem_size`,
@@ -664,21 +781,22 @@ class Image:
         if self.heap_start > mem_size // 2:
             raise ValueError(f"the globals need 0x{self.heap_start:x} bytes, more than"
                              f" half of mem_size 0x{mem_size:x}")
-        # (function name, tracked) -> its blocks as handler lists, decoded
-        # at the first frame that runs them
-        self.code: dict[tuple[str, bool], list[list[Handler]]] = {}
+        # (function name, tracked) -> its segments, compiled at the first
+        # frame that runs them
+        self.code: dict[tuple[str, bool], _Code] = {}
         self._bound: dict[str, tuple[TaintRuleProgram, tuple]] = {}
 
-    def decoded(self, fn: Function, live: bool) -> list[list[Handler]]:
+    def compiled(self, fn: Function, live: bool) -> _Code:
         code = self.code.get((fn.name, live))
         if code is None:
-            env = ({b.label: i for i, b in enumerate(fn.blocks)},
-                   _temp_kinds(fn, self.module.functions),
-                   self.global_addr, self.module, self.mem_size)
-            code = self.code[fn.name, live] = [
-                [_decoded_or_deferred(ins, fn, live, env) for ins in b.instrs]
-                for b in fn.blocks]
+            code = self.code[fn.name, live] = _Writer(self, fn, live).code()
         return code
+
+    def prefix(self, fn: Function, live: bool, i: int, j: int) -> tuple[_Code, str]:
+        """Segment `i` of `fn` cut to its first `j` instructions, and the uid
+        of the instruction after them."""
+        writer = _Writer(self, fn, live)
+        return writer.code((i, j)), writer.segs[i][1][j].uid
 
     def bound(self, prog: TaintRuleProgram) -> tuple:
         """`prog`'s steps as (entry, op, kind, where, offset, nbytes, max_len),
@@ -745,6 +863,7 @@ class Machine:
         self.step_budget, self.max_frames = step_budget, max_frames
         self.default_len = default_len
         self.live = True        # false while a rule-firing call runs
+        self.exit_value = 0     # what the last return returned
         self.shadow_ops_instr = self.shadow_ops_rules = 0
         self.instr_total = self.instr_unins = 0
         self.sink_hits: list[SinkHit] = []
@@ -769,15 +888,16 @@ class Machine:
                               f"addr=0x{addr:x} size={sz}")
 
     def read_value(self, ty: Type, addr: int, uid: Optional[str] = None):
-        w, unpack, _ = _codec(ty)
+        w = _width(ty)
         self._check_bounds(addr, w, uid)
-        return unpack(self.memory, addr)[0]
+        return _STRUCTS[_fmt(ty)].unpack_from(self.memory, addr)[0] if w else 0
 
     def write_value(self, ty: Type, addr: int, value, uid: Optional[str] = None):
-        w, _, pack = _codec(ty)
+        w = _width(ty)
         self._check_bounds(addr, w, uid)
-        pack(self.memory, addr, _wrap(value, _kind(ty)) if w else None)
-        self.memory.mark(addr, w)
+        if w:
+            _STRUCTS[_fmt(ty)].pack_into(self.memory, addr, _wrap(value, _kind(ty)))
+            self.memory.mark(addr, w)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         self._check_bounds(addr, len(data), None)
@@ -826,7 +946,11 @@ class Machine:
             record = [(temps[p], tags[p]) for p, _ in fn.params]
             self.live = False
         return _Frame(fn, temps, tags, self.stack_ptr, call_ins,
-                      self.image.decoded(fn, self.live), record)
+                      self.image.compiled(fn, self.live), record)
+
+    def _call(self, callee: Function, args: list, vecs: list, ins: Call) -> None:
+        self._check_sinks(callee.name, args, vecs, ins.uid)
+        self._frames.append(self._make_frame(callee, args, vecs, ins))
 
     def _check_sinks(self, fn_name: str, args, vecs, call_uid: str) -> None:
         if not self.live or fn_name not in self._sinks:
@@ -884,21 +1008,33 @@ class Machine:
         frames, budget, n = self._frames, self.step_budget, self.instr_total
         try:
             while frames:
-                frame = frames[-1]
-                code, live, start, ret = frame.code, self.live, n, None
+                f = frames[-1]
+                code, live, start, i = f.code, self.live, n, f.seg
+                lines = code.lines
                 try:
-                    while ret is None:      # until this frame calls or returns
-                        n += 1
-                        if n > budget:
-                            ins = frame.fn.blocks[frame.block].instrs[frame.pc]
-                            raise MachineTrap("step budget exhausted", ins.uid)
-                        ret = code[frame.block][frame.pc](self, frame)
+                    while i is not None:    # until this frame calls or returns
+                        run, k = code[i]
+                        n += k
+                        if n > budget:      # run what fits, then trap
+                            n -= k
+                            cut, uid = self.image.prefix(f.fn, live, i, budget - n)
+                            (run, k), lines = cut[0], cut.lines
+                            n += k
+                            run(self, f)
+                            n += 1
+                            raise MachineTrap("step budget exhausted", uid)
+                        i = run(self, f)
+                except BaseException as e:
+                    unrun, uncounted = _stopped(e, lines)
+                    n -= unrun
+                    self.shadow_ops_instr += uncounted
+                    raise
                 finally:
                     if not live:    # the budget trap's instruction never ran
                         self.instr_unins += n - start - (n > budget)
         finally:
             self.instr_total = n
-        return ret
+        return self.exit_value
 
     def _do_ret(self, frame: _Frame, value) -> int:
         fn = frame.fn

@@ -16,8 +16,8 @@ from typing import Mapping, Optional, Sequence
 
 from .corpus import BufArg, CountArg, CStringArg, DRIVERS, IntArg, StructPtrArg
 from .ir import (
-    Array, Char, Float, Int, Module, StructRef, Type, Void, field_offset,
-    size_of,
+    Array, Char, Float, Function, Int, Module, StructRef, Type, Void,
+    field_offset, size_of,
 )
 from .rules import TaintRuleProgram, compile_library
 from .tracker import GLOBALS_BASE, Image, Machine, run
@@ -157,6 +157,13 @@ def default_rules(module: Module, include_control_deps: bool = True,
     return compile_library(module, include_control_deps, default_len)[0]
 
 
+def _function(module: Module, fn_name: str) -> Function:
+    fn = module.functions.get(fn_name)
+    if fn is None:
+        raise HarnessError(f"no function @{fn_name}")
+    return fn
+
+
 def _image(module: Module, rule_programs: Optional[Mapping[str, TaintRuleProgram]],
            mem_size: int) -> Image:
     """The one image of a harness call: its rules, or else the module's own."""
@@ -204,8 +211,8 @@ def oracle_compare(module: Module, fn_name: str, trials: int = 100,
     every nonempty parameter subset, comparing tainted-byte counts and
     asserting that rules never miss a persistent byte the instruction-level
     oracle taints."""
+    subsets = _subsets(len(_function(module, fn_name).params))
     image = _image(module, rule_programs, mem_size)
-    subsets = _subsets(len(module.functions[fn_name].params))
     sum_i = sum_h = 0
     ret_i = ret_h = False
     violations: list[tuple[int, int]] = []
@@ -297,9 +304,9 @@ def noninterference_check(
     """Twin executions with equal low inputs and independent high inputs;
     any concrete difference on an output the rules classify as untainted
     is a noninterference violation."""
+    fn = _function(module, fn_name)
     rules = (dict(rule_programs) if rule_programs is not None
              else default_rules(module))
-    fn = module.functions[fn_name]
     prog = rules.get(fn_name)
     if prog is None:
         raise HarnessError(f"@{fn_name} has no rule program")

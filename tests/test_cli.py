@@ -432,3 +432,49 @@ class TestBenchErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""
+
+
+class TestHarnessUnknownFunction:
+    """`--fn` naming a function the module lacks is a diagnostic and exit 1,
+    as for `pdg --fn`, never a traceback."""
+
+    @pytest.mark.parametrize("cmd", ["compare", "nitest"])
+    def test_diagnostic(self, workdir, cmd, capsys):
+        rc = main(["--trials", "3", cmd, str(workdir / "corpus" / "libcorpus.ir"),
+                   "--fn", "nosuch"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: no function @nosuch\n"
+        assert captured.out == ""
+
+
+class TestRulesNotADirectory:
+    """A `--rules` path that does not exist, or is a file, is a diagnostic
+    and exit 1; it was read as an empty rule set, so `compare` passed
+    without testing a rule."""
+
+    COMMANDS = {
+        "run": ["run", "student_flow.ir", "--mode", "hybrid"],
+        "run-instr": ["run", "student_flow.ir", "--mode", "instr"],
+        "compare": ["--trials", "3", "compare", "libcorpus.ir", "--fn", "memcpy"],
+        "nitest": ["--trials", "3", "nitest", "libcorpus.ir", "--fn", "memcpy"],
+        "bench": ["bench", "bench_memcpy.ir", "--args", "8"],
+    }
+
+    @pytest.mark.parametrize("cmd", sorted(COMMANDS))
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_diagnostic(self, workdir, cmd, kind, capsys):
+        path = workdir / ("nonexistent" if kind == "missing" else "cfg.json")
+        argv = [str(workdir / "corpus" / a) if a.endswith(".ir") else a
+                for a in self.COMMANDS[cmd]]
+        rc = main(argv + ["--rules", str(path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: not a directory\n"
+        assert captured.out == ""
+
+    def test_an_empty_directory_is_still_a_rule_set(self, workdir, capsys):
+        (workdir / "empty").mkdir()
+        rc = main(["--trials", "3", "compare", str(workdir / "corpus" / "libcorpus.ir"),
+                   "--fn", "memcpy", "--rules", str(workdir / "empty")])
+        assert rc == 0 and "ratio=1.000" in capsys.readouterr().out

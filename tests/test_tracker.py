@@ -1,7 +1,8 @@
 """Shadow-store algebra, interpreter semantics, hybrid switching, rule
-application, traps, sources/sinks, and the decoded handlers against the
+application, traps, sources/sinks, and the compiled segments against the
 step interpreter they replaced."""
 
+import dataclasses
 import functools
 import gc
 import math
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from taintsum import (
     Machine, MachineTrap, TaintConfig, apply_rule_program, corpus,
-    parse_module, run,
+    parse_module, run, validate_module,
 )
 from taintsum.ir import (
     Alloca, Array, BinOp, Br, Call, Char, ConstInt, Float, Gep, GlobalRef,
@@ -28,7 +29,7 @@ from taintsum.rules import (
 )
 from taintsum.tracker import (
     DEFAULT_MEMORY, GLOBALS_BASE, PAGE, Image, Memory, RunReport, SinkHit,
-    Tagmap, _resize_vec,
+    Tagmap, _Frame, _Writer, _compiled, _resize_vec,
 )
 from taintsum.validate import build_plan, materialize_plan
 from test_ir import _straightline_function
@@ -624,7 +625,7 @@ entry:
 
 
 # ---------------------------------------------------------------------------
-# The step interpreter the decoded handlers replaced, kept as their oracle
+# The step interpreter the compiled segments replaced, kept as their oracle
 # ---------------------------------------------------------------------------
 
 _COND_TY = Int(64)
@@ -656,6 +657,13 @@ def _ref_norm_int(v, ty):
     return v
 
 
+@dataclasses.dataclass(slots=True)
+class _RefFrame(_Frame):
+    """A frame and the position of its next instruction."""
+    block: int = 0
+    pc: int = 0
+
+
 class ReferenceMachine(Machine):
     """Runs each instruction through an `isinstance` chain that re-derives
     widths, masks, strides and label indices every time.  Frames, memory,
@@ -668,6 +676,10 @@ class ReferenceMachine(Machine):
             f.name: {b.label: i for i, b in enumerate(f.blocks)}
             for f in self.module.functions.values()
         }
+
+    def _make_frame(self, fn, args, vecs, call_ins):
+        frame = super()._make_frame(fn, args, vecs, call_ins)
+        return _RefFrame(*(getattr(frame, f.name) for f in dataclasses.fields(frame)))
 
     def read_value(self, ty, addr, uid=None):
         w = _ref_width(ty)
@@ -922,7 +934,7 @@ def outcome(cls, module, entry, args, *, arg_tags=None, before=None, **kw):
 def assert_same_runs(module, entry, args, rules=None, **kw):
     """Both interpreters, both modes: identical outcomes, also from the
     consecutive machines of one image shared by both modes.  Returns the
-    decoded interpreter's outcome per mode."""
+    compiled interpreter's outcome per mode."""
     mem_size = kw.pop("mem_size", DEFAULT_MEMORY)
     images = {cls: Image(module, rules, mem_size) for cls in (Machine, ReferenceMachine)}
     got = {}
@@ -1062,7 +1074,7 @@ def _budget(budget):
 
 
 class TestDecodedMatchesReference:
-    """The decoded handlers against the step interpreter they replaced:
+    """The compiled segments against the step interpreter they replaced:
     the same RunReport, memory, Tagmap pages, ret_shadow and sink hits on
     every run, and the same trap kind and instruction on every trap."""
 
@@ -1198,9 +1210,145 @@ class TestTrapsMatchReference:
         assert got["instr"][0][:2] == ("trap", kind)
 
 
+MID_SEGMENT_TRAPS = {      # kind: (source, entry args, uid, Machine keywords)
+    "division by zero": ("""fn @lib(%a: i32) -> i64 library {
+entry:
+  %p = alloca i32
+  %x = add i32 %a, 1
+  store i32 %x, %p
+  %y = div i32 7, %a
+  %z = add i32 %y, %x
+  ret i64 %z
+}
+""", [0], "lib:3", {}),
+    "out-of-bounds access": ("""fn @lib(%a: i64) -> i64 library {
+entry:
+  %p = alloca i64
+  store i64 %a, %p
+  %q = load i64, %p
+  %v = load i32, %q
+  %w = add i32 %v, 1
+  ret i64 %w
+}
+""", [16], "lib:3", {}),
+    "out-of-bounds store": ("""fn @lib(%a: i64) -> i64 library {
+entry:
+  %p = alloca i64
+  store i64 %a, %p
+  %q = load i64, %p
+  store i32 7, %q
+  %w = add i64 %q, 1
+  ret i64 %w
+}
+""", [-8], "lib:3", {}),
+    "stack overflow": ("""fn @lib(%a: i64) -> i64 library {
+entry:
+  %p = alloca i64
+  store i64 %a, %p
+  %big = alloca [70000 x char]
+  %q = load i64, %p
+  ret i64 %q
+}
+""", [5], "lib:2", {"mem_size": 1 << 16}),
+    "stack overflow (frame cap)": ("""fn @lib(%n: i64) -> i64 library {
+entry:
+  %p = alloca i64
+  %m = add i64 %n, 1
+  store i64 %m, %p
+  %x = call i64 @lib(%m)
+  ret i64 %x
+}
+""", [1], "lib:3", {"max_frames": 7}),
+    "undefined temporary": ("""fn @lib(%a: i32) -> i64 library {
+entry:
+  %p = alloca i32
+  store i32 %a, %p
+  %y = add i32 %later, 1
+  %later = add i32 %a, 2
+  ret i64 %y
+}
+""", [3], None, {}),
+    "malformed gep": ("""fn @lib(%a: i64) -> i64 library {
+entry:
+  %p = alloca i64
+  store i64 %a, %p
+  %g = gep i64, %p, 0, 1
+  %q = load i64, %p
+  ret i64 %q
+}
+""", [3], "lib:2", {}),
+}
+MAIN_CALLS_LIB = """
+fn @main(%a: i64) -> i64 {
+entry:
+  %s = alloca i64
+  store i64 %a, %s
+  %x = call i64 @lib(%a)
+  ret i64 %x
+}
+"""
+
+
+class TestExactTraps:
+    """Every trap inside a segment leaves the instruction counts, shadow-op
+    counts, memory and Tagmap the step interpreter leaves, as does a step
+    budget that runs out at any instruction of any segment."""
+
+    @pytest.mark.parametrize("kind", sorted(MID_SEGMENT_TRAPS))
+    def test_trap_inside_a_segment(self, kind):
+        src, args, uid, kw = MID_SEGMENT_TRAPS[kind]
+        m = parse_module(src + MAIN_CALLS_LIB)
+        if uid is not None:     # after the first of its segment, before the last
+            seg = next(seg for _, seg in _Writer(Image(m), m.functions["lib"], True).segs
+                       if uid in [i.uid for i in seg])
+            pos = [i.uid for i in seg].index(uid)
+            assert 0 < pos < len(seg) - (kind != "stack overflow (frame cap)"), seg
+        rules, _ = compile_library(m)
+        for entry in ("lib", "main"):
+            got = assert_same_runs(m, entry, args, rules,
+                                   arg_tags=[b"\x01"] * len(args), **kw)
+            want = kind if kind != "out-of-bounds store" else "out-of-bounds access"
+            assert got["instr"][0] == ("trap", want, uid), (entry, got["instr"][0])
+            if entry == "main" and rules:   # a recursive @lib gets no summary
+                assert got["hybrid"][2] > 0     # counted while untracked
+
+    def test_every_budget_on_bench_memcpy(self, bench_memcpy):
+        rules, _ = compile_library(bench_memcpy)
+
+        def pretaint(m):
+            m.tagmap.set_taint(m.global_addr["src_buf"], 3, 24)
+        total = assert_same_runs(bench_memcpy, "main", [3], rules, before=pretaint,
+                                 mem_size=1 << 20)["instr"][0].instr_executed_total
+        for budget in range(1, total + 2):
+            got = assert_same_runs(bench_memcpy, "main", [3], rules, before=pretaint,
+                                   mem_size=1 << 20, step_budget=budget)
+            result = got["instr"][0]
+            assert (result[:2] == ("trap", "step budget exhausted") if budget < total
+                    else isinstance(result, RunReport))
+            assert got["instr"][1] == min(budget + 1, total)
+
+    def test_every_budget_on_a_libcorpus_function(self, libcorpus, lib_rules):
+        plan = build_plan(libcorpus, "enroll", random.Random(3))
+
+        def materialized(m):
+            args, regions = materialize_plan(m, plan)
+            m.tagmap.set_taint(regions[0][0], 5, regions[0][1])
+            return args
+        args = materialized(Machine(libcorpus, mem_size=1 << 20))
+        total = Machine(libcorpus, mem_size=1 << 20)
+        total.call_entry("enroll", materialized(total))
+        for budget in range(1, total.instr_total + 2):
+            for mode in ("instr", "hybrid"):
+                runs = [outcome(cls, libcorpus, "enroll", args, mode=mode,
+                                rule_programs=lib_rules, mem_size=1 << 20,
+                                before=materialized, step_budget=budget)
+                        for cls in (Machine, ReferenceMachine)]
+                assert runs[0] == runs[1], (budget, mode)
+
+
 class TestMachineLifetime:
-    """Handlers take the machine as an argument; a machine that held its
-    decode cache through handlers closing over it would stay alive, with
+    """Segments take the machine as an argument; a machine that held its
+    compiled code through functions closing over it would stay alive, with
     its 16 MiB mapping, until a cyclic collection."""
 
     def test_freed_by_reference_counting(self, bench_memcpy, student_flow,
@@ -1233,7 +1381,7 @@ class TestMachineLifetime:
 
 
     def test_freed_while_its_image_lives(self, student_flow, student_flow_rules):
-        """The image keeps its decoded handlers and bound rules after each
+        """The image keeps its compiled segments and bound rules after each
         of its machines is gone, so it must hold none of them."""
         image = Image(student_flow, student_flow_rules, 1 << 16)
         enabled = gc.isenabled()
@@ -1252,6 +1400,86 @@ class TestMachineLifetime:
             if enabled:
                 gc.enable()
         assert ("memcpy", False) in image.code and ("memcpy", True) in image.code
+
+
+LAYOUT = """\
+global @pad : [{pad} x char]
+global @buf : [4 x i64]
+
+fn @f(%i: i64, %p: ptr(i64)) -> i64 {{
+entry:
+  %g = gep [4 x i64], @buf, 0, %i
+  store i64 %i, %g
+  %v = load i64, %p
+  %w = load i64, %g
+  %s = add i64 %v, %w
+  ret i64 %s
+}}
+"""
+
+
+class TestCodeCache:
+    """Code objects are shared process-wide by source text, so equal source
+    means equal code and an entry is never stale."""
+
+    def test_images_of_one_module_share_code(self, student_flow, student_flow_rules):
+        a, b = (Image(student_flow, student_flow_rules) for _ in range(2))
+        for fn in student_flow.functions.values():
+            for live in (True, False):
+                ca, cb = a.compiled(fn, live), b.compiled(fn, live)
+                assert ca is not cb and len(ca) == len(cb)
+                assert all(x is not y and x.__code__ is y.__code__
+                           for (x, _), (y, _) in zip(ca, cb))
+
+    def test_layout_and_memory_size_get_their_own_code(self):
+        """@buf's address and the bounds checks are literals in the code; the
+        load at the top of the smaller memory traps there only."""
+        base, moved = (parse_module(LAYOUT.format(pad=pad)) for pad in (8, 40))
+        images = [Image(base, mem_size=1 << 16), Image(moved, mem_size=1 << 16),
+                  Image(base, mem_size=1 << 17)]
+        codes = [im.compiled(im.module.functions["f"], True)[0][0].__code__
+                 for im in images]
+        assert len({id(c) for c in codes}) == 3
+        top = (1 << 16) - 4
+        for module in (base, moved):
+            for mem_size in (1 << 16, 1 << 17):
+                got = assert_same_runs(module, "f", [2, top], {}, arg_tags=[b"\x01"] * 2,
+                                       mem_size=mem_size)
+                result = got["instr"][0]
+                assert (result[:2] == ("trap", "out-of-bounds access") if mem_size == 1 << 16
+                        else result.exit_value == 2), result
+
+    def test_machines_freed_with_the_cache_populated(self, bench_memcpy):
+        """Traps read the traceback of the segment that raised; the machine
+        still goes with its last reference."""
+        oob = parse_module(MID_SEGMENT_TRAPS["out-of-bounds access"][0] + MAIN_CALLS_LIB)
+        rules, _ = compile_library(oob)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for module, budget, args in ((bench_memcpy, None, [16]), (bench_memcpy, 40, [16]),
+                                         (oob, None, [16])):
+                for mode in ("instr", "hybrid"):
+                    m = Machine(module, mode=mode, rule_programs=rules if module is oob
+                                else None, **_budget(budget))
+                    try:
+                        m.call_entry("main", args)
+                    except MachineTrap:
+                        pass
+                    refs = weakref.ref(m), weakref.ref(m.memory)
+                    del m
+                    assert refs[0]() is None and refs[1]() is None, (args, budget, mode)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_cache_is_bounded(self):
+        maxsize = _compiled.cache_info().maxsize
+        assert maxsize is not None
+        for k in range(maxsize + 5):
+            m = parse_module(f"fn @f() -> i64 {{\nentry:\n  ret i64 {k}\n}}\n")
+            assert Machine(m, mem_size=1 << 16).call_entry("f", []) == k
+        assert _compiled.cache_info().currsize == maxsize
 
 
 POKES = """\
@@ -1480,7 +1708,7 @@ done:
 
 
 class TestLazyDecoding:
-    """Instructions that cannot run decode without trapping; running one
+    """Instructions that cannot run compile without trapping; running one
     traps with the step interpreter's kind and instruction."""
 
     @pytest.mark.parametrize("x, kind, instr", [
@@ -1520,6 +1748,27 @@ class TestLazyDecoding:
         assert set(m.image.code) == {("main", True), ("fgets_a", True),
                                 ("printf_a", True), ("student_cpy", True),
                                 ("memcpy", True)}
+
+
+class TestMalformedControlFlow:
+    """A machine runs modules that `validate_module` would reject: control
+    that falls off the end of a block, or branches to a label the function
+    lacks, traps when it happens."""
+
+    @pytest.mark.parametrize("body, kind, instr, ran", [
+        ("  %x = add i64 1, 2\n", "no terminator", None, 1),
+        ("  %x = add i64 1, 2\n  jmp nowhere\n", "unknown label", "f:1", 2),
+        ("  %x = call i64 @g()\n", "no terminator", None, 2),
+    ])
+    def test_traps_when_run(self, body, kind, instr, ran):
+        m = parse_module("fn @g() -> i64 {\nentry:\n  ret i64 1\n}\n"
+                         "fn @f() -> i64 {\nentry:\n" + body + "}\n")
+        assert validate_module(m)
+        for mode in ("instr", "hybrid"):
+            machine = Machine(m, mode=mode, mem_size=1 << 16)
+            with pytest.raises(MachineTrap) as e:
+                machine.call_entry("f", [])
+            assert (e.value.kind, e.value.instr, machine.instr_total) == (kind, instr, ran)
 
 
 MOVES_NUL = """\
