@@ -51,7 +51,10 @@ def _load_module(path: str) -> Module:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise SystemExit(f"error: {out}: {e.strerror or e}")
     return out
 
 
@@ -78,10 +81,14 @@ def _rules_for(m: Module, args) -> dict[str, TaintRuleProgram]:
 
 
 def _write_if_changed(path: Path, text: str) -> bool:
-    """Write unless the file already holds `text`; True if it wrote."""
-    if path.exists() and path.read_text(encoding="utf-8") == text:
-        return False
-    path.write_text(text, encoding="utf-8")
+    """Write unless the file already holds `text`; True if it wrote.  A
+    path that cannot be read or written is a diagnostic and exit 1."""
+    try:
+        if path.exists() and path.read_bytes() == text.encode("utf-8"):
+            return False
+        path.write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise SystemExit(f"error: {path}: {e.strerror or e}")
     return True
 
 
@@ -187,7 +194,7 @@ def cmd_run(args) -> int:
         return 1
     text = json.dumps(report.to_json(), indent=2) + "\n"
     if args.report:
-        Path(args.report).write_text(text, encoding="utf-8")
+        _write_if_changed(Path(args.report), text)
     sys.stdout.write(text)
     return 0
 

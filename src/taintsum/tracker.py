@@ -360,13 +360,15 @@ class _Temps(dict):
 # including the next call or terminator.  What an instruction fixes is a
 # literal there: constants, global addresses, widths, masks, gep offsets,
 # segment indices.  A temp a segment defines before reading it is a Python
-# local, stored in the frame only when a read elsewhere needs it.  A segment
-# returns the index of its frame's next segment, or None after a call or a
-# return; tracked code adds its shadow-op count once, just before its call
-# or terminator takes effect.  When a segment raises, the line it stopped on
-# gives the instructions it did not run and the shadow ops it did not count.
-# Code objects are shared process-wide by source text; the functions hold
-# no machine.
+# local, stored in the frame only when a read elsewhere needs it.  Tracked
+# loads and stores, and every alloca, do the Tagmap's one-page work inline;
+# only an access that crosses a page calls `get_vector`/`set_vector`.  A
+# segment returns the index of its frame's next segment, or None after a
+# call or a return; tracked code adds its shadow-op count once, just before
+# its call or terminator takes effect.  When a segment raises, the line it
+# stopped on gives the instructions it did not run and the shadow ops it did
+# not count.  Code objects are shared process-wide by source text; the
+# functions hold no machine.
 
 _SOURCE = "<taintsum segment>"
 _MASK64 = 2 ** 64 - 1
@@ -375,7 +377,7 @@ _PTR_TY = Ptr(Void())
 _STRUCTS = {c: _struct.Struct("<" + c) for c in "bBhHiIqQfd"}
 _OPS = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^"}
 _PROLOGUE = (("t", "f.temps"), ("tg", "f.tags"), ("mem", "m.memory"),
-             ("tm", "m.tagmap"), ("dirty", "mem.dirty"))
+             ("tm", "m.tagmap"), ("pages", "m.tagmap.pages"), ("dirty", "mem.dirty"))
 _ATOM = re.compile(r"[\w.]+|\(-[\w.]+\)")
 _COUNT = object()      # where a segment's shadow count goes
 
@@ -402,13 +404,20 @@ def _stopped(e: BaseException, lines: list) -> tuple[int, int]:
     return lines[tb.tb_lineno]
 
 
+class _Uniform(dict):
+    """The tag of each uniform vector of 1 to 8 bytes; any other vector is
+    folded when it is looked up."""
+
+    __missing__ = staticmethod(_fold)
+
+
 @functools.cache
 def _helpers() -> dict:
-    """The names generated code uses besides its own constants: splat[w][t]
-    is the w-byte tag vector of tag t, `_tag` folds a tag vector resized to
-    w (>= 1) bytes."""
+    """The names generated code uses besides its own constants: `_S<w>[t]`
+    is the w-byte tag vector of tag t, `_Z<w>` the zero one, `_U[vec]` the
+    fold of any vector and `_tag` that of a vector cut to w (>= 1) bytes."""
     splat = [tuple(bytes([t]) * w for t in range(256)) for w in range(9)]
-    uniform = {vec: t for row in splat[1:] for t, vec in enumerate(row)}
+    uniform = _Uniform((vec, t) for row in splat[1:] for t, vec in enumerate(row))
     f32 = _STRUCTS["f"]
 
     def idiv(a, b, uid):
@@ -420,13 +429,14 @@ def _helpers() -> dict:
     def bad(kind, uid, *operands):
         raise MachineTrap(kind, uid)
     ns = {"MachineTrap": MachineTrap, "_resize": _resize_vec, "_idiv": idiv, "_bad": bad,
-          "_tag": lambda vec, w: _fold(vec[:w]) if (t := uniform.get(vec)) is None else t,
+          "_U": uniform, "_tag": lambda vec, w: uniform[vec[:w]],
           "_irem": lambda a, b, uid: a - idiv(a, b, uid) * b,
           "_fdiv": lambda a, b: (a / b if b != 0.0 else
                                  math.copysign(math.inf, a) if a else math.nan),
           "_frem": lambda a, b: math.fmod(a, b) if b != 0.0 else math.nan,
           "_f32": lambda x: f32.unpack(f32.pack(x))[0]}
-    ns.update((f"_S{w}", row) for w, row in enumerate(splat))
+    for w, row in enumerate(splat):
+        ns[f"_S{w}"], ns[f"_Z{w}"] = row, row[0]
     for c, s in _STRUCTS.items():
         ns["_u" + c], ns["_p" + c] = s.unpack_from, s.pack_into
     return ns
@@ -551,33 +561,39 @@ class _Writer:
         structs = self.image.module.structs
         sz = size_of(ins.ty, structs)
         align, zeros = ~(max(align_of(ins.ty, structs), 1) - 1), self.const(bytes(sz))
-        self.used.update(("mem", "tm"))
+        self.used.update(("mem", "tm", "pages"))
         return [f"a = (m.stack_ptr - {sz}) & {align}",
                 f"if a <= m.heap_ptr: raise MachineTrap('stack overflow', {ins.uid!r})",
                 "m.stack_ptr = a", f"mem[a:a + {sz}] = {zeros}",
-                f"tm.set_vector(a, {zeros})",       # allocation bookkeeping
+                # allocation bookkeeping: a one-page frame zeroes only a present page
+                f"if (o := a & {PAGE - 1}) > {PAGE - sz}: tm.set_vector(a, {zeros})",
+                f"elif (p := pages.get(a >> {_PAGE_SHIFT})) is not None: p[o:o + {sz}] = {zeros}",
                 *self.define(ins.dest, "a", 8, tag="0")]
 
     def load(self, ins: Load, i: int) -> list:
         w = _width(ins.ty)
         a, lines = self.atom(self.val(ins.addr, _PTR), "a")
-        self.used.update(("mem", "tm") if self.live else ("mem",))
+        self.used.update(("mem", "tm", "pages") if self.live else ("mem",))
         return lines + [self.check(a, w, ins)] + self.define(
             ins.dest, f"_u{_fmt(ins.ty)}(mem, {a})[0]" if w else "0", w,
-            vec=f"tm.get_vector({a}, {w})")
+            vec=f"tm.get_vector({a}, {w}) if (o := {a} & {PAGE - 1}) > {PAGE - w} else _Z{w}"
+                f" if (p := pages.get({a} >> {_PAGE_SHIFT})) is None else bytes(p[o:o + {w}])")
 
     def store(self, ins: Store, i: int) -> list:
         w = _width(ins.ty)
         a, lines = self.atom(self.val(ins.addr, _PTR), "a")
         x, more = self.atom(self.val(ins.value, _kind(ins.ty), wrap_globals=True), "x")
-        self.used.update(("mem", "dirty", "tm") if self.live else ("mem", "dirty"))
+        self.used.update(("mem", "dirty", "tm", "pages") if self.live else ("mem", "dirty"))
         lines += more + [self.check(a, w, ins), f"_p{_fmt(ins.ty)}(mem, {a}, {x})",
-                         f"dirty.add({a} >> {_PAGE_SHIFT})"]
-        if w > 1:
-            lines.append(f"dirty.add(({a} + {w - 1}) >> {_PAGE_SHIFT})")
-        if self.live:
-            lines.append(f"tm.set_vector({a}, {self.vec(ins.value, w)})")
-        return lines
+                         f"dirty.add(q := {a} >> {_PAGE_SHIFT})"]
+        cross = f"if (o := {a} & {PAGE - 1}) > {PAGE - w}: dirty.add(q + 1)"
+        if not self.live:
+            return lines + [cross] * (w > 1)
+        g, more = self.atom(self.vec(ins.value, w), "g")
+        return lines + more + [     # the page is made only for a nonzero vector
+            f"{cross}; tm.set_vector({a}, {g})",
+            f"elif (p := pages.get(q)) is not None: p[o:o + {w}] = {g}",
+            f"elif {g} != _Z{w}: p = pages[q] = bytearray({PAGE}); p[o:o + {w}] = {g}"]
 
     def gep(self, ins: Gep, i: int) -> list:
         structs, t, off = self.image.module.structs, ins.base_ty, 0
@@ -622,8 +638,8 @@ class _Writer:
         elif kind != "f" and op != "cmp":
             bias, mask = kind
             e = f"(({e}) + {bias} & {mask:#x}) - {bias}" if bias else f"({e}) & {mask:#x}"
-        return self.define(ins.dest, e, w, tag=f"{self.tag(ins.lhs, w)}"
-                           f" | {self.tag(ins.rhs, w)}")
+        tags = [t for t in (self.tag(ins.lhs, w), self.tag(ins.rhs, w)) if t != "0"]
+        return self.define(ins.dest, e, w, tag=" | ".join(tags) or "0")
 
     def br(self, ins: Br, i: int) -> list:
         then, other = self.target(ins.then_label, ins), self.target(ins.else_label, ins)
@@ -709,7 +725,7 @@ class _Writer:
     def vec(self, op: Operand, w: int) -> str:
         """An expression of the operand's tag vector resized to `w` bytes."""
         if type(op) is not Temp:
-            return repr(bytes(w))
+            return f"_Z{w}"
         hit = self.local.get(op.name)
         if hit is None:
             self.used.add("tg")
@@ -725,7 +741,8 @@ class _Writer:
         if hit is None:
             self.used.add("tg")
             return f"_tag(tg.get({op.name!r}, b'\\0'), {w})"
-        return f"n{hit[0]}" if hit[2] else f"_tag(g{hit[0]}, {w})"
+        return (f"n{hit[0]}" if hit[2] else f"_U[g{hit[0]}]" if hit[1] <= w
+                else f"_tag(g{hit[0]}, {w})")
 
     def target(self, label: str, ins: Instr) -> str:
         """The segment a branch to `label` goes to; a label the function
@@ -919,14 +936,15 @@ class Machine:
     def call_entry(self, fn_name: str, args: Sequence[object],
                    arg_tags: Optional[Sequence[Optional[bytes]]] = None) -> int:
         """Invoke a function as the program entry and run to completion;
-        returns its (integer) result, 0 for void."""
+        returns its (integer) result, 0 for void.  Each tag vector may be any
+        bytes-like object; it is copied to `bytes`."""
         fn = self.module.functions.get(fn_name)
         if fn is None:
             raise MachineTrap("unknown entry function", detail=fn_name)
         if len(args) != len(fn.params):
             raise MachineTrap("entry argument count mismatch",
                               detail=f"{fn_name} wants {len(fn.params)}")
-        vecs = [_resize_vec(arg_tags[i], _width(pty))
+        vecs = [_resize_vec(bytes(arg_tags[i]), _width(pty))
                 if arg_tags is not None and arg_tags[i] else bytes(_width(pty))
                 for i, (_, pty) in enumerate(fn.params)]
         self._check_sinks(fn.name, [_wrap(a, _kind(t)) for a, (_, t) in

@@ -478,3 +478,58 @@ class TestRulesNotADirectory:
         rc = main(["--trials", "3", "compare", str(workdir / "corpus" / "libcorpus.ir"),
                    "--fn", "memcpy", "--rules", str(workdir / "empty")])
         assert rc == 0 and "ratio=1.000" in capsys.readouterr().out
+
+
+class TestUnwritableOutput:
+    """An `--out` or `--report` path that cannot be written is a diagnostic
+    naming it and exit 1, never a traceback."""
+
+    COMMANDS = {
+        "flatten": ["flatten", "libcorpus.ir"],
+        "pdg": ["pdg", "student_flow.ir", "--fn", "memcpy"],
+        "summarize": ["summarize", "student_flow.ir"],
+        "rules": ["rules", "student_flow.ir"],
+        "compare": ["--trials", "3", "compare", "libcorpus.ir", "--fn", "memcpy"],
+        "nitest": ["--trials", "3", "nitest", "libcorpus.ir", "--fn", "memcpy"],
+        "bench": ["bench", "bench_memcpy.ir", "--args", "8"],
+    }
+
+    @staticmethod
+    def _argv(workdir, args):
+        return [str(workdir / "corpus" / a) if a.endswith(".ir") else a for a in args]
+
+    @pytest.mark.parametrize("cmd", sorted(COMMANDS))
+    @pytest.mark.parametrize("under, reason", [
+        ("", "File exists"), ("sub", "Not a directory")])
+    def test_out_names_a_file(self, workdir, cmd, under, reason, capsys):
+        out = workdir / "cfg.json" / under if under else workdir / "cfg.json"
+        rc = main(self._argv(workdir, self.COMMANDS[cmd]) + ["--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.endswith(f"error: {out}: {reason}\n")
+
+    def test_out_file_that_is_a_directory(self, workdir, capsys):
+        out = workdir / "build"
+        (out / "rule_stats.csv").mkdir(parents=True)
+        rc = main(["rules", str(workdir / "corpus" / "student_flow.ir"), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {out / 'rule_stats.csv'}: Is a directory\n"
+
+    def test_report_over_a_file_that_is_not_utf8(self, workdir, capsys):
+        report = workdir / "r.json"
+        report.write_bytes(b"\xff\xfe")
+        assert main(["run", str(workdir / "corpus" / "student_flow.ir"),
+                     "--report", str(report)]) == 0
+        assert report.read_text() == capsys.readouterr().out
+
+    @pytest.mark.parametrize("where, reason", [
+        ("nonexistent/dir/r.json", "No such file or directory"),
+        ("cfg.json/r.json", "Not a directory"),
+        ("corpus", "Is a directory"),
+    ])
+    def test_report_path(self, workdir, where, reason, capsys):
+        report = workdir / where
+        rc = main(["run", str(workdir / "corpus" / "student_flow.ir"),
+                   "--report", str(report)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {report}: {reason}\n" and captured.out == ""

@@ -910,7 +910,8 @@ class ReferenceMachine(Machine):
 
 def outcome(cls, module, entry, args, *, arg_tags=None, before=None, **kw):
     """Everything a run leaves behind: its RunReport or how it stopped,
-    the counters, final memory, Tagmap pages, ret_shadow and sink hits."""
+    the counters, final memory and the pages marked written, Tagmap pages,
+    ret_shadow and sink hits."""
     m = cls(module, **kw)
     if before is not None:
         before(m)
@@ -926,7 +927,7 @@ def outcome(cls, module, entry, args, *, arg_tags=None, before=None, **kw):
             m.instr_unins, tuple(m.tagmap.nonzero_bytes()), tuple(m.sink_hits),
             _fold(m.ret_shadow))
     return (result, m.instr_total, m.instr_unins, m.shadow_ops_instr,
-            m.shadow_ops_rules, bytes(m.memory),
+            m.shadow_ops_rules, bytes(m.memory), sorted(m.memory.dirty),
             {p: bytes(page) for p, page in m.tagmap.pages.items()},
             m.ret_shadow, tuple(m.sink_hits), m.live)
 
@@ -1830,3 +1831,115 @@ class TestStringExtentsAtReturn:
         # at return @d spans 7 bytes and @s 5, taking in label 2; at entry
         # they spanned 3 and 2, label 1 only
         assert d_tags == [3] * 7 + [0] * 9
+
+
+EDGE = 32      # @buf's offset of the page edge it spans
+STRADDLE = """\
+global @pad : [{pad} x char]
+global @buf : [64 x char]
+
+fn @f(%v: u64) -> u64 {{
+entry:
+  %s = alloca [{frame} x char]
+{body}
+}}
+"""
+_UTY = {1: "u8", 2: "u16", 4: "u32", 8: "u64"}
+# (op, width, offset in @buf, stored value): accesses at and around the edge
+_ACCESS = st.tuples(st.sampled_from(("load", "store")), st.sampled_from(sorted(_UTY)),
+                    st.integers(EDGE - 9, EDGE + 1), st.sampled_from(("%v", "0", "%x")))
+
+
+def _straddle_source(frame, accesses):
+    lines, loaded = [], False
+    for k, (op, w, off, value) in enumerate(accesses):
+        lines.append(f"  %p{k} = gep [64 x char], @buf, 0, {off}")
+        if op == "load":
+            lines.append(f"  %x = load {_UTY[w]}, %p{k}")
+            loaded = True
+        else:
+            value = "%v" if value == "%x" and not loaded else value
+            lines.append(f"  store {_UTY[w]} {value}, %p{k}")
+    if loaded:      # a fold of its first byte only, kept in @buf[0]
+        lines += ["  %y = add u8 %x, 1", "  %q = gep [64 x char], @buf, 0, 0",
+                  "  store u8 %y, %q"]
+    lines.append(f"  ret u64 {'%x' if loaded else '%v'}")
+    return STRADDLE.format(pad=PAGE - GLOBALS_BASE % PAGE - EDGE, frame=frame,
+                           body="\n".join(lines))
+
+
+class TestInlineShadowPath:
+    """Tracked loads, stores and allocas do the Tagmap's one-page work in
+    the compiled segment and call `get_vector`/`set_vector` only for an
+    access that crosses a page."""
+
+    def test_buffer_spans_a_page_edge(self):
+        m = parse_module(_straddle_source(8, []))
+        assert Image(m).global_addr["buf"] + EDGE == 2 * PAGE
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((8, 40, PAGE - 6, PAGE + 4, 6000)),
+           st.lists(_ACCESS, min_size=1, max_size=6),
+           st.sampled_from((b"\0", b"\x05", bytes(range(1, 9)), b"\0\0\0\x02\x04\0\0\0")),
+           st.sampled_from(("none", "low", "high", "both", "window")),
+           st.booleans())
+    def test_accesses_around_a_page_edge(self, frame, accesses, tag, pages, stack):
+        """Widths 1 to 8 at every offset around the edge, tainted and clean
+        values, each page absent or present, and allocas that zero a
+        present stack page or cross one."""
+        m = parse_module(_straddle_source(frame, accesses))
+        mem_size = 1 << 16
+
+        def before(machine):
+            edge = machine.global_addr["buf"] + EDGE
+            if pages in ("low", "both"):
+                machine.tagmap.set_taint(edge - PAGE + 3, 7, 1)
+            if pages in ("high", "both"):
+                machine.tagmap.set_taint(edge + PAGE - 3, 7, 1)
+            if pages == "window":
+                machine.tagmap.set_vector(edge - 8, bytes(range(16)))
+            if stack:
+                machine.tagmap.set_taint(mem_size - 6000, 9, 6000)
+        assert_same_runs(m, "f", [0x0102030405060708], {}, arg_tags=[tag],
+                         before=before, mem_size=mem_size)
+
+    @staticmethod
+    def _count_tagmap_calls(monkeypatch):
+        calls = []
+        for name in ("get_vector", "set_vector"):
+            def counted(self, *args, _inner=getattr(Tagmap, name), _name=name):
+                calls.append(_name)
+                return _inner(self, *args)
+            monkeypatch.setattr(Tagmap, name, counted)
+        return calls
+
+    def test_benchmark_runs_never_leave_the_inline_path(self, monkeypatch, bench_memcpy,
+                                                        bench_user):
+        """Every access of instr-mode bench_memcpy n=2048 and bench_user
+        n=256 fits in one page, so none reaches the Tagmap's methods."""
+        memcpy, user = Machine(bench_memcpy, mode="instr"), Machine(bench_user, mode="instr")
+        memcpy.tagmap.set_taint(memcpy.global_addr["src_buf"], 1, 2048)
+        user.tagmap.set_taint(user.global_addr["data"] + 5, 2, 9)
+        calls = self._count_tagmap_calls(monkeypatch)
+        memcpy.call_entry("main", [2048])
+        user.call_entry("main", [256])
+        assert calls == []
+        assert memcpy.tagmap.count_nonzero() == 2 * 2048 and _fold(user.ret_shadow) == 2
+
+    def test_an_access_across_the_edge_takes_the_tagmap_path(self, monkeypatch):
+        m = Machine(parse_module(_straddle_source(8, [("store", 8, EDGE - 4, "%v"),
+                                                      ("load", 4, EDGE - 2, "")])),
+                    mem_size=1 << 16)
+        calls = self._count_tagmap_calls(monkeypatch)
+        m.call_entry("f", [1], [b"\x03"])
+        assert calls[0] == "set_vector" and set(calls) == {"set_vector", "get_vector"}
+        assert _fold(m.ret_shadow) == 3
+
+    @pytest.mark.parametrize("tags", [bytearray(b"\x01") * 4, memoryview(b"\x01\x02"),
+                                      bytearray(b"\x04")])
+    def test_entry_tags_of_any_bytes_like_type(self, libcorpus, tags):
+        """A bytearray tag of the parameter's width used to reach the
+        generated fold as it was, which cannot hash it."""
+        m = Machine(libcorpus, mem_size=1 << 20)
+        assert m.call_entry("abs_a", [-5], [tags]) == 5
+        assert m.ret_shadow == bytes([_fold(bytes(tags))]) * 4
