@@ -162,6 +162,15 @@ def parse_type_text(text: str) -> Type:
     return ty
 
 
+def parse_leading_type(text: str) -> Type | None:
+    """The type written at the start of text, or None when the text does
+    not start with one."""
+    try:
+        return parse_type(_Cursor(_tokenize(text), 0))
+    except _LineError:
+        return None
+
+
 def _parse_operand(cur: _Cursor) -> Operand:
     kind, text, col = cur.next()
     if kind == "pct":

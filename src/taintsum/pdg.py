@@ -13,6 +13,7 @@ cdep only on request.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
@@ -22,7 +23,7 @@ from .ir import (
     Jmp, Load, Module, Operand, Ptr, Ret, Store, Temp, Type,
     is_struct_like, type_str,
 )
-from . import parser as _parser
+from .parser import instr_str, parse_leading_type
 
 TRAVERSABLE = frozenset(
     {"d_gnrl", "def_use", "raw", "p_form", "p_act", "p_fld", "p_in", "p_out"})
@@ -45,11 +46,8 @@ class PdgNode:
     fn: str
     instr: Optional[str] = None
     param_index: Optional[int] = None
-    arg_index: Optional[int] = None
     call_uid: Optional[str] = None
     global_name: Optional[str] = None
-    field_path: tuple[str, ...] = ()
-    ty: Optional[Type] = None
     label: str = ""
 
 
@@ -490,7 +488,11 @@ def postdominators(fn: Function) -> dict[str, set[str]]:
     return pdom
 
 
-def _ipdom(pdom: dict[str, set[str]], lbl: str) -> Optional[str]:
+def _ipdom(pdom: dict[str, set[str]], live: set[str], lbl: str) -> Optional[str]:
+    """The immediate postdominator of a block, or None for a block from
+    which the exit cannot be reached (`live` holds those that reach it)."""
+    if lbl not in live:
+        return None
     strict = pdom[lbl] - {lbl}
     for s in strict:
         if pdom.get(s, set()) == strict:
@@ -503,19 +505,22 @@ def control_dependencies(fn: Function) -> dict[str, set[str]]:
     standard postdominator-frontier walk."""
     pdom = postdominators(fn)
     succ = _block_successors(fn)
+    live = {_EXIT}
+    while grown := {b for b, ss in succ.items() if b not in live and live & set(ss)}:
+        live |= grown
     deps: dict[str, set[str]] = {b.label: set() for b in fn.blocks}
     for b in fn.blocks:
         term = b.instrs[-1]
         if not isinstance(term, Br):
             continue
-        stop = _ipdom(pdom, b.label)
+        stop = _ipdom(pdom, live, b.label)
         for s in succ[b.label]:
             runner = s
             walked = set()
             while runner not in (stop, _EXIT, None) and runner not in walked:
                 walked.add(runner)
                 deps[runner].add(term.uid)
-                runner = _ipdom(pdom, runner)
+                runner = _ipdom(pdom, live, runner)
     return deps
 
 
@@ -580,18 +585,14 @@ def build_pdg(module: Module, fn: Function | str,
     return g
 
 
-def _label_for(ins: Instr) -> str:
-    return _parser.instr_str(ins)
-
-
 def _build_function_nodes(g: Pdg, fn: Function) -> None:
     entry = g._new_node(kind="entry", fn=fn.name,
                         label=f"<<ENTRY>> {fn.name}")
     g._entry[fn.name] = entry.id
     for i, (pname, pty) in enumerate(fn.params):
-        fi = g._new_node(kind="formal_in", fn=fn.name, param_index=i, ty=pty,
+        fi = g._new_node(kind="formal_in", fn=fn.name, param_index=i,
                          label=f"FORMAL_IN: {i} {type_str(pty)}")
-        fo = g._new_node(kind="formal_out", fn=fn.name, param_index=i, ty=pty,
+        fo = g._new_node(kind="formal_out", fn=fn.name, param_index=i,
                          label=f"FORMAL_OUT: {i} {type_str(pty)}")
         g._formal_in[(fn.name, i)] = fi.id
         g._formal_out[(fn.name, i)] = fo.id
@@ -600,10 +601,9 @@ def _build_function_nodes(g: Pdg, fn: Function) -> None:
         if is_struct_like(pty):
             sname = (pty.pointee if isinstance(pty, Ptr) else pty).name
             decl = g.module.structs.get(sname)
-            for fidx, (fname, fty) in enumerate(decl.fields if decl else ()):
+            for fidx, (_, fty) in enumerate(decl.fields if decl else ()):
                 fld = g._new_node(
                     kind="field", fn=fn.name, param_index=i,
-                    field_path=(fname,), ty=fty,
                     label=f"{type_str(fty)} arg_pos: {i} -f_id: {fidx}")
                 g._add_edge(fi.id, fld.id, "p_fld")
 
@@ -611,14 +611,14 @@ def _build_function_nodes(g: Pdg, fn: Function) -> None:
     for ins in instrs:
         if isinstance(ins, Call):
             node = g._new_node(kind="call_site", fn=fn.name, instr=ins.uid,
-                               call_uid=ins.uid, label=_label_for(ins))
+                               call_uid=ins.uid, label=instr_str(ins))
         elif isinstance(ins, Ret):
             node = g._new_node(kind="return", fn=fn.name, instr=ins.uid,
-                               ty=fn.ret_ty, label=_label_for(ins))
+                               label=instr_str(ins))
             g._returns.setdefault(fn.name, []).append(node.id)
         else:
             node = g._new_node(kind="general", fn=fn.name, instr=ins.uid,
-                               label=_label_for(ins))
+                               label=instr_str(ins))
         g.instr_index[ins.uid] = node.id
 
     # one static value node per referenced global
@@ -631,9 +631,7 @@ def _build_function_nodes(g: Pdg, fn: Function) -> None:
 def _ensure_global_node(g: Pdg, fn_name: str, gname: str) -> int:
     key = (fn_name, gname)
     if key not in g._gv:
-        decl = g.module.globals.get(gname)
         node = g._new_node(kind="global_value", fn=fn_name, global_name=gname,
-                           ty=decl.ty if decl else None,
                            label=f"GLOBAL_VALUE:@{gname}")
         g._gv[key] = node.id
     return g._gv[key]
@@ -645,18 +643,11 @@ def _build_call_sites(g: Pdg, fn: Function, summaries: Mapping[str, object]) -> 
             continue
         callee = g.module.functions.get(ins.callee)
         summary = summaries.get(ins.callee)
-        arg_types: list[Optional[Type]] = []
         for j in range(len(ins.args)):
-            if callee is not None and j < len(callee.params):
-                arg_types.append(callee.params[j][1])
-            else:
-                arg_types.append(None)
-        for j, a in enumerate(ins.args):
             # binding to the call site is recorded on the node; a call->arg
             # edge would conduct return-flow back into sibling arguments
             ai = g._new_node(
                 kind="actual_in", fn=fn.name, instr=ins.uid, call_uid=ins.uid,
-                arg_index=j, ty=arg_types[j],
                 label=f"ACTUAL_IN: {j} @{ins.callee}")
             g._ai[(ins.uid, j)] = ai.id
 
@@ -677,7 +668,6 @@ def _summary_out_node(g: Pdg, fn: Function, ins: Call, slot) -> int:
         if key not in aos:
             node = g._new_node(
                 kind="actual_out", fn=fn.name, instr=ins.uid, call_uid=ins.uid,
-                arg_index=slot.index, field_path=slot.field_path, ty=slot.ty,
                 label=f"ACTUAL_OUT: {slot.index} @{ins.callee}"
                       + ("." + ".".join(slot.field_path) if slot.field_path else ""))
             aos[key] = node.id
@@ -690,7 +680,7 @@ def _summary_out_node(g: Pdg, fn: Function, ins: Call, slot) -> int:
     if key not in gouts:
         node = g._new_node(
             kind="global_value", fn=fn.name, instr=ins.uid, call_uid=ins.uid,
-            global_name=slot.name, field_path=slot.field_path, ty=slot.ty,
+            global_name=slot.name,
             label=f"GLOBAL_VALUE:@{slot.name}"
                   + ("." + ".".join(slot.field_path) if slot.field_path else "")
                   + f" (out of @{ins.callee})")
@@ -710,7 +700,6 @@ def _summary_in_node(g: Pdg, fn: Function, ins: Call, slot) -> Optional[int]:
         if key not in fields:
             node = g._new_node(
                 kind="field", fn=fn.name, instr=ins.uid, call_uid=ins.uid,
-                arg_index=slot.index, field_path=slot.field_path, ty=slot.ty,
                 label=f"{type_str(slot.ty) if slot.ty else '?'} arg_pos:"
                       f" {slot.index} -f_id: {'.'.join(slot.field_path)}")
             fields[key] = node.id
@@ -741,8 +730,7 @@ def _link_inlined_call(g: Pdg, fn: Function, ins: Call, callee: Function) -> Non
             if (j, ()) not in aos:
                 node = g._new_node(
                     kind="actual_out", fn=fn.name, instr=ins.uid,
-                    call_uid=ins.uid, arg_index=j, ty=callee.params[j][1],
-                    label=f"ACTUAL_OUT: {j} @{ins.callee}")
+                    call_uid=ins.uid, label=f"ACTUAL_OUT: {j} @{ins.callee}")
                 aos[(j, ())] = node.id
             ao = aos[(j, ())]
             g._add_edge(g._formal_out[(callee.name, j)], ao, "p_out")
@@ -895,6 +883,9 @@ def _build_control_edges(g: Pdg) -> None:
 _OPCODE_CLASSES = {
     "alloca": Alloca, "load": Load, "store": Store, "gep": Gep, "call": Call,
 }
+_FIND_PATTERN = re.compile(
+    r"(?:%[A-Za-z_][A-Za-z0-9_.]*\s*=)?\s*([A-Za-z_][A-Za-z0-9_.]*)(.*)", re.S)
+_GLOBAL_NAME = re.compile(r"@([A-Za-z_][A-Za-z0-9_.]*)")
 
 
 def find_node(g: Pdg, pattern: str) -> Optional[int]:
@@ -914,24 +905,14 @@ def find_node(g: Pdg, pattern: str) -> Optional[int]:
     if pat.startswith("<<ENTRY>>"):
         return g._entry.get(g.function_name)
 
-    toks = _parser._tokenize(pat)
-    # strip a leading "%var =" if present
-    if len(toks) >= 2 and toks[0][0] == "pct" and toks[1][1] == "=":
-        toks = toks[2:]
-    if not toks:
+    # an optional "%var =", the opcode, then an optional leading type
+    mo = _FIND_PATTERN.match(pat)
+    if mo is None:
         return None
-    opcode = toks[0][1]
-    cur = _parser._Cursor(toks[1:], 0)
-    want_ty = None
-    if not cur.at_end() and cur.peek()[0] != "at":
-        try:
-            want_ty = _parser.parse_type(cur)
-        except Exception:
-            want_ty = None
-    want_global = None
-    for kind, text, _ in toks:
-        if kind == "at":
-            want_global = text[1:]
+    opcode = mo.group(1)
+    want_ty = parse_leading_type(mo.group(2))
+    globals_named = _GLOBAL_NAME.findall(mo.group(2))
+    want_global = globals_named[-1] if globals_named else None
 
     def primary_type(ins: Instr) -> Optional[Type]:
         if isinstance(ins, (Load, Store, BinOp, Alloca)):

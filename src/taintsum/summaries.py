@@ -212,7 +212,7 @@ def _is_summary_in(g: Pdg, node_id: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def _candidates(module: Module, fn: Function, g: Pdg):
-    """Parameter and global candidates as (node ids, slot base, type)."""
+    """Parameter and global candidates as (root, node ids, type)."""
     cands = []
     for i, (pname, pty) in enumerate(fn.params):
         cands.append((("param", i), [g.formal_in(i)], pty))
@@ -237,97 +237,79 @@ def _base_slot(module: Module, fn: Function, root: tuple,
                      base_ty=module.globals[ident].ty, path=path)
 
 
-def _struct_refinements(module: Module, fn: Function, g: Pdg, root: tuple,
-                        cand_nodes: list[int], want_load: bool):
-    """Shared pattern scan for struct-like candidates.
-
-    Yields (node id, slot) for loads (sources) or stores (targets) whose
-    address derives from the candidate through constant geps, and for
-    summarized call arguments rooted at the candidate.
-    """
-    reach: set[int] = set()
-    for n in cand_nodes:
-        reach |= g.reachable_from(n, include_control_deps=False)
-        reach.add(n)
-    out = []
-    for f in g.included.values():
-        idx = g.index(f.name)
-        for ins in idx.instrs:
-            if isinstance(ins, Gep):
-                chain = _chain_root(f, idx.defs, module, Temp(ins.dest))
-                if chain is None or (chain[0], chain[1]) != root:
-                    continue
-                gnode = g.node_of_instr(ins.uid)
-                if gnode not in reach:
-                    continue
-                nxt = g.find_next_use(ins.uid)
-                if nxt is None:
-                    continue
-                nxt_ins = idx.by_uid[nxt]
-                if want_load:
-                    if isinstance(nxt_ins, Load) and nxt_ins.addr == Temp(ins.dest):
-                        out.append((g.node_of_instr(nxt),
-                                    _base_slot(module, fn, root, chain[2])))
-                else:
-                    if isinstance(nxt_ins, Store) and nxt_ins.addr == Temp(ins.dest):
-                        out.append((g.node_of_instr(nxt),
-                                    _base_slot(module, fn, root, chain[2])))
-    return out
+def _reach(g: Pdg, nodes: list[int]) -> set[int]:
+    """The candidate's nodes and every node data-reachable from them."""
+    reach = set(nodes)
+    for n in nodes:
+        reach |= g.reachable_from(n)
+    return reach
 
 
-def _call_arg_bindings(module: Module, fn: Function, g: Pdg, root: tuple,
-                       cand_nodes: list[int]):
-    """Summarized-call arguments whose pointer derives from the candidate:
-    composes the caller-side field path with the callee summary's slots."""
-    reach: set[int] = set()
-    for n in cand_nodes:
-        reach |= g.reachable_from(n, include_control_deps=False)
-        reach.add(n)
-    ins_nodes = []     # (node, slot) feeding the callee
-    out_nodes = []     # (node, slot) written by the callee
-    for f in g.included.values():
-        idx = g.index(f.name)
-        for ins in idx.instrs:
-            if not isinstance(ins, Call) or ins.uid not in g.summarized_calls:
-                continue
-            for j, arg in enumerate(ins.args):
-                chain = _chain_root(f, idx.defs, module, arg)
-                if chain is None or (chain[0], chain[1]) != root:
-                    continue
-                base_path = chain[2]
-                ai = g.actual_in(ins.uid, j)
-                if ai is not None and ai in reach:
-                    if _is_summary_in(g, ai):
-                        ins_nodes.append(
-                            (ai, _base_slot(module, fn, root, base_path)))
-                    for aj, fp, fnode in g.actual_in_fields(ins.uid):
-                        if aj == j:
-                            ins_nodes.append(
-                                (fnode,
-                                 _base_slot(module, fn, root, base_path + fp)))
-                for aj, fp, anode in g.actual_out_nodes(ins.uid):
-                    if aj == j:
-                        out_nodes.append(
-                            (anode,
-                             _base_slot(module, fn, root, base_path + fp)))
-    return ins_nodes, out_nodes
+class _ChainTable:
+    """One program-order pass over a graph's instructions.
+
+    `loads`, `stores` and `args` map each (root kind, root) to the field
+    loads (gep node, load node, path), chained stores (store node, path)
+    and summarized-call arguments (call uid, arg index, path) whose address
+    chains back to it.  `stashed` holds (load node, store node) for each
+    store through a pointer loaded just before it."""
+
+    def __init__(self, module: Module, g: Pdg):
+        self.loads, self.stores, self.args = {}, {}, {}
+        self.stashed: list[tuple[int, int]] = []
+        for f in g.included.values():
+            idx = g.index(f.name)
+            for ins in idx.instrs:
+                node = g.node_of_instr(ins.uid)
+                if isinstance(ins, Gep):
+                    nxt = g.find_next_use(ins.uid)
+                    use = idx.by_uid.get(nxt)
+                    if isinstance(use, Load) and use.addr == Temp(ins.dest):
+                        chain = _chain_root(f, idx.defs, module, use.addr)
+                        self._add(self.loads, chain, node, g.node_of_instr(nxt))
+                elif isinstance(ins, Store):
+                    chain = _chain_root(f, idx.defs, module, ins.addr)
+                    self._add(self.stores, chain, node)
+                    if chain is None and isinstance(ins.addr, Temp):
+                        d = idx.defs.get(ins.addr.name)
+                        if isinstance(d, Load) and g.find_next_use(d.uid) == ins.uid:
+                            self.stashed.append((g.node_of_instr(d.uid), node))
+                elif isinstance(ins, Call) and ins.uid in g.summarized_calls:
+                    for j, arg in enumerate(ins.args):
+                        chain = _chain_root(f, idx.defs, module, arg)
+                        self._add(self.args, chain, ins.uid, j)
+
+    @staticmethod
+    def _add(entries: dict, chain, *entry) -> None:
+        if chain is not None:
+            entries.setdefault(chain[:2], []).append(entry + (chain[2],))
 
 
 def source_nodes(module: Module, fn: Function, g: Pdg) -> NodeBinding:
     """Input candidates: primitive params/globals bind directly; struct-like
     ones bind through field loads and summarized call arguments."""
     binding = NodeBinding()
+    table = _ChainTable(module, g)
     for root, nodes, ty in _candidates(module, fn, g):
         slot = _base_slot(module, fn, root, ())
         if is_prim_type(ty) and not is_struct_like(ty):
             for n in nodes:
                 binding.add_source(n, slot)
             continue
-        for n, s in _struct_refinements(module, fn, g, root, nodes, want_load=True):
-            binding.add_source(n, s)
-        ins_nodes, _ = _call_arg_bindings(module, fn, g, root, nodes)
-        for n, s in ins_nodes:
-            binding.add_source(n, s)
+        reach = _reach(g, nodes)
+        for gnode, lnode, path in table.loads.get(root, ()):
+            if gnode in reach:
+                binding.add_source(lnode, _base_slot(module, fn, root, path))
+        for uid, j, path in table.args.get(root, ()):
+            ai = g.actual_in(uid, j)
+            if ai not in reach:
+                continue
+            if _is_summary_in(g, ai):
+                binding.add_source(ai, _base_slot(module, fn, root, path))
+            for aj, fp, fnode in g.actual_in_fields(uid):
+                if aj == j:
+                    binding.add_source(
+                        fnode, _base_slot(module, fn, root, path + fp))
         if root[0] == "global":
             for n in nodes:
                 if _is_summary_in(g, n):
@@ -343,42 +325,29 @@ def target_nodes(module: Module, fn: Function, g: Pdg) -> NodeBinding:
     for rid in g.return_nodes():
         binding.add_target(rid, make_slot(module, "ret", base_ty=fn.ret_ty))
 
+    table = _ChainTable(module, g)
     for root, nodes, ty in _candidates(module, fn, g):
         # only globals and pointer parameters name caller-visible storage
         if root[0] != "global" and not isinstance(ty, Ptr):
             continue
-
-        # stores whose address chains back through constant geps
-        for f in g.included.values():
-            idx = g.index(f.name)
-            for ins in idx.instrs:
-                if not isinstance(ins, Store):
-                    continue
-                chain = _chain_root(f, idx.defs, module, ins.addr)
-                if chain is not None and (chain[0], chain[1]) == root:
-                    binding.add_target(g.node_of_instr(ins.uid),
-                                       _base_slot(module, fn, root, chain[2]))
-                    continue
-                # stashed-pointer writes: load-then-store
-                if isinstance(ins.addr, Temp):
-                    d = idx.defs.get(ins.addr.name)
-                    if isinstance(d, Load):
-                        lnode = g.node_of_instr(d.uid)
-                        reach_ok = any(
-                            lnode in g.reachable_from(n) for n in nodes)
-                        if reach_ok and g.find_next_use(d.uid) == ins.uid:
-                            binding.add_target(g.node_of_instr(ins.uid),
-                                               _base_slot(module, fn, root, ()))
-        _, out_nodes = _call_arg_bindings(module, fn, g, root, nodes)
-        for n, s in out_nodes:
-            binding.add_target(n, s)
+        for snode, path in table.stores.get(root, ()):
+            binding.add_target(snode, _base_slot(module, fn, root, path))
+        # stashed-pointer writes: load-then-store
+        if table.stashed:
+            reach = _reach(g, nodes)
+            for lnode, snode in table.stashed:
+                if lnode in reach:
+                    binding.add_target(snode, _base_slot(module, fn, root, ()))
+        for uid, j, path in table.args.get(root, ()):
+            for aj, fp, anode in g.actual_out_nodes(uid):
+                if aj == j:
+                    binding.add_target(
+                        anode, _base_slot(module, fn, root, path + fp))
 
     # globals written by summarized callees, regardless of local references
     for cu in sorted(g.summarized_calls):
         for gname, fp, nid in g.global_out_nodes(cu):
-            binding.add_target(
-                nid, make_slot(module, "global", name=gname,
-                               base_ty=module.globals[gname].ty, path=fp))
+            binding.add_target(nid, _base_slot(module, fn, ("global", gname), fp))
     binding.targets.sort()
     return binding
 

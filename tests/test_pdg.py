@@ -9,7 +9,7 @@ from collections import deque
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from taintsum import build_pdg, corpus, find_node, parse_module
 from taintsum import pdg as pdg_module
@@ -333,6 +333,67 @@ class TestControlDependence:
         br_uid = next(b.instrs[-1].uid for b in fn.blocks if b.label == "cond")
         assert br_uid in deps["body"]
         assert br_uid not in deps["done"]
+
+    SPIN = """fn @spin(%a: i64, %b: i64, %o: ptr(i64)) -> i64 library {
+entry:
+  jmp b3
+b1:
+  jmp b1
+b2:
+  ret i64 0
+b3:
+  store i64 %a, %o
+  br %b, b2, b1
+}
+"""
+
+    def test_block_that_cannot_reach_exit_ends_the_walk(self):
+        # b1 spins forever, so it has no immediate postdominator; the store
+        # in b3 runs on every call and depends on no branch
+        m = parse_module(self.SPIN)
+        assert control_dependencies(m.functions["spin"]) == {
+            "entry": set(), "b1": {"spin:4"}, "b2": set(), "b3": set()}
+        summaries, diags = summarize_library(m, True)
+        assert diags == []
+        assert [(str(o), [str(i) for i in ins])
+                for o, ins in summaries["spin"].entries] == [("param2", ["param0"])]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["br", "jmp", "ret"]),
+                              st.integers(0, 6), st.integers(0, 6)),
+                    min_size=1, max_size=7))
+    @example([("jmp", 3, 0), ("jmp", 1, 0), ("ret", 0, 0), ("br", 2, 1)])
+    def test_no_dependence_on_an_unreaching_branch(self, blocks):
+        # a block is control-dependent only on branches it can be reached
+        # from (through at least one CFG edge)
+        lines = ["fn @f(%c: i64) -> void {"]
+        for i, (kind, t, e) in enumerate(blocks):
+            t, e = f"b{t % len(blocks)}", f"b{e % len(blocks)}"
+            term = {"ret": "ret", "jmp": f"jmp {t}", "br": f"br %c, {t}, {e}"}[kind]
+            lines += [f"b{i}:", f"  {term}"]
+        fn = parse_module("\n".join(lines + ["}"]) + "\n").functions["f"]
+        succ = {b.label: [] for b in fn.blocks}
+        br_block = {}
+        for b in fn.blocks:
+            term = b.instrs[-1]
+            if isinstance(term, Br):
+                succ[b.label] = [term.then_label, term.else_label]
+                br_block[term.uid] = b.label
+            elif isinstance(term, Jmp):
+                succ[b.label] = [term.label]
+
+        def reached_from(start):
+            seen, todo = set(), list(succ[start])
+            while todo:
+                b = todo.pop()
+                if b not in seen:
+                    seen.add(b)
+                    todo.extend(succ[b])
+            return seen
+
+        for lbl, brs in control_dependencies(fn).items():
+            for br_uid in brs:
+                assert lbl in reached_from(br_block[br_uid]), (lines, lbl, br_uid)
 
 
 class TestExports:

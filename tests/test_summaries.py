@@ -6,19 +6,22 @@ test_validate) and then frozen here; the brute-force cross-check also
 runs inline so a traversal regression cannot silently change the goldens.
 """
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from taintsum import build_pdg, corpus, parse_module
 from taintsum.ir import (
-    Array, CHAR, F32, Function, I32, I64, Int, Ptr, StructDecl, StructRef,
-    is_prim_type,
+    Array, CHAR, Call, F32, Function, Gep, I32, I64, Int, Load, Ptr, Store,
+    StructDecl, StructRef, Temp, is_prim_type, is_struct_like, validate_module,
 )
 from taintsum.summaries import (
-    NodeBinding, SlotRef, Summary, flatten_prim_types, source_nodes,
+    NodeBinding, SlotRef, Summary, _base_slot, _chain_root, _is_summary_in, flatten_prim_types, make_slot, source_nodes,
     summarize_function, summarize_library, summary_gen, target_nodes,
 )
 from test_pdg import brute_force_reachable
@@ -361,3 +364,279 @@ class TestScaling:
             "param2.f3": ["param0", "param1.f2"],
             "ret": ["param0", "param1.f3"],
         }
+
+
+# ---------------------------------------------------------------------------
+# Reference binding: the per-candidate scans that the chain table replaced,
+# kept as the oracle for source_nodes and target_nodes
+# ---------------------------------------------------------------------------
+
+def _ref_candidates(module, fn, g):
+    cands = []
+    for i, (pname, pty) in enumerate(fn.params):
+        cands.append((("param", i), [g.formal_in(i)], pty))
+    for gname in module.globals:
+        nodes = []
+        for fname in g.included:
+            nid = g.global_value_node(gname, fname)
+            if nid is not None:
+                nodes.append(nid)
+        if nodes:
+            cands.append((("global", gname), nodes, module.globals[gname].ty))
+    return cands
+
+
+def _ref_struct_refinements(module, fn, g, root, cand_nodes):
+    reach = set()
+    for n in cand_nodes:
+        reach |= g.reachable_from(n, include_control_deps=False)
+        reach.add(n)
+    out = []
+    for f in g.included.values():
+        idx = g.index(f.name)
+        for ins in idx.instrs:
+            if isinstance(ins, Gep):
+                chain = _chain_root(f, idx.defs, module, Temp(ins.dest))
+                if chain is None or (chain[0], chain[1]) != root:
+                    continue
+                if g.node_of_instr(ins.uid) not in reach:
+                    continue
+                nxt = g.find_next_use(ins.uid)
+                if nxt is None:
+                    continue
+                nxt_ins = idx.by_uid[nxt]
+                if isinstance(nxt_ins, Load) and nxt_ins.addr == Temp(ins.dest):
+                    out.append((g.node_of_instr(nxt),
+                                _base_slot(module, fn, root, chain[2])))
+    return out
+
+
+def _ref_call_arg_bindings(module, fn, g, root, cand_nodes):
+    reach = set()
+    for n in cand_nodes:
+        reach |= g.reachable_from(n, include_control_deps=False)
+        reach.add(n)
+    ins_nodes, out_nodes = [], []
+    for f in g.included.values():
+        idx = g.index(f.name)
+        for ins in idx.instrs:
+            if not isinstance(ins, Call) or ins.uid not in g.summarized_calls:
+                continue
+            for j, arg in enumerate(ins.args):
+                chain = _chain_root(f, idx.defs, module, arg)
+                if chain is None or (chain[0], chain[1]) != root:
+                    continue
+                base_path = chain[2]
+                ai = g.actual_in(ins.uid, j)
+                if ai is not None and ai in reach:
+                    if _is_summary_in(g, ai):
+                        ins_nodes.append(
+                            (ai, _base_slot(module, fn, root, base_path)))
+                    for aj, fp, fnode in g.actual_in_fields(ins.uid):
+                        if aj == j:
+                            ins_nodes.append(
+                                (fnode, _base_slot(module, fn, root, base_path + fp)))
+                for aj, fp, anode in g.actual_out_nodes(ins.uid):
+                    if aj == j:
+                        out_nodes.append(
+                            (anode, _base_slot(module, fn, root, base_path + fp)))
+    return ins_nodes, out_nodes
+
+
+def reference_source_nodes(module, fn, g):
+    binding = NodeBinding()
+    for root, nodes, ty in _ref_candidates(module, fn, g):
+        slot = _base_slot(module, fn, root, ())
+        if is_prim_type(ty) and not is_struct_like(ty):
+            for n in nodes:
+                binding.add_source(n, slot)
+            continue
+        for n, s in _ref_struct_refinements(module, fn, g, root, nodes):
+            binding.add_source(n, s)
+        for n, s in _ref_call_arg_bindings(module, fn, g, root, nodes)[0]:
+            binding.add_source(n, s)
+        if root[0] == "global":
+            for n in nodes:
+                if _is_summary_in(g, n):
+                    binding.add_source(n, slot)
+    binding.sources.sort()
+    return binding
+
+
+def reference_target_nodes(module, fn, g):
+    binding = NodeBinding()
+    for rid in g.return_nodes():
+        binding.add_target(rid, make_slot(module, "ret", base_ty=fn.ret_ty))
+    for root, nodes, ty in _ref_candidates(module, fn, g):
+        if root[0] != "global" and not isinstance(ty, Ptr):
+            continue
+        for f in g.included.values():
+            idx = g.index(f.name)
+            for ins in idx.instrs:
+                if not isinstance(ins, Store):
+                    continue
+                chain = _chain_root(f, idx.defs, module, ins.addr)
+                if chain is not None and (chain[0], chain[1]) == root:
+                    binding.add_target(g.node_of_instr(ins.uid),
+                                       _base_slot(module, fn, root, chain[2]))
+                    continue
+                if isinstance(ins.addr, Temp):
+                    d = idx.defs.get(ins.addr.name)
+                    if isinstance(d, Load):
+                        lnode = g.node_of_instr(d.uid)
+                        reach_ok = any(lnode in g.reachable_from(n) for n in nodes)
+                        if reach_ok and g.find_next_use(d.uid) == ins.uid:
+                            binding.add_target(g.node_of_instr(ins.uid),
+                                               _base_slot(module, fn, root, ()))
+        for n, s in _ref_call_arg_bindings(module, fn, g, root, nodes)[1]:
+            binding.add_target(n, s)
+    for cu in sorted(g.summarized_calls):
+        for gname, fp, nid in g.global_out_nodes(cu):
+            binding.add_target(
+                nid, make_slot(module, "global", name=gname,
+                               base_ty=module.globals[gname].ty, path=fp))
+    binding.targets.sort()
+    return binding
+
+
+def _binding_facts(b):
+    return b.sources, b.targets, sorted(b.wp.items())
+
+
+def assert_binding_matches_reference(module, include_control_deps):
+    """Every function's binding, built on the library summaries of the same
+    setting, equals the reference's: sources, targets and first-bound slots."""
+    summaries, _ = summarize_library(module, include_control_deps)
+    for name, fn in module.functions.items():
+        g = build_pdg(module, fn, {k: v for k, v in summaries.items() if k != name})
+        for got, want in ((source_nodes(module, fn, g), reference_source_nodes(module, fn, g)),
+                          (target_nodes(module, fn, g), reference_target_nodes(module, fn, g))):
+            assert _binding_facts(got) == _binding_facts(want), name
+
+
+def _perfbench_gen():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+BINDING_HEADER = """\
+struct %in { i64 x, i64 y }
+struct %r { i64 a, %in n, ptr(i64) p }
+global @g : %r
+global @k : i64
+global @gp : ptr(i64)
+fn @put(%d: ptr(i64), %v: i64) -> void library {
+entry:
+  store i64 %v, %d
+  ret
+}
+fn @cp(%d: ptr(%r), %s: ptr(%r)) -> void library {
+entry:
+  %sa = gep %r, %s, 0, 0
+  %va = load i64, %sa
+  %da = gep %r, %d, 0, 0
+  store i64 %va, %da
+  %sx = gep %r, %s, 0, 1, 0
+  %vx = load i64, %sx
+  %dy = gep %r, %d, 0, 1, 1
+  store i64 %vx, %dy
+  ret
+}
+fn @h(%d: ptr(%r), %v: i64) -> void {
+entry:
+  %a = gep %r, %d, 0, 0
+  store i64 %v, %a
+  ret
+}
+"""
+
+_binding_op = st.tuples(
+    st.sampled_from(["gep", "gep", "load", "store", "stash", "stash_ptr",
+                     "put", "cp", "h", "add"]),
+    st.integers(0, 1 << 16), st.integers(0, 1 << 16), st.integers(0, 1 << 16))
+
+
+@st.composite
+def binding_modules(draw):
+    """A library function over struct-pointer parameters and struct globals
+    that builds constant-gep field chains, loads and stores through them,
+    stores through stashed pointers and calls summarized and descended
+    callees."""
+    ops = draw(st.lists(_binding_op, min_size=1, max_size=24))
+    recs = ["%s", "%o", "@g"]            # ptr(%r)
+    ins_ = []                            # ptr(%in)
+    words = ["@k"]                       # ptr(i64)
+    slots = ["%q", "@gp"]                # ptr(ptr(i64))
+    vals = ["%x", "7"]
+    body = []
+    for k, (op, a, b, c) in enumerate(ops):
+        val = vals[a % len(vals)]
+        if op == "gep" and ins_ and b % 3 == 0:
+            words.append(f"%e{k}")
+            body.append(f"%e{k} = gep %in, {ins_[a % len(ins_)]}, {c % 2}, {b % 2}")
+        elif op == "gep":
+            base, lead = recs[a % len(recs)], c % 4 == 3
+            path = [[0], [1], [1, 0], [1, 1], [2], []][b % 6]
+            if not path:
+                recs.append(f"%e{k}")
+                body.append(f"%e{k} = gep %r, {base}, 1")
+                continue
+            idx = ", ".join(str(i) for i in [int(lead)] + path)
+            body.append(f"%e{k} = gep %r, {base}, {idx}")
+            # field 1 is an %in, field 2 a ptr(i64); every other path an i64
+            {(1,): ins_, (2,): slots}.get(tuple(path), words).append(f"%e{k}")
+        elif op == "load":
+            vals.append(f"%e{k}")
+            body.append(f"%e{k} = load i64, {words[b % len(words)]}")
+        elif op == "store":
+            body.append(f"store i64 {val}, {words[b % len(words)]}")
+        elif op == "stash":
+            body.append(f"%e{k} = load ptr(i64), {slots[b % len(slots)]}")
+            if c % 4:
+                body.append(f"store i64 {val}, %e{k}")
+            else:
+                words.append(f"%e{k}")
+        elif op == "stash_ptr":
+            body.append(f"store ptr(i64) {words[b % len(words)]}, {slots[c % len(slots)]}")
+        elif op == "put":
+            body.append(f"call void @put({words[b % len(words)]}, {val})")
+        elif op == "cp":
+            body.append(f"call void @cp({recs[b % len(recs)]}, {recs[c % len(recs)]})")
+        elif op == "h":
+            body.append(f"call void @h({recs[b % len(recs)]}, {val})")
+        else:
+            vals.append(f"%e{k}")
+            body.append(f"%e{k} = add i64 {val}, {vals[b % len(vals)]}")
+    text = (BINDING_HEADER
+            + "fn @f(%x: i64, %s: ptr(%r), %o: ptr(%r), %q: ptr(ptr(i64)))"
+            + " -> i64 library {\nentry:\n"
+            + "".join(f"  {line}\n" for line in body)
+            + f"  ret i64 {vals[-1]}\n}}\n")
+    m = parse_module(text)
+    assert validate_module(m) == [], text
+    return m
+
+
+class TestBindingMatchesReference:
+    """The chain-table binding equals the per-candidate reference scans."""
+
+    @pytest.mark.parametrize("name", ["libcorpus", "student_flow",
+                                      "bench_memcpy", "bench_user"])
+    def test_corpus(self, name):
+        for cdeps in (False, True):
+            assert_binding_matches_reference(corpus.load_module(name), cdeps)
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_generated(self, seed):
+        gen = _perfbench_gen()
+        for gm in (gen.scaled_module(seed, 200), gen.scaled_module(seed, 400),
+                   gen.many_small_module(seed, count=10)):
+            assert_binding_matches_reference(parse_module(gm.text), True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(binding_modules(), st.booleans())
+    def test_generated_struct_chains(self, module, cdeps):
+        assert_binding_matches_reference(module, cdeps)

@@ -5,7 +5,12 @@ can be diffed to show a change leaves them byte-identical:
     seeds 0, 1, 7 and 42, control dependences on and off;
   * `taintsum run` reports for the four corpus programs in both modes,
     with and without `--rules`;
-  * the transparency checks on the libcorpus drivers and the programs.
+  * the transparency checks on the libcorpus drivers and the programs;
+  * the offline artifacts, control dependences on and off: `summarize`
+    output, `rules --stats` output with the rule files and `rule_stats.csv`,
+    and `pdg --json` output with the DOT and JSON files, for the four
+    corpus modules and the `offline-scaled` generated modules of
+    `perfbench/gen.py` at seeds 1 and 5.
 
 Usage, from the root of each tree:
 
@@ -21,15 +26,20 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import gen  # noqa: E402
 from taintsum import corpus  # noqa: E402
 from taintsum.cli import main as taintsum  # noqa: E402
 from taintsum.validate import (  # noqa: E402
     default_rules, transparency_check, transparency_check_fn,
 )
+from workloads import SIZES  # noqa: E402
 
 SEEDS = (0, 1, 7, 42)
+GEN_SEEDS = (1, 5)
+OFFLINE = (("summarize", ()), ("rules", ("--stats",)), ("pdg", ("--json",)))
 # (program, entry, entry arguments, taint config)
 RUNS = (
     ("student_flow", "main", "", {
@@ -54,10 +64,28 @@ def cli(tmp: Path, *argv) -> str:
     return text.replace(str(tmp), "<tmp>")
 
 
+def offline_artifacts(tmp: Path, module: Path) -> None:
+    """Each offline command's output and then every file it wrote."""
+    for cdeps in ("on", "off"):
+        for cmd, extra in OFFLINE:
+            out = tmp / f"{module.stem}-{cmd}-{cdeps}"
+            print(cli(tmp, "--control-deps", cdeps, cmd, module, "--out", out, *extra),
+                  end="")
+            for path in sorted(out.iterdir()):
+                print(f"--- {path.name}\n{path.read_text(encoding='utf-8')}", end="")
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         corpus.materialize(tmp)
+        for name, *_ in RUNS:
+            offline_artifacts(tmp, tmp / f"{name}.ir")
+        for seed in GEN_SEEDS:
+            for gm in [gen.scaled_module(seed, n) for n in SIZES] + [gen.many_small_module(seed)]:
+                module = tmp / f"{gm.name}-seed{seed}.ir"
+                module.write_text(gm.text, encoding="utf-8")
+                offline_artifacts(tmp, module)
         lib = tmp / "libcorpus.ir"
         for cdeps in ("on", "off"):
             for seed in SEEDS:
