@@ -14,6 +14,7 @@ live in the value-shadow of the recorded argument (or the return shadow).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from typing import Iterable, Mapping, Optional
 
 from .ir import (
     Diagnostic, LayoutError, Module, Ptr, Void, is_char_or_void_ptr, size_of,
+    type_str,
 )
 from .summaries import SlotRef, Summary, make_slot, summarize_library
 
@@ -192,14 +194,40 @@ def check_rules(prog: TaintRuleProgram, module: Module) -> None:
 # Serialization
 # ---------------------------------------------------------------------------
 
+# json.dumps of a scalar, memoized by value and type: equal values of one
+# type print alike, except floats (0.0 and -0.0), which are not memoized
+_dumps = functools.lru_cache(maxsize=256, typed=True)(json.dumps)
+_type_text = functools.lru_cache(maxsize=256)(type_str)
+
+
+def _q(value) -> str:
+    return json.dumps(value) if type(value) is float else _dumps(value)
+
+
 def serialize_rules(prog: TaintRuleProgram) -> str:
-    doc = {
-        "v": SCHEMA_VERSION,
-        "function": prog.function,
-        "controlDeps": prog.control_deps,
-        "steps": [s.to_json() for s in prog.steps],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The text `json.dumps(doc, indent=2) + "\\n"` gives for the document
+    of `prog` (its steps as `RuleStep.to_json` writes them), written directly
+    because that encoder runs in pure Python."""
+    steps = []
+    for s in prog.steps:
+        slot = s.slot
+        root = (f'\n        "index": {_q(slot.index)},' if slot.kind == "param" else
+                f'\n        "name": {_q(slot.name)},' if slot.kind == "global" else "")
+        path = "[]" if not slot.field_path else "[\n" + ",\n".join(
+            "          " + _q(f) for f in slot.field_path) + "\n        ]"
+        extent = ""
+        if s.nbytes is not None:
+            extent += f',\n      "bytes": {_q(s.nbytes)}'
+        if s.max_len is not None:
+            extent += f',\n      "maxLen": {_q(s.max_len)}'
+        steps.append(f'    {{\n      "op": {_q(s.op)},\n      "slot": {{\n'
+                     f'        "kind": {_q(slot.kind)},{root}\n'
+                     f'        "type": {_q(_type_text(slot.ty))},\n'
+                     f'        "fieldPath": {path}\n      }},\n'
+                     f'      "entry": {_q(s.entry)}{extent}\n    }}')
+    body = "[\n" + ",\n".join(steps) + "\n  ]" if steps else "[]"
+    return (f'{{\n  "v": {_q(SCHEMA_VERSION)},\n  "function": {_q(prog.function)},\n'
+            f'  "controlDeps": {_q(prog.control_deps)},\n  "steps": {body}\n}}\n')
 
 
 def parse_rules(text: str) -> TaintRuleProgram:

@@ -367,7 +367,8 @@ class _Temps(dict):
 # call or a return; tracked code adds its shadow-op count once, just before
 # its call or terminator takes effect.  When a segment raises, the line it
 # stopped on gives the instructions it did not run and the shadow ops it did
-# not count.  Code objects are shared process-wide by source text; the
+# not count.  A function's written code is shared process-wide by every
+# image of its module (`_shared_code`), and code objects by source text; the
 # functions hold no machine.
 
 _SOURCE = "<taintsum segment>"
@@ -765,6 +766,40 @@ _EMIT = {Alloca: _Writer.alloca, Load: _Writer.load, Store: _Writer.store,
          Gep: _Writer.gep, BinOp: _Writer.binop, Br: _Writer.br, Jmp: _Writer.jmp,
          Call: _Writer.call, Ret: _Writer.ret}
 
+# (id of module, id of function, live, mem_size) -> (module, function,
+# snapshot, code), least recently used first.  An entry holds its module and
+# function, so neither id is reused while it lives; the other ids in its
+# snapshot name an object its code embeds and so holds (a call or a callee),
+# or one whose field values alone decide the code.
+CODE_TABLE_SIZE = 256
+_code_table: dict[tuple, tuple] = {}
+
+
+def _shared_code(image: "Image", fn: Function, live: bool) -> _Code:
+    """`fn`'s code from the process-wide table, written again when a
+    snapshot of everything `_Writer` reads differs from the entry's: params,
+    return type, block labels, instructions and their fields (immutable
+    values, as the parser makes them), each callee and its signature, the
+    structs and the global addresses."""
+    functions = image.module.functions
+    snap = [fn.params, fn.ret_ty, tuple(image.module.structs.items()),
+            tuple(image.global_addr.items())]
+    for block in fn.blocks:
+        snap.append(block.label)
+        for ins in block.instrs:
+            snap.append((id(ins), *vars(ins).values()))
+            if type(ins) is Call:
+                callee = functions.get(ins.callee)
+                snap.append((id(callee), callee and callee.params, callee and callee.ret_ty))
+    key = (id(image.module), id(fn), live, image.mem_size)
+    hit = _code_table.pop(key, None)
+    if hit is None or hit[2] != snap:
+        hit = (image.module, fn, snap, _Writer(image, fn, live).code())
+    _code_table[key] = hit
+    while len(_code_table) > CODE_TABLE_SIZE:
+        del _code_table[next(iter(_code_table))]
+    return hit[3]
+
 
 # ---------------------------------------------------------------------------
 # The module image
@@ -798,15 +833,15 @@ class Image:
         if self.heap_start > mem_size // 2:
             raise ValueError(f"the globals need 0x{self.heap_start:x} bytes, more than"
                              f" half of mem_size 0x{mem_size:x}")
-        # (function name, tracked) -> its segments, compiled at the first
-        # frame that runs them
+        # (function name, tracked) -> its segments, taken from the shared
+        # table at the first frame that runs them
         self.code: dict[tuple[str, bool], _Code] = {}
         self._bound: dict[str, tuple[TaintRuleProgram, tuple]] = {}
 
     def compiled(self, fn: Function, live: bool) -> _Code:
         code = self.code.get((fn.name, live))
         if code is None:
-            code = self.code[fn.name, live] = _Writer(self, fn, live).code()
+            code = self.code[fn.name, live] = _shared_code(self, fn, live)
         return code
 
     def prefix(self, fn: Function, live: bool, i: int, j: int) -> tuple[_Code, str]:
@@ -849,8 +884,8 @@ class Image:
 
 class Machine:
     """The state of one run: memory, Tagmap, frames and counters.  The first
-    argument is an `Image`, or a `Module` to build a private one from; an
-    image fixes the rule programs and the memory size."""
+    argument is an `Image`, or a `Module` to build one from; an image fixes
+    the rule programs and the memory size."""
 
     def __init__(self, image: Image | Module, *, mode: str = "instr",
                  rule_programs: Optional[Mapping[str, TaintRuleProgram]] = None,

@@ -310,6 +310,8 @@ def noninterference_check(
     prog = rules.get(fn_name)
     if prog is None:
         raise HarnessError(f"@{fn_name} has no rule program")
+    if not fn.params:
+        raise HarnessError(f"@{fn_name} has no parameter to taint")
     choices: list[int] = []
     violations: list[NIViolation] = []
     nparams, image = len(fn.params), Image(module, mem_size=mem_size)

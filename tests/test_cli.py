@@ -448,6 +448,25 @@ class TestHarnessUnknownFunction:
         assert captured.out == ""
 
 
+class TestHarnessZeroParameters:
+    """`nitest` on a function without parameters has nothing to taint: a
+    diagnostic and exit 1, as `compare` gives, never a traceback."""
+
+    ZERO = "global @g : i32\n\nfn @zero() -> i32 library {\nentry:\n  %x = load i32, @g\n  ret i32 %x\n}\n"
+
+    @pytest.mark.parametrize("cmd, message", [
+        ("nitest", "error: @zero has no parameter to taint\n"),
+        ("compare", "error: no argument recipe for @zero\n"),
+    ])
+    def test_diagnostic(self, workdir, cmd, message, capsys):
+        path = workdir / "z.ir"
+        path.write_text(self.ZERO)
+        rc = main(["--trials", "2", cmd, str(path), "--fn", "zero"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == message and captured.out == ""
+
+
 class TestRulesNotADirectory:
     """A `--rules` path that does not exist, or is a file, is a diagnostic
     and exit 1; it was read as an empty rule set, so `compare` passed

@@ -13,13 +13,13 @@ from taintsum import (
 from taintsum.ir import I32, Ptr, VOID, Void
 from taintsum.rules import (
     DEFAULT_STRING_CAP, GATHER_FIXED, GATHER_STRING, READ_OUT, RuleParseError,
-    SET_FIXED, SET_STRING, check_rules, compile_library, rule_stats,
-    rule_stats_csv,
+    RuleStep, SET_FIXED, SET_STRING, TaintRuleProgram, check_rules,
+    compile_library, rule_stats, rule_stats_csv,
 )
 from taintsum.summaries import SlotRef, Summary
 from taintsum.tracker import Machine
 from test_fixtures import GLOBAL_READER, INT_SINK, UNION_PIPE
-from test_ir import _straightline_function
+from test_ir import _straightline_function, _types
 
 
 def rule_modules():
@@ -154,6 +154,51 @@ class TestSerialization:
     def test_function_name_must_be_a_string(self):
         with pytest.raises(RuleParseError, match="function name"):
             parse_rules('{"v": 1, "function": ["f"], "steps": []}')
+
+
+def _indented(prog):
+    """The rule document through the standard library's indented encoder."""
+    return json.dumps({"v": 1, "function": prog.function, "controlDeps": prog.control_deps,
+                       "steps": [s.to_json() for s in prog.steps]}, indent=2) + "\n"
+
+
+_names = st.text(min_size=1, max_size=6)
+_paths = st.lists(_names, max_size=3).map(tuple)
+_slots = st.one_of(
+    st.builds(SlotRef, st.just("param"), index=st.integers(0, 12), ty=_types,
+              field_path=_paths),
+    st.builds(SlotRef, st.just("global"), name=_names, ty=_types, field_path=_paths),
+    st.builds(SlotRef, st.just("ret"), ty=_types))
+_steps = st.builds(RuleStep, st.sampled_from([GATHER_FIXED, GATHER_STRING, READ_OUT,
+                                              SET_FIXED, SET_STRING]),
+                   _slots, st.integers(0, 40), st.none() | st.integers(0, 1 << 40),
+                   st.none() | st.integers(1, 4096))
+
+
+class TestDirectSerialization:
+    """`serialize_rules` writes the document itself; its text is the
+    indented encoder's, byte for byte."""
+
+    @pytest.mark.parametrize("cdep", [True, False])
+    def test_every_corpus_program(self, cdep):
+        for module in rule_modules():
+            for prog in compile_library(module, cdep)[0].values():
+                assert serialize_rules(prog) == _indented(prog), prog.function
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(TaintRuleProgram, _names, st.lists(_steps, max_size=5).map(tuple),
+                     st.booleans()))
+    def test_generated_programs(self, prog):
+        assert serialize_rules(prog) == _indented(prog)
+
+    def test_shapes_are_covered(self):
+        """Optional extents, field paths and global slots all occur."""
+        steps = [s for m in rule_modules() for p in compile_library(m)[0].values()
+                 for s in p.steps]
+        assert any(s.nbytes is not None for s in steps)
+        assert any(s.max_len is not None for s in steps)
+        assert any(s.slot.field_path for s in steps)
+        assert any(s.slot.kind == "global" for s in steps)
 
 
 class TestStats:

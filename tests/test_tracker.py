@@ -16,12 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 from taintsum import (
     Machine, MachineTrap, TaintConfig, apply_rule_program, corpus,
-    parse_module, run, validate_module,
+    parse_module, run, tracker, validate_module,
 )
 from taintsum.ir import (
-    Alloca, Array, BinOp, Br, Call, Char, ConstInt, Float, Gep, GlobalRef,
-    Int, Jmp, Load, Ptr, Ret, Store, StructRef, Temp, Void, align_of,
-    field_offset, field_path_offset, size_of,
+    I64, Alloca, Array, BinOp, Br, Call, Char, ConstInt, Float, Gep, GlobalDecl,
+    GlobalRef, Int, Jmp, Load, Ptr, Ret, Store, StructDecl, StructRef, Temp, Void,
+    align_of, field_offset, field_path_offset, size_of,
 )
 from taintsum.rules import (
     GATHER_FIXED, GATHER_STRING, READ_OUT, SET_FIXED, SET_STRING,
@@ -1420,17 +1420,17 @@ entry:
 
 
 class TestCodeCache:
-    """Code objects are shared process-wide by source text, so equal source
-    means equal code and an entry is never stale."""
+    """Images of one module share each function's written code, and code
+    objects are shared process-wide by source text, so equal source means
+    equal code and an entry is never stale."""
 
     def test_images_of_one_module_share_code(self, student_flow, student_flow_rules):
         a, b = (Image(student_flow, student_flow_rules) for _ in range(2))
         for fn in student_flow.functions.values():
             for live in (True, False):
                 ca, cb = a.compiled(fn, live), b.compiled(fn, live)
-                assert ca is not cb and len(ca) == len(cb)
-                assert all(x is not y and x.__code__ is y.__code__
-                           for (x, _), (y, _) in zip(ca, cb))
+                assert ca is cb and len(ca) == len(cb)
+                assert all(x.__code__ is y.__code__ for (x, _), (y, _) in zip(ca, cb))
 
     def test_layout_and_memory_size_get_their_own_code(self):
         """@buf's address and the bounds checks are literals in the code; the
@@ -1481,6 +1481,104 @@ class TestCodeCache:
             m = parse_module(f"fn @f() -> i64 {{\nentry:\n  ret i64 {k}\n}}\n")
             assert Machine(m, mem_size=1 << 16).call_entry("f", []) == k
         assert _compiled.cache_info().currsize == maxsize
+
+
+SHARED = """\
+struct %pair { i64 a, i64 b }
+global @pad : [8 x char]
+global @buf : [4 x i64]
+
+fn @callee(%x: i64) -> i64 {
+entry:
+  %y = add i64 %x, 1
+  ret i64 %y
+}
+
+fn @f(%i: i64, %p: ptr(%pair)) -> i64 {
+entry:
+  %q = gep %pair, %p, 0, 1
+  store i64 %i, %q
+  %c = call i64 @callee(%i)
+  %s = add i64 %c, 2
+  jmp done
+done:
+  store i64 %s, @buf
+  ret i64 %s
+skip:
+  ret i64 0
+}
+"""
+# changes in place to what the writer of @f reads
+IN_PLACE = {
+    "operand": lambda m: setattr(m.functions["f"].blocks[0].instrs[3], "rhs", ConstInt(5)),
+    "instruction list": lambda m: m.functions["f"].blocks[0].instrs.pop(1),
+    "block labels": lambda m: [setattr(b, "label", label) for b, label in
+                               zip(m.functions["f"].blocks[1:], ("skip", "done"))],
+    "callee replaced": lambda m: m.functions.update(
+        callee=parse_module(SHARED.replace("%x, 1", "%x, 7")).functions["callee"]),
+    "callee params": lambda m: setattr(m.functions["callee"], "params", (("x", Int(8)),)),
+    "struct": lambda m: m.structs.update(
+        pair=StructDecl("pair", (("a", I64), ("z", I64), ("b", I64)))),
+    "global layout": lambda m: m.globals.update(pad=GlobalDecl("pad", Array(Char(), 40))),
+    "mem_size": lambda m: None,
+}
+
+
+class TestSharedCode:
+    """Every image of a module takes a function's code from one bounded
+    process-wide table, and uses an entry only while what its writer read is
+    unchanged."""
+
+    @pytest.mark.parametrize("change", IN_PLACE)
+    def test_stale_entry_is_never_used(self, change):
+        m = parse_module(SHARED)
+        f, mem_size = m.functions["f"], 1 << 16
+        before = {live: Image(m, mem_size=mem_size).compiled(f, live) for live in (True, False)}
+        for live, code in before.items():
+            assert Image(m, mem_size=mem_size).compiled(f, live) is code
+        IN_PLACE[change](m)
+        if change == "mem_size":
+            mem_size *= 2
+        for live, code in before.items():
+            assert Image(m, mem_size=mem_size).compiled(f, live) is not code, live
+        # the step interpreter reads the changed module itself
+        assert_same_runs(m, "f", [300, 0x8000], {}, mem_size=mem_size,
+                         arg_tags=[b"\x01" * 8, b"\x02" * 8])
+
+    def test_table_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(tracker, "CODE_TABLE_SIZE", 4)
+        monkeypatch.setattr(tracker, "_code_table", {})
+        modules = [parse_module(f"fn @f() -> i64 {{\nentry:\n  ret i64 {k}\n}}\n")
+                   for k in range(7)]
+        first = Image(modules[0], mem_size=1 << 16).compiled(modules[0].functions["f"], True)
+        for k, m in enumerate(modules):
+            assert Machine(m, mem_size=1 << 16).call_entry("f", []) == k
+            assert len(tracker._code_table) <= 4
+        again = Image(modules[0], mem_size=1 << 16).compiled(modules[0].functions["f"], True)
+        assert again is not first and again.lines == first.lines
+        assert [x.__code__ for x, _ in again] == [x.__code__ for x, _ in first]
+
+    def test_machines_of_two_images_are_independent(self, student_flow,
+                                                    student_flow_rules):
+        """What one image's machines leave behind, run to the end or stuck
+        inside a summarized call, reaches no machine of another image of
+        the module, although the two share code."""
+        a, b = (Image(student_flow, student_flow_rules, 1 << 16) for _ in range(2))
+        dirty = Machine(a, mode="hybrid", taint_config=FLOW_CFG)
+        stdin = dirty.global_addr["stdin_buf"]
+        dirty.write_bytes(stdin, b"zzzzzzz")
+        dirty.tagmap.set_taint(stdin, 4, 32)
+        dirty.call_entry("main", [])
+        with pytest.raises(MachineTrap, match="step budget"):
+            Machine(a, mode="hybrid", taint_config=FLOW_CFG, step_budget=100).call_entry(
+                "main", [])
+        for mode in ("hybrid", "instr"):
+            want = outcome(ReferenceMachine, student_flow, "main", [], mode=mode,
+                           rule_programs=student_flow_rules, taint_config=FLOW_CFG,
+                           mem_size=1 << 16)
+            assert outcome(Machine, b, "main", [], mode=mode,
+                           taint_config=FLOW_CFG) == want, mode
+        assert a.code and all(b.code[k] is code for k, code in a.code.items())
 
 
 POKES = """\
