@@ -20,13 +20,13 @@ from .ir import Module, type_str, validate_module
 from .parser import ParseError, parse_module, print_module
 from .pdg import PdgError, build_pdg
 from .rules import (
-    RuleParseError, TaintRuleProgram, check_rules, compile_library,
-    parse_rules, rule_stats, rule_stats_csv, serialize_rules,
+    DEFAULT_STRING_CAP, RuleParseError, TaintRuleProgram, check_rules,
+    compile_library, parse_rules, rule_stats, rule_stats_csv, serialize_rules,
 )
 from .summaries import (
     Summary, flatten_prim_types, function_body_hash, summarize_library,
 )
-from .tracker import MachineTrap, TaintConfig, run
+from .tracker import DEFAULT_STEP_BUDGET, MachineTrap, TaintConfig, run
 from .validate import HarnessError, bench, noninterference_check, oracle_compare
 
 
@@ -277,7 +277,7 @@ def build_argparser() -> argparse.ArgumentParser:
         description="Library-summary-based hybrid dynamic data-flow tracking")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--trials", type=_positive_int, default=100)
-    ap.add_argument("--default-len", type=_positive_int, default=64,
+    ap.add_argument("--default-len", type=_positive_int, default=DEFAULT_STRING_CAP,
                     help="string scan cap for rule regions")
     ap.add_argument("--control-deps", choices=("on", "off"), default="on")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -318,7 +318,7 @@ def build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--taint-config", default=None)
     p.add_argument("--args", type=_int_list, default="",
                    help="comma-separated entry arguments")
-    p.add_argument("--step-budget", type=_positive_int, default=10 ** 8)
+    p.add_argument("--step-budget", type=_positive_int, default=DEFAULT_STEP_BUDGET)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_run)
 
@@ -342,7 +342,7 @@ def build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--args", type=_int_list, default="",
                    help="comma-separated entry arguments")
     p.add_argument("--rules", default=None)
-    p.add_argument("--step-budget", type=_positive_int, default=10 ** 8)
+    p.add_argument("--step-budget", type=_positive_int, default=DEFAULT_STEP_BUDGET)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
     return ap

@@ -528,10 +528,11 @@ def control_dependencies(fn: Function) -> dict[str, set[str]]:
 # Builder
 # ---------------------------------------------------------------------------
 
-def _collect_included(module: Module, root: Function,
-                      summaries: Mapping[str, object]) -> list[Function]:
-    """Root plus transitive defined callees without summaries; rejects
-    recursion and unresolvable callees."""
+def included_functions(module: Module, root: Function,
+                       summaries: Mapping[str, object]) -> list[Function]:
+    """Root plus the transitive defined callees without summaries, in the
+    order the builder descends into them; a recursive call cycle or an
+    unresolvable callee is a `PdgError`."""
     order: list[Function] = []
     state: dict[str, int] = {}
 
@@ -568,7 +569,7 @@ def build_pdg(module: Module, fn: Function | str,
     summaries.pop(fn.name, None)     # never summarize the function itself
     g = Pdg(module, fn)
 
-    for f in _collect_included(module, fn, summaries):
+    for f in included_functions(module, fn, summaries):
         g.included[f.name] = f
         g._index[f.name] = FunctionIndex(f)
     for f in g.included.values():

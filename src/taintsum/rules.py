@@ -84,7 +84,7 @@ class RuleParseError(Exception):
     pass
 
 
-def _slot_extent(slot: SlotRef, module: Module) -> tuple[str, Optional[int]]:
+def slot_extent(slot: SlotRef, module: Module) -> tuple[str, Optional[int]]:
     """("string", None) for scanned extents, else ("fixed", nbytes).
 
     Return slots cover the value register, global slots their own storage,
@@ -119,12 +119,12 @@ def taint_rule_gen(summary: Summary, module: Module,
     steps: list[RuleStep] = []
     for idx, (out, ins) in enumerate(summary.entries):
         for slot in ins:
-            kind, n = _slot_extent(slot, module)
+            kind, n = slot_extent(slot, module)
             if kind == "string":
                 steps.append(RuleStep(GATHER_STRING, slot, idx, max_len=default_len))
             else:
                 steps.append(RuleStep(GATHER_FIXED, slot, idx, nbytes=n))
-        kind, n = _slot_extent(out, module)
+        kind, n = slot_extent(out, module)
         if kind == "string":
             steps.append(RuleStep(READ_OUT, out, idx, max_len=default_len))
             steps.append(RuleStep(SET_STRING, out, idx, max_len=default_len))

@@ -10,6 +10,7 @@ by a field path into a struct.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -19,7 +20,7 @@ from .ir import (
     field_path_offset, is_prim_type, is_struct_like, type_str,
 )
 from .parser import parse_type_text, print_module
-from .pdg import Pdg, PdgError, build_pdg
+from .pdg import Pdg, PdgError, build_pdg, included_functions
 
 
 # ---------------------------------------------------------------------------
@@ -138,17 +139,11 @@ class Summary:
         }
 
 
-def _slot_field_ty(module: Module, base_ty: Type, path: tuple[str, ...]) -> Type:
-    if not path:
-        return base_ty
-    _, leaf = field_path_offset(base_ty, path, module.structs)
-    return leaf
-
-
 def make_slot(module: Module, kind: str, *, index: int = None, name: str = None,
               base_ty: Type = VOID, path: tuple[str, ...] = ()) -> SlotRef:
-    return SlotRef(kind, index=index, name=name,
-                   ty=_slot_field_ty(module, base_ty, path), field_path=path)
+    """The slot with the type of the field `path` names in `base_ty`."""
+    ty = field_path_offset(base_ty, path, module.structs)[1] if path else base_ty
+    return SlotRef(kind, index=index, name=name, ty=ty, field_path=path)
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +280,21 @@ class _ChainTable:
             entries.setdefault(chain[:2], []).append(entry + (chain[2],))
 
 
+_chain_tables: "weakref.WeakKeyDictionary[Pdg, _ChainTable]" = weakref.WeakKeyDictionary()
+
+
+def _chain_table(g: Pdg) -> _ChainTable:
+    """The graph's address-chain table, built once for both bindings."""
+    if g not in _chain_tables:
+        _chain_tables[g] = _ChainTable(g.module, g)
+    return _chain_tables[g]
+
+
 def source_nodes(module: Module, fn: Function, g: Pdg) -> NodeBinding:
     """Input candidates: primitive params/globals bind directly; struct-like
     ones bind through field loads and summarized call arguments."""
     binding = NodeBinding()
-    table = _ChainTable(module, g)
+    table = _chain_table(g)
     for root, nodes, ty in _candidates(module, fn, g):
         slot = _base_slot(module, fn, root, ())
         if is_prim_type(ty) and not is_struct_like(ty):
@@ -325,7 +330,7 @@ def target_nodes(module: Module, fn: Function, g: Pdg) -> NodeBinding:
     for rid in g.return_nodes():
         binding.add_target(rid, make_slot(module, "ret", base_ty=fn.ret_ty))
 
-    table = _ChainTable(module, g)
+    table = _chain_table(g)
     for root, nodes, ty in _candidates(module, fn, g):
         # only globals and pointer parameters name caller-visible storage
         if root[0] != "global" and not isinstance(ty, Ptr):
@@ -388,76 +393,29 @@ def summarize_function(module: Module, fn: Function | str,
     return g, binding, summary_gen(binding, g, include_control_deps)
 
 
-def _library_deps(module: Module, fn: Function) -> set[str]:
-    """Library functions this one needs summaries for (first library
-    function on every call path, looking through non-library callees)."""
-    deps: set[str] = set()
-    seen = {fn.name}
-
-    def walk(f: Function) -> None:
-        for ins in f.instructions():
-            if not isinstance(ins, Call):
-                continue
-            callee = module.functions.get(ins.callee)
-            if callee is None:
-                continue
-            if callee.is_library and callee.name != fn.name:
-                deps.add(callee.name)
-            elif callee.name not in seen:
-                seen.add(callee.name)
-                walk(callee)
-
-    walk(fn)
-    return deps
-
-
 def summarize_library(module: Module, include_control_deps: bool = False,
                       ) -> tuple[dict[str, Summary], list[Diagnostic]]:
-    """Summaries for every `library` function, callees before callers.
-
-    Functions involved in recursion (directly or through their callees)
-    are excluded with a diagnostic; at runtime they fall back to
-    instruction-level tracking.
-    """
-    diags: list[Diagnostic] = []
-    lib = {f.name: f for f in module.library_functions()}
-    deps = {name: _library_deps(module, f) & set(lib) for name, f in lib.items()}
-
-    order: list[str] = []
-    placed: set[str] = set()
-    excluded: set[str] = set()
-    remaining = sorted(lib)
-    while remaining:
-        progress = False
-        for name in list(remaining):
-            if deps[name] & excluded:
-                excluded.add(name)
-                remaining.remove(name)
-                diags.append(Diagnostic(
-                    f"@{name} depends on an excluded library function"))
-                progress = True
-            elif deps[name] <= placed:
-                order.append(name)
-                placed.add(name)
-                remaining.remove(name)
-                progress = True
-        if not progress:
-            for name in remaining:
-                diags.append(Diagnostic(
-                    f"recursion cycle among library functions involving @{name};"
-                    " excluded from summarization"))
-                excluded.add(name)
-            break
-
+    """Summaries for every `library` function, in a post-order walk by name
+    that summarizes the library callees a function's graph would descend
+    into before the function.  One the graph builder rejects (recursion, or
+    a callee neither defined nor summarized) gets the diagnostic
+    `@f: <reason>` and no summary: it is tracked at instruction level."""
+    todo = {f.name: f for f in module.library_functions()}
     summaries: dict[str, Summary] = {}
-    for name in order:
+    diags: list[Diagnostic] = []
+
+    def visit(fn: Function) -> None:
         try:
-            _, _, summary = summarize_function(
-                module, lib[name], summaries, include_control_deps)
+            for callee in included_functions(module, fn, summaries):
+                if callee.name in todo:
+                    visit(todo.pop(callee.name))
+            _, _, summaries[fn.name] = summarize_function(
+                module, fn, summaries, include_control_deps)
         except PdgError as e:
-            diags.append(Diagnostic(f"@{name}: {e}"))
-            continue
-        summaries[name] = summary
+            diags.append(Diagnostic(f"@{fn.name}: {e}"))
+
+    while todo:
+        visit(todo.pop(min(todo)))
     return summaries, diags
 
 

@@ -34,7 +34,11 @@ from .ir import (
     Type, Void, align_of, align_up, field_offset, field_path_offset, size_of,
     validate_module,
 )
-from .rules import READ_OUT, SET_FIXED, SET_STRING, TaintRuleProgram
+from .rules import (
+    DEFAULT_STRING_CAP, READ_OUT, SET_FIXED, SET_STRING, RuleGenError,
+    TaintRuleProgram, slot_extent,
+)
+from .summaries import SlotRef
 
 _PAGE_SHIFT = 12
 PAGE = 1 << _PAGE_SHIFT
@@ -237,16 +241,21 @@ class TaintConfig:
 
     def check(self, module: Module) -> None:
         """Raises ValueError for a source or sink on a function the module
-        lacks, or on a parameter index at or beyond the function's arity."""
+        lacks, on a parameter index at or beyond the function's arity, or on
+        the return value of a void function."""
         for spec in self.sources + self.sinks:
             fn = module.functions.get(spec.fn)
             if fn is None:
                 raise ValueError(f"taint config names @{spec.fn}, which the"
                                  " module does not define")
             i = spec.index or 0
-            if (isinstance(spec, SinkSpec) or spec.where == "param") and i >= len(fn.params):
-                raise ValueError(f"taint config names parameter {i} of @{fn.name},"
-                                 f" which takes {len(fn.params)}")
+            if isinstance(spec, SinkSpec) or spec.where == "param":
+                if i >= len(fn.params):
+                    raise ValueError(f"taint config names parameter {i} of @{fn.name},"
+                                     f" which takes {len(fn.params)}")
+            elif isinstance(fn.ret_ty, Void):
+                raise ValueError(f"taint config names the return value of @{fn.name},"
+                                 " which returns void")
 
 
 @dataclass(frozen=True)
@@ -893,7 +902,7 @@ class Machine:
                  mem_size: Optional[int] = None,
                  step_budget: int = DEFAULT_STEP_BUDGET,
                  max_frames: int = DEFAULT_MAX_FRAMES,
-                 default_len: int = 64):
+                 default_len: int = DEFAULT_STRING_CAP):
         if mode not in ("instr", "hybrid"):
             raise ValueError(f"unknown mode {mode!r}")
         if isinstance(image, Module):
@@ -1043,17 +1052,16 @@ class Machine:
                         b | spec.label for b in _resize_vec(vec, _width(pty)))
 
     def _param_region(self, ty: Type, value) -> Optional[tuple[int, int]]:
-        """Shadow region named by a pointer-typed parameter value; None for
-        scalars (their taint lives in the value shadow)."""
+        """Shadow region named by a pointer-typed parameter value, as a rule
+        step on the parameter would cover it; None for scalars (their taint
+        lives in the value shadow) and for an unresolvable pointee."""
         if not isinstance(ty, Ptr) or not isinstance(value, int) or value == 0:
             return None
-        pointee = ty.pointee
-        if isinstance(pointee, (Char, Void)):
-            return (value, self.scan_string(value, self.default_len))
         try:
-            return (value, size_of(pointee, self.module.structs))
-        except Exception:
+            kind, n = slot_extent(SlotRef("param", ty=ty), self.module)
+        except RuleGenError:
             return None
+        return (value, self.scan_string(value, self.default_len) if kind == "string" else n)
 
     # -- interpreter -------------------------------------------------------------
 
@@ -1153,24 +1161,16 @@ def apply_rule_program(prog: TaintRuleProgram, arg_record, machine: Machine) -> 
 def run(module: Module, entry: str, args: Sequence[int] = (),
         cfg: Optional[TaintConfig] = None, mode: str = "instr",
         rule_programs: Optional[Mapping[str, TaintRuleProgram]] = None,
-        fallback: Sequence[str] = (), **machine_kw) -> RunReport:
+        **machine_kw) -> RunReport:
     """Validate, check the taint config, execute, and report.  In hybrid
-    mode every library function must either carry a rule program or be
-    listed in `fallback` (falling back to instruction-level tracking)."""
+    mode a library function without a rule program is tracked at
+    instruction level."""
     diags = validate_module(module)
     if diags:
         raise ValueError("module is not well-formed: "
                          + "; ".join(str(d) for d in diags[:5]))
     if cfg is not None:
         cfg.check(module)
-    rule_programs = dict(rule_programs or {})
-    if mode == "hybrid":
-        missing = [f.name for f in module.library_functions()
-                   if f.name not in rule_programs and f.name not in fallback]
-        if missing:
-            raise ValueError(
-                "hybrid mode needs rules or an explicit fallback for: "
-                + ", ".join(sorted(missing)))
     machine = Machine(module, mode=mode, rule_programs=rule_programs,
                       taint_config=cfg, **machine_kw)
     exit_value = machine.call_entry(entry, list(args))

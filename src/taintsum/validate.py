@@ -19,7 +19,7 @@ from .ir import (
     Array, Char, Float, Function, Int, Module, StructRef, Type, Void,
     field_offset, size_of,
 )
-from .rules import TaintRuleProgram, compile_library
+from .rules import DEFAULT_STRING_CAP, TaintRuleProgram, compile_library
 from .tracker import GLOBALS_BASE, Image, Machine, run
 
 HARNESS_MEMORY = 1 * 1024 * 1024
@@ -153,7 +153,7 @@ def _run_trial(image: Image, fn_name: str, plan, mode: str,
 
 
 def default_rules(module: Module, include_control_deps: bool = True,
-                  default_len: int = 64) -> dict[str, TaintRuleProgram]:
+                  default_len: int = DEFAULT_STRING_CAP) -> dict[str, TaintRuleProgram]:
     return compile_library(module, include_control_deps, default_len)[0]
 
 

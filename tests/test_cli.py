@@ -6,6 +6,7 @@ import pytest
 
 from taintsum import corpus
 from taintsum.cli import main
+from test_tracker import RECURSIVE_CFG_DOC, RECURSIVE_LIB
 
 
 @pytest.fixture()
@@ -155,6 +156,22 @@ class TestOnline:
                    "--fn", "strlen_a"])
         assert rc == 0
 
+    def test_hybrid_tracks_library_functions_without_summaries(self, workdir, capsys):
+        ir, cfg = workdir / "recursive.ir", workdir / "recursive.cfg.json"
+        ir.write_text(RECURSIVE_LIB)
+        cfg.write_text(json.dumps(RECURSIVE_CFG_DOC))
+        seen = {}
+        for mode in ("instr", "hybrid"):
+            assert main(["run", str(ir), "--args", "3", "--mode", mode,
+                         "--taint-config", str(cfg)]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            seen[mode] = (doc["exitValue"], doc["taintedBytesFinal"], doc["sinkHits"])
+        assert seen["instr"] == seen["hybrid"] and seen["instr"][2]
+        assert main(["bench", str(ir), "--args", "3"]) == 0
+        captured = capsys.readouterr()
+        assert "hybrid,68,2," in captured.out
+        assert "note: @rcopy: recursive call cycle: rcopy -> rcopy" in captured.err
+
     def test_bench_csv(self, workdir, capsys):
         rc = main(["bench", str(workdir / "corpus" / "bench_memcpy.ir"),
                    "--args", "256"])
@@ -250,9 +267,9 @@ class TestBadTaintConfig:
 
 
 class TestTaintConfigCheckedAgainstModule:
-    """A taint config that names a function the module lacks, or a
-    parameter past a function's arity, is a diagnostic and exit 1, not a
-    run with no tainted byte and no sink hit."""
+    """A taint config that names a function the module lacks, a parameter
+    past a function's arity, or the return value of a void function, is a
+    diagnostic and exit 1, not a run with no tainted byte and no sink hit."""
 
     def _run(self, workdir, doc, capsys, mode="instr"):
         cfg = workdir / "cfg.json"
@@ -282,6 +299,12 @@ class TestTaintConfigCheckedAgainstModule:
         err = self._run(workdir, {
             "sources": [{"fn": "fgets_a", "where": "param", "index": 2}]}, capsys)
         assert "parameter 2 of @fgets_a" in err
+
+    def test_return_source_on_a_void_function(self, workdir, capsys):
+        err = self._run(workdir, {
+            "sources": [{"fn": "student_cpy", "where": "ret", "label": 1}]}, capsys)
+        assert err == ("error: taint config names the return value of"
+                       " @student_cpy, which returns void\n")
 
     def test_return_source_needs_no_index(self, workdir, capsys):
         cfg = workdir / "cfg.json"

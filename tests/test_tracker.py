@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taintsum import (
-    Machine, MachineTrap, TaintConfig, apply_rule_program, corpus,
+    Machine, MachineTrap, TaintConfig, apply_rule_program, bench, corpus,
     parse_module, run, tracker, validate_module,
 )
 from taintsum.ir import (
@@ -196,6 +196,97 @@ FLOW_CFG = TaintConfig.from_json({
     "sinks": [{"fn": "printf_a", "index": 0}],
 })
 
+# @rcopy recurses into itself and @even and @odd into each other, so they
+# and @twice, which calls @even, get no summary; @mix gets one.
+RECURSIVE_LIB = """\
+global @src : [8 x char] = bytes(104, 105, 33)
+global @dst : [8 x char]
+
+fn @rcopy(%d: ptr(char), %s: ptr(char), %n: i64) -> i64 library {
+entry:
+  %z = cmp i64 %n, 0
+  br %z, done, more
+more:
+  %c = load char, %s
+  store char %c, %d
+  %d1 = gep char, %d, 1
+  %s1 = gep char, %s, 1
+  %n1 = sub i64 %n, 1
+  %r = call i64 @rcopy(%d1, %s1, %n1)
+  %r1 = add i64 %r, %c
+  ret i64 %r1
+done:
+  ret i64 0
+}
+
+fn @even(%n: i64) -> i64 library {
+entry:
+  %z = cmp i64 %n, 0
+  br %z, yes, no
+yes:
+  ret i64 1
+no:
+  %n1 = sub i64 %n, 1
+  %r = call i64 @odd(%n1)
+  ret i64 %r
+}
+
+fn @odd(%n: i64) -> i64 library {
+entry:
+  %z = cmp i64 %n, 0
+  br %z, yes, no
+yes:
+  ret i64 0
+no:
+  %n1 = sub i64 %n, 1
+  %r = call i64 @even(%n1)
+  ret i64 %r
+}
+
+fn @twice(%n: i64) -> i64 library {
+entry:
+  %e = call i64 @even(%n)
+  %r = add i64 %e, %e
+  ret i64 %r
+}
+
+fn @mix(%a: i64, %b: i64) -> i64 library {
+entry:
+  %r = add i64 %a, %b
+  ret i64 %r
+}
+
+fn @read(%p: ptr(char)) -> void {
+entry:
+  ret
+}
+
+fn @show(%p: ptr(char)) -> i64 {
+entry:
+  %c = load char, %p
+  ret i64 %c
+}
+
+fn @main(%n: i64) -> i64 {
+entry:
+  %s = gep [8 x char], @src, 0, 0
+  call void @read(%s)
+  %d = gep [8 x char], @dst, 0, 0
+  %k = call i64 @rcopy(%d, %s, %n)
+  %e = call i64 @twice(%n)
+  %m = call i64 @mix(%k, %e)
+  %v = call i64 @show(%d)
+  %r = add i64 %m, %v
+  ret i64 %r
+}
+"""
+RECURSIVE_CFG_DOC = {
+    "sources": [{"fn": "read", "where": "param", "index": 0, "label": 1},
+                {"fn": "main", "where": "param", "index": 0, "label": 2}],
+    "sinks": [{"fn": "show", "index": 0}],
+}
+RECURSIVE_CFG = TaintConfig.from_json(RECURSIVE_CFG_DOC)
+
 
 class TestRun:
     def test_flow_reaches_sink_in_both_modes(self, student_flow,
@@ -231,12 +322,19 @@ class TestRun:
             assert rep.tainted_bytes_final == ()
             assert rep.sink_hits == ()
 
-    def test_hybrid_requires_rules_or_fallback(self, student_flow):
-        with pytest.raises(ValueError, match="fallback"):
-            run(student_flow, "main", [], None, "hybrid", {})
-        rep = run(student_flow, "main", [], None, "hybrid", {},
-                  fallback=("memcpy", "student_cpy"))
-        assert rep.instr_executed_unins == 0    # everything instrumented
+    def test_hybrid_tracks_library_functions_without_rules(self):
+        m = parse_module(RECURSIVE_LIB)
+        rules = compile_library(m, True)[0]
+        assert sorted(rules) == ["mix"]     # the others recurse
+        reps = {mode: run(m, "main", [3], RECURSIVE_CFG, mode, rules)
+                for mode in ("instr", "hybrid")}
+        assert reps["instr"].sink_hits and reps["instr"].tainted_bytes_final
+        assert reps["hybrid"].instr_executed_unins == 2     # @mix alone
+        assert len({(r.exit_value, r.tainted_bytes_final, r.sink_hits)
+                    for r in reps.values()}) == 1
+        rows = bench(m, "main", [3], rule_programs=rules).rows
+        assert [(r.mode, r.instr_total, r.instr_unins) for r in rows] == [
+            ("instr", 68, 0), ("hybrid", 68, 2)]
 
     def test_rejects_malformed_module(self):
         m = parse_module("fn @f() -> i32 {\nentry:\n  ret\n}\n")
@@ -613,6 +711,16 @@ entry:
         assert instr.sink_hits and instr.sink_hits[0].fn == "memcpy"
         assert hybrid.sink_hits == ()
 
+    def test_return_source_on_a_void_function_rejected(self, student_flow):
+        cfg = TaintConfig.from_json(
+            {"sources": [{"fn": "student_cpy", "where": "ret", "label": 1}]})
+        with pytest.raises(ValueError, match="return value of @student_cpy,"
+                                             " which returns void"):
+            cfg.check(student_flow)
+        TaintConfig.from_json(
+            {"sources": [{"fn": "memcpy", "where": "ret", "label": 1}]}
+        ).check(student_flow)
+
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="tag byte"):
             TaintConfig.from_json(
@@ -735,6 +843,13 @@ class ReferenceMachine(Machine):
             exit_value = self._step(frame, ins)
         return exit_value
 
+    def _goto(self, frame, label, ins):
+        try:
+            frame.block = self._labels[frame.fn.name][label]
+        except KeyError:
+            raise MachineTrap("unknown label", ins.uid) from None
+        frame.pc = 0
+
     def _step(self, frame, ins):
         live = self.live
         fn = frame.fn
@@ -786,12 +901,9 @@ class ReferenceMachine(Machine):
             frame.pc += 1
         elif isinstance(ins, Br):
             cond = self._operand_value(frame, ins.cond, _COND_TY)
-            label = ins.then_label if cond != 0 else ins.else_label
-            frame.block = self._labels[fn.name][label]
-            frame.pc = 0
+            self._goto(frame, ins.then_label if cond != 0 else ins.else_label, ins)
         elif isinstance(ins, Jmp):
-            frame.block = self._labels[fn.name][ins.label]
-            frame.pc = 0
+            self._goto(frame, ins.label, ins)
         elif isinstance(ins, Call):
             return self._do_call(frame, ins)
         elif isinstance(ins, Ret):
@@ -1868,6 +1980,16 @@ class TestMalformedControlFlow:
             with pytest.raises(MachineTrap) as e:
                 machine.call_entry("f", [])
             assert (e.value.kind, e.value.instr, machine.instr_total) == (kind, instr, ran)
+
+    @pytest.mark.parametrize("body, instr", [
+        ("  %x = add i64 1, 2\n  jmp nowhere\n", "f:1"),
+        ("  br 1, nowhere, entry\n", "f:0"),
+        ("  br 0, entry, nowhere\n", "f:0"),
+    ])
+    def test_reference_machine_traps_alike(self, body, instr):
+        m = parse_module("fn @f() -> i64 {\nentry:\n" + body + "}\n")
+        for got in assert_same_runs(m, "f", [], mem_size=1 << 16).values():
+            assert got[0] == ("trap", "unknown label", instr)
 
 
 MOVES_NUL = """\

@@ -10,7 +10,10 @@ can be diffed to show a change leaves them byte-identical:
     output, `rules --stats` output with the rule files and `rule_stats.csv`,
     and `pdg --json` output with the DOT and JSON files, for the four
     corpus modules and the `offline-scaled` generated modules of
-    `perfbench/gen.py` at seeds 1 and 5.
+    `perfbench/gen.py` at seeds 1 and 5;
+  * for a small module whose library functions recurse, into themselves
+    and into each other, the same offline artifacts, `run` in both modes
+    and `bench` (its wall seconds elided).
 
 Usage, from the root of each tree:
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -54,6 +58,86 @@ RUNS = (
         "sinks": [{"fn": "student_cpy", "index": 0}]}),
 )
 
+# @down recurses into itself and @ping and @pong into each other, so they
+# and @both, which calls @ping, get no summary; @add gets one
+RECURSIVE = """\
+global @src : [4 x char] = bytes(104, 105)
+global @dst : [4 x char]
+fn @down(%d: ptr(char), %s: ptr(char), %n: i64) -> i64 library {
+entry:
+  %z = cmp i64 %n, 0
+  br %z, done, more
+more:
+  %c = load char, %s
+  store char %c, %d
+  %d1 = gep char, %d, 1
+  %s1 = gep char, %s, 1
+  %n1 = sub i64 %n, 1
+  %r = call i64 @down(%d1, %s1, %n1)
+  %r1 = add i64 %r, %c
+  ret i64 %r1
+done:
+  ret i64 0
+}
+fn @ping(%n: i64) -> i64 library {
+entry:
+  %z = cmp i64 %n, 0
+  br %z, yes, no
+yes:
+  ret i64 1
+no:
+  %n1 = sub i64 %n, 1
+  %r = call i64 @pong(%n1)
+  ret i64 %r
+}
+fn @pong(%n: i64) -> i64 library {
+entry:
+  %z = cmp i64 %n, 0
+  br %z, yes, no
+yes:
+  ret i64 0
+no:
+  %n1 = sub i64 %n, 1
+  %r = call i64 @ping(%n1)
+  ret i64 %r
+}
+fn @both(%n: i64) -> i64 library {
+entry:
+  %p = call i64 @ping(%n)
+  %r = add i64 %p, %p
+  ret i64 %r
+}
+fn @add(%a: i64, %b: i64) -> i64 library {
+entry:
+  %r = add i64 %a, %b
+  ret i64 %r
+}
+fn @read(%p: ptr(char)) -> void {
+entry:
+  ret
+}
+fn @show(%p: ptr(char)) -> i64 {
+entry:
+  %c = load char, %p
+  ret i64 %c
+}
+fn @main(%n: i64) -> i64 {
+entry:
+  %s = gep [4 x char], @src, 0, 0
+  call void @read(%s)
+  %d = gep [4 x char], @dst, 0, 0
+  %k = call i64 @down(%d, %s, %n)
+  %p = call i64 @both(%n)
+  %m = call i64 @add(%k, %p)
+  %v = call i64 @show(%d)
+  %r = add i64 %m, %v
+  ret i64 %r
+}
+"""
+RECURSIVE_CFG = {"sources": [{"fn": "read", "where": "param", "index": 0, "label": 1},
+                             {"fn": "main", "where": "param", "index": 0, "label": 2}],
+                 "sinks": [{"fn": "show", "index": 0}]}
+
 
 def cli(tmp: Path, *argv) -> str:
     """The command line, exit code, stdout and stderr, with `tmp` elided."""
@@ -73,6 +157,17 @@ def offline_artifacts(tmp: Path, module: Path) -> None:
                   end="")
             for path in sorted(out.iterdir()):
                 print(f"--- {path.name}\n{path.read_text(encoding='utf-8')}", end="")
+
+
+def recursive_outputs(tmp: Path) -> None:
+    module, cfg = tmp / "recursive.ir", tmp / "recursive.cfg.json"
+    module.write_text(RECURSIVE, encoding="utf-8")
+    cfg.write_text(json.dumps(RECURSIVE_CFG), encoding="utf-8")
+    offline_artifacts(tmp, module)
+    for mode in ("instr", "hybrid"):
+        print(cli(tmp, "run", module, "--args", "2", "--mode", mode,
+                  "--taint-config", cfg), end="")
+    print(re.sub(r",[0-9.]+\n", ",<s>\n", cli(tmp, "bench", module, "--args", "2")), end="")
 
 
 def main() -> None:
@@ -103,6 +198,7 @@ def main() -> None:
                 for extra in ((), ("--rules", rules_dir)):
                     print(cli(tmp, "run", tmp / f"{name}.ir", "--entry", entry, "--args", args,
                               "--mode", mode, "--taint-config", cfg_path, *extra), end="")
+        recursive_outputs(tmp)
     lib_module = corpus.load_module("libcorpus")
     rules = default_rules(lib_module)
     for fn in sorted(corpus.DRIVERS):
