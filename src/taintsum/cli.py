@@ -127,8 +127,12 @@ def cmd_pdg(args) -> int:
         try:
             g = build_pdg(m, name, {k: v for k, v in summaries.items() if k != name})
         except PdgError as e:
-            print(f"error: @{name}: {e}", file=sys.stderr)
-            return 1
+            if args.fn:
+                print(f"error: @{name}: {e}", file=sys.stderr)
+                return 1
+            if name in summaries:   # else the summarizer's note named it
+                print(f"note: @{name}: {e}", file=sys.stderr)
+            continue
         _write_if_changed(out / f"{name}.pdg.dot", g.export_dot())
         if args.json:
             _write_if_changed(out / f"{name}.pdg.json",

@@ -17,6 +17,7 @@ Tainting is observation-only: concrete execution never depends on it.
 
 from __future__ import annotations
 
+import dis
 import functools
 import json
 import math
@@ -352,35 +353,46 @@ class _Frame:
     seg: int = 0        # the segment it runs next
 
 
+def _undefined(name: str) -> MachineTrap:
+    return MachineTrap("undefined temporary", detail=f"%{name}")
+
+
 class _Temps(dict):
     """A frame's temporaries; reading one not yet defined traps."""
 
     def __missing__(self, name: str):
-        raise MachineTrap("undefined temporary", detail=f"%{name}")
+        raise _undefined(name)
 
 
 # ---------------------------------------------------------------------------
-# Compiled segments
+# Compiled regions
 # ---------------------------------------------------------------------------
 #
 # An image compiles each function its machines enter, tracked or untracked,
-# into Python source: one function `s<i>(m, f)` per segment, the
-# instructions from a block's start or from just after a call up to and
-# including the next call or terminator.  What an instruction fixes is a
-# literal there: constants, global addresses, widths, masks, gep offsets,
-# segment indices.  A temp a segment defines before reading it is a Python
-# local, stored in the frame only when a read elsewhere needs it.  Tracked
-# loads and stores, and every alloca, do the Tagmap's one-page work inline;
-# only an access that crosses a page calls `get_vector`/`set_vector`.  A
-# segment returns the index of its frame's next segment, or None after a
-# call or a return; tracked code adds its shadow-op count once, just before
-# its call or terminator takes effect.  When a segment raises, the line it
-# stopped on gives the instructions it did not run and the shadow ops it did
-# not count.  A function's written code is shared process-wide by every
-# image of its module (`_shared_code`), and code objects by source text; the
-# functions hold no machine.
+# into Python source.  A segment runs from a block's start or from just after
+# a call up to and including the next call or terminator; a region is each
+# maximal set of segments that branches connect.  Each region is one
+# function `r<j>(m, f, i)`: from segment `i` (the function's start or just
+# after a call) a `while` loop dispatches segment to segment until a call or
+# a return.  What an instruction fixes is a literal there: constants, global
+# addresses, widths, masks, gep offsets, segment indices.  A temp %x is the
+# local `v_x`, its tag vector `g_x`.  On entry a region loads from the frame
+# each temp it may read before defining it, and only such temps and the
+# parameters (which rule sources read) are stored back where defined; a read
+# no path defined finds its local unbound, which the run loop turns into the
+# undefined-temporary trap.  A fold or resize of a temp loaded from the
+# frame keeps `_tag`/`_resize`: `_apply_sources` may have resized its
+# vector.  Tracked loads, stores and allocas do the Tagmap's one-page work
+# inline.  The step budget is checked once per segment; the instruction and
+# shadow-op counts are locals, flushed when the region returns or raises.
+# When the budget runs out in a segment, the region returns it with its
+# locals and the run loop runs the prefix that fits (`_Writer.cut`).  When a
+# region raises, the line it stopped on gives the instructions it did not
+# run and the shadow ops it did not count.  A function's code is shared by
+# every image of its module (`_shared_code`), code objects by source text;
+# the functions hold no machine.
 
-_SOURCE = "<taintsum segment>"
+_SOURCE = "<taintsum region>"
 _MASK64 = 2 ** 64 - 1
 _PTR, _I64 = (0, _MASK64), (1 << 63, _MASK64)
 _PTR_TY = Ptr(Void())
@@ -389,13 +401,14 @@ _OPS = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^"}
 _PROLOGUE = (("t", "f.temps"), ("tg", "f.tags"), ("mem", "m.memory"),
              ("tm", "m.tagmap"), ("pages", "m.tagmap.pages"), ("dirty", "mem.dirty"))
 _ATOM = re.compile(r"[\w.]+|\(-[\w.]+\)")
+_LOCAL = re.compile(r"'([vg]_[^']+)'")      # a temp's local in a NameError
 _COUNT = object()      # where a segment's shadow count goes
 
 
 class _Code(list):
-    """A function's segments in order as (function, instruction count), and
-    for each line of their source the (instructions not run, shadow ops not
-    counted) when a segment raises on it."""
+    """The region function that runs each segment of a function, by segment
+    index, and for each line of their source the (instructions not run,
+    shadow ops not counted) when a region raises on it."""
 
     __slots__ = ("lines",)
 
@@ -406,12 +419,21 @@ def _compiled(source: str):
 
 
 def _stopped(e: BaseException, lines: list) -> tuple[int, int]:
-    """(instructions not run, shadow ops not counted) of the segment `e`
-    came out of into the run loop; none when the loop itself raised it."""
+    """(instructions not run, shadow ops not counted) of the region `e`
+    came out of into the run loop; none when the loop itself raised it.
+    The region's frame links back to the loop's, so a traceback kept in a
+    local of the loop would make a cycle that holds the machine."""
     tb = e.__traceback__.tb_next
     if tb is None or tb.tb_frame.f_code.co_filename != _SOURCE:
         return 0, 0
-    return lines[tb.tb_lineno]
+    line, hit = tb.tb_lineno, isinstance(e, NameError) and _LOCAL.search(str(e))
+    if hit:     # the read of an unbound local, which the interpreter may have
+        # fused with the load or store before it, on the line before
+        line = next((ins.positions.lineno for ins in dis.get_instructions(tb.tb_frame.f_code)
+                     if ins.offset >= tb.tb_lasti and ins.opname.startswith("LOAD_FAST")
+                     and hit[1] in (ins.argval if type(ins.argval) is tuple
+                                    else (ins.argval,))), line)
+    return lines[line]
 
 
 class _Uniform(dict):
@@ -462,13 +484,19 @@ def _fmt(ty: Type) -> str:
     return c if getattr(ty, "signed", False) else c.upper()
 
 
+def _local(kind: str, temp: str) -> str:
+    """The name of the local holding temp `temp`'s value ("v") or tag
+    vector ("g")."""
+    return f"{kind}_{temp.replace('.', '·')}"
+
+
 def _lit(v) -> str:
     text = repr(v) if not isinstance(v, float) or math.isfinite(v) else f"float('{v}')"
     return f"({text})" if text.startswith("-") else text
 
 
 class _Writer:
-    """Writes one function's segments as Python, tracked when `live`.  The
+    """Writes one function's regions as Python, tracked when `live`.  The
     lines of an instruction that ends a segment hold `_COUNT` where the
     segment's shadow count goes: after what it reads, before what it
     changes."""
@@ -476,18 +504,18 @@ class _Writer:
     def __init__(self, image: "Image", fn: Function, live: bool):
         self.image, self.fn, self.live = image, fn, live
         functions = image.module.functions
-        # the kind of value each temp holds, None where its definitions differ
-        self.kinds: dict = {}
+        # the kind of value each temp holds, None where its definitions
+        # differ, and the constants the source names
+        self.kinds, self.ns = {}, {}
         for name, ty in fn.params:
             self.note(name, ty)
         # (block index, instructions) of each segment; what follows a
         # terminator never runs, and a segment without one falls off its block
         self.segs: list[tuple[int, list[Instr]]] = []
-        self.shared: set[str] = set()       # temps read where no local holds them
         starts = []
         for b, block in enumerate(fn.blocks):
             starts.append(len(self.segs))
-            seg, defined, dead = [], set(), False
+            seg, dead = [], False
             self.segs.append((b, seg))
             for ins in block.instrs:
                 kind = type(ins)
@@ -498,20 +526,12 @@ class _Writer:
                 if dead:
                     continue
                 seg.append(ins)
-                for op in ins.operands():
-                    if type(op) is Temp and op.name not in defined:
-                        self.shared.add(op.name)
                 dead = kind in (Br, Jmp, Ret)
                 if kind is Call:
-                    seg, defined = [], set()
+                    seg = []
                     self.segs.append((b, seg))
-                elif getattr(ins, "dest", None) is not None:
-                    defined.add(ins.dest)
         self.labels = {block.label: starts[b] for b, block in enumerate(fn.blocks)}
-        self.ids: dict[str, int] = {}
-        self.ns: dict[str, object] = {}     # the constants the source names
-        self.src: list[str] = []
-        self.lines: list[tuple[int, int]] = [(0, 0)]
+        self.regions()
 
     def note(self, name: str, ty: Type) -> None:
         try:
@@ -520,32 +540,155 @@ class _Writer:
             k = None
         self.kinds[name] = k if self.kinds.get(name, k) == k else None
 
-    def code(self, only: Optional[tuple[int, int]] = None) -> _Code:
-        """Every segment compiled, or when `only` is (i, j) segment i cut to
-        its first j instructions, which ends without a trap."""
-        todo = (list(enumerate(instrs for _, instrs in self.segs)) if only is None
-                else [(only[0], self.segs[only[0]][1][:only[1]])])
-        for i, instrs in todo:
-            self.segment(i, instrs, only is not None)
-        ns = dict(_helpers(), **self.ns)
-        exec(_compiled("\n".join(self.src)), ns)
-        code = _Code((ns[f"s{i}"], len(instrs)) for i, instrs in todo)
+    def regions(self) -> None:
+        """Each segment's region, named by its first segment; the temps each
+        entry of a region loads from the frame; and the temps each
+        definition stores there."""
+        n, self.succ, use, defs = len(self.segs), [], [], []
+        for _, instrs in self.segs:
+            last = instrs[-1] if instrs else None
+            targets = ((last.then_label, last.else_label) if type(last) is Br
+                       else (last.label,) if type(last) is Jmp else ())
+            self.succ.append([self.labels[t] for t in targets if t in self.labels])
+            use.append(set())
+            defs.append(set())
+            for ins in instrs:
+                use[-1].update(op.name for op in ins.operands()
+                               if type(op) is Temp and op.name not in defs[-1])
+                if type(ins) in (Alloca, Load, Gep, BinOp):
+                    defs[-1].add(ins.dest)
+        # to a fixed point: the temps a segment may read before defining
+        # them, and the first segment of its part of the branch graph
+        self.root, live_in, changed = list(range(n)), [set(u) for u in use], True
+        while changed:
+            changed = False
+            for j in reversed(range(n)):
+                near = [j] + self.succ[j]
+                new = use[j].union(*(live_in[k] - defs[j] for k in self.succ[j]))
+                low = min(self.root[k] for k in near)
+                if new != live_in[j] or any(self.root[k] != low for k in near):
+                    live_in[j], changed = new, True
+                    for k in near:
+                        self.root[k] = low
+        # a region is entered at the function's start, where only parameters
+        # are defined, and after each call
+        params = {name for name, _ in self.fn.params}
+        self.loads = {j + 1: sorted(live_in[j + 1]) for j in range(n - 1)
+                      if type((self.segs[j][1] or [None])[-1]) is Call}
+        if n:
+            self.loads[0] = sorted(live_in[0] & params)
+        self.spill = params.union(*self.loads.values())
+
+    def code(self) -> _Code:
+        """Every region compiled."""
+        self.src, self.lines = [], [(0, 0)]
+        for r in sorted(set(self.root)):
+            self.region(r)
+        ns = self.namespace()
+        code = _Code(ns[f"r{r}"] for r in self.root)
         code.lines = self.lines
         return code
 
-    def segment(self, i: int, instrs: list[Instr], cut: bool) -> None:
-        self.local: dict[str, tuple[int, int, bool]] = {}
-        self.used: set[str] = set()
-        head, marks, done, tail = [], [], 0, None   # marks: (not run, not counted)
+    def cut(self, i: int, j: int, local: dict) -> tuple[object, list, str]:
+        """Segment `i` cut to its first `j` instructions, which ends without
+        a trap, as a function of the machine, the frame and the locals its
+        region had when the budget ran out, `local`; its line table; and the
+        uid of the instruction after the cut."""
+        self.enter(self.root[i])
+        lines, marks, done, tail = self.instructions(self.segs[i][1][:j])
+        lines += [f"m.shadow_ops_instr += {done}"] * (tail is not None and done > 0)
+        prologue = self.prologue() + [f"{v} = L[{v!r}]" for v in local if v[1:2] == "_"]
+        self.src = ["def c(m, f, L):"] + ["    " + s for s in prologue + lines or ["pass"]]
+        self.lines = ([(0, 0)] * (2 + len(prologue)) + marks
+                      + [(0, 0)] * (len(lines) - len(marks)))
+        return self.namespace()["c"], self.lines, self.segs[i][1][j].uid
+
+    def namespace(self) -> dict:
+        ns = dict(_helpers(), **self.ns)
+        exec(_compiled("\n".join(self.src)), ns)
+        return ns
+
+    def enter(self, r: int) -> list[int]:
+        """Start writing region `r`, whose segments it returns: the width of
+        each temp's tag vector there, None where its definitions differ or it
+        is loaded from the frame."""
+        segs = [j for j, root in enumerate(self.root) if root == r]
+        self.width, self.used = {}, set()       # used: the prologue's names
+        defs = [(name, None) for j in segs for name in self.loads.get(j, ())]
+        for ins in (ins for j in segs for ins in self.segs[j][1]):
+            if type(ins) in (Alloca, Load, Gep, BinOp):
+                try:
+                    defs.append((ins.dest, 8 if type(ins) in (Alloca, Gep) else _width(ins.ty)))
+                except MachineTrap:
+                    defs.append((ins.dest, None))
+        for name, w in defs:
+            self.width[name] = w if self.width.get(name, w) == w else None
+        return segs
+
+    def prologue(self) -> list[str]:
+        return [f"{name} = {value}" for name, value in _PROLOGUE if name in self.used]
+
+    def region(self, r: int) -> None:
+        segs, body = self.enter(r), []      # body: (indent, line, mark)
+        entries = [j for j in segs if j in self.loads]
+        loads = [e for e in entries if self.loads[e]]
+        for e in loads:
+            depth = 1 + (len(entries) > 1)
+            if depth > 1:
+                body.append((1, f"{'elif' if e != loads[0] else 'if'} i == {e}:", (0, 0)))
+            for name in self.loads[e]:
+                load = f"{_local('v', name)} = t[{name!r}]" + (
+                    f"; {_local('g', name)} = tg[{name!r}]" if self.live else "")
+                body += [(depth, f"try: {load}", (0, 0)),
+                         (depth, "except MachineTrap: pass", (0, 0))]
+            self.used.update(("t", "tg") if self.live else ("t",))
+        looped = any(self.succ[j] for j in segs)    # else one segment, no branch
+        body += [(1, "try:", (0, 0))] + [(2, "while True:", (0, 0))] * looped
+        self.dispatch(segs, 2 + looped, body)
+        body += [(1, "finally:", (0, 0)), (2, "m.instr_total = n", (0, 0))]
+        body += [(2, "m.shadow_ops_instr += s", (0, 0))] * self.live
+        prologue = self.prologue() + ["n = m.instr_total", "b = m.step_budget"]
+        prologue += ["s = 0"] * self.live
+        self.src += [f"def r{r}(m, f, i):"] + ["    " + s for s in prologue]
+        self.src += ["    " * depth + line for depth, line, _ in body]
+        self.lines += [(0, 0)] * (1 + len(prologue)) + [mark for _, _, mark in body]
+
+    def dispatch(self, segs: list[int], depth: int, body: list) -> None:
+        """The lines running whichever of `segs` is segment `i`."""
+        if len(segs) > 1:
+            mid = len(segs) // 2
+            body.append((depth, f"if i < {segs[mid]}:", (0, 0)))
+            self.dispatch(segs[:mid], depth + 1, body)
+            body.append((depth, "else:", (0, 0)))
+            self.dispatch(segs[mid:], depth + 1, body)
+            return
+        self.at = segs[0]
+        b, instrs = self.segs[self.at]
+        if instrs:      # the budget runs out here: run what fits elsewhere
+            k = len(instrs)
+            body.append((depth, f"if (n := n + {k}) > b: n -= {k}; return i, locals()",
+                         (0, 0)))
+        lines, marks, done, tail = self.instructions(instrs)
+        if tail is not None:
+            lines += [f"s += {done}"] * bool(done) + (tail or [
+                f"raise MachineTrap('no terminator', detail={self.fn.blocks[b].label!r})"])
+        body += [(depth, line, mark) for line, mark in
+                 zip(lines, marks + [(0, 0)] * (len(lines) - len(marks)))]
+
+    def instructions(self, instrs: list[Instr]) -> tuple[list, list, int, Optional[list]]:
+        """The lines of `instrs` up to the shadow count of one that ends a
+        segment with their (instructions not run, shadow ops not counted),
+        that count, and the lines after it; none after `instrs` that end
+        without a terminator, None after one that cannot be decoded."""
+        head, marks, done = [], [], 0
         for p, ins in enumerate(instrs):
             left = len(instrs) - p - 1
             try:
-                lines = _EMIT.get(type(ins), _Writer.unknown)(self, ins, i)
+                lines = _EMIT.get(type(ins), _Writer.unknown)(self, ins)
             except Exception as e:      # undecodable: raises the same whenever it runs
                 args = (e.kind, e.instr, e.detail) if isinstance(e, MachineTrap) else e.args
                 head.append(f"raise {self.const(functools.partial(type(e), *args))}()")
-                marks.append((left, done))
-                break
+                return head, marks + [(left, done)], done, None
             at = lines.index(_COUNT) if _COUNT in lines else len(lines)
             head += lines[:at]
             marks += [(left, done)] * at
@@ -553,21 +696,12 @@ class _Writer:
                 done += type(ins) in (Load, Store, Gep, BinOp) or (
                     type(ins) in (Call, Ret) and bool(ins.operands()))
             if at < len(lines):
-                tail = lines[at + 1:]
-                break
-        else:
-            tail = [] if cut else [f"raise MachineTrap('no terminator', detail="
-                                   f"{self.fn.blocks[self.segs[i][0]].label!r})"]
-        tail = [] if tail is None else [f"m.shadow_ops_instr += {done}"] * bool(done) + tail
-        prologue = [f"{name} = {value}" for name, value in _PROLOGUE if name in self.used]
-        body = prologue + head + tail or ["pass"]
-        self.src += [f"def s{i}(m, f):"] + ["    " + line for line in body]
-        self.lines += ([(0, 0)] * (1 + len(prologue)) + marks
-                       + [(0, 0)] * (len(body) - len(prologue) - len(head)))
+                return head, marks, done, lines[at + 1:]
+        return head, marks, done, []
 
     # The lines of each kind of instruction
 
-    def alloca(self, ins: Alloca, i: int) -> list:
+    def alloca(self, ins: Alloca) -> list:
         structs = self.image.module.structs
         sz = size_of(ins.ty, structs)
         align, zeros = ~(max(align_of(ins.ty, structs), 1) - 1), self.const(bytes(sz))
@@ -580,7 +714,7 @@ class _Writer:
                 f"elif (p := pages.get(a >> {_PAGE_SHIFT})) is not None: p[o:o + {sz}] = {zeros}",
                 *self.define(ins.dest, "a", 8, tag="0")]
 
-    def load(self, ins: Load, i: int) -> list:
+    def load(self, ins: Load) -> list:
         w = _width(ins.ty)
         a, lines = self.atom(self.val(ins.addr, _PTR), "a")
         self.used.update(("mem", "tm", "pages") if self.live else ("mem",))
@@ -589,7 +723,7 @@ class _Writer:
             vec=f"tm.get_vector({a}, {w}) if (o := {a} & {PAGE - 1}) > {PAGE - w} else _Z{w}"
                 f" if (p := pages.get({a} >> {_PAGE_SHIFT})) is None else bytes(p[o:o + {w}])")
 
-    def store(self, ins: Store, i: int) -> list:
+    def store(self, ins: Store) -> list:
         w = _width(ins.ty)
         a, lines = self.atom(self.val(ins.addr, _PTR), "a")
         x, more = self.atom(self.val(ins.value, _kind(ins.ty), wrap_globals=True), "x")
@@ -605,7 +739,7 @@ class _Writer:
             f"elif (p := pages.get(q)) is not None: p[o:o + {w}] = {g}",
             f"elif {g} != _Z{w}: p = pages[q] = bytearray({PAGE}); p[o:o + {w}] = {g}"]
 
-    def gep(self, ins: Gep, i: int) -> list:
+    def gep(self, ins: Gep) -> list:
         structs, t, off = self.image.module.structs, ins.base_ty, 0
         strides = [(ins.indices[0], size_of(t, structs))]
         for idx in ins.indices[1:]:
@@ -629,7 +763,7 @@ class _Writer:
         return self.define(ins.dest, f"({' + '.join(terms)}) & {_MASK64:#x}", 8,
                            tag=" | ".join(tags) or "0")
 
-    def binop(self, ins: BinOp, i: int) -> list:
+    def binop(self, ins: BinOp) -> list:
         kind, w, op, uid = _kind(ins.ty), _width(ins.ty), ins.op, repr(ins.uid)
         a, b = self.val(ins.lhs, kind), self.val(ins.rhs, kind)
         if op == "cmp":
@@ -651,14 +785,14 @@ class _Writer:
         tags = [t for t in (self.tag(ins.lhs, w), self.tag(ins.rhs, w)) if t != "0"]
         return self.define(ins.dest, e, w, tag=" | ".join(tags) or "0")
 
-    def br(self, ins: Br, i: int) -> list:
+    def br(self, ins: Br) -> list:
         then, other = self.target(ins.then_label, ins), self.target(ins.else_label, ins)
-        return [_COUNT, f"return {then} if {self.val(ins.cond, _I64)} != 0 else {other}"]
+        return [_COUNT, f"i = {then} if {self.val(ins.cond, _I64)} != 0 else {other}"]
 
-    def jmp(self, ins: Jmp, i: int) -> list:
-        return [_COUNT, f"return {self.target(ins.label, ins)}"]
+    def jmp(self, ins: Jmp) -> list:
+        return [_COUNT, f"i = {self.target(ins.label, ins)}"]
 
-    def call(self, ins: Call, i: int) -> list:
+    def call(self, ins: Call) -> list:
         callee = self.image.module.functions.get(ins.callee)
         if callee is None:
             raise MachineTrap("unresolved callee", ins.uid, f"@{ins.callee}")
@@ -666,18 +800,18 @@ class _Writer:
         args = ", ".join(self.val(op, _kind(pty)) for (_, pty), op in pairs)
         vecs = ", ".join(self.vec(op, _width(pty)) for (_, pty), op in pairs
                          ) if self.live else ""
-        return [f"args = [{args}]", f"vecs = [{vecs}]", _COUNT, f"f.seg = {i + 1}",
-                f"m._call({self.const(callee)}, args, vecs, {self.const(ins)})"]
+        return [f"args = [{args}]", f"vecs = [{vecs}]", _COUNT, f"f.seg = {self.at + 1}",
+                f"m._call({self.const(callee)}, args, vecs, {self.const(ins)})", "return"]
 
-    def ret(self, ins: Ret, i: int) -> list:
+    def ret(self, ins: Ret) -> list:
         has, ty = ins.value is not None, self.fn.ret_ty
         x, lines = self.atom(self.val(ins.value, _kind(ty)) if has else "0", "x")
         if self.live:
             shadow = self.vec(ins.value, _width(ty)) if has else "b''"
             lines.append(f"m.ret_shadow = {shadow}")
-        return lines + [_COUNT, f"m.exit_value = m._do_ret(f, {x})"]
+        return lines + [_COUNT, f"m.exit_value = m._do_ret(f, {x})", "return"]
 
-    def unknown(self, ins: Instr, i: int) -> list:
+    def unknown(self, ins: Instr) -> list:
         raise MachineTrap("unknown instruction", ins.uid)
 
     # Operands and temps
@@ -691,19 +825,13 @@ class _Writer:
                tag: str = "") -> list[str]:
         """Lines binding temp `name` to `value` and, when tracked, to a tag
         vector of `width` bytes: `vec`, or the splat of the int tag `tag`."""
-        n = self.ids.setdefault(name, len(self.ids))
-        lines = [f"v{n} = {value}"]
-        if self.live:
-            if tag:
-                lines.append(f"n{n} = {tag}")
-                vec = f"_S{width}[n{n}]"
-            lines.append(f"g{n} = {vec}")
-        if name in self.shared:
-            lines.append(f"t[{name!r}] = v{n}")
+        v, g = _local("v", name), _local("g", name)
+        lines = [f"{v} = {value}"] + [f"{g} = {vec or f'_S{width}[{tag}]'}"] * self.live
+        if name in self.spill:
+            lines.append(f"t[{name!r}] = {v}")
             if self.live:
-                lines.append(f"tg[{name!r}] = g{n}")
+                lines.append(f"tg[{name!r}] = {g}")
             self.used.update(("t", "tg") if self.live else ("t",))
-        self.local[name] = (n, width, bool(tag))
         return lines
 
     def konst(self, op: Operand, kind, wrap_globals: bool = False):
@@ -718,12 +846,7 @@ class _Writer:
         """An expression of the operand as a `kind` value."""
         if type(op) is not Temp:
             return _lit(self.konst(op, kind, wrap_globals))
-        hit, have = self.local.get(op.name), self.kinds.get(op.name)
-        if hit:
-            e = f"v{hit[0]}"
-        else:
-            e = f"t[{op.name!r}]"
-            self.used.add("t")
+        e, have = _local("v", op.name), self.kinds.get(op.name)
         if have == kind:        # its producer normalized it
             return e
         if kind == "f":
@@ -736,23 +859,16 @@ class _Writer:
         """An expression of the operand's tag vector resized to `w` bytes."""
         if type(op) is not Temp:
             return f"_Z{w}"
-        hit = self.local.get(op.name)
-        if hit is None:
-            self.used.add("tg")
-            return f"_resize(tg.get({op.name!r}, b'\\0'), {w})"
-        return f"g{hit[0]}" if hit[1] == w else f"_resize(g{hit[0]}, {w})"
+        g = _local("g", op.name)
+        return g if self.width.get(op.name) == w else f"_resize({g}, {w})"
 
     def tag(self, op: Operand, w: int) -> str:
         """An expression of the fold of the operand's tag vector resized to
         `w` (>= 1) bytes."""
         if type(op) is not Temp:
             return "0"
-        hit = self.local.get(op.name)
-        if hit is None:
-            self.used.add("tg")
-            return f"_tag(tg.get({op.name!r}, b'\\0'), {w})"
-        return (f"n{hit[0]}" if hit[2] else f"_U[g{hit[0]}]" if hit[1] <= w
-                else f"_tag(g{hit[0]}, {w})")
+        g, width = _local("g", op.name), self.width.get(op.name)
+        return f"_U[{g}]" if width is not None and width <= w else f"_tag({g}, {w})"
 
     def target(self, label: str, ins: Instr) -> str:
         """The segment a branch to `label` goes to; a label the function
@@ -816,7 +932,7 @@ def _shared_code(image: "Image", fn: Function, live: bool) -> _Code:
 
 class Image:
     """What no run changes, built once and shared by every machine made from
-    it: the global layout, each function's compiled segments and the rule
+    it: the global layout, each function's compiled regions and the rule
     programs bound to the module.  It holds no machine, so a machine is
     freed by reference counting while its image lives on.  Raises
     ValueError when the globals reach past the lower half of `mem_size`,
@@ -842,7 +958,7 @@ class Image:
         if self.heap_start > mem_size // 2:
             raise ValueError(f"the globals need 0x{self.heap_start:x} bytes, more than"
                              f" half of mem_size 0x{mem_size:x}")
-        # (function name, tracked) -> its segments, taken from the shared
+        # (function name, tracked) -> its regions, taken from the shared
         # table at the first frame that runs them
         self.code: dict[tuple[str, bool], _Code] = {}
         self._bound: dict[str, tuple[TaintRuleProgram, tuple]] = {}
@@ -852,12 +968,6 @@ class Image:
         if code is None:
             code = self.code[fn.name, live] = _shared_code(self, fn, live)
         return code
-
-    def prefix(self, fn: Function, live: bool, i: int, j: int) -> tuple[_Code, str]:
-        """Segment `i` of `fn` cut to its first `j` instructions, and the uid
-        of the instruction after them."""
-        writer = _Writer(self, fn, live)
-        return writer.code((i, j)), writer.segs[i][1][j].uid
 
     def bound(self, prog: TaintRuleProgram) -> tuple:
         """`prog`'s steps as (entry, op, kind, where, offset, nbytes, max_len),
@@ -1066,35 +1176,31 @@ class Machine:
     # -- interpreter -------------------------------------------------------------
 
     def _run_loop(self) -> int:
-        frames, budget, n = self._frames, self.step_budget, self.instr_total
-        try:
-            while frames:
-                f = frames[-1]
-                code, live, start, i = f.code, self.live, n, f.seg
-                lines = code.lines
-                try:
-                    while i is not None:    # until this frame calls or returns
-                        run, k = code[i]
-                        n += k
-                        if n > budget:      # run what fits, then trap
-                            n -= k
-                            cut, uid = self.image.prefix(f.fn, live, i, budget - n)
-                            (run, k), lines = cut[0], cut.lines
-                            n += k
-                            run(self, f)
-                            n += 1
-                            raise MachineTrap("step budget exhausted", uid)
-                        i = run(self, f)
-                except BaseException as e:
-                    unrun, uncounted = _stopped(e, lines)
-                    n -= unrun
-                    self.shadow_ops_instr += uncounted
-                    raise
-                finally:
-                    if not live:    # the budget trap's instruction never ran
-                        self.instr_unins += n - start - (n > budget)
-        finally:
-            self.instr_total = n
+        frames, budget = self._frames, self.step_budget
+        while frames:
+            f = frames[-1]
+            code, live, start = f.code, self.live, self.instr_total
+            lines = code.lines
+            try:    # until this frame calls or returns
+                cut = code[f.seg](self, f, f.seg)
+                if cut is not None:     # run what fits, then trap
+                    run, lines, uid = _Writer(self.image, f.fn, live).cut(
+                        cut[0], budget - self.instr_total, cut[1])
+                    self.instr_total = budget
+                    run(self, f, cut[1])
+                    self.instr_total += 1
+                    raise MachineTrap("step budget exhausted", uid)
+            except BaseException as e:
+                unrun, uncounted = _stopped(e, lines)
+                self.instr_total -= unrun
+                self.shadow_ops_instr += uncounted
+                hit = _LOCAL.search(str(e)) if isinstance(e, NameError) else None
+                if hit:     # a temp no path defined
+                    raise _undefined(hit[1][2:].replace("·", ".")) from None
+                raise
+            finally:
+                if not live:    # the budget trap's instruction never ran
+                    self.instr_unins += self.instr_total - start - (self.instr_total > budget)
         return self.exit_value
 
     def _do_ret(self, frame: _Frame, value) -> int:

@@ -20,7 +20,7 @@ from .ir import (
     field_offset, size_of,
 )
 from .rules import DEFAULT_STRING_CAP, TaintRuleProgram, compile_library
-from .tracker import GLOBALS_BASE, Image, Machine, run
+from .tracker import GLOBALS_BASE, PAGE, Image, Machine, Tagmap, run
 
 HARNESS_MEMORY = 1 * 1024 * 1024
 MAX_SUBSETS = 256
@@ -201,6 +201,34 @@ class ComparisonReport:
         }
 
 
+_NONZERO = bytes([0] + [1] * 255)     # translates each nonzero tag to 1
+
+
+def _uncovered(tm: Tagmap, other: Tagmap, ranges: Sequence[tuple[int, int]]) -> list[int]:
+    """The addresses, ascending, within any of the [lo, hi) `ranges` that
+    `tm` tags and `other` does not, compared page by page."""
+    spans: list[list[int]] = []      # the ranges merged, in order
+    for lo, hi in sorted(r for r in ranges if r[0] < r[1]):
+        if spans and lo <= spans[-1][1]:
+            spans[-1][1] = max(spans[-1][1], hi)
+        else:
+            spans.append([lo, hi])
+    out = []
+    for pno in sorted(tm.pages):
+        base, page, cover = pno * PAGE, tm.pages[pno], other.pages.get(pno)
+        for lo, hi in spans:
+            lo, hi = max(lo, base) - base, min(hi, base + PAGE) - base
+            if lo < hi:     # a bit 8k for each byte k tagged here and not there
+                miss = int.from_bytes(page[lo:hi].translate(_NONZERO), "little")
+                if cover is not None:
+                    miss &= ~int.from_bytes(cover[lo:hi].translate(_NONZERO), "little")
+                while miss:
+                    low = miss & -miss
+                    out.append(base + lo + low.bit_length() // 8)
+                    miss ^= low
+    return out
+
+
 def oracle_compare(module: Module, fn_name: str, trials: int = 100,
                    seed: int = 0,
                    rule_programs: Optional[Mapping[str, TaintRuleProgram]] = None,
@@ -228,10 +256,7 @@ def oracle_compare(module: Module, fn_name: str, trials: int = 100,
         ret_h = ret_h or any(m_h.ret_shadow)
         ranges = [(GLOBALS_BASE, m_i.globals_end)] + [
             (addr, addr + n) for addr, n in filter(None, m_i.trial_regions)]
-        for addr, _tag in m_i.tagmap.nonzero_bytes():
-            if (any(lo <= addr < hi for lo, hi in ranges)
-                    and m_h.tagmap.get_taint(addr, 1) == 0):
-                violations.append((t, addr))
+        violations += [(t, addr) for addr in _uncovered(m_i.tagmap, m_h.tagmap, ranges)]
     avg_i = sum_i / trials if trials else 0.0
     avg_h = sum_h / trials if trials else 0.0
     if avg_i > 0:

@@ -94,6 +94,21 @@ class TestOffline:
         doc = json.loads((out / "memcpy.pdg.json").read_text())
         assert doc["function"] == "memcpy"
 
+    def test_pdg_goes_on_past_a_rejected_function(self, workdir, capsys):
+        """Without --fn, `build_pdg` rejecting the recursive @a is a note,
+        printed once, and @b's graph is still written; --fn naming @a still
+        fails."""
+        path, out = workdir / "rec.ir", workdir / "pb"
+        path.write_text("fn @a(%x: i64) -> i64 library {\nentry:\n"
+                        "  %y = call i64 @a(%x)\n  ret i64 %y\n}\n"
+                        "fn @b(%x: i64) -> i64 library {\nentry:\n  ret i64 %x\n}\n")
+        assert main(["pdg", str(path), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "note: @a: recursive call cycle: a -> a\n"
+        assert sorted(p.name for p in out.iterdir()) == ["b.pdg.dot"]
+        assert main(["pdg", str(path), "--out", str(out), "--fn", "a"]) == 1
+        assert "error: @a: recursive call cycle: a -> a\n" in capsys.readouterr().err
+
     def test_flatten(self, workdir, capsys):
         assert main(["flatten", student_flow_path(workdir)]) == 0
         doc = json.loads(capsys.readouterr().out)

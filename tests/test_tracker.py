@@ -1,6 +1,6 @@
 """Shadow-store algebra, interpreter semantics, hybrid switching, rule
-application, traps, sources/sinks, and the compiled segments against the
-step interpreter they replaced."""
+application, traps, sources/sinks, and the compiled regions against the
+step interpreter that compiled code replaced."""
 
 import dataclasses
 import functools
@@ -733,7 +733,7 @@ entry:
 
 
 # ---------------------------------------------------------------------------
-# The step interpreter the compiled segments replaced, kept as their oracle
+# The step interpreter that compiled code replaced, kept as its oracle
 # ---------------------------------------------------------------------------
 
 _COND_TY = Int(64)
@@ -1023,14 +1023,14 @@ class ReferenceMachine(Machine):
 def outcome(cls, module, entry, args, *, arg_tags=None, before=None, **kw):
     """Everything a run leaves behind: its RunReport or how it stopped,
     the counters, final memory and the pages marked written, Tagmap pages,
-    ret_shadow and sink hits."""
-    m = cls(module, **kw)
+    ret_shadow, sink hits, and a trap's detail."""
+    m, detail = cls(module, **kw), None
     if before is not None:
         before(m)
     try:
         exit_value = m.call_entry(entry, list(args), arg_tags)
     except MachineTrap as e:
-        result = ("trap", e.kind, e.instr)
+        result, detail = ("trap", e.kind, e.instr), e.detail
     except (OverflowError, ValueError) as e:    # an inf or NaN read as an int,
         result = (type(e).__name__,)            # or a float beyond f32
     else:
@@ -1041,7 +1041,7 @@ def outcome(cls, module, entry, args, *, arg_tags=None, before=None, **kw):
     return (result, m.instr_total, m.instr_unins, m.shadow_ops_instr,
             m.shadow_ops_rules, bytes(m.memory), sorted(m.memory.dirty),
             {p: bytes(page) for p, page in m.tagmap.pages.items()},
-            m.ret_shadow, tuple(m.sink_hits), m.live)
+            m.ret_shadow, tuple(m.sink_hits), m.live, detail)
 
 
 def assert_same_runs(module, entry, args, rules=None, **kw):
@@ -1163,6 +1163,90 @@ def typed_function(draw):
     return src, n_params
 
 
+# scalar parameter sources of the helpers: `_apply_sources` resizes the
+# caller's tag vector of the argument to the parameter's width
+LOOP_CFG = TaintConfig.from_json({
+    "sources": [{"fn": "h", "where": "param", "index": 0, "label": 2},
+                {"fn": "k", "where": "param", "index": 1, "label": 4}],
+    "sinks": [{"fn": "h", "index": 1}]})
+
+
+@st.composite
+def looped_function(draw):
+    """A random entry `@f` around a loop of at most three iterations whose
+    body calls @h or @k, so a region ends mid-loop and starts again after
+    the call.  The counter and an accumulator are redefined in every
+    iteration, the accumulator with a drawn type each time; `%once` is
+    defined on one branch only and may be read after the join or the loop,
+    which traps as undefined on a path that skipped it; and the call passes
+    temps of other widths than the helper's parameters, whose tag vectors
+    `LOOP_CFG`'s sources resize.  Returns (source, entry argument count)."""
+    n_params = draw(st.integers(1, 3))
+    params, temps = ["%p0: i64"], [("p0", "i64")]
+    for i in range(1, n_params):
+        ty = draw(st.sampled_from(_INT_TYPES + _FLOAT_TYPES))
+        params.append(f"%p{i}: {ty}")
+        temps.append((f"p{i}", ty))
+    counter = [0]
+
+    def operand(ty):
+        pick = draw(st.integers(0, 9))
+        if pick < 7:
+            return "%" + draw(st.sampled_from(temps))[0]
+        if ty in _FLOAT_TYPES:
+            return draw(st.sampled_from(("0.0", "1.5", "-2.25")))
+        return str(draw(st.sampled_from((0, 1, -1, 7, 255, 2 ** 31))))
+
+    def define(name, lhs=None):
+        """Lines defining `name` by a binop, whose left operand is `lhs`
+        when given, or by a store to %pad and a load of another type."""
+        ty = draw(st.sampled_from(_INT_TYPES + _FLOAT_TYPES))
+        ops = _FLOAT_OP_NAMES if ty in _FLOAT_TYPES else _INT_OP_NAMES
+        lhs = lhs or operand(ty)
+        if draw(st.booleans()):
+            out = [f"  %{name} = {draw(st.sampled_from(ops))} {ty} {lhs}, {operand(ty)}"]
+        else:
+            sty = draw(st.sampled_from(_INT_TYPES + _FLOAT_TYPES))
+            out = [f"  store {sty} {operand(sty)}, %pad", f"  %{name} = load {ty}, %pad"]
+        temps.append((name, ty))
+        return out
+
+    def steps():
+        out = []
+        for _ in range(draw(st.integers(0, 3))):
+            counter[0] += 1
+            out += define(f"t{counter[0]}")
+        return out
+
+    def call():
+        if draw(st.booleans()):
+            line = f"  %c = call i16 @h({operand('i32')}, {operand('u8')})"
+            temps.append(("c", "i16"))
+        else:
+            line = f"  %c = call i64 @k({operand('f64')}, {operand('i8')})"
+            temps.append(("c", "i64"))
+        return [line]
+
+    entry = ["  %pad = alloca [16 x char]", "  %cnt = and i64 %p0, 3"]
+    entry += define("acc") + steps() + ["  jmp head"]
+    head = ["  %z = cmp i64 %cnt, 0", "  br %z, exit, body"]
+    body = ["  %cnt = sub i64 %cnt, 1"] + steps()
+    early = draw(st.booleans())        # the call before the branch, or after the join
+    body += (call() if early else []) + [f"  br {operand('i64')}, then, join"]
+    then = define("once") + ["  jmp join"]
+    if not draw(st.booleans()):     # %once is never read
+        temps.pop()
+    join = steps() + ([] if early else call()) + steps()
+    join += define("acc", "%acc") + ["  jmp head"]
+    rty = draw(st.sampled_from(_INT_TYPES + _FLOAT_TYPES))
+    blocks = {"entry": entry, "head": head, "body": body, "then": then, "join": join,
+              "exit": [f"  ret {rty} {operand(rty)}"]}
+    src = (HELPERS + f"\nfn @f({', '.join(params)}) -> {rty} {{\n"
+           + "".join(f"{label}:\n" + "\n".join(lines) + "\n" for label, lines in blocks.items())
+           + "}\n")
+    return src, n_params
+
+
 def _arg_values(rng, n):
     return [rng.choice((0, 1, -1, 3, 255, 256, -70000, 2 ** 33, 2 ** 63))
             for _ in range(n)]
@@ -1187,7 +1271,7 @@ def _budget(budget):
 
 
 class TestDecodedMatchesReference:
-    """The compiled segments against the step interpreter they replaced:
+    """The compiled regions against the step interpreter they replaced:
     the same RunReport, memory, Tagmap pages, ret_shadow and sink hits on
     every run, and the same trap kind and instruction on every trap."""
 
@@ -1211,6 +1295,19 @@ class TestDecodedMatchesReference:
         rng = random.Random(seed)
         assert_same_runs(m, "f", _arg_values(rng, n), rules,
                          arg_tags=_arg_tags(rng, n), mem_size=1 << 16,
+                         **_budget(budget))
+
+    @settings(max_examples=150, deadline=None)
+    @given(looped_function(), st.integers(0, 2 ** 32), BUDGETS, st.booleans())
+    def test_random_looped_functions(self, fn_src, seed, budget, sources):
+        src, n = fn_src
+        m = parse_module(src)
+        rules, _ = compile_library(m)
+        rng = random.Random(seed)
+        args = _arg_values(rng, n)
+        args[0] = rng.randrange(4)      # the iteration count
+        assert_same_runs(m, "f", args, rules, arg_tags=_arg_tags(rng, n),
+                         taint_config=LOOP_CFG if sources else None, mem_size=1 << 16,
                          **_budget(budget))
 
     @settings(max_examples=25, deadline=None)
@@ -1402,6 +1499,22 @@ entry:
 """
 
 
+WARM_UNDEFINED = """\
+fn @f(%a: i64) -> i64 {
+entry:
+  %c = cmp i64 %a, 0
+  br %c, def, use
+def:
+  %x = add i64 %a, 1
+  jmp use
+use:
+  %y = add i64 %a, 2
+  %z = add i64 %x, %y
+  ret i64 %z
+}
+"""
+
+
 class TestExactTraps:
     """Every trap inside a segment leaves the instruction counts, shadow-op
     counts, memory and Tagmap the step interpreter leaves, as does a step
@@ -1424,6 +1537,19 @@ class TestExactTraps:
             assert got["instr"][0] == ("trap", want, uid), (entry, got["instr"][0])
             if entry == "main" and rules:   # a recursive @lib gets no summary
                 assert got["hybrid"][2] > 0     # counted while untracked
+
+    def test_undefined_read_in_warm_code(self):
+        """Once a region's code is warm the interpreter fuses the read of
+        `%x`'s local with the store of `%y`'s before it, and reports the
+        failed read on the store's line; the trap still counts the read."""
+        m = parse_module(WARM_UNDEFINED)
+        image = Image(m, mem_size=1 << 16)
+        want = {mode: outcome(ReferenceMachine, m, "f", [1], mode=mode, mem_size=1 << 16)
+                for mode in ("instr", "hybrid")}
+        assert want["instr"][:2] == (("trap", "undefined temporary", None), 4)
+        for _ in range(20):
+            for mode, reference in want.items():
+                assert outcome(Machine, image, "f", [1], mode=mode) == reference, mode
 
     def test_every_budget_on_bench_memcpy(self, bench_memcpy):
         rules, _ = compile_library(bench_memcpy)
@@ -1460,7 +1586,7 @@ class TestExactTraps:
 
 
 class TestMachineLifetime:
-    """Segments take the machine as an argument; a machine that held its
+    """Regions take the machine as an argument; a machine that held its
     compiled code through functions closing over it would stay alive, with
     its 16 MiB mapping, until a cyclic collection."""
 
@@ -1494,7 +1620,7 @@ class TestMachineLifetime:
 
 
     def test_freed_while_its_image_lives(self, student_flow, student_flow_rules):
-        """The image keeps its compiled segments and bound rules after each
+        """The image keeps its compiled regions and bound rules after each
         of its machines is gone, so it must hold none of them."""
         image = Image(student_flow, student_flow_rules, 1 << 16)
         enabled = gc.isenabled()
@@ -1531,6 +1657,24 @@ entry:
 """
 
 
+class TestRegions:
+    """A function's segments run in one generated function per call-free
+    region, with its temps in locals."""
+
+    def test_memcpy_loop_is_one_region(self, bench_memcpy):
+        code = Image(bench_memcpy).compiled(bench_memcpy.functions["memcpy"], True)
+        assert len(code) == 4 and len(set(code)) == 1
+        code = Image(bench_memcpy).compiled(bench_memcpy.functions["main"], True)
+        assert len(set(code)) == 2      # its call ends a region
+
+    def test_bench_user_loop_reads_no_frame_temp(self, bench_user):
+        writer = _Writer(Image(bench_user), bench_user.functions["main"], True)
+        writer.code()
+        source = "\n".join(writer.src)
+        assert "tg.get(" not in source and "t['i']" not in source
+        assert "t['n']" in source     # the parameter, once at entry
+
+
 class TestCodeCache:
     """Images of one module share each function's written code, and code
     objects are shared process-wide by source text, so equal source means
@@ -1542,7 +1686,7 @@ class TestCodeCache:
             for live in (True, False):
                 ca, cb = a.compiled(fn, live), b.compiled(fn, live)
                 assert ca is cb and len(ca) == len(cb)
-                assert all(x.__code__ is y.__code__ for (x, _), (y, _) in zip(ca, cb))
+                assert all(x.__code__ is y.__code__ for x, y in zip(ca, cb))
 
     def test_layout_and_memory_size_get_their_own_code(self):
         """@buf's address and the bounds checks are literals in the code; the
@@ -1550,7 +1694,7 @@ class TestCodeCache:
         base, moved = (parse_module(LAYOUT.format(pad=pad)) for pad in (8, 40))
         images = [Image(base, mem_size=1 << 16), Image(moved, mem_size=1 << 16),
                   Image(base, mem_size=1 << 17)]
-        codes = [im.compiled(im.module.functions["f"], True)[0][0].__code__
+        codes = [im.compiled(im.module.functions["f"], True)[0].__code__
                  for im in images]
         assert len({id(c) for c in codes}) == 3
         top = (1 << 16) - 4
@@ -1563,7 +1707,7 @@ class TestCodeCache:
                         else result.exit_value == 2), result
 
     def test_machines_freed_with_the_cache_populated(self, bench_memcpy):
-        """Traps read the traceback of the segment that raised; the machine
+        """Traps read the traceback of the region that raised; the machine
         still goes with its last reference."""
         oob = parse_module(MID_SEGMENT_TRAPS["out-of-bounds access"][0] + MAIN_CALLS_LIB)
         rules, _ = compile_library(oob)
@@ -1668,7 +1812,7 @@ class TestSharedCode:
             assert len(tracker._code_table) <= 4
         again = Image(modules[0], mem_size=1 << 16).compiled(modules[0].functions["f"], True)
         assert again is not first and again.lines == first.lines
-        assert [x.__code__ for x, _ in again] == [x.__code__ for x, _ in first]
+        assert [x.__code__ for x in again] == [x.__code__ for x in first]
 
     def test_machines_of_two_images_are_independent(self, student_flow,
                                                     student_flow_rules):
@@ -2090,7 +2234,7 @@ def _straddle_source(frame, accesses):
 
 class TestInlineShadowPath:
     """Tracked loads, stores and allocas do the Tagmap's one-page work in
-    the compiled segment and call `get_vector`/`set_vector` only for an
+    the compiled region and call `get_vector`/`set_vector` only for an
     access that crosses a page."""
 
     def test_buffer_spans_a_page_edge(self):

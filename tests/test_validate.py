@@ -5,10 +5,12 @@ control-dependency summaries."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taintsum import Machine, TaintRuleProgram, corpus, parse_module
+from taintsum.tracker import PAGE, Tagmap
 from taintsum.validate import (
-    HARNESS_MEMORY, bench, build_plan, default_rules, materialize_plan,
+    HARNESS_MEMORY, _uncovered, bench, build_plan, default_rules, materialize_plan,
     noninterference_check, oracle_compare, transparency_check,
     transparency_check_fn,
 )
@@ -81,6 +83,33 @@ entry:
         p1 = build_plan(libcorpus, "memcpy", random.Random("x"))
         p2 = build_plan(libcorpus, "memcpy", random.Random("x"))
         assert p1 == p2
+
+
+def _uncovered_per_byte(tm, other, ranges):
+    """The per-byte containment scan `_uncovered` replaced, kept as its
+    oracle."""
+    return [addr for addr, _tag in tm.nonzero_bytes()
+            if any(lo <= addr < hi for lo, hi in ranges) and other.get_taint(addr, 1) == 0]
+
+
+# tag vectors written around the edges of three pages
+_VECTORS = st.lists(st.tuples(st.integers(PAGE - 40, 4 * PAGE + 40),
+                              st.binary(min_size=1, max_size=80)), max_size=8)
+
+
+class TestUncovered:
+    @settings(max_examples=300, deadline=None)
+    @given(_VECTORS, _VECTORS, st.lists(st.tuples(st.integers(PAGE - 60, 4 * PAGE + 60),
+                                                  st.integers(-4, 3 * PAGE)), max_size=5))
+    def test_matches_the_per_byte_scan(self, mine, theirs, ranges):
+        """Overlapping, empty and page-crossing ranges; pages present in one
+        Tagmap only or in both."""
+        tms = Tagmap(), Tagmap()
+        for tm, writes in zip(tms, (mine, theirs)):
+            for addr, vec in writes:
+                tm.set_vector(addr, vec)
+        ranges = [(lo, lo + n) for lo, n in ranges]
+        assert _uncovered(*tms, ranges) == _uncovered_per_byte(*tms, ranges)
 
 
 class TestNoninterference:

@@ -13,7 +13,11 @@ can be diffed to show a change leaves them byte-identical:
     `perfbench/gen.py` at seeds 1 and 5;
   * for a small module whose library functions recurse, into themselves
     and into each other, the same offline artifacts, `run` in both modes
-    and `bench` (its wall seconds elided).
+    and `bench` (its wall seconds elided);
+  * for a small module with a call inside a loop and a temp defined on one
+    branch only, machine runs in both modes at several step budgets, some
+    of which run out inside a loop: the exit value or the trap, and the
+    counters.
 
 Usage, from the root of each tree:
 
@@ -34,8 +38,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402
-from taintsum import corpus  # noqa: E402
+from taintsum import Machine, MachineTrap, TaintConfig, corpus, parse_module  # noqa: E402
 from taintsum.cli import main as taintsum  # noqa: E402
+from taintsum.rules import compile_library  # noqa: E402
 from taintsum.validate import (  # noqa: E402
     default_rules, transparency_check, transparency_check_fn,
 )
@@ -138,6 +143,55 @@ RECURSIVE_CFG = {"sources": [{"fn": "read", "where": "param", "index": 0, "label
                              {"fn": "main", "where": "param", "index": 0, "label": 2}],
                  "sinks": [{"fn": "show", "index": 0}]}
 
+# @sum's loop calls the summarized @step, whose parameter source widens the
+# tag vector of the char %c it is passed; %last is defined only on odd
+# iterations, so with n = 0 its read after the loop traps
+LOOPED = """\
+global @buf : [8 x char] = bytes(5, 0, 7, 9, 2)
+fn @step(%x: i64) -> i64 library {
+entry:
+  %y = add i64 %x, 3
+  ret i64 %y
+}
+fn @sum(%p: ptr(char), %n: i64) -> i64 {
+entry:
+  %ip = alloca i64
+  %ap = alloca i64
+  store i64 0, %ip
+  store i64 0, %ap
+  jmp head
+head:
+  %i = load i64, %ip
+  %z = cmp i64 %i, %n
+  br %z, done, body
+body:
+  %q = gep char, %p, %i
+  %c = load char, %q
+  %s = call i64 @step(%c)
+  %a = load i64, %ap
+  %a1 = add i64 %a, %s
+  store i64 %a1, %ap
+  %i1 = add i64 %i, 1
+  store i64 %i1, %ip
+  %odd = and i64 %i1, 1
+  br %odd, mark, head
+mark:
+  %last = add i64 %a1, %c
+  jmp head
+done:
+  %r = add i64 %last, %n
+  ret i64 %r
+}
+fn @main(%n: i64) -> i64 {
+entry:
+  %p = gep [8 x char], @buf, 0, 0
+  %r = call i64 @sum(%p, %n)
+  ret i64 %r
+}
+"""
+LOOPED_CFG = {"sources": [{"fn": "step", "where": "param", "index": 0, "label": 4},
+                          {"fn": "step", "where": "ret", "label": 2}]}
+
 
 def cli(tmp: Path, *argv) -> str:
     """The command line, exit code, stdout and stderr, with `tmp` elided."""
@@ -170,6 +224,29 @@ def recursive_outputs(tmp: Path) -> None:
     print(re.sub(r",[0-9.]+\n", ",<s>\n", cli(tmp, "bench", module, "--args", "2")), end="")
 
 
+def region_outputs() -> None:
+    """Each run's exit value or trap and its counters, at budgets from one
+    instruction to the whole run."""
+    module = parse_module(LOOPED)
+    rules, cfg = compile_library(module)[0], TaintConfig.from_json(LOOPED_CFG)
+    for mode in ("instr", "hybrid"):
+        for n in (0, 3):
+            budgets = [None]
+            for budget in budgets:
+                m = Machine(module, mode=mode, rule_programs=rules, taint_config=cfg,
+                            mem_size=1 << 16, **({} if budget is None else {"step_budget": budget}))
+                try:
+                    result = f"exit {m.call_entry('main', [n])} ret tag {max(m.ret_shadow, default=0)}"
+                except MachineTrap as e:
+                    result = f"trap {e}"
+                if budget is None:      # 9 runs out inside @sum's loop
+                    total = m.instr_total
+                    budgets += [1, 9, total // 3, total // 2, total - 1, total]
+                print(f"looped {mode} n={n} budget={budget}: {result}; instr {m.instr_total}"
+                      f" unins {m.instr_unins} shadow {m.shadow_ops_instr}+{m.shadow_ops_rules}"
+                      f" tagged {m.tagmap.nonzero_bytes()}")
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -199,6 +276,7 @@ def main() -> None:
                     print(cli(tmp, "run", tmp / f"{name}.ir", "--entry", entry, "--args", args,
                               "--mode", mode, "--taint-config", cfg_path, *extra), end="")
         recursive_outputs(tmp)
+    region_outputs()
     lib_module = corpus.load_module("libcorpus")
     rules = default_rules(lib_module)
     for fn in sorted(corpus.DRIVERS):
