@@ -46,7 +46,7 @@ PAGE = 1 << _PAGE_SHIFT
 GLOBALS_BASE = 0x1000
 DEFAULT_MEMORY = 16 * 1024 * 1024
 DEFAULT_STEP_BUDGET = 10 ** 8
-DEFAULT_MAX_FRAMES = 512
+MAX_FRAMES = 512        # one Python frame each, under the recursion limit
 
 
 class MachineTrap(Exception):
@@ -343,56 +343,51 @@ def _resize_vec(vec: bytes, n: int) -> bytes:
 @dataclass(slots=True)
 class _Frame:
     fn: Function
-    temps: dict[str, object]
+    temps: dict[str, object]    # the parameters; a redefined one is stored back
+    # the parameters' tag vectors and, around a call, its temp arguments',
+    # which a parameter source may widen
     tags: dict[str, bytes]
     stack_mark: int
     call_ins: Optional[Call]
-    code: "_Code"       # fn compiled, tracked or untracked
+    code: object        # fn compiled, tracked or untracked: code(machine, frame)
     # argument values and tags at entry; set only on a rule-firing frame
     arg_record: Optional[list[tuple[object, bytes]]] = None
-    seg: int = 0        # the segment it runs next
 
 
 def _undefined(name: str) -> MachineTrap:
     return MachineTrap("undefined temporary", detail=f"%{name}")
 
 
-class _Temps(dict):
-    """A frame's temporaries; reading one not yet defined traps."""
-
-    def __missing__(self, name: str):
-        raise _undefined(name)
-
-
 # ---------------------------------------------------------------------------
-# Compiled regions
+# Compiled functions
 # ---------------------------------------------------------------------------
 #
 # An image compiles each function its machines enter, tracked or untracked,
-# into Python source.  A segment runs from a block's start or from just after
-# a call up to and including the next call or terminator; a region is each
-# maximal set of segments that branches connect.  Each region is one
-# function `r<j>(m, f, i)`: from segment `i` (the function's start or just
-# after a call) a `while` loop dispatches segment to segment until a call or
-# a return.  What an instruction fixes is a literal there: constants, global
-# addresses, widths, masks, gep offsets, segment indices.  A temp %x is the
-# local `v_x`, its tag vector `g_x`.  On entry a region loads from the frame
-# each temp it may read before defining it, and only such temps and the
-# parameters (which rule sources read) are stored back where defined; a read
-# no path defined finds its local unbound, which the run loop turns into the
-# undefined-temporary trap.  A fold or resize of a temp loaded from the
-# frame keeps `_tag`/`_resize`: `_apply_sources` may have resized its
-# vector.  Tracked loads, stores and allocas do the Tagmap's one-page work
-# inline.  The step budget is checked once per segment; the instruction and
-# shadow-op counts are locals, flushed when the region returns or raises.
-# When the budget runs out in a segment, the region returns it with its
-# locals and the run loop runs the prefix that fits (`_Writer.cut`).  When a
-# region raises, the line it stopped on gives the instructions it did not
-# run and the shadow ops it did not count.  A function's code is shared by
-# every image of its module (`_shared_code`), code objects by source text;
-# the functions hold no machine.
+# into Python source: one function `F(m, f)` that runs frame `f` to its
+# return, with a `while` loop dispatching from block to block.  An IR call is
+# a Python call of the callee's function, so each IR frame is one Python
+# frame and temps stay locals across calls.  What an instruction fixes is a
+# literal there: constants, global addresses, widths, masks, gep offsets,
+# block indices.  A temp %x is the local `v_x`, its tag vector `g_x`.  The
+# parameters are read from the frame at entry and a redefined one is stored
+# back, since rule sources read it; a tracked call passes its temp
+# arguments' tag vectors through `f.tags`, where a parameter source may
+# widen them.  A read no path defined finds its local unbound, which
+# `Machine._run` turns into the undefined-temporary trap.  Tracked loads,
+# stores and allocas do the Tagmap's one-page work inline.  A segment runs
+# from a block's start or from just after a call up to and including the
+# next call or terminator; the step budget is checked once per segment.
+# The instruction and shadow-op counts are locals, written to the machine
+# before each call and return, so a callee counts on from its caller's
+# count.  When the budget runs out in a segment, `Machine._cut` runs the
+# prefix that fits from the function's locals (`_Writer.cut`) and traps.
+# When a run raises, the line its innermost generated frame stopped on gives
+# the instructions that frame did not run and the shadow ops it did not
+# count.  A function's code is shared by every image of its module
+# (`_shared_code`), code objects by source text; the functions hold no
+# machine.
 
-_SOURCE = "<taintsum region>"
+_SOURCE = "<taintsum function>"
 _MASK64 = 2 ** 64 - 1
 _PTR, _I64 = (0, _MASK64), (1 << 63, _MASK64)
 _PTR_TY = Ptr(Void())
@@ -405,35 +400,35 @@ _LOCAL = re.compile(r"'([vg]_[^']+)'")      # a temp's local in a NameError
 _COUNT = object()      # where a segment's shadow count goes
 
 
-class _Code(list):
-    """The region function that runs each segment of a function, by segment
-    index, and for each line of their source the (instructions not run,
-    shadow ops not counted) when a region raises on it."""
-
-    __slots__ = ("lines",)
-
-
 @functools.lru_cache(maxsize=512)
 def _compiled(source: str):
     return compile(source, _SOURCE, "exec")
 
 
-def _stopped(e: BaseException, lines: list) -> tuple[int, int]:
-    """(instructions not run, shadow ops not counted) of the region `e`
-    came out of into the run loop; none when the loop itself raised it.
-    The region's frame links back to the loop's, so a traceback kept in a
-    local of the loop would make a cycle that holds the machine."""
-    tb = e.__traceback__.tb_next
-    if tb is None or tb.tb_frame.f_code.co_filename != _SOURCE:
-        return 0, 0
-    line, hit = tb.tb_lineno, isinstance(e, NameError) and _LOCAL.search(str(e))
+def _stopped(e: BaseException) -> Optional[tuple[int, int, str]]:
+    """The instruction count and the shadow ops not yet counted where the
+    innermost generated frame `e` came through stopped, and the temp's local
+    when it stopped reading an unbound one; None when `e` came through no
+    generated frame.  A function of its own, so that no traceback outlives
+    it in a frame the traceback holds: that cycle would hold the machine."""
+    tb, inner = e.__traceback__, None
+    while tb is not None:
+        if tb.tb_frame.f_code.co_filename == _SOURCE:
+            inner = tb
+        tb = tb.tb_next
+    if inner is None:
+        return None
+    frame, line = inner.tb_frame, inner.tb_lineno
+    hit = isinstance(e, NameError) and _LOCAL.search(str(e))
     if hit:     # the read of an unbound local, which the interpreter may have
         # fused with the load or store before it, on the line before
-        line = next((ins.positions.lineno for ins in dis.get_instructions(tb.tb_frame.f_code)
-                     if ins.offset >= tb.tb_lasti and ins.opname.startswith("LOAD_FAST")
+        line = next((ins.positions.lineno for ins in dis.get_instructions(frame.f_code)
+                     if ins.offset >= inner.tb_lasti and ins.opname.startswith("LOAD_FAST")
                      and hit[1] in (ins.argval if type(ins.argval) is tuple
                                     else (ins.argval,))), line)
-    return lines[line]
+    unrun, uncounted = frame.f_globals["_lines"][line]
+    local = frame.f_locals
+    return local["n"] - unrun, local.get("s", 0) + uncounted, hit and hit[1]
 
 
 class _Uniform(dict):
@@ -496,33 +491,40 @@ def _lit(v) -> str:
 
 
 class _Writer:
-    """Writes one function's regions as Python, tracked when `live`.  The
-    lines of an instruction that ends a segment hold `_COUNT` where the
-    segment's shadow count goes: after what it reads, before what it
-    changes."""
+    """Writes one function as Python, tracked when `live`.  The lines of an
+    instruction that ends a segment hold `_COUNT` where the segment's shadow
+    count goes: after what it reads, before what it changes."""
 
     def __init__(self, image: "Image", fn: Function, live: bool):
         self.image, self.fn, self.live = image, fn, live
         functions = image.module.functions
-        # the kind of value each temp holds, None where its definitions
-        # differ, and the constants the source names
-        self.kinds, self.ns = {}, {}
+        # the kind of value each temp holds and the width of its tag vector,
+        # None where its definitions differ; the temps read; the constants
+        # the source names
+        self.kinds, self.width, reads, self.ns = {}, {}, set(), {}
         for name, ty in fn.params:
             self.note(name, ty)
         # (block index, instructions) of each segment; what follows a
         # terminator never runs, and a segment without one falls off its block
         self.segs: list[tuple[int, list[Instr]]] = []
-        starts = []
+        self.starts = []        # each block's first segment
         for b, block in enumerate(fn.blocks):
-            starts.append(len(self.segs))
+            self.starts.append(len(self.segs))
             seg, dead = [], False
             self.segs.append((b, seg))
             for ins in block.instrs:
                 kind = type(ins)
-                if kind in (Gep, Alloca, Load, BinOp) or (
-                        kind is Call and ins.dest and ins.callee in functions):
-                    self.note(ins.dest, _PTR_TY if kind in (Gep, Alloca) else ins.ty
-                              if kind is not Call else functions[ins.callee].ret_ty)
+                reads.update(op.name for op in ins.operands() if type(op) is Temp)
+                if kind in (Gep, Alloca, Load, BinOp):
+                    self.note(ins.dest, _PTR_TY if kind in (Gep, Alloca) else ins.ty)
+                elif kind is Call and ins.callee in functions:
+                    callee = functions[ins.callee]
+                    if ins.dest:
+                        self.note(ins.dest, callee.ret_ty)
+                    # a parameter source gives a temp argument the parameter's width
+                    for (_, pty), op in zip(callee.params, ins.args):
+                        if type(op) is Temp:
+                            self.note(op.name, pty, kind=False)
                 if dead:
                     continue
                 seg.append(ins)
@@ -530,150 +532,99 @@ class _Writer:
                 if kind is Call:
                     seg = []
                     self.segs.append((b, seg))
-        self.labels = {block.label: starts[b] for b, block in enumerate(fn.blocks)}
-        self.regions()
+        self.starts.append(len(self.segs))
+        self.labels = {block.label: b for b, block in enumerate(fn.blocks)}
+        params = [name for name, _ in fn.params]
+        self.read_params = [name for name in params if name in reads]
+        self.spill = set(params) & {ins.defined_temp() for ins in fn.instructions()}
+        self.fn_const = self.const(fn)
 
-    def note(self, name: str, ty: Type) -> None:
+    def note(self, name: str, ty: Type, kind: bool = True) -> None:
+        """Notes a definition of `name` of type `ty`: its tag vector's width
+        and, when `kind`, its value's kind."""
         try:
-            k = _kind(ty)
-        except AttributeError:      # not a value type
-            k = None
-        self.kinds[name] = k if self.kinds.get(name, k) == k else None
+            w = _width(ty)
+        except MachineTrap:     # not a value type
+            w = None
+        self.width[name] = w if self.width.get(name, w) == w else None
+        if kind:
+            k = None if w is None or isinstance(ty, Void) else _kind(ty)
+            self.kinds[name] = k if self.kinds.get(name, k) == k else None
 
-    def regions(self) -> None:
-        """Each segment's region, named by its first segment; the temps each
-        entry of a region loads from the frame; and the temps each
-        definition stores there."""
-        n, self.succ, use, defs = len(self.segs), [], [], []
-        for _, instrs in self.segs:
-            last = instrs[-1] if instrs else None
-            targets = ((last.then_label, last.else_label) if type(last) is Br
-                       else (last.label,) if type(last) is Jmp else ())
-            self.succ.append([self.labels[t] for t in targets if t in self.labels])
-            use.append(set())
-            defs.append(set())
-            for ins in instrs:
-                use[-1].update(op.name for op in ins.operands()
-                               if type(op) is Temp and op.name not in defs[-1])
-                if type(ins) in (Alloca, Load, Gep, BinOp):
-                    defs[-1].add(ins.dest)
-        # to a fixed point: the temps a segment may read before defining
-        # them, and the first segment of its part of the branch graph
-        self.root, live_in, changed = list(range(n)), [set(u) for u in use], True
-        while changed:
-            changed = False
-            for j in reversed(range(n)):
-                near = [j] + self.succ[j]
-                new = use[j].union(*(live_in[k] - defs[j] for k in self.succ[j]))
-                low = min(self.root[k] for k in near)
-                if new != live_in[j] or any(self.root[k] != low for k in near):
-                    live_in[j], changed = new, True
-                    for k in near:
-                        self.root[k] = low
-        # a region is entered at the function's start, where only parameters
-        # are defined, and after each call
-        params = {name for name, _ in self.fn.params}
-        self.loads = {j + 1: sorted(live_in[j + 1]) for j in range(n - 1)
-                      if type((self.segs[j][1] or [None])[-1]) is Call}
-        if n:
-            self.loads[0] = sorted(live_in[0] & params)
-        self.spill = params.union(*self.loads.values())
+    def code(self):
+        """The function compiled."""
+        self.used, body = set(), []
+        looped = any(type(ins) in (Br, Jmp) for _, instrs in self.segs for ins in instrs)
+        if looped:
+            body.append((1, "while True:", (0, 0)))
+            self.dispatch(range(len(self.fn.blocks)), 2, body)
+        else:       # no branch: only the entry block runs
+            self.block(0, 1, body)
+        entry = [f"{_local('v', p)} = t[{p!r}]" + (
+            f"; {_local('g', p)} = tg[{p!r}]" if self.live else "") for p in self.read_params]
+        if entry:
+            self.used.update(("t", "tg") if self.live else ("t",))
+        prologue = self.prologue() + ["n = m.instr_total", "b = m.step_budget"]
+        prologue += ["s = 0"] * self.live + entry + ["i = 0"] * looped
+        self.src = ["def F(m, f):"] + ["    " + s for s in prologue]
+        self.src += ["    " * depth + line for depth, line, _ in body]
+        self.lines = [(0, 0)] * (2 + len(prologue)) + [mark for _, _, mark in body]
+        return self.namespace()["F"]
 
-    def code(self) -> _Code:
-        """Every region compiled."""
-        self.src, self.lines = [], [(0, 0)]
-        for r in sorted(set(self.root)):
-            self.region(r)
-        ns = self.namespace()
-        code = _Code(ns[f"r{r}"] for r in self.root)
-        code.lines = self.lines
-        return code
-
-    def cut(self, i: int, j: int, local: dict) -> tuple[object, list, str]:
-        """Segment `i` cut to its first `j` instructions, which ends without
-        a trap, as a function of the machine, the frame and the locals its
-        region had when the budget ran out, `local`; its line table; and the
-        uid of the instruction after the cut."""
-        self.enter(self.root[i])
+    def cut(self, i: int, j: int, local: dict):
+        """Segment `i` cut to its first `j` instructions and then the budget
+        trap on the next, as a function of the machine, the frame and the
+        locals its function had when the budget ran out, `local`."""
+        self.used = set()
         lines, marks, done, tail = self.instructions(self.segs[i][1][:j])
-        lines += [f"m.shadow_ops_instr += {done}"] * (tail is not None and done > 0)
+        if tail is not None:
+            uid = self.segs[i][1][j].uid
+            lines += [f"s += {done}"] * bool(done) + [
+                f"n += 1; raise MachineTrap('step budget exhausted', {uid!r})"]
         prologue = self.prologue() + [f"{v} = L[{v!r}]" for v in local if v[1:2] == "_"]
-        self.src = ["def c(m, f, L):"] + ["    " + s for s in prologue + lines or ["pass"]]
+        prologue += [f"n = L['n'] + {j}"] + ["s = L['s']"] * self.live
+        self.src = ["def c(m, f, L):"] + ["    " + s for s in prologue + lines]
         self.lines = ([(0, 0)] * (2 + len(prologue)) + marks
                       + [(0, 0)] * (len(lines) - len(marks)))
-        return self.namespace()["c"], self.lines, self.segs[i][1][j].uid
+        return self.namespace()["c"]
 
     def namespace(self) -> dict:
-        ns = dict(_helpers(), **self.ns)
+        ns = dict(_helpers(), **self.ns, _lines=self.lines)
         exec(_compiled("\n".join(self.src)), ns)
         return ns
-
-    def enter(self, r: int) -> list[int]:
-        """Start writing region `r`, whose segments it returns: the width of
-        each temp's tag vector there, None where its definitions differ or it
-        is loaded from the frame."""
-        segs = [j for j, root in enumerate(self.root) if root == r]
-        self.width, self.used = {}, set()       # used: the prologue's names
-        defs = [(name, None) for j in segs for name in self.loads.get(j, ())]
-        for ins in (ins for j in segs for ins in self.segs[j][1]):
-            if type(ins) in (Alloca, Load, Gep, BinOp):
-                try:
-                    defs.append((ins.dest, 8 if type(ins) in (Alloca, Gep) else _width(ins.ty)))
-                except MachineTrap:
-                    defs.append((ins.dest, None))
-        for name, w in defs:
-            self.width[name] = w if self.width.get(name, w) == w else None
-        return segs
 
     def prologue(self) -> list[str]:
         return [f"{name} = {value}" for name, value in _PROLOGUE if name in self.used]
 
-    def region(self, r: int) -> None:
-        segs, body = self.enter(r), []      # body: (indent, line, mark)
-        entries = [j for j in segs if j in self.loads]
-        loads = [e for e in entries if self.loads[e]]
-        for e in loads:
-            depth = 1 + (len(entries) > 1)
-            if depth > 1:
-                body.append((1, f"{'elif' if e != loads[0] else 'if'} i == {e}:", (0, 0)))
-            for name in self.loads[e]:
-                load = f"{_local('v', name)} = t[{name!r}]" + (
-                    f"; {_local('g', name)} = tg[{name!r}]" if self.live else "")
-                body += [(depth, f"try: {load}", (0, 0)),
-                         (depth, "except MachineTrap: pass", (0, 0))]
-            self.used.update(("t", "tg") if self.live else ("t",))
-        looped = any(self.succ[j] for j in segs)    # else one segment, no branch
-        body += [(1, "try:", (0, 0))] + [(2, "while True:", (0, 0))] * looped
-        self.dispatch(segs, 2 + looped, body)
-        body += [(1, "finally:", (0, 0)), (2, "m.instr_total = n", (0, 0))]
-        body += [(2, "m.shadow_ops_instr += s", (0, 0))] * self.live
-        prologue = self.prologue() + ["n = m.instr_total", "b = m.step_budget"]
-        prologue += ["s = 0"] * self.live
-        self.src += [f"def r{r}(m, f, i):"] + ["    " + s for s in prologue]
-        self.src += ["    " * depth + line for depth, line, _ in body]
-        self.lines += [(0, 0)] * (1 + len(prologue)) + [mark for _, _, mark in body]
-
-    def dispatch(self, segs: list[int], depth: int, body: list) -> None:
-        """The lines running whichever of `segs` is segment `i`."""
-        if len(segs) > 1:
-            mid = len(segs) // 2
-            body.append((depth, f"if i < {segs[mid]}:", (0, 0)))
-            self.dispatch(segs[:mid], depth + 1, body)
+    def dispatch(self, blocks: range, depth: int, body: list) -> None:
+        """The lines running whichever of `blocks` is block `i`."""
+        if len(blocks) > 1:
+            mid = len(blocks) // 2
+            body.append((depth, f"if i < {blocks[mid]}:", (0, 0)))
+            self.dispatch(blocks[:mid], depth + 1, body)
             body.append((depth, "else:", (0, 0)))
-            self.dispatch(segs[mid:], depth + 1, body)
-            return
-        self.at = segs[0]
-        b, instrs = self.segs[self.at]
-        if instrs:      # the budget runs out here: run what fits elsewhere
-            k = len(instrs)
-            body.append((depth, f"if (n := n + {k}) > b: n -= {k}; return i, locals()",
-                         (0, 0)))
-        lines, marks, done, tail = self.instructions(instrs)
-        if tail is not None:
-            lines += [f"s += {done}"] * bool(done) + (tail or [
-                f"raise MachineTrap('no terminator', detail={self.fn.blocks[b].label!r})"])
-        body += [(depth, line, mark) for line, mark in
-                 zip(lines, marks + [(0, 0)] * (len(lines) - len(marks)))]
+            self.dispatch(blocks[mid:], depth + 1, body)
+        else:
+            self.block(blocks[0], depth, body)
+
+    def block(self, b: int, depth: int, body: list) -> None:
+        """The lines running block `b`, segment by segment; body gets
+        (indent, line, mark) for each."""
+        for j in range(self.starts[b], self.starts[b + 1]):
+            instrs = self.segs[j][1]
+            if instrs:      # the budget runs out here: run what fits elsewhere
+                k = len(instrs)
+                body.append((depth, f"if (n := n + {k}) > b: n -= {k}; m._cut("
+                                    f"{self.fn_const}, {self.live}, {j}, f, locals())",
+                             (0, 0)))
+            lines, marks, done, tail = self.instructions(instrs)
+            if tail is not None:
+                lines += [f"s += {done}"] * bool(done) + (tail or [
+                    f"raise MachineTrap('no terminator', detail={self.fn.blocks[b].label!r})"])
+            body += [(depth, line, mark) for line, mark in
+                     zip(lines, marks + [(0, 0)] * (len(lines) - len(marks)))]
+            if tail is None:
+                return
 
     def instructions(self, instrs: list[Instr]) -> tuple[list, list, int, Optional[list]]:
         """The lines of `instrs` up to the shadow count of one that ends a
@@ -734,10 +685,12 @@ class _Writer:
         if not self.live:
             return lines + [cross] * (w > 1)
         g, more = self.atom(self.vec(ins.value, w), "g")
-        return lines + more + [     # the page is made only for a nonzero vector
-            f"{cross}; tm.set_vector({a}, {g})",
-            f"elif (p := pages.get(q)) is not None: p[o:o + {w}] = {g}",
-            f"elif {g} != _Z{w}: p = pages[q] = bytearray({PAGE}); p[o:o + {w}] = {g}"]
+        lines += more + [f"{cross}; tm.set_vector({a}, {g})",
+                         f"elif (p := pages.get(q)) is not None: p[o:o + {w}] = {g}"]
+        if g != f"_Z{w}":       # the page is made only for a nonzero vector
+            lines.append(f"elif {g} != _Z{w}: p = pages[q] = bytearray({PAGE});"
+                         f" p[o:o + {w}] = {g}")
+        return lines
 
     def gep(self, ins: Gep) -> list:
         structs, t, off = self.image.module.structs, ins.base_ty, 0
@@ -796,20 +749,48 @@ class _Writer:
         callee = self.image.module.functions.get(ins.callee)
         if callee is None:
             raise MachineTrap("unresolved callee", ins.uid, f"@{ins.callee}")
+        if len(ins.args) < len(callee.params):      # a parameter no argument defines
+            raise _undefined(callee.params[len(ins.args)][0])
         pairs = list(zip(callee.params, ins.args))
-        args = ", ".join(self.val(op, _kind(pty)) for (_, pty), op in pairs)
-        vecs = ", ".join(self.vec(op, _width(pty)) for (_, pty), op in pairs
-                         ) if self.live else ""
-        return [f"args = [{args}]", f"vecs = [{vecs}]", _COUNT, f"f.seg = {self.at + 1}",
-                f"m._call({self.const(callee)}, args, vecs, {self.const(ins)})", "return"]
+        args = ", ".join(self.val(op, _kind(pty), True) for (_, pty), op in pairs)
+        lines = [f"args = [{args}]"]
+        temps = list(dict.fromkeys(op.name for op in ins.args if type(op) is Temp))
+        vecs, after = "()", []
+        if self.live:       # the temp arguments' tag vectors go round through f.tags
+            lines.append("vecs = [" + ", ".join(self.vec(op, _width(pty))
+                                                for (_, pty), op in pairs) + "]")
+            lines += [f"tg[{x!r}] = {_local('g', x)}" for x in temps]
+            after = [f"{_local('g', x)} = tg[{x!r}]" for x in temps]
+            vecs = "vecs"
+            self.used.add("tg")
+        run = "c.code(m, c)"
+        if ins.dest:
+            run = f"{_local('v', ins.dest)} = {run}"
+            if self.live:
+                w = _width(callee.ret_ty)
+                after.append(f"{_local('g', ins.dest)} = _resize(m.ret_shadow or _Z{w}, {w})")
+            if ins.dest in self.spill:
+                after.append(f"t[{ins.dest!r}] = {_local('v', ins.dest)}")
+                self.used.add("t")
+        return lines + [_COUNT, self.flush(),
+                        f"c = m._call({self.const(callee)}, args, {vecs}, {self.const(ins)})",
+                        run, "n = m.instr_total"] + after
 
     def ret(self, ins: Ret) -> list:
         has, ty = ins.value is not None, self.fn.ret_ty
         x, lines = self.atom(self.val(ins.value, _kind(ty)) if has else "0", "x")
         if self.live:
             shadow = self.vec(ins.value, _width(ty)) if has else "b''"
-            lines.append(f"m.ret_shadow = {shadow}")
-        return lines + [_COUNT, f"m.exit_value = m._do_ret(f, {x})", "return"]
+            lines += [f"m.ret_shadow = {shadow}", _COUNT, self.flush()]
+        else:       # a rule-firing frame's instructions all ran untracked
+            lines += [_COUNT, self.flush(),
+                      "if f.arg_record is not None: m.instr_unins += n - m._unins_from"]
+        return lines + [f"return m._do_ret(f, {x})"]
+
+    def flush(self) -> str:
+        """The line writing the counts to the machine, which a callee or
+        `_do_ret` goes on from."""
+        return "m.instr_total = n" + "; m.shadow_ops_instr += s; s = 0" * self.live
 
     def unknown(self, ins: Instr) -> list:
         raise MachineTrap("unknown instruction", ins.uid)
@@ -827,11 +808,9 @@ class _Writer:
         vector of `width` bytes: `vec`, or the splat of the int tag `tag`."""
         v, g = _local("v", name), _local("g", name)
         lines = [f"{v} = {value}"] + [f"{g} = {vec or f'_S{width}[{tag}]'}"] * self.live
-        if name in self.spill:
+        if name in self.spill:      # a redefined parameter, which rule sources read
             lines.append(f"t[{name!r}] = {v}")
-            if self.live:
-                lines.append(f"tg[{name!r}] = {g}")
-            self.used.update(("t", "tg") if self.live else ("t",))
+            self.used.add("t")
         return lines
 
     def konst(self, op: Operand, kind, wrap_globals: bool = False):
@@ -900,7 +879,7 @@ CODE_TABLE_SIZE = 256
 _code_table: dict[tuple, tuple] = {}
 
 
-def _shared_code(image: "Image", fn: Function, live: bool) -> _Code:
+def _shared_code(image: "Image", fn: Function, live: bool):
     """`fn`'s code from the process-wide table, written again when a
     snapshot of everything `_Writer` reads differs from the entry's: params,
     return type, block labels, instructions and their fields (immutable
@@ -932,7 +911,7 @@ def _shared_code(image: "Image", fn: Function, live: bool) -> _Code:
 
 class Image:
     """What no run changes, built once and shared by every machine made from
-    it: the global layout, each function's compiled regions and the rule
+    it: the global layout, each function's compiled code and the rule
     programs bound to the module.  It holds no machine, so a machine is
     freed by reference counting while its image lives on.  Raises
     ValueError when the globals reach past the lower half of `mem_size`,
@@ -958,12 +937,12 @@ class Image:
         if self.heap_start > mem_size // 2:
             raise ValueError(f"the globals need 0x{self.heap_start:x} bytes, more than"
                              f" half of mem_size 0x{mem_size:x}")
-        # (function name, tracked) -> its regions, taken from the shared
-        # table at the first frame that runs them
-        self.code: dict[tuple[str, bool], _Code] = {}
+        # (function name, tracked) -> its code, taken from the shared table
+        # at the first frame that runs it
+        self.code: dict[tuple[str, bool], object] = {}
         self._bound: dict[str, tuple[TaintRuleProgram, tuple]] = {}
 
-    def compiled(self, fn: Function, live: bool) -> _Code:
+    def compiled(self, fn: Function, live: bool):
         code = self.code.get((fn.name, live))
         if code is None:
             code = self.code[fn.name, live] = _shared_code(self, fn, live)
@@ -1011,7 +990,6 @@ class Machine:
                  taint_config: Optional[TaintConfig] = None,
                  mem_size: Optional[int] = None,
                  step_budget: int = DEFAULT_STEP_BUDGET,
-                 max_frames: int = DEFAULT_MAX_FRAMES,
                  default_len: int = DEFAULT_STRING_CAP):
         if mode not in ("instr", "hybrid"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -1031,9 +1009,10 @@ class Machine:
         self.global_addr, self.globals_end = image.global_addr, image.globals_end
         self.heap_ptr, self.stack_ptr = image.heap_start, image.mem_size
         self.tagmap, self.ret_shadow = Tagmap(), b""
-        self.step_budget, self.max_frames = step_budget, max_frames
+        self.step_budget = step_budget
         self.default_len = default_len
         self.live = True        # false while a rule-firing call runs
+        self._unins_from = 0    # the instruction count when it last fell
         self.exit_value = 0     # what the last return returned
         self.shadow_ops_instr = self.shadow_ops_rules = 0
         self.instr_total = self.instr_unins = 0
@@ -1057,18 +1036,6 @@ class Machine:
         if addr < GLOBALS_BASE or addr + sz > self.mem_size:
             raise MachineTrap("out-of-bounds access", uid,
                               f"addr=0x{addr:x} size={sz}")
-
-    def read_value(self, ty: Type, addr: int, uid: Optional[str] = None):
-        w = _width(ty)
-        self._check_bounds(addr, w, uid)
-        return _STRUCTS[_fmt(ty)].unpack_from(self.memory, addr)[0] if w else 0
-
-    def write_value(self, ty: Type, addr: int, value, uid: Optional[str] = None):
-        w = _width(ty)
-        self._check_bounds(addr, w, uid)
-        if w:
-            _STRUCTS[_fmt(ty)].pack_into(self.memory, addr, _wrap(value, _kind(ty)))
-            self.memory.mark(addr, w)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         self._check_bounds(addr, len(data), None)
@@ -1098,31 +1065,35 @@ class Machine:
         if len(args) != len(fn.params):
             raise MachineTrap("entry argument count mismatch",
                               detail=f"{fn_name} wants {len(fn.params)}")
+        args = [_wrap(a, _kind(t)) for a, (_, t) in zip(args, fn.params)]
         vecs = [_resize_vec(bytes(arg_tags[i]), _width(pty))
                 if arg_tags is not None and arg_tags[i] else bytes(_width(pty))
                 for i, (_, pty) in enumerate(fn.params)]
-        self._check_sinks(fn.name, [_wrap(a, _kind(t)) for a, (_, t) in
-                                    zip(args, fn.params)], vecs, "<entry>")
-        self._frames.append(self._make_frame(fn, list(args), vecs, call_ins=None))
-        return self._run_loop()
+        self._check_sinks(fn.name, args, vecs, "<entry>")
+        self._frames.append(self._make_frame(fn, args, vecs, call_ins=None))
+        return self._run()
 
     def _make_frame(self, fn: Function, args: Sequence[object],
                     vecs: Sequence[bytes], call_ins: Optional[Call]) -> _Frame:
-        if len(self._frames) >= self.max_frames:
+        """`fn`'s frame, for arguments of its parameters' types."""
+        if len(self._frames) >= MAX_FRAMES:
             raise MachineTrap("stack overflow (frame cap)",
                               call_ins.uid if call_ins else None)
-        temps = _Temps((p, _wrap(v, _kind(t))) for (p, t), v in zip(fn.params, args))
-        tags = dict(zip((p for p, _ in fn.params), vecs))
+        names = [p for p, _ in fn.params]
+        temps, tags = dict(zip(names, args)), dict(zip(names, vecs))
         record = None
         if self.live and fn.name in self.rules:
-            record = [(temps[p], tags[p]) for p, _ in fn.params]
-            self.live = False
+            record = [(temps[p], tags[p]) for p in names]
+            self.live, self._unins_from = False, self.instr_total
         return _Frame(fn, temps, tags, self.stack_ptr, call_ins,
                       self.image.compiled(fn, self.live), record)
 
-    def _call(self, callee: Function, args: list, vecs: list, ins: Call) -> None:
+    def _call(self, callee: Function, args: list, vecs, ins: Call) -> _Frame:
+        """Enters `callee` from `ins`; the caller runs the frame's code."""
         self._check_sinks(callee.name, args, vecs, ins.uid)
-        self._frames.append(self._make_frame(callee, args, vecs, ins))
+        frame = self._make_frame(callee, args, vecs, ins)
+        self._frames.append(frame)
+        return frame
 
     def _check_sinks(self, fn_name: str, args, vecs, call_uid: str) -> None:
         if not self.live or fn_name not in self._sinks:
@@ -1175,52 +1146,45 @@ class Machine:
 
     # -- interpreter -------------------------------------------------------------
 
-    def _run_loop(self) -> int:
-        frames, budget = self._frames, self.step_budget
-        while frames:
-            f = frames[-1]
-            code, live, start = f.code, self.live, self.instr_total
-            lines = code.lines
-            try:    # until this frame calls or returns
-                cut = code[f.seg](self, f, f.seg)
-                if cut is not None:     # run what fits, then trap
-                    run, lines, uid = _Writer(self.image, f.fn, live).cut(
-                        cut[0], budget - self.instr_total, cut[1])
-                    self.instr_total = budget
-                    run(self, f, cut[1])
-                    self.instr_total += 1
-                    raise MachineTrap("step budget exhausted", uid)
-            except BaseException as e:
-                unrun, uncounted = _stopped(e, lines)
-                self.instr_total -= unrun
+    def _run(self) -> int:
+        """Runs the entry frame's code, which returns through each frame it
+        calls; a run that raises leaves the counters where the innermost
+        generated frame stopped."""
+        f = self._frames[-1]
+        try:
+            f.code(self, f)
+        except BaseException as e:
+            stop = _stopped(e)
+            if stop is not None:
+                self.instr_total, uncounted, unbound = stop
                 self.shadow_ops_instr += uncounted
-                hit = _LOCAL.search(str(e)) if isinstance(e, NameError) else None
-                if hit:     # a temp no path defined
-                    raise _undefined(hit[1][2:].replace("·", ".")) from None
-                raise
-            finally:
-                if not live:    # the budget trap's instruction never ran
-                    self.instr_unins += self.instr_total - start - (self.instr_total > budget)
+            if not self.live:   # the budget trap's instruction never ran
+                self.instr_unins += (self.instr_total - self._unins_from
+                                     - (self.instr_total > self.step_budget))
+            if stop is not None and unbound:    # a temp no path defined
+                raise _undefined(unbound[2:].replace("·", ".")) from None
+            raise
         return self.exit_value
 
-    def _do_ret(self, frame: _Frame, value) -> int:
-        fn = frame.fn
+    def _cut(self, fn: Function, live: bool, i: int, frame: _Frame, local: dict) -> None:
+        """Runs the prefix of segment `i` of `fn`'s code that the step budget
+        leaves, from the locals its budget check failed with, and traps."""
+        _Writer(self.image, fn, live).cut(i, self.step_budget - local["n"], local)(
+            self, frame, local)
+
+    def _do_ret(self, frame: _Frame, value):
+        """Pops `frame`, applies its rule program and sources, and returns
+        `value`, which the last return leaves as the exit value."""
         self.stack_ptr = frame.stack_mark
         self._frames.pop()
-        caller = self._frames[-1] if self._frames else None
         if frame.arg_record is not None:
             self.live = True
             self.ret_shadow = b""     # the untracked body's `ret` set none
-            apply_rule_program(self.rules[fn.name], frame.arg_record, self)
-        self._apply_sources(frame, caller)
-        if caller is not None and frame.call_ins is not None:
-            dest = frame.call_ins.dest
-            if dest is not None:
-                caller.temps[dest] = _wrap(value, _kind(fn.ret_ty))
-                if self.live:
-                    w = _width(fn.ret_ty)
-                    caller.tags[dest] = _resize_vec(self.ret_shadow or bytes(w), w)
-        return int(value)
+            apply_rule_program(self.rules[frame.fn.name], frame.arg_record, self)
+        if frame.fn.name in self._sources:
+            self._apply_sources(frame, self._frames[-1] if self._frames else None)
+        self.exit_value = int(value)
+        return value
 
 
 # ---------------------------------------------------------------------------

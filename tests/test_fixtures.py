@@ -1,11 +1,12 @@
 """End-to-end fixtures beyond the main corpus: global-input flows,
 non-char pointer regions, and union handling under the full pipeline."""
 
+import struct
+
 import pytest
 
 from taintsum import Machine, corpus, parse_module, summarize_library, taint_rule_gen
 from taintsum.corpus import BufArg, IntArg
-from taintsum.ir import I32
 from taintsum.rules import GATHER_FIXED, SET_FIXED
 from taintsum.validate import noninterference_check, oracle_compare
 
@@ -71,7 +72,7 @@ class TestGlobalInputs:
             m = Machine(greader, mode=mode, rule_programs=greader_rules,
                         mem_size=1 << 20)
             base = m.global_addr["settings"]
-            m.write_value(I32, base + 8, 7)
+            m.write_bytes(base + 8, struct.pack("<i", 7))
             m.tagmap.set_taint(base + 8, 0x08, 4)
             result = m.call_entry("read_limit", [])
             assert result == 7
@@ -147,7 +148,7 @@ class TestIntPointerRegions:
             got = [m.tagmap.get_taint(buf + i, 1) for i in range(8)]
             assert got[:4] == [1, 1, 1, 1], mode
             assert got[4:] == [0, 0, 0, 0], mode
-            assert m.read_value(I32, buf) == 99
+            assert struct.unpack("<i", m.read_bytes(buf, 4)) == (99,)
 
     def test_containment_and_ni(self, intmod, intmod_rules):
         for fn in ("store_val", "swap_halves"):
@@ -223,8 +224,8 @@ class TestUnionHandling:
         machine = Machine(m, mode="hybrid", rule_programs=rules,
                           mem_size=1 << 20)
         d, s = machine.alloc(4), machine.alloc(4)
-        machine.write_value(I32, s, 0x01020304)
+        machine.write_bytes(s, struct.pack("<i", 0x01020304))
         machine.tagmap.set_taint(s, 0x02, 4)
         machine.call_entry("word_cpy", [d, s])
         assert machine.tagmap.get_taint(d, 4) == 0x02
-        assert machine.read_value(I32, d) == 0x01020304
+        assert struct.unpack("<i", machine.read_bytes(d, 4)) == (0x01020304,)

@@ -1,5 +1,5 @@
 """Shadow-store algebra, interpreter semantics, hybrid switching, rule
-application, traps, sources/sinks, and the compiled regions against the
+application, traps, sources/sinks, and the compiled functions against the
 step interpreter that compiled code replaced."""
 
 import dataclasses
@@ -8,6 +8,7 @@ import gc
 import math
 import operator
 import random
+import re
 import struct
 import weakref
 
@@ -28,8 +29,8 @@ from taintsum.rules import (
     compile_library,
 )
 from taintsum.tracker import (
-    DEFAULT_MEMORY, GLOBALS_BASE, PAGE, Image, Memory, RunReport, SinkHit,
-    Tagmap, _Frame, _Writer, _compiled, _resize_vec,
+    DEFAULT_MEMORY, GLOBALS_BASE, MAX_FRAMES, PAGE, Image, Memory, RunReport, SinkHit,
+    Tagmap, _Frame, _Writer, _compiled, _kind, _resize_vec, _wrap,
 )
 from taintsum.validate import build_plan, materialize_plan
 from test_ir import _straightline_function
@@ -731,6 +732,69 @@ entry:
         rep = run(student_flow, "main", [], FLOW_CFG, "instr", student_flow_rules)
         assert rep.sink_hits == (SinkHit("printf_a", 1, "main:7"),)
 
+    def test_parameter_source_reads_a_redefined_parameter(self):
+        """A pointer parameter's source taints what the parameter points to
+        at the return, after @skip redefined it; a scalar one's widens the
+        caller's argument, which then reaches the return value."""
+        m = parse_module(REDEFINED)
+        assert validate_module(m)       # %p and %k are assigned twice
+        cfg = TaintConfig.from_json({"sources": [
+            {"fn": "skip", "where": "param", "index": 0, "label": 1},
+            {"fn": "skip", "where": "param", "index": 1, "label": 2}]})
+        buf = Image(m).global_addr["buf"]
+        for result in assert_same_runs(m, "main", [5], {}, taint_config=cfg).values():
+            assert result[0].tainted_bytes_final == tuple((buf + i, 1) for i in (2, 3, 4))
+            assert result[0].ret_tag == 2
+
+    def test_parameter_source_narrows_the_argument(self):
+        """The source gives %v the 4-byte vector of @take's parameter, which
+        the i64 store after the call widens again by its fold."""
+        m = parse_module(NARROWED)
+        cfg = TaintConfig.from_json(
+            {"sources": [{"fn": "take", "where": "param", "index": 0, "label": 4}]})
+        cell = Image(m).global_addr["cell"]
+
+        def pretaint(machine):
+            machine.tagmap.set_vector(cell, bytes([1, 0, 0, 0, 0, 0, 0, 2]))
+        for result in assert_same_runs(m, "main", [0], {}, taint_config=cfg,
+                                       before=pretaint).values():
+            tagged = dict(result[0].tainted_bytes_final)
+            assert [tagged[cell + 8 + i] for i in range(8)] == [5, 4, 4, 4, 5, 5, 5, 5]
+
+
+NARROWED = """\
+global @cell : [2 x i64]
+fn @take(%x: i32) -> void {
+entry:
+  ret
+}
+fn @main(%n: i64) -> i64 {
+entry:
+  %p = gep [2 x i64], @cell, 0, 0
+  %q = gep [2 x i64], @cell, 0, 1
+  %v = load i64, %p
+  call void @take(%v)
+  store i64 %v, %q
+  ret i64 %v
+}
+"""
+REDEFINED = """\
+global @buf : [8 x char] = bytes(97, 98, 99, 100)
+fn @skip(%p: ptr(char), %k: i64) -> i64 {
+entry:
+  %p = gep char, %p, 2
+  %k = add i64 %k, 1
+  ret i64 %k
+}
+fn @main(%n: i64) -> i64 {
+entry:
+  %a = gep [8 x char], @buf, 0, 0
+  %r = call i64 @skip(%a, %n)
+  %s = add i64 %r, %n
+  ret i64 %s
+}
+"""
+
 
 # ---------------------------------------------------------------------------
 # The step interpreter that compiled code replaced, kept as its oracle
@@ -786,6 +850,8 @@ class ReferenceMachine(Machine):
         }
 
     def _make_frame(self, fn, args, vecs, call_ins):
+        # a global's address, passed as it is, wraps to the parameter's type
+        args = [_wrap(v, _kind(ty)) for v, (_, ty) in zip(args, fn.params)]
         frame = super()._make_frame(fn, args, vecs, call_ins)
         return _RefFrame(*(getattr(frame, f.name) for f in dataclasses.fields(frame)))
 
@@ -829,7 +895,7 @@ class ReferenceMachine(Machine):
             return _resize_vec(frame.tags.get(op.name, b"\0"), n)
         return bytes(n)
 
-    def _run_loop(self):
+    def _run(self):
         exit_value = 0
         while self._frames:
             frame = self._frames[-1]
@@ -1005,6 +1071,19 @@ class ReferenceMachine(Machine):
         self._frames.append(self._make_frame(callee, args, vecs, call_ins=ins))
         return 0
 
+    def _do_ret(self, frame, value):
+        """`Machine`'s return, then the caller's destination, which compiled
+        code keeps in a local."""
+        super()._do_ret(frame, value)
+        dest = frame.call_ins.dest if frame.call_ins is not None else None
+        if self._frames and dest is not None:
+            caller, ret_ty = self._frames[-1], frame.fn.ret_ty
+            caller.temps[dest] = _wrap(value, _kind(ret_ty))
+            if self.live:
+                w = _ref_width(ret_ty)
+                caller.tags[dest] = _resize_vec(self.ret_shadow or bytes(w), w)
+        return self.exit_value
+
     def _ref_ret(self, frame, ins):
         fn = frame.fn
         value = 0
@@ -1174,8 +1253,8 @@ LOOP_CFG = TaintConfig.from_json({
 @st.composite
 def looped_function(draw):
     """A random entry `@f` around a loop of at most three iterations whose
-    body calls @h or @k, so a region ends mid-loop and starts again after
-    the call.  The counter and an accumulator are redefined in every
+    body calls @h or @k, so a segment ends mid-loop and another starts
+    after the call.  The counter and an accumulator are redefined in every
     iteration, the accumulator with a drawn type each time; `%once` is
     defined on one branch only and may be read after the join or the loop,
     which traps as undefined on a path that skipped it; and the call passes
@@ -1271,7 +1350,7 @@ def _budget(budget):
 
 
 class TestDecodedMatchesReference:
-    """The compiled regions against the step interpreter they replaced:
+    """The compiled functions against the step interpreter they replaced:
     the same RunReport, memory, Tagmap pages, ret_shadow and sink hits on
     every run, and the same trap kind and instruction on every trap."""
 
@@ -1388,7 +1467,7 @@ entry:
   %x = call i64 @r(%a)
   ret i64 %x
 }
-""", [1], {"max_frames": 9}),
+""", [1], {}),
     "stack overflow": ("""fn @main(%a: i64) -> i32 {
 entry:
   jmp l
@@ -1418,6 +1497,41 @@ class TestTrapsMatchReference:
         got = assert_same_runs(m, "main", args, {}, arg_tags=[b"\x01"] * len(args),
                                **kw)
         assert got["instr"][0][:2] == ("trap", kind)
+
+
+RECURSE = """\
+fn @down(%n: i64) -> i64 {
+entry:
+  %z = cmp i64 %n, 0
+  br %z, done, more
+more:
+  %m = sub i64 %n, 1
+  %r = call i64 @down(%m)
+  %s = add i64 %r, 1
+  ret i64 %s
+done:
+  ret i64 %n
+}
+"""
+
+
+class TestFrameCap:
+    """Each IR frame runs in one Python frame, so the deepest recursion the
+    frame cap admits stays under CPython's recursion limit, and one call
+    deeper traps with the step interpreter's counters."""
+
+    def test_deepest_recursion_completes(self):
+        depth = MAX_FRAMES - 1      # calls below the entry's frame
+        got = assert_same_runs(parse_module(RECURSE), "down", [depth], {},
+                               arg_tags=[b"\x01"])
+        for mode, result in got.items():
+            assert result[0].exit_value == depth and result[0].ret_tag == 1, mode
+
+    def test_one_call_deeper_traps(self):
+        got = assert_same_runs(parse_module(RECURSE), "down", [MAX_FRAMES], {},
+                               arg_tags=[b"\x01"])
+        for mode, result in got.items():
+            assert result[0] == ("trap", "stack overflow (frame cap)", "down:3"), mode
 
 
 MID_SEGMENT_TRAPS = {      # kind: (source, entry args, uid, Machine keywords)
@@ -1468,7 +1582,7 @@ entry:
   %x = call i64 @lib(%m)
   ret i64 %x
 }
-""", [1], "lib:3", {"max_frames": 7}),
+""", [1], "lib:3", {}),
     "undefined temporary": ("""fn @lib(%a: i32) -> i64 library {
 entry:
   %p = alloca i32
@@ -1539,7 +1653,7 @@ class TestExactTraps:
                 assert got["hybrid"][2] > 0     # counted while untracked
 
     def test_undefined_read_in_warm_code(self):
-        """Once a region's code is warm the interpreter fuses the read of
+        """Once a function's code is warm the interpreter fuses the read of
         `%x`'s local with the store of `%y`'s before it, and reports the
         failed read on the store's line; the trap still counts the read."""
         m = parse_module(WARM_UNDEFINED)
@@ -1586,9 +1700,9 @@ class TestExactTraps:
 
 
 class TestMachineLifetime:
-    """Regions take the machine as an argument; a machine that held its
-    compiled code through functions closing over it would stay alive, with
-    its 16 MiB mapping, until a cyclic collection."""
+    """Compiled functions take the machine as an argument; a machine that
+    held its compiled code through functions closing over it would stay
+    alive, with its 16 MiB mapping, until a cyclic collection."""
 
     def test_freed_by_reference_counting(self, bench_memcpy, student_flow,
                                          student_flow_rules):
@@ -1620,7 +1734,7 @@ class TestMachineLifetime:
 
 
     def test_freed_while_its_image_lives(self, student_flow, student_flow_rules):
-        """The image keeps its compiled regions and bound rules after each
+        """The image keeps its compiled functions and bound rules after each
         of its machines is gone, so it must hold none of them."""
         image = Image(student_flow, student_flow_rules, 1 << 16)
         enabled = gc.isenabled()
@@ -1658,14 +1772,18 @@ entry:
 
 
 class TestRegions:
-    """A function's segments run in one generated function per call-free
-    region, with its temps in locals."""
+    """A function's code is one region: one generated function, with its
+    temps in locals, that an IR call leaves only for the callee's."""
 
     def test_memcpy_loop_is_one_region(self, bench_memcpy):
-        code = Image(bench_memcpy).compiled(bench_memcpy.functions["memcpy"], True)
-        assert len(code) == 4 and len(set(code)) == 1
-        code = Image(bench_memcpy).compiled(bench_memcpy.functions["main"], True)
-        assert len(set(code)) == 2      # its call ends a region
+        for name in ("memcpy", "main"):
+            writer = _Writer(Image(bench_memcpy), bench_memcpy.functions[name], True)
+            writer.code()
+            assert [line for line in writer.src if not line.startswith(" ")] == [
+                "def F(m, f):"]
+        source = "\n".join(writer.src)      # main's: its call returns into it
+        assert "v_r = c.code(m, c)" in source
+        assert re.findall(r"\bt\[.*", source) == ["t['n']; g_n = tg['n']"]
 
     def test_bench_user_loop_reads_no_frame_temp(self, bench_user):
         writer = _Writer(Image(bench_user), bench_user.functions["main"], True)
@@ -1684,9 +1802,7 @@ class TestCodeCache:
         a, b = (Image(student_flow, student_flow_rules) for _ in range(2))
         for fn in student_flow.functions.values():
             for live in (True, False):
-                ca, cb = a.compiled(fn, live), b.compiled(fn, live)
-                assert ca is cb and len(ca) == len(cb)
-                assert all(x.__code__ is y.__code__ for x, y in zip(ca, cb))
+                assert a.compiled(fn, live) is b.compiled(fn, live)
 
     def test_layout_and_memory_size_get_their_own_code(self):
         """@buf's address and the bounds checks are literals in the code; the
@@ -1694,7 +1810,7 @@ class TestCodeCache:
         base, moved = (parse_module(LAYOUT.format(pad=pad)) for pad in (8, 40))
         images = [Image(base, mem_size=1 << 16), Image(moved, mem_size=1 << 16),
                   Image(base, mem_size=1 << 17)]
-        codes = [im.compiled(im.module.functions["f"], True)[0].__code__
+        codes = [im.compiled(im.module.functions["f"], True).__code__
                  for im in images]
         assert len({id(c) for c in codes}) == 3
         top = (1 << 16) - 4
@@ -1707,7 +1823,7 @@ class TestCodeCache:
                         else result.exit_value == 2), result
 
     def test_machines_freed_with_the_cache_populated(self, bench_memcpy):
-        """Traps read the traceback of the region that raised; the machine
+        """Traps read the traceback of the functions that raised; the machine
         still goes with its last reference."""
         oob = parse_module(MID_SEGMENT_TRAPS["out-of-bounds access"][0] + MAIN_CALLS_LIB)
         rules, _ = compile_library(oob)
@@ -1811,8 +1927,8 @@ class TestSharedCode:
             assert Machine(m, mem_size=1 << 16).call_entry("f", []) == k
             assert len(tracker._code_table) <= 4
         again = Image(modules[0], mem_size=1 << 16).compiled(modules[0].functions["f"], True)
-        assert again is not first and again.lines == first.lines
-        assert [x.__code__ for x in again] == [x.__code__ for x in first]
+        assert again is not first and again.__code__ is first.__code__
+        assert again.__globals__["_lines"] == first.__globals__["_lines"]
 
     def test_machines_of_two_images_are_independent(self, student_flow,
                                                     student_flow_rules):
@@ -1869,8 +1985,7 @@ entry:
 }
 """
 MEM_PAGES = 16
-WRITE_PATHS = ("store", "alloca", "write_value", "write_bytes", "slice",
-               "stepped", "index")
+WRITE_PATHS = ("store", "alloca", "write_bytes", "slice", "stepped", "index")
 
 
 def _write(machine, path, addr, data):
@@ -1882,8 +1997,6 @@ def _write(machine, path, addr, data):
         machine.call_entry(f"poke{w}", [addr, value])
     elif path == "alloca":
         machine.call_entry("frame", [])
-    elif path == "write_value":
-        machine.write_value(Int(8 * w, False), addr, value)
     elif path == "write_bytes":
         machine.write_bytes(addr, data)
     elif path == "slice":
@@ -2125,6 +2238,15 @@ class TestMalformedControlFlow:
                 machine.call_entry("f", [])
             assert (e.value.kind, e.value.instr, machine.instr_total) == (kind, instr, ran)
 
+    def test_call_short_of_arguments_traps(self):
+        m = parse_module("fn @g(%a: i64) -> i64 {\nentry:\n  ret i64 %a\n}\n"
+                         "fn @f() -> i64 {\nentry:\n  %x = call i64 @g()\n  ret i64 %x\n}\n")
+        assert validate_module(m)
+        for mode in ("instr", "hybrid"):
+            with pytest.raises(MachineTrap) as e:
+                Machine(m, mode=mode, mem_size=1 << 16).call_entry("f", [])
+            assert (e.value.kind, e.value.detail) == ("undefined temporary", "%a")
+
     @pytest.mark.parametrize("body, instr", [
         ("  %x = add i64 1, 2\n  jmp nowhere\n", "f:1"),
         ("  br 1, nowhere, entry\n", "f:0"),
@@ -2234,7 +2356,7 @@ def _straddle_source(frame, accesses):
 
 class TestInlineShadowPath:
     """Tracked loads, stores and allocas do the Tagmap's one-page work in
-    the compiled region and call `get_vector`/`set_vector` only for an
+    the compiled function and call `get_vector`/`set_vector` only for an
     access that crosses a page."""
 
     def test_buffer_spans_a_page_edge(self):

@@ -17,7 +17,11 @@ can be diffed to show a change leaves them byte-identical:
   * for a small module with a call inside a loop and a temp defined on one
     branch only, machine runs in both modes at several step budgets, some
     of which run out inside a loop: the exit value or the trap, and the
-    counters.
+    counters;
+  * for a small module, in both modes, a recursion 500 calls deep, one a
+    call deeper than the frame cap admits, and a loop that calls a
+    summarized function at every step budget up to the whole run: the exit
+    value or the trap, and the counters.
 
 Usage, from the root of each tree:
 
@@ -40,6 +44,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import gen  # noqa: E402
 from taintsum import Machine, MachineTrap, TaintConfig, corpus, parse_module  # noqa: E402
 from taintsum.cli import main as taintsum  # noqa: E402
+from taintsum.tracker import MAX_FRAMES  # noqa: E402
 from taintsum.rules import compile_library  # noqa: E402
 from taintsum.validate import (  # noqa: E402
     default_rules, transparency_check, transparency_check_fn,
@@ -192,6 +197,55 @@ entry:
 LOOPED_CFG = {"sources": [{"fn": "step", "where": "param", "index": 0, "label": 4},
                           {"fn": "step", "where": "ret", "label": 2}]}
 
+# @down recurses %n calls deep; @loop calls the summarized @inc three times,
+# so the budgets below its whole run cut it inside each call
+DEEP = """\
+fn @down(%n: i64) -> i64 {
+entry:
+  %z = cmp i64 %n, 0
+  br %z, done, more
+more:
+  %m = sub i64 %n, 1
+  %r = call i64 @down(%m)
+  %s = add i64 %r, %m
+  ret i64 %s
+done:
+  ret i64 %n
+}
+fn @inc(%p: ptr(i64), %k: i64) -> i64 library {
+entry:
+  %v = load i64, %p
+  %w = add i64 %v, %k
+  store i64 %w, %p
+  %x = mul i64 %w, 3
+  ret i64 %x
+}
+fn @loop(%n: i64) -> i64 {
+entry:
+  %cell = alloca i64
+  store i64 %n, %cell
+  %ip = alloca i64
+  store i64 0, %ip
+  jmp head
+head:
+  %i = load i64, %ip
+  %z = cmp i64 %i, 3
+  br %z, done, body
+body:
+  %r = call i64 @inc(%cell, %i)
+  %i1 = add i64 %i, 1
+  store i64 %i1, %ip
+  jmp head
+done:
+  %v = load i64, %cell
+  %s = add i64 %v, %r
+  ret i64 %s
+}
+"""
+TAG = b"\x02"       # of the entry's argument
+DEEP_CFG = {"sources": [{"fn": "down", "where": "param", "index": 0, "label": 1},
+                        {"fn": "inc", "where": "ret", "label": 4}]}
+
 
 def cli(tmp: Path, *argv) -> str:
     """The command line, exit code, stdout and stderr, with `tmp` elided."""
@@ -224,27 +278,52 @@ def recursive_outputs(tmp: Path) -> None:
     print(re.sub(r",[0-9.]+\n", ",<s>\n", cli(tmp, "bench", module, "--args", "2")), end="")
 
 
-def region_outputs() -> None:
+def machine_run(module, entry: str, arg: int, arg_tags=None, **kw) -> tuple[str, Machine]:
+    """The exit value or the trap and the counters of one machine run, and
+    the machine."""
+    m = Machine(module, mem_size=1 << 16, **kw)
+    try:
+        exit_value = m.call_entry(entry, [arg], arg_tags)
+        result = f"exit {exit_value} ret tag {max(m.ret_shadow, default=0)}"
+    except MachineTrap as e:
+        result = f"trap {e}"
+    return (f"{result}; instr {m.instr_total} unins {m.instr_unins}"
+            f" shadow {m.shadow_ops_instr}+{m.shadow_ops_rules}"
+            f" tagged {m.tagmap.nonzero_bytes()}"), m
+
+
+def looped_outputs() -> None:
     """Each run's exit value or trap and its counters, at budgets from one
     instruction to the whole run."""
     module = parse_module(LOOPED)
-    rules, cfg = compile_library(module)[0], TaintConfig.from_json(LOOPED_CFG)
+    kw = {"rule_programs": compile_library(module)[0],
+          "taint_config": TaintConfig.from_json(LOOPED_CFG)}
     for mode in ("instr", "hybrid"):
         for n in (0, 3):
             budgets = [None]
             for budget in budgets:
-                m = Machine(module, mode=mode, rule_programs=rules, taint_config=cfg,
-                            mem_size=1 << 16, **({} if budget is None else {"step_budget": budget}))
-                try:
-                    result = f"exit {m.call_entry('main', [n])} ret tag {max(m.ret_shadow, default=0)}"
-                except MachineTrap as e:
-                    result = f"trap {e}"
+                result, m = machine_run(module, "main", n, mode=mode, **kw,
+                                        **({} if budget is None else {"step_budget": budget}))
                 if budget is None:      # 9 runs out inside @sum's loop
                     total = m.instr_total
                     budgets += [1, 9, total // 3, total // 2, total - 1, total]
-                print(f"looped {mode} n={n} budget={budget}: {result}; instr {m.instr_total}"
-                      f" unins {m.instr_unins} shadow {m.shadow_ops_instr}+{m.shadow_ops_rules}"
-                      f" tagged {m.tagmap.nonzero_bytes()}")
+                print(f"looped {mode} n={n} budget={budget}: {result}")
+
+
+def recursion_outputs() -> None:
+    """Runs whose argument has tag `TAG`: the recursion's exit value or trap
+    and its counters, and the loop's at every budget up to its whole run."""
+    module = parse_module(DEEP)
+    kw = {"rule_programs": compile_library(module)[0],
+          "taint_config": TaintConfig.from_json(DEEP_CFG)}
+    for mode in ("instr", "hybrid"):
+        for n in (500, MAX_FRAMES):
+            print(f"deep {mode} down({n}):", machine_run(module, "down", n, [TAG], mode=mode,
+                                                        **kw)[0])
+        total = machine_run(module, "loop", 5, [TAG], mode=mode, **kw)[1].instr_total
+        for budget in range(1, total + 1):
+            print(f"deep {mode} loop(5) budget={budget}:", machine_run(
+                module, "loop", 5, [TAG], mode=mode, step_budget=budget, **kw)[0])
 
 
 def main() -> None:
@@ -276,7 +355,8 @@ def main() -> None:
                     print(cli(tmp, "run", tmp / f"{name}.ir", "--entry", entry, "--args", args,
                               "--mode", mode, "--taint-config", cfg_path, *extra), end="")
         recursive_outputs(tmp)
-    region_outputs()
+    looped_outputs()
+    recursion_outputs()
     lib_module = corpus.load_module("libcorpus")
     rules = default_rules(lib_module)
     for fn in sorted(corpus.DRIVERS):
