@@ -374,7 +374,15 @@ def _undefined(name: str) -> MachineTrap:
 # arguments' tag vectors through `f.tags`, where a parameter source may
 # widen them.  A read no path defined finds its local unbound, which
 # `Machine._run` turns into the undefined-temporary trap.  Tracked loads,
-# stores and allocas do the Tagmap's one-page work inline.  A segment runs
+# stores and allocas do the Tagmap's one-page work inline.  A promoted slot
+# (`_Writer.promote`), a scalar alloca that only its own loads and stores
+# use, keeps its value in the local `P_x` and its tag vector in `T_x`; a
+# store of a nonzero vector still makes the slot's absent Tagmap page.  Its
+# bytes are written back (`_spill`) before a call, a return and any other
+# access that overlaps the frame's promoted range [R_lo, R_hi), and read
+# back (`_fill`) after a call and such a store; a return then drops the
+# locals, and a run that raises writes back what its innermost generated
+# frame still held.  A segment runs
 # from a block's start or from just after a call up to and including the
 # next call or terminator; the step budget is checked once per segment.
 # The instruction and shadow-op counts are locals, written to the machine
@@ -405,12 +413,34 @@ def _compiled(source: str):
     return compile(source, _SOURCE, "exec")
 
 
-def _stopped(e: BaseException) -> Optional[tuple[int, int, str]]:
+def _spill(m, c: str, a: int, value, vec: Optional[bytes] = None) -> None:
+    """Writes a promoted slot back: its value, of struct format `c`, at `a`
+    and, when tracked, its tag vector.  A slot never crosses a page, and a
+    nonzero vector made its page when it was stored, so an absent page
+    keeps zeros."""
+    _STRUCTS[c].pack_into(m.memory, a, value)
+    page = m.tagmap.pages.get(a >> _PAGE_SHIFT)
+    if vec is not None and page is not None:
+        page[a & PAGE - 1:(a & PAGE - 1) + len(vec)] = vec
+
+
+def _fill(m, c: str, a: int, w: int) -> tuple:
+    """A promoted slot's value, of struct format `c` at `a`, and its `w`-byte
+    tag vector, read back after code that may have written them."""
+    page, o = m.tagmap.pages.get(a >> _PAGE_SHIFT), a & (PAGE - 1)
+    return (_STRUCTS[c].unpack_from(m.memory, a)[0],
+            bytes(w) if page is None else bytes(page[o:o + w]))
+
+
+def _stopped(e: BaseException, m) -> Optional[tuple[int, int, str]]:
     """The instruction count and the shadow ops not yet counted where the
     innermost generated frame `e` came through stopped, and the temp's local
     when it stopped reading an unbound one; None when `e` came through no
-    generated frame.  A function of its own, so that no traceback outlives
-    it in a frame the traceback holds: that cycle would hold the machine."""
+    generated frame.  Writes back the promoted slots that frame still held
+    on machine `m`: an outer generated frame is at a call, which wrote its
+    slots back, or at a budget cut, whose prefix took them over.  A
+    function of its own, so that no traceback outlives it in a frame the
+    traceback holds: that cycle would hold the machine."""
     tb, inner = e.__traceback__, None
     while tb is not None:
         if tb.tb_frame.f_code.co_filename == _SOURCE:
@@ -428,6 +458,9 @@ def _stopped(e: BaseException) -> Optional[tuple[int, int, str]]:
                                     else (ins.argval,))), line)
     unrun, uncounted = frame.f_globals["_lines"][line]
     local = frame.f_locals
+    for c, v, p, t in frame.f_globals["_slots"]:
+        if p in local:
+            _spill(m, c, local[v], local[p], local.get(t))
     return local["n"] - unrun, local.get("s", 0) + uncounted, hit and hit[1]
 
 
@@ -456,6 +489,7 @@ def _helpers() -> dict:
     def bad(kind, uid, *operands):
         raise MachineTrap(kind, uid)
     ns = {"MachineTrap": MachineTrap, "_resize": _resize_vec, "_idiv": idiv, "_bad": bad,
+          "_spill": _spill, "_fill": _fill,
           "_U": uniform, "_tag": lambda vec, w: uniform[vec[:w]],
           "_irem": lambda a, b, uid: a - idiv(a, b, uid) * b,
           "_fdiv": lambda a, b: (a / b if b != 0.0 else
@@ -538,6 +572,48 @@ class _Writer:
         self.read_params = [name for name in params if name in reads]
         self.spill = set(params) & {ins.defined_temp() for ins in fn.instructions()}
         self.fn_const = self.const(fn)
+        self.order = {id(ins): k for k, ins in enumerate(fn.instructions())}
+        self.slots = self.promote(params)
+
+    def promote(self, params: list[str]) -> dict[str, Alloca]:
+        """The promoted slots by temp: each alloca that runs in the entry
+        block, which no branch enters, of an int, char or pointer, whose
+        temp is defined there only and used only after it, as the address
+        of loads and stores of that type."""
+        fn, order = self.fn, self.order
+        defs = [ins.defined_temp() for ins in fn.instructions()]
+        if fn.blocks and any(fn.blocks[0].label in (getattr(ins, "label", None),
+                             getattr(ins, "then_label", None), getattr(ins, "else_label", None))
+                             for ins in fn.instructions()):
+            return {}
+        slots = {ins.dest: ins for b, seg in self.segs if b == 0 for ins in seg
+                 if type(ins) is Alloca and type(ins.ty) in (Int, Char, Ptr)
+                 and ins.dest not in params and defs.count(ins.dest) == 1}
+        for ins in fn.instructions():
+            for op in ins.operands():
+                a = slots.get(op.name) if type(op) is Temp else None
+                if a is not None and not (type(ins) in (Load, Store) and ins.ty == a.ty
+                                          and getattr(ins, "value", None) != op
+                                          and order[id(ins)] > order[id(a)]):
+                    del slots[op.name]
+        return slots
+
+    def held(self, ins: Instr) -> list[str]:
+        """The promoted slots allocated before `ins` runs."""
+        return [x for x, a in self.slots.items() if self.order[id(a)] < self.order[id(ins)]]
+
+    def write_back(self, held: list[str]) -> str:
+        """A statement writing the `held` slots back to memory and, when
+        tracked, to the Tagmap."""
+        return "; ".join(f"_spill(m, {_fmt(self.slots[x].ty)!r}, {_local('v', x)}, "
+                         + ", ".join(_local(k, x) for k in "PT"[:1 + self.live]) + ")"
+                         for x in held)
+
+    def read_back(self, held: list[str]) -> str:
+        """A statement reading the `held` slots back into their locals."""
+        return "; ".join(", ".join(_local(k, x) for k in "PT"[:1 + self.live])
+                         + f" = _fill(m, {_fmt(self.slots[x].ty)!r}, {_local('v', x)},"
+                         f" {_width(self.slots[x].ty)})" + "[0]" * (not self.live) for x in held)
 
     def note(self, name: str, ty: Type, kind: bool = True) -> None:
         """Notes a definition of `name` of type `ty`: its tag vector's width
@@ -558,8 +634,11 @@ class _Writer:
         if looped:
             body.append((1, "while True:", (0, 0)))
             self.dispatch(range(len(self.fn.blocks)), 2, body)
-        else:       # no branch: only the entry block runs
+        elif self.fn.blocks:       # no branch: only the entry block runs
             self.block(0, 1, body)
+        else:
+            body.append((1, "raise MachineTrap('no terminator', detail="
+                            f"{self.fn.name!r})", (0, 0)))
         entry = [f"{_local('v', p)} = t[{p!r}]" + (
             f"; {_local('g', p)} = tg[{p!r}]" if self.live else "") for p in self.read_params]
         if entry:
@@ -589,7 +668,9 @@ class _Writer:
         return self.namespace()["c"]
 
     def namespace(self) -> dict:
-        ns = dict(_helpers(), **self.ns, _lines=self.lines)
+        slots = tuple((_fmt(a.ty), _local("v", x), _local("P", x), _local("T", x))
+                      for x, a in self.slots.items())
+        ns = dict(_helpers(), **self.ns, _lines=self.lines, _slots=slots)
         exec(_compiled("\n".join(self.src)), ns)
         return ns
 
@@ -657,40 +738,68 @@ class _Writer:
         sz = size_of(ins.ty, structs)
         align, zeros = ~(max(align_of(ins.ty, structs), 1) - 1), self.const(bytes(sz))
         self.used.update(("mem", "tm", "pages"))
-        return [f"a = (m.stack_ptr - {sz}) & {align}",
-                f"if a <= m.heap_ptr: raise MachineTrap('stack overflow', {ins.uid!r})",
-                "m.stack_ptr = a", f"mem[a:a + {sz}] = {zeros}",
-                # allocation bookkeeping: a one-page frame zeroes only a present page
-                f"if (o := a & {PAGE - 1}) > {PAGE - sz}: tm.set_vector(a, {zeros})",
-                f"elif (p := pages.get(a >> {_PAGE_SHIFT})) is not None: p[o:o + {sz}] = {zeros}",
-                *self.define(ins.dest, "a", 8, tag="0")]
+        lines = [f"a = (m.stack_ptr - {sz}) & {align}",
+                 f"if a <= m.heap_ptr: raise MachineTrap('stack overflow', {ins.uid!r})",
+                 "m.stack_ptr = a", f"mem[a:a + {sz}] = {zeros}",
+                 # allocation bookkeeping: a one-page frame zeroes only a present page
+                 f"if (o := a & {PAGE - 1}) > {PAGE - sz}: tm.set_vector(a, {zeros})",
+                 f"elif (p := pages.get(a >> {_PAGE_SHIFT})) is not None: p[o:o + {sz}] = {zeros}",
+                 *self.define(ins.dest, "a", 8, tag="0")]
+        if ins.dest in self.slots:      # zero, like its bytes; the range grows down
+            lines.append(f"{_local('P', ins.dest)} = 0" + f"; {_local('T', ins.dest)} = _Z{sz}"
+                         * self.live + ("; R_lo = a" if self.held(ins) else
+                                        f"; R_lo, R_hi = a, a + {sz}"))
+        return lines
 
     def load(self, ins: Load) -> list:
         w = _width(ins.ty)
+        if type(ins.addr) is Temp and ins.addr.name in self.slots:
+            x = ins.addr.name
+            return self.define(ins.dest, _local("P", x), w, vec=_local("T", x))
         a, lines = self.atom(self.val(ins.addr, _PTR), "a")
         self.used.update(("mem", "tm", "pages") if self.live else ("mem",))
-        return lines + [self.check(a, w, ins)] + self.define(
+        return lines + [self.check(a, w, ins)] + self.overlap(
+            a, w, ins, self.write_back) + self.define(
             ins.dest, f"_u{_fmt(ins.ty)}(mem, {a})[0]" if w else "0", w,
             vec=f"tm.get_vector({a}, {w}) if (o := {a} & {PAGE - 1}) > {PAGE - w} else _Z{w}"
                 f" if (p := pages.get({a} >> {_PAGE_SHIFT})) is None else bytes(p[o:o + {w}])")
 
     def store(self, ins: Store) -> list:
         w = _width(ins.ty)
-        a, lines = self.atom(self.val(ins.addr, _PTR), "a")
-        x, more = self.atom(self.val(ins.value, _kind(ins.ty), wrap_globals=True), "x")
+        slot = type(ins.addr) is Temp and ins.addr.name in self.slots and ins.addr.name
+        a, lines = ("", []) if slot else self.atom(self.val(ins.addr, _PTR), "a")
+        x = self.val(ins.value, _kind(ins.ty), wrap_globals=True)
+        if slot:
+            p, t = _local("P", slot), _local("T", slot)
+            if not self.live:
+                return [f"{p} = {x}"]
+            g = self.vec(ins.value, w)      # a nonzero vector makes the page now
+            self.used.add("pages")
+            return [f"{p} = {x}", f"{t} = {g}"] + [
+                f"if {t} != _Z{w} and (q := {_local('v', slot)} >> {_PAGE_SHIFT})"
+                f" not in pages: pages[q] = bytearray({PAGE})"] * (g != f"_Z{w}")
+        x, more = self.atom(x, "x")
         self.used.update(("mem", "dirty", "tm", "pages") if self.live else ("mem", "dirty"))
-        lines += more + [self.check(a, w, ins), f"_p{_fmt(ins.ty)}(mem, {a}, {x})",
+        lines += more + [self.check(a, w, ins), *self.overlap(a, w, ins, self.write_back),
+                         f"_p{_fmt(ins.ty)}(mem, {a}, {x})",
                          f"dirty.add(q := {a} >> {_PAGE_SHIFT})"]
         cross = f"if (o := {a} & {PAGE - 1}) > {PAGE - w}: dirty.add(q + 1)"
+        after = self.overlap(a, w, ins, self.read_back)
         if not self.live:
-            return lines + [cross] * (w > 1)
+            return lines + [cross] * (w > 1) + after
         g, more = self.atom(self.vec(ins.value, w), "g")
         lines += more + [f"{cross}; tm.set_vector({a}, {g})",
                          f"elif (p := pages.get(q)) is not None: p[o:o + {w}] = {g}"]
         if g != f"_Z{w}":       # the page is made only for a nonzero vector
             lines.append(f"elif {g} != _Z{w}: p = pages[q] = bytearray({PAGE});"
                          f" p[o:o + {w}] = {g}")
-        return lines
+        return lines + after
+
+    def overlap(self, a: str, w: int, ins: Instr, then) -> list[str]:
+        """The line running `then` of the slots held at `ins` when the `w`
+        bytes at `a` overlap the frame's promoted range."""
+        held = self.held(ins)
+        return [f"if R_lo - {w} < {a} < R_hi: {then(held)}"] if held else []
 
     def gep(self, ins: Gep) -> list:
         structs, t, off = self.image.module.structs, ins.base_ty, 0
@@ -772,9 +881,10 @@ class _Writer:
             if ins.dest in self.spill:
                 after.append(f"t[{ins.dest!r}] = {_local('v', ins.dest)}")
                 self.used.add("t")
-        return lines + [_COUNT, self.flush(),
-                        f"c = m._call({self.const(callee)}, args, {vecs}, {self.const(ins)})",
-                        run, "n = m.instr_total"] + after
+        held = self.held(ins)       # the callee may read or write them
+        return lines + [_COUNT, self.flush()] + [self.write_back(held)] * bool(held) + [
+            f"c = m._call({self.const(callee)}, args, {vecs}, {self.const(ins)})",
+            run, "n = m.instr_total"] + [self.read_back(held)] * bool(held) + after
 
     def ret(self, ins: Ret) -> list:
         has, ty = ins.value is not None, self.fn.ret_ty
@@ -785,6 +895,9 @@ class _Writer:
         else:       # a rule-firing frame's instructions all ran untracked
             lines += [_COUNT, self.flush(),
                       "if f.arg_record is not None: m.instr_unins += n - m._unins_from"]
+        held = self.held(ins)       # written back once: the locals go
+        lines += [self.write_back(held) + "; del " + ", ".join(
+            _local(k, x) for x in held for k in "PT"[:1 + self.live])] * bool(held)
         return lines + [f"return m._do_ret(f, {x})"]
 
     def flush(self) -> str:
@@ -1154,7 +1267,7 @@ class Machine:
         try:
             f.code(self, f)
         except BaseException as e:
-            stop = _stopped(e)
+            stop = _stopped(e, self)
             if stop is not None:
                 self.instr_total, uncounted, unbound = stop
                 self.shadow_ops_instr += uncounted

@@ -30,7 +30,7 @@ from taintsum.rules import (
 )
 from taintsum.tracker import (
     DEFAULT_MEMORY, GLOBALS_BASE, MAX_FRAMES, PAGE, Image, Memory, RunReport, SinkHit,
-    Tagmap, _Frame, _Writer, _compiled, _kind, _resize_vec, _wrap,
+    SinkSpec, SourceSpec, Tagmap, _Frame, _Writer, _compiled, _kind, _resize_vec, _wrap,
 )
 from taintsum.validate import build_plan, materialize_plan
 from test_ir import _straightline_function
@@ -900,6 +900,8 @@ class ReferenceMachine(Machine):
         while self._frames:
             frame = self._frames[-1]
             block = frame.fn.blocks[frame.block]
+            if frame.pc == len(block.instrs):       # control fell off the block
+                raise MachineTrap("no terminator", detail=block.label)
             ins = block.instrs[frame.pc]
             self.instr_total += 1
             if self.instr_total > self.step_budget:
@@ -1324,6 +1326,112 @@ def looped_function(draw):
            + "".join(f"{label}:\n" + "\n".join(lines) + "\n" for label, lines in blocks.items())
            + "}\n")
     return src, n_params
+
+
+_SLOT_TYPES = _INT_TYPES + ("ptr(char)", "ptr(i64)")
+_SLOT_OPS = ("load", "load", "store", "store", "zero", "wild load", "wild store",
+             "saved", "call", "put", "divide", "stray")
+# @put reads and writes through its pointer, and `SLOT_CFG` makes it a sink
+# and, on the memory behind it, a source
+PUT = """
+fn @put(%p: ptr(i64), %v: i64) -> i64 library {
+entry:
+  %o = load i64, %p
+  store i64 %v, %p
+  ret i64 %o
+}
+"""
+SLOT_CFG = TaintConfig(LOOP_CFG.sources + (SourceSpec("put", "param", 0, 8),),
+                       LOOP_CFG.sinks + (SinkSpec("put", 0),))
+
+
+@st.composite
+def slotted_function(draw):
+    """A random entry `@f` whose scalar allocas are all promoted: a loop of
+    at most three iterations whose counter is the slot %ctr, and in the
+    entry, loop body and exit, drawn steps on the slots (%sp, a `ptr(char)`,
+    and one to three of other drawn types): loads, which may come before any
+    store; stores of temps of any type and of tainted values then zero;
+    loads and stores of any width through a gep off the escaped
+    `[16 x char]` %buf with a drawn negative offset, which may land on a
+    slot, directly or through a pointer saved in %sp; calls to @h and @k,
+    and to @put, which writes through such a pointer; divisions that may
+    trap; and rare loads through %p0, which trap out of bounds.  Returns
+    (source, entry argument count, slot names)."""
+    params, temps = ["%p0: i64"], [("p0", "i64")]
+    for i in range(1, draw(st.integers(1, 3))):
+        ty = draw(st.sampled_from(_INT_TYPES + _FLOAT_TYPES))
+        params.append(f"%p{i}: {ty}")
+        temps.append((f"p{i}", ty))
+    slots = [("sp", "ptr(char)")] + [(f"s{j}", draw(st.sampled_from(_SLOT_TYPES)))
+                                     for j in range(draw(st.integers(1, 3)))]
+    counter = [0]
+
+    def operand(ty):
+        if draw(st.integers(0, 9)) < 7:
+            return "%" + draw(st.sampled_from(temps))[0]
+        if ty in _FLOAT_TYPES:
+            return draw(st.sampled_from(("0.0", "1.5", "-2.25")))
+        return str(draw(st.sampled_from((0, 1, -1, 7, 255, 2 ** 31))))
+
+    def wild():
+        counter[0] += 1
+        return f"w{counter[0]}", [f"  %w{counter[0]} = gep [16 x char], %buf, 0,"
+                                  f" {draw(st.integers(-40, -1))}"]
+
+    def steps():
+        out = []
+        for _ in range(draw(st.integers(0, 5))):
+            counter[0] += 1
+            t = f"t{counter[0]}"
+            kind = draw(st.sampled_from(_SLOT_OPS))
+            slot, sty = draw(st.sampled_from(slots + [("ctr", "i64")] * (kind == "load")))
+            wty = draw(st.sampled_from(_INT_TYPES))
+            if kind == "load":
+                out.append(f"  %{t} = load {sty}, %{slot}")
+                temps.append((t, sty))
+            elif kind in ("store", "zero"):
+                value = operand(sty) if kind == "store" else "0"
+                out.append(f"  store {sty} {value}, %{slot}")
+            elif kind in ("wild load", "wild store"):
+                w, lines = wild()
+                out += lines + ([f"  %{t} = load {wty}, %{w}"] if kind == "wild load"
+                                else [f"  store {wty} {operand(wty)}, %{w}"])
+                if kind == "wild load":
+                    temps.append((t, wty))
+            elif kind == "saved":       # a wild pointer kept in %sp and used later
+                w, lines = wild()
+                out += lines + [f"  store ptr(char) %{w}, %sp", f"  %{t} = load ptr(char), %sp"]
+                out.append(f"  store char {operand('char')}, %{t}" if draw(st.booleans())
+                           else f"  %{t}c = load char, %{t}")
+            elif kind == "call":
+                out.append(f"  %{t} = call i16 @h({operand('i32')}, {operand('u8')})"
+                           if draw(st.booleans()) else
+                           f"  %{t} = call i64 @k({operand('f64')}, {operand('i8')})")
+                temps.append((t, "i64"))
+            elif kind == "put":         # the callee writes what %w points at
+                w, lines = wild()
+                out += lines + [f"  %{t} = call i64 @put(%{w}, {operand('i64')})"]
+                temps.append((t, "i64"))
+            elif kind == "divide":
+                out.append(f"  %{t} = div {wty} {operand(wty)}, {operand(wty)}")
+                temps.append((t, wty))
+            elif draw(st.integers(0, 3)) == 0:      # stray
+                out.append(f"  %{t} = load i32, %p0")
+        return out
+
+    entry = ["  %buf = alloca [16 x char]", "  %ctr = alloca i64"]
+    entry += [f"  %{name} = alloca {ty}" for name, ty in slots]
+    entry += [f"  store {ty} {operand(ty)}, %{name}" for name, ty in slots if draw(st.booleans())]
+    entry += ["  %n = and i64 %p0, 3"] + steps() + ["  store i64 0, %ctr", "  jmp head"]
+    head = ["  %i = load i64, %ctr", "  %z = cmp i64 %i, %n", "  br %z, exit, body"]
+    body = steps() + ["  %i1 = add i64 %i, 1", "  store i64 %i1, %ctr", "  jmp head"]
+    blocks = {"entry": entry, "head": head, "body": body,
+              "exit": steps() + [f"  ret i64 {operand('i64')}"]}
+    src = (HELPERS + PUT + f"\nfn @f({', '.join(params)}) -> i64 {{\n"
+           + "".join(f"{label}:\n" + "\n".join(lines) + "\n" for label, lines in blocks.items())
+           + "}\n")
+    return src, len(params), ["ctr"] + [name for name, _ in slots]
 
 
 def _arg_values(rng, n):
@@ -1793,6 +1901,58 @@ class TestRegions:
         assert "t['n']" in source     # the parameter, once at entry
 
 
+class TestPromotedSlots:
+    """Scalar allocas used only by their own loads and stores live in
+    locals; memory, Tagmap pages, counters and traps stay the step
+    interpreter's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(slotted_function(), st.integers(0, 2 ** 32), BUDGETS, st.booleans())
+    def test_random_slotted_functions(self, fn_src, seed, budget, sources):
+        src, n, slots = fn_src
+        m = parse_module(src)
+        for live in (True, False):
+            assert list(_Writer(Image(m), m.functions["f"], live).slots) == slots
+        rules, _ = compile_library(m)
+        rng = random.Random(seed)
+        assert_same_runs(m, "f", _arg_values(rng, n), rules, arg_tags=_arg_tags(rng, n),
+                         taint_config=SLOT_CFG if sources else None, mem_size=1 << 16,
+                         **_budget(budget))
+
+    @pytest.mark.parametrize("program, fn, slots", [
+        ("bench_user", "main", ["sump", "ip"]), ("bench_memcpy", "memcpy", ["dp", "sp", "np"])])
+    def test_benchmark_slots_skip_the_memory_path(self, program, fn, slots):
+        module = corpus.load_module(program)
+        for live in (True, False):
+            writer = _Writer(Image(module), module.functions[fn], live)
+            writer.code()
+            source = "\n".join(writer.src)
+            assert list(writer.slots) == slots
+            for x in slots:
+                assert f"P_{x} = " in source
+                assert not re.search(rf"(_check_bounds\(|_[up]\w\(mem, |pages\.get\()v_{x}\b",
+                                     source), (live, x)
+
+    @pytest.mark.parametrize("body, promoted", [
+        ("  %b = alloca i64\n  %a = alloca i32\n  %q = gep i32, %a, 0\n  ret i64 0\n", ["b"]),
+        ("  %a = alloca i32\n  store i64 1, %a\n  ret i64 0\n", []),
+        ("  %a = alloca f64\n  store f64 1.0, %a\n  ret i64 0\n", []),
+        ("  %v = load i32, %a\n  %a = alloca i32\n  ret i64 0\n", []),
+        ("  %a = alloca i32\n  jmp next\nnext:\n  %a = alloca i32\n  ret i64 0\n", []),
+        ("  %a = alloca i32\n  %v = load i32, %a\n  br %v, entry, next\nnext:\n  ret i64 0\n",
+         []),
+        ("  jmp next\nnext:\n  %a = alloca i32\n  ret i64 0\n", []),
+        ("  %a = alloca i32\n  jmp next\n  %b = alloca i32\nnext:\n  store i32 1, %b\n"
+         "  %v = load i32, %a\n  ret i64 %v\n", ["a"]),
+    ])
+    def test_what_stays_in_memory(self, body, promoted):
+        """An escaped, retyped, float, used-before, redefined, re-entered,
+        non-entry or never-run alloca stays in memory."""
+        m = parse_module("fn @f() -> i64 {\nentry:\n" + body + "}\n")
+        assert list(_Writer(Image(m), m.functions["f"], True).slots) == promoted
+        assert_same_runs(m, "f", [], mem_size=1 << 16)
+
+
 class TestCodeCache:
     """Images of one module share each function's written code, and code
     objects are shared process-wide by source text, so equal source means
@@ -2251,11 +2411,25 @@ class TestMalformedControlFlow:
         ("  %x = add i64 1, 2\n  jmp nowhere\n", "f:1"),
         ("  br 1, nowhere, entry\n", "f:0"),
         ("  br 0, entry, nowhere\n", "f:0"),
+        ("  %x = add i64 1, 2\n", None),        # falls off the block
+        ("  %x = call i64 @g()\n", None),
     ])
     def test_reference_machine_traps_alike(self, body, instr):
-        m = parse_module("fn @f() -> i64 {\nentry:\n" + body + "}\n")
+        m = parse_module("fn @g() -> i64 {\nentry:\n  ret i64 1\n}\n"
+                         "fn @f() -> i64 {\nentry:\n" + body + "}\n")
+        kind, detail = ("unknown label", "") if instr else ("no terminator", "entry")
         for got in assert_same_runs(m, "f", [], mem_size=1 << 16).values():
-            assert got[0] == ("trap", "unknown label", instr)
+            assert got[0] == ("trap", kind, instr) and got[-1] == detail
+
+    def test_function_without_blocks_traps(self):
+        m = parse_module("fn @f() -> i64 {\n}\n")
+        assert validate_module(m)
+        for mode in ("instr", "hybrid"):
+            machine = Machine(m, mode=mode, mem_size=1 << 16)
+            with pytest.raises(MachineTrap) as e:
+                machine.call_entry("f", [])
+            assert (e.value.kind, e.value.instr, e.value.detail) == ("no terminator", None, "f")
+            assert machine.instr_total == 0
 
 
 MOVES_NUL = """\

@@ -21,7 +21,11 @@ can be diffed to show a change leaves them byte-identical:
   * for a small module, in both modes, a recursion 500 calls deep, one a
     call deeper than the frame cap admits, and a loop that calls a
     summarized function at every step budget up to the whole run: the exit
-    value or the trap, and the counters.
+    value or the trap, and the counters;
+  * for a small module whose scalar allocas the tracker keeps in locals
+    while pointers off an escaped buffer, and a summarized call, alias
+    them, in both modes at every step budget up to its whole run: the exit
+    value or the trap, the counters and the tagged bytes.
 
 Usage, from the root of each tree:
 
@@ -242,6 +246,56 @@ done:
   ret i64 %s
 }
 """
+# @wild's scalar allocas live in locals: %x is read before any store, %sp
+# is stored tainted and then zero, %a and %b point 8 and 9 bytes below
+# %buf, at %sp and %cp, so a load and a store through them alias the slots,
+# and so does the summarized @poke, which the loop calls with %a; with
+# %n = 3 the division at the end traps
+WILD = """\
+fn @poke(%p: ptr(i64), %v: i64) -> i64 library {
+entry:
+  %o = load i64, %p
+  %w = add i64 %o, %v
+  store i64 %w, %p
+  ret i64 %o
+}
+fn @wild(%n: i64) -> i64 {
+entry:
+  %buf = alloca [16 x char]
+  %sp = alloca i64
+  %cp = alloca char
+  %ip = alloca i64
+  %x = load i64, %sp
+  store i64 %n, %sp
+  store char 0, %cp
+  %a = gep [16 x char], %buf, 0, -8
+  %b = gep [16 x char], %buf, 0, -9
+  store char %n, %b
+  %c = load char, %cp
+  store i64 0, %ip
+  jmp head
+head:
+  %i = load i64, %ip
+  %z = cmp i64 %i, 3
+  br %z, done, body
+body:
+  %r = call i64 @poke(%a, %i)
+  %s = load i64, %sp
+  %s1 = add i64 %s, %r
+  store i64 %s1, %sp
+  %i1 = add i64 %i, 1
+  store i64 %i1, %ip
+  jmp head
+done:
+  %y = load i64, %a
+  store i64 0, %sp
+  %d = sub i64 %n, 3
+  %q = div i64 %c, %d
+  %e = add i64 %q, %y
+  %f = add i64 %e, %x
+  ret i64 %f
+}
+"""
 TAG = b"\x02"       # of the entry's argument
 DEEP_CFG = {"sources": [{"fn": "down", "where": "param", "index": 0, "label": 1},
                         {"fn": "inc", "where": "ret", "label": 4}]}
@@ -326,6 +380,21 @@ def recursion_outputs() -> None:
                 module, "loop", 5, [TAG], mode=mode, step_budget=budget, **kw)[0])
 
 
+def wild_outputs() -> None:
+    """Runs of @wild whose argument has tag `TAG`: the exit value or trap,
+    the counters and the tagged bytes at every budget up to its whole run."""
+    module = parse_module(WILD)
+    rules = compile_library(module)[0]
+    for mode in ("instr", "hybrid"):
+        for n in (3, 5):
+            total = machine_run(module, "wild", n, [TAG], mode=mode,
+                                rule_programs=rules)[1].instr_total
+            for budget in range(1, total + 1):
+                print(f"wild {mode} n={n} budget={budget}:", machine_run(
+                    module, "wild", n, [TAG], mode=mode, rule_programs=rules,
+                    step_budget=budget)[0])
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -357,6 +426,7 @@ def main() -> None:
         recursive_outputs(tmp)
     looped_outputs()
     recursion_outputs()
+    wild_outputs()
     lib_module = corpus.load_module("libcorpus")
     rules = default_rules(lib_module)
     for fn in sorted(corpus.DRIVERS):
