@@ -8,7 +8,9 @@ convention: pointers are 8 bytes, natural alignment is min(size, 8).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Union
 
 POINTER_BYTES = 8
@@ -187,7 +189,7 @@ BINOPS = ("add", "sub", "mul", "div", "rem", "and", "or", "xor", "shl", "shr", "
 # Instructions
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Instr:
     """Base instruction.  `uid` is a stable per-function id ("fn:index",
     assigned in textual order) used by diagnostics, the PDG and reports."""
@@ -201,13 +203,13 @@ class Instr:
         return ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Alloca(Instr):
     dest: str
     ty: Type
 
 
-@dataclass
+@dataclass(frozen=True)
 class Load(Instr):
     dest: str
     ty: Type
@@ -217,7 +219,7 @@ class Load(Instr):
         return (self.addr,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Store(Instr):
     ty: Type
     value: Operand
@@ -227,7 +229,7 @@ class Store(Instr):
         return (self.value, self.addr)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Gep(Instr):
     dest: str
     base_ty: Type
@@ -238,7 +240,7 @@ class Gep(Instr):
         return (self.base,) + self.indices
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinOp(Instr):
     dest: str
     op: str
@@ -250,7 +252,7 @@ class BinOp(Instr):
         return (self.lhs, self.rhs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Call(Instr):
     dest: Optional[str]
     ret_ty: Type
@@ -264,7 +266,7 @@ class Call(Instr):
         return self.dest
 
 
-@dataclass
+@dataclass(frozen=True)
 class Br(Instr):
     cond: Operand
     then_label: str
@@ -274,12 +276,12 @@ class Br(Instr):
         return (self.cond,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Jmp(Instr):
     label: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Ret(Instr):
     ty: Type
     value: Optional[Operand] = None
@@ -291,26 +293,23 @@ class Ret(Instr):
 TERMINATORS = (Br, Jmp, Ret)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Block:
     label: str
-    instrs: list[Instr]
+    instrs: tuple[Instr, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Function:
     name: str
     params: tuple[tuple[str, Type], ...]
     ret_ty: Type
-    blocks: list[Block]
+    blocks: tuple[Block, ...]
     is_library: bool = False
 
     def __post_init__(self):
-        idx = 0
-        for b in self.blocks:
-            for ins in b.instrs:
-                ins.uid = f"{self.name}:{idx}"
-                idx += 1
+        for idx, ins in enumerate(self.instructions()):
+            object.__setattr__(ins, "uid", f"{self.name}:{idx}")
 
     def param_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.params)
@@ -319,16 +318,18 @@ class Function:
         for b in self.blocks:
             yield from b.instrs
 
-    def instr_positions(self) -> dict[str, int]:
-        """Program order: textual block order, then instruction order."""
-        return {ins.uid: i for i, ins in enumerate(self.instructions())}
+
+_empty_view = functools.partial(MappingProxyType, {})
 
 
-@dataclass
+@dataclass(frozen=True)
 class Module:
-    structs: dict[str, StructDecl] = field(default_factory=dict)
-    globals: dict[str, GlobalDecl] = field(default_factory=dict)
-    functions: dict[str, Function] = field(default_factory=dict)
+    """`parse_module` gives it read-only views (`types.MappingProxyType`)
+    of its structs, globals and functions."""
+
+    structs: Mapping[str, StructDecl] = field(default_factory=_empty_view)
+    globals: Mapping[str, GlobalDecl] = field(default_factory=_empty_view)
+    functions: Mapping[str, Function] = field(default_factory=_empty_view)
 
     def library_functions(self) -> list[Function]:
         return [f for f in self.functions.values() if f.is_library]

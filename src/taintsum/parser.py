@@ -28,6 +28,7 @@ identical module.
 from __future__ import annotations
 
 import re
+from types import MappingProxyType
 
 from .ir import (
     Alloca, Array, BinOp, Block, Br, Call, CHAR, ConstFloat, ConstInt,
@@ -193,7 +194,9 @@ class _ModuleParser:
     def __init__(self, text: str):
         self.lines = text.splitlines()
         self.diags: list[Diagnostic] = []
-        self.module = Module()
+        self.structs: dict[str, StructDecl] = {}
+        self.globals: dict[str, GlobalDecl] = {}
+        self.functions: dict[str, Function] = {}
         self.n = 0
 
     def error(self, msg, line, col=1):
@@ -223,7 +226,8 @@ class _ModuleParser:
                 self.error(e.message, line_no, e.col)
         if self.diags:
             raise ParseError(self.diags)
-        return self.module
+        return Module(MappingProxyType(self.structs), MappingProxyType(self.globals),
+                      MappingProxyType(self.functions))
 
     def _parse_struct(self, cur: _Cursor):
         is_union = cur.next()[1] == "union"
@@ -242,10 +246,10 @@ class _ModuleParser:
             if cur.peek()[1] == ",":
                 cur.next()
         cur.expect("}")
-        if name in self.module.structs:
+        if name in self.structs:
             self.error(f"duplicate definition of %{name}", cur.line)
             return
-        self.module.structs[name] = StructDecl(name, tuple(fields), is_union)
+        self.structs[name] = StructDecl(name, tuple(fields), is_union)
 
     def _parse_global(self, cur: _Cursor):
         cur.next()  # 'global'
@@ -270,10 +274,10 @@ class _ModuleParser:
                     cur.next()
             cur.expect(")")
             init = bytes(vals)
-        if name in self.module.globals or name in self.module.functions:
+        if name in self.globals or name in self.functions:
             self.error(f"duplicate definition of @{name}", cur.line)
             return
-        self.module.globals[name] = GlobalDecl(name, ty, init)
+        self.globals[name] = GlobalDecl(name, ty, init)
 
     def _parse_fn(self, cur: _Cursor):
         cur.next()  # 'fn'
@@ -307,15 +311,17 @@ class _ModuleParser:
         header_line = cur.line
 
         blocks = self._parse_body(name)
-        if name in self.module.functions or name in self.module.globals:
+        if name in self.functions or name in self.globals:
             self.error(f"duplicate definition of @{name}", header_line)
             return
-        self.module.functions[name] = Function(
-            name, tuple(params), ret_ty, blocks, is_library)
+        self.functions[name] = Function(
+            name, tuple(params), ret_ty,
+            tuple(Block(label, tuple(instrs)) for label, instrs in blocks), is_library)
 
-    def _parse_body(self, fn_name: str) -> list[Block]:
-        blocks: list[Block] = []
-        current: Block | None = None
+    def _parse_body(self, fn_name: str) -> list[tuple[str, list[Instr]]]:
+        """(label, instructions) of each block."""
+        blocks: list[tuple[str, list[Instr]]] = []
+        instrs: list[Instr] | None = None
         while self.n < len(self.lines):
             raw = _strip_comment(self.lines[self.n])
             line_no = self.n + 1
@@ -328,15 +334,15 @@ class _ModuleParser:
             cur = _Cursor(toks, line_no)
             # label line: `name:`
             if (len(toks) == 2 and toks[0][0] == "word" and toks[1][1] == ":"):
-                current = Block(toks[0][1], [])
-                blocks.append(current)
+                instrs = []
+                blocks.append((toks[0][1], instrs))
                 continue
-            if current is None:
+            if instrs is None:
                 self.error(f"instruction outside any block in @{fn_name}", line_no)
-                current = Block("entry", [])
-                blocks.append(current)
+                instrs = []
+                blocks.append(("entry", instrs))
             try:
-                current.instrs.append(self._parse_instr(cur))
+                instrs.append(self._parse_instr(cur))
             except _LineError as e:
                 self.error(e.message, line_no, e.col)
         self.error(f"unterminated body of @{fn_name} (missing '}}')", self.n)
@@ -421,8 +427,9 @@ class _ModuleParser:
 
 
 def parse_module(text: str) -> Module:
-    """Parse IR source into a Module; raises ParseError with line/column
-    diagnostics on malformed input.  The empty string is the empty module."""
+    """Parse IR source into an immutable Module; raises ParseError with
+    line/column diagnostics on malformed input.  The empty string is the
+    empty module.  Modules are linked by parsing their concatenated text."""
     return _ModuleParser(text).run()
 
 

@@ -392,8 +392,9 @@ def _undefined(name: str) -> MachineTrap:
 # When a run raises, the line its innermost generated frame stopped on gives
 # the instructions that frame did not run and the shadow ops it did not
 # count.  A function's code is shared by every image of its module
-# (`_shared_code`), code objects by source text; the functions hold no
-# machine.
+# (`_shared_code`), keyed by the identities of the module and the function,
+# since the parsed IR never changes; code objects are shared by source
+# text.  The functions hold no machine.
 
 _SOURCE = "<taintsum function>"
 _MASK64 = 2 ** 64 - 1
@@ -983,39 +984,24 @@ _EMIT = {Alloca: _Writer.alloca, Load: _Writer.load, Store: _Writer.store,
          Gep: _Writer.gep, BinOp: _Writer.binop, Br: _Writer.br, Jmp: _Writer.jmp,
          Call: _Writer.call, Ret: _Writer.ret}
 
-# (id of module, id of function, live, mem_size) -> (module, function,
-# snapshot, code), least recently used first.  An entry holds its module and
-# function, so neither id is reused while it lives; the other ids in its
-# snapshot name an object its code embeds and so holds (a call or a callee),
-# or one whose field values alone decide the code.
+# (id of module, id of function, live, mem_size) -> (module, code), least
+# recently used first.  An entry holds its module, and through it the
+# function, so neither id is reused while it lives; the parsed IR is
+# immutable, so an entry never goes stale.
 CODE_TABLE_SIZE = 256
 _code_table: dict[tuple, tuple] = {}
 
 
 def _shared_code(image: "Image", fn: Function, live: bool):
-    """`fn`'s code from the process-wide table, written again when a
-    snapshot of everything `_Writer` reads differs from the entry's: params,
-    return type, block labels, instructions and their fields (immutable
-    values, as the parser makes them), each callee and its signature, the
-    structs and the global addresses."""
-    functions = image.module.functions
-    snap = [fn.params, fn.ret_ty, tuple(image.module.structs.items()),
-            tuple(image.global_addr.items())]
-    for block in fn.blocks:
-        snap.append(block.label)
-        for ins in block.instrs:
-            snap.append((id(ins), *vars(ins).values()))
-            if type(ins) is Call:
-                callee = functions.get(ins.callee)
-                snap.append((id(callee), callee and callee.params, callee and callee.ret_ty))
+    """`fn`'s code from the process-wide table, written on a miss."""
     key = (id(image.module), id(fn), live, image.mem_size)
     hit = _code_table.pop(key, None)
-    if hit is None or hit[2] != snap:
-        hit = (image.module, fn, snap, _Writer(image, fn, live).code())
+    if hit is None:
+        hit = (image.module, _Writer(image, fn, live).code())
     _code_table[key] = hit
     while len(_code_table) > CODE_TABLE_SIZE:
         del _code_table[next(iter(_code_table))]
-    return hit[3]
+    return hit[1]
 
 
 # ---------------------------------------------------------------------------

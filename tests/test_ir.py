@@ -1,5 +1,8 @@
 """Type system, layout, parser/printer round-trips, and well-formedness."""
 
+import dataclasses
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -101,6 +104,25 @@ class TestParser:
         for name in corpus.NAMES:
             m = corpus.load_module(name)
             assert parse_module(print_module(m)) == m
+
+    @pytest.mark.parametrize("name", corpus.NAMES)
+    def test_parsed_module_is_deeply_immutable(self, name):
+        """Every IR node is a frozen dataclass, every sequence a tuple and
+        every mapping a read-only view."""
+        def walk(x):
+            if dataclasses.is_dataclass(x):
+                assert type(x).__dataclass_params__.frozen, type(x)
+                for f in dataclasses.fields(x):
+                    walk(getattr(x, f.name))
+            elif isinstance(x, MappingProxyType):
+                for item in x.items():
+                    walk(item)
+            elif isinstance(x, tuple):
+                for v in x:
+                    walk(v)
+            else:
+                assert isinstance(x, (str, int, float, bytes, type(None))), type(x)
+        walk(corpus.load_module(name))
 
     def test_empty_module(self):
         m = parse_module("")

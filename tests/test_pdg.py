@@ -170,7 +170,7 @@ class TestFindNode:
     def test_first_match_in_program_order(self, memcpy_pdg, libcorpus):
         n = find_node(memcpy_pdg, "load i64")
         uid = memcpy_pdg.nodes[n].instr
-        pos = libcorpus.functions["memcpy"].instr_positions()
+        pos = memcpy_pdg.index("memcpy").position
         others = [ins.uid for ins in libcorpus.functions["memcpy"].instructions()
                   if ins.uid != uid and "load i64" in
                   memcpy_pdg.nodes[memcpy_pdg.instr_index[ins.uid]].label]

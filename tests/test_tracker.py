@@ -627,11 +627,7 @@ entry:
   ret i32 %r
 }
 """
-        text = src
-        m = parse_module(text)
-        m.functions.update(libcorpus.functions)
-        m.structs.update(libcorpus.structs)
-        m.globals.update(libcorpus.globals)
+        m = parse_module(src + corpus.load_text("libcorpus"))
         full = run(m, "main", [-5], None, "instr", lib_rules)
         hyb = run(m, "main", [-5], None, "hybrid", lib_rules)
         standalone = Machine(libcorpus, mode="instr", mem_size=1 << 20)
@@ -680,7 +676,7 @@ entry:
 
 
 class TestSourcesAndSinks:
-    def test_source_on_return_value(self, libcorpus, lib_rules):
+    def test_source_on_return_value(self, lib_rules):
         cfg = TaintConfig.from_json({
             "sources": [{"fn": "strlen_a", "where": "ret", "label": 2}],
             "sinks": []})
@@ -692,10 +688,7 @@ entry:
   ret i64 %n
 }
 """
-        m = parse_module(src)
-        m.functions.update(libcorpus.functions)
-        m.structs.update(libcorpus.structs)
-        m.globals.update(libcorpus.globals)
+        m = parse_module(src + corpus.load_text("libcorpus"))
         rep = run(m, "main", [], cfg, "instr", lib_rules)
         assert rep.ret_tag == 2
 
@@ -899,6 +892,8 @@ class ReferenceMachine(Machine):
         exit_value = 0
         while self._frames:
             frame = self._frames[-1]
+            if not frame.fn.blocks:
+                raise MachineTrap("no terminator", detail=frame.fn.name)
             block = frame.fn.blocks[frame.block]
             if frame.pc == len(block.instrs):       # control fell off the block
                 raise MachineTrap("no terminator", detail=block.label)
@@ -2040,26 +2035,27 @@ skip:
   ret i64 0
 }
 """
-# changes in place to what the writer of @f reads
+# changes in place to what the writer of @f reads, one per kind of fact its
+# code depends on; a parsed module refuses each.  "mem_size" changes the image.
 IN_PLACE = {
     "operand": lambda m: setattr(m.functions["f"].blocks[0].instrs[3], "rhs", ConstInt(5)),
     "instruction list": lambda m: m.functions["f"].blocks[0].instrs.pop(1),
-    "block labels": lambda m: [setattr(b, "label", label) for b, label in
-                               zip(m.functions["f"].blocks[1:], ("skip", "done"))],
-    "callee replaced": lambda m: m.functions.update(
-        callee=parse_module(SHARED.replace("%x, 1", "%x, 7")).functions["callee"]),
+    "block labels": lambda m: setattr(m.functions["f"].blocks[1], "label", "skip"),
+    "callee replaced": lambda m: m.functions.__setitem__(
+        "callee", parse_module(SHARED.replace("%x, 1", "%x, 7")).functions["callee"]),
     "callee params": lambda m: setattr(m.functions["callee"], "params", (("x", Int(8)),)),
-    "struct": lambda m: m.structs.update(
-        pair=StructDecl("pair", (("a", I64), ("z", I64), ("b", I64)))),
-    "global layout": lambda m: m.globals.update(pad=GlobalDecl("pad", Array(Char(), 40))),
-    "mem_size": lambda m: None,
+    "struct": lambda m: m.structs.__setitem__(
+        "pair", StructDecl("pair", (("a", I64), ("z", I64), ("b", I64)))),
+    "global layout": lambda m: m.globals.__setitem__(
+        "pad", GlobalDecl("pad", Array(Char(), 40))),
+    "mem_size": None,
 }
 
 
 class TestSharedCode:
     """Every image of a module takes a function's code from one bounded
-    process-wide table, and uses an entry only while what its writer read is
-    unchanged."""
+    process-wide table; a parsed module refuses every change to what the
+    writer read, so no entry goes stale."""
 
     @pytest.mark.parametrize("change", IN_PLACE)
     def test_stale_entry_is_never_used(self, change):
@@ -2068,12 +2064,15 @@ class TestSharedCode:
         before = {live: Image(m, mem_size=mem_size).compiled(f, live) for live in (True, False)}
         for live, code in before.items():
             assert Image(m, mem_size=mem_size).compiled(f, live) is code
-        IN_PLACE[change](m)
         if change == "mem_size":
             mem_size *= 2
+        else:
+            with pytest.raises((dataclasses.FrozenInstanceError, AttributeError, TypeError)):
+                IN_PLACE[change](m)
+            assert m == parse_module(SHARED)
         for live, code in before.items():
-            assert Image(m, mem_size=mem_size).compiled(f, live) is not code, live
-        # the step interpreter reads the changed module itself
+            same = Image(m, mem_size=mem_size).compiled(f, live) is code
+            assert same == (change != "mem_size"), live
         assert_same_runs(m, "f", [300, 0x8000], {}, mem_size=mem_size,
                          arg_tags=[b"\x01" * 8, b"\x02" * 8])
 
@@ -2424,12 +2423,8 @@ class TestMalformedControlFlow:
     def test_function_without_blocks_traps(self):
         m = parse_module("fn @f() -> i64 {\n}\n")
         assert validate_module(m)
-        for mode in ("instr", "hybrid"):
-            machine = Machine(m, mode=mode, mem_size=1 << 16)
-            with pytest.raises(MachineTrap) as e:
-                machine.call_entry("f", [])
-            assert (e.value.kind, e.value.instr, e.value.detail) == ("no terminator", None, "f")
-            assert machine.instr_total == 0
+        for got in assert_same_runs(m, "f", [], mem_size=1 << 16).values():
+            assert got[:2] == (("trap", "no terminator", None), 0) and got[-1] == "f"
 
 
 MOVES_NUL = """\
