@@ -48,7 +48,7 @@ class PdgNode:
     param_index: Optional[int] = None
     call_uid: Optional[str] = None
     global_name: Optional[str] = None
-    label: str = ""
+    label: str = ""             # "" on an instruction's node: see Pdg.label
 
 
 @dataclass(frozen=True)
@@ -192,6 +192,14 @@ class Pdg:
     def successors(self, node_id: int) -> list[tuple[int, str]]:
         return self._succ.get(node_id, [])
 
+    def label(self, node_id: int) -> str:
+        """The node's text: an instruction's own node shows the
+        instruction, printed only when asked for."""
+        n = self.nodes[node_id]
+        if n.instr is not None and self.instr_index.get(n.instr) == node_id:
+            return instr_str(self._index[n.fn].by_uid[n.instr])
+        return n.label
+
     # -- traversal -------------------------------------------------------------
 
     def _allowed(self, include_control_deps: bool) -> frozenset[str]:
@@ -301,8 +309,7 @@ class Pdg:
         lines = [f'digraph "{self.function_name}" {{',
                  '  node [shape=box, fontname="monospace"];']
         for nid in sorted(self.nodes):
-            n = self.nodes[nid]
-            label = n.label.replace("\\", "\\\\").replace('"', '\\"')
+            label = self.label(nid).replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  n{nid} [label="{nid}: {label}"];')
         for e in sorted(self.edges, key=lambda e: (e.src, e.dst, e.kind)):
             lines.append(f'  n{e.src} -> n{e.dst} [label="{e.kind}"];')
@@ -315,7 +322,7 @@ class Pdg:
             "nodes": [
                 {"id": nid, "kind": self.nodes[nid].kind,
                  "instr": self.nodes[nid].instr,
-                 "label": self.nodes[nid].label}
+                 "label": self.label(nid)}
                 for nid in sorted(self.nodes)
             ],
             "edges": [
@@ -469,58 +476,65 @@ def _block_successors(fn: Function) -> dict[str, list[str]]:
     return succ
 
 
-def postdominators(fn: Function) -> dict[str, set[str]]:
-    """Iterative postdominator sets over the block CFG (virtual exit)."""
+def immediate_postdominators(fn: Function) -> dict[str, str]:
+    """Block label -> its immediate postdominator (`_EXIT` for a block that
+    returns), by Cooper, Harvey and Kennedy's iteration on the reverse CFG
+    rooted at the virtual exit.  A block that cannot reach the exit has no
+    entry."""
     succ = _block_successors(fn)
-    labels = [b.label for b in fn.blocks]
-    every = set(labels) | {_EXIT}
-    pdom = {lbl: set(every) for lbl in labels}
-    pdom[_EXIT] = {_EXIT}
+    preds: dict[str, list[str]] = {}
+    for b, ss in succ.items():
+        for s in ss:
+            preds.setdefault(s, []).append(b)
+    number: dict[str, int] = {}       # postorder of the reverse CFG
+    stack = [(_EXIT, iter(preds.get(_EXIT, ())))]
+    seen = {_EXIT}
+    while stack:
+        for p in stack[-1][1]:
+            if p not in seen:
+                seen.add(p)
+                stack.append((p, iter(preds.get(p, ()))))
+                break
+        else:
+            number[stack.pop()[0]] = len(number)
+    order = list(number)[-2::-1]      # reverse postorder without the exit
+    ipdom = {_EXIT: _EXIT}
     changed = True
     while changed:
         changed = False
-        for lbl in reversed(labels):
-            meet = set.intersection(*(pdom[s] for s in succ[lbl]))
-            new = {lbl} | meet
-            if new != pdom[lbl]:
-                pdom[lbl] = new
+        for b in order:
+            new = None
+            for s in succ[b]:
+                if s not in ipdom:
+                    continue
+                while new is not None and s != new:
+                    while number[s] < number[new]:
+                        s = ipdom[s]
+                    while number[new] < number[s]:
+                        new = ipdom[new]
+                new = s
+            if ipdom.get(b) != new:
+                ipdom[b] = new
                 changed = True
-    return pdom
-
-
-def _ipdom(pdom: dict[str, set[str]], live: set[str], lbl: str) -> Optional[str]:
-    """The immediate postdominator of a block, or None for a block from
-    which the exit cannot be reached (`live` holds those that reach it)."""
-    if lbl not in live:
-        return None
-    strict = pdom[lbl] - {lbl}
-    for s in strict:
-        if pdom.get(s, set()) == strict:
-            return s
-    return None
+    del ipdom[_EXIT]
+    return ipdom
 
 
 def control_dependencies(fn: Function) -> dict[str, set[str]]:
-    """Map block label -> set of controlling Br instruction uids, via the
-    standard postdominator-frontier walk."""
-    pdom = postdominators(fn)
-    succ = _block_successors(fn)
-    live = {_EXIT}
-    while grown := {b for b, ss in succ.items() if b not in live and live & set(ss)}:
-        live |= grown
+    """Map block label -> set of controlling Br instruction uids: each
+    branch controls the blocks on the postdominator-tree walk from its
+    successors up to, not including, its own immediate postdominator."""
+    ipdom = immediate_postdominators(fn)
     deps: dict[str, set[str]] = {b.label: set() for b in fn.blocks}
     for b in fn.blocks:
         term = b.instrs[-1]
         if not isinstance(term, Br):
             continue
-        stop = _ipdom(pdom, live, b.label)
-        for s in succ[b.label]:
-            runner = s
-            walked = set()
-            while runner not in (stop, _EXIT, None) and runner not in walked:
-                walked.add(runner)
+        stop = ipdom.get(b.label)
+        for runner in (term.then_label, term.else_label):
+            while runner not in (stop, _EXIT, None):
                 deps[runner].add(term.uid)
-                runner = _ipdom(pdom, live, runner)
+                runner = ipdom.get(runner)
     return deps
 
 
@@ -612,14 +626,12 @@ def _build_function_nodes(g: Pdg, fn: Function) -> None:
     for ins in instrs:
         if isinstance(ins, Call):
             node = g._new_node(kind="call_site", fn=fn.name, instr=ins.uid,
-                               call_uid=ins.uid, label=instr_str(ins))
+                               call_uid=ins.uid)
         elif isinstance(ins, Ret):
-            node = g._new_node(kind="return", fn=fn.name, instr=ins.uid,
-                               label=instr_str(ins))
+            node = g._new_node(kind="return", fn=fn.name, instr=ins.uid)
             g._returns.setdefault(fn.name, []).append(node.id)
         else:
-            node = g._new_node(kind="general", fn=fn.name, instr=ins.uid,
-                               label=instr_str(ins))
+            node = g._new_node(kind="general", fn=fn.name, instr=ins.uid)
         g.instr_index[ins.uid] = node.id
 
     # one static value node per referenced global

@@ -296,3 +296,117 @@ def test_random_function_round_trips_and_validates(src):
     m = parse_module(src)
     assert validate_module(m) == []
     assert parse_module(print_module(m)) == m
+
+
+# Malformed modules and the exact (line, col, message) list ParseError
+# gives for each.  Column 0 stands for the end of the line.
+PARSE_DIAGNOSTICS = {
+    "unknown_type": ("global @x : i33\n", [(1, 13, "unknown type name 'i33'")]),
+    "array_length": ("global @a : [0 x i8]\n",
+                     [(1, 14, "array length must be a positive integer")]),
+    "array_float_length": ("global @a : [1.5 x i8]\n",
+                           [(1, 14, "array length must be a positive integer")]),
+    "array_missing_x": ("global @a : [4 i8]\n", [(1, 16, "expected 'x', got 'i8'")]),
+    "type_expected": ("global @a : 5\n", [(1, 13, "expected a type, got '5'")]),
+    "type_at_end_of_line": ("\nglobal @x :\n", [(2, 0, "expected a type, got ''")]),
+    "ptr_missing_paren": ("global @p : ptr i8\n", [(1, 17, "expected '(', got 'i8'")]),
+    "fn_type_missing_arrow": ("global @p : ptr(fn(i8, i16) i8)\n",
+                              [(1, 29, "expected '->', got 'i8'")]),
+    "global_name": ("global x : i8\n", [(1, 8, "global name must look like @name")]),
+    "global_colon": ("global @x i8\n", [(1, 11, "expected ':', got 'i8'")]),
+    "bytes_range": ("global @g : [2 x i8] = bytes(1, 300)\n",
+                    [(1, 33, "bytes(...) entries must be 0..255")]),
+    "bytes_word": ("global @g : i8 = bytes(a)\n",
+                   [(1, 24, "bytes(...) entries must be 0..255")]),
+    "bytes_keyword": ("global @g : i8 = (1)\n", [(1, 18, "expected 'bytes', got '('")]),
+    "duplicate_global": ("global @x : i32\nglobal @x : i64\n",
+                         [(2, 1, "duplicate definition of @x")]),
+    "struct_name": ("struct s { i8 a }\n", [(1, 8, "struct name must look like %Name")]),
+    "struct_field_name": ("struct %s { i8 5 }\n", [(1, 16, "expected a field name")]),
+    "struct_brace": ("struct %s i8 a }\n", [(1, 11, "expected '{', got 'i8'")]),
+    "struct_duplicate": ("struct %s { i8 a }\nunion %s { i8 b }\n",
+                         [(2, 1, "duplicate definition of %s")]),
+    "top_level": ("hello world\nfn\n",
+                  [(1, 1, "expected a top-level declaration, got 'hello'"),
+                   (2, 0, "function name must look like @name")]),
+    "fn_name": ("fn f() -> void {\n", [(1, 4, "function name must look like @name")]),
+    "fn_param": ("fn @f(x: i8) -> void {\nentry:\n  ret\n}\n",
+                 [(1, 7, "parameter must look like %name"),
+                  (2, 1, "expected a top-level declaration, got 'entry'"),
+                  (3, 3, "expected a top-level declaration, got 'ret'"),
+                  (4, 1, "expected a top-level declaration, got '}'")]),
+    "fn_variadic": ("fn @f(%a: i32, ...) -> void {\n}\n",
+                    [(1, 16, "variadic functions unsupported"),
+                     (2, 1, "expected a top-level declaration, got '}'")]),
+    "fn_ptr_param": ("fn @f(%p0: ptr(fn(i32) -> i32)) -> void {\n}\n",
+                     [(1, 7, "function-pointer parameter unsupported"),
+                      (2, 1, "expected a top-level declaration, got '}'")]),
+    "fn_arrow": ("fn @f() void {\n}\n",
+                 [(1, 9, "expected '->', got 'void'"),
+                  (2, 1, "expected a top-level declaration, got '}'")]),
+    "fn_brace": ("fn @f() -> void\n}\n",
+                 [(1, 0, "expected '{', got ''"),
+                  (2, 1, "expected a top-level declaration, got '}'")]),
+    "body": ("fn @f(%c: i64) -> i64 {\n  %a = add i64 1, 2\nentry:\n"
+             "  %x = frob i64 1, 2\n  %y = add i64 1, ,\n  %z = gep %s, %p\n"
+             "  call void g()\n  foo bar\n  %w = add i64 1 $ 2\n"
+             "  %v = load i64 %p\n  store i64 %a %p\n  br %c b1, b2\n"
+             "  %u = alloca\n  ret i64\n}\n",
+             [(2, 1, "instruction outside any block in @f"),
+              (4, 8, "unknown opcode 'frob'"),
+              (5, 19, "expected an operand, got ','"),
+              (6, 8, "gep needs at least one index"),
+              (7, 13, "call target must look like @name"),
+              (8, 3, "cannot parse instruction starting at 'foo'"),
+              (9, 18, "expected ',', got '$'"),
+              (10, 17, "expected ',', got '%p'"),
+              (11, 16, "expected ',', got '%p'"),
+              (12, 9, "expected ',', got 'b1'"),
+              (13, 0, "expected a type, got ''"),
+              (14, 0, "expected an operand, got ''")]),
+    "operands": ("fn @f() -> void {\nentry:\n  %x = add i64 abc, 1\n"
+                 "  %y = sub i64 1, -\n  store i64 1, =\n  %z = add i64 %, @\n  ret\n}\n",
+                 [(3, 16, "expected an operand, got 'abc'"),
+                  (4, 19, "expected an operand, got '-'"),
+                  (5, 16, "expected an operand, got '='"),
+                  (6, 16, "expected an operand, got '%'")]),
+    "unterminated": ("fn @f() -> void {\nentry:\n  ret\n",
+                     [(3, 1, "unterminated body of @f (missing '}')")]),
+    "duplicate_fn": ("global @f : i8\nfn @f() -> void {\nentry:\n  ret\n}\n",
+                     [(2, 1, "duplicate definition of @f")]),
+    # tokens after the end of a line's construct, and missing labels: each
+    # of these parsed without a diagnostic before, dropping what followed
+    "trailing_instruction": ("fn @f() -> void {\nentry:\n  %x = add i64 1, 2, 3\n  ret\n}\n",
+                             [(3, 20, "expected end of line, got ','")]),
+    "trailing_ret": ("fn @f() -> void {\nentry:\n  ret void 5\n}\n",
+                     [(3, 12, "expected end of line, got '5'")]),
+    "trailing_call": ("fn @g() -> void {\nentry:\n  ret\n}\n"
+                      "fn @f() -> void {\nentry:\n  call void @g() junk\n  ret\n}\n",
+                      [(7, 18, "expected end of line, got 'junk'")]),
+    "trailing_struct": ("struct %s { i64 a } junk\n",
+                        [(1, 21, "expected end of line, got 'junk'")]),
+    "trailing_global": ("global @g : i64 junk\n",
+                        [(1, 17, "expected end of line, got 'junk'")]),
+    "trailing_header": ("fn @f() -> void { junk\nentry:\n  ret\n}\n",
+                        [(1, 19, "expected end of line, got 'junk'")]),
+    "trailing_brace": ("fn @f() -> void {\nentry:\n  ret\n} junk\n",
+                       [(4, 3, "expected end of line, got 'junk'")]),
+    "missing_jmp_label": ("fn @f() -> void {\nentry:\n  jmp\n}\n",
+                          [(3, 0, "expected a label, got ''")]),
+    "missing_br_label": ("fn @f(%c: i64) -> void {\nentry:\n  br %c, a,\n}\n",
+                         [(3, 0, "expected a label, got ''")]),
+    "br_label_not_a_name": ("fn @f(%c: i64) -> void {\nentry:\n  br %c, 5, b\n}\n",
+                            [(3, 10, "expected a label, got '5'")]),
+}
+
+
+@pytest.mark.parametrize("name", PARSE_DIAGNOSTICS)
+def test_parse_diagnostics_are_pinned(name):
+    src, want = PARSE_DIAGNOSTICS[name]
+    try:
+        parse_module(src)
+    except ParseError as e:
+        got = [(d.line, d.col, d.message) for d in e.diagnostics]
+    else:
+        got = []
+    assert got == want

@@ -5,7 +5,9 @@ brute-force recomputations that only look at the exported edge list and
 the block CFG.
 """
 
+import ast
 from collections import deque
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -15,10 +17,23 @@ from taintsum import build_pdg, corpus, find_node, parse_module
 from taintsum import pdg as pdg_module
 from taintsum.ir import Br, Jmp, Ret, Temp
 from taintsum.pdg import (
-    PdgError, TRAVERSABLE, control_dependencies, postdominators,
+    PdgError, TRAVERSABLE, control_dependencies, immediate_postdominators,
 )
 from taintsum.summaries import summarize_library
 from test_ir import _straightline_function
+
+
+
+def _offline_scaled_sizes():
+    """`perfbench/workloads.py`'s `SIZES`, read from its source: importing
+    the module would put the benchmark's own `gen` and `reference` on the
+    import path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    for stmt in ast.parse(path.read_text()).body:
+        if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and getattr(stmt.targets[0], "id", None) == "SIZES"):
+            return ast.literal_eval(stmt.value)
+    raise LookupError(f"no SIZES in {path}")
 
 
 def _adjacency(g, kinds):
@@ -59,8 +74,7 @@ def _simple_paths_blocks(succ, start, goal):
     return out
 
 
-def brute_force_postdoms(fn):
-    """Postdominance via simple-path enumeration on the block CFG."""
+def _block_successors(fn):
     succ = {}
     for b in fn.blocks:
         term = b.instrs[-1]
@@ -70,6 +84,12 @@ def brute_force_postdoms(fn):
             succ[b.label] = [term.label]
         else:
             succ[b.label] = ["<exit>"]
+    return succ
+
+
+def brute_force_postdoms(fn):
+    """Postdominance via simple-path enumeration on the block CFG."""
+    succ = _block_successors(fn)
     result = {}
     labels = [b.label for b in fn.blocks]
     for lbl in labels:
@@ -165,7 +185,7 @@ class TestFindNode:
 
     def test_store_to_global_pattern(self, student_pdg):
         n = find_node(student_pdg, "store i32, i32* %dscp")
-        assert n is not None and "store" in student_pdg.nodes[n].label
+        assert n is not None and "store" in student_pdg.label(n)
 
     def test_first_match_in_program_order(self, memcpy_pdg, libcorpus):
         n = find_node(memcpy_pdg, "load i64")
@@ -173,7 +193,7 @@ class TestFindNode:
         pos = memcpy_pdg.index("memcpy").position
         others = [ins.uid for ins in libcorpus.functions["memcpy"].instructions()
                   if ins.uid != uid and "load i64" in
-                  memcpy_pdg.nodes[memcpy_pdg.instr_index[ins.uid]].label]
+                  memcpy_pdg.label(memcpy_pdg.instr_index[ins.uid])]
         assert all(pos[uid] < pos[o] for o in others)
 
 
@@ -292,18 +312,156 @@ class TestClosureOracle:
                 assert bool(g.find_path(src, dst)) == (dst in reach)
 
 
+# ---------------------------------------------------------------------------
+# Reference control dependence: the iterative postdominator sets and the
+# walk over them that immediate_postdominators replaced, kept as its oracle
+# ---------------------------------------------------------------------------
+
+def reference_postdominators(fn):
+    """Iterative postdominator sets over the block CFG (virtual exit)."""
+    succ = _block_successors(fn)
+    labels = [b.label for b in fn.blocks]
+    every = set(labels) | {"<exit>"}
+    pdom = {lbl: set(every) for lbl in labels}
+    pdom["<exit>"] = {"<exit>"}
+    changed = True
+    while changed:
+        changed = False
+        for lbl in reversed(labels):
+            meet = set.intersection(*(pdom[s] for s in succ[lbl]))
+            new = {lbl} | meet
+            if new != pdom[lbl]:
+                pdom[lbl] = new
+                changed = True
+    return pdom
+
+
+def reference_ipdom(pdom, live, lbl):
+    """The immediate postdominator of a block, or None for a block from
+    which the exit cannot be reached (`live` holds those that reach it)."""
+    if lbl not in live:
+        return None
+    strict = pdom[lbl] - {lbl}
+    for s in strict:
+        if pdom.get(s, set()) == strict:
+            return s
+    return None
+
+
+def reference_live(fn):
+    succ = _block_successors(fn)
+    live = {"<exit>"}
+    while grown := {b for b, ss in succ.items() if b not in live and live & set(ss)}:
+        live |= grown
+    return live
+
+
+def reference_control_dependencies(fn):
+    pdom = reference_postdominators(fn)
+    succ = _block_successors(fn)
+    live = reference_live(fn)
+    deps = {b.label: set() for b in fn.blocks}
+    for b in fn.blocks:
+        term = b.instrs[-1]
+        if not isinstance(term, Br):
+            continue
+        stop = reference_ipdom(pdom, live, b.label)
+        for s in succ[b.label]:
+            runner = s
+            walked = set()
+            while runner not in (stop, "<exit>", None) and runner not in walked:
+                walked.add(runner)
+                deps[runner].add(term.uid)
+                runner = reference_ipdom(pdom, live, runner)
+    return deps
+
+
+def ipdom_chain_postdoms(fn):
+    """Postdominator sets read off the immediate-postdominator chains; a
+    block that cannot reach the exit is postdominated by every block."""
+    ipdom = immediate_postdominators(fn)
+    every = {b.label for b in fn.blocks} | {"<exit>"}
+    pdom = {"<exit>": {"<exit>"}}
+    for b in fn.blocks:
+        if b.label not in ipdom:
+            pdom[b.label] = set(every)
+            continue
+        chain, x = {b.label, "<exit>"}, b.label
+        while x in ipdom:
+            x = ipdom[x]
+            chain.add(x)
+        pdom[b.label] = chain
+    return pdom
+
+
+def assert_control_dependence_matches_reference(fn):
+    pdom = reference_postdominators(fn)
+    live = reference_live(fn)
+    assert immediate_postdominators(fn) == {
+        b.label: reference_ipdom(pdom, live, b.label)
+        for b in fn.blocks if b.label in live}, fn.name
+    assert control_dependencies(fn) == reference_control_dependencies(fn), fn.name
+
+
+def _cfg_function(blocks):
+    """A function whose blocks end as `blocks` says: (kind, then, else)
+    with block indices taken modulo the block count."""
+    lines = ["fn @f(%c: i64) -> void {"]
+    for i, (kind, t, e) in enumerate(blocks):
+        t, e = f"b{t % len(blocks)}", f"b{e % len(blocks)}"
+        term = {"ret": "ret", "jmp": f"jmp {t}", "br": f"br %c, {t}, {e}"}[kind]
+        lines += [f"b{i}:", f"  {term}"]
+    return parse_module("\n".join(lines + ["}"]) + "\n").functions["f"]
+
+
+_cfgs = st.lists(st.tuples(st.sampled_from(["br", "jmp", "ret"]),
+                           st.integers(0, 7), st.integers(0, 7)),
+                 min_size=1, max_size=8)
+
+
+class TestControlDependenceDifferential:
+    @settings(max_examples=500, deadline=None)
+    @given(_cfgs)
+    @example([("br", 0, 1), ("ret", 0, 0)])                   # self-loop
+    @example([("br", 1, 1), ("ret", 0, 0)])                   # br %c, b, b
+    @example([("br", 1, 2), ("jmp", 1, 0), ("ret", 0, 0)])    # loop without exit
+    @example([("ret", 0, 0), ("br", 2, 0), ("ret", 0, 0)])    # unreachable blocks
+    @example([("jmp", 3, 0), ("jmp", 1, 0), ("ret", 0, 0), ("br", 2, 1)])
+    def test_random_cfgs(self, blocks):
+        assert_control_dependence_matches_reference(_cfg_function(blocks))
+
+    def test_code_after_ret(self):
+        m = parse_module("fn @f(%c: i64) -> void {\nentry:\n  br %c, a, b\n"
+                         "a:\n  ret\n  jmp b\nb:\n  ret\n}\n")
+        assert_control_dependence_matches_reference(m.functions["f"])
+
+    @pytest.mark.parametrize("name", corpus.NAMES)
+    def test_corpus(self, name):
+        for fn in corpus.load_module(name).functions.values():
+            assert_control_dependence_matches_reference(fn)
+
+    @pytest.mark.parametrize("seed", [1, 5, 11])
+    def test_generated(self, seed):
+        from test_summaries import _perfbench_gen   # test_summaries imports this file
+        gen = _perfbench_gen()
+        for gm in ([gen.scaled_module(seed, n) for n in _offline_scaled_sizes()]
+                   + [gen.many_small_module(seed)]):
+            for fn in parse_module(gm.text).functions.values():
+                assert_control_dependence_matches_reference(fn)
+
+
 class TestControlDependence:
     def test_postdoms_match_brute_force(self, libcorpus):
         for name in ("memcpy", "strlen_a", "strcpy_a", "memset_a"):
             fn = libcorpus.functions[name]
-            assert postdominators(fn) == brute_force_postdoms(fn)
+            assert ipdom_chain_postdoms(fn) == brute_force_postdoms(fn)
 
     def test_cdep_satisfies_frontier_property(self, libcorpus):
         # X control-dependent on br at A  iff  X postdominates some
         # successor of A but does not strictly postdominate A
         for name in sorted(corpus.DRIVERS):
             fn = libcorpus.functions[name]
-            pdom = postdominators(fn)
+            pdom = brute_force_postdoms(fn)
             deps = control_dependencies(fn)
             succ = {}
             for b in fn.blocks:
@@ -366,12 +524,7 @@ b3:
     def test_no_dependence_on_an_unreaching_branch(self, blocks):
         # a block is control-dependent only on branches it can be reached
         # from (through at least one CFG edge)
-        lines = ["fn @f(%c: i64) -> void {"]
-        for i, (kind, t, e) in enumerate(blocks):
-            t, e = f"b{t % len(blocks)}", f"b{e % len(blocks)}"
-            term = {"ret": "ret", "jmp": f"jmp {t}", "br": f"br %c, {t}, {e}"}[kind]
-            lines += [f"b{i}:", f"  {term}"]
-        fn = parse_module("\n".join(lines + ["}"]) + "\n").functions["f"]
+        fn = _cfg_function(blocks)
         succ = {b.label: [] for b in fn.blocks}
         br_block = {}
         for b in fn.blocks:
@@ -393,7 +546,7 @@ b3:
 
         for lbl, brs in control_dependencies(fn).items():
             for br_uid in brs:
-                assert lbl in reached_from(br_block[br_uid]), (lines, lbl, br_uid)
+                assert lbl in reached_from(br_block[br_uid]), (blocks, lbl, br_uid)
 
 
 class TestExports:
