@@ -10,7 +10,7 @@ from .ir import (
     Diagnostic, Module, field_offset, size_of, type_str, validate_module,
 )
 from .parser import ParseError, parse_module, print_module
-from .pdg import Pdg, PdgError, build_pdg, find_node
+from .pdg import Pdg, PdgError, build_pdg
 from .rules import (
     TaintRuleProgram, parse_rules, rule_stats, serialize_rules, taint_rule_gen,
 )
@@ -30,7 +30,7 @@ __all__ = [
     "Diagnostic", "Image", "Machine", "MachineTrap", "Module", "ParseError", "Pdg",
     "PdgError", "RunReport", "SlotRef", "Summary", "TaintConfig",
     "TaintRuleProgram", "Tagmap", "apply_rule_program", "bench", "build_pdg",
-    "field_offset", "find_node", "flatten_prim_types", "noninterference_check",
+    "field_offset", "flatten_prim_types", "noninterference_check",
     "oracle_compare", "parse_module", "parse_rules", "print_module", "rule_stats",
     "run", "serialize_rules", "size_of", "source_nodes", "summarize_library",
     "summary_gen", "taint_rule_gen", "target_nodes", "type_str",

@@ -107,6 +107,20 @@ def _end(toks: list[str], i: int) -> None:
         raise _LineError(f"expected end of line, got {toks[i]!r}", i)
 
 
+def _items(toks: list[str], i: int, close: str, item) -> tuple[list, int]:
+    """The items from token i up to `close`, with a ',' between two items
+    and none after the last, and the index after `close`.  item(i) returns
+    one item and the index after it."""
+    out = []
+    if toks[i] != close:
+        x, i = item(i)
+        out.append(x)
+        while toks[i] == ",":
+            x, i = item(i + 1)
+            out.append(x)
+    return out, _expect(toks, i, close)
+
+
 def _label(toks: list[str], i: int) -> str:
     if not _is_word(toks[i]):
         raise _LineError(f"expected a label, got {toks[i]!r}", i)
@@ -148,16 +162,9 @@ class _Parser:
             inner, i = self.type_at(toks, _expect(toks, i + 1, "("))
             return Ptr(inner), _expect(toks, i, ")")
         if toks[i] == "fn":
-            i = _expect(toks, i + 1, "(")
-            params = []
-            if toks[i] != ")":
-                ty, i = self.type_at(toks, i)
-                params.append(ty)
-                while toks[i] == ",":
-                    ty, i = self.type_at(toks, i + 1)
-                    params.append(ty)
-            i = _expect(toks, _expect(toks, i, ")"), "->")
-            ret, i = self.type_at(toks, i)
+            params, i = _items(toks, _expect(toks, i + 1, "("), ")",
+                               lambda j: self.type_at(toks, j))
+            ret, i = self.type_at(toks, _expect(toks, i, "->"))
             return Fn(tuple(params), ret), i
         n = toks[i + 1]
         if not _is_number(n) or "." in n or int(n) < 1:
@@ -225,17 +232,15 @@ class _Parser:
         if not _is_name(toks[1], "%"):
             raise _LineError("struct name must look like %Name", 1)
         name = toks[1][1:]
-        i = _expect(toks, 2, "{")
-        fields = []
-        while toks[i] != "}":
+
+        def field(i):
             fty, i = self.type_at(toks, i)
             if not _is_word(toks[i]):
                 raise _LineError("expected a field name", i)
-            fields.append((toks[i], fty))
-            i += 1
-            if toks[i] == ",":
-                i += 1
-        _end(toks, i + 1)
+            return (toks[i], fty), i + 1
+
+        fields, i = _items(toks, _expect(toks, 2, "{"), "}", field)
+        _end(toks, i)
         if name in self.structs:
             self.error(f"duplicate definition of %{name}", line_no)
             return
@@ -248,17 +253,15 @@ class _Parser:
         ty, i = self.type_at(toks, _expect(toks, 2, ":"))
         init = None
         if toks[i] == "=":
-            i = _expect(toks, _expect(toks, i + 1, "bytes"), "(")
-            vals = []
-            while toks[i] != ")":
+
+            def byte(i):
                 v = toks[i]
                 if not _is_number(v) or "." in v or not 0 <= int(v) <= 255:
                     raise _LineError("bytes(...) entries must be 0..255", i)
-                vals.append(int(v))
-                i += 1
-                if toks[i] == ",":
-                    i += 1
-            i += 1
+                return int(v), i + 1
+
+            vals, i = _items(toks, _expect(toks, _expect(toks, i + 1, "bytes"), "("),
+                             ")", byte)
             init = bytes(vals)
         _end(toks, i)
         if name in self.globals or name in self.functions:
@@ -270,10 +273,8 @@ class _Parser:
         if not _is_name(toks[1], "@"):
             raise _LineError("function name must look like @name", 1)
         name = toks[1][1:]
-        i = _expect(toks, 2, "(")
-        params = []
-        while toks[i] != ")":
-            at = i
+
+        def param(at):
             if not _is_name(toks[at], "%"):
                 if toks[at] == ".":
                     raise _LineError("variadic functions unsupported", at)
@@ -281,10 +282,10 @@ class _Parser:
             pty, i = self.type_at(toks, _expect(toks, at + 1, ":"))
             if contains_fn_ptr(pty):
                 raise _LineError("function-pointer parameter unsupported", at)
-            params.append((toks[at][1:], pty))
-            if toks[i] == ",":
-                i += 1
-        ret_ty, i = self.type_at(toks, _expect(toks, i + 1, "->"))
+            return (toks[at][1:], pty), i
+
+        params, i = _items(toks, _expect(toks, 2, "("), ")", param)
+        ret_ty, i = self.type_at(toks, _expect(toks, i, "->"))
         is_library = toks[i] == "library"
         self._line_end(toks, _expect(toks, i + is_library, "{"), line_no, text)
 
@@ -377,16 +378,11 @@ class _Parser:
         if not _is_name(toks[i], "@"):
             raise _LineError("call target must look like @name", i)
         callee = toks[i][1:]
-        i = _expect(toks, i + 1, "(")
-        args = []
-        while toks[i] != ")":
-            args.append(self.operand(toks, i))
-            i += 1
-            if toks[i] == ",":
-                i += 1
+        args, i = _items(toks, _expect(toks, i + 1, "("), ")",
+                         lambda j: (self.operand(toks, j), j + 1))
         if isinstance(ret_ty, Void):
             dest = None
-        return Call(dest, ret_ty, callee, tuple(args)), i + 1
+        return Call(dest, ret_ty, callee, tuple(args)), i
 
 
 def parse_module(text: str) -> Module:
@@ -407,15 +403,6 @@ def parse_type_text(text: str) -> Type:
     if toks[i]:
         raise ValueError(f"bad type {text!r}: {toks[i]!r} after the type")
     return ty
-
-
-def parse_leading_type(text: str) -> Type | None:
-    """The type written at the start of text, or None when the text does
-    not start with one."""
-    try:
-        return _Parser().type_at(_tokens(text), 0)[0]
-    except _LineError:
-        return None
 
 
 # ---------------------------------------------------------------------------

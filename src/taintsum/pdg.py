@@ -13,21 +13,20 @@ cdep only on request.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .ir import (
     Alloca, BinOp, Br, Call, ConstInt, Function, Gep, GlobalRef, Instr,
-    Jmp, Load, Module, Operand, Ptr, Ret, Store, Temp, Type,
-    is_struct_like, type_str,
+    Jmp, Load, Module, Operand, Ptr, Ret, Store, Temp, is_struct_like,
+    type_str,
 )
-from .parser import instr_str, parse_leading_type
+from .parser import instr_str
 
 TRAVERSABLE = frozenset(
     {"d_gnrl", "def_use", "raw", "p_form", "p_act", "p_fld", "p_in", "p_out"})
-MAX_PATHS = 10_000
 _EXIT = "<exit>"
 _PTS_PATH_CAP = 6
 _ANY = "*"
@@ -151,11 +150,11 @@ class Pdg:
         """The instruction index of an included function."""
         return self._index[fn]
 
-    def formal_in(self, i: int, fn: Optional[str] = None) -> int:
-        return self._formal_in[(fn or self.function_name, i)]
+    def formal_in(self, i: int) -> int:
+        return self._formal_in[(self.function_name, i)]
 
-    def return_nodes(self, fn: Optional[str] = None) -> list[int]:
-        return list(self._returns.get(fn or self.function_name, []))
+    def return_nodes(self) -> list[int]:
+        return list(self._returns.get(self.function_name, []))
 
     def global_value_node(self, name: str, fn: Optional[str] = None) -> Optional[int]:
         return self._gv.get((fn or self.function_name, name))
@@ -228,67 +227,27 @@ class Pdg:
         hit = self._reach[key] = frozenset(seen)
         return hit
 
-    def find_path(self, src: int, dst: int, include_control_deps: bool = False,
-                  max_paths: int = MAX_PATHS) -> list[Path]:
-        """Depth-first enumeration of simple paths from src to dst.
-
-        Stops after max_paths results; if the expansion budget runs out
-        before any path materializes but dst is reachable, one shortest
-        path is reconstructed so callers can still rely on nonemptiness.
-        """
-        if src == dst:
-            return []
+    def witness_path(self, src: int, dst: int,
+                     include_control_deps: bool = False) -> Optional[Path]:
+        """One shortest path from src to dst over traversable edges
+        (breadth-first, successors in insertion order); None when dst is
+        src or is not reachable from it."""
         allowed = self._allowed(include_control_deps)
-        paths: list[Path] = []
-        budget = max_paths * 20
-        on_path: set[int] = set()
-
-        def dfs(node: int, trail_nodes: list[int], trail_kinds: list[str]) -> bool:
-            nonlocal budget
-            if budget <= 0 or len(paths) >= max_paths:
-                return False
-            budget -= 1
-            for nxt, kind in self._succ.get(node, ()):
-                if kind not in allowed or nxt in on_path:
-                    continue
-                if nxt == dst:
-                    paths.append(Path(tuple(trail_nodes + [nxt]),
-                                      tuple(trail_kinds + [kind])))
-                    if len(paths) >= max_paths:
-                        return False
-                    continue
-                on_path.add(nxt)
-                ok = dfs(nxt, trail_nodes + [nxt], trail_kinds + [kind])
-                on_path.discard(nxt)
-                if not ok:
-                    return False
-            return True
-
-        on_path.add(src)
-        dfs(src, [src], [])
-        if not paths and dst in self.reachable_from(src, include_control_deps):
-            paths.append(self._shortest_path(src, dst, allowed))
-        return paths
-
-    def _shortest_path(self, src: int, dst: int, allowed) -> Path:
-        from collections import deque
-        parent: dict[int, tuple[int, str]] = {}
-        q = deque([src])
-        while q:
-            n = q.popleft()
+        parent: dict[int, tuple[int, str]] = {src: (src, "")}
+        queue = deque([src])
+        while queue and dst not in parent:
+            n = queue.popleft()
             for nxt, kind in self._succ.get(n, ()):
-                if kind in allowed and nxt not in parent and nxt != src:
+                if kind in allowed and nxt not in parent:
                     parent[nxt] = (n, kind)
-                    if nxt == dst:
-                        q.clear()
-                        break
-                    q.append(nxt)
-        nodes = [dst]
-        kinds = []
+                    queue.append(nxt)
+        if dst == src or dst not in parent:
+            return None
+        nodes, kinds = [dst], []
         while nodes[-1] != src:
-            p, k = parent[nodes[-1]]
-            kinds.append(k)
-            nodes.append(p)
+            prev, kind = parent[nodes[-1]]
+            nodes.append(prev)
+            kinds.append(kind)
         return Path(tuple(reversed(nodes)), tuple(reversed(kinds)))
 
     def find_next_use(self, instr_uid: str) -> Optional[str]:
@@ -887,76 +846,3 @@ def _build_control_edges(g: Pdg) -> None:
                 for uid in by_block[label]:
                     for nid in g._attached.get(uid, ()):
                         g._add_edge(br_node, nid, "cdep")
-
-
-# ---------------------------------------------------------------------------
-# findNode: first instruction matching a quoted pattern, in program order
-# ---------------------------------------------------------------------------
-
-_OPCODE_CLASSES = {
-    "alloca": Alloca, "load": Load, "store": Store, "gep": Gep, "call": Call,
-}
-_FIND_PATTERN = re.compile(
-    r"(?:%[A-Za-z_][A-Za-z0-9_.]*\s*=)?\s*([A-Za-z_][A-Za-z0-9_.]*)(.*)", re.S)
-_GLOBAL_NAME = re.compile(r"@([A-Za-z_][A-Za-z0-9_.]*)")
-
-
-def find_node(g: Pdg, pattern: str) -> Optional[int]:
-    """Resolve patterns like 'FORMAL_IN: 0 ptr(void)', 'GLOBAL_VALUE:@stu',
-    'ret i64', or opcode forms such as 'store i32, @stu' against the root
-    function; returns the node id of the first match or None."""
-    pat = pattern.strip()
-    if pat.startswith("FORMAL_IN:") or pat.startswith("FORMAL_OUT:"):
-        is_in = pat.startswith("FORMAL_IN:")
-        rest = pat.split(":", 1)[1].split()
-        idx = int(rest[0])
-        table = g._formal_in if is_in else g._formal_out
-        return table.get((g.function_name, idx))
-    if pat.startswith("GLOBAL_VALUE:"):
-        name = pat.split(":", 1)[1].strip().lstrip("@")
-        return g.global_value_node(name)
-    if pat.startswith("<<ENTRY>>"):
-        return g._entry.get(g.function_name)
-
-    # an optional "%var =", the opcode, then an optional leading type
-    mo = _FIND_PATTERN.match(pat)
-    if mo is None:
-        return None
-    opcode = mo.group(1)
-    want_ty = parse_leading_type(mo.group(2))
-    globals_named = _GLOBAL_NAME.findall(mo.group(2))
-    want_global = globals_named[-1] if globals_named else None
-
-    def primary_type(ins: Instr) -> Optional[Type]:
-        if isinstance(ins, (Load, Store, BinOp, Alloca)):
-            return ins.ty
-        if isinstance(ins, Gep):
-            return ins.base_ty
-        if isinstance(ins, Call):
-            return ins.ret_ty
-        if isinstance(ins, Ret):
-            return ins.ty
-        return None
-
-    for ins in g.root.instructions():
-        if opcode == "ret":
-            if not isinstance(ins, Ret):
-                continue
-        elif opcode in _OPCODE_CLASSES:
-            if not isinstance(ins, _OPCODE_CLASSES[opcode]):
-                continue
-        elif isinstance(ins, BinOp):
-            if ins.op != opcode:
-                continue
-        else:
-            continue
-        if want_ty is not None and primary_type(ins) != want_ty:
-            continue
-        if want_global is not None:
-            refs = {op.name for op in ins.operands() if isinstance(op, GlobalRef)}
-            if isinstance(ins, Call) and ins.callee == want_global:
-                refs.add(want_global)
-            if want_global not in refs:
-                continue
-        return g.instr_index.get(ins.uid)
-    return None

@@ -393,8 +393,7 @@ def _undefined(name: str) -> MachineTrap:
 # the instructions that frame did not run and the shadow ops it did not
 # count.  A function's code is shared by every image of its module
 # (`_shared_code`), keyed by the identities of the module and the function,
-# since the parsed IR never changes; code objects are shared by source
-# text.  The functions hold no machine.
+# since the parsed IR never changes.  The functions hold no machine.
 
 _SOURCE = "<taintsum function>"
 _MASK64 = 2 ** 64 - 1
@@ -407,11 +406,6 @@ _PROLOGUE = (("t", "f.temps"), ("tg", "f.tags"), ("mem", "m.memory"),
 _ATOM = re.compile(r"[\w.]+|\(-[\w.]+\)")
 _LOCAL = re.compile(r"'([vg]_[^']+)'")      # a temp's local in a NameError
 _COUNT = object()      # where a segment's shadow count goes
-
-
-@functools.lru_cache(maxsize=512)
-def _compiled(source: str):
-    return compile(source, _SOURCE, "exec")
 
 
 def _spill(m, c: str, a: int, value, vec: Optional[bytes] = None) -> None:
@@ -672,7 +666,7 @@ class _Writer:
         slots = tuple((_fmt(a.ty), _local("v", x), _local("P", x), _local("T", x))
                       for x, a in self.slots.items())
         ns = dict(_helpers(), **self.ns, _lines=self.lines, _slots=slots)
-        exec(_compiled("\n".join(self.src)), ns)
+        exec(compile("\n".join(self.src), _SOURCE, "exec"), ns)
         return ns
 
     def prologue(self) -> list[str]:

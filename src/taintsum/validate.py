@@ -137,7 +137,8 @@ def _subsets(k: int) -> list[tuple[int, ...]]:
 
 
 def _run_trial(image: Image, fn_name: str, plan, mode: str,
-               subset: tuple[int, ...]) -> Machine:
+               subset: tuple[int, ...]) -> tuple[Machine, list]:
+    """The machine after one run, and the per-arg regions of its plan."""
     machine = Machine(image, mode=mode)
     args, regions = materialize_plan(machine, plan)
     arg_tags: list[Optional[bytes]] = [None] * len(args)
@@ -148,8 +149,7 @@ def _run_trial(image: Image, fn_name: str, plan, mode: str,
         else:
             arg_tags[i] = bytes([label]) * 8
     machine.call_entry(fn_name, args, arg_tags)
-    machine.trial_regions = regions        # for the persistent-byte walk
-    return machine
+    return machine, regions
 
 
 def default_rules(module: Module, include_control_deps: bool = True,
@@ -248,14 +248,14 @@ def oracle_compare(module: Module, fn_name: str, trials: int = 100,
         rng = random.Random(f"{seed}:{fn_name}:{t}")
         plan = build_plan(module, fn_name, rng, drivers)
         subset = subsets[t % len(subsets)] if subsets else ()
-        m_i = _run_trial(image, fn_name, plan, "instr", subset)
-        m_h = _run_trial(image, fn_name, plan, "hybrid", subset)
+        m_i, regions = _run_trial(image, fn_name, plan, "instr", subset)
+        m_h, _ = _run_trial(image, fn_name, plan, "hybrid", subset)
         sum_i += m_i.tagmap.count_nonzero()
         sum_h += m_h.tagmap.count_nonzero()
         ret_i = ret_i or any(m_i.ret_shadow)
         ret_h = ret_h or any(m_h.ret_shadow)
         ranges = [(GLOBALS_BASE, m_i.globals_end)] + [
-            (addr, addr + n) for addr, n in filter(None, m_i.trial_regions)]
+            (addr, addr + n) for addr, n in filter(None, regions)]
         violations += [(t, addr) for addr in _uncovered(m_i.tagmap, m_h.tagmap, ranges)]
     avg_i = sum_i / trials if trials else 0.0
     avg_h = sum_h / trials if trials else 0.0

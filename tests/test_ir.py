@@ -397,6 +397,26 @@ PARSE_DIAGNOSTICS = {
                          [(3, 0, "expected a label, got ''")]),
     "br_label_not_a_name": ("fn @f(%c: i64) -> void {\nentry:\n  br %c, 5, b\n}\n",
                             [(3, 10, "expected a label, got '5'")]),
+    # a ',' between two items of a list and none after the last: each of
+    # these parsed without a diagnostic before, and printed with commas
+    "call_missing_comma": ("fn @f() -> void {\nentry:\n  call void @h(1 2)\n  ret\n}\n",
+                           [(3, 18, "expected ')', got '2'")]),
+    "call_trailing_comma": ("fn @f() -> void {\nentry:\n  call void @h(1, 2,)\n  ret\n}\n",
+                            [(3, 21, "expected an operand, got ')'")]),
+    "param_missing_comma": ("fn @h(%x: i64 %y: i64) -> void {\n}\n",
+                            [(1, 15, "expected ')', got '%y'"),
+                             (2, 1, "expected a top-level declaration, got '}'")]),
+    "param_trailing_comma": ("fn @h(%x: i64, %y: i64,) -> void {\n}\n",
+                             [(1, 24, "parameter must look like %name"),
+                              (2, 1, "expected a top-level declaration, got '}'")]),
+    "struct_missing_comma": ("struct %s { i8 a i8 b }\n",
+                             [(1, 18, "expected '}', got 'i8'")]),
+    "struct_trailing_comma": ("struct %s { i8 a, i8 b, }\n",
+                              [(1, 25, "expected a type, got '}'")]),
+    "bytes_missing_comma": ("global @g : [2 x i8] = bytes(1 2)\n",
+                            [(1, 32, "expected ')', got '2'")]),
+    "bytes_trailing_comma": ("global @g : [2 x i8] = bytes(1, 2,)\n",
+                             [(1, 35, "bytes(...) entries must be 0..255")]),
 }
 
 

@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from taintsum import build_pdg, corpus, find_node, parse_module
+from taintsum import build_pdg, corpus, parse_module
 from taintsum import pdg as pdg_module
 from taintsum.ir import Br, Jmp, Ret, Temp
 from taintsum.pdg import (
@@ -44,21 +44,48 @@ def _adjacency(g, kinds):
     return adj
 
 
-def brute_force_reachable(g, src, include_cdeps=False):
-    """Independent closure: BFS over the exported edge list restricted to
-    data, parameter-connector, summary (d_gnrl) and optionally cdep kinds."""
-    kinds = set(TRAVERSABLE) | ({"cdep"} if include_cdeps else set())
-    adj = _adjacency(g, kinds)
-    seen = {src}
+def _traversed(include_cdeps):
+    return set(TRAVERSABLE) | ({"cdep"} if include_cdeps else set())
+
+
+def brute_force_distances(g, src, include_cdeps=False):
+    """Independent BFS over the exported edge list restricted to data,
+    parameter-connector, summary (d_gnrl) and optionally cdep kinds: the
+    number of edges from src to each node it reaches, src itself at 0."""
+    adj = _adjacency(g, _traversed(include_cdeps))
+    dist = {src: 0}
     q = deque([src])
     while q:
         n = q.popleft()
         for nxt in adj.get(n, ()):
-            if nxt not in seen:
-                seen.add(nxt)
+            if nxt not in dist:
+                dist[nxt] = dist[n] + 1
                 q.append(nxt)
-    seen.discard(src)
-    return seen
+    return dist
+
+
+def brute_force_reachable(g, src, include_cdeps=False):
+    return set(brute_force_distances(g, src, include_cdeps)) - {src}
+
+
+def assert_witness_paths(g, include_cdeps):
+    """witness_path for every (src, dst) pair of the graph: None exactly
+    when dst is src or unreachable, otherwise a walk over edges of the
+    stated traversable kinds as long as the brute-force distance."""
+    kinds = _traversed(include_cdeps)
+    edges = set(_edge_list(g))
+    for src in g.nodes:
+        reach = g.reachable_from(src, include_cdeps)
+        dist = brute_force_distances(g, src, include_cdeps)
+        for dst in g.nodes:
+            p = g.witness_path(src, dst, include_cdeps)
+            if dst == src or dst not in reach:
+                assert p is None, (src, dst)
+                continue
+            assert p.nodes[0] == src and p.nodes[-1] == dst
+            assert len(p.kinds) == len(p.nodes) - 1 == dist[dst], (src, dst)
+            assert set(p.kinds) <= kinds
+            assert set(zip(p.nodes, p.nodes[1:], p.kinds)) <= edges
 
 
 def _simple_paths_blocks(succ, start, goal):
@@ -105,6 +132,40 @@ def brute_force_postdoms(fn):
     return result
 
 
+def _edge_list(g):
+    return [(e.src, e.dst, e.kind) for e in g.edges]
+
+
+@st.composite
+def _pointer_function(draw):
+    """Random straight-line function that stashes cell pointers in pointer
+    slots and reloads them, so one address may point to several cells."""
+    n_cells, n_slots = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    lines = ["fn @f(%x: i64) -> i64 {", "entry:"]
+    lines += [f"  %c{i} = alloca i64" for i in range(n_cells)]
+    lines += [f"  %q{i} = alloca ptr(i64)" for i in range(n_slots)]
+    # a pointer reloaded from %q0 may point to any cell
+    lines += [f"  store ptr(i64) %c{i}, %q0" for i in range(n_cells)]
+    ptrs = [f"%c{i}" for i in range(n_cells)]
+    vals = ["%x"]
+    for k in range(draw(st.integers(1, 16))):
+        op = draw(st.sampled_from(["stash", "fetch", "write", "read"]))
+        slot = f"%q{draw(st.integers(0, n_slots - 1))}"
+        ptr = draw(st.sampled_from(ptrs))
+        if op == "stash":
+            lines.append(f"  store ptr(i64) {ptr}, {slot}")
+        elif op == "fetch":
+            lines.append(f"  %p{k} = load ptr(i64), {slot}")
+            ptrs.append(f"%p{k}")
+        elif op == "write":
+            lines.append(f"  store i64 {draw(st.sampled_from(vals))}, {ptr}")
+        else:
+            lines.append(f"  %v{k} = load i64, {ptr}")
+            vals.append(f"%v{k}")
+    lines += [f"  ret i64 {vals[-1]}", "}"]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="module")
 def memcpy_pdg(libcorpus):
     return build_pdg(libcorpus, "memcpy", {})
@@ -122,7 +183,7 @@ class TestBuild:
         src = g.formal_in(0)
         ret = g.return_nodes()[0]
         assert ret in g.reachable_from(src)
-        path = g.find_path(src, ret)[0]
+        path = g.witness_path(src, ret)
         assert set(path.kinds) <= {"d_gnrl", "def_use", "raw"}
 
     def test_single_ret_void_gives_two_nodes_no_data_edges(self):
@@ -164,37 +225,6 @@ class TestBuild:
     def test_edge_endpoints_exist(self, student_pdg):
         for e in student_pdg.edges:
             assert e.src in student_pdg.nodes and e.dst in student_pdg.nodes
-
-
-class TestFindNode:
-    def test_formal_in(self, memcpy_pdg):
-        n = find_node(memcpy_pdg, "FORMAL_IN: 0 ptr(void)")
-        node = memcpy_pdg.nodes[n]
-        assert node.kind == "formal_in" and node.param_index == 0
-
-    def test_return(self, memcpy_pdg):
-        n = find_node(memcpy_pdg, "ret ptr(void)")
-        assert memcpy_pdg.nodes[n].kind == "return"
-
-    def test_global_absent(self, memcpy_pdg):
-        assert find_node(memcpy_pdg, "GLOBAL_VALUE:@stu") is None
-
-    def test_global_present(self, student_pdg):
-        n = find_node(student_pdg, "GLOBAL_VALUE:@stu")
-        assert student_pdg.nodes[n].global_name == "stu"
-
-    def test_store_to_global_pattern(self, student_pdg):
-        n = find_node(student_pdg, "store i32, i32* %dscp")
-        assert n is not None and "store" in student_pdg.label(n)
-
-    def test_first_match_in_program_order(self, memcpy_pdg, libcorpus):
-        n = find_node(memcpy_pdg, "load i64")
-        uid = memcpy_pdg.nodes[n].instr
-        pos = memcpy_pdg.index("memcpy").position
-        others = [ins.uid for ins in libcorpus.functions["memcpy"].instructions()
-                  if ins.uid != uid and "load i64" in
-                  memcpy_pdg.label(memcpy_pdg.instr_index[ins.uid])]
-        assert all(pos[uid] < pos[o] for o in others)
 
 
 class TestFindNextUse:
@@ -241,53 +271,33 @@ class TestFindPath:
         store_uid = next(i.uid for i in fn.instructions()
                          if type(i).__name__ == "Store"
                          and getattr(i.value, "name", None) == "ch")
-        paths = memcpy_pdg.find_path(memcpy_pdg.formal_in(1),
-                                     memcpy_pdg.instr_index[store_uid])
-        assert paths
+        path = memcpy_pdg.witness_path(memcpy_pdg.formal_in(1),
+                                       memcpy_pdg.instr_index[store_uid])
+        assert path is not None
 
     def test_self_path_is_empty(self, memcpy_pdg):
         n = memcpy_pdg.formal_in(0)
-        assert memcpy_pdg.find_path(n, n) == []
+        assert memcpy_pdg.witness_path(n, n) is None
 
     def test_counting_loop_needs_control_deps(self, libcorpus):
         g = build_pdg(libcorpus, "strlen_a", {})
         src = g.formal_in(0)
         ret = g.return_nodes()[0]
-        assert g.find_path(src, ret, include_control_deps=False) == []
-        assert g.find_path(src, ret, include_control_deps=True)
+        assert g.witness_path(src, ret, include_control_deps=False) is None
+        assert g.witness_path(src, ret, include_control_deps=True) is not None
 
     def test_no_alias_edges_and_no_repeats(self, memcpy_pdg):
         g = memcpy_pdg
         for src in [g.formal_in(i) for i in range(3)]:
             for dst in list(g.nodes)[:20]:
-                for p in g.find_path(src, dst, include_control_deps=True,
-                                     max_paths=200):
+                p = g.witness_path(src, dst, include_control_deps=True)
+                if p is not None:
                     assert "d_alias" not in p.kinds
                     assert "call" not in p.kinds
                     assert len(set(p.nodes)) == len(p.nodes)
 
     def test_alias_edges_exist_but_are_skipped(self, memcpy_pdg):
         assert any(e.kind == "d_alias" for e in memcpy_pdg.edges)
-
-    def test_enumeration_respects_path_cap(self):
-        # twelve stacked diamonds: 2^12 distinct simple paths x -> sink
-        lines = ["fn @f(%x: i64) -> i64 {", "entry:"]
-        prev = "%x"
-        for i in range(12):
-            lines.append(f"  %a{i} = add i64 {prev}, 1")
-            lines.append(f"  %b{i} = add i64 {prev}, 2")
-            lines.append(f"  %m{i} = add i64 %a{i}, %b{i}")
-            prev = f"%m{i}"
-        lines += [f"  ret i64 {prev}", "}"]
-        m = parse_module("\n".join(lines) + "\n")
-        g = build_pdg(m, "f", {})
-        src = g.formal_in(0)
-        ret = g.return_nodes()[0]
-        capped = g.find_path(src, ret, max_paths=10)
-        assert len(capped) == 10
-        full = g.find_path(src, ret, max_paths=10_000)
-        assert 1 <= len(full) <= 10_000
-        assert all(p.nodes[0] == src and p.nodes[-1] == ret for p in capped)
 
 
 class TestClosureOracle:
@@ -302,14 +312,17 @@ class TestClosureOracle:
                     want = brute_force_reachable(g, src, cdeps)
                     assert got == want, (name, src, cdeps)
 
-    def test_find_path_nonempty_iff_reachable(self, memcpy_pdg):
-        g = memcpy_pdg
-        for src in [g.formal_in(i) for i in range(3)]:
-            reach = g.reachable_from(src)
-            for dst in list(g.nodes):
-                if dst == src:
-                    continue
-                assert bool(g.find_path(src, dst)) == (dst in reach)
+    def test_find_path_nonempty_iff_reachable(self, libcorpus, lib_summaries):
+        for name in sorted(corpus.DRIVERS):
+            g = build_pdg(libcorpus, name,
+                          {k: v for k, v in lib_summaries.items() if k != name})
+            for cdeps in (False, True):
+                assert_witness_paths(g, cdeps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_pointer_function(), st.booleans())
+    def test_witness_path_on_random_functions(self, src, cdeps):
+        assert_witness_paths(build_pdg(parse_module(src), "f", {}), cdeps)
 
 
 # ---------------------------------------------------------------------------
@@ -609,40 +622,6 @@ def build_all_pairs(module, name, summaries):
     every reader and every pointer def against every later one."""
     with mock.patch.object(pdg_module, "_compat_candidates", _every_entry):
         return build_pdg(module, name, summaries)
-
-
-def _edge_list(g):
-    return [(e.src, e.dst, e.kind) for e in g.edges]
-
-
-@st.composite
-def _pointer_function(draw):
-    """Random straight-line function that stashes cell pointers in pointer
-    slots and reloads them, so one address may point to several cells."""
-    n_cells, n_slots = draw(st.integers(2, 4)), draw(st.integers(1, 3))
-    lines = ["fn @f(%x: i64) -> i64 {", "entry:"]
-    lines += [f"  %c{i} = alloca i64" for i in range(n_cells)]
-    lines += [f"  %q{i} = alloca ptr(i64)" for i in range(n_slots)]
-    # a pointer reloaded from %q0 may point to any cell
-    lines += [f"  store ptr(i64) %c{i}, %q0" for i in range(n_cells)]
-    ptrs = [f"%c{i}" for i in range(n_cells)]
-    vals = ["%x"]
-    for k in range(draw(st.integers(1, 16))):
-        op = draw(st.sampled_from(["stash", "fetch", "write", "read"]))
-        slot = f"%q{draw(st.integers(0, n_slots - 1))}"
-        ptr = draw(st.sampled_from(ptrs))
-        if op == "stash":
-            lines.append(f"  store ptr(i64) {ptr}, {slot}")
-        elif op == "fetch":
-            lines.append(f"  %p{k} = load ptr(i64), {slot}")
-            ptrs.append(f"%p{k}")
-        elif op == "write":
-            lines.append(f"  store i64 {draw(st.sampled_from(vals))}, {ptr}")
-        else:
-            lines.append(f"  %v{k} = load i64, {ptr}")
-            vals.append(f"%v{k}")
-    lines += [f"  ret i64 {vals[-1]}", "}"]
-    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="module")

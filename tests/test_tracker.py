@@ -30,7 +30,7 @@ from taintsum.rules import (
 )
 from taintsum.tracker import (
     DEFAULT_MEMORY, GLOBALS_BASE, MAX_FRAMES, PAGE, Image, Memory, RunReport, SinkHit,
-    SinkSpec, SourceSpec, Tagmap, _Frame, _Writer, _compiled, _kind, _resize_vec, _wrap,
+    SinkSpec, SourceSpec, Tagmap, _Frame, _Writer, _kind, _resize_vec, _wrap,
 )
 from taintsum.validate import build_plan, materialize_plan
 from test_ir import _straightline_function
@@ -1949,9 +1949,9 @@ class TestPromotedSlots:
 
 
 class TestCodeCache:
-    """Images of one module share each function's written code, and code
-    objects are shared process-wide by source text, so equal source means
-    equal code and an entry is never stale."""
+    """Images of one module share each function's written code; another
+    layout or memory size gets code of its own, and the shared code holds
+    no machine."""
 
     def test_images_of_one_module_share_code(self, student_flow, student_flow_rules):
         a, b = (Image(student_flow, student_flow_rules) for _ in range(2))
@@ -2001,13 +2001,6 @@ class TestCodeCache:
             if enabled:
                 gc.enable()
 
-    def test_cache_is_bounded(self):
-        maxsize = _compiled.cache_info().maxsize
-        assert maxsize is not None
-        for k in range(maxsize + 5):
-            m = parse_module(f"fn @f() -> i64 {{\nentry:\n  ret i64 {k}\n}}\n")
-            assert Machine(m, mem_size=1 << 16).call_entry("f", []) == k
-        assert _compiled.cache_info().currsize == maxsize
 
 
 SHARED = """\
@@ -2086,7 +2079,7 @@ class TestSharedCode:
             assert Machine(m, mem_size=1 << 16).call_entry("f", []) == k
             assert len(tracker._code_table) <= 4
         again = Image(modules[0], mem_size=1 << 16).compiled(modules[0].functions["f"], True)
-        assert again is not first and again.__code__ is first.__code__
+        assert again is not first
         assert again.__globals__["_lines"] == first.__globals__["_lines"]
 
     def test_machines_of_two_images_are_independent(self, student_flow,
