@@ -52,10 +52,8 @@ MAX_FRAMES = 512        # one Python frame each, under the recursion limit
 class MachineTrap(Exception):
     def __init__(self, kind: str, instr: Optional[str] = None, detail: str = ""):
         self.kind, self.instr, self.detail = kind, instr, detail
-        msg = kind + (f" at {instr}" if instr else "")
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(kind + (f" at {instr}" if instr else "")
+                         + (f": {detail}" if detail else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +154,11 @@ class Tagmap:
         self.set_vector(addr, bytes([tag]) * sz)
 
     def or_taint(self, addr: int, tag: int, sz: int) -> None:
-        old = int.from_bytes(self.get_vector(addr, sz), "little")
-        mask = int.from_bytes(bytes([tag]) * sz, "little")
-        self.set_vector(addr, (old | mask).to_bytes(sz, "little"))
+        self.set_vector(addr, bytes(map(tag.__or__, self.get_vector(addr, sz))))
 
     def nonzero_bytes(self) -> list[tuple[int, int]]:
         out = []
-        for pno in sorted(self.pages):
-            page = self.pages[pno]
+        for pno, page in sorted(self.pages.items()):
             base = pno * PAGE
             out.extend(zip(compress(range(base, base + PAGE), page),
                            page.translate(None, b"\0")))
@@ -298,16 +293,10 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 def _width(ty: Type) -> int:
-    if isinstance(ty, Int):
+    if isinstance(ty, (Int, Float)):
         return ty.bits // 8
-    if isinstance(ty, Float):
-        return ty.bits // 8
-    if isinstance(ty, Char):
-        return 1
-    if isinstance(ty, Ptr):
-        return 8
-    if isinstance(ty, Void):
-        return 0
+    if isinstance(ty, (Char, Ptr, Void)):
+        return 1 if isinstance(ty, Char) else 8 if isinstance(ty, Ptr) else 0
     raise MachineTrap("bad value type", detail=str(ty))
 
 
@@ -333,9 +322,7 @@ def _fold(vec: bytes) -> int:
 
 
 def _resize_vec(vec: bytes, n: int) -> bytes:
-    if len(vec) == n:
-        return vec
-    if len(vec) > n:
+    if len(vec) >= n:
         return vec[:n]
     return vec + bytes([_fold(vec)]) * (n - len(vec))
 
@@ -368,13 +355,17 @@ def _undefined(name: str) -> MachineTrap:
 # a Python call of the callee's function, so each IR frame is one Python
 # frame and temps stay locals across calls.  What an instruction fixes is a
 # literal there: constants, global addresses, widths, masks, gep offsets,
-# block indices.  A temp %x is the local `v_x`, its tag vector `g_x`.  The
+# block indices.  A temp %x is the local `v_x`, its tag vector `g_x`; `g_x`
+# is bound only when a line reads it (`_Writer.tagged`), so a compare that
+# only branches or a gep only dereferenced makes none.  A value is wrapped
+# only where its producer's range does not fit the kind read.  The
 # parameters are read from the frame at entry and a redefined one is stored
-# back, since rule sources read it; a tracked call passes its temp
-# arguments' tag vectors through `f.tags`, where a parameter source may
-# widen them.  A read no path defined finds its local unbound, which
-# `Machine._run` turns into the undefined-temporary trap.  Tracked loads,
-# stores and allocas do the Tagmap's one-page work inline.  A promoted slot
+# back, since rule sources read it; a tracked call passes its temp arguments'
+# tag vectors through `f.tags`, where a parameter source may widen them.  A
+# read no path defined finds its local unbound, which `Machine._run` turns
+# into the undefined-temporary trap.  Tracked loads, stores and allocas do
+# the Tagmap's one-page work inline; a one-byte access cannot cross a page,
+# and a one-byte unsigned load indexes the memory directly.  A promoted slot
 # (`_Writer.promote`), a scalar alloca that only its own loads and stores
 # use, keeps its value in the local `P_x` and its tag vector in `T_x`; a
 # store of a nonzero vector still makes the slot's absent Tagmap page.  Its
@@ -382,18 +373,18 @@ def _undefined(name: str) -> MachineTrap:
 # access that overlaps the frame's promoted range [R_lo, R_hi), and read
 # back (`_fill`) after a call and such a store; a return then drops the
 # locals, and a run that raises writes back what its innermost generated
-# frame still held.  A segment runs
-# from a block's start or from just after a call up to and including the
-# next call or terminator; the step budget is checked once per segment.
-# The instruction and shadow-op counts are locals, written to the machine
-# before each call and return, so a callee counts on from its caller's
-# count.  When the budget runs out in a segment, `Machine._cut` runs the
-# prefix that fits from the function's locals (`_Writer.cut`) and traps.
-# When a run raises, the line its innermost generated frame stopped on gives
-# the instructions that frame did not run and the shadow ops it did not
-# count.  A function's code is shared by every image of its module
-# (`_shared_code`), keyed by the identities of the module and the function,
-# since the parsed IR never changes.  The functions hold no machine.
+# frame still held.  A segment runs from a block's start or from just after
+# a call up to and including the next call or terminator; the step budget
+# is checked once per segment.  The instruction and shadow-op counts are
+# locals, written to the machine before each call and return, so a callee
+# counts on from its caller's count.  When the budget runs out in a segment,
+# `Machine._cut` runs the prefix that fits from the function's locals
+# (`_Writer.cut`) and traps.  When a run raises, the line its innermost
+# generated frame stopped on gives the instructions that frame did not run
+# and the shadow ops it did not count.  A function's code is shared by every
+# image of its module (`_shared_code`), keyed by the identities of the module
+# and the function, since the parsed IR never changes.  The functions hold
+# no machine.
 
 _SOURCE = "<taintsum function>"
 _MASK64 = 2 ** 64 - 1
@@ -484,8 +475,7 @@ def _helpers() -> dict:
     def bad(kind, uid, *operands):
         raise MachineTrap(kind, uid)
     ns = {"MachineTrap": MachineTrap, "_resize": _resize_vec, "_idiv": idiv, "_bad": bad,
-          "_spill": _spill, "_fill": _fill,
-          "_U": uniform, "_tag": lambda vec, w: uniform[vec[:w]],
+          "_spill": _spill, "_fill": _fill, "_U": uniform, "_tag": lambda vec, w: uniform[vec[:w]],
           "_irem": lambda a, b, uid: a - idiv(a, b, uid) * b,
           "_fdiv": lambda a, b: (a / b if b != 0.0 else
                                  math.copysign(math.inf, a) if a else math.nan),
@@ -531,6 +521,9 @@ class _Writer:
         # None where its definitions differ; the temps read; the constants
         # the source names
         self.kinds, self.width, reads, self.ns = {}, {}, set(), {}
+        # what each binop or gep's tag vector is made from, and the temps
+        # whose tag vectors a line reads: the values stored, returned, passed
+        feeds, work, self.tagged = {}, [], set()
         for name, ty in fn.params:
             self.note(name, ty)
         # (block index, instructions) of each segment; what follows a
@@ -557,11 +550,21 @@ class _Writer:
                 if dead:
                     continue
                 seg.append(ins)
+                ops = [op.name for op in ins.operands()[:1 if kind is Store else None]
+                       if type(op) is Temp]     # a store's value, not its address
+                if kind in (BinOp, Gep):
+                    feeds.setdefault(ins.dest, []).extend(ops)
+                elif kind in (Store, Ret, Call):
+                    work += ops
                 dead = kind in (Br, Jmp, Ret)
                 if kind is Call:
                     seg = []
                     self.segs.append((b, seg))
         self.starts.append(len(self.segs))
+        while work:     # and the operands of a binop or gep whose vector is read
+            if (x := work.pop()) not in self.tagged:
+                self.tagged.add(x)
+                work += feeds.get(x, ())
         self.labels = {block.label: b for b, block in enumerate(fn.blocks)}
         params = [name for name, _ in fn.params]
         self.read_params = [name for name in params if name in reads]
@@ -613,10 +616,7 @@ class _Writer:
     def note(self, name: str, ty: Type, kind: bool = True) -> None:
         """Notes a definition of `name` of type `ty`: its tag vector's width
         and, when `kind`, its value's kind."""
-        try:
-            w = _width(ty)
-        except MachineTrap:     # not a value type
-            w = None
+        w = _width(ty) if isinstance(ty, (Int, Float, Char, Ptr, Void)) else None
         self.width[name] = w if self.width.get(name, w) == w else None
         if kind:
             k = None if w is None or isinstance(ty, Void) else _kind(ty)
@@ -634,10 +634,10 @@ class _Writer:
         else:
             body.append((1, "raise MachineTrap('no terminator', detail="
                             f"{self.fn.name!r})", (0, 0)))
+        vecs = [p for p in self.read_params if self.live and p in self.tagged]
         entry = [f"{_local('v', p)} = t[{p!r}]" + (
-            f"; {_local('g', p)} = tg[{p!r}]" if self.live else "") for p in self.read_params]
-        if entry:
-            self.used.update(("t", "tg") if self.live else ("t",))
+            f"; {_local('g', p)} = tg[{p!r}]" if p in vecs else "") for p in self.read_params]
+        self.used.update(("t",) * bool(entry) + ("tg",) * bool(vecs))
         prologue = self.prologue() + ["n = m.instr_total", "b = m.step_budget"]
         prologue += ["s = 0"] * self.live + entry + ["i = 0"] * looped
         self.src = ["def F(m, f):"] + ["    " + s for s in prologue]
@@ -753,11 +753,13 @@ class _Writer:
             return self.define(ins.dest, _local("P", x), w, vec=_local("T", x))
         a, lines = self.atom(self.val(ins.addr, _PTR), "a")
         self.used.update(("mem", "tm", "pages") if self.live else ("mem",))
-        return lines + [self.check(a, w, ins)] + self.overlap(
-            a, w, ins, self.write_back) + self.define(
-            ins.dest, f"_u{_fmt(ins.ty)}(mem, {a})[0]" if w else "0", w,
-            vec=f"tm.get_vector({a}, {w}) if (o := {a} & {PAGE - 1}) > {PAGE - w} else _Z{w}"
-                f" if (p := pages.get({a} >> {_PAGE_SHIFT})) is None else bytes(p[o:o + {w}])")
+        c, pick = _fmt(ins.ty), f"_Z{w} if (p := pages.get({a} >> {_PAGE_SHIFT})) is None else "
+        vec = (pick + f"_S1[p[{a} & {PAGE - 1}]]" if w == 1 else    # a byte is on one page
+               f"tm.get_vector({a}, {w}) if (o := {a} & {PAGE - 1}) > {PAGE - w} else "
+               + pick + f"bytes(p[o:o + {w}])")
+        return lines + [self.check(a, w, ins)] + self.overlap(a, w, ins, self.write_back) + (
+            self.define(ins.dest, f"mem[{a}]" if c == "B" else f"_u{c}(mem, {a})[0]"
+                        if w else "0", w, vec=vec))
 
     def store(self, ins: Store) -> list:
         w = _width(ins.ty)
@@ -783,11 +785,11 @@ class _Writer:
         if not self.live:
             return lines + [cross] * (w > 1) + after
         g, more = self.atom(self.vec(ins.value, w), "g")
-        lines += more + [f"{cross}; tm.set_vector({a}, {g})",
-                         f"elif (p := pages.get(q)) is not None: p[o:o + {w}] = {g}"]
+        put = f"p[{a} & {PAGE - 1}] = {g}[0]" if w == 1 else f"p[o:o + {w}] = {g}"
+        lines += more + [f"{cross}; tm.set_vector({a}, {g})"] * (w != 1) + [
+            f"{'el' * (w != 1)}if (p := pages.get(q)) is not None: {put}"]
         if g != f"_Z{w}":       # the page is made only for a nonzero vector
-            lines.append(f"elif {g} != _Z{w}: p = pages[q] = bytearray({PAGE});"
-                         f" p[o:o + {w}] = {g}")
+            lines.append(f"elif {g} != _Z{w}: p = pages[q] = bytearray({PAGE}); {put}")
         return lines + after
 
     def overlap(self, a: str, w: int, ins: Instr, then) -> list[str]:
@@ -812,13 +814,13 @@ class _Writer:
         terms = [self.val(ins.base, _PTR)]
         for idx, stride in strides:
             if type(idx) is Temp:
-                terms.append(f"{self.val(idx, _I64)} * {stride}")
+                terms.append(self.val(idx, _I64) + f" * {stride}" * (stride != 1))
             else:
                 off += self.konst(idx, _I64) * stride
-        terms.insert(1, _lit(off))
+        terms[1:1] = [_lit(off)] * (off != 0)
         tags = [self.tag(op, 8) for op in (ins.base, *ins.indices) if type(op) is Temp]
-        return self.define(ins.dest, f"({' + '.join(terms)}) & {_MASK64:#x}", 8,
-                           tag=" | ".join(tags) or "0")
+        return self.define(ins.dest, terms[0] if len(terms) == 1 else   # a pointer already
+                           f"({' + '.join(terms)}) & {_MASK64:#x}", 8, tag=" | ".join(tags) or "0")
 
     def binop(self, ins: BinOp) -> list:
         kind, w, op, uid = _kind(ins.ty), _width(ins.ty), ins.op, repr(ins.uid)
@@ -872,7 +874,8 @@ class _Writer:
             run = f"{_local('v', ins.dest)} = {run}"
             if self.live:
                 w = _width(callee.ret_ty)
-                after.append(f"{_local('g', ins.dest)} = _resize(m.ret_shadow or _Z{w}, {w})")
+                after += [f"{_local('g', ins.dest)} = _resize(m.ret_shadow or _Z{w}, {w})"
+                          ] * (ins.dest in self.tagged)
             if ins.dest in self.spill:
                 after.append(f"t[{ins.dest!r}] = {_local('v', ins.dest)}")
                 self.used.add("t")
@@ -912,10 +915,12 @@ class _Writer:
 
     def define(self, name: str, value: str, width: int, vec: str = "",
                tag: str = "") -> list[str]:
-        """Lines binding temp `name` to `value` and, when tracked, to a tag
-        vector of `width` bytes: `vec`, or the splat of the int tag `tag`."""
+        """Lines binding temp `name` to `value` and, when tracked and a line
+        reads it, to a tag vector of `width` bytes: `vec`, or the splat of
+        the int tag `tag`."""
         v, g = _local("v", name), _local("g", name)
-        lines = [f"{v} = {value}"] + [f"{g} = {vec or f'_S{width}[{tag}]'}"] * self.live
+        lines = [f"{v} = {value}"] + [f"{g} = {vec or f'_S{width}[{tag}]'}"] * (
+            self.live and name in self.tagged)
         if name in self.spill:      # a redefined parameter, which rule sources read
             lines.append(f"t[{name!r}] = {v}")
             self.used.add("t")
@@ -934,8 +939,9 @@ class _Writer:
         if type(op) is not Temp:
             return _lit(self.konst(op, kind, wrap_globals))
         e, have = _local("v", op.name), self.kinds.get(op.name)
-        if have == kind:        # its producer normalized it
-            return e
+        if have == kind or isinstance(have, tuple) and kind != "f" and all(
+                _wrap(x, kind) == x for x in (-have[0], have[1] - have[0])):
+            return e        # its producer normalized it to a range inside `kind`'s
         if kind == "f":
             return f"float({e})"
         bias, mask = kind
@@ -1062,8 +1068,7 @@ class Image:
                     kind = "nu"
                 if slot.field_path:
                     off += field_path_offset(base_ty, slot.field_path, module.structs)[0]
-                op = {READ_OUT: "read", SET_FIXED: "set", SET_STRING: "set"}.get(
-                    step.op, "gather")
+                op = {READ_OUT: "read", SET_FIXED: "set", SET_STRING: "set"}.get(step.op, "gather")
                 steps.append((step.entry, op, kind, where, off, step.nbytes, step.max_len))
             hit = self._bound[prog.function] = (prog, tuple(steps))
         return hit[1]
@@ -1102,8 +1107,7 @@ class Machine:
         self.global_addr, self.globals_end = image.global_addr, image.globals_end
         self.heap_ptr, self.stack_ptr = image.heap_start, image.mem_size
         self.tagmap, self.ret_shadow = Tagmap(), b""
-        self.step_budget = step_budget
-        self.default_len = default_len
+        self.step_budget, self.default_len = step_budget, default_len
         self.live = True        # false while a rule-firing call runs
         self._unins_from = 0    # the instruction count when it last fell
         self.exit_value = 0     # what the last return returned
@@ -1162,8 +1166,7 @@ class Machine:
         vecs = [_resize_vec(bytes(arg_tags[i]), _width(pty))
                 if arg_tags is not None and arg_tags[i] else bytes(_width(pty))
                 for i, (_, pty) in enumerate(fn.params)]
-        self._check_sinks(fn.name, args, vecs, "<entry>")
-        self._frames.append(self._make_frame(fn, args, vecs, call_ins=None))
+        self._call(fn, args, vecs, None)
         return self._run()
 
     def _make_frame(self, fn: Function, args: Sequence[object],
@@ -1181,21 +1184,18 @@ class Machine:
         return _Frame(fn, temps, tags, self.stack_ptr, call_ins,
                       self.image.compiled(fn, self.live), record)
 
-    def _call(self, callee: Function, args: list, vecs, ins: Call) -> _Frame:
-        """Enters `callee` from `ins`; the caller runs the frame's code."""
-        self._check_sinks(callee.name, args, vecs, ins.uid)
-        frame = self._make_frame(callee, args, vecs, ins)
-        self._frames.append(frame)
+    def _call(self, callee: Function, args: list, vecs, ins: Optional[Call]) -> _Frame:
+        """Enters `callee` from `ins`, or as the entry when None; the caller
+        runs the frame's code."""
+        self._check_sinks(callee.name, args, vecs, ins.uid if ins else "<entry>")
+        self._frames.append(frame := self._make_frame(callee, args, vecs, ins))
         return frame
 
     def _check_sinks(self, fn_name: str, args, vecs, call_uid: str) -> None:
         if not self.live or fn_name not in self._sinks:
             return
         fn = self.module.functions[fn_name]
-        for spec in self._sinks[fn_name]:
-            i = spec.index
-            if i >= len(args):
-                continue
+        for i in (spec.index for spec in self._sinks[fn_name] if spec.index < len(args)):
             region = self._param_region(fn.params[i][1], args[i])
             tag = _fold(vecs[i]) if region is None else self.tagmap.get_taint(*region)
             if tag:
@@ -1207,8 +1207,7 @@ class Machine:
         for spec in self._sources.get(frame.fn.name, ()):
             if spec.where == "ret":
                 w = len(self.ret_shadow) or _width(frame.fn.ret_ty)
-                self.ret_shadow = bytes(
-                    b | spec.label for b in _resize_vec(self.ret_shadow, w))
+                self.ret_shadow = bytes(map(spec.label.__or__, _resize_vec(self.ret_shadow, w)))
                 continue
             i = spec.index or 0
             if i >= len(frame.fn.params):
@@ -1221,9 +1220,8 @@ class Machine:
             elif caller is not None and frame.call_ins is not None:
                 op = frame.call_ins.args[i]
                 if isinstance(op, Temp):
-                    vec = caller.tags.get(op.name, bytes(_width(pty)))
-                    caller.tags[op.name] = bytes(
-                        b | spec.label for b in _resize_vec(vec, _width(pty)))
+                    vec = _resize_vec(caller.tags.get(op.name, bytes(_width(pty))), _width(pty))
+                    caller.tags[op.name] = bytes(map(spec.label.__or__, vec))
 
     def _param_region(self, ty: Type, value) -> Optional[tuple[int, int]]:
         """Shadow region named by a pointer-typed parameter value, as a rule

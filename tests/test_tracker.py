@@ -2,6 +2,7 @@
 application, traps, sources/sinks, and the compiled functions against the
 step interpreter that compiled code replaced."""
 
+import ast
 import dataclasses
 import functools
 import gc
@@ -2591,3 +2592,143 @@ class TestInlineShadowPath:
         m = Machine(libcorpus, mem_size=1 << 20)
         assert m.call_entry("abs_a", [-5], [tags]) == 5
         assert m.ret_shadow == bytes([_fold(bytes(tags))]) * 4
+
+
+ELIDED = """\
+global @buf : [16 x u8] = bytes(1, 2, 3)
+
+fn @f(%n: i64) -> i64 {
+entry:
+  %c = cmp i64 %n, 3
+  br %c, three, other
+other:
+  %u = add i64 %n, 1
+  jmp join
+three:
+  jmp join
+join:
+  %q = gep [16 x u8], @buf, 0, %n
+  %b = load u8, %q
+  %k = cmp i64 %u, %b
+  br %k, same, differ
+same:
+  ret i64 %b
+differ:
+  %s = add i64 %b, %n
+  ret i64 %s
+}
+
+fn @main(%n: i64) -> i64 {
+entry:
+  %r = call i64 @f(%n)
+  %t = add i64 %r, 1
+  ret i64 %t
+}
+"""
+
+
+def _value_type(name):
+    return parse_module(f"fn @f(%x: {name}) -> void {{\nentry:\n  ret\n}}\n"
+                        ).functions["f"].params[0][1]
+
+
+def _range(name):
+    """The values of an int, char or pointer type, from its name alone."""
+    if name == "char":
+        return 0, 255
+    if name.startswith("ptr"):
+        return 0, 2 ** 64 - 1
+    bits = int(name[1:])
+    return (-(1 << bits - 1), (1 << bits - 1) - 1) if name[0] == "i" else (0, (1 << bits) - 1)
+
+
+class TestLeanCode:
+    """The tracked code binds a tag vector only where a line reads it,
+    reads a byte straight from memory, and wraps a value only where its
+    producer's range does not fit; runs stay the step interpreter's."""
+
+    @staticmethod
+    def _source(module, fn, live=True):
+        writer = _Writer(Image(module), module.functions[fn], live)
+        writer.code()
+        return "\n".join(writer.src)
+
+    @pytest.mark.parametrize("program", corpus.NAMES)
+    def test_every_tag_vector_bound_is_read(self, program):
+        """Each `g_x` the code of a corpus function binds is read by some
+        line of it, and the untracked code binds none."""
+        module = corpus.load_module(program)
+        for fn in module.functions:
+            for live in (True, False):
+                names = {}
+                for node in ast.walk(ast.parse(self._source(module, fn, live))):
+                    if isinstance(node, ast.Name) and node.id.startswith("g_"):
+                        names.setdefault(type(node.ctx), set()).add(node.id)
+                unread = names.get(ast.Store, set()) - names.get(ast.Load, set())
+                assert not unread, (program, fn, live)
+                assert live or not names, (program, fn)
+
+    @pytest.mark.parametrize("program, fn", [("bench_user", "main"),
+                                             ("bench_memcpy", "memcpy")])
+    def test_benchmark_loops_bind_no_dead_vector(self, program, fn):
+        source = self._source(corpus.load_module(program), fn)
+        assert "_uB(" not in source and "mem[" in source
+        assert not re.search(r"\bg_(z|cp)\b", source)
+        assert "> 4095" not in source       # no straddle test of a byte
+
+    @pytest.mark.parametrize("src", _INT_TYPES + ("ptr(i8)",))
+    def test_wrap_omitted_exactly_when_the_range_fits(self, src):
+        m = parse_module(f"fn @f(%x: {src}) -> void {{\nentry:\n  ret\n}}\n")
+        writer = _Writer(Image(m), m.functions["f"], True)
+        lo, hi = _range(src)
+        assert _kind(m.functions["f"].params[0][1]) == (-lo, hi - lo)
+        for dst in _INT_TYPES + ("ptr(i8)",):
+            kind = _kind(_value_type(dst))
+            fits = _range(dst)[0] <= lo and hi <= _range(dst)[1]
+            assert fits == (_wrap(lo, kind) == lo and _wrap(hi, kind) == hi), (src, dst)
+            assert (writer.val(Temp("x"), kind) == "v_x") == fits, (src, dst)
+
+    @pytest.mark.parametrize("src, dst, wrapped", [
+        ("u8", "i32", False), ("u32", "i64", False), ("ptr(i8)", "i64", True),
+        ("i8", "u16", True)])
+    def test_reads_of_a_wider_kind(self, src, dst, wrapped):
+        """Each end of the source's range, read as the wider kind, compares
+        equal to itself wrapped to that kind."""
+        kind = _kind(_value_type(dst))
+        for x in _range(src):
+            m = parse_module(f"fn @f(%x: {src}) -> i64 {{\nentry:\n"
+                             f"  %e = cmp {dst} %x, {_wrap(x, kind)}\n"
+                             f"  %h = div {dst} %x, 2\n  %r = add i64 %e, %h\n"
+                             "  ret i64 %r\n}\n")
+            got = assert_same_runs(m, "f", [x], arg_tags=[b"\x01"])
+            assert got["instr"][0].exit_value == 1 + _wrap(int(_wrap(x, kind) / 2), kind)
+            compare = next(line for line in self._source(m, "f").splitlines()
+                           if "v_e = " in line)
+            assert ("& 0x" in compare) == wrapped, compare
+
+    def test_traps_and_counts_with_dropped_lines(self):
+        """A compare that only branches, a gep only dereferenced and a temp
+        whose only tag reader was such a compare, read where no path
+        defined it: every step budget stops where the step interpreter
+        does."""
+        m = parse_module(ELIDED)
+        source = self._source(m, "f")
+        assert "g_b" in source and not re.search(r"\bg_[cqku]\b", source)
+        rules, _ = compile_library(m)
+
+        def before(machine):
+            machine.tagmap.set_taint(machine.global_addr["buf"], 6, 4)
+        for entry in ("f", "main"):
+            for n in (2, 3):
+                total = outcome(Machine, m, entry, [n], before=before, mem_size=1 << 16)[1]
+                for budget in range(1, total + 2):
+                    got = assert_same_runs(m, entry, [n], rules, arg_tags=[b"\x02"],
+                                           before=before, mem_size=1 << 16,
+                                           step_budget=budget)
+                    result = got["instr"][0]
+                    if budget < total:
+                        assert result[:2] == ("trap", "step budget exhausted"), budget
+                    elif n == 3:
+                        assert result == ("trap", "undefined temporary", None), budget
+                    else:       # %u is 3, as @buf[2] is
+                        assert result.exit_value == 3 + (entry == "main")
