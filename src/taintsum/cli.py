@@ -190,6 +190,10 @@ def cmd_run(args) -> int:
     except (OSError, ValueError) as e:
         raise SystemExit(f"error: {args.taint_config}: {e}")
     progs = _rules_for(m, args) if args.rules or args.mode == "hybrid" else {}
+    if cfg is not None and args.mode == "hybrid":
+        for name, named in sorted(cfg.withheld(m, progs).items()):
+            print(f"note: @{name}: its callees include @{named}, which the taint"
+                  " config names; tracked at instruction level", file=sys.stderr)
     try:
         report = run(m, args.entry, args.args, cfg, args.mode, progs,
                      step_budget=args.step_budget, default_len=args.default_len)

@@ -253,6 +253,24 @@ class TaintConfig:
                 raise ValueError(f"taint config names the return value of @{fn.name},"
                                  " which returns void")
 
+    def withheld(self, module: Module, functions) -> dict[str, str]:
+        """Each of `functions` whose callees, transitively, hold a function
+        this config names, mapped to the first such name.  Its rule program
+        cannot stand in for that source or sink, which never applies while
+        the call runs untracked, so it is tracked at instruction level."""
+        named, out = {s.fn for s in self.sources + self.sinks}, {}
+        for name in functions:
+            seen, todo = set(), [name]
+            while todo:
+                fn = module.functions.get(todo.pop())
+                for ins in fn.instructions() if fn else ():
+                    if isinstance(ins, Call) and ins.callee not in seen:
+                        seen.add(ins.callee)
+                        todo.append(ins.callee)
+            if seen & named:
+                out[name] = min(seen & named)
+        return out
+
 
 @dataclass(frozen=True)
 class SinkHit:
@@ -1079,9 +1097,10 @@ class Image:
 # ---------------------------------------------------------------------------
 
 class Machine:
-    """The state of one run: memory, Tagmap, frames and counters.  The first
-    argument is an `Image`, or a `Module` to build one from; an image fixes
-    the rule programs and the memory size."""
+    """The state of one run: memory, Tagmap, frames and counters, which
+    `reset` clears for the next.  The first argument is an `Image`, or a
+    `Module` to build one from; an image fixes the rule programs and the
+    memory size."""
 
     def __init__(self, image: Image | Module, *, mode: str = "instr",
                  rule_programs: Optional[Mapping[str, TaintRuleProgram]] = None,
@@ -1097,17 +1116,36 @@ class Machine:
         elif rule_programs is not None or mem_size is not None:
             raise ValueError("an image fixes the rule programs and memory size")
         self.image, self.module, self.mode = image, image.module, mode
-        # in instr mode no rule ever fires
-        self.rules = image.rules if mode == "hybrid" else {}
         self.cfg = taint_config or TaintConfig()
         self.mem_size = image.mem_size
         self.memory = Memory(image.mem_size)
-        for addr, init in image.inits:
-            self.memory[addr:addr + len(init)] = init
         self.global_addr, self.globals_end = image.global_addr, image.globals_end
-        self.heap_ptr, self.stack_ptr = image.heap_start, image.mem_size
-        self.tagmap, self.ret_shadow = Tagmap(), b""
         self.step_budget, self.default_len = step_budget, default_len
+        self._sources, self._sinks = {}, {}
+        for s in self.cfg.sources + self.cfg.sinks:
+            by_fn = self._sources if isinstance(s, SourceSpec) else self._sinks
+            by_fn.setdefault(s.fn, []).append(s)
+        # in instr mode no rule ever fires, nor one whose callees hold a
+        # source or sink (`TaintConfig.withheld`)
+        self.rules = image.rules if mode == "hybrid" else {}
+        if self.rules and (self._sources or self._sinks):
+            withheld = self.cfg.withheld(self.module, self.rules)
+            self.rules = {f: p for f, p in self.rules.items() if f not in withheld}
+        self.reset()
+
+    def reset(self) -> None:
+        """Returns the machine to the state a fresh one of its image, mode
+        and config starts in: each written page is zeroed, past `__setitem__`
+        so that it stays unmarked, and the image's initial bytes rewritten."""
+        memory = self.memory
+        for a in (p << _PAGE_SHIFT for p in memory.dirty):
+            n = min(PAGE, len(memory) - a)
+            mmap.mmap.__setitem__(memory, slice(a, a + n), bytes(n))
+        memory.dirty.clear()
+        for addr, init in self.image.inits:
+            memory[addr:addr + len(init)] = init
+        self.heap_ptr, self.stack_ptr = self.image.heap_start, self.mem_size
+        self.tagmap, self.ret_shadow = Tagmap(), b""
         self.live = True        # false while a rule-firing call runs
         self._unins_from = 0    # the instruction count when it last fell
         self.exit_value = 0     # what the last return returned
@@ -1115,10 +1153,6 @@ class Machine:
         self.instr_total = self.instr_unins = 0
         self.sink_hits: list[SinkHit] = []
         self._frames: list[_Frame] = []
-        self._sources, self._sinks = {}, {}
-        for s in self.cfg.sources + self.cfg.sinks:
-            by_fn = self._sources if isinstance(s, SourceSpec) else self._sinks
-            by_fn.setdefault(s.fn, []).append(s)
 
     # -- memory ----------------------------------------------------------------
 
@@ -1146,7 +1180,7 @@ class Machine:
         """Byte extent of a NUL-terminated region: terminator included,
         capped at `cap` when no terminator shows up."""
         end = min(addr + cap, self.mem_size)
-        i = self.memory.find(b"\0", addr, end)
+        i = self.memory.find(b"\0", addr, end) if addr < end else -1
         return i - addr + 1 if i >= 0 else max(end - addr, 0)
 
     # -- calls -------------------------------------------------------------------
@@ -1191,8 +1225,11 @@ class Machine:
         self._frames.append(frame := self._make_frame(callee, args, vecs, ins))
         return frame
 
+    # A source or sink never runs while `live` is down: a rule whose callees
+    # hold one is withheld.
+
     def _check_sinks(self, fn_name: str, args, vecs, call_uid: str) -> None:
-        if not self.live or fn_name not in self._sinks:
+        if fn_name not in self._sinks:
             return
         fn = self.module.functions[fn_name]
         for i in (spec.index for spec in self._sinks[fn_name] if spec.index < len(args)):
@@ -1202,8 +1239,6 @@ class Machine:
                 self.sink_hits.append(SinkHit(fn_name, tag, call_uid))
 
     def _apply_sources(self, frame: _Frame, caller: Optional[_Frame]) -> None:
-        if not self.live:
-            return
         for spec in self._sources.get(frame.fn.name, ()):
             if spec.where == "ret":
                 w = len(self.ret_shadow) or _width(frame.fn.ret_ty)

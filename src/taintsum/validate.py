@@ -1,9 +1,10 @@
 """Evaluation harnesses: mode comparison of tainted space, twin-execution
 noninterference checking, and shadow-operation benchmarking.
 
-Every harness drives fresh machines with plan-generated inputs so that the
-two tracking modes (and the two executions of a twin pair) see identical
-memory layouts; reports are deterministic given (module, seed, trials).
+Each harness call keeps its machines, one per mode or twin, and resets them
+between trials, so that the two tracking modes (and the two executions of
+a twin pair) see identical memory layouts from plan-generated inputs;
+reports are deterministic given (module, seed, trials).
 """
 
 from __future__ import annotations
@@ -136,10 +137,11 @@ def _subsets(k: int) -> list[tuple[int, ...]]:
     return out[:MAX_SUBSETS]
 
 
-def _run_trial(image: Image, fn_name: str, plan, mode: str,
-               subset: tuple[int, ...]) -> tuple[Machine, list]:
-    """The machine after one run, and the per-arg regions of its plan."""
-    machine = Machine(image, mode=mode)
+def _run_trial(machine: Machine, fn_name: str, plan,
+               subset: tuple[int, ...]) -> list:
+    """Resets `machine` and runs one trial on it, tainting the arguments of
+    `subset`; returns the per-arg regions of its plan."""
+    machine.reset()
     args, regions = materialize_plan(machine, plan)
     arg_tags: list[Optional[bytes]] = [None] * len(args)
     for i in subset:
@@ -149,7 +151,7 @@ def _run_trial(image: Image, fn_name: str, plan, mode: str,
         else:
             arg_tags[i] = bytes([label]) * 8
     machine.call_entry(fn_name, args, arg_tags)
-    return machine, regions
+    return regions
 
 
 def default_rules(module: Module, include_control_deps: bool = True,
@@ -241,6 +243,7 @@ def oracle_compare(module: Module, fn_name: str, trials: int = 100,
     oracle taints."""
     subsets = _subsets(len(_function(module, fn_name).params))
     image = _image(module, rule_programs, mem_size)
+    m_i, m_h = Machine(image), Machine(image, mode="hybrid")
     sum_i = sum_h = 0
     ret_i = ret_h = False
     violations: list[tuple[int, int]] = []
@@ -248,8 +251,8 @@ def oracle_compare(module: Module, fn_name: str, trials: int = 100,
         rng = random.Random(f"{seed}:{fn_name}:{t}")
         plan = build_plan(module, fn_name, rng, drivers)
         subset = subsets[t % len(subsets)] if subsets else ()
-        m_i, regions = _run_trial(image, fn_name, plan, "instr", subset)
-        m_h, _ = _run_trial(image, fn_name, plan, "hybrid", subset)
+        regions = _run_trial(m_i, fn_name, plan, subset)
+        _run_trial(m_h, fn_name, plan, subset)
         sum_i += m_i.tagmap.count_nonzero()
         sum_h += m_h.tagmap.count_nonzero()
         ret_i = ret_i or any(m_i.ret_shadow)
@@ -298,10 +301,11 @@ class NIReport:
         }
 
 
-def _high_roots(prog: TaintRuleProgram, tainted_param: int) -> set[tuple]:
+def _high_roots(entries, tainted_param: int) -> set[tuple]:
     """Transitive closure of slots that may carry the tainted label after
-    the call: the tainted slot itself plus every entry output whose inputs
-    intersect the closure (rules only ever add tag bits)."""
+    the call, over a rule program's decompiled `entries`: the tainted slot
+    itself plus every entry output whose inputs intersect the closure
+    (rules only ever add tag bits)."""
     def root(slot) -> tuple:
         if slot.kind == "param":
             return ("param", slot.index)
@@ -310,7 +314,6 @@ def _high_roots(prog: TaintRuleProgram, tainted_param: int) -> set[tuple]:
         return ("ret",)
 
     high: set[tuple] = {("param", tainted_param)}
-    entries = prog.decompiled_entries()
     changed = True
     while changed:
         changed = False
@@ -339,7 +342,10 @@ def noninterference_check(
         raise HarnessError(f"@{fn_name} has no parameter to taint")
     choices: list[int] = []
     violations: list[NIViolation] = []
-    nparams, image = len(fn.params), Image(module, mem_size=mem_size)
+    nparams, entries = len(fn.params), prog.decompiled_entries()
+    highs = [_high_roots(entries, p) for p in range(nparams)]
+    image = Image(module, mem_size=mem_size)
+    m_a, m_b = Machine(image), Machine(image)
     for t in range(trials):
         rng = random.Random(f"{seed}:ni:{fn_name}:{t}")
         p_star = rng.randrange(nparams)
@@ -349,14 +355,11 @@ def noninterference_check(
         rng_b = random.Random(f"{seed}:ni:{fn_name}:{t}:twin")
         plan_b[p_star] = build_plan(module, fn_name, rng_b, drivers)[p_star]
 
-        m_a = Machine(image)
-        m_b = Machine(image)
-        args_a, regions = materialize_plan(m_a, plan_shared)
-        args_b, _ = materialize_plan(m_b, plan_b)
-        ret_a = m_a.call_entry(fn_name, args_a)
-        ret_b = m_b.call_entry(fn_name, args_b)
+        regions = _run_trial(m_a, fn_name, plan_shared, ())
+        _run_trial(m_b, fn_name, plan_b, ())
+        ret_a, ret_b = m_a.exit_value, m_b.exit_value
 
-        high = _high_roots(prog, p_star)
+        high = highs[p_star]
         if ("ret",) not in high and not isinstance(fn.ret_ty, Void):
             if ret_a != ret_b:
                 violations.append(NIViolation("ret", str(ret_a), str(ret_b), t))

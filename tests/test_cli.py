@@ -6,7 +6,7 @@ import pytest
 
 from taintsum import corpus
 from taintsum.cli import main
-from test_tracker import RECURSIVE_CFG_DOC, RECURSIVE_LIB
+from test_tracker import NESTED_SOURCE_AND_SINK, RECURSIVE_CFG_DOC, RECURSIVE_LIB
 
 
 @pytest.fixture()
@@ -138,6 +138,23 @@ class TestOnline:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["sinkHits"]) >= 1
         assert doc["sinkHits"][0]["tag"] == 1
+
+    def test_run_hybrid_notes_each_withheld_rule(self, workdir, capsys):
+        """A rule whose callees hold a configured source or sink is noted
+        and withheld, and hybrid mode reports the sink hits instr mode does."""
+        path = workdir / "nested.ir"
+        path.write_text(corpus.load_text("student_flow") + NESTED_SOURCE_AND_SINK)
+        hits = {}
+        for mode in ("instr", "hybrid"):
+            assert main(["run", str(path), "--entry", "main2", "--mode", mode,
+                         "--taint-config", str(workdir / "cfg.json")]) == 0
+            out, err = capsys.readouterr()
+            hits[mode] = json.loads(out)["sinkHits"]
+        assert err.splitlines() == [
+            f"note: @{f}: its callees include @{g}, which the taint config names;"
+            " tracked at instruction level"
+            for f, g in (("read_into", "fgets_a"), ("show", "printf_a"))]
+        assert len(hits["hybrid"]) == 2 and hits["hybrid"] == hits["instr"]
 
     def test_run_entry_args(self, workdir, capsys):
         rc = main(["run", str(workdir / "corpus" / "bench_user.ir"),

@@ -12,6 +12,7 @@ import random
 import re
 import struct
 import weakref
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -423,6 +424,7 @@ class TestScanString:
         (0x2100, 0, 0),                 # addr == end
         (SCAN_MEM, 8, 0),               # addr >= end
         (SCAN_MEM + 100, 8, 0),
+        (2 ** 64 - 8, 8, 0),            # a pointer past any C index
     ])
     def test_matches_byte_loop(self, addr, cap, want):
         m = Machine(parse_module(""), mem_size=SCAN_MEM)
@@ -693,18 +695,37 @@ entry:
         rep = run(m, "main", [], cfg, "instr", lib_rules)
         assert rep.ret_tag == 2
 
-    def test_sink_inside_library_context_is_suppressed(
+    def test_sink_inside_a_rule_firing_call_withholds_its_rule(
             self, student_flow, student_flow_rules):
+        """A sink on the @memcpy that @student_cpy calls withholds
+        @student_cpy's rule, so hybrid mode tracks it and checks the sink
+        there as instr mode does; @memcpy's own rule still fires."""
         cfg = TaintConfig.from_json({
             "sources": [{"fn": "fgets_a", "where": "param",
                          "index": 0, "label": 1}],
             "sinks": [{"fn": "memcpy", "index": 1}]})
+        assert cfg.withheld(student_flow, student_flow_rules) == {"student_cpy": "memcpy"}
         instr = run(student_flow, "main", [], cfg, "instr", student_flow_rules)
         hybrid = run(student_flow, "main", [], cfg, "hybrid", student_flow_rules)
-        # instruction mode checks the sink at the memcpy call inside
-        # student_cpy; hybrid suppresses instrumentation there
         assert instr.sink_hits and instr.sink_hits[0].fn == "memcpy"
-        assert hybrid.sink_hits == ()
+        assert hybrid.sink_hits == instr.sink_hits
+        assert hybrid.shadow_ops_rules > 0
+
+    def test_source_and_sink_inside_rule_firing_calls(self):
+        """A source in @read_into's callee and a sink in @show's apply in
+        hybrid mode too: both rules are withheld, and the two modes report
+        the same sink hits and tainted bytes."""
+        m = parse_module(corpus.load_text("student_flow") + NESTED_SOURCE_AND_SINK)
+        rules = compile_library(m)[0]
+        assert FLOW_CFG.withheld(m, rules) == {"read_into": "fgets_a", "show": "printf_a"}
+        instr = run(m, "main2", [], FLOW_CFG, "instr", rules)
+        hybrid = run(m, "main2", [], FLOW_CFG, "hybrid", rules)
+        assert instr.sink_hits == (SinkHit("printf_a", 1, "main2:2"),
+                                   SinkHit("printf_a", 1, "show:0"))
+        assert hybrid.sink_hits == instr.sink_hits
+        assert len(instr.tainted_bytes_final) == 10
+        assert hybrid.tainted_bytes_final == instr.tainted_bytes_final
+        assert TaintConfig().withheld(m, rules) == {}
 
     def test_return_source_on_a_void_function_rejected(self, student_flow):
         cfg = TaintConfig.from_json(
@@ -756,6 +777,28 @@ entry:
             assert [tagged[cell + 8 + i] for i in range(8)] == [5, 4, 4, 4, 5, 5, 5, 5]
 
 
+NESTED_SOURCE_AND_SINK = """
+struct %cell { [16 x char] s }
+global @g : %cell
+fn @read_into(%b: ptr(char)) -> void library {
+entry:
+  %r = call ptr(char) @fgets_a(%b, 5)
+  ret
+}
+fn @show(%b: ptr(char)) -> void library {
+entry:
+  %r = call i32 @printf_a(%b)
+  ret
+}
+fn @main2() -> i64 {
+entry:
+  %p = gep %cell, @g, 0, 0, 0
+  call void @read_into(%p)
+  %r = call i32 @printf_a(%p)
+  call void @show(%p)
+  ret i64 0
+}
+"""
 NARROWED = """\
 global @cell : [2 x i64]
 fn @take(%x: i32) -> void {
@@ -1857,6 +1900,98 @@ class TestMachineLifetime:
             if enabled:
                 gc.enable()
         assert ("memcpy", False) in image.code and ("memcpy", True) in image.code
+
+
+@functools.cache
+def _reset_image(name: str) -> Image:
+    module = corpus.load_module(name)
+    return Image(module, compile_library(module)[0], 1 << 20)
+
+
+def _reset_trial(module, entry: str, seed: int, wild: bool):
+    """One trial as a function of the machine it runs on, drawn from
+    `seed`: a libcorpus function on its driver's plan, or a corpus
+    program's entry on an argument below 64, with a random subset of the
+    arguments tagged; `wild` makes the first argument a random 64-bit
+    value, which may trap.  The trial returns the exit value or the trap."""
+    rng = random.Random(seed)
+    plan = build_plan(module, entry, rng) if entry in corpus.DRIVERS else None
+    nparams = len(module.functions[entry].params)
+    small, tagged = rng.randrange(64), [rng.random() < 0.5 for _ in range(nparams)]
+    wild_arg = rng.getrandbits(64) if wild and plan else None
+
+    def go(m):
+        args, regions = (materialize_plan(m, plan) if plan else
+                         ([small] * nparams, [None] * nparams))
+        tags = [None] * nparams
+        for i in compress(range(nparams), tagged):
+            if regions[i] is None:
+                tags[i] = bytes([1 << i]) * 8
+            else:
+                m.tagmap.set_taint(regions[i][0], 1 << i, regions[i][1])
+        if wild_arg is not None:
+            args[0] = wild_arg
+        try:
+            return m.call_entry(entry, args, tags)
+        except MachineTrap as e:
+            return e.kind, e.instr
+    return go
+
+
+def _run_state(m) -> dict:
+    """Every field of `m` but its memory and Tagmap, with the counters."""
+    return {k: v for k, v in vars(m).items() if k not in ("memory", "tagmap")}
+
+
+# a source and a sink inside rule-firing calls of libcorpus and student_flow
+RESET_CFG = TaintConfig.from_json({
+    "sources": [{"fn": "memcpy", "where": "param", "index": 0, "label": 2},
+                {"fn": "student_cpy", "where": "param", "index": 0, "label": 4}],
+    "sinks": [{"fn": "memcpy", "index": 1}]})
+RESET_ENTRIES = ([("libcorpus", fn) for fn in sorted(corpus.DRIVERS)]
+                 + [(name, "main") for name in ("student_flow", "bench_memcpy", "bench_user")])
+
+
+class TestReset:
+    """`Machine.reset` returns a machine, after any run, to the state a
+    fresh one of its image, mode and config starts in."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(RESET_ENTRIES), st.integers(0, 2 ** 32), st.booleans(),
+           st.sampled_from(("instr", "hybrid")), BUDGETS, st.sampled_from((None, RESET_CFG)))
+    def test_reset_machine_equals_a_fresh_one(self, entry, seed, wild, mode, budget, cfg):
+        image = _reset_image(entry[0])
+        kw = dict(mode=mode, taint_config=cfg, **_budget(budget))
+        trial = _reset_trial(image.module, entry[1], seed, wild)
+        m = Machine(image, **kw)
+        first = trial(m)
+        m.reset()
+        fresh = Machine(image, **kw)
+        initial = bytearray(image.mem_size)
+        for addr, init in image.inits:
+            initial[addr:addr + len(init)] = init
+        assert bytes(m.memory) == bytes(fresh.memory) == initial and m.memory == fresh.memory
+        assert m.memory.dirty == fresh.memory.dirty
+        assert m.tagmap.pages == fresh.tagmap.pages == {}
+        assert _run_state(m) == _run_state(fresh)
+        assert trial(m) == trial(fresh) == first
+        assert bytes(m.memory) == bytes(fresh.memory)
+        assert m.tagmap.pages == fresh.tagmap.pages
+        assert _run_state(m) == _run_state(fresh)
+
+    def test_counters_and_fields_after_a_trap(self):
+        """A run cut by its step budget leaves frames, counters and a
+        lowered `live` behind; reset restores every one of them."""
+        image = _reset_image("libcorpus")
+        m = Machine(image, mode="hybrid", step_budget=30)
+        trial = _reset_trial(image.module, "copy_twice", 0, False)
+        assert trial(m)[0] == "step budget exhausted"
+        assert m._frames and not m.live and m.instr_total and m.instr_unins
+        m.reset()
+        assert (m._frames, m.live, m.instr_total, m.instr_unins, m.shadow_ops_instr,
+                m.shadow_ops_rules, m.sink_hits, m.ret_shadow, m.exit_value,
+                m._unins_from) == ([], True, 0, 0, 0, 0, [], b"", 0, 0)
+        assert (m.heap_ptr, m.stack_ptr) == (image.heap_start, image.mem_size)
 
 
 LAYOUT = """\

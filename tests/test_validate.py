@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taintsum import Machine, TaintRuleProgram, corpus, parse_module
+from taintsum import Machine, TaintRuleProgram, corpus, parse_module, validate
 from taintsum.tracker import PAGE, Tagmap
 from taintsum.validate import (
     HARNESS_MEMORY, _uncovered, bench, build_plan, default_rules, materialize_plan,
@@ -139,6 +139,29 @@ class TestNoninterference:
                                     rule_programs=lib_rules)
         assert rep.violations == ()
         assert len(rep.tainted_choices) == 50
+
+    def test_one_machine_pair_and_one_decompile_per_call(
+            self, libcorpus, lib_rules, monkeypatch):
+        """A harness call builds its machines once and resets them between
+        trials; `nitest` decompiles the rule program once."""
+        made, decompiled = [], []
+
+        class Counted(Machine):
+            def __init__(self, image, **kw):
+                made.append(kw.get("mode", "instr"))
+                super().__init__(image, **kw)
+        decompile = TaintRuleProgram.decompiled_entries
+        monkeypatch.setattr(validate, "Machine", Counted)
+        monkeypatch.setattr(TaintRuleProgram, "decompiled_entries",
+                            lambda prog: decompiled.append(prog.function) or decompile(prog))
+        ni = noninterference_check(libcorpus, "copy_twice", trials=12, seed=1,
+                                   rule_programs=lib_rules)
+        assert made == ["instr", "instr"] and decompiled == ["copy_twice"]
+        oracle_compare(libcorpus, "copy_twice", trials=12, seed=1, rule_programs=lib_rules)
+        assert made[2:] == ["instr", "hybrid"]
+        monkeypatch.undo()
+        assert ni == noninterference_check(libcorpus, "copy_twice", trials=12, seed=1,
+                                           rule_programs=lib_rules)
 
     def test_deterministic(self, libcorpus, lib_rules):
         a = noninterference_check(libcorpus, "student_cpy", trials=15, seed=4,
