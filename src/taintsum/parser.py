@@ -143,6 +143,12 @@ class _Parser:
 
     def type_at(self, toks: list[str], i: int) -> tuple[Type, int]:
         """The type starting at token i, and the index after it."""
+        try:
+            return self._type(toks, i)
+        except RecursionError:
+            raise _LineError("type nested too deeply", i) from None
+
+    def _type(self, toks: list[str], i: int) -> tuple[Type, int]:
         t = toks[i]
         ty = self.types.get(t)
         if ty is not None:
@@ -159,17 +165,17 @@ class _Parser:
 
     def _compound_type(self, toks: list[str], i: int) -> tuple[Type, int]:
         if toks[i] == "ptr":
-            inner, i = self.type_at(toks, _expect(toks, i + 1, "("))
+            inner, i = self._type(toks, _expect(toks, i + 1, "("))
             return Ptr(inner), _expect(toks, i, ")")
         if toks[i] == "fn":
             params, i = _items(toks, _expect(toks, i + 1, "("), ")",
-                               lambda j: self.type_at(toks, j))
-            ret, i = self.type_at(toks, _expect(toks, i, "->"))
+                               lambda j: self._type(toks, j))
+            ret, i = self._type(toks, _expect(toks, i, "->"))
             return Fn(tuple(params), ret), i
         n = toks[i + 1]
         if not _is_number(n) or "." in n or int(n) < 1:
             raise _LineError("array length must be a positive integer", i + 1)
-        elem, i = self.type_at(toks, _expect(toks, i + 2, "x"))
+        elem, i = self._type(toks, _expect(toks, i + 2, "x"))
         return Array(elem, int(n)), _expect(toks, i, "]")
 
     def operand(self, toks: list[str], i: int) -> Operand:

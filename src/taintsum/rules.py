@@ -1,14 +1,20 @@
-"""Compilation of function summaries into executable taint-rule programs.
+"""Taint-rule programs: a library function's summary entries, applied at
+the function's return in place of its instruction-level tracking.
 
-Each summary entry becomes: one gather step per input slot (OR-folding the
-input's shadow region into an accumulator that starts at zero), then a
-read of the output's current tag followed by a set of the output region
-to (old tag | accumulator).  Rules only ever add tag bits.
+A rule program is the summary's entries, its control-dependence flag and
+one string cap.  Applying an entry "out <- ins" ORs the tag of every input
+region into an accumulator that starts at zero, then sets the output
+region to (its old tag | accumulator).  Rules only ever add tag bits.
 
-Regions: char*/void* slots scan to the string terminator at application
-time (capped, terminator included); other pointer slots cover
+Regions (`slot_extent`): char*/void* slots scan to the string terminator at
+application time (capped, terminator included); other pointer slots cover
 size_of(pointee) bytes; field-path slots cover the field; scalar slots
 live in the value-shadow of the recorded argument (or the return shadow).
+Extents follow from the slot types, so a program stores none: a machine's
+image derives them when it binds the program (`tracker.Image.bound`).
+
+A rule file (schema v2) is the summary document's entries plus the cap:
+{"v": 2, "function", "controlDeps", "maxLen", "entries": [{"out", "ins"}]}.
 """
 
 from __future__ import annotations
@@ -24,56 +30,30 @@ from .ir import (
     Diagnostic, LayoutError, Module, Ptr, Void, is_char_or_void_ptr, size_of,
     type_str,
 )
+from .parser import parse_type_text
 from .summaries import SlotRef, Summary, make_slot, summarize_library
 
 DEFAULT_STRING_CAP = 64
-SCHEMA_VERSION = 1
-
-GATHER_FIXED = "gather_fixed"
-GATHER_STRING = "gather_string"
-READ_OUT = "read_out"
-SET_FIXED = "set_fixed"
-SET_STRING = "set_string"
-
-
-@dataclass(frozen=True)
-class RuleStep:
-    op: str
-    slot: SlotRef
-    entry: int                      # summary entry this step belongs to
-    nbytes: Optional[int] = None    # fixed/scalar extent
-    max_len: Optional[int] = None   # string scan cap
-
-    def to_json(self) -> dict:
-        d: dict = {"op": self.op, "slot": self.slot.to_json(), "entry": self.entry}
-        if self.nbytes is not None:
-            d["bytes"] = self.nbytes
-        if self.max_len is not None:
-            d["maxLen"] = self.max_len
-        return d
-
-    @staticmethod
-    def from_json(d: dict) -> "RuleStep":
-        return RuleStep(d["op"], SlotRef.from_json(d["slot"]), d["entry"],
-                        d.get("bytes"), d.get("maxLen"))
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
 class TaintRuleProgram:
     function: str
-    steps: tuple[RuleStep, ...]
+    entries: tuple[tuple[SlotRef, tuple[SlotRef, ...]], ...]
     control_deps: bool = False
+    max_len: int = DEFAULT_STRING_CAP      # string scan cap, in bytes
 
-    def decompiled_entries(self) -> list[tuple[SlotRef, tuple[SlotRef, ...]]]:
-        """Recover the summary's slot structure from the step list."""
-        outs: dict[int, SlotRef] = {}
-        ins: dict[int, list[SlotRef]] = {}
-        for s in self.steps:
-            if s.op in (GATHER_FIXED, GATHER_STRING):
-                ins.setdefault(s.entry, []).append(s.slot)
-            elif s.op == READ_OUT:
-                outs[s.entry] = s.slot
-        return [(outs[i], tuple(ins.get(i, ()))) for i in sorted(outs)]
+    @property
+    def steps(self) -> range:
+        """One step per region an application reads or sets: each entry
+        reads its ins and its out, and sets its out.  Its length is the
+        program's cost per application, in shadow ops."""
+        return range(sum(len(ins) + 2 for _, ins in self.entries))
+
+    def decompiled_entries(self) -> tuple[tuple[SlotRef, tuple[SlotRef, ...]], ...]:
+        """`entries`, by the name the rule-file readers in `perfbench/` call."""
+        return self.entries
 
 
 class RuleGenError(Exception):
@@ -112,26 +92,21 @@ def slot_extent(slot: SlotRef, module: Module) -> tuple[str, Optional[int]]:
     return sized(t)
 
 
+def _check_extents(prog: TaintRuleProgram, module: Module) -> None:
+    """Raise RuleGenError unless every slot of `prog` has an extent."""
+    for out, ins in prog.entries:
+        for slot in (out, *ins):
+            slot_extent(slot, module)
+
+
 def taint_rule_gen(summary: Summary, module: Module,
                    default_len: int = DEFAULT_STRING_CAP) -> TaintRuleProgram:
-    """Compile one summary into its rule program (deterministic: equal
-    summaries yield identical programs)."""
-    steps: list[RuleStep] = []
-    for idx, (out, ins) in enumerate(summary.entries):
-        for slot in ins:
-            kind, n = slot_extent(slot, module)
-            if kind == "string":
-                steps.append(RuleStep(GATHER_STRING, slot, idx, max_len=default_len))
-            else:
-                steps.append(RuleStep(GATHER_FIXED, slot, idx, nbytes=n))
-        kind, n = slot_extent(out, module)
-        if kind == "string":
-            steps.append(RuleStep(READ_OUT, out, idx, max_len=default_len))
-            steps.append(RuleStep(SET_STRING, out, idx, max_len=default_len))
-        else:
-            steps.append(RuleStep(READ_OUT, out, idx, nbytes=n))
-            steps.append(RuleStep(SET_FIXED, out, idx, nbytes=n))
-    return TaintRuleProgram(summary.function, tuple(steps), summary.control_deps)
+    """The rule program of one summary, with string regions capped at
+    `default_len` bytes; RuleGenError if a slot has no extent in `module`."""
+    prog = TaintRuleProgram(summary.function, summary.entries,
+                            summary.control_deps, default_len)
+    _check_extents(prog, module)
+    return prog
 
 
 def compile_library(module: Module, include_control_deps: bool = True,
@@ -165,29 +140,25 @@ def _module_slot(slot: SlotRef, fn, module: Module) -> SlotRef:
 
 
 def check_rules(prog: TaintRuleProgram, module: Module) -> None:
-    """Raise RuleParseError unless `prog` is exactly what `taint_rule_gen`
-    compiles from its own entries: a library function, slots typed as the
-    module types them, one positive string cap, and extents that match the
-    slot types.  A program for a function the module lacks never fires and
-    is not checked."""
+    """Raise RuleParseError unless `prog` fits the module: a library
+    function, slots typed as the module types them, an extent for every
+    slot, and one positive string cap.  A program for a function the module
+    lacks never fires and is not checked."""
     fn = module.functions.get(prog.function)
     if fn is None:
         return
     if not fn.is_library:
         raise RuleParseError(f"@{fn.name} is not a library function")
-    for step in prog.steps:
-        if type(step.entry) is not int:
-            raise RuleParseError(f"step entry {step.entry!r} is not an integer")
-        if _module_slot(step.slot, fn, module) != step.slot:
-            raise RuleParseError(f"slot {step.slot} does not match @{fn.name}")
-    cap = next((s.max_len for s in prog.steps if s.max_len is not None),
-               DEFAULT_STRING_CAP)
-    if type(cap) is not int or cap < 1:
-        raise RuleParseError(f"maxLen {cap!r} is not a positive integer")
-    summary = Summary(fn.name, tuple(prog.decompiled_entries()), prog.control_deps)
-    if prog != taint_rule_gen(summary, module, cap):
-        raise RuleParseError(
-            f"steps of @{fn.name} differ from the rules compiled from its entries")
+    for out, ins in prog.entries:
+        for slot in (out, *ins):
+            if _module_slot(slot, fn, module) != slot:
+                raise RuleParseError(f"slot {slot} does not match @{fn.name}")
+    try:
+        _check_extents(prog, module)
+    except RuleGenError as e:
+        raise RuleParseError(str(e))
+    if type(prog.max_len) is not int or prog.max_len < 1:
+        raise RuleParseError(f"maxLen {prog.max_len!r} is not a positive integer")
 
 
 # ---------------------------------------------------------------------------
@@ -204,53 +175,80 @@ def _q(value) -> str:
     return json.dumps(value) if type(value) is float else _dumps(value)
 
 
+def _slot_text(slot: SlotRef, pad: str) -> str:
+    """`slot.to_json()` as the indented encoder writes it where the
+    object's keys sit at indent `pad`."""
+    root = (f'\n{pad}"index": {_q(slot.index)},' if slot.kind == "param" else
+            f'\n{pad}"name": {_q(slot.name)},' if slot.kind == "global" else "")
+    path = "[]" if not slot.field_path else "[\n" + ",\n".join(
+        f"{pad}  {_q(f)}" for f in slot.field_path) + f"\n{pad}]"
+    return (f'{{\n{pad}"kind": {_q(slot.kind)},{root}\n'
+            f'{pad}"type": {_q(_type_text(slot.ty))},\n'
+            f'{pad}"fieldPath": {path}\n{pad[2:]}}}')
+
+
 def serialize_rules(prog: TaintRuleProgram) -> str:
     """The text `json.dumps(doc, indent=2) + "\\n"` gives for the document
-    of `prog` (its steps as `RuleStep.to_json` writes them), written directly
-    because that encoder runs in pure Python."""
-    steps = []
-    for s in prog.steps:
-        slot = s.slot
-        root = (f'\n        "index": {_q(slot.index)},' if slot.kind == "param" else
-                f'\n        "name": {_q(slot.name)},' if slot.kind == "global" else "")
-        path = "[]" if not slot.field_path else "[\n" + ",\n".join(
-            "          " + _q(f) for f in slot.field_path) + "\n        ]"
-        extent = ""
-        if s.nbytes is not None:
-            extent += f',\n      "bytes": {_q(s.nbytes)}'
-        if s.max_len is not None:
-            extent += f',\n      "maxLen": {_q(s.max_len)}'
-        steps.append(f'    {{\n      "op": {_q(s.op)},\n      "slot": {{\n'
-                     f'        "kind": {_q(slot.kind)},{root}\n'
-                     f'        "type": {_q(_type_text(slot.ty))},\n'
-                     f'        "fieldPath": {path}\n      }},\n'
-                     f'      "entry": {_q(s.entry)}{extent}\n    }}')
-    body = "[\n" + ",\n".join(steps) + "\n  ]" if steps else "[]"
+    of `prog` (its entries as `Summary.to_json` writes them), written
+    directly because that encoder runs in pure Python."""
+    entries = []
+    for out, ins in prog.entries:
+        ins_text = "[]" if not ins else "[\n" + ",\n".join(
+            "        " + _slot_text(s, " " * 10) for s in ins) + "\n      ]"
+        entries.append(f'    {{\n      "out": {_slot_text(out, " " * 8)},\n'
+                       f'      "ins": {ins_text}\n    }}')
+    body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
     return (f'{{\n  "v": {_q(SCHEMA_VERSION)},\n  "function": {_q(prog.function)},\n'
-            f'  "controlDeps": {_q(prog.control_deps)},\n  "steps": {body}\n}}\n')
+            f'  "controlDeps": {_q(prog.control_deps)},\n  "maxLen": {_q(prog.max_len)},\n'
+            f'  "entries": {body}\n}}\n')
+
+
+_JSON_TYPES = {bool: "a boolean", int: "an integer", str: "a string",
+               list: "a list", dict: "an object"}
+
+
+def _field(obj, key: str, kind: type):
+    """obj[key] of a rule JSON object, which must hold a JSON value of
+    Python type `kind`; JSON `true` is no integer."""
+    if type(obj) is not dict or key not in obj:
+        raise RuleParseError(f"rule JSON has no field {key!r}")
+    if type(obj[key]) is not kind:
+        raise RuleParseError(f"rule JSON field {key!r} is not {_JSON_TYPES[kind]}")
+    return obj[key]
+
+
+def _slot(obj) -> SlotRef:
+    """The slot `SlotRef.to_json` wrote as `obj`."""
+    kind = _field(obj, "kind", str)
+    root = ({"index": _field(obj, "index", int)} if kind == "param" else
+            {"name": _field(obj, "name", str)} if kind == "global" else {})
+    path = _field(obj, "fieldPath", list)
+    try:
+        ty = parse_type_text(_field(obj, "type", str))
+    except ValueError as e:
+        raise RuleParseError(str(e))
+    return SlotRef(kind, ty=ty, field_path=tuple(path), **root)
 
 
 def parse_rules(text: str) -> TaintRuleProgram:
+    """The program of a rule file; RuleParseError unless the text is a v2
+    document whose every field has its JSON type."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise RuleParseError(f"malformed rule JSON at byte offset {e.pos}: {e.msg}")
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         raise RuleParseError("rule JSON is not an object")
-    if doc.get("v") != SCHEMA_VERSION:
+    v = doc.get("v")
+    if type(v) is not int or v != SCHEMA_VERSION:
         raise RuleParseError(
-            f"unsupported rule schema version {doc.get('v')!r},"
-            f" expected {SCHEMA_VERSION}")
-    if not isinstance(doc.get("function"), str):
-        raise RuleParseError("rule JSON has no function name")
-    try:
-        steps = tuple(RuleStep.from_json(s) for s in doc["steps"])
-        return TaintRuleProgram(doc["function"], steps,
-                                doc.get("controlDeps", False))
-    except (KeyError, TypeError) as e:
-        raise RuleParseError(f"rule JSON missing field: {e}")
-    except ValueError as e:
-        raise RuleParseError(str(e))
+            f"unsupported rule schema version {v!r}, expected {SCHEMA_VERSION}")
+    entries = []
+    for entry in _field(doc, "entries", list):
+        entries.append((_slot(_field(entry, "out", dict)),
+                        tuple(map(_slot, _field(entry, "ins", list)))))
+    return TaintRuleProgram(_field(doc, "function", str), tuple(entries),
+                            _field(doc, "controlDeps", bool), _field(doc, "maxLen", int))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +276,7 @@ def rule_stats(programs: Iterable[TaintRuleProgram] | Mapping[str, TaintRuleProg
     out = []
     for prog in progs:
         p2p = p2g = g2p = g2g = 0
-        for out_slot, in_slots in prog.decompiled_entries():
+        for out_slot, in_slots in prog.entries:
             out_is_g = out_slot.kind == "global"
             in_kinds = {s.kind for s in in_slots}
             if "param" in in_kinds or "ret" in in_kinds:

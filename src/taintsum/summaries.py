@@ -19,7 +19,7 @@ from .ir import (
     Module, Ptr, Store, StructDecl, StructRef, Temp, Type, VOID,
     field_path_offset, is_prim_type, is_struct_like, type_str,
 )
-from .parser import parse_type_text, print_module
+from .parser import print_module
 from .pdg import Pdg, PdgError, build_pdg, included_functions
 
 
@@ -87,12 +87,6 @@ class SlotRef:
         out["type"] = type_str(self.ty)
         out["fieldPath"] = list(self.field_path)
         return out
-
-    @staticmethod
-    def from_json(d: dict) -> "SlotRef":
-        return SlotRef(d["kind"], d.get("index"), d.get("name"),
-                       parse_type_text(d["type"]),
-                       tuple(d.get("fieldPath", ())))
 
 
 @dataclass

@@ -35,10 +35,7 @@ from .ir import (
     Type, Void, align_of, align_up, field_offset, field_path_offset, size_of,
     validate_module,
 )
-from .rules import (
-    DEFAULT_STRING_CAP, READ_OUT, SET_FIXED, SET_STRING, RuleGenError,
-    TaintRuleProgram, slot_extent,
-)
+from .rules import DEFAULT_STRING_CAP, RuleGenError, TaintRuleProgram, slot_extent
 from .summaries import SlotRef
 
 _PAGE_SHIFT = 12
@@ -1066,14 +1063,18 @@ class Image:
         return code
 
     def bound(self, prog: TaintRuleProgram) -> tuple:
-        """`prog`'s steps as (entry, op, kind, where, offset, nbytes, max_len),
-        kind "ret", "nu" (by-value scalar argument `where`), "arg" (memory
-        behind pointer argument `where`, plus `offset`) or "mem" (at `offset`)."""
+        """`prog`'s cost, `len(prog.steps)`, and each entry as its regions,
+        the ins' and then the out's, each (kind, where, offset, nbytes): kind
+        "ret", "nu" (by-value scalar argument `where`), "arg" (memory behind
+        pointer argument `where`, plus `offset`) or "mem" (at `offset`);
+        `nbytes` is the slot's extent, None for a string scanned at
+        application time."""
         hit = self._bound.get(prog.function)
         if hit is None or hit[0] is not prog:
-            module, steps = self.module, []
-            for step in prog.steps:
-                slot, where, off = step.slot, step.slot.index, 0
+            module = self.module
+
+            def region(slot: SlotRef) -> tuple:
+                where, off = slot.index, 0
                 if slot.kind == "ret":
                     kind = "ret"
                 elif slot.kind == "global":
@@ -1086,10 +1087,11 @@ class Image:
                     kind = "nu"
                 if slot.field_path:
                     off += field_path_offset(base_ty, slot.field_path, module.structs)[0]
-                op = {READ_OUT: "read", SET_FIXED: "set", SET_STRING: "set"}.get(step.op, "gather")
-                steps.append((step.entry, op, kind, where, off, step.nbytes, step.max_len))
-            hit = self._bound[prog.function] = (prog, tuple(steps))
-        return hit[1]
+                return kind, where, off, slot_extent(slot, module)[1]
+
+            entries = tuple((*map(region, ins), region(out)) for out, ins in prog.entries)
+            hit = self._bound[prog.function] = (prog, len(prog.steps), entries)
+        return hit[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -1318,36 +1320,31 @@ class Machine:
 # ---------------------------------------------------------------------------
 
 def apply_rule_program(prog: TaintRuleProgram, arg_record, machine: Machine) -> None:
-    """Execute a compiled rule program, bound to the machine's image,
-    against the shadow state using the argument values recorded at call
-    entry.  Each region covers the step's `nbytes`, or the string scanned at
-    application time up to `max_len`; a null pointer makes its step a no-op."""
-    steps, tagmap, current = machine.image.bound(prog), machine.tagmap, -1
-    machine.shadow_ops_rules += len(steps)
-    for entry, op, kind, where, off, nbytes, max_len in steps:
-        if entry != current:
-            current, acc, out_tag = entry, 0, 0
-        if kind == "arg" or kind == "mem":
-            addr = off
-            if kind == "arg":
-                if arg_record[where][0] == 0:
-                    continue
-                addr += arg_record[where][0]
-            n = nbytes if nbytes is not None else machine.scan_string(addr, max_len)
-            if op == "set":
-                tagmap.set_taint(addr, out_tag | acc, n)
-                continue
-            tag = tagmap.get_taint(addr, n)
-        elif op == "set":       # by-value scalars have no caller-visible cell
-            if kind == "ret":
-                machine.ret_shadow = bytes([out_tag | acc]) * nbytes
-            continue
-        else:
-            tag = _fold(machine.ret_shadow if kind == "ret" else arg_record[where][1])
-        if op == "read":
-            out_tag = tag
-        else:
-            acc |= tag
+    """Execute a rule program, bound to the machine's image, against the
+    shadow state using the argument values recorded at call entry: each
+    entry ORs the tags of its in-regions and then of its out-region, and
+    sets the out-region to the result.  A region covers its slot's extent,
+    or the string scanned at application time up to `max_len`; a null
+    pointer's region, like a by-value scalar's, covers no memory."""
+    cost, entries = machine.image.bound(prog)
+    tagmap, cap = machine.tagmap, prog.max_len
+    machine.shadow_ops_rules += cost
+    for regions in entries:
+        acc = 0
+        for kind, where, addr, nbytes in regions:
+            n = 0       # bytes of memory the region covers
+            if kind == "nu" or kind == "ret":
+                acc |= _fold(arg_record[where][1] if kind == "nu" else machine.ret_shadow)
+            elif kind == "mem" or arg_record[where][0] != 0:
+                if kind == "arg":
+                    addr += arg_record[where][0]
+                n = nbytes if nbytes is not None else machine.scan_string(addr, cap)
+                acc |= tagmap.get_taint(addr, n)
+        # the loop ended on the out's region
+        if kind == "ret":
+            machine.ret_shadow = bytes([acc]) * nbytes
+        elif n:
+            tagmap.set_taint(addr, acc, n)
 
 
 # ---------------------------------------------------------------------------

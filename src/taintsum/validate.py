@@ -303,7 +303,7 @@ class NIReport:
 
 def _high_roots(entries, tainted_param: int) -> set[tuple]:
     """Transitive closure of slots that may carry the tainted label after
-    the call, over a rule program's decompiled `entries`: the tainted slot
+    the call, over a rule program's `entries`: the tainted slot
     itself plus every entry output whose inputs intersect the closure
     (rules only ever add tag bits)."""
     def root(slot) -> tuple:
@@ -342,8 +342,8 @@ def noninterference_check(
         raise HarnessError(f"@{fn_name} has no parameter to taint")
     choices: list[int] = []
     violations: list[NIViolation] = []
-    nparams, entries = len(fn.params), prog.decompiled_entries()
-    highs = [_high_roots(entries, p) for p in range(nparams)]
+    nparams = len(fn.params)
+    highs = [_high_roots(prog.entries, p) for p in range(nparams)]
     image = Image(module, mem_size=mem_size)
     m_a, m_b = Machine(image), Machine(image)
     for t in range(trials):

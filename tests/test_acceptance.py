@@ -17,9 +17,6 @@ from taintsum import (
     Machine, TaintConfig, build_pdg, corpus, run, taint_rule_gen,
 )
 from taintsum.ir import CHAR, I32
-from taintsum.rules import (
-    GATHER_FIXED, GATHER_STRING, READ_OUT, SET_FIXED, SET_STRING,
-)
 from taintsum.summaries import (
     flatten_prim_types, source_nodes, summarize_library, summary_gen,
     target_nodes,
@@ -29,6 +26,7 @@ from taintsum.validate import (
     bench, noninterference_check, oracle_compare, transparency_check,
     transparency_check_fn,
 )
+from test_rules import bound_shapes
 
 TRIALS = 100
 CORPUS_FNS = tuple(sorted(corpus.DRIVERS))          # 9 library functions
@@ -167,23 +165,14 @@ def test_criterion_7_algorithmic_fixtures(libcorpus, lib_summaries,
     assert entries(stu) == {"@stu.id": ["param0.id"],
                             "@stu.score": ["param0.score"]}
 
-    # rule programs compiled from the frozen summaries
-    def shapes(prog):
-        return [(s.op, str(s.slot)) for s in prog.steps]
-
+    # rule programs compiled from the frozen summaries, with the extents
+    # an image binds: (slot, bytes) per out and in, None for a string
     mem_prog = taint_rule_gen(lib_summaries["memcpy"], libcorpus)
-    assert shapes(mem_prog) == [
-        (GATHER_STRING, "param1"), (READ_OUT, "param0"), (SET_STRING, "param0"),
-        (GATHER_STRING, "param0"), (READ_OUT, "ret"), (SET_FIXED, "ret"),
-    ]
+    assert bound_shapes(mem_prog, libcorpus) == [
+        (("param0", None), [("param1", None)]), (("ret", 8), [("param0", None)])]
     stu_prog = taint_rule_gen(lib_summaries["student_cpy"], libcorpus)
-    assert shapes(stu_prog) == [
-        (GATHER_FIXED, "param0.id"), (READ_OUT, "@stu.id"),
-        (SET_FIXED, "@stu.id"),
-        (GATHER_FIXED, "param0.score"), (READ_OUT, "@stu.score"),
-        (SET_FIXED, "@stu.score"),
-    ]
-    assert [s.nbytes for s in stu_prog.steps] == [8, 8, 8, 4, 4, 4]
+    assert bound_shapes(stu_prog, libcorpus) == [
+        (("@stu.id", 8), [("param0.id", 8)]), (("@stu.score", 4), [("param0.score", 4)])]
     report("7 algorithmic fixtures",
            "flatten/source/target/summary/rules match frozen goldens")
 

@@ -221,7 +221,7 @@ class TestBadRuleFiles:
         rules = workdir / "r"
         assert main(["rules", str(workdir / "corpus" / "libcorpus.ir"),
                      "--out", str(rules)]) == 0
-        (rules / "memcpy.rules.json").write_text('{"v": 1, "steps": [')
+        (rules / "memcpy.rules.json").write_text('{"v": 2, "entries": [')
         return rules
 
     def _assert_diagnostic(self, rc, capsys, rules):
@@ -260,11 +260,39 @@ class TestBadRuleFiles:
 
     def test_rule_slot_with_bad_type(self, workdir, bad_rules, capsys):
         good = json.loads((bad_rules / "strcpy_a.rules.json").read_text())
-        good["steps"][0]["slot"]["type"] = "ptr(char"
+        good["entries"][0]["out"]["type"] = "ptr(char"
         (bad_rules / "memcpy.rules.json").write_text(json.dumps(good))
         rc = main(["bench", str(workdir / "corpus" / "bench_memcpy.ir"),
                    "--args", "16", "--rules", str(bad_rules)])
         self._assert_diagnostic(rc, capsys, bad_rules)
+
+
+class TestDeeplyNestedTypes:
+    """A type nested 3000 deep is a diagnostic and exit 1, in an IR module
+    and in a rule file, not a RecursionError traceback."""
+
+    DEPTH = 3000
+
+    def test_parameter_type_in_ir(self, workdir, capsys):
+        deep = workdir / "deep.ir"
+        deep.write_text(f"fn @f(%p: {'ptr(' * self.DEPTH}i32{')' * self.DEPTH}) -> void"
+                        " library {\nentry:\n  ret\n}\n")
+        assert main(["rules", str(deep), "--out", str(workdir / "r")]) == 1
+        err = capsys.readouterr().err
+        assert f"{deep}:1:11: type nested too deeply" in err and "Traceback" not in err
+
+    def test_slot_type_in_a_rule_file(self, workdir, capsys):
+        lib, rules = str(workdir / "corpus" / "libcorpus.ir"), workdir / "r"
+        assert main(["rules", lib, "--out", str(rules)]) == 0
+        path = rules / "memcpy.rules.json"
+        doc = json.loads(path.read_text())
+        doc["entries"][0]["out"]["type"] = "ptr(" * self.DEPTH
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["--trials", "2", "compare", lib, "--rules", str(rules)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: bad type 'ptr(")
+        assert err.endswith("': type nested too deeply\n") and "Traceback" not in err
 
 
 class TestBadTaintConfig:
@@ -358,8 +386,7 @@ class TestRuleFilesCheckedAgainstModule:
 
     def _edit(self, path, change):
         doc = json.loads(path.read_text())
-        for step in doc["steps"]:
-            change(step)
+        change(doc)
         path.write_text(json.dumps(doc))
 
     def _run_hybrid(self, workdir, rules):
@@ -374,33 +401,36 @@ class TestRuleFilesCheckedAgainstModule:
         assert f"error: {path}: " in err
 
     def test_gather_index_beyond_arity(self, workdir, sf_rules, capsys):
-        def retarget(step):
-            if step["op"].startswith("gather") and step["slot"]["kind"] == "param":
-                step["slot"]["index"] = 7
+        def retarget(doc):
+            for slot in (s for e in doc["entries"] for s in e["ins"]):
+                if slot["kind"] == "param":
+                    slot["index"] = 7
         for p in sf_rules.glob("*.rules.json"):
             self._edit(p, retarget)
         rc = self._run_hybrid(workdir, sf_rules)
         self._assert_diagnostic(rc, capsys, sf_rules / "memcpy.rules.json")
 
     def test_edited_fixed_extent(self, workdir, sf_rules, capsys):
-        def widen(step):
-            if "bytes" in step:
-                step["bytes"] += 1
+        # a slot's extent follows from its type: widen the score field
+        def widen(doc):
+            for slot in (s for e in doc["entries"] for s in (e["out"], *e["ins"])):
+                if slot["type"] == "i32":
+                    slot["type"] = "i64"
         self._edit(sf_rules / "student_cpy.rules.json", widen)
         rc = self._run_hybrid(workdir, sf_rules)
         self._assert_diagnostic(rc, capsys, sf_rules / "student_cpy.rules.json")
 
     def test_zero_string_cap(self, workdir, sf_rules, capsys):
-        def zero(step):
-            if "maxLen" in step:
-                step["maxLen"] = 0
+        def zero(doc):
+            doc["maxLen"] = 0
         self._edit(sf_rules / "memcpy.rules.json", zero)
         rc = self._run_hybrid(workdir, sf_rules)
         self._assert_diagnostic(rc, capsys, sf_rules / "memcpy.rules.json")
 
     def test_rules_for_a_non_library_function(self, workdir, sf_rules, capsys):
         (sf_rules / "main.rules.json").write_text(
-            json.dumps({"v": 1, "function": "main", "steps": []}))
+            json.dumps({"v": 2, "function": "main", "controlDeps": True, "maxLen": 64,
+                        "entries": []}))
         rc = self._run_hybrid(workdir, sf_rules)
         self._assert_diagnostic(rc, capsys, sf_rules / "main.rules.json")
 

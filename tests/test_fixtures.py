@@ -7,7 +7,7 @@ import pytest
 
 from taintsum import Machine, corpus, parse_module, summarize_library, taint_rule_gen
 from taintsum.corpus import BufArg, IntArg
-from taintsum.rules import GATHER_FIXED, SET_FIXED
+from taintsum.tracker import Image
 from taintsum.validate import noninterference_check, oracle_compare
 
 
@@ -60,11 +60,14 @@ class TestGlobalInputs:
         assert entries_as_strs(summaries["scale_limit"]) == {
             "ret": ["@settings.limit", "param0"]}
 
-    def test_rule_gathers_global_storage(self, greader_rules):
-        steps = greader_rules["read_limit"].steps
-        assert [s.op for s in steps] == [GATHER_FIXED, "read_out", SET_FIXED]
-        assert str(steps[0].slot) == "@settings.limit"
-        assert steps[0].nbytes == 4
+    def test_rule_gathers_global_storage(self, greader, greader_rules):
+        prog = greader_rules["read_limit"]
+        assert [(str(out), [str(s) for s in ins]) for out, ins in prog.entries] == [
+            ("ret", ["@settings.limit"])]
+        image = Image(greader)
+        # the field's four bytes at offset 8 of the global
+        assert image.bound(prog) == (3, ((("mem", None, image.global_addr["settings"] + 8, 4),
+                                          ("ret", None, 0, 4)),))
 
     def test_tainted_global_reaches_return_in_both_modes(self, greader,
                                                          greader_rules):
@@ -214,8 +217,7 @@ class TestUnionHandling:
             "param0.as_int": ["param1.as_int"]}
         prog = taint_rule_gen(summaries["word_cpy"], m)
         # union members live at offset zero with the member's size
-        sets = [s for s in prog.steps if s.op == SET_FIXED]
-        assert sets[0].nbytes == 4
+        assert Image(m).bound(prog) == (3, ((("arg", 1, 0, 4), ("arg", 0, 0, 4)),))
 
     def test_union_rules_apply_at_offset_zero(self, ):
         m = parse_module(UNION_PIPE)

@@ -12,7 +12,6 @@ import random
 import re
 import struct
 import weakref
-from itertools import compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,17 +25,14 @@ from taintsum.ir import (
     GlobalRef, Int, Jmp, Load, Ptr, Ret, Store, StructDecl, StructRef, Temp, Void,
     align_of, field_offset, field_path_offset, size_of,
 )
-from taintsum.rules import (
-    GATHER_FIXED, GATHER_STRING, READ_OUT, SET_FIXED, SET_STRING,
-    compile_library,
-)
+from taintsum.rules import compile_library
 from taintsum.tracker import (
     DEFAULT_MEMORY, GLOBALS_BASE, MAX_FRAMES, PAGE, Image, Memory, RunReport, SinkHit,
     SinkSpec, SourceSpec, Tagmap, _Frame, _Writer, _kind, _resize_vec, _wrap,
 )
 from taintsum.validate import build_plan, materialize_plan
 from test_ir import _straightline_function
-from test_rules import random_shadow_state, rule_modules
+from test_rules import bound_shapes, random_shadow_state, rule_modules
 
 
 class TestTagmapAlgebra:
@@ -489,9 +485,9 @@ def _fold(vec):
 
 def _reference_region(machine, fn_name, slot, arg_record):
     """Slot resolution that re-derives each extent from the module on every
-    step: ("mem", (addr, size-or-None)), ("nu", argindex) or ("ret", None);
-    None for a null pointer or an unresolvable slot.  A size of None marks
-    a string extent scanned at application time."""
+    application: ("mem", (addr, size-or-None)), ("nu", argindex) or ("ret",
+    None); None for a null pointer or an unresolvable slot.  A size of None
+    marks a string extent scanned at application time."""
     structs = machine.module.structs
     if slot.kind == "ret":
         return ("ret", None)
@@ -526,61 +522,43 @@ def _reference_region(machine, fn_name, slot, arg_record):
     return ("nu", slot.index)
 
 
+def _reference_tag(machine, loc, arg_record, cap):
+    """The tag a resolved slot holds now; 0 for None."""
+    if loc is None:
+        return 0
+    kind, payload = loc
+    if kind == "nu":
+        return _fold(arg_record[payload][1])
+    if kind == "ret":
+        return _fold(machine.ret_shadow)
+    addr, sz = payload
+    return machine.tagmap.get_taint(addr, machine.scan_string(addr, cap) if sz is None else sz)
+
+
 def reference_apply(prog, arg_record, machine):
-    """Rule application with per-step extents taken from the slot types,
-    kept as the oracle for `apply_rule_program`, which takes them from the
-    step."""
-    acc = 0
-    out_tag = 0
-    current_entry = -1
-    for step in prog.steps:
-        if step.entry != current_entry:
-            current_entry = step.entry
-            acc = 0
-            out_tag = 0
-        machine.shadow_ops_rules += 1
-        loc = _reference_region(machine, prog.function, step.slot, arg_record)
-        if loc is None:
-            continue
-        kind, payload = loc
-        if step.op in (GATHER_FIXED, GATHER_STRING):
-            if kind == "nu":
-                acc |= _fold(arg_record[payload][1])
-            elif kind == "ret":
-                acc |= _fold(machine.ret_shadow)
-            else:
-                addr, sz = payload
-                if sz is None or step.op == GATHER_STRING:
-                    sz = machine.scan_string(addr, step.max_len
-                                             or machine.default_len)
-                acc |= machine.tagmap.get_taint(addr, sz)
-        elif step.op == READ_OUT:
-            if kind == "ret":
-                out_tag = _fold(machine.ret_shadow)
-            elif kind == "nu":
-                out_tag = _fold(arg_record[payload][1])
-            else:
-                addr, sz = payload
-                if sz is None or step.max_len is not None:
-                    sz = machine.scan_string(addr, step.max_len
-                                             or machine.default_len)
-                out_tag = machine.tagmap.get_taint(addr, sz)
-        elif step.op in (SET_FIXED, SET_STRING):
-            tag = out_tag | acc
-            if kind == "ret":
-                w = step.nbytes if step.nbytes is not None else len(machine.ret_shadow)
-                machine.ret_shadow = bytes([tag]) * w
-            elif kind == "mem":
-                addr, sz = payload
-                if sz is None or step.op == SET_STRING:
-                    sz = machine.scan_string(addr, step.max_len
-                                             or machine.default_len)
-                machine.tagmap.set_taint(addr, tag, sz)
+    """Rule application with extents taken from the slot types on every
+    application, kept as the oracle for `apply_rule_program`, which takes
+    them from the program its image bound."""
+    for out, ins in prog.entries:
+        machine.shadow_ops_rules += len(ins) + 2    # each in, the out's read and set
+        acc = 0
+        for slot in ins:
+            acc |= _reference_tag(machine, _reference_region(machine, prog.function, slot,
+                                                             arg_record), arg_record, prog.max_len)
+        loc = _reference_region(machine, prog.function, out, arg_record)
+        tag = _reference_tag(machine, loc, arg_record, prog.max_len) | acc
+        if loc is not None and loc[0] == "ret":
+            w = 8 if isinstance(out.ty, Ptr) else size_of(out.ty, machine.module.structs)
+            machine.ret_shadow = bytes([tag]) * w
+        elif loc is not None and loc[0] == "mem":
+            addr, sz = loc[1]
+            machine.tagmap.set_taint(addr, tag, machine.scan_string(addr, prog.max_len)
+                                     if sz is None else sz)
 
 
 class TestRuleApplicationOracle:
     def test_matches_reference_on_random_shadow_states(self):
-        """Step-carried extents give the same shadow state as extents
+        """Extents the image binds give the same shadow state as extents
         re-derived from the module, for every corpus and fixture program
         (control deps on and off, string caps 1 and 64), with some null
         pointer arguments and a random return shadow."""
@@ -1902,98 +1880,6 @@ class TestMachineLifetime:
         assert ("memcpy", False) in image.code and ("memcpy", True) in image.code
 
 
-@functools.cache
-def _reset_image(name: str) -> Image:
-    module = corpus.load_module(name)
-    return Image(module, compile_library(module)[0], 1 << 20)
-
-
-def _reset_trial(module, entry: str, seed: int, wild: bool):
-    """One trial as a function of the machine it runs on, drawn from
-    `seed`: a libcorpus function on its driver's plan, or a corpus
-    program's entry on an argument below 64, with a random subset of the
-    arguments tagged; `wild` makes the first argument a random 64-bit
-    value, which may trap.  The trial returns the exit value or the trap."""
-    rng = random.Random(seed)
-    plan = build_plan(module, entry, rng) if entry in corpus.DRIVERS else None
-    nparams = len(module.functions[entry].params)
-    small, tagged = rng.randrange(64), [rng.random() < 0.5 for _ in range(nparams)]
-    wild_arg = rng.getrandbits(64) if wild and plan else None
-
-    def go(m):
-        args, regions = (materialize_plan(m, plan) if plan else
-                         ([small] * nparams, [None] * nparams))
-        tags = [None] * nparams
-        for i in compress(range(nparams), tagged):
-            if regions[i] is None:
-                tags[i] = bytes([1 << i]) * 8
-            else:
-                m.tagmap.set_taint(regions[i][0], 1 << i, regions[i][1])
-        if wild_arg is not None:
-            args[0] = wild_arg
-        try:
-            return m.call_entry(entry, args, tags)
-        except MachineTrap as e:
-            return e.kind, e.instr
-    return go
-
-
-def _run_state(m) -> dict:
-    """Every field of `m` but its memory and Tagmap, with the counters."""
-    return {k: v for k, v in vars(m).items() if k not in ("memory", "tagmap")}
-
-
-# a source and a sink inside rule-firing calls of libcorpus and student_flow
-RESET_CFG = TaintConfig.from_json({
-    "sources": [{"fn": "memcpy", "where": "param", "index": 0, "label": 2},
-                {"fn": "student_cpy", "where": "param", "index": 0, "label": 4}],
-    "sinks": [{"fn": "memcpy", "index": 1}]})
-RESET_ENTRIES = ([("libcorpus", fn) for fn in sorted(corpus.DRIVERS)]
-                 + [(name, "main") for name in ("student_flow", "bench_memcpy", "bench_user")])
-
-
-class TestReset:
-    """`Machine.reset` returns a machine, after any run, to the state a
-    fresh one of its image, mode and config starts in."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from(RESET_ENTRIES), st.integers(0, 2 ** 32), st.booleans(),
-           st.sampled_from(("instr", "hybrid")), BUDGETS, st.sampled_from((None, RESET_CFG)))
-    def test_reset_machine_equals_a_fresh_one(self, entry, seed, wild, mode, budget, cfg):
-        image = _reset_image(entry[0])
-        kw = dict(mode=mode, taint_config=cfg, **_budget(budget))
-        trial = _reset_trial(image.module, entry[1], seed, wild)
-        m = Machine(image, **kw)
-        first = trial(m)
-        m.reset()
-        fresh = Machine(image, **kw)
-        initial = bytearray(image.mem_size)
-        for addr, init in image.inits:
-            initial[addr:addr + len(init)] = init
-        assert bytes(m.memory) == bytes(fresh.memory) == initial and m.memory == fresh.memory
-        assert m.memory.dirty == fresh.memory.dirty
-        assert m.tagmap.pages == fresh.tagmap.pages == {}
-        assert _run_state(m) == _run_state(fresh)
-        assert trial(m) == trial(fresh) == first
-        assert bytes(m.memory) == bytes(fresh.memory)
-        assert m.tagmap.pages == fresh.tagmap.pages
-        assert _run_state(m) == _run_state(fresh)
-
-    def test_counters_and_fields_after_a_trap(self):
-        """A run cut by its step budget leaves frames, counters and a
-        lowered `live` behind; reset restores every one of them."""
-        image = _reset_image("libcorpus")
-        m = Machine(image, mode="hybrid", step_budget=30)
-        trial = _reset_trial(image.module, "copy_twice", 0, False)
-        assert trial(m)[0] == "step budget exhausted"
-        assert m._frames and not m.live and m.instr_total and m.instr_unins
-        m.reset()
-        assert (m._frames, m.live, m.instr_total, m.instr_unins, m.shadow_ops_instr,
-                m.shadow_ops_rules, m.sink_hits, m.ret_shadow, m.exit_value,
-                m._unins_from) == ([], True, 0, 0, 0, 0, [], b"", 0, 0)
-        assert (m.heap_ptr, m.stack_ptr) == (image.heap_start, image.mem_size)
-
-
 LAYOUT = """\
 global @pad : [{pad} x char]
 global @buf : [4 x i64]
@@ -2589,8 +2475,9 @@ class TestStringExtentsAtReturn:
     def _run(self, fn, d_text, s_text, s_tags):
         m = parse_module(MOVES_NUL)
         rules, _ = compile_library(m)
-        ops = [(s.op, str(s.slot)) for s in rules[fn].steps]
-        assert (GATHER_STRING, "param1") in ops and (SET_STRING, "param0") in ops
+        # param0 <- param1, both scanned strings (a size of None)
+        assert any(out == ("param0", None) and ("param1", None) in ins
+                   for out, ins in bound_shapes(rules[fn], m))
         machine = Machine(m, mode="hybrid", rule_programs=rules, mem_size=1 << 16)
         d, s = machine.alloc(16), machine.alloc(16)
         machine.write_bytes(d, d_text)

@@ -140,23 +140,24 @@ class TestNoninterference:
         assert rep.violations == ()
         assert len(rep.tainted_choices) == 50
 
-    def test_one_machine_pair_and_one_decompile_per_call(
+    def test_one_machine_pair_and_one_closure_per_call(
             self, libcorpus, lib_rules, monkeypatch):
         """A harness call builds its machines once and resets them between
-        trials; `nitest` decompiles the rule program once."""
-        made, decompiled = [], []
+        trials; `nitest` takes each parameter's high-root closure over the
+        rule program's entries once."""
+        made, closures = [], []
 
         class Counted(Machine):
             def __init__(self, image, **kw):
                 made.append(kw.get("mode", "instr"))
                 super().__init__(image, **kw)
-        decompile = TaintRuleProgram.decompiled_entries
+        high_roots = validate._high_roots
         monkeypatch.setattr(validate, "Machine", Counted)
-        monkeypatch.setattr(TaintRuleProgram, "decompiled_entries",
-                            lambda prog: decompiled.append(prog.function) or decompile(prog))
+        monkeypatch.setattr(validate, "_high_roots",
+                            lambda entries, p: closures.append(p) or high_roots(entries, p))
         ni = noninterference_check(libcorpus, "copy_twice", trials=12, seed=1,
                                    rule_programs=lib_rules)
-        assert made == ["instr", "instr"] and decompiled == ["copy_twice"]
+        assert made == ["instr", "instr"] and closures == [0, 1, 2, 3]
         oracle_compare(libcorpus, "copy_twice", trials=12, seed=1, rule_programs=lib_rules)
         assert made[2:] == ["instr", "hybrid"]
         monkeypatch.undo()
