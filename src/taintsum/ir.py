@@ -2,8 +2,10 @@
 instruction structure, and the well-formedness checker.
 
 Everything here is immutable after construction and safe to share between
-concurrent analysis workers.  Layout follows a single fixed x64-ish
-convention: pointers are 8 bytes, natural alignment is min(size, 8).
+concurrent analysis workers; a module's `Structs` only keeps each struct's
+layout once worked out, which working it out again reproduces.  Layout
+follows a single fixed x64-ish convention: pointers are 8 bytes, natural
+alignment is min(size, 8).
 """
 
 from __future__ import annotations
@@ -322,14 +324,46 @@ class Function:
 _empty_view = functools.partial(MappingProxyType, {})
 
 
+class Structs(Mapping[str, StructDecl]):
+    """A module's struct declarations, read-only, each with its size and
+    alignment (`layout`) worked out at its first use and kept: the
+    declarations never change, so neither do the layouts.  A struct that
+    has none is worked out again at each use, and fails again."""
+
+    __slots__ = ("_decls", "_layouts")
+
+    def __init__(self, decls: Mapping[str, StructDecl] = MappingProxyType({})):
+        self._decls, self._layouts = dict(decls), {}
+
+    def __getitem__(self, name: str) -> StructDecl:
+        return self._decls[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._decls)
+
+    def __len__(self) -> int:
+        return len(self._decls)
+
+    def layout(self, name: str) -> tuple[int, int]:
+        lay = self._layouts.get(name)
+        if lay is None:
+            lay = self._layouts[name] = _lay_out(self._decls[name], self)
+        return lay
+
+
 @dataclass(frozen=True)
 class Module:
     """`parse_module` gives it read-only views (`types.MappingProxyType`)
-    of its structs, globals and functions."""
+    of its globals and functions; its structs are always `Structs`, which
+    it makes of any other mapping."""
 
-    structs: Mapping[str, StructDecl] = field(default_factory=_empty_view)
+    structs: Mapping[str, StructDecl] = field(default_factory=Structs)
     globals: Mapping[str, GlobalDecl] = field(default_factory=_empty_view)
     functions: Mapping[str, Function] = field(default_factory=_empty_view)
+
+    def __post_init__(self):
+        if type(self.structs) is not Structs:
+            object.__setattr__(self, "structs", Structs(self.structs))
 
     def library_functions(self) -> list[Function]:
         return [f for f in self.functions.values() if f.is_library]
@@ -347,10 +381,27 @@ def align_up(n: int, a: int) -> int:
     return (n + a - 1) // a * a
 
 
+def _table(structs: Mapping[str, StructDecl]) -> Structs:
+    """`structs` as a `Structs`: a module's own, which keeps its layouts,
+    or one made for this call."""
+    return structs if type(structs) is Structs else Structs(structs)
+
+
+def _lay_out(decl: StructDecl, structs: Structs) -> tuple[int, int]:
+    """A struct's (size, alignment).  Fields get natural-alignment padding
+    between them and tail padding up to the struct's own alignment; a
+    union is the padded max of its members."""
+    a = max(align_of(ft, structs) for _, ft in decl.fields)
+    if decl.is_union:
+        return align_up(max(size_of(ft, structs) for _, ft in decl.fields), a), a
+    off = 0
+    for _, ft in decl.fields:
+        off = align_up(off, align_of(ft, structs)) + size_of(ft, structs)
+    return align_up(off, a), a
+
+
 def align_of(t: Type, structs: Mapping[str, StructDecl]) -> int:
-    if isinstance(t, Int):
-        return min(t.bits // 8, MAX_ALIGN)
-    if isinstance(t, Float):
+    if isinstance(t, (Int, Float)):
         return min(t.bits // 8, MAX_ALIGN)
     if isinstance(t, Char):
         return 1
@@ -359,21 +410,14 @@ def align_of(t: Type, structs: Mapping[str, StructDecl]) -> int:
     if isinstance(t, Array):
         return align_of(t.elem, structs)
     if isinstance(t, StructRef):
-        decl = structs[t.name]
-        return max(align_of(ft, structs) for _, ft in decl.fields)
+        return _table(structs).layout(t.name)[1]
     raise LayoutError(f"type {type_str(t)} has no alignment")
 
 
 def size_of(t: Type, structs: Mapping[str, StructDecl]) -> int:
-    """Byte size under the fixed layout convention.
-
-    Structs get natural-alignment padding between fields and tail padding
-    up to the struct's own alignment; unions are the padded max of their
-    members.  Void and function types have no size.
-    """
-    if isinstance(t, Int):
-        return t.bits // 8
-    if isinstance(t, Float):
+    """Byte size under the fixed layout convention (`_lay_out` for structs
+    and unions).  Void and function types have no size."""
+    if isinstance(t, (Int, Float)):
         return t.bits // 8
     if isinstance(t, Char):
         return 1
@@ -382,15 +426,7 @@ def size_of(t: Type, structs: Mapping[str, StructDecl]) -> int:
     if isinstance(t, Array):
         return t.length * size_of(t.elem, structs)
     if isinstance(t, StructRef):
-        decl = structs[t.name]
-        a = align_of(t, structs)
-        if decl.is_union:
-            sz = max(size_of(ft, structs) for _, ft in decl.fields)
-            return align_up(sz, a)
-        off = 0
-        for _, ft in decl.fields:
-            off = align_up(off, align_of(ft, structs)) + size_of(ft, structs)
-        return align_up(off, a)
+        return _table(structs).layout(t.name)[0]
     raise LayoutError(f"type {type_str(t)} is unsized")
 
 
@@ -400,7 +436,7 @@ def field_offset(decl: StructDecl, field_name: str,
     if decl.is_union:
         decl.field_type(field_name)  # raises on unknown field
         return 0
-    off = 0
+    off, structs = 0, _table(structs)
     for n, ft in decl.fields:
         off = align_up(off, align_of(ft, structs))
         if n == field_name:
@@ -414,7 +450,7 @@ def field_path_offset(base: Type, path: tuple[str, ...],
     """Resolve a field-name path against a struct (or pointer-to-struct)
     type; returns (byte offset, leaf field type)."""
     t = base.pointee if isinstance(base, Ptr) else base
-    off = 0
+    off, structs = 0, _table(structs)
     for name in path:
         if not isinstance(t, StructRef):
             raise LayoutError(f"field path {path} does not fit {type_str(base)}")

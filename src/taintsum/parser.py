@@ -229,9 +229,11 @@ class _Parser:
                     raise _LineError(f"expected a top-level declaration, got {head!r}")
             except _LineError as e:
                 self.error(e.message, line_no, _column(text, e.at))
+                if head == "fn" and "{" in toks:    # the body of a bad header
+                    next((rest for rest in self.rest if rest[2][0] == "}"), None)
         if self.diags:
             raise ParseError(self.diags)
-        return Module(MappingProxyType(self.structs), MappingProxyType(self.globals),
+        return Module(self.structs, MappingProxyType(self.globals),
                       MappingProxyType(self.functions))
 
     def _parse_struct(self, toks: list[str], line_no: int):

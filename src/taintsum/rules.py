@@ -237,6 +237,8 @@ def parse_rules(text: str) -> TaintRuleProgram:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise RuleParseError(f"malformed rule JSON at byte offset {e.pos}: {e.msg}")
+    except RecursionError:
+        raise RuleParseError("rule JSON nested too deeply") from None
     if type(doc) is not dict:
         raise RuleParseError("rule JSON is not an object")
     v = doc.get("v")

@@ -230,7 +230,10 @@ class TaintConfig:
     @staticmethod
     def load(path: str) -> "TaintConfig":
         with open(path, "r", encoding="utf-8") as fp:
-            return TaintConfig.from_json(json.load(fp))
+            try:
+                return TaintConfig.from_json(json.load(fp))
+            except RecursionError:      # a ValueError, like any bad JSON
+                raise ValueError("JSON nested too deeply") from None
 
     def check(self, module: Module) -> None:
         """Raises ValueError for a source or sink on a function the module
@@ -382,8 +385,7 @@ def _undefined(name: str) -> MachineTrap:
 # the Tagmap's one-page work inline; a one-byte access cannot cross a page,
 # and a one-byte unsigned load indexes the memory directly.  A promoted slot
 # (`_Writer.promote`), a scalar alloca that only its own loads and stores
-# use, keeps its value in the local `P_x` and its tag vector in `T_x`; a
-# store of a nonzero vector still makes the slot's absent Tagmap page.  Its
+# use, keeps its value in the local `P_x` and its tag vector in `T_x`.  Its
 # bytes are written back (`_spill`) before a call, a return and any other
 # access that overlaps the frame's promoted range [R_lo, R_hi), and read
 # back (`_fill`) after a call and such a store; a return then drops the
@@ -397,9 +399,8 @@ def _undefined(name: str) -> MachineTrap:
 # (`_Writer.cut`) and traps.  When a run raises, the line its innermost
 # generated frame stopped on gives the instructions that frame did not run
 # and the shadow ops it did not count.  A function's code is shared by every
-# image of its module (`_shared_code`), keyed by the identities of the module
-# and the function, since the parsed IR never changes.  The functions hold
-# no machine.
+# image of its module (`_Shared`), since the parsed IR never changes.  The
+# functions hold no machine.
 
 _SOURCE = "<taintsum function>"
 _MASK64 = 2 ** 64 - 1
@@ -416,12 +417,13 @@ _COUNT = object()      # where a segment's shadow count goes
 
 def _spill(m, c: str, a: int, value, vec: Optional[bytes] = None) -> None:
     """Writes a promoted slot back: its value, of struct format `c`, at `a`
-    and, when tracked, its tag vector.  A slot never crosses a page, and a
-    nonzero vector made its page when it was stored, so an absent page
-    keeps zeros."""
+    and, when tracked, its tag vector, which makes the slot's absent Tagmap
+    page only when it is nonzero.  A slot never crosses a page."""
     _STRUCTS[c].pack_into(m.memory, a, value)
     page = m.tagmap.pages.get(a >> _PAGE_SHIFT)
-    if vec is not None and page is not None:
+    if vec is not None and (page is not None or any(vec)):
+        if page is None:
+            page = m.tagmap.pages[a >> _PAGE_SHIFT] = bytearray(PAGE)
         page[a & PAGE - 1:(a & PAGE - 1) + len(vec)] = vec
 
 
@@ -783,13 +785,7 @@ class _Writer:
         x = self.val(ins.value, _kind(ins.ty), wrap_globals=True)
         if slot:
             p, t = _local("P", slot), _local("T", slot)
-            if not self.live:
-                return [f"{p} = {x}"]
-            g = self.vec(ins.value, w)      # a nonzero vector makes the page now
-            self.used.add("pages")
-            return [f"{p} = {x}", f"{t} = {g}"] + [
-                f"if {t} != _Z{w} and (q := {_local('v', slot)} >> {_PAGE_SHIFT})"
-                f" not in pages: pages[q] = bytearray({PAGE})"] * (g != f"_Z{w}")
+            return [f"{p} = {x}"] + [f"{t} = {self.vec(ins.value, w)}"] * self.live
         x, more = self.atom(x, "x")
         self.used.update(("mem", "dirty", "tm", "pages") if self.live else ("mem", "dirty"))
         lines += more + [self.check(a, w, ins), *self.overlap(a, w, ins, self.write_back),
@@ -999,46 +995,20 @@ _EMIT = {Alloca: _Writer.alloca, Load: _Writer.load, Store: _Writer.store,
          Gep: _Writer.gep, BinOp: _Writer.binop, Br: _Writer.br, Jmp: _Writer.jmp,
          Call: _Writer.call, Ret: _Writer.ret}
 
-# (id of module, id of function, live, mem_size) -> (module, code), least
-# recently used first.  An entry holds its module, and through it the
-# function, so neither id is reused while it lives; the parsed IR is
-# immutable, so an entry never goes stale.
-CODE_TABLE_SIZE = 256
-_code_table: dict[tuple, tuple] = {}
-
-
-def _shared_code(image: "Image", fn: Function, live: bool):
-    """`fn`'s code from the process-wide table, written on a miss."""
-    key = (id(image.module), id(fn), live, image.mem_size)
-    hit = _code_table.pop(key, None)
-    if hit is None:
-        hit = (image.module, _Writer(image, fn, live).code())
-    _code_table[key] = hit
-    while len(_code_table) > CODE_TABLE_SIZE:
-        del _code_table[next(iter(_code_table))]
-    return hit[1]
-
 
 # ---------------------------------------------------------------------------
 # The module image
 # ---------------------------------------------------------------------------
 
-class Image:
-    """What no run changes, built once and shared by every machine made from
-    it: the global layout, each function's compiled code and the rule
-    programs bound to the module.  It holds no machine, so a machine is
-    freed by reference counting while its image lives on.  Raises
-    ValueError when the globals reach past the lower half of `mem_size`,
-    which is the heap's."""
+class _Shared:
+    """What every image of one module shares, since the parsed IR never
+    changes: the global layout, each function's code by (name, tracked,
+    memory size), and by function name the last rule program bound, as
+    (program, cost, regions) (`bound`)."""
 
-    def __init__(self, module: Module,
-                 rule_programs: Optional[Mapping[str, TaintRuleProgram]] = None,
-                 mem_size: int = DEFAULT_MEMORY):
+    def __init__(self, module: Module):
         self.module = module
-        self.rules = dict(rule_programs or {})
-        self.mem_size = mem_size
-        self.global_addr: dict[str, int] = {}
-        self.inits: list[tuple[int, bytes]] = []    # copied into each memory
+        self.global_addr, self.inits = {}, []     # inits: copied into each memory
         addr, structs = GLOBALS_BASE, module.structs
         for g in module.globals.values():
             addr = align_up(addr, max(align_of(g.ty, structs), 1))
@@ -1046,52 +1016,83 @@ class Image:
             if g.init:
                 self.inits.append((addr, g.init))
             addr += size_of(g.ty, structs)
-        self.globals_end = addr
-        self.heap_start = align_up(addr, 16)
-        if self.heap_start > mem_size // 2:
-            raise ValueError(f"the globals need 0x{self.heap_start:x} bytes, more than"
-                             f" half of mem_size 0x{mem_size:x}")
-        # (function name, tracked) -> its code, taken from the shared table
-        # at the first frame that runs it
-        self.code: dict[tuple[str, bool], object] = {}
-        self._bound: dict[str, tuple[TaintRuleProgram, tuple]] = {}
-
-    def compiled(self, fn: Function, live: bool):
-        code = self.code.get((fn.name, live))
-        if code is None:
-            code = self.code[fn.name, live] = _shared_code(self, fn, live)
-        return code
+        self.globals_end, self.heap_start = addr, align_up(addr, 16)
+        self.code: dict[tuple[str, bool, int], object] = {}
+        self.bindings: dict[str, tuple] = {}
 
     def bound(self, prog: TaintRuleProgram) -> tuple:
-        """`prog`'s cost, `len(prog.steps)`, and each entry as its regions,
-        the ins' and then the out's, each (kind, where, offset, nbytes): kind
+        """`prog`'s cost, `len(prog.steps)`, and each entry as the regions of
+        its ins and then its out, each (kind, where, offset, nbytes): kind
         "ret", "nu" (by-value scalar argument `where`), "arg" (memory behind
         pointer argument `where`, plus `offset`) or "mem" (at `offset`);
-        `nbytes` is the slot's extent, None for a string scanned at
-        application time."""
-        hit = self._bound.get(prog.function)
+        `nbytes` is the slot's extent, None for a string scanned when
+        applied.  Another program of the function is bound anew."""
+        hit = self.bindings.get(prog.function)
         if hit is None or hit[0] is not prog:
             module = self.module
 
             def region(slot: SlotRef) -> tuple:
-                where, off = slot.index, 0
-                if slot.kind == "ret":
-                    kind = "ret"
-                elif slot.kind == "global":
+                where, off, kind = slot.index, 0, slot.kind
+                if kind == "global":
                     kind, off = "mem", self.global_addr[slot.name]
                     base_ty = module.globals[slot.name].ty
-                elif slot.field_path or isinstance(slot.ty, Ptr):
-                    kind = "arg"
+                elif kind == "param":
+                    kind = "arg" if slot.field_path or isinstance(slot.ty, Ptr) else "nu"
                     base_ty = module.functions[prog.function].params[where][1]
-                else:
-                    kind = "nu"
                 if slot.field_path:
                     off += field_path_offset(base_ty, slot.field_path, module.structs)[0]
                 return kind, where, off, slot_extent(slot, module)[1]
 
             entries = tuple((*map(region, ins), region(out)) for out, ins in prog.entries)
-            hit = self._bound[prog.function] = (prog, len(prog.steps), entries)
+            hit = self.bindings[prog.function] = (prog, len(prog.steps), entries)
         return hit[1:]
+
+
+# id of module -> its _Shared, least recently used first.  An entry holds
+# its module, so no id is reused while it lives.
+MODULE_TABLE_SIZE = 64
+_module_table: dict[int, _Shared] = {}
+
+
+def _shared(module: Module) -> _Shared:
+    """`module`'s entry in the process-wide table, made on a miss."""
+    hit = _module_table.pop(id(module), None) or _Shared(module)
+    _module_table[id(module)] = hit
+    while len(_module_table) > MODULE_TABLE_SIZE:
+        del _module_table[next(iter(_module_table))]
+    return hit
+
+
+class Image:
+    """What no run changes, shared by every machine made from it: the rule
+    programs, the memory size and its module's `_Shared`.  It holds no
+    machine, so a machine is freed by reference counting while its image
+    lives on.  Raises ValueError when the globals reach past the lower half
+    of `mem_size`, which is the heap's."""
+
+    def __init__(self, module: Module,
+                 rule_programs: Optional[Mapping[str, TaintRuleProgram]] = None,
+                 mem_size: int = DEFAULT_MEMORY):
+        shared = self.shared = _shared(module)
+        self.module, self.rules, self.mem_size = module, dict(rule_programs or {}), mem_size
+        self.global_addr, self.inits = shared.global_addr, shared.inits
+        self.globals_end, self.heap_start = shared.globals_end, shared.heap_start
+        if self.heap_start > mem_size // 2:
+            raise ValueError(f"the globals need 0x{self.heap_start:x} bytes, more than"
+                             f" half of mem_size 0x{mem_size:x}")
+        self.bound = shared.bound
+        # (function name, tracked) -> its code, taken from `shared` at the
+        # first frame that runs it
+        self.code: dict[tuple[str, bool], object] = {}
+
+    def compiled(self, fn: Function, live: bool):
+        code = self.code.get((fn.name, live))
+        if code is None:
+            key = (fn.name, live, self.mem_size)
+            code = self.shared.code.get(key) or self.shared.code.setdefault(
+                key, _Writer(self, fn, live).code())
+            self.code[fn.name, live] = code
+        return code
 
 
 # ---------------------------------------------------------------------------
@@ -1119,8 +1120,7 @@ class Machine:
             raise ValueError("an image fixes the rule programs and memory size")
         self.image, self.module, self.mode = image, image.module, mode
         self.cfg = taint_config or TaintConfig()
-        self.mem_size = image.mem_size
-        self.memory = Memory(image.mem_size)
+        self.mem_size, self.memory = image.mem_size, Memory(image.mem_size)
         self.global_addr, self.globals_end = image.global_addr, image.globals_end
         self.step_budget, self.default_len = step_budget, default_len
         self._sources, self._sinks = {}, {}

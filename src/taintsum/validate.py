@@ -9,11 +9,12 @@ reports are deterministic given (module, seed, trials).
 
 from __future__ import annotations
 
+import mmap
 import random
 import struct as _struct
 import time
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .corpus import BufArg, CountArg, CStringArg, DRIVERS, IntArg, StructPtrArg
 from .ir import (
@@ -35,8 +36,7 @@ class HarnessError(Exception):
 # Input plans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _PlanItem:
+class _PlanItem(NamedTuple):
     kind: str                       # "scalar" | "buffer"
     value: int = 0
     content: bytes = b""
@@ -50,80 +50,129 @@ def _int_bounds(ty: str) -> tuple[int, int]:
     return (0, (1 << bits) - 1)
 
 
-def _gen_struct_bytes(module: Module, name: str, rng: random.Random) -> bytes:
-    decl = module.structs[name]
-    size = size_of(StructRef(name), module.structs)
-    buf = bytearray(size)
-    for fname, fty in decl.fields:
-        off = field_offset(decl, fname, module.structs)
-        buf[off:off + size_of(fty, module.structs)] = _gen_field(module, fty, rng)
-    return bytes(buf)
+# `randrange(33, 127)` takes 32-bit words until the top 7 bits of one are
+# below 94 and gives 33 plus them: a top byte below 188, halved, plus 33
+_PRINTABLE = bytes(33 + (b >> 1) for b in range(188)).ljust(256, b"\0")
+_REJECTED = bytes(range(188, 256))
 
 
-def _gen_field(module: Module, ty: Type, rng: random.Random) -> bytes:
+def _printable(rng: random.Random, n: int) -> bytes:
+    """`n` bytes drawn as `n` calls of `rng.randrange(33, 127)` draw them,
+    from the same words in the same order: `getrandbits(32 * k)` gives the
+    next `k` words, the first in the lowest bits."""
+    out = b""
+    while len(out) < n:
+        k = n - len(out)        # no more words than bytes still wanted
+        words = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
+        out += words[3::4].translate(_PRINTABLE, _REJECTED)
+    return out
+
+
+def _field_gen(module: Module, ty: Type):
+    """A function of the rng giving random bytes for a value of `ty`; a
+    struct's fields are drawn in order, each written over its own bytes."""
+    structs = module.structs
     if isinstance(ty, Array) and isinstance(ty.elem, Char):
-        n = rng.randint(1, max(1, ty.length - 1))
-        s = bytes(rng.randrange(33, 127) for _ in range(n))
-        return s.ljust(ty.length, b"\0")[:ty.length]
+        cap, top = ty.length, max(1, ty.length - 1)
+        return lambda rng: _printable(rng, rng.randint(1, top)).ljust(cap, b"\0")[:cap]
     if isinstance(ty, (Int, Char)):
         bits = 8 if isinstance(ty, Char) else ty.bits
-        v = rng.getrandbits(bits)
-        return v.to_bytes(bits // 8, "little")
+        return lambda rng: rng.getrandbits(bits).to_bytes(bits // 8, "little")
     if isinstance(ty, Float):
-        v = rng.uniform(-1e3, 1e3)
-        return _struct.pack("<f" if ty.bits == 32 else "<d", v)
-    if isinstance(ty, StructRef):
-        return _gen_struct_bytes(module, ty.name, rng)
+        pack = _struct.Struct("<f" if ty.bits == 32 else "<d").pack
+        return lambda rng: pack(rng.uniform(-1e3, 1e3))
     if isinstance(ty, Array):
-        return b"".join(_gen_field(module, ty.elem, rng)
-                        for _ in range(ty.length))
-    return bytes(size_of(ty, module.structs))
+        elem, n = _field_gen(module, ty.elem), ty.length
+        return lambda rng: b"".join([elem(rng) for _ in range(n)])
+    if not isinstance(ty, StructRef):
+        zeros = bytes(size_of(ty, structs))
+        return lambda rng: zeros
+    decl, size, fields = structs[ty.name], size_of(ty, structs), []
+    for fname, fty in decl.fields:
+        off = field_offset(decl, fname, structs)
+        fields.append((off, off + size_of(fty, structs), _field_gen(module, fty)))
+
+    def gen(rng: random.Random) -> bytes:
+        buf = bytearray(size)
+        for lo, hi, field_gen in fields:
+            buf[lo:hi] = field_gen(rng)
+        return bytes(buf)
+    return gen
+
+
+def _strlen(buf: bytes) -> int:
+    end = buf.find(b"\0")
+    return len(buf) if end < 0 else end
+
+
+def _drawer(module: Module, spec):
+    """`spec` resolved against `module`: a function of the rng and the
+    items drawn before its own that draws its item."""
+    if isinstance(spec, IntArg):
+        lo, hi = _int_bounds(spec.ty)
+        lo = spec.lo if spec.lo is not None else lo
+        hi = spec.hi if spec.hi is not None else hi
+        return lambda rng, items: _PlanItem("scalar", rng.randint(lo, hi))
+    if isinstance(spec, CStringArg):
+        cap, lo, hi = spec.cap, spec.min_len, spec.max_len
+        return lambda rng, items: _PlanItem(
+            "buffer", content=_printable(rng, rng.randint(lo, hi)).ljust(cap, b"\0"))
+    if isinstance(spec, BufArg):
+        item = _PlanItem("buffer", content=bytes(spec.size))
+        return lambda rng, items: item
+    if isinstance(spec, StructPtrArg):
+        gen = _field_gen(module, StructRef(spec.struct))
+        return lambda rng, items: _PlanItem("buffer", content=gen(rng))
+    if isinstance(spec, CountArg):
+        of, plus = spec.of, spec.plus
+        return lambda rng, items: _PlanItem("scalar", _strlen(items[of].content) + plus)
+    raise HarnessError(f"unknown argument spec {spec!r}")
+
+
+def _resolve_driver(module: Module, fn_name: str,
+                   drivers: Optional[Mapping[str, tuple]] = None) -> tuple:
+    """`fn_name`'s driver resolved against `module` once, for every plan
+    drawn from it (`_draw_plan`): buffer sizes, and struct sizes and field
+    offsets, worked out."""
+    driver = (drivers if drivers is not None else DRIVERS).get(fn_name)
+    if driver is None:
+        raise HarnessError(f"no argument recipe for @{fn_name}")
+    return tuple(_drawer(module, spec) for spec in driver)
+
+
+def _draw_plan(drawers: Sequence, rng: random.Random) -> list[_PlanItem]:
+    """A plan of the `drawers` of a resolved driver, or of a prefix of
+    them, drawn in order from `rng`."""
+    items: list[_PlanItem] = []
+    for draw in drawers:
+        items.append(draw(rng, items))
+    return items
 
 
 def build_plan(module: Module, fn_name: str, rng: random.Random,
                drivers: Optional[Mapping[str, tuple]] = None) -> list[_PlanItem]:
-    driver = (drivers if drivers is not None else DRIVERS).get(fn_name)
-    if driver is None:
-        raise HarnessError(f"no argument recipe for @{fn_name}")
-    items: list[_PlanItem] = []
-    for spec in driver:
-        if isinstance(spec, IntArg):
-            lo, hi = _int_bounds(spec.ty)
-            lo = spec.lo if spec.lo is not None else lo
-            hi = spec.hi if spec.hi is not None else hi
-            items.append(_PlanItem("scalar", value=rng.randint(lo, hi)))
-        elif isinstance(spec, CStringArg):
-            n = rng.randint(spec.min_len, spec.max_len)
-            s = bytes(rng.randrange(33, 127) for _ in range(n))
-            items.append(_PlanItem("buffer", content=s.ljust(spec.cap, b"\0")))
-        elif isinstance(spec, BufArg):
-            items.append(_PlanItem("buffer", content=bytes(spec.size)))
-        elif isinstance(spec, StructPtrArg):
-            items.append(_PlanItem(
-                "buffer", content=_gen_struct_bytes(module, spec.struct, rng)))
-        elif isinstance(spec, CountArg):
-            ref = items[spec.of].content
-            strlen = ref.index(b"\0") if b"\0" in ref else len(ref)
-            items.append(_PlanItem("scalar", value=strlen + spec.plus))
-        else:
-            raise HarnessError(f"unknown argument spec {spec!r}")
-    return items
+    return _draw_plan(_resolve_driver(module, fn_name, drivers), rng)
 
 
 def materialize_plan(machine: Machine, plan: Sequence[_PlanItem],
                      ) -> tuple[list[int], list[Optional[tuple[int, int]]]]:
-    """Allocate and fill buffers; returns (arg values, per-arg regions)."""
+    """Allocate and fill buffers; returns (arg values, per-arg regions).
+    Each buffer takes one write, past `Memory.__setitem__`, and one dirty
+    mark: `alloc` keeps it within the heap."""
     args: list[int] = []
     regions: list[Optional[tuple[int, int]]] = []
-    for item in plan:
-        if item.kind == "scalar":
-            args.append(item.value)
+    memory = machine.memory
+    for kind, value, content in plan:
+        if kind == "scalar":
+            args.append(value)
             regions.append(None)
         else:
-            addr = machine.alloc(len(item.content))
-            machine.write_bytes(addr, item.content)
+            n = len(content)
+            addr = machine.alloc(n)
+            mmap.mmap.__setitem__(memory, slice(addr, addr + n), content)
+            memory.mark(addr, n)
             args.append(addr)
-            regions.append((addr, len(item.content)))
+            regions.append((addr, n))
     return args, regions
 
 
@@ -244,12 +293,12 @@ def oracle_compare(module: Module, fn_name: str, trials: int = 100,
     subsets = _subsets(len(_function(module, fn_name).params))
     image = _image(module, rule_programs, mem_size)
     m_i, m_h = Machine(image), Machine(image, mode="hybrid")
+    drawers = _resolve_driver(module, fn_name, drivers)
     sum_i = sum_h = 0
     ret_i = ret_h = False
     violations: list[tuple[int, int]] = []
     for t in range(trials):
-        rng = random.Random(f"{seed}:{fn_name}:{t}")
-        plan = build_plan(module, fn_name, rng, drivers)
+        plan = _draw_plan(drawers, random.Random(f"{seed}:{fn_name}:{t}"))
         subset = subsets[t % len(subsets)] if subsets else ()
         regions = _run_trial(m_i, fn_name, plan, subset)
         _run_trial(m_h, fn_name, plan, subset)
@@ -346,14 +395,18 @@ def noninterference_check(
     highs = [_high_roots(prog.entries, p) for p in range(nparams)]
     image = Image(module, mem_size=mem_size)
     m_a, m_b = Machine(image), Machine(image)
+    drawers = _resolve_driver(module, fn_name, drivers)
+    sizes = [(g, addr, size_of(module.globals[g].ty, module.structs))
+             for g, addr in image.global_addr.items()]
     for t in range(trials):
         rng = random.Random(f"{seed}:ni:{fn_name}:{t}")
         p_star = rng.randrange(nparams)
         choices.append(p_star)
-        plan_shared = build_plan(module, fn_name, rng, drivers)
+        plan_shared = _draw_plan(drawers, rng)
         plan_b = list(plan_shared)
+        # the twin's item, which only the items before it can change
         rng_b = random.Random(f"{seed}:ni:{fn_name}:{t}:twin")
-        plan_b[p_star] = build_plan(module, fn_name, rng_b, drivers)[p_star]
+        plan_b[p_star] = _draw_plan(drawers[:p_star + 1], rng_b)[p_star]
 
         regions = _run_trial(m_a, fn_name, plan_shared, ())
         _run_trial(m_b, fn_name, plan_b, ())
@@ -365,8 +418,7 @@ def noninterference_check(
                 violations.append(NIViolation("ret", str(ret_a), str(ret_b), t))
         low = [(f"param{i}", *region) for i, region in enumerate(regions)
                if region is not None and i != p_star and ("param", i) not in high]
-        low += [(f"@{g}", addr, size_of(module.globals[g].ty, module.structs))
-                for g, addr in m_a.global_addr.items() if ("global", g) not in high]
+        low += [(f"@{g}", addr, n) for g, addr, n in sizes if ("global", g) not in high]
         for slot, lo, n in low:
             a, b = m_a.read_bytes(lo, n), m_b.read_bytes(lo, n)
             if a != b:

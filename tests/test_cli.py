@@ -267,6 +267,43 @@ class TestBadRuleFiles:
         self._assert_diagnostic(rc, capsys, bad_rules)
 
 
+class TestDeeplyNestedJson:
+    """A rule file or taint config nested deeper than the JSON reader
+    goes is a diagnostic and exit 1, not a RecursionError traceback."""
+
+    DEEP = "[" * 100_000
+
+    def _assert_diagnostic(self, rc, capsys, path):
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err
+        assert err.startswith(f"error: {path}: ") and "nested too deeply" in err
+
+    @pytest.fixture()
+    def deep_rules(self, workdir, capsys):
+        rules = workdir / "r"
+        assert main(["rules", str(workdir / "corpus" / "libcorpus.ir"),
+                     "--out", str(rules)]) == 0
+        (rules / "memcpy.rules.json").write_text(self.DEEP)
+        capsys.readouterr()
+        return rules
+
+    def test_run_rules(self, workdir, deep_rules, capsys):
+        rc = main(["run", str(workdir / "corpus" / "bench_memcpy.ir"), "--args", "16",
+                   "--mode", "hybrid", "--rules", str(deep_rules)])
+        self._assert_diagnostic(rc, capsys, deep_rules / "memcpy.rules.json")
+
+    def test_compare_rules(self, workdir, deep_rules, capsys):
+        rc = main(["--trials", "2", "compare", str(workdir / "corpus" / "libcorpus.ir"),
+                   "--rules", str(deep_rules)])
+        self._assert_diagnostic(rc, capsys, deep_rules / "memcpy.rules.json")
+
+    def test_run_taint_config(self, workdir, capsys):
+        cfg = workdir / "deep.json"
+        cfg.write_text(self.DEEP)
+        rc = main(["run", student_flow_path(workdir), "--taint-config", str(cfg)])
+        self._assert_diagnostic(rc, capsys, cfg)
+
+
 class TestDeeplyNestedTypes:
     """A type nested 3000 deep is a diagnostic and exit 1, in an IR module
     and in a rule file, not a RecursionError traceback."""

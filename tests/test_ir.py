@@ -10,10 +10,10 @@ from taintsum import corpus, parse_module, print_module, size_of, validate_modul
 from taintsum.cli import main
 from taintsum.ir import (
     Array, CHAR, Char, F32, F64, I8, I16, I32, I64, Int, LayoutError, Module,
-    Ptr, StructDecl, StructRef, U8, U64, VOID, align_of, field_offset,
+    Ptr, StructDecl, StructRef, Structs, U8, U64, VOID, align_of, field_offset,
     field_path_offset, type_str,
 )
-from taintsum.parser import ParseError, parse_type_text
+from taintsum.parser import ParseError, _Parser, parse_type_text
 
 
 STUDENT = StructDecl("student", (("id", Array(CHAR, 8)), ("score", I32)))
@@ -108,13 +108,15 @@ class TestParser:
     @pytest.mark.parametrize("name", corpus.NAMES)
     def test_parsed_module_is_deeply_immutable(self, name):
         """Every IR node is a frozen dataclass, every sequence a tuple and
-        every mapping a read-only view."""
+        every mapping a read-only view or the structs' own read-only
+        `Structs`."""
         def walk(x):
             if dataclasses.is_dataclass(x):
                 assert type(x).__dataclass_params__.frozen, type(x)
                 for f in dataclasses.fields(x):
                     walk(getattr(x, f.name))
-            elif isinstance(x, MappingProxyType):
+            elif isinstance(x, (MappingProxyType, Structs)):
+                assert not hasattr(x, "__setitem__") and not hasattr(x, "__delitem__")
                 for item in x.items():
                     walk(item)
             elif isinstance(x, tuple):
@@ -330,20 +332,15 @@ PARSE_DIAGNOSTICS = {
                   [(1, 1, "expected a top-level declaration, got 'hello'"),
                    (2, 0, "function name must look like @name")]),
     "fn_name": ("fn f() -> void {\n", [(1, 4, "function name must look like @name")]),
+    # a bad header that opens a body: the body, up to its '}', is skipped
     "fn_param": ("fn @f(x: i8) -> void {\nentry:\n  ret\n}\n",
-                 [(1, 7, "parameter must look like %name"),
-                  (2, 1, "expected a top-level declaration, got 'entry'"),
-                  (3, 3, "expected a top-level declaration, got 'ret'"),
-                  (4, 1, "expected a top-level declaration, got '}'")]),
+                 [(1, 7, "parameter must look like %name")]),
     "fn_variadic": ("fn @f(%a: i32, ...) -> void {\n}\n",
-                    [(1, 16, "variadic functions unsupported"),
-                     (2, 1, "expected a top-level declaration, got '}'")]),
+                    [(1, 16, "variadic functions unsupported")]),
     "fn_ptr_param": ("fn @f(%p0: ptr(fn(i32) -> i32)) -> void {\n}\n",
-                     [(1, 7, "function-pointer parameter unsupported"),
-                      (2, 1, "expected a top-level declaration, got '}'")]),
+                     [(1, 7, "function-pointer parameter unsupported")]),
     "fn_arrow": ("fn @f() void {\n}\n",
-                 [(1, 9, "expected '->', got 'void'"),
-                  (2, 1, "expected a top-level declaration, got '}'")]),
+                 [(1, 9, "expected '->', got 'void'")]),
     "fn_brace": ("fn @f() -> void\n}\n",
                  [(1, 0, "expected '{', got ''"),
                   (2, 1, "expected a top-level declaration, got '}'")]),
@@ -404,11 +401,9 @@ PARSE_DIAGNOSTICS = {
     "call_trailing_comma": ("fn @f() -> void {\nentry:\n  call void @h(1, 2,)\n  ret\n}\n",
                             [(3, 21, "expected an operand, got ')'")]),
     "param_missing_comma": ("fn @h(%x: i64 %y: i64) -> void {\n}\n",
-                            [(1, 15, "expected ')', got '%y'"),
-                             (2, 1, "expected a top-level declaration, got '}'")]),
+                            [(1, 15, "expected ')', got '%y'")]),
     "param_trailing_comma": ("fn @h(%x: i64, %y: i64,) -> void {\n}\n",
-                             [(1, 24, "parameter must look like %name"),
-                              (2, 1, "expected a top-level declaration, got '}'")]),
+                             [(1, 24, "parameter must look like %name")]),
     "struct_missing_comma": ("struct %s { i8 a i8 b }\n",
                              [(1, 18, "expected '}', got 'i8'")]),
     "struct_trailing_comma": ("struct %s { i8 a, i8 b, }\n",
@@ -430,3 +425,19 @@ def test_parse_diagnostics_are_pinned(name):
     else:
         got = []
     assert got == want
+
+
+def test_a_bad_header_skips_only_its_own_body():
+    """The body of a function whose header is bad is skipped up to its
+    '}'; the next function still parses and reports its own errors."""
+    src = ("fn @f(%x: bogus) -> void library {\nentry:\n  %y = add i32 1, 2\n  ret\n}\n"
+           "fn @g(%a: i32) -> i32 {\nentry:\n  %b = frob i32 %a, 1\n  ret i32 %a\n}\n"
+           "fn @h() -> void {\nentry:\n  ret\n}\n")
+    parser = _Parser(src)
+    with pytest.raises(ParseError) as e:
+        parser.run()
+    assert [(d.line, d.col, d.message) for d in e.value.diagnostics] == [
+        (1, 11, "unknown type name 'bogus'"), (8, 8, "unknown opcode 'frob'")]
+    assert set(parser.functions) == {"g", "h"}
+    assert len(parser.functions["g"].blocks[0].instrs) == 1
+    assert parse_module(src[src.index("fn @g"):].replace("frob", "add")).functions["g"]

@@ -1120,8 +1120,11 @@ class ReferenceMachine(Machine):
 
 def outcome(cls, module, entry, args, *, arg_tags=None, before=None, **kw):
     """Everything a run leaves behind: its RunReport or how it stopped,
-    the counters, final memory and the pages marked written, Tagmap pages,
-    ret_shadow, sink hits, and a trap's detail."""
+    the counters, final memory and the pages marked written, the Tagmap
+    pages that hold a nonzero tag, ret_shadow, sink hits, and a trap's
+    detail.  A page of zeros reads as an absent one: a promoted slot's tags
+    reach the Tagmap only when it is written back, so a tag it held and
+    lost before then makes no page, where the reference made one."""
     m, detail = cls(module, **kw), None
     if before is not None:
         before(m)
@@ -1138,7 +1141,7 @@ def outcome(cls, module, entry, args, *, arg_tags=None, before=None, **kw):
             _fold(m.ret_shadow))
     return (result, m.instr_total, m.instr_unins, m.shadow_ops_instr,
             m.shadow_ops_rules, bytes(m.memory), sorted(m.memory.dirty),
-            {p: bytes(page) for p, page in m.tagmap.pages.items()},
+            {p: bytes(page) for p, page in m.tagmap.pages.items() if any(page)},
             m.ret_shadow, tuple(m.sink_hits), m.live, detail)
 
 
@@ -2092,14 +2095,14 @@ class TestSharedCode:
                          arg_tags=[b"\x01" * 8, b"\x02" * 8])
 
     def test_table_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(tracker, "CODE_TABLE_SIZE", 4)
-        monkeypatch.setattr(tracker, "_code_table", {})
+        monkeypatch.setattr(tracker, "MODULE_TABLE_SIZE", 4)
+        monkeypatch.setattr(tracker, "_module_table", {})
         modules = [parse_module(f"fn @f() -> i64 {{\nentry:\n  ret i64 {k}\n}}\n")
                    for k in range(7)]
         first = Image(modules[0], mem_size=1 << 16).compiled(modules[0].functions["f"], True)
         for k, m in enumerate(modules):
             assert Machine(m, mem_size=1 << 16).call_entry("f", []) == k
-            assert len(tracker._code_table) <= 4
+            assert len(tracker._module_table) <= 4
         again = Image(modules[0], mem_size=1 << 16).compiled(modules[0].functions["f"], True)
         assert again is not first
         assert again.__globals__["_lines"] == first.__globals__["_lines"]
