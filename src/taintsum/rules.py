@@ -11,7 +11,7 @@ application time (capped, terminator included); other pointer slots cover
 size_of(pointee) bytes; field-path slots cover the field; scalar slots
 live in the value-shadow of the recorded argument (or the return shadow).
 Extents follow from the slot types, so a program stores none: a machine's
-image derives them when it binds the program (`tracker.Image.bound`).
+image derives them when it binds the program (`tracker._Shared.bound`).
 
 A rule file (schema v2) is the summary document's entries plus the cap:
 {"v": 2, "function", "controlDeps", "maxLen", "entries": [{"out", "ins"}]}.

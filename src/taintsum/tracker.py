@@ -385,7 +385,8 @@ def _undefined(name: str) -> MachineTrap:
 # the Tagmap's one-page work inline; a one-byte access cannot cross a page,
 # and a one-byte unsigned load indexes the memory directly.  A promoted slot
 # (`_Writer.promote`), a scalar alloca that only its own loads and stores
-# use, keeps its value in the local `P_x` and its tag vector in `T_x`.  Its
+# use, keeps its value in the local `P_x` and its tag vector in `T_x`; a
+# store of a nonzero vector still makes the slot's absent Tagmap page.  Its
 # bytes are written back (`_spill`) before a call, a return and any other
 # access that overlaps the frame's promoted range [R_lo, R_hi), and read
 # back (`_fill`) after a call and such a store; a return then drops the
@@ -417,13 +418,12 @@ _COUNT = object()      # where a segment's shadow count goes
 
 def _spill(m, c: str, a: int, value, vec: Optional[bytes] = None) -> None:
     """Writes a promoted slot back: its value, of struct format `c`, at `a`
-    and, when tracked, its tag vector, which makes the slot's absent Tagmap
-    page only when it is nonzero.  A slot never crosses a page."""
+    and, when tracked, its tag vector.  A slot never crosses a page, and a
+    nonzero vector made its page when it was stored, so an absent page
+    keeps zeros."""
     _STRUCTS[c].pack_into(m.memory, a, value)
     page = m.tagmap.pages.get(a >> _PAGE_SHIFT)
-    if vec is not None and (page is not None or any(vec)):
-        if page is None:
-            page = m.tagmap.pages[a >> _PAGE_SHIFT] = bytearray(PAGE)
+    if vec is not None and page is not None:
         page[a & PAGE - 1:(a & PAGE - 1) + len(vec)] = vec
 
 
@@ -785,7 +785,13 @@ class _Writer:
         x = self.val(ins.value, _kind(ins.ty), wrap_globals=True)
         if slot:
             p, t = _local("P", slot), _local("T", slot)
-            return [f"{p} = {x}"] + [f"{t} = {self.vec(ins.value, w)}"] * self.live
+            if not self.live:
+                return [f"{p} = {x}"]
+            g = self.vec(ins.value, w)      # a nonzero vector makes the page now
+            self.used.add("pages")
+            return [f"{p} = {x}", f"{t} = {g}"] + [
+                f"if {t} != _Z{w} and (q := {_local('v', slot)} >> {_PAGE_SHIFT})"
+                f" not in pages: pages[q] = bytearray({PAGE})"] * (g != f"_Z{w}")
         x, more = self.atom(x, "x")
         self.used.update(("mem", "dirty", "tm", "pages") if self.live else ("mem", "dirty"))
         lines += more + [self.check(a, w, ins), *self.overlap(a, w, ins, self.write_back),
@@ -941,7 +947,7 @@ class _Writer:
         """A constant or global operand's value as a `kind` value; a
         global's address is used as it is unless `wrap_globals`."""
         if type(op) is GlobalRef:
-            v = self.image.global_addr[op.name]
+            v = self.image.shared.global_addr[op.name]
             return _wrap(v, kind) if wrap_globals else v
         return _wrap(op.value, kind)
 
@@ -1002,9 +1008,9 @@ _EMIT = {Alloca: _Writer.alloca, Load: _Writer.load, Store: _Writer.store,
 
 class _Shared:
     """What every image of one module shares, since the parsed IR never
-    changes: the global layout, each function's code by (name, tracked,
-    memory size), and by function name the last rule program bound, as
-    (program, cost, regions) (`bound`)."""
+    changes: the global layout, each function's `code` by (name, tracked,
+    memory size), and by function name the last rule program `bound`, as
+    (program, cost, regions) (`bindings`)."""
 
     def __init__(self, module: Module):
         self.module = module
@@ -1017,8 +1023,7 @@ class _Shared:
                 self.inits.append((addr, g.init))
             addr += size_of(g.ty, structs)
         self.globals_end, self.heap_start = addr, align_up(addr, 16)
-        self.code: dict[tuple[str, bool, int], object] = {}
-        self.bindings: dict[str, tuple] = {}
+        self.code, self.bindings = {}, {}
 
     def bound(self, prog: TaintRuleProgram) -> tuple:
         """`prog`'s cost, `len(prog.steps)`, and each entry as the regions of
@@ -1049,7 +1054,9 @@ class _Shared:
 
 
 # id of module -> its _Shared, least recently used first.  An entry holds
-# its module, so no id is reused while it lives.
+# its module, so no id is reused while it lives, and at most one code per
+# (function, tracked, memory size) its images ran and one bound program per
+# rule-firing function; an evicted entry is freed with all of them.
 MODULE_TABLE_SIZE = 64
 _module_table: dict[int, _Shared] = {}
 
@@ -1075,23 +1082,15 @@ class Image:
                  mem_size: int = DEFAULT_MEMORY):
         shared = self.shared = _shared(module)
         self.module, self.rules, self.mem_size = module, dict(rule_programs or {}), mem_size
-        self.global_addr, self.inits = shared.global_addr, shared.inits
-        self.globals_end, self.heap_start = shared.globals_end, shared.heap_start
-        if self.heap_start > mem_size // 2:
-            raise ValueError(f"the globals need 0x{self.heap_start:x} bytes, more than"
+        if shared.heap_start > mem_size // 2:
+            raise ValueError(f"the globals need 0x{shared.heap_start:x} bytes, more than"
                              f" half of mem_size 0x{mem_size:x}")
-        self.bound = shared.bound
-        # (function name, tracked) -> its code, taken from `shared` at the
-        # first frame that runs it
-        self.code: dict[tuple[str, bool], object] = {}
 
     def compiled(self, fn: Function, live: bool):
-        code = self.code.get((fn.name, live))
+        key, table = (fn.name, live, self.mem_size), self.shared.code
+        code = table.get(key)
         if code is None:
-            key = (fn.name, live, self.mem_size)
-            code = self.shared.code.get(key) or self.shared.code.setdefault(
-                key, _Writer(self, fn, live).code())
-            self.code[fn.name, live] = code
+            code = table[key] = _Writer(self, fn, live).code()
         return code
 
 
@@ -1121,7 +1120,7 @@ class Machine:
         self.image, self.module, self.mode = image, image.module, mode
         self.cfg = taint_config or TaintConfig()
         self.mem_size, self.memory = image.mem_size, Memory(image.mem_size)
-        self.global_addr, self.globals_end = image.global_addr, image.globals_end
+        self.global_addr, self.globals_end = image.shared.global_addr, image.shared.globals_end
         self.step_budget, self.default_len = step_budget, default_len
         self._sources, self._sinks = {}, {}
         for s in self.cfg.sources + self.cfg.sinks:
@@ -1144,9 +1143,9 @@ class Machine:
             n = min(PAGE, len(memory) - a)
             mmap.mmap.__setitem__(memory, slice(a, a + n), bytes(n))
         memory.dirty.clear()
-        for addr, init in self.image.inits:
+        for addr, init in self.image.shared.inits:
             memory[addr:addr + len(init)] = init
-        self.heap_ptr, self.stack_ptr = self.image.heap_start, self.mem_size
+        self.heap_ptr, self.stack_ptr = self.image.shared.heap_start, self.mem_size
         self.tagmap, self.ret_shadow = Tagmap(), b""
         self.live = True        # false while a rule-firing call runs
         self._unins_from = 0    # the instruction count when it last fell
@@ -1171,8 +1170,9 @@ class Machine:
                               f"addr=0x{addr:x} size={sz}")
 
     def write_bytes(self, addr: int, data: bytes) -> None:
-        self._check_bounds(addr, len(data), None)
-        self.memory[addr:addr + len(data)] = data
+        self._check_bounds(addr, n := len(data), None)
+        mmap.mmap.__setitem__(self.memory, slice(addr, addr + n), data)
+        self.memory.mark(addr, n)
 
     def read_bytes(self, addr: int, n: int) -> bytes:
         self._check_bounds(addr, n, None)
@@ -1326,7 +1326,7 @@ def apply_rule_program(prog: TaintRuleProgram, arg_record, machine: Machine) -> 
     sets the out-region to the result.  A region covers its slot's extent,
     or the string scanned at application time up to `max_len`; a null
     pointer's region, like a by-value scalar's, covers no memory."""
-    cost, entries = machine.image.bound(prog)
+    cost, entries = machine.image.shared.bound(prog)
     tagmap, cap = machine.tagmap, prog.max_len
     machine.shadow_ops_rules += cost
     for regions in entries:

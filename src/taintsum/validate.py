@@ -9,7 +9,6 @@ reports are deterministic given (module, seed, trials).
 
 from __future__ import annotations
 
-import mmap
 import random
 import struct as _struct
 import time
@@ -100,11 +99,6 @@ def _field_gen(module: Module, ty: Type):
     return gen
 
 
-def _strlen(buf: bytes) -> int:
-    end = buf.find(b"\0")
-    return len(buf) if end < 0 else end
-
-
 def _drawer(module: Module, spec):
     """`spec` resolved against `module`: a function of the rng and the
     items drawn before its own that draws its item."""
@@ -125,7 +119,8 @@ def _drawer(module: Module, spec):
         return lambda rng, items: _PlanItem("buffer", content=gen(rng))
     if isinstance(spec, CountArg):
         of, plus = spec.of, spec.plus
-        return lambda rng, items: _PlanItem("scalar", _strlen(items[of].content) + plus)
+        return lambda rng, items: _PlanItem(
+            "scalar", len(items[of].content.split(b"\0", 1)[0]) + plus)
     raise HarnessError(f"unknown argument spec {spec!r}")
 
 
@@ -156,12 +151,9 @@ def build_plan(module: Module, fn_name: str, rng: random.Random,
 
 def materialize_plan(machine: Machine, plan: Sequence[_PlanItem],
                      ) -> tuple[list[int], list[Optional[tuple[int, int]]]]:
-    """Allocate and fill buffers; returns (arg values, per-arg regions).
-    Each buffer takes one write, past `Memory.__setitem__`, and one dirty
-    mark: `alloc` keeps it within the heap."""
+    """Allocate and fill buffers; returns (arg values, per-arg regions)."""
     args: list[int] = []
     regions: list[Optional[tuple[int, int]]] = []
-    memory = machine.memory
     for kind, value, content in plan:
         if kind == "scalar":
             args.append(value)
@@ -169,8 +161,7 @@ def materialize_plan(machine: Machine, plan: Sequence[_PlanItem],
         else:
             n = len(content)
             addr = machine.alloc(n)
-            mmap.mmap.__setitem__(memory, slice(addr, addr + n), content)
-            memory.mark(addr, n)
+            machine.write_bytes(addr, content)
             args.append(addr)
             regions.append((addr, n))
     return args, regions
@@ -397,7 +388,7 @@ def noninterference_check(
     m_a, m_b = Machine(image), Machine(image)
     drawers = _resolve_driver(module, fn_name, drivers)
     sizes = [(g, addr, size_of(module.globals[g].ty, module.structs))
-             for g, addr in image.global_addr.items()]
+             for g, addr in m_a.global_addr.items()]
     for t in range(trials):
         rng = random.Random(f"{seed}:ni:{fn_name}:{t}")
         p_star = rng.randrange(nparams)

@@ -66,8 +66,9 @@ class TestGlobalInputs:
             ("ret", ["@settings.limit"])]
         image = Image(greader)
         # the field's four bytes at offset 8 of the global
-        assert image.bound(prog) == (3, ((("mem", None, image.global_addr["settings"] + 8, 4),
-                                          ("ret", None, 0, 4)),))
+        settings = image.shared.global_addr["settings"]
+        assert image.shared.bound(prog) == (3, ((("mem", None, settings + 8, 4),
+                                                 ("ret", None, 0, 4)),))
 
     def test_tainted_global_reaches_return_in_both_modes(self, greader,
                                                          greader_rules):
@@ -217,7 +218,7 @@ class TestUnionHandling:
             "param0.as_int": ["param1.as_int"]}
         prog = taint_rule_gen(summaries["word_cpy"], m)
         # union members live at offset zero with the member's size
-        assert Image(m).bound(prog) == (3, ((("arg", 1, 0, 4), ("arg", 0, 0, 4)),))
+        assert Image(m).shared.bound(prog) == (3, ((("arg", 1, 0, 4), ("arg", 0, 0, 4)),))
 
     def test_union_rules_apply_at_offset_zero(self, ):
         m = parse_module(UNION_PIPE)

@@ -348,16 +348,16 @@ def test_images_of_a_module_bind_a_program_once(monkeypatch):
     monkeypatch.setattr(tracker, "slot_extent",
                         lambda slot, module: extents.append(slot) or slot_extent(slot, module))
     a, b = Image(lib, rules), Image(lib, rules)
-    assert a.global_addr is b.global_addr and a.inits is b.inits
+    assert a.shared is b.shared
     prog = rules["pair_cpy"]
-    first = a.bound(prog)
+    first = a.shared.bound(prog)
     bound_once = len(extents)
     assert bound_once == sum(len(ins) + 1 for _, ins in prog.entries)
-    assert b.bound(prog) == first and b.bound(prog)[1] is first[1]
+    assert b.shared.bound(prog) == first and b.shared.bound(prog)[1] is first[1]
     assert len(extents) == bound_once
     other = dataclasses.replace(prog)       # equal, but another program object
-    again = b.bound(other)
+    again = b.shared.bound(other)
     assert len(extents) == 2 * bound_once
     assert again == first and again[1] is not first[1]
-    assert a.bound(other)[1] is again[1]
-    assert a.bound(prog)[1] is not again[1] and len(extents) == 3 * bound_once
+    assert a.shared.bound(other)[1] is again[1]
+    assert a.shared.bound(prog)[1] is not again[1] and len(extents) == 3 * bound_once

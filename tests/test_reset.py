@@ -91,7 +91,7 @@ class TestReset:
         m.reset()
         fresh = Machine(image, **kw)
         initial = bytearray(image.mem_size)
-        for addr, init in image.inits:
+        for addr, init in image.shared.inits:
             initial[addr:addr + len(init)] = init
         assert bytes(m.memory) == bytes(fresh.memory) == initial and m.memory == fresh.memory
         assert m.memory.dirty == fresh.memory.dirty
@@ -114,4 +114,4 @@ class TestReset:
         assert (m._frames, m.live, m.instr_total, m.instr_unins, m.shadow_ops_instr,
                 m.shadow_ops_rules, m.sink_hits, m.ret_shadow, m.exit_value,
                 m._unins_from) == ([], True, 0, 0, 0, 0, [], b"", 0, 0)
-        assert (m.heap_ptr, m.stack_ptr) == (image.heap_start, image.mem_size)
+        assert (m.heap_ptr, m.stack_ptr) == (image.shared.heap_start, image.mem_size)

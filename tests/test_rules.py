@@ -53,7 +53,7 @@ def random_shadow_state(module, fn, rng, null_rate=0.0):
 def bound_shapes(prog, module):
     """The program's entries as its image binds them: ((out, nbytes),
     [(in, nbytes), ...]) with each slot printed, nbytes None for a string."""
-    _, entries = Image(module).bound(prog)
+    _, entries = Image(module).shared.bound(prog)
     return [((str(out), regions[-1][3]), [(str(s), r[3]) for s, r in zip(ins, regions)])
             for (out, ins), regions in zip(prog.entries, entries)]
 

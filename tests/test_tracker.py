@@ -734,7 +734,7 @@ entry:
         cfg = TaintConfig.from_json({"sources": [
             {"fn": "skip", "where": "param", "index": 0, "label": 1},
             {"fn": "skip", "where": "param", "index": 1, "label": 2}]})
-        buf = Image(m).global_addr["buf"]
+        buf = Image(m).shared.global_addr["buf"]
         for result in assert_same_runs(m, "main", [5], {}, taint_config=cfg).values():
             assert result[0].tainted_bytes_final == tuple((buf + i, 1) for i in (2, 3, 4))
             assert result[0].ret_tag == 2
@@ -745,7 +745,7 @@ entry:
         m = parse_module(NARROWED)
         cfg = TaintConfig.from_json(
             {"sources": [{"fn": "take", "where": "param", "index": 0, "label": 4}]})
-        cell = Image(m).global_addr["cell"]
+        cell = Image(m).shared.global_addr["cell"]
 
         def pretaint(machine):
             machine.tagmap.set_vector(cell, bytes([1, 0, 0, 0, 0, 0, 0, 2]))
@@ -1120,11 +1120,8 @@ class ReferenceMachine(Machine):
 
 def outcome(cls, module, entry, args, *, arg_tags=None, before=None, **kw):
     """Everything a run leaves behind: its RunReport or how it stopped,
-    the counters, final memory and the pages marked written, the Tagmap
-    pages that hold a nonzero tag, ret_shadow, sink hits, and a trap's
-    detail.  A page of zeros reads as an absent one: a promoted slot's tags
-    reach the Tagmap only when it is written back, so a tag it held and
-    lost before then makes no page, where the reference made one."""
+    the counters, final memory and the pages marked written, Tagmap pages,
+    ret_shadow, sink hits, and a trap's detail."""
     m, detail = cls(module, **kw), None
     if before is not None:
         before(m)
@@ -1141,7 +1138,7 @@ def outcome(cls, module, entry, args, *, arg_tags=None, before=None, **kw):
             _fold(m.ret_shadow))
     return (result, m.instr_total, m.instr_unins, m.shadow_ops_instr,
             m.shadow_ops_rules, bytes(m.memory), sorted(m.memory.dirty),
-            {p: bytes(page) for p, page in m.tagmap.pages.items() if any(page)},
+            {p: bytes(page) for p, page in m.tagmap.pages.items()},
             m.ret_shadow, tuple(m.sink_hits), m.live, detail)
 
 
@@ -1880,7 +1877,7 @@ class TestMachineLifetime:
         finally:
             if enabled:
                 gc.enable()
-        assert ("memcpy", False) in image.code and ("memcpy", True) in image.code
+        assert {("memcpy", False, 1 << 16), ("memcpy", True, 1 << 16)} <= set(image.shared.code)
 
 
 LAYOUT = """\
@@ -2100,12 +2097,15 @@ class TestSharedCode:
         modules = [parse_module(f"fn @f() -> i64 {{\nentry:\n  ret i64 {k}\n}}\n")
                    for k in range(7)]
         first = Image(modules[0], mem_size=1 << 16).compiled(modules[0].functions["f"], True)
+        lines, first = first.__globals__["_lines"], weakref.ref(first)
+        entry = weakref.ref(tracker._module_table[id(modules[0])])
         for k, m in enumerate(modules):
             assert Machine(m, mem_size=1 << 16).call_entry("f", []) == k
             assert len(tracker._module_table) <= 4
+        gc.collect()
+        assert first() is None and entry() is None     # evicted, so freed
         again = Image(modules[0], mem_size=1 << 16).compiled(modules[0].functions["f"], True)
-        assert again is not first
-        assert again.__globals__["_lines"] == first.__globals__["_lines"]
+        assert again.__globals__["_lines"] == lines
 
     def test_machines_of_two_images_are_independent(self, student_flow,
                                                     student_flow_rules):
@@ -2127,7 +2127,7 @@ class TestSharedCode:
                            mem_size=1 << 16)
             assert outcome(Machine, b, "main", [], mode=mode,
                            taint_config=FLOW_CFG) == want, mode
-        assert a.code and all(b.code[k] is code for k, code in a.code.items())
+        assert a.shared is b.shared and a.shared.code
 
 
 POKES = """\
@@ -2254,7 +2254,7 @@ class TestMemory:
             self, student_flow, student_flow_rules):
         image = Image(student_flow, student_flow_rules, 1 << 16)
         want = bytearray(1 << 16)
-        for addr, init in image.inits:
+        for addr, init in image.shared.inits:
             want[addr:addr + len(init)] = init
         for mode in ("instr", "hybrid"):
             dirty = Machine(image, mode=mode, taint_config=FLOW_CFG)
@@ -2262,7 +2262,7 @@ class TestMemory:
             dirty.memory[GLOBALS_BASE:] = b"\xee" * ((1 << 16) - GLOBALS_BASE)
         fresh = Machine(image)
         assert bytes(fresh.memory) == want and fresh.memory == want
-        assert fresh.memory.dirty == {a >> 12 for a, _ in image.inits}
+        assert fresh.memory.dirty == {a >> 12 for a, _ in image.shared.inits}
 
     @pytest.mark.parametrize("mem_size", [0x2000, 0x3001, 1 << 16, DEFAULT_MEMORY])
     def test_length_is_mem_size(self, mem_size):
@@ -2270,8 +2270,8 @@ class TestMemory:
         assert isinstance(m.memory, Memory) and len(m.memory) == mem_size
 
     def test_mem_size_that_cannot_hold_the_globals(self, student_flow):
-        heap_start = Image(student_flow).heap_start
-        assert Image(student_flow, mem_size=2 * heap_start).heap_start == heap_start
+        heap_start = Image(student_flow).shared.heap_start
+        assert Image(student_flow, mem_size=2 * heap_start).shared.heap_start == heap_start
         for mem_size in (2 * heap_start - 2, 0x1010):
             with pytest.raises(ValueError) as exc:
                 Machine(student_flow, mem_size=mem_size)
@@ -2307,7 +2307,7 @@ class TestImage:
         fresh = Machine(image)
         assert fresh.read_bytes(stdin, 6) == b"alice\0"
         assert (fresh.heap_ptr, fresh.stack_ptr, fresh.tagmap.pages) == (
-            image.heap_start, 1 << 16, {})
+            image.shared.heap_start, 1 << 16, {})
 
     def test_image_fixes_rules_and_memory_size(self, student_flow, student_flow_rules):
         image = Image(student_flow, student_flow_rules, 1 << 16)
@@ -2375,24 +2375,26 @@ class TestLazyDecoding:
                 got.append((e.value.kind, e.value.instr))
             assert got[0] == got[1] == (kind, instr)
 
-    def test_decodes_only_the_functions_it_enters(self, libcorpus, lib_rules,
-                                                  student_flow, student_flow_rules):
-        m = Machine(libcorpus, mode="hybrid", rule_programs=lib_rules,
-                    mem_size=1 << 20)
+    def test_decodes_only_the_functions_it_enters(self, lib_rules, student_flow_rules):
+        """Each machine runs on a module no image has seen, so the module's
+        shared code holds only what that machine's runs wrote."""
+        def decoded(m):
+            return {(name, live) for name, live, _ in m.image.shared.code}
+        m = Machine(corpus.load_module("libcorpus"), mode="hybrid",
+                    rule_programs=lib_rules, mem_size=1 << 20)
         s = m.alloc(16)
         m.write_bytes(s, b"abc\0")
         assert m.call_entry("strlen_a", [s]) == 3
-        assert set(m.image.code) == {("strlen_a", False)}
-        m = Machine(student_flow, mode="hybrid", rule_programs=student_flow_rules)
+        assert decoded(m) == {("strlen_a", False)}
+        m = Machine(corpus.load_module("student_flow"), mode="hybrid",
+                    rule_programs=student_flow_rules)
         m.call_entry("main", [])
-        assert set(m.image.code) == {("main", True), ("fgets_a", True),
-                                ("printf_a", True), ("student_cpy", False),
-                                ("memcpy", False)}
-        m = Machine(student_flow, mode="instr")
+        assert decoded(m) == {("main", True), ("fgets_a", True), ("printf_a", True),
+                              ("student_cpy", False), ("memcpy", False)}
+        m = Machine(corpus.load_module("student_flow"), mode="instr")
         m.call_entry("main", [])
-        assert set(m.image.code) == {("main", True), ("fgets_a", True),
-                                ("printf_a", True), ("student_cpy", True),
-                                ("memcpy", True)}
+        assert decoded(m) == {("main", True), ("fgets_a", True), ("printf_a", True),
+                              ("student_cpy", True), ("memcpy", True)}
 
 
 class TestMalformedControlFlow:
@@ -2549,7 +2551,7 @@ class TestInlineShadowPath:
 
     def test_buffer_spans_a_page_edge(self):
         m = parse_module(_straddle_source(8, []))
-        assert Image(m).global_addr["buf"] + EDGE == 2 * PAGE
+        assert Image(m).shared.global_addr["buf"] + EDGE == 2 * PAGE
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from((8, 40, PAGE - 6, PAGE + 4, 6000)),
