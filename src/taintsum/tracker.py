@@ -369,39 +369,43 @@ def _undefined(name: str) -> MachineTrap:
 #
 # An image compiles each function its machines enter, tracked or untracked,
 # into Python source: one function `F(m, f)` that runs frame `f` to its
-# return, with a `while` loop dispatching from block to block.  An IR call is
+# return.  An outer `while` runs the block whose index is `i`, and a block
+# ends by setting `i`, except that a `jmp` to a block of one segment ending in
+# a terminator runs a copy of that block's lines, and a block whose last
+# transfer leads back to itself is an inner `while` that sets `i` only on its
+# way out: a loop's iterations never pass through the dispatch.  An IR call is
 # a Python call of the callee's function, so each IR frame is one Python
-# frame and temps stay locals across calls.  What an instruction fixes is a
-# literal there: constants, global addresses, widths, masks, gep offsets,
-# block indices.  A temp %x is the local `v_x`, its tag vector `g_x`; `g_x`
-# is bound only when a line reads it (`_Writer.tagged`), so a compare that
-# only branches or a gep only dereferenced makes none.  A value is wrapped
-# only where its producer's range does not fit the kind read.  The
-# parameters are read from the frame at entry and a redefined one is stored
-# back, since rule sources read it; a tracked call passes its temp arguments'
-# tag vectors through `f.tags`, where a parameter source may widen them.  A
-# read no path defined finds its local unbound, which `Machine._run` turns
-# into the undefined-temporary trap.  Tracked loads, stores and allocas do
-# the Tagmap's one-page work inline; a one-byte access cannot cross a page,
-# and a one-byte unsigned load indexes the memory directly.  A promoted slot
-# (`_Writer.promote`), a scalar alloca that only its own loads and stores
-# use, keeps its value in the local `P_x` and its tag vector in `T_x`; a
-# store of a nonzero vector still makes the slot's absent Tagmap page.  Its
-# bytes are written back (`_spill`) before a call, a return and any other
-# access that overlaps the frame's promoted range [R_lo, R_hi), and read
-# back (`_fill`) after a call and such a store; a return then drops the
-# locals, and a run that raises writes back what its innermost generated
-# frame still held.  A segment runs from a block's start or from just after
-# a call up to and including the next call or terminator; the step budget
-# is checked once per segment.  The instruction and shadow-op counts are
-# locals, written to the machine before each call and return, so a callee
-# counts on from its caller's count.  When the budget runs out in a segment,
+# frame, and temps stay locals.  What an instruction fixes is a literal there:
+# constants, global addresses, widths, masks, gep offsets, block indices.  A
+# temp %x is the local `v_x`, its tag vector `g_x`, bound only when a line
+# reads it (`_Writer.tagged`).  A value is wrapped only where its producer's
+# range does not fit the kind read.  The parameters are read from the frame at
+# entry and a redefined one is stored back, since rule sources read it; a
+# tracked call passes its temp arguments' tag vectors through `f.tags`, where
+# a parameter source may widen them.  A read no path defined finds its local
+# unbound, which `Machine._run` turns into the undefined-temporary trap.
+# Tracked loads, stores and allocas do the Tagmap's one-page work inline; a
+# one-byte access cannot cross a page, and a one-byte unsigned load indexes
+# the memory directly.  A promoted slot (`_Writer.promote`), a scalar alloca
+# that only its own loads and stores use, keeps its value in the local `P_x`
+# and its tag vector in `T_x`; a store of a nonzero vector still makes the
+# slot's absent Tagmap page.  Its bytes are written back (`_spill`) before a
+# call, a return and any other access that overlaps the frame's promoted range
+# [R_lo, R_hi), and read back (`_fill`) after a call and such a store; a
+# return then drops the locals, and a run that raises writes back what its
+# innermost generated frame still held.  An access from GLOBALS_BASE up to the
+# fast bound `R_f`, R_lo - 8, is in bounds and below that range, so only one
+# outside it is bounds-checked and overlap-tested.  A segment runs from a
+# block's start or from just after a call up to and including the next call or
+# terminator; the step budget is checked once per segment, also in a copy.
+# The instruction and shadow-op counts are locals, written to the machine
+# before each call and return.  When the budget runs out in a segment,
 # `Machine._cut` runs the prefix that fits from the function's locals
 # (`_Writer.cut`) and traps.  When a run raises, the line its innermost
-# generated frame stopped on gives the instructions that frame did not run
-# and the shadow ops it did not count.  A function's code is shared by every
-# image of its module (`_Shared`), since the parsed IR never changes.  The
-# functions hold no machine.
+# generated frame stopped on gives the instructions it did not run and the
+# shadow ops it did not count.  Every image of a module shares its code
+# (`_Shared`), since the parsed IR never changes.  The functions hold no
+# machine.
 
 _SOURCE = "<taintsum function>"
 _MASK64 = 2 ** 64 - 1
@@ -701,23 +705,51 @@ class _Writer:
             self.block(blocks[0], depth, body)
 
     def block(self, b: int, depth: int, body: list) -> None:
-        """The lines running block `b`, segment by segment; body gets
-        (indent, line, mark) for each."""
-        for j in range(self.starts[b], self.starts[b + 1]):
-            instrs = self.segs[j][1]
+        """The lines running block `b` and, in place of a `jmp` to a block
+        of one segment that ends in a terminator, that block's; body gets
+        (indent, line, mark) for each.  When the last transfer leads back to
+        `b`, they run in an inner `while` that only the other edge leaves."""
+        lines = []
+        end = self.segments(self.starts[b], lines)
+        h = self.labels.get(end.label) if type(end) is Jmp else None
+        if h not in (None, b) and self.starts[h + 1] - self.starts[h] == 1 and type(
+                (self.segs[self.starts[h]][1] or [None])[-1]) in (Br, Jmp, Ret):
+            end = self.segments(self.starts[h], lines)
+        labels = ((end.then_label, end.else_label) if type(end) is Br else
+                  (end.label,) * 2 if type(end) is Jmp else (None, None))
+        then, other = (label and self.target(label, end) for label in labels)
+        cond = self.val(end.cond, _I64) if type(end) is Br else None
+        loop = (here := str(b)) in (then, other)
+        body += [(depth, "while True:", (0, 0))] * loop
+        body += [(depth + loop, line, mark) for line, mark in lines]
+        if then is not None and not loop:
+            body.append((depth, f"i = {then}" if cond is None else
+                         f"i = {then} if {cond} != 0 else {other}", (0, 0)))
+        elif cond is not None:      # the edge out, which still reads the condition
+            out = other if then == here else then
+            body.append((depth + 1, f"if {cond} {'==' if then == here else '!='} 0: "
+                         + (f"i = {out}; break" if out != here else "pass"), (0, 0)))
+
+    def segments(self, j: int, lines: list) -> Optional[Instr]:
+        """Appends the (line, mark) of segment `j`, and of the next after one
+        that ends in a call, to `lines`; returns the last instruction when
+        decoded, leaving a `br` or `jmp`'s transfer to `block`."""
+        while True:
+            b, instrs = self.segs[j]
             if instrs:      # the budget runs out here: run what fits elsewhere
                 k = len(instrs)
-                body.append((depth, f"if (n := n + {k}) > b: n -= {k}; m._cut("
-                                    f"{self.fn_const}, {self.live}, {j}, f, locals())",
-                             (0, 0)))
-            lines, marks, done, tail = self.instructions(instrs)
+                lines.append((f"if (n := n + {k}) > b: n -= {k}; m._cut("
+                              f"{self.fn_const}, {self.live}, {j}, f, locals())", (0, 0)))
+            head, marks, done, tail = self.instructions(instrs)
+            end = instrs[-1] if instrs and tail is not None else None
             if tail is not None:
-                lines += [f"s += {done}"] * bool(done) + (tail or [
-                    f"raise MachineTrap('no terminator', detail={self.fn.blocks[b].label!r})"])
-            body += [(depth, line, mark) for line, mark in
-                     zip(lines, marks + [(0, 0)] * (len(lines) - len(marks)))]
-            if tail is None:
-                return
+                if not tail and type(end) not in (Br, Jmp):     # falls off its block
+                    tail = [f"raise MachineTrap('no terminator', detail={self.fn.blocks[b].label!r})"]
+                head += [f"s += {done}"] * bool(done) + tail
+            lines += zip(head, marks + [(0, 0)] * (len(head) - len(marks)))
+            if type(end) is not Call:
+                return end
+            j += 1
 
     def instructions(self, instrs: list[Instr]) -> tuple[list, list, int, Optional[list]]:
         """The lines of `instrs` up to the shadow count of one that ends a
@@ -749,18 +781,22 @@ class _Writer:
         structs = self.image.module.structs
         sz = size_of(ins.ty, structs)
         align, zeros = ~(max(align_of(ins.ty, structs), 1) - 1), self.const(bytes(sz))
-        self.used.update(("mem", "tm", "pages"))
+        self.used.update(("mem", "dirty", "tm", "pages"))
         lines = [f"a = (m.stack_ptr - {sz}) & {align}",
                  f"if a <= m.heap_ptr: raise MachineTrap('stack overflow', {ins.uid!r})",
-                 "m.stack_ptr = a", f"mem[a:a + {sz}] = {zeros}",
-                 # allocation bookkeeping: a one-page frame zeroes only a present page
-                 f"if (o := a & {PAGE - 1}) > {PAGE - sz}: tm.set_vector(a, {zeros})",
-                 f"elif (p := pages.get(a >> {_PAGE_SHIFT})) is not None: p[o:o + {sz}] = {zeros}",
-                 *self.define(ins.dest, "a", 8, tag="0")]
+                 "m.stack_ptr = a"]
+        if sz:      # zeroed past `Memory.__setitem__`, which would mark the same pages
+            put = self.const(_struct.Struct(f"{sz}s").pack_into)
+            lines += [f"{put}(mem, a, {zeros}); dirty.add(q := a >> {_PAGE_SHIFT})",
+                      # allocation bookkeeping: a one-page frame zeroes only a present page
+                      f"if (o := a & {PAGE - 1}) > {PAGE - sz}: mem.mark(a, {sz});"
+                      f" tm.set_vector(a, {zeros})",
+                      f"elif (p := pages.get(q)) is not None: p[o:o + {sz}] = {zeros}"]
+        lines += self.define(ins.dest, "a", 8, tag="0")
         if ins.dest in self.slots:      # zero, like its bytes; the range grows down
             lines.append(f"{_local('P', ins.dest)} = 0" + f"; {_local('T', ins.dest)} = _Z{sz}"
-                         * self.live + ("; R_lo = a" if self.held(ins) else
-                                        f"; R_lo, R_hi = a, a + {sz}"))
+                         * self.live + "; R_lo, R_f = a, a - 8"
+                         + f"; R_hi = a + {sz}" * (not self.held(ins)))
         return lines
 
     def load(self, ins: Load) -> list:
@@ -774,7 +810,7 @@ class _Writer:
         vec = (pick + f"_S1[p[{a} & {PAGE - 1}]]" if w == 1 else    # a byte is on one page
                f"tm.get_vector({a}, {w}) if (o := {a} & {PAGE - 1}) > {PAGE - w} else "
                + pick + f"bytes(p[o:o + {w}])")
-        return lines + [self.check(a, w, ins)] + self.overlap(a, w, ins, self.write_back) + (
+        return lines + self.check(a, w, ins) + (
             self.define(ins.dest, f"mem[{a}]" if c == "B" else f"_u{c}(mem, {a})[0]"
                         if w else "0", w, vec=vec))
 
@@ -794,11 +830,12 @@ class _Writer:
                 f" not in pages: pages[q] = bytearray({PAGE})"] * (g != f"_Z{w}")
         x, more = self.atom(x, "x")
         self.used.update(("mem", "dirty", "tm", "pages") if self.live else ("mem", "dirty"))
-        lines += more + [self.check(a, w, ins), *self.overlap(a, w, ins, self.write_back),
+        lines += more + [*self.check(a, w, ins),
                          f"_p{_fmt(ins.ty)}(mem, {a}, {x})",
                          f"dirty.add(q := {a} >> {_PAGE_SHIFT})"]
         cross = f"if (o := {a} & {PAGE - 1}) > {PAGE - w}: dirty.add(q + 1)"
-        after = self.overlap(a, w, ins, self.read_back)
+        held = self.held(ins)       # read back after a store that passed the fast bound
+        after = [f"if {a} > R_f and R_lo - {w} < {a} < R_hi: {self.read_back(held)}"] * bool(held)
         if not self.live:
             return lines + [cross] * (w > 1) + after
         g, more = self.atom(self.vec(ins.value, w), "g")
@@ -808,12 +845,6 @@ class _Writer:
         if g != f"_Z{w}":       # the page is made only for a nonzero vector
             lines.append(f"elif {g} != _Z{w}: p = pages[q] = bytearray({PAGE}); {put}")
         return lines + after
-
-    def overlap(self, a: str, w: int, ins: Instr, then) -> list[str]:
-        """The line running `then` of the slots held at `ins` when the `w`
-        bytes at `a` overlap the frame's promoted range."""
-        held = self.held(ins)
-        return [f"if R_lo - {w} < {a} < R_hi: {then(held)}"] if held else []
 
     def gep(self, ins: Gep) -> list:
         structs, t, off = self.image.module.structs, ins.base_ty, 0
@@ -862,11 +893,11 @@ class _Writer:
         return self.define(ins.dest, e, w, tag=" | ".join(tags) or "0")
 
     def br(self, ins: Br) -> list:
-        then, other = self.target(ins.then_label, ins), self.target(ins.else_label, ins)
-        return [_COUNT, f"i = {then} if {self.val(ins.cond, _I64)} != 0 else {other}"]
+        self.val(ins.cond, _I64)        # raises now when it cannot be decoded
+        return [_COUNT]                 # `block` writes the transfer
 
     def jmp(self, ins: Jmp) -> list:
-        return [_COUNT, f"i = {self.target(ins.label, ins)}"]
+        return [_COUNT]
 
     def call(self, ins: Call) -> list:
         callee = self.image.module.functions.get(ins.callee)
@@ -925,10 +956,15 @@ class _Writer:
 
     # Operands and temps
 
-    def check(self, a: str, w: int, ins: Instr) -> str:
-        """The bounds check of a `w`-byte access at `a`."""
-        return (f"if not {GLOBALS_BASE} <= {a} <= {self.image.mem_size - w}:"
-                f" m._check_bounds({a}, {w}, {ins.uid!r})")
+    def check(self, a: str, w: int, ins: Instr) -> list[str]:
+        """The bounds check of a `w`-byte access at `a` and, where slots are
+        held, the write-back of an access overlapping the promoted range,
+        both run only for an access outside [GLOBALS_BASE, R_f]."""
+        check = (f"if not {GLOBALS_BASE} <= {a} <= {self.image.mem_size - w}:"
+                 f" m._check_bounds({a}, {w}, {ins.uid!r})")
+        held = self.held(ins)
+        return [f"if not {GLOBALS_BASE} <= {a} <= R_f:", "    " + check,
+                f"    if R_lo - {w} < {a} < R_hi: {self.write_back(held)}"] if held else [check]
 
     def define(self, name: str, value: str, width: int, vec: str = "",
                tag: str = "") -> list[str]:
@@ -1009,8 +1045,9 @@ _EMIT = {Alloca: _Writer.alloca, Load: _Writer.load, Store: _Writer.store,
 class _Shared:
     """What every image of one module shares, since the parsed IR never
     changes: the global layout, each function's `code` by (name, tracked,
-    memory size), and by function name the last rule program `bound`, as
-    (program, cost, regions) (`bindings`)."""
+    memory size), by function name its parameters' value kinds and tag
+    widths (`signatures`) and the last rule program `bound`, as (program,
+    cost, regions) (`bindings`)."""
 
     def __init__(self, module: Module):
         self.module = module
@@ -1023,7 +1060,7 @@ class _Shared:
                 self.inits.append((addr, g.init))
             addr += size_of(g.ty, structs)
         self.globals_end, self.heap_start = addr, align_up(addr, 16)
-        self.code, self.bindings = {}, {}
+        self.code, self.bindings, self.signatures = {}, {}, {}
 
     def bound(self, prog: TaintRuleProgram) -> tuple:
         """`prog`'s cost, `len(prog.steps)`, and each entry as the regions of
@@ -1198,10 +1235,13 @@ class Machine:
         if len(args) != len(fn.params):
             raise MachineTrap("entry argument count mismatch",
                               detail=f"{fn_name} wants {len(fn.params)}")
-        args = [_wrap(a, _kind(t)) for a, (_, t) in zip(args, fn.params)]
-        vecs = [_resize_vec(bytes(arg_tags[i]), _width(pty))
-                if arg_tags is not None and arg_tags[i] else bytes(_width(pty))
-                for i, (_, pty) in enumerate(fn.params)]
+        sig = self.image.shared.signatures.get(fn_name)
+        if sig is None:
+            sig = self.image.shared.signatures[fn_name] = (
+                [_kind(t) for _, t in fn.params], [_width(t) for _, t in fn.params])
+        args = [_wrap(a, k) for a, k in zip(args, sig[0])]
+        vecs = [_resize_vec(bytes(arg_tags[i]), w) if arg_tags is not None and arg_tags[i]
+                else bytes(w) for i, w in enumerate(sig[1])]
         self._call(fn, args, vecs, None)
         return self._run()
 

@@ -1278,7 +1278,10 @@ def looped_function(draw):
     defined on one branch only and may be read after the join or the loop,
     which traps as undefined on a path that skipped it; and the call passes
     temps of other widths than the helper's parameters, whose tag vectors
-    `LOOP_CFG`'s sources resize.  Returns (source, entry argument count)."""
+    `LOOP_CFG`'s sources resize.  The loop's header may hold a call too,
+    so no `jmp` into it copies it, and its join block may loop on itself,
+    counting the counter down to below zero, with or without the call.
+    Returns (source, entry argument count)."""
     n_params = draw(st.integers(1, 3))
     params, temps = ["%p0: i64"], [("p0", "i64")]
     for i in range(1, n_params):
@@ -1327,15 +1330,19 @@ def looped_function(draw):
 
     entry = ["  %pad = alloca [16 x char]", "  %cnt = and i64 %p0, 3"]
     entry += define("acc") + steps() + ["  jmp head"]
+    shape = draw(st.sampled_from(("header", "called header", "self-looped join")))
     head = ["  %z = cmp i64 %cnt, 0", "  br %z, exit, body"]
+    if shape == "called header":
+        head[:0] = call()
     body = ["  %cnt = sub i64 %cnt, 1"] + steps()
     early = draw(st.booleans())        # the call before the branch, or after the join
     body += (call() if early else []) + [f"  br {operand('i64')}, then, join"]
     then = define("once") + ["  jmp join"]
     if not draw(st.booleans()):     # %once is never read
         temps.pop()
-    join = steps() + ([] if early else call()) + steps()
-    join += define("acc", "%acc") + ["  jmp head"]
+    join = steps() + ([] if early else call()) + steps() + define("acc", "%acc")
+    join += (["  %y = cmp i64 %cnt, 0", "  %cnt = sub i64 %cnt, 1", "  br %y, exit, join"]
+             if shape == "self-looped join" else ["  jmp head"])
     rty = draw(st.sampled_from(_INT_TYPES + _FLOAT_TYPES))
     blocks = {"entry": entry, "head": head, "body": body, "then": then, "join": join,
               "exit": [f"  ret {rty} {operand(rty)}"]}
@@ -1370,11 +1377,15 @@ def slotted_function(draw):
     and one to three of other drawn types): loads, which may come before any
     store; stores of temps of any type and of tainted values then zero;
     loads and stores of any width through a gep off the escaped
-    `[16 x char]` %buf with a drawn negative offset, which may land on a
-    slot, directly or through a pointer saved in %sp; calls to @h and @k,
-    and to @put, which writes through such a pointer; divisions that may
-    trap; and rare loads through %p0, which trap out of bounds.  Returns
-    (source, entry argument count, slot names)."""
+    `[16 x char]` %buf with a drawn offset, which may land on a slot, just
+    below the lowest one, in %buf or past the top of memory, directly or
+    through a pointer saved in %sp, or through a gep within 8 bytes of the
+    first global, at the bottom of memory; calls to @h and @k, and to @put,
+    which writes through such a pointer; divisions that may trap; and rare
+    loads through %p0, which trap out of bounds.  The loop is a header
+    before the body, or a header holding a call, which no `jmp` into it
+    copies, or a body that branches to itself.  Returns (source, entry
+    argument count, slot names)."""
     params, temps = ["%p0: i64"], [("p0", "i64")]
     for i in range(1, draw(st.integers(1, 3))):
         ty = draw(st.sampled_from(_INT_TYPES + _FLOAT_TYPES))
@@ -1393,8 +1404,11 @@ def slotted_function(draw):
 
     def wild():
         counter[0] += 1
-        return f"w{counter[0]}", [f"  %w{counter[0]} = gep [16 x char], %buf, 0,"
-                                  f" {draw(st.integers(-40, -1))}"]
+        w = f"w{counter[0]}"
+        if draw(st.integers(0, 5)) == 0:    # at the bottom of memory: @gv is the first global
+            return w, [f"  %{w}e = gep [8 x i32], @gv, 0, 0",
+                       f"  %{w} = gep char, %{w}e, {draw(st.integers(-8, 8))}"]
+        return w, [f"  %{w} = gep [16 x char], %buf, 0, {draw(st.integers(-64, 16))}"]
 
     def steps():
         out = []
@@ -1441,12 +1455,21 @@ def slotted_function(draw):
     entry += [f"  %{name} = alloca {ty}" for name, ty in slots]
     entry += [f"  store {ty} {operand(ty)}, %{name}" for name, ty in slots if draw(st.booleans())]
     entry += ["  %n = and i64 %p0, 3"] + steps() + ["  store i64 0, %ctr", "  jmp head"]
+    shape = draw(st.sampled_from(("header", "called header", "self-loop")))
     head = ["  %i = load i64, %ctr", "  %z = cmp i64 %i, %n", "  br %z, exit, body"]
+    if shape == "called header":
+        head[:0] = [f"  %hc = call i16 @h({operand('i32')}, {operand('u8')})"]
     body = steps() + ["  %i1 = add i64 %i, 1", "  store i64 %i1, %ctr", "  jmp head"]
+    if shape == "self-loop":    # %n + 1 iterations, the test at the bottom
+        entry[-1:] = ["  %m = add i64 %n, 1", "  jmp body"]
+        head = None
+        body[-1:] = ["  %z = cmp i64 %i1, %m", "  br %z, exit, body"]
+        body.insert(0, "  %i = load i64, %ctr")
     blocks = {"entry": entry, "head": head, "body": body,
               "exit": steps() + [f"  ret i64 {operand('i64')}"]}
     src = (HELPERS + PUT + f"\nfn @f({', '.join(params)}) -> i64 {{\n"
-           + "".join(f"{label}:\n" + "\n".join(lines) + "\n" for label, lines in blocks.items())
+           + "".join(f"{label}:\n" + "\n".join(lines) + "\n"
+                     for label, lines in blocks.items() if lines is not None)
            + "}\n")
     return src, len(params), ["ctr"] + [name for name, _ in slots]
 
@@ -1804,6 +1827,43 @@ class TestExactTraps:
             assert (result[:2] == ("trap", "step budget exhausted") if budget < total
                     else isinstance(result, RunReport))
             assert got["instr"][1] == min(budget + 1, total)
+
+    def test_every_budget_on_bench_user(self, bench_user):
+        """Its loop runs as an inner `while`; a budget may run out in the
+        copy of the loop's header at the end of the entry block or of the
+        body."""
+        def pretaint(m):
+            m.write_bytes(m.global_addr["data"], b"\x07\x00\xff\x10")
+            m.tagmap.set_taint(m.global_addr["data"] + 1, 2, 2)
+        total = assert_same_runs(bench_user, "main", [4], {}, before=pretaint,
+                                 mem_size=1 << 20)["instr"][0].instr_executed_total
+        for budget in range(1, total + 2):
+            got = assert_same_runs(bench_user, "main", [4], {}, before=pretaint,
+                                   mem_size=1 << 20, step_budget=budget)
+            result = got["instr"][0]
+            assert (result[:2] == ("trap", "step budget exhausted") if budget < total
+                    else result.exit_value == 0x07 + 0xff + 0x10)
+            assert got["instr"][1] == min(budget + 1, total)
+
+    def test_every_budget_on_strcpy_a(self, libcorpus, lib_rules):
+        """A loop that branches back to itself, copied once into the entry
+        block, in both modes and against the step interpreter."""
+        def materialized(m):
+            d, s = m.alloc(8), m.alloc(8)
+            m.write_bytes(s, b"abcd\0")
+            m.tagmap.set_taint(s + 1, 3, 2)
+            return [d, s]
+        args = materialized(Machine(libcorpus, mem_size=1 << 20))
+        total = Machine(libcorpus, mem_size=1 << 20)
+        total.call_entry("strcpy_a", materialized(total))
+        assert total.instr_total == 5 + 10 * 5 + 1
+        for budget in range(1, total.instr_total + 2):
+            for mode in ("instr", "hybrid"):
+                runs = [outcome(cls, libcorpus, "strcpy_a", args,
+                                mode=mode, rule_programs=lib_rules, mem_size=1 << 20,
+                                before=materialized, step_budget=budget)
+                        for cls in (Machine, ReferenceMachine)]
+                assert runs[0] == runs[1], (budget, mode)
 
     def test_every_budget_on_a_libcorpus_function(self, libcorpus, lib_rules):
         plan = build_plan(libcorpus, "enroll", random.Random(3))
@@ -2669,10 +2729,16 @@ def _range(name):
     return (-(1 << bits - 1), (1 << bits - 1) - 1) if name[0] == "i" else (0, (1 << bits) - 1)
 
 
+LOOPS = [("bench_user", "main"), ("bench_memcpy", "memcpy"), ("libcorpus", "strcpy_a"),
+         ("libcorpus", "strlen_a"), ("libcorpus", "memset_a")]
+
+
 class TestLeanCode:
     """The tracked code binds a tag vector only where a line reads it,
     reads a byte straight from memory, and wraps a value only where its
-    producer's range does not fit; runs stay the step interpreter's."""
+    producer's range does not fit; a loop runs as a Python loop and an
+    access in a frame holding promoted slots makes one range test on its
+    fast path; runs stay the step interpreter's."""
 
     @staticmethod
     def _source(module, fn, live=True):
@@ -2702,6 +2768,45 @@ class TestLeanCode:
         assert "_uB(" not in source and "mem[" in source
         assert not re.search(r"\bg_(z|cp)\b", source)
         assert "> 4095" not in source       # no straddle test of a byte
+
+    @pytest.mark.parametrize("live", [True, False])
+    @pytest.mark.parametrize("program, fn", LOOPS)
+    def test_loop_is_an_inner_while(self, program, fn, live):
+        """The loop runs as a `while` inside the dispatching one, and sets
+        the block index `i` only on the edge that leaves it."""
+        tree = ast.parse(self._source(corpus.load_module(program), fn, live))
+        outer = next(node for node in ast.walk(tree) if isinstance(node, ast.While))
+        inner = [node for node in ast.walk(outer) if isinstance(node, ast.While)][1:]
+        assert len(inner) == 1
+        sets = [node for node in ast.walk(inner[0]) if isinstance(node, ast.Assign)
+                and [ast.unparse(target) for target in node.targets] == ["i"]]
+        exits = [node for node in inner[0].body
+                 if isinstance(node, ast.If) and isinstance(node.body[-1], ast.Break)]
+        assert len(exits) == 1 and sets == exits[0].body[:1]
+        assert exits[0] is inner[0].body[-1]
+
+    @pytest.mark.parametrize("live", [True, False])
+    @pytest.mark.parametrize("program, fn", LOOPS)
+    def test_one_range_test_on_the_fast_path(self, program, fn, live):
+        """Each load and store of memory first tests its address against
+        `GLOBALS_BASE` and the fast bound `R_f`; the bounds check and the
+        overlap tests with the promoted range run only past that test."""
+        tree = ast.parse(self._source(corpus.load_module(program), fn, live))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+        def fast(node):
+            return (isinstance(node, ast.If) and
+                    re.fullmatch(rf"not {GLOBALS_BASE} <= \w+ <= R_f", ast.unparse(node.test)))
+        tests = [node for node in ast.walk(tree) if fast(node)]
+        checks = [node for node in ast.walk(tree) if isinstance(node, ast.If) and (
+                  "R_hi" in ast.unparse(node.test)
+                  or ast.unparse(node.body[0]).startswith("m._check_bounds("))]
+        assert tests and len(checks) >= 2 * len(tests)
+        for node in checks:
+            assert fast(parent[node]) or re.match(r"\w+ > R_f and ", ast.unparse(node.test)), (
+                ast.unparse(node))
+        assert [ast.unparse(node.body[0].body[0]).startswith("m._check_bounds(")
+                for node in tests] == [True] * len(tests)
 
     @pytest.mark.parametrize("src", _INT_TYPES + ("ptr(i8)",))
     def test_wrap_omitted_exactly_when_the_range_fits(self, src):
