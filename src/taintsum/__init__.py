@@ -19,15 +19,14 @@ from .summaries import (
     summary_gen, target_nodes,
 )
 from .tracker import (
-    Image, Machine, MachineTrap, RunReport, TaintConfig, Tagmap,
-    apply_rule_program, run,
+    Machine, MachineTrap, RunReport, TaintConfig, Tagmap, apply_rule_program, run,
 )
 from .validate import bench, noninterference_check, oracle_compare
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Diagnostic", "Image", "Machine", "MachineTrap", "Module", "ParseError", "Pdg",
+    "Diagnostic", "Machine", "MachineTrap", "Module", "ParseError", "Pdg",
     "PdgError", "RunReport", "SlotRef", "Summary", "TaintConfig",
     "TaintRuleProgram", "Tagmap", "apply_rule_program", "bench", "build_pdg",
     "field_offset", "flatten_prim_types", "noninterference_check",

@@ -29,6 +29,9 @@ from .summaries import (
 from .tracker import DEFAULT_STEP_BUDGET, MachineTrap, TaintConfig, run
 from .validate import HarnessError, bench, noninterference_check, oracle_compare
 
+# how a run stops: a trap, a NaN or infinity read as an int, or a float past f32
+_STOPS = (MachineTrap, ValueError, OverflowError)
+
 
 def _load_module(path: str) -> Module:
     try:
@@ -197,7 +200,7 @@ def cmd_run(args) -> int:
     try:
         report = run(m, args.entry, args.args, cfg, args.mode, progs,
                      step_budget=args.step_budget, default_len=args.default_len)
-    except (MachineTrap, ValueError) as e:
+    except _STOPS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     text = json.dumps(report.to_json(), indent=2) + "\n"
@@ -220,7 +223,7 @@ def _harness(args, check, describe, out_name: str) -> int:
         try:
             rep = check(m, name, trials=args.trials, seed=args.seed,
                         rule_programs=progs)
-        except HarnessError as e:
+        except (HarnessError, *_STOPS) as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
         results.append(rep.to_json())
@@ -252,7 +255,7 @@ def cmd_bench(args) -> int:
     try:
         rep = bench(m, args.entry, args.args, rule_programs=progs,
                     step_budget=args.step_budget)
-    except (MachineTrap, ValueError) as e:
+    except _STOPS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     sys.stdout.write(rep.to_csv())

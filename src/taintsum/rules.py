@@ -10,8 +10,8 @@ Regions (`slot_extent`): char*/void* slots scan to the string terminator at
 application time (capped, terminator included); other pointer slots cover
 size_of(pointee) bytes; field-path slots cover the field; scalar slots
 live in the value-shadow of the recorded argument (or the return shadow).
-Extents follow from the slot types, so a program stores none: a machine's
-image derives them when it binds the program (`tracker._Shared.bound`).
+Extents follow from the slot types, so a program stores none: the tracker
+derives them once per module when it binds the program (`_Shared.bound`).
 
 A rule file (schema v2) is the summary document's entries plus the cap:
 {"v": 2, "function", "controlDeps", "maxLen", "entries": [{"out", "ins"}]}.

@@ -325,7 +325,9 @@ def _kind(ty: Type):
         return (0, 0xFF) if isinstance(ty, Char) else _PTR
     if isinstance(ty, Float):
         return "f"
-    return (1 << (ty.bits - 1) if ty.signed else 0), (1 << ty.bits) - 1
+    if isinstance(ty, Int):
+        return (1 << (ty.bits - 1) if ty.signed else 0), (1 << ty.bits) - 1
+    raise MachineTrap("bad value type", detail=str(ty))
 
 
 def _wrap(v, kind):
@@ -367,13 +369,14 @@ def _undefined(name: str) -> MachineTrap:
 # Compiled functions
 # ---------------------------------------------------------------------------
 #
-# An image compiles each function its machines enter, tracked or untracked,
-# into Python source: one function `F(m, f)` that runs frame `f` to its
+# Each function a machine enters is compiled, tracked or untracked, into
+# Python source: one function `F(m, f)` that runs frame `f` to its
 # return.  An outer `while` runs the block whose index is `i`, and a block
 # ends by setting `i`, except that a `jmp` to a block of one segment ending in
 # a terminator runs a copy of that block's lines, and a block whose last
 # transfer leads back to itself is an inner `while` that sets `i` only on its
-# way out: a loop's iterations never pass through the dispatch.  An IR call is
+# way out: a loop's iterations never pass through the dispatch, which holds
+# block 0 and each block one of its blocks sets `i` to.  An IR call is
 # a Python call of the callee's function, so each IR frame is one Python
 # frame, and temps stay locals.  What an instruction fixes is a literal there:
 # constants, global addresses, widths, masks, gep offsets, block indices.  A
@@ -403,7 +406,7 @@ def _undefined(name: str) -> MachineTrap:
 # `Machine._cut` runs the prefix that fits from the function's locals
 # (`_Writer.cut`) and traps.  When a run raises, the line its innermost
 # generated frame stopped on gives the instructions it did not run and the
-# shadow ops it did not count.  Every image of a module shares its code
+# shadow ops it did not count.  Every machine of a module shares its code
 # (`_Shared`), since the parsed IR never changes.  The functions hold no
 # machine.
 
@@ -535,9 +538,9 @@ class _Writer:
     instruction that ends a segment hold `_COUNT` where the segment's shadow
     count goes: after what it reads, before what it changes."""
 
-    def __init__(self, image: "Image", fn: Function, live: bool):
-        self.image, self.fn, self.live = image, fn, live
-        functions = image.module.functions
+    def __init__(self, shared: "_Shared", fn: Function, live: bool, mem_size: int):
+        self.shared, self.fn, self.live, self.mem_size = shared, fn, live, mem_size
+        functions = shared.module.functions
         # the kind of value each temp holds and the width of its tag vector,
         # None where its definitions differ; the temps read; the constants
         # the source names
@@ -647,9 +650,15 @@ class _Writer:
         """The function compiled."""
         self.used, body = set(), []
         looped = any(type(ins) in (Br, Jmp) for _, instrs in self.segs for ins in instrs)
-        if looped:
+        if looped:      # a tree over block 0 and the blocks its blocks set `i` to
+            lines = [[] for _ in self.fn.blocks]
+            sets = [self.block(b, 0, lines[b]) for b in range(len(lines))]
+            tree, todo = set(), {0}
+            while todo:
+                tree |= todo
+                todo = {t for b in todo for t in sets[b]} - tree
             body.append((1, "while True:", (0, 0)))
-            self.dispatch(range(len(self.fn.blocks)), 2, body)
+            self.dispatch(sorted(tree), 2, body, lines)
         elif self.fn.blocks:       # no branch: only the entry block runs
             self.block(0, 1, body)
         else:
@@ -693,22 +702,23 @@ class _Writer:
     def prologue(self) -> list[str]:
         return [f"{name} = {value}" for name, value in _PROLOGUE if name in self.used]
 
-    def dispatch(self, blocks: range, depth: int, body: list) -> None:
-        """The lines running whichever of `blocks` is block `i`."""
+    def dispatch(self, blocks: list[int], depth: int, body: list, lines: list) -> None:
+        """The lines running whichever of `blocks` is block `i`: its `lines`."""
         if len(blocks) > 1:
             mid = len(blocks) // 2
             body.append((depth, f"if i < {blocks[mid]}:", (0, 0)))
-            self.dispatch(blocks[:mid], depth + 1, body)
+            self.dispatch(blocks[:mid], depth + 1, body, lines)
             body.append((depth, "else:", (0, 0)))
-            self.dispatch(blocks[mid:], depth + 1, body)
+            self.dispatch(blocks[mid:], depth + 1, body, lines)
         else:
-            self.block(blocks[0], depth, body)
+            body += [(depth + d, line, mark) for d, line, mark in lines[blocks[0]]]
 
-    def block(self, b: int, depth: int, body: list) -> None:
+    def block(self, b: int, depth: int, body: list) -> list[int]:
         """The lines running block `b` and, in place of a `jmp` to a block
         of one segment that ends in a terminator, that block's; body gets
         (indent, line, mark) for each.  When the last transfer leads back to
-        `b`, they run in an inner `while` that only the other edge leaves."""
+        `b`, they run in an inner `while` that only the other edge leaves.
+        Returns the blocks the lines set `i` to."""
         lines = []
         end = self.segments(self.starts[b], lines)
         h = self.labels.get(end.label) if type(end) is Jmp else None
@@ -729,6 +739,7 @@ class _Writer:
             out = other if then == here else then
             body.append((depth + 1, f"if {cond} {'==' if then == here else '!='} 0: "
                          + (f"i = {out}; break" if out != here else "pass"), (0, 0)))
+        return [int(t) for t in (then, other) if t and t != here and t.isdigit()]
 
     def segments(self, j: int, lines: list) -> Optional[Instr]:
         """Appends the (line, mark) of segment `j`, and of the next after one
@@ -778,7 +789,7 @@ class _Writer:
     # The lines of each kind of instruction
 
     def alloca(self, ins: Alloca) -> list:
-        structs = self.image.module.structs
+        structs = self.shared.module.structs
         sz = size_of(ins.ty, structs)
         align, zeros = ~(max(align_of(ins.ty, structs), 1) - 1), self.const(bytes(sz))
         self.used.update(("mem", "dirty", "tm", "pages"))
@@ -847,7 +858,7 @@ class _Writer:
         return lines + after
 
     def gep(self, ins: Gep) -> list:
-        structs, t, off = self.image.module.structs, ins.base_ty, 0
+        structs, t, off = self.shared.module.structs, ins.base_ty, 0
         strides = [(ins.indices[0], size_of(t, structs))]
         for idx in ins.indices[1:]:
             if isinstance(t, StructRef):
@@ -900,7 +911,7 @@ class _Writer:
         return [_COUNT]
 
     def call(self, ins: Call) -> list:
-        callee = self.image.module.functions.get(ins.callee)
+        callee = self.shared.module.functions.get(ins.callee)
         if callee is None:
             raise MachineTrap("unresolved callee", ins.uid, f"@{ins.callee}")
         if len(ins.args) < len(callee.params):      # a parameter no argument defines
@@ -960,7 +971,7 @@ class _Writer:
         """The bounds check of a `w`-byte access at `a` and, where slots are
         held, the write-back of an access overlapping the promoted range,
         both run only for an access outside [GLOBALS_BASE, R_f]."""
-        check = (f"if not {GLOBALS_BASE} <= {a} <= {self.image.mem_size - w}:"
+        check = (f"if not {GLOBALS_BASE} <= {a} <= {self.mem_size - w}:"
                  f" m._check_bounds({a}, {w}, {ins.uid!r})")
         held = self.held(ins)
         return [f"if not {GLOBALS_BASE} <= {a} <= R_f:", "    " + check,
@@ -983,7 +994,7 @@ class _Writer:
         """A constant or global operand's value as a `kind` value; a
         global's address is used as it is unless `wrap_globals`."""
         if type(op) is GlobalRef:
-            v = self.image.shared.global_addr[op.name]
+            v = self.shared.global_addr[op.name]
             return _wrap(v, kind) if wrap_globals else v
         return _wrap(op.value, kind)
 
@@ -1039,15 +1050,16 @@ _EMIT = {Alloca: _Writer.alloca, Load: _Writer.load, Store: _Writer.store,
 
 
 # ---------------------------------------------------------------------------
-# The module image
+# What the machines of a module share
 # ---------------------------------------------------------------------------
 
 class _Shared:
-    """What every image of one module shares, since the parsed IR never
+    """What every machine of one module shares, since the parsed IR never
     changes: the global layout, each function's `code` by (name, tracked,
     memory size), by function name its parameters' value kinds and tag
     widths (`signatures`) and the last rule program `bound`, as (program,
-    cost, regions) (`bindings`)."""
+    cost, regions) (`bindings`).  It holds no machine, so a machine is freed
+    by reference counting while its module's entry lives on."""
 
     def __init__(self, module: Module):
         self.module = module
@@ -1061,6 +1073,13 @@ class _Shared:
             addr += size_of(g.ty, structs)
         self.globals_end, self.heap_start = addr, align_up(addr, 16)
         self.code, self.bindings, self.signatures = {}, {}, {}
+
+    def compiled(self, fn: Function, live: bool, mem_size: int):
+        key = (fn.name, live, mem_size)
+        code = self.code.get(key)
+        if code is None:
+            code = self.code[key] = _Writer(self, fn, live, mem_size).code()
+        return code
 
     def bound(self, prog: TaintRuleProgram) -> tuple:
         """`prog`'s cost, `len(prog.steps)`, and each entry as the regions of
@@ -1092,7 +1111,7 @@ class _Shared:
 
 # id of module -> its _Shared, least recently used first.  An entry holds
 # its module, so no id is reused while it lives, and at most one code per
-# (function, tracked, memory size) its images ran and one bound program per
+# (function, tracked, memory size) its machines ran and one bound program per
 # rule-firing function; an evicted entry is freed with all of them.
 MODULE_TABLE_SIZE = 64
 _module_table: dict[int, _Shared] = {}
@@ -1107,57 +1126,31 @@ def _shared(module: Module) -> _Shared:
     return hit
 
 
-class Image:
-    """What no run changes, shared by every machine made from it: the rule
-    programs, the memory size and its module's `_Shared`.  It holds no
-    machine, so a machine is freed by reference counting while its image
-    lives on.  Raises ValueError when the globals reach past the lower half
-    of `mem_size`, which is the heap's."""
-
-    def __init__(self, module: Module,
-                 rule_programs: Optional[Mapping[str, TaintRuleProgram]] = None,
-                 mem_size: int = DEFAULT_MEMORY):
-        shared = self.shared = _shared(module)
-        self.module, self.rules, self.mem_size = module, dict(rule_programs or {}), mem_size
-        if shared.heap_start > mem_size // 2:
-            raise ValueError(f"the globals need 0x{shared.heap_start:x} bytes, more than"
-                             f" half of mem_size 0x{mem_size:x}")
-
-    def compiled(self, fn: Function, live: bool):
-        key, table = (fn.name, live, self.mem_size), self.shared.code
-        code = table.get(key)
-        if code is None:
-            code = table[key] = _Writer(self, fn, live).code()
-        return code
-
-
 # ---------------------------------------------------------------------------
 # The machine
 # ---------------------------------------------------------------------------
 
 class Machine:
     """The state of one run: memory, Tagmap, frames and counters, which
-    `reset` clears for the next.  The first argument is an `Image`, or a
-    `Module` to build one from; an image fixes the rule programs and the
-    memory size."""
+    `reset` clears for the next.  What no run changes comes from the
+    module's `_Shared`.  Raises ValueError when the globals reach past the
+    lower half of `mem_size`, which is the heap's."""
 
-    def __init__(self, image: Image | Module, *, mode: str = "instr",
+    def __init__(self, module: Module, *, mode: str = "instr",
                  rule_programs: Optional[Mapping[str, TaintRuleProgram]] = None,
                  taint_config: Optional[TaintConfig] = None,
-                 mem_size: Optional[int] = None,
+                 mem_size: int = DEFAULT_MEMORY,
                  step_budget: int = DEFAULT_STEP_BUDGET,
                  default_len: int = DEFAULT_STRING_CAP):
         if mode not in ("instr", "hybrid"):
             raise ValueError(f"unknown mode {mode!r}")
-        if isinstance(image, Module):
-            image = Image(image, rule_programs,
-                          DEFAULT_MEMORY if mem_size is None else mem_size)
-        elif rule_programs is not None or mem_size is not None:
-            raise ValueError("an image fixes the rule programs and memory size")
-        self.image, self.module, self.mode = image, image.module, mode
-        self.cfg = taint_config or TaintConfig()
-        self.mem_size, self.memory = image.mem_size, Memory(image.mem_size)
-        self.global_addr, self.globals_end = image.shared.global_addr, image.shared.globals_end
+        shared = self.shared = _shared(module)
+        if shared.heap_start > mem_size // 2:
+            raise ValueError(f"the globals need 0x{shared.heap_start:x} bytes, more than"
+                             f" half of mem_size 0x{mem_size:x}")
+        self.module, self.mode, self.cfg = module, mode, taint_config or TaintConfig()
+        self.mem_size, self.memory = mem_size, Memory(mem_size)
+        self.global_addr, self.globals_end = shared.global_addr, shared.globals_end
         self.step_budget, self.default_len = step_budget, default_len
         self._sources, self._sinks = {}, {}
         for s in self.cfg.sources + self.cfg.sinks:
@@ -1165,24 +1158,25 @@ class Machine:
             by_fn.setdefault(s.fn, []).append(s)
         # in instr mode no rule ever fires, nor one whose callees hold a
         # source or sink (`TaintConfig.withheld`)
-        self.rules = image.rules if mode == "hybrid" else {}
+        self.rules = dict(rule_programs or {}) if mode == "hybrid" else {}
         if self.rules and (self._sources or self._sinks):
             withheld = self.cfg.withheld(self.module, self.rules)
             self.rules = {f: p for f, p in self.rules.items() if f not in withheld}
         self.reset()
 
     def reset(self) -> None:
-        """Returns the machine to the state a fresh one of its image, mode
-        and config starts in: each written page is zeroed, past `__setitem__`
-        so that it stays unmarked, and the image's initial bytes rewritten."""
+        """Returns the machine to the state a fresh one of its module, rules,
+        memory size, mode and config starts in: each written page is zeroed,
+        past `__setitem__` so that it stays unmarked, and the globals'
+        initial bytes rewritten."""
         memory = self.memory
         for a in (p << _PAGE_SHIFT for p in memory.dirty):
             n = min(PAGE, len(memory) - a)
             mmap.mmap.__setitem__(memory, slice(a, a + n), bytes(n))
         memory.dirty.clear()
-        for addr, init in self.image.shared.inits:
+        for addr, init in self.shared.inits:
             memory[addr:addr + len(init)] = init
-        self.heap_ptr, self.stack_ptr = self.image.shared.heap_start, self.mem_size
+        self.heap_ptr, self.stack_ptr = self.shared.heap_start, self.mem_size
         self.tagmap, self.ret_shadow = Tagmap(), b""
         self.live = True        # false while a rule-firing call runs
         self._unins_from = 0    # the instruction count when it last fell
@@ -1235,9 +1229,9 @@ class Machine:
         if len(args) != len(fn.params):
             raise MachineTrap("entry argument count mismatch",
                               detail=f"{fn_name} wants {len(fn.params)}")
-        sig = self.image.shared.signatures.get(fn_name)
+        sig = self.shared.signatures.get(fn_name)
         if sig is None:
-            sig = self.image.shared.signatures[fn_name] = (
+            sig = self.shared.signatures[fn_name] = (
                 [_kind(t) for _, t in fn.params], [_width(t) for _, t in fn.params])
         args = [_wrap(a, k) for a, k in zip(args, sig[0])]
         vecs = [_resize_vec(bytes(arg_tags[i]), w) if arg_tags is not None and arg_tags[i]
@@ -1258,7 +1252,7 @@ class Machine:
             record = [(temps[p], tags[p]) for p in names]
             self.live, self._unins_from = False, self.instr_total
         return _Frame(fn, temps, tags, self.stack_ptr, call_ins,
-                      self.image.compiled(fn, self.live), record)
+                      self.shared.compiled(fn, self.live, self.mem_size), record)
 
     def _call(self, callee: Function, args: list, vecs, ins: Optional[Call]) -> _Frame:
         """Enters `callee` from `ins`, or as the entry when None; the caller
@@ -1337,8 +1331,8 @@ class Machine:
     def _cut(self, fn: Function, live: bool, i: int, frame: _Frame, local: dict) -> None:
         """Runs the prefix of segment `i` of `fn`'s code that the step budget
         leaves, from the locals its budget check failed with, and traps."""
-        _Writer(self.image, fn, live).cut(i, self.step_budget - local["n"], local)(
-            self, frame, local)
+        writer = _Writer(self.shared, fn, live, self.mem_size)
+        writer.cut(i, self.step_budget - local["n"], local)(self, frame, local)
 
     def _do_ret(self, frame: _Frame, value):
         """Pops `frame`, applies its rule program and sources, and returns
@@ -1360,13 +1354,13 @@ class Machine:
 # ---------------------------------------------------------------------------
 
 def apply_rule_program(prog: TaintRuleProgram, arg_record, machine: Machine) -> None:
-    """Execute a rule program, bound to the machine's image, against the
+    """Execute a rule program, bound to the machine's module, against the
     shadow state using the argument values recorded at call entry: each
     entry ORs the tags of its in-regions and then of its out-region, and
     sets the out-region to the result.  A region covers its slot's extent,
     or the string scanned at application time up to `max_len`; a null
     pointer's region, like a by-value scalar's, covers no memory."""
-    cost, entries = machine.image.shared.bound(prog)
+    cost, entries = machine.shared.bound(prog)
     tagmap, cap = machine.tagmap, prog.max_len
     machine.shadow_ops_rules += cost
     for regions in entries:

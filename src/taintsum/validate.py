@@ -21,7 +21,7 @@ from .ir import (
     field_offset, size_of,
 )
 from .rules import DEFAULT_STRING_CAP, TaintRuleProgram, compile_library
-from .tracker import GLOBALS_BASE, PAGE, Image, Machine, Tagmap, run
+from .tracker import GLOBALS_BASE, PAGE, Machine, Tagmap, run
 
 HARNESS_MEMORY = 1 * 1024 * 1024
 MAX_SUBSETS = 256
@@ -206,11 +206,10 @@ def _function(module: Module, fn_name: str) -> Function:
     return fn
 
 
-def _image(module: Module, rule_programs: Optional[Mapping[str, TaintRuleProgram]],
-           mem_size: int) -> Image:
-    """The one image of a harness call: its rules, or else the module's own."""
-    return Image(module, default_rules(module) if rule_programs is None
-                 else rule_programs, mem_size)
+def _rules(module: Module, rule_programs: Optional[Mapping[str, TaintRuleProgram]],
+           ) -> Mapping[str, TaintRuleProgram]:
+    """A harness call's rules: those given, or else the module's own."""
+    return default_rules(module) if rule_programs is None else rule_programs
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +281,8 @@ def oracle_compare(module: Module, fn_name: str, trials: int = 100,
     asserting that rules never miss a persistent byte the instruction-level
     oracle taints."""
     subsets = _subsets(len(_function(module, fn_name).params))
-    image = _image(module, rule_programs, mem_size)
-    m_i, m_h = Machine(image), Machine(image, mode="hybrid")
+    kw = dict(rule_programs=_rules(module, rule_programs), mem_size=mem_size)
+    m_i, m_h = Machine(module, **kw), Machine(module, mode="hybrid", **kw)
     drawers = _resolve_driver(module, fn_name, drivers)
     sum_i = sum_h = 0
     ret_i = ret_h = False
@@ -384,8 +383,7 @@ def noninterference_check(
     violations: list[NIViolation] = []
     nparams = len(fn.params)
     highs = [_high_roots(prog.entries, p) for p in range(nparams)]
-    image = Image(module, mem_size=mem_size)
-    m_a, m_b = Machine(image), Machine(image)
+    m_a, m_b = Machine(module, mem_size=mem_size), Machine(module, mem_size=mem_size)
     drawers = _resolve_driver(module, fn_name, drivers)
     sizes = [(g, addr, size_of(module.globals[g].ty, module.structs))
              for g, addr in m_a.global_addr.items()]
@@ -474,12 +472,12 @@ def bench(module: Module, entry: str = "main", args: Sequence[int] = (),
     return BenchReport(entry, tuple(args), tuple(rows))
 
 
-def _both_modes(image: Image, entry: str, args_of) -> list[tuple]:
+def _both_modes(module: Module, rules, mem_size: int, entry: str, args_of) -> list[tuple]:
     """(exit value, final memory) of an instr and then a hybrid machine of
-    `image`, each called with `args_of(machine)`."""
+    `module`, each called with `args_of(machine)`."""
     out = []
     for mode in ("instr", "hybrid"):
-        m = Machine(image, mode=mode)
+        m = Machine(module, mode=mode, rule_programs=rules, mem_size=mem_size)
         out.append((m.call_entry(entry, args_of(m)), m.memory))
     return out
 
@@ -489,7 +487,7 @@ def transparency_check(module: Module, entry: str, args: Sequence[int],
                        mem_size: int = HARNESS_MEMORY) -> list[str]:
     """Concrete exit value and final memory must not depend on the mode."""
     (x_i, mem_i), (x_h, mem_h) = _both_modes(
-        _image(module, rule_programs, mem_size), entry, lambda m: list(args))
+        module, _rules(module, rule_programs), mem_size, entry, lambda m: list(args))
     mismatches = []
     if x_i != x_h:
         mismatches.append(f"exit value differs: {x_i} vs {x_h}")
@@ -504,8 +502,8 @@ def transparency_check_fn(
         mem_size: int = HARNESS_MEMORY,
         drivers: Optional[Mapping[str, tuple]] = None) -> list[str]:
     """Driver-based variant for library functions with generated inputs."""
-    image = _image(module, rule_programs, mem_size)
     plan = build_plan(module, fn_name, random.Random(f"transparency:{seed}:{fn_name}"),
                       drivers)
-    instr, hybrid = _both_modes(image, fn_name, lambda m: materialize_plan(m, plan)[0])
+    instr, hybrid = _both_modes(module, _rules(module, rule_programs), mem_size, fn_name,
+                                lambda m: materialize_plan(m, plan)[0])
     return [f"@{fn_name} diverges between modes (seed {seed})"] if instr != hybrid else []

@@ -166,7 +166,7 @@ def test_criterion_7_algorithmic_fixtures(libcorpus, lib_summaries,
                             "@stu.score": ["param0.score"]}
 
     # rule programs compiled from the frozen summaries, with the extents
-    # an image binds: (slot, bytes) per out and in, None for a string
+    # a module binds: (slot, bytes) per out and in, None for a string
     mem_prog = taint_rule_gen(lib_summaries["memcpy"], libcorpus)
     assert bound_shapes(mem_prog, libcorpus) == [
         (("param0", None), [("param1", None)]), (("ret", 8), [("param0", None)])]

@@ -674,3 +674,50 @@ class TestUnwritableOutput:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {report}: {reason}\n" and captured.out == ""
+
+
+class TestRunStops:
+    """A run that stops, on a trap, on a value of an aggregate type, or on
+    a float that no int or f32 holds, is a diagnostic and exit 1 in every
+    command that runs code, never a traceback."""
+
+    BY_VALUE = "struct %s { i32 a }\n\nfn @f(%x: %s) -> i64 {\nentry:\n  ret i64 0\n}\n"
+    ARRAY_OP = ("fn @g(%y: i64) -> i64 {\nentry:\n  %z = add [4 x char] %y, 1\n  ret i64 0\n}\n\n"
+                "fn @main() -> i64 {\nentry:\n  %r = call i64 @g(1)\n  ret i64 %r\n}\n")
+    INFINITY = ("fn @main() -> i64 {\nentry:\n  %x = div f64 1.0, 0.0\n"
+                "  %y = add i64 %x, 1\n  ret i64 %y\n}\n")
+    BEYOND_F32 = ("fn @main() -> i64 {\nentry:\n  %x = mul f64 100000000000000000000.0,"
+                  " 100000000000000000000.0\n  %y = add f32 %x, 0.0\n  ret i64 0\n}\n")
+
+    CASES = {"array-op": (ARRAY_OP, "bad value type"),
+             "infinity": (INFINITY, "cannot convert float infinity to integer"),
+             "beyond-f32": (BEYOND_F32, "float too large")}
+
+    @staticmethod
+    def _stops(argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err, captured.err
+        assert captured.out == ""
+
+    def test_by_value_struct_parameter(self, workdir, capsys):
+        path = workdir / "m.ir"
+        path.write_text(self.BY_VALUE)
+        self._stops(["run", str(path), "--entry", "f", "--args", "0"], "bad value type", capsys)
+
+    @pytest.mark.parametrize("cmd", ["run", "bench"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_run_and_bench(self, workdir, cmd, case, capsys):
+        src, message = self.CASES[case]
+        path = workdir / "m.ir"
+        path.write_text(src)
+        self._stops([cmd, str(path)], message, capsys)
+
+    @pytest.mark.parametrize("cmd", ["compare", "nitest"])
+    def test_harness_trap(self, workdir, cmd, capsys):
+        lib = workdir / "corpus" / "libcorpus.ir"
+        text = lib.read_text()
+        assert "  %s = shr i32 %x, 31\n" in text
+        lib.write_text(text.replace("  %s = shr i32 %x, 31\n", "  %s = div i32 %x, 0\n"))
+        self._stops(["--trials", "3", cmd, str(lib), "--fn", "abs_a"],
+                    "division by zero at abs_a:0", capsys)

@@ -7,7 +7,7 @@ import pytest
 
 from taintsum import Machine, corpus, parse_module, summarize_library, taint_rule_gen
 from taintsum.corpus import BufArg, IntArg
-from taintsum.tracker import Image
+from taintsum.tracker import _shared
 from taintsum.validate import noninterference_check, oracle_compare
 
 
@@ -64,11 +64,11 @@ class TestGlobalInputs:
         prog = greader_rules["read_limit"]
         assert [(str(out), [str(s) for s in ins]) for out, ins in prog.entries] == [
             ("ret", ["@settings.limit"])]
-        image = Image(greader)
+        shared = _shared(greader)
         # the field's four bytes at offset 8 of the global
-        settings = image.shared.global_addr["settings"]
-        assert image.shared.bound(prog) == (3, ((("mem", None, settings + 8, 4),
-                                                 ("ret", None, 0, 4)),))
+        settings = shared.global_addr["settings"]
+        assert shared.bound(prog) == (3, ((("mem", None, settings + 8, 4),
+                                           ("ret", None, 0, 4)),))
 
     def test_tainted_global_reaches_return_in_both_modes(self, greader,
                                                          greader_rules):
@@ -218,7 +218,7 @@ class TestUnionHandling:
             "param0.as_int": ["param1.as_int"]}
         prog = taint_rule_gen(summaries["word_cpy"], m)
         # union members live at offset zero with the member's size
-        assert Image(m).shared.bound(prog) == (3, ((("arg", 1, 0, 4), ("arg", 0, 0, 4)),))
+        assert _shared(m).bound(prog) == (3, ((("arg", 1, 0, 4), ("arg", 0, 0, 4)),))
 
     def test_union_rules_apply_at_offset_zero(self, ):
         m = parse_module(UNION_PIPE)

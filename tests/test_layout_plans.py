@@ -17,7 +17,7 @@ from taintsum.ir import (
     MAX_ALIGN, Module, POINTER_BYTES, Ptr, StructDecl, StructRef, U8, U16, U32, U64,
     VOID, align_of, align_up, field_offset, field_path_offset, size_of, type_str,
 )
-from taintsum.tracker import Image, Machine
+from taintsum.tracker import Machine
 from taintsum.validate import (
     HarnessError, _draw_plan, _resolve_driver, build_plan, default_rules, materialize_plan,
 )
@@ -337,17 +337,17 @@ def test_each_buffer_is_written_and_marked(libcorpus):
 
 
 # ---------------------------------------------------------------------------
-# What the images of one module share
+# What the machines of one module share
 # ---------------------------------------------------------------------------
 
 def test_images_of_a_module_bind_a_program_once(monkeypatch):
-    lib = corpus.load_module("libcorpus")       # a module no image has seen
+    lib = corpus.load_module("libcorpus")       # a module no machine has seen
     rules = default_rules(lib)
     extents = []
     slot_extent = tracker.slot_extent
     monkeypatch.setattr(tracker, "slot_extent",
                         lambda slot, module: extents.append(slot) or slot_extent(slot, module))
-    a, b = Image(lib, rules), Image(lib, rules)
+    a, b = (Machine(lib, mode="hybrid", rule_programs=rules) for _ in range(2))
     assert a.shared is b.shared
     prog = rules["pair_cpy"]
     first = a.shared.bound(prog)

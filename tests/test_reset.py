@@ -14,15 +14,15 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from taintsum import Machine, MachineTrap, TaintConfig, corpus
 from taintsum.rules import compile_library
-from taintsum.tracker import Image
 from taintsum.validate import build_plan, materialize_plan
 from test_tracker import BUDGETS, _budget
 
 
 @functools.cache
-def _reset_image(name: str) -> Image:
+def _reset_setup(name: str) -> tuple:
+    """A corpus program and the machine keywords of its rules and memory."""
     module = corpus.load_module(name)
-    return Image(module, compile_library(module)[0], 1 << 20)
+    return module, dict(rule_programs=compile_library(module)[0], mem_size=1 << 20)
 
 
 def _reset_trial(module, entry: str, seed: int, wild: bool):
@@ -71,7 +71,7 @@ RESET_ENTRIES = ([("libcorpus", fn) for fn in sorted(corpus.DRIVERS)]
 
 class TestReset:
     """`Machine.reset` returns a machine, after any run, to the state a
-    fresh one of its image, mode and config starts in."""
+    fresh one of its module, rules, memory size, mode and config starts in."""
 
     # Hypothesis formats every failing example it runs, and pytest re-reads
     # the source of each traceback frame to do so.  When a failure raises
@@ -83,15 +83,15 @@ class TestReset:
     @given(st.sampled_from(RESET_ENTRIES), st.integers(0, 2 ** 32), st.booleans(),
            st.sampled_from(("instr", "hybrid")), BUDGETS, st.sampled_from((None, RESET_CFG)))
     def test_reset_machine_equals_a_fresh_one(self, entry, seed, wild, mode, budget, cfg):
-        image = _reset_image(entry[0])
-        kw = dict(mode=mode, taint_config=cfg, **_budget(budget))
-        trial = _reset_trial(image.module, entry[1], seed, wild)
-        m = Machine(image, **kw)
+        module, setup = _reset_setup(entry[0])
+        kw = dict(setup, mode=mode, taint_config=cfg, **_budget(budget))
+        trial = _reset_trial(module, entry[1], seed, wild)
+        m = Machine(module, **kw)
         first = trial(m)
         m.reset()
-        fresh = Machine(image, **kw)
-        initial = bytearray(image.mem_size)
-        for addr, init in image.shared.inits:
+        fresh = Machine(module, **kw)
+        initial = bytearray(setup["mem_size"])
+        for addr, init in m.shared.inits:
             initial[addr:addr + len(init)] = init
         assert bytes(m.memory) == bytes(fresh.memory) == initial and m.memory == fresh.memory
         assert m.memory.dirty == fresh.memory.dirty
@@ -105,13 +105,13 @@ class TestReset:
     def test_counters_and_fields_after_a_trap(self):
         """A run cut by its step budget leaves frames, counters and a
         lowered `live` behind; reset restores every one of them."""
-        image = _reset_image("libcorpus")
-        m = Machine(image, mode="hybrid", step_budget=30)
-        trial = _reset_trial(image.module, "copy_twice", 0, False)
+        module, setup = _reset_setup("libcorpus")
+        m = Machine(module, mode="hybrid", step_budget=30, **setup)
+        trial = _reset_trial(module, "copy_twice", 0, False)
         assert trial(m)[0] == "step budget exhausted"
         assert m._frames and not m.live and m.instr_total and m.instr_unins
         m.reset()
         assert (m._frames, m.live, m.instr_total, m.instr_unins, m.shadow_ops_instr,
                 m.shadow_ops_rules, m.sink_hits, m.ret_shadow, m.exit_value,
                 m._unins_from) == ([], True, 0, 0, 0, 0, [], b"", 0, 0)
-        assert (m.heap_ptr, m.stack_ptr) == (image.shared.heap_start, image.mem_size)
+        assert (m.heap_ptr, m.stack_ptr) == (m.shared.heap_start, setup["mem_size"])

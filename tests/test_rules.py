@@ -17,7 +17,7 @@ from taintsum.rules import (
     check_rules, compile_library, rule_stats, rule_stats_csv, slot_extent,
 )
 from taintsum.summaries import SlotRef, Summary
-from taintsum.tracker import Image, Machine
+from taintsum.tracker import Machine, _shared
 from test_fixtures import GLOBAL_READER, INT_SINK, UNION_PIPE
 from test_ir import _straightline_function, _types
 
@@ -51,9 +51,9 @@ def random_shadow_state(module, fn, rng, null_rate=0.0):
 
 
 def bound_shapes(prog, module):
-    """The program's entries as its image binds them: ((out, nbytes),
+    """The program's entries as its module binds them: ((out, nbytes),
     [(in, nbytes), ...]) with each slot printed, nbytes None for a string."""
-    _, entries = Image(module).shared.bound(prog)
+    _, entries = _shared(module).bound(prog)
     return [((str(out), regions[-1][3]), [(str(s), r[3]) for s, r in zip(ins, regions)])
             for (out, ins), regions in zip(prog.entries, entries)]
 

@@ -27,8 +27,8 @@ from taintsum.ir import (
 )
 from taintsum.rules import compile_library
 from taintsum.tracker import (
-    DEFAULT_MEMORY, GLOBALS_BASE, MAX_FRAMES, PAGE, Image, Memory, RunReport, SinkHit,
-    SinkSpec, SourceSpec, Tagmap, _Frame, _Writer, _kind, _resize_vec, _wrap,
+    DEFAULT_MEMORY, GLOBALS_BASE, MAX_FRAMES, PAGE, Memory, RunReport, SinkHit, SinkSpec,
+    SourceSpec, Tagmap, _Frame, _shared, _Writer, _kind, _resize_vec, _wrap,
 )
 from taintsum.validate import build_plan, materialize_plan
 from test_ir import _straightline_function
@@ -538,7 +538,7 @@ def _reference_tag(machine, loc, arg_record, cap):
 def reference_apply(prog, arg_record, machine):
     """Rule application with extents taken from the slot types on every
     application, kept as the oracle for `apply_rule_program`, which takes
-    them from the program its image bound."""
+    them from the program its module bound."""
     for out, ins in prog.entries:
         machine.shadow_ops_rules += len(ins) + 2    # each in, the out's read and set
         acc = 0
@@ -558,7 +558,7 @@ def reference_apply(prog, arg_record, machine):
 
 class TestRuleApplicationOracle:
     def test_matches_reference_on_random_shadow_states(self):
-        """Extents the image binds give the same shadow state as extents
+        """Extents the module binds give the same shadow state as extents
         re-derived from the module, for every corpus and fixture program
         (control deps on and off, string caps 1 and 64), with some null
         pointer arguments and a random return shadow."""
@@ -734,7 +734,7 @@ entry:
         cfg = TaintConfig.from_json({"sources": [
             {"fn": "skip", "where": "param", "index": 0, "label": 1},
             {"fn": "skip", "where": "param", "index": 1, "label": 2}]})
-        buf = Image(m).shared.global_addr["buf"]
+        buf = _shared(m).global_addr["buf"]
         for result in assert_same_runs(m, "main", [5], {}, taint_config=cfg).values():
             assert result[0].tainted_bytes_final == tuple((buf + i, 1) for i in (2, 3, 4))
             assert result[0].ret_tag == 2
@@ -745,7 +745,7 @@ entry:
         m = parse_module(NARROWED)
         cfg = TaintConfig.from_json(
             {"sources": [{"fn": "take", "where": "param", "index": 0, "label": 4}]})
-        cell = Image(m).shared.global_addr["cell"]
+        cell = _shared(m).global_addr["cell"]
 
         def pretaint(machine):
             machine.tagmap.set_vector(cell, bytes([1, 0, 0, 0, 0, 0, 0, 2]))
@@ -1143,11 +1143,10 @@ def outcome(cls, module, entry, args, *, arg_tags=None, before=None, **kw):
 
 
 def assert_same_runs(module, entry, args, rules=None, **kw):
-    """Both interpreters, both modes: identical outcomes, also from the
-    consecutive machines of one image shared by both modes.  Returns the
-    compiled interpreter's outcome per mode."""
+    """Both interpreters, both modes: identical outcomes, also from a
+    second machine of each, which runs the code the first one's left in its
+    module's table.  Returns the compiled interpreter's outcome per mode."""
     mem_size = kw.pop("mem_size", DEFAULT_MEMORY)
-    images = {cls: Image(module, rules, mem_size) for cls in (Machine, ReferenceMachine)}
     got = {}
     for mode in ("instr", "hybrid"):
         decoded = outcome(Machine, module, entry, args, mode=mode,
@@ -1156,9 +1155,9 @@ def assert_same_runs(module, entry, args, rules=None, **kw):
                             rule_programs=rules, mem_size=mem_size, **kw)
         assert decoded[0] == reference[0], (mode, decoded[0], reference[0])
         assert decoded == reference, mode
-        for cls, image in images.items():
-            assert outcome(cls, image, entry, args, mode=mode, **kw) == decoded, (
-                cls.__name__, mode)
+        for cls in (Machine, ReferenceMachine):
+            assert outcome(cls, module, entry, args, mode=mode, rule_programs=rules,
+                           mem_size=mem_size, **kw) == decoded, (cls.__name__, mode)
         got[mode] = decoded
     return got
 
@@ -1787,8 +1786,8 @@ class TestExactTraps:
         src, args, uid, kw = MID_SEGMENT_TRAPS[kind]
         m = parse_module(src + MAIN_CALLS_LIB)
         if uid is not None:     # after the first of its segment, before the last
-            seg = next(seg for _, seg in _Writer(Image(m), m.functions["lib"], True).segs
-                       if uid in [i.uid for i in seg])
+            writer = _Writer(_shared(m), m.functions["lib"], True, DEFAULT_MEMORY)
+            seg = next(seg for _, seg in writer.segs if uid in [i.uid for i in seg])
             pos = [i.uid for i in seg].index(uid)
             assert 0 < pos < len(seg) - (kind != "stack overflow (frame cap)"), seg
         rules, _ = compile_library(m)
@@ -1805,13 +1804,12 @@ class TestExactTraps:
         `%x`'s local with the store of `%y`'s before it, and reports the
         failed read on the store's line; the trap still counts the read."""
         m = parse_module(WARM_UNDEFINED)
-        image = Image(m, mem_size=1 << 16)
         want = {mode: outcome(ReferenceMachine, m, "f", [1], mode=mode, mem_size=1 << 16)
                 for mode in ("instr", "hybrid")}
         assert want["instr"][:2] == (("trap", "undefined temporary", None), 4)
         for _ in range(20):
             for mode, reference in want.items():
-                assert outcome(Machine, image, "f", [1], mode=mode) == reference, mode
+                assert outcome(Machine, m, "f", [1], mode=mode, mem_size=1 << 16) == reference, mode
 
     def test_every_budget_on_bench_memcpy(self, bench_memcpy):
         rules, _ = compile_library(bench_memcpy)
@@ -1919,14 +1917,15 @@ class TestMachineLifetime:
 
 
     def test_freed_while_its_image_lives(self, student_flow, student_flow_rules):
-        """The image keeps its compiled functions and bound rules after each
-        of its machines is gone, so it must hold none of them."""
-        image = Image(student_flow, student_flow_rules, 1 << 16)
+        """The module's table entry keeps its compiled functions and bound
+        rules after each of its machines is gone, so it must hold none of
+        them."""
         enabled = gc.isenabled()
         gc.disable()
         try:
             for mode, budget in (("instr", None), ("hybrid", None), ("hybrid", 100)):
-                m = Machine(image, mode=mode, taint_config=FLOW_CFG, **_budget(budget))
+                m = Machine(student_flow, mode=mode, rule_programs=student_flow_rules,
+                            mem_size=1 << 16, taint_config=FLOW_CFG, **_budget(budget))
                 try:
                     m.call_entry("main", [])
                 except MachineTrap:
@@ -1937,7 +1936,8 @@ class TestMachineLifetime:
         finally:
             if enabled:
                 gc.enable()
-        assert {("memcpy", False, 1 << 16), ("memcpy", True, 1 << 16)} <= set(image.shared.code)
+        assert {("memcpy", False, 1 << 16), ("memcpy", True, 1 << 16)} <= set(
+            _shared(student_flow).code)
 
 
 LAYOUT = """\
@@ -1962,7 +1962,8 @@ class TestRegions:
 
     def test_memcpy_loop_is_one_region(self, bench_memcpy):
         for name in ("memcpy", "main"):
-            writer = _Writer(Image(bench_memcpy), bench_memcpy.functions[name], True)
+            writer = _Writer(_shared(bench_memcpy), bench_memcpy.functions[name], True,
+                             DEFAULT_MEMORY)
             writer.code()
             assert [line for line in writer.src if not line.startswith(" ")] == [
                 "def F(m, f):"]
@@ -1971,7 +1972,7 @@ class TestRegions:
         assert re.findall(r"\bt\[.*", source) == ["t['n']; g_n = tg['n']"]
 
     def test_bench_user_loop_reads_no_frame_temp(self, bench_user):
-        writer = _Writer(Image(bench_user), bench_user.functions["main"], True)
+        writer = _Writer(_shared(bench_user), bench_user.functions["main"], True, DEFAULT_MEMORY)
         writer.code()
         source = "\n".join(writer.src)
         assert "tg.get(" not in source and "t['i']" not in source
@@ -1989,7 +1990,7 @@ class TestPromotedSlots:
         src, n, slots = fn_src
         m = parse_module(src)
         for live in (True, False):
-            assert list(_Writer(Image(m), m.functions["f"], live).slots) == slots
+            assert list(_Writer(_shared(m), m.functions["f"], live, DEFAULT_MEMORY).slots) == slots
         rules, _ = compile_library(m)
         rng = random.Random(seed)
         assert_same_runs(m, "f", _arg_values(rng, n), rules, arg_tags=_arg_tags(rng, n),
@@ -2001,7 +2002,7 @@ class TestPromotedSlots:
     def test_benchmark_slots_skip_the_memory_path(self, program, fn, slots):
         module = corpus.load_module(program)
         for live in (True, False):
-            writer = _Writer(Image(module), module.functions[fn], live)
+            writer = _Writer(_shared(module), module.functions[fn], live, DEFAULT_MEMORY)
             writer.code()
             source = "\n".join(writer.src)
             assert list(writer.slots) == slots
@@ -2026,29 +2027,31 @@ class TestPromotedSlots:
         """An escaped, retyped, float, used-before, redefined, re-entered,
         non-entry or never-run alloca stays in memory."""
         m = parse_module("fn @f() -> i64 {\nentry:\n" + body + "}\n")
-        assert list(_Writer(Image(m), m.functions["f"], True).slots) == promoted
+        assert list(_Writer(_shared(m), m.functions["f"], True, DEFAULT_MEMORY).slots) == promoted
         assert_same_runs(m, "f", [], mem_size=1 << 16)
 
 
 class TestCodeCache:
-    """Images of one module share each function's written code; another
+    """Machines of one module share each function's written code; another
     layout or memory size gets code of its own, and the shared code holds
     no machine."""
 
     def test_images_of_one_module_share_code(self, student_flow, student_flow_rules):
-        a, b = (Image(student_flow, student_flow_rules) for _ in range(2))
+        a, b = (Machine(student_flow, mode="hybrid", rule_programs=student_flow_rules)
+                for _ in range(2))
         for fn in student_flow.functions.values():
             for live in (True, False):
-                assert a.compiled(fn, live) is b.compiled(fn, live)
+                assert (a.shared.compiled(fn, live, a.mem_size)
+                        is b.shared.compiled(fn, live, b.mem_size))
 
     def test_layout_and_memory_size_get_their_own_code(self):
         """@buf's address and the bounds checks are literals in the code; the
         load at the top of the smaller memory traps there only."""
         base, moved = (parse_module(LAYOUT.format(pad=pad)) for pad in (8, 40))
-        images = [Image(base, mem_size=1 << 16), Image(moved, mem_size=1 << 16),
-                  Image(base, mem_size=1 << 17)]
-        codes = [im.compiled(im.module.functions["f"], True).__code__
-                 for im in images]
+        machines = [Machine(base, mem_size=1 << 16), Machine(moved, mem_size=1 << 16),
+                    Machine(base, mem_size=1 << 17)]
+        codes = [m.shared.compiled(m.module.functions["f"], True, m.mem_size).__code__
+                 for m in machines]
         assert len({id(c) for c in codes}) == 3
         top = (1 << 16) - 4
         for module in (base, moved):
@@ -2111,7 +2114,7 @@ skip:
 }
 """
 # changes in place to what the writer of @f reads, one per kind of fact its
-# code depends on; a parsed module refuses each.  "mem_size" changes the image.
+# code depends on; a parsed module refuses each.  "mem_size" changes the machine's.
 IN_PLACE = {
     "operand": lambda m: setattr(m.functions["f"].blocks[0].instrs[3], "rhs", ConstInt(5)),
     "instruction list": lambda m: m.functions["f"].blocks[0].instrs.pop(1),
@@ -2128,7 +2131,7 @@ IN_PLACE = {
 
 
 class TestSharedCode:
-    """Every image of a module takes a function's code from one bounded
+    """Every machine of a module takes a function's code from one bounded
     process-wide table; a parsed module refuses every change to what the
     writer read, so no entry goes stale."""
 
@@ -2136,9 +2139,9 @@ class TestSharedCode:
     def test_stale_entry_is_never_used(self, change):
         m = parse_module(SHARED)
         f, mem_size = m.functions["f"], 1 << 16
-        before = {live: Image(m, mem_size=mem_size).compiled(f, live) for live in (True, False)}
+        before = {live: _shared(m).compiled(f, live, mem_size) for live in (True, False)}
         for live, code in before.items():
-            assert Image(m, mem_size=mem_size).compiled(f, live) is code
+            assert _shared(m).compiled(f, live, mem_size) is code
         if change == "mem_size":
             mem_size *= 2
         else:
@@ -2146,7 +2149,7 @@ class TestSharedCode:
                 IN_PLACE[change](m)
             assert m == parse_module(SHARED)
         for live, code in before.items():
-            same = Image(m, mem_size=mem_size).compiled(f, live) is code
+            same = _shared(m).compiled(f, live, mem_size) is code
             assert same == (change != "mem_size"), live
         assert_same_runs(m, "f", [300, 0x8000], {}, mem_size=mem_size,
                          arg_tags=[b"\x01" * 8, b"\x02" * 8])
@@ -2156,7 +2159,7 @@ class TestSharedCode:
         monkeypatch.setattr(tracker, "_module_table", {})
         modules = [parse_module(f"fn @f() -> i64 {{\nentry:\n  ret i64 {k}\n}}\n")
                    for k in range(7)]
-        first = Image(modules[0], mem_size=1 << 16).compiled(modules[0].functions["f"], True)
+        first = _shared(modules[0]).compiled(modules[0].functions["f"], True, 1 << 16)
         lines, first = first.__globals__["_lines"], weakref.ref(first)
         entry = weakref.ref(tracker._module_table[id(modules[0])])
         for k, m in enumerate(modules):
@@ -2164,30 +2167,28 @@ class TestSharedCode:
             assert len(tracker._module_table) <= 4
         gc.collect()
         assert first() is None and entry() is None     # evicted, so freed
-        again = Image(modules[0], mem_size=1 << 16).compiled(modules[0].functions["f"], True)
+        again = _shared(modules[0]).compiled(modules[0].functions["f"], True, 1 << 16)
         assert again.__globals__["_lines"] == lines
 
     def test_machines_of_two_images_are_independent(self, student_flow,
                                                     student_flow_rules):
-        """What one image's machines leave behind, run to the end or stuck
-        inside a summarized call, reaches no machine of another image of
-        the module, although the two share code."""
-        a, b = (Image(student_flow, student_flow_rules, 1 << 16) for _ in range(2))
-        dirty = Machine(a, mode="hybrid", taint_config=FLOW_CFG)
+        """What one machine leaves behind, run to the end or stuck inside a
+        summarized call, reaches no other machine of the module, although
+        they share code."""
+        kw = dict(rule_programs=student_flow_rules, mem_size=1 << 16, taint_config=FLOW_CFG)
+        dirty = Machine(student_flow, mode="hybrid", **kw)
         stdin = dirty.global_addr["stdin_buf"]
         dirty.write_bytes(stdin, b"zzzzzzz")
         dirty.tagmap.set_taint(stdin, 4, 32)
         dirty.call_entry("main", [])
         with pytest.raises(MachineTrap, match="step budget"):
-            Machine(a, mode="hybrid", taint_config=FLOW_CFG, step_budget=100).call_entry(
-                "main", [])
+            Machine(student_flow, mode="hybrid", step_budget=100, **kw).call_entry("main", [])
         for mode in ("hybrid", "instr"):
             want = outcome(ReferenceMachine, student_flow, "main", [], mode=mode,
                            rule_programs=student_flow_rules, taint_config=FLOW_CFG,
                            mem_size=1 << 16)
-            assert outcome(Machine, b, "main", [], mode=mode,
-                           taint_config=FLOW_CFG) == want, mode
-        assert a.shared is b.shared and a.shared.code
+            assert outcome(Machine, student_flow, "main", [], mode=mode, **kw) == want, mode
+        assert Machine(student_flow, **kw).shared is dirty.shared and dirty.shared.code
 
 
 POKES = """\
@@ -2259,7 +2260,7 @@ class TestMemory:
 
     @pytest.fixture(scope="class")
     def pokes(self):
-        return Image(parse_module(POKES), mem_size=MEM_PAGES * PAGE)
+        return functools.partial(Machine, parse_module(POKES), mem_size=MEM_PAGES * PAGE)
 
     @staticmethod
     def _assert_compare_exact(a, b):
@@ -2270,7 +2271,7 @@ class TestMemory:
     @settings(max_examples=200, deadline=None)
     @given(_WRITES)
     def test_equal_exactly_when_bytes_are(self, pokes, writes):
-        machines = {"a": Machine(pokes), "b": Machine(pokes)}
+        machines = {"a": pokes(), "b": pokes()}
         for target, path, addr, data in writes:
             for key in ("a", "b") if target == "both" else (target,):
                 _write(machines[key], path, addr, data)
@@ -2282,13 +2283,13 @@ class TestMemory:
         """The bytes it puts on its first page are zero, so a write that
         marked only that page would compare equal to a fresh memory."""
         data = bytes(4 * PAGE - addr) + b"\xff" * 12
-        a, b = Machine(pokes), Machine(pokes)
+        a, b = pokes(), pokes()
         _write(a, path, addr, data)
         self._assert_compare_exact(a.memory, b.memory)
         assert a.memory != b.memory
 
     def test_compares_with_bytes_both_ways(self, pokes):
-        m = Machine(pokes)
+        m = pokes()
         m.write_bytes(0x2ffe, b"xyz")
         raw = bytes(m.memory)
         for same in (raw, bytearray(raw), memoryview(raw)):
@@ -2303,7 +2304,7 @@ class TestMemory:
             hash(m.memory)
 
     def test_bad_item_assignment_marks_nothing(self, pokes):
-        mem = Machine(pokes).memory
+        mem = pokes().memory
         with pytest.raises(IndexError):
             mem[len(mem)] = 1
         with pytest.raises(IndexError):
@@ -2312,17 +2313,17 @@ class TestMemory:
 
     def test_fresh_machine_reads_zero_outside_initializers(
             self, student_flow, student_flow_rules):
-        image = Image(student_flow, student_flow_rules, 1 << 16)
+        kw = dict(rule_programs=student_flow_rules, mem_size=1 << 16)
         want = bytearray(1 << 16)
-        for addr, init in image.shared.inits:
+        for addr, init in _shared(student_flow).inits:
             want[addr:addr + len(init)] = init
         for mode in ("instr", "hybrid"):
-            dirty = Machine(image, mode=mode, taint_config=FLOW_CFG)
+            dirty = Machine(student_flow, mode=mode, taint_config=FLOW_CFG, **kw)
             dirty.call_entry("main", [])
             dirty.memory[GLOBALS_BASE:] = b"\xee" * ((1 << 16) - GLOBALS_BASE)
-        fresh = Machine(image)
+        fresh = Machine(student_flow, **kw)
         assert bytes(fresh.memory) == want and fresh.memory == want
-        assert fresh.memory.dirty == {a >> 12 for a, _ in image.shared.inits}
+        assert fresh.memory.dirty == {a >> 12 for a, _ in fresh.shared.inits}
 
     @pytest.mark.parametrize("mem_size", [0x2000, 0x3001, 1 << 16, DEFAULT_MEMORY])
     def test_length_is_mem_size(self, mem_size):
@@ -2330,8 +2331,8 @@ class TestMemory:
         assert isinstance(m.memory, Memory) and len(m.memory) == mem_size
 
     def test_mem_size_that_cannot_hold_the_globals(self, student_flow):
-        heap_start = Image(student_flow).shared.heap_start
-        assert Image(student_flow, mem_size=2 * heap_start).shared.heap_start == heap_start
+        heap_start = _shared(student_flow).heap_start
+        assert Machine(student_flow, mem_size=2 * heap_start).shared.heap_start == heap_start
         for mem_size in (2 * heap_start - 2, 0x1010):
             with pytest.raises(ValueError) as exc:
                 Machine(student_flow, mem_size=mem_size)
@@ -2344,38 +2345,61 @@ class TestImage:
                                                      student_flow_rules):
         """Machines that overwrote a global's initializer, tainted bytes,
         hit a sink, or trapped with frames left inside a summarized call
-        leave nothing behind for the next machine of their image: it runs
-        as a machine with a private image does."""
-        image = Image(student_flow, student_flow_rules, 1 << 16)
-        dirty = Machine(image, mode="hybrid", taint_config=FLOW_CFG)
+        leave nothing behind for the next machine of their module: it runs
+        as a machine of a module of its own does."""
+        kw = dict(rule_programs=student_flow_rules, mem_size=1 << 16)
+        dirty = Machine(student_flow, mode="hybrid", taint_config=FLOW_CFG, **kw)
         stdin = dirty.global_addr["stdin_buf"]
         dirty.write_bytes(stdin, b"zzzzzzz")
         dirty.tagmap.set_taint(stdin, 4, 32)
         dirty.call_entry("main", [])
         assert dirty.sink_hits and dirty.tagmap.pages
-        stuck = Machine(image, mode="hybrid", taint_config=FLOW_CFG, step_budget=100)
+        stuck = Machine(student_flow, mode="hybrid", taint_config=FLOW_CFG, step_budget=100,
+                        **kw)
         with pytest.raises(MachineTrap, match="step budget"):
             stuck.call_entry("main", [])
         assert not stuck.live and [f.fn.name for f in stuck._frames] == [
             "main", "student_cpy", "memcpy"]
         for mode in ("hybrid", "instr"):
-            want = outcome(Machine, student_flow, "main", [], mode=mode,
-                           rule_programs=student_flow_rules, taint_config=FLOW_CFG,
-                           mem_size=1 << 16)
-            assert outcome(Machine, image, "main", [], mode=mode,
-                           taint_config=FLOW_CFG) == want, mode
-        fresh = Machine(image)
+            want = outcome(Machine, corpus.load_module("student_flow"), "main", [], mode=mode,
+                           taint_config=FLOW_CFG, **kw)
+            assert outcome(Machine, student_flow, "main", [], mode=mode,
+                           taint_config=FLOW_CFG, **kw) == want, mode
+        fresh = Machine(student_flow, **kw)
         assert fresh.read_bytes(stdin, 6) == b"alice\0"
         assert (fresh.heap_ptr, fresh.stack_ptr, fresh.tagmap.pages) == (
-            image.shared.heap_start, 1 << 16, {})
+            fresh.shared.heap_start, 1 << 16, {})
 
     def test_image_fixes_rules_and_memory_size(self, student_flow, student_flow_rules):
-        image = Image(student_flow, student_flow_rules, 1 << 16)
-        assert Machine(image, mode="hybrid").rules == student_flow_rules
-        assert Machine(image, mode="instr").rules == {}
-        for kw in ({"rule_programs": {}}, {"mem_size": 1 << 16}):
-            with pytest.raises(ValueError, match="an image fixes"):
-                Machine(image, **kw)
+        """A hybrid machine keeps a copy of its rule programs; an instr
+        machine keeps none."""
+        kw = dict(rule_programs=student_flow_rules, mem_size=1 << 16)
+        hybrid = Machine(student_flow, mode="hybrid", **kw)
+        assert hybrid.rules == student_flow_rules and hybrid.rules is not student_flow_rules
+        assert Machine(student_flow, mode="instr", **kw).rules == {}
+
+    def test_machines_of_a_module_share_code_and_bindings(self, monkeypatch):
+        """Two machines of one module and memory size run the same code per
+        (function, tracked); a machine with another memory size gets code of
+        its own; two hybrid machines given one program bind it once."""
+        module = corpus.load_module("student_flow")     # a module no machine has seen
+        rules = compile_library(module)[0]
+        extents, entered = [], []
+        slot_extent, make_frame = tracker.slot_extent, Machine._make_frame
+        monkeypatch.setattr(tracker, "slot_extent",
+                            lambda slot, mod: extents.append(slot) or slot_extent(slot, mod))
+        monkeypatch.setattr(Machine, "_make_frame", lambda self, fn, *a: entered.append(
+            (fn.name, (frame := make_frame(self, fn, *a)).code)) or frame)
+        runs = []
+        for mem_size in (1 << 16, 1 << 16, 1 << 17):
+            entered.clear()
+            m = Machine(module, mode="hybrid", rule_programs=rules, mem_size=mem_size)
+            m.call_entry("main", [])
+            runs.append(({(name, id(code)) for name, code in entered}, len(extents)))
+        (a, bound), (b, again), (c, _) = runs
+        assert {name for name, _ in a} == {"main", "student_cpy", "memcpy", "fgets_a", "printf_a"}
+        assert a == b and bound and again == bound
+        assert {code for _, code in a}.isdisjoint(code for _, code in c)
 
 
 LAZY = """\
@@ -2436,10 +2460,10 @@ class TestLazyDecoding:
             assert got[0] == got[1] == (kind, instr)
 
     def test_decodes_only_the_functions_it_enters(self, lib_rules, student_flow_rules):
-        """Each machine runs on a module no image has seen, so the module's
+        """Each machine runs on a module no machine has seen, so the module's
         shared code holds only what that machine's runs wrote."""
         def decoded(m):
-            return {(name, live) for name, live, _ in m.image.shared.code}
+            return {(name, live) for name, live, _ in m.shared.code}
         m = Machine(corpus.load_module("libcorpus"), mode="hybrid",
                     rule_programs=lib_rules, mem_size=1 << 20)
         s = m.alloc(16)
@@ -2611,7 +2635,7 @@ class TestInlineShadowPath:
 
     def test_buffer_spans_a_page_edge(self):
         m = parse_module(_straddle_source(8, []))
-        assert Image(m).shared.global_addr["buf"] + EDGE == 2 * PAGE
+        assert _shared(m).global_addr["buf"] + EDGE == 2 * PAGE
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from((8, 40, PAGE - 6, PAGE + 4, 6000)),
@@ -2742,7 +2766,7 @@ class TestLeanCode:
 
     @staticmethod
     def _source(module, fn, live=True):
-        writer = _Writer(Image(module), module.functions[fn], live)
+        writer = _Writer(_shared(module), module.functions[fn], live, DEFAULT_MEMORY)
         writer.code()
         return "\n".join(writer.src)
 
@@ -2785,6 +2809,29 @@ class TestLeanCode:
         assert len(exits) == 1 and sets == exits[0].body[:1]
         assert exits[0] is inner[0].body[-1]
 
+    @pytest.mark.parametrize("program", corpus.NAMES)
+    def test_dispatch_holds_only_blocks_that_i_reaches(self, program):
+        """The dispatch's branches are block 0 and the blocks some line sets
+        `i` to: a block that every `jmp` into it copies, such as memcpy's
+        loop header, gets none."""
+        module = corpus.load_module(program)
+        for fn in module.functions:
+            for live in (True, False):
+                tree = ast.parse(self._source(module, fn, live))
+                branches, sets = {0}, set()
+                for node in ast.walk(tree):
+                    test = isinstance(node, ast.If) and ast.unparse(node.test)
+                    if test and re.fullmatch(r"i < \d+", test):
+                        branches.add(node.test.comparators[0].value)
+                    elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "i":
+                        v = node.value      # a block, or one of two on a condition
+                        sets.update(ast.literal_eval(e) for e in (
+                            (v.body, v.orelse) if isinstance(v, ast.IfExp) else (v,)))
+                assert branches == {0} | sets, (program, fn, live)
+                if fn == "memcpy":
+                    header = [b.label for b in module.functions[fn].blocks].index("cond")
+                    assert header not in branches and header not in sets
+
     @pytest.mark.parametrize("live", [True, False])
     @pytest.mark.parametrize("program, fn", LOOPS)
     def test_one_range_test_on_the_fast_path(self, program, fn, live):
@@ -2811,7 +2858,7 @@ class TestLeanCode:
     @pytest.mark.parametrize("src", _INT_TYPES + ("ptr(i8)",))
     def test_wrap_omitted_exactly_when_the_range_fits(self, src):
         m = parse_module(f"fn @f(%x: {src}) -> void {{\nentry:\n  ret\n}}\n")
-        writer = _Writer(Image(m), m.functions["f"], True)
+        writer = _Writer(_shared(m), m.functions["f"], True, DEFAULT_MEMORY)
         lo, hi = _range(src)
         assert _kind(m.functions["f"].params[0][1]) == (-lo, hi - lo)
         for dst in _INT_TYPES + ("ptr(i8)",):

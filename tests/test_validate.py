@@ -148,9 +148,9 @@ class TestNoninterference:
         made, closures = [], []
 
         class Counted(Machine):
-            def __init__(self, image, **kw):
+            def __init__(self, module, **kw):
                 made.append(kw.get("mode", "instr"))
-                super().__init__(image, **kw)
+                super().__init__(module, **kw)
         high_roots = validate._high_roots
         monkeypatch.setattr(validate, "Machine", Counted)
         monkeypatch.setattr(validate, "_high_roots",

@@ -42,7 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from taintsum import corpus  # noqa: E402
-from taintsum.tracker import Image, Machine  # noqa: E402
+from taintsum.tracker import Machine  # noqa: E402
 from taintsum.validate import (  # noqa: E402
     HARNESS_MEMORY, build_plan, default_rules, materialize_plan,
 )
@@ -55,9 +55,10 @@ PAPER_SPEEDUP = 1.58
 def machines(lib) -> dict[str, Machine]:
     rules = default_rules(lib)
     zero = {name: dataclasses.replace(prog, entries=()) for name, prog in rules.items()}
-    return {"instr": Machine(Image(lib, mem_size=HARNESS_MEMORY)),
-            "hybrid": Machine(Image(lib, rules, HARNESS_MEMORY), mode="hybrid"),
-            "zero-rule": Machine(Image(lib, zero, HARNESS_MEMORY), mode="hybrid")}
+    return {"instr": Machine(lib, mem_size=HARNESS_MEMORY),
+            "hybrid": Machine(lib, mode="hybrid", rule_programs=rules, mem_size=HARNESS_MEMORY),
+            "zero-rule": Machine(lib, mode="hybrid", rule_programs=zero,
+                                 mem_size=HARNESS_MEMORY)}
 
 
 def timed_calls(m: Machine, fn: str, plan, calls: int) -> tuple[float, tuple[int, int]]:

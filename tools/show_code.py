@@ -18,7 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from taintsum import corpus  # noqa: E402
-from taintsum.tracker import Image, _Writer  # noqa: E402
+from taintsum.tracker import DEFAULT_MEMORY, _shared, _Writer  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -32,7 +32,7 @@ def main(argv=None) -> int:
     fn = module.functions.get(args.fn.lstrip("@"))
     if fn is None:
         ap.error(f"no function @{args.fn.lstrip('@')} in {args.module}")
-    writer = _Writer(Image(module), fn, not args.untracked)
+    writer = _Writer(_shared(module), fn, not args.untracked, DEFAULT_MEMORY)
     writer.code()
     print("\n".join(writer.src))
     return 0
