@@ -32,7 +32,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 from .ir import (
     Alloca, Array, BinOp, Br, Call, Char, Float, Function, Gep, GlobalRef,
     Instr, Int, Jmp, Load, Module, Operand, Ptr, Ret, Store, StructRef, Temp,
-    Type, Void, align_of, align_up, field_offset, field_path_offset, size_of,
+    Type, Void, align_of, align_up, field_offset, field_path_offset, size_of, type_str,
     validate_module,
 )
 from .rules import DEFAULT_STRING_CAP, RuleGenError, TaintRuleProgram, slot_extent
@@ -61,9 +61,9 @@ class Memory(mmap.mmap):
     """A machine's memory: an anonymous private mapping, so building one
     costs the same whatever its size and the kernel zeroes a page only when
     it is first touched.  Every write marks the pages it touches in `dirty`:
-    item and slice assignment do it themselves, a write through the buffer
-    protocol (`struct.pack_into`) calls `mark`; `write`, `write_byte` and
-    `move` mark nothing and are not used.  Two memories are equal when
+    item and slice assignment and `move` do it themselves, a write through
+    the buffer protocol (`struct.pack_into`) calls `mark`; `write` and
+    `write_byte` mark nothing and are not used.  Two memories are equal when
     their bytes are; only the pages either one wrote are compared, since the
     rest are zero in both."""
 
@@ -80,6 +80,10 @@ class Memory(mmap.mmap):
         if n > 0:
             self.dirty.update(range(addr >> _PAGE_SHIFT,
                                     ((addr + n - 1) >> _PAGE_SHIFT) + 1))
+
+    def move(self, dest: int, src: int, count: int) -> None:
+        super().move(dest, src, count)
+        self.mark(dest, count)
 
     def __setitem__(self, key, value) -> None:
         super().__setitem__(key, value)     # raises before anything is marked
@@ -315,7 +319,7 @@ def _width(ty: Type) -> int:
         return ty.bits // 8
     if isinstance(ty, (Char, Ptr, Void)):
         return 1 if isinstance(ty, Char) else 8 if isinstance(ty, Ptr) else 0
-    raise MachineTrap("bad value type", detail=str(ty))
+    raise MachineTrap("bad value type", detail=type_str(ty))
 
 
 def _kind(ty: Type):
@@ -327,7 +331,7 @@ def _kind(ty: Type):
         return "f"
     if isinstance(ty, Int):
         return (1 << (ty.bits - 1) if ty.signed else 0), (1 << ty.bits) - 1
-    raise MachineTrap("bad value type", detail=str(ty))
+    raise MachineTrap("bad value type", detail=type_str(ty))
 
 
 def _wrap(v, kind):
@@ -401,14 +405,22 @@ def _undefined(name: str) -> MachineTrap:
 # outside it is bounds-checked and overlap-tested.  A segment runs from a
 # block's start or from just after a call up to and including the next call or
 # terminator; the step budget is checked once per segment, also in a copy.
-# The instruction and shadow-op counts are locals, written to the machine
-# before each call and return.  When the budget runs out in a segment,
-# `Machine._cut` runs the prefix that fits from the function's locals
-# (`_Writer.cut`) and traps.  When a run raises, the line its innermost
-# generated frame stopped on gives the instructions it did not run and the
-# shadow ops it did not count.  Every machine of a module shares its code
-# (`_Shared`), since the parsed IR never changes.  The functions hold no
-# machine.
+# Untracked, a loop that copies, fills or scans bytes (`_Writer.bulk`) runs
+# every round but its last in one slice operation before its `while`.  Each
+# value a round computes must be a constant plus values it starts with, and
+# each value it reads before it sets it must move by a fixed step.  The rounds
+# are a count's value or those before the first NUL (`_rounds`), and they run
+# at once only when they fit the step budget, their bytes stay in memory and
+# clear of the promoted range, and no store reaches a byte a later round
+# loads.  They count as executed, and the loop runs the last round, or every
+# round when the guard fails, so traps and budget cuts stay exact.  The
+# instruction and shadow-op counts are locals, written to the machine before
+# each call and return.  When the budget runs out in a segment, `Machine._cut`
+# runs the prefix that fits from the function's locals (`_Writer.cut`) and
+# traps.  When a run raises, the line its innermost generated frame stopped on
+# gives the instructions it did not run and the shadow ops it did not count.
+# Every machine of a module shares its code (`_Shared`), since the parsed IR
+# never changes.  The functions hold no machine.
 
 _SOURCE = "<taintsum function>"
 _MASK64 = 2 ** 64 - 1
@@ -440,6 +452,25 @@ def _fill(m, c: str, a: int, w: int) -> tuple:
     page, o = m.tagmap.pages.get(a >> _PAGE_SHIFT), a & (PAGE - 1)
     return (_STRUCTS[c].unpack_from(m.memory, a)[0],
             bytes(w) if page is None else bytes(page[o:o + w]))
+
+
+def _rounds(mem: Memory, k: Optional[int], room: int, src: Optional[int],
+            dst: Optional[int], lo: int = 0, hi: int = 0) -> int:
+    """How many rounds of a recognized loop run at once: `k`, or for a scan
+    (`k` None) those before the first NUL from `src`.  0 unless they fit the
+    `room` left in the step budget, and each round j's load at `src` + j and
+    store at `dst` + j stay in memory, clear of the promoted range [lo, hi),
+    with no store to a byte that a later round loads."""
+    end = len(mem)
+    if k is None:
+        found = GLOBALS_BASE <= src < end and mem.find(b"\0", src, min(src + room + 1, end))
+        k = found - src if found else 0
+    if not 0 < k <= room or k > end:
+        return 0
+    for a in (src, dst):
+        if a is not None and not (GLOBALS_BASE <= a <= end - k and (a + k <= lo or a >= hi)):
+            return 0
+    return 0 if src is not None and dst is not None and src < dst < src + k else k
 
 
 def _stopped(e: BaseException, m) -> Optional[tuple[int, int, str]]:
@@ -499,7 +530,8 @@ def _helpers() -> dict:
     def bad(kind, uid, *operands):
         raise MachineTrap(kind, uid)
     ns = {"MachineTrap": MachineTrap, "_resize": _resize_vec, "_idiv": idiv, "_bad": bad,
-          "_spill": _spill, "_fill": _fill, "_U": uniform, "_tag": lambda vec, w: uniform[vec[:w]],
+          "_spill": _spill, "_fill": _fill, "_rounds": _rounds, "_wrap": _wrap, "_U": uniform,
+          "_tag": lambda vec, w: uniform[vec[:w]],
           "_irem": lambda a, b, uid: a - idiv(a, b, uid) * b,
           "_fdiv": lambda a, b: (a / b if b != 0.0 else
                                  math.copysign(math.inf, a) if a else math.nan),
@@ -719,17 +751,21 @@ class _Writer:
         (indent, line, mark) for each.  When the last transfer leads back to
         `b`, they run in an inner `while` that only the other edge leaves.
         Returns the blocks the lines set `i` to."""
-        lines = []
+        lines, js = [], [*range(self.starts[b], self.starts[b + 1])]
         end = self.segments(self.starts[b], lines)
         h = self.labels.get(end.label) if type(end) is Jmp else None
         if h not in (None, b) and self.starts[h + 1] - self.starts[h] == 1 and type(
                 (self.segs[self.starts[h]][1] or [None])[-1]) in (Br, Jmp, Ret):
             end = self.segments(self.starts[h], lines)
+            js.append(self.starts[h])
         labels = ((end.then_label, end.else_label) if type(end) is Br else
                   (end.label,) * 2 if type(end) is Jmp else (None, None))
         then, other = (label and self.target(label, end) for label in labels)
         cond = self.val(end.cond, _I64) if type(end) is Br else None
         loop = (here := str(b)) in (then, other)
+        if not self.live and cond and other == here != then:    # leaves when cond holds
+            body += [(depth, line, (0, 0)) for line in self.bulk(
+                [ins for j in js for ins in self.segs[j][1]])]
         body += [(depth, "while True:", (0, 0))] * loop
         body += [(depth + loop, line, mark) for line, mark in lines]
         if then is not None and not loop:
@@ -740,6 +776,62 @@ class _Writer:
             body.append((depth + 1, f"if {cond} {'==' if then == here else '!='} 0: "
                          + (f"i = {out}; break" if out != here else "pass"), (0, 0)))
         return [int(t) for t in (then, other) if t and t != here and t.isdigit()]
+
+    def bulk(self, instrs: list[Instr]) -> list[str]:
+        """Untracked, lines running all but the last round of a byte copy, fill or scan."""
+        defs, env, moves, src, dst = {i.defined_temp() for i in instrs}, {}, {}, False, False
+        kinds = {_local("P", x): _kind(a.ty) for x, a in self.slots.items()}
+
+        def form(op, kind, v=None):     # its value in a round
+            if v := v or type(op) is Temp and op.name in defs and _local("v", op.name):
+                if v not in env:        # what the last round left
+                    moves[v] = kinds.setdefault(v, op and self.kinds.get(op.name))
+                    env[v] = ("+", (v,), 0)
+                return env[v] if kind in (_PTR, _I64) or (env[v] or "*")[0] != "+" else None
+            c = type(op) is not Temp and self.konst(op, kind, True)     # the same each round
+            return ("+", (), c) if c is not False else ("+", (self.val(op, kind, True),), 0)
+        for ins in instrs:
+            t, a = type(ins), getattr(ins, "addr", None)
+            slot = type(a) is Temp and a.name in self.slots and _local("P", a.name)
+            k = _kind(ins.ty) if t in (Store, BinOp) or slot else _PTR
+            if slot:        # loaded, or stored
+                env[slot] = f = form(None, k, v=slot) if t is Load else form(ins.value, k)
+            elif t is Load and type(ins.ty) is Char and src is dst is False:
+                f = ("*", src := form(a, _PTR))
+            elif t is Store and type(ins.ty) is Char and dst is False:
+                dst, byte = form(a, _PTR), form(ins.value, k)
+            elif (op := getattr(ins, "op", "add")) in ("add", "sub") and k in (_PTR, _I64) and (
+                    t is BinOp or t is Gep and type(ins.base_ty) is Char):    # one index
+                f, g = (form(o, k) for o in ins.operands())
+                f = f and g and f[0] == g[0] == "+" and (op == "add" or not g[1]) and (
+                    "+", f[1] + g[1], f[2] + g[2] if op == "add" else f[2] - g[2]) or None
+            elif t is BinOp and ins.op == "cmp" and k != "f" and getattr(ins.rhs, "value", 1) == 0:
+                f = ("=", form(ins.lhs, k))
+            elif t not in (Br, Jmp):
+                return []
+            if ins.defined_temp():
+                env[_local("v", ins.dest)] = f
+
+        def at(f):      # f as the first round starts, and the step it moves by
+            moving = [v for v in f[1] if v in moves] if f and f[0] == "+" else [0, 0]
+            return (" + ".join(f[1] + (_lit(f[2]),) * (f[2] != 0 or not f[1])),
+                    sum(env[v][2] for v in moving)) if len(moving) < 2 else (None, None)
+        x = (x := form(instrs[-1].cond, _I64)) and x[0] == "=" and x[1]
+        count, step = ("None", -1) if x and x[0] == "*" else at(x)     # a scan, or a count
+        (s, ds), (d, dd) = (("None", 1) if f is False else at(f) for f in (src, dst))
+        fill = dst is not False and byte != ("*", src) and at(byte)
+        sets = {v: at(env[v]) for v in kinds if env.get(v, ("+", (v,), 0)) != ("+", (v,), 0)}
+        if {ds, dd, abs(step or 0)} != {1} or fill and fill[1] != 0 or any(
+                env[v] is None or env[v][:2] != ("+", (v,)) or env[v][2] and k not in (_PTR, _I64)
+                for v, k in moves.items()) or (None, None) in sets.values():
+            return []       # what a round reads before it sets moves by the same step each round
+        new = ", ".join(f"_wrap({e} + {n} * (K - 1), {kinds[v]})" for v, (e, n) in sets.items())
+        put = f"mem[{d}:{d} + K] = V * K; " if fill else f"mem.move({d}, {s}, K); "
+        return [f"try: {f'V = bytes(({fill[0]},)); ' if fill else ''}K = _rounds(mem, "
+                + (count if x[0] == "*" else f"{-step} * ({count})") + f", (b - n) // "
+                f"{len(instrs)}, {s}, {d}{', R_lo, R_hi' * bool(self.slots)}); E = ({new},)",
+                "except NameError: K = 0", f"if K: {put * (dst is not False)}n += "
+                f"{len(instrs)} * K; [{', '.join(sets)}] = E"]
 
     def segments(self, j: int, lines: list) -> Optional[Instr]:
         """Appends the (line, mark) of segment `j`, and of the next after one

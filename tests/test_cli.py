@@ -705,6 +705,16 @@ class TestRunStops:
         path.write_text(self.BY_VALUE)
         self._stops(["run", str(path), "--entry", "f", "--args", "0"], "bad value type", capsys)
 
+    @pytest.mark.parametrize("src, entry, line", [
+        (BY_VALUE, ["--entry", "f", "--args", "0"], "error: bad value type: %s\n"),
+        (ARRAY_OP, [], "error: bad value type: [4 x char]\n")])
+    def test_bad_value_type_names_the_ir_type(self, workdir, src, entry, line, capsys):
+        """The `error:` line spells the type as the IR does."""
+        path = workdir / "m.ir"
+        path.write_text(src)
+        assert main(["run", str(path), *entry]) == 1
+        assert capsys.readouterr().err == line
+
     @pytest.mark.parametrize("cmd", ["run", "bench"])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_run_and_bench(self, workdir, cmd, case, capsys):

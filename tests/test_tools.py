@@ -45,6 +45,24 @@ def test_fn_speedup_lists_every_libcorpus_function():
                           capture_output=True, text=True, check=True)
     doc = json.loads(proc.stdout)
     assert list(doc["rows"]) == list(corpus.load_module("libcorpus").functions)
+    ratios = {"instr_per_hybrid", "instr_per_zero_rule"}
     for fn, row in doc["rows"].items():
         assert all(row[f"{kind}_mcal"] > 0 for kind in ("instr", "hybrid", "zero-rule")), fn
-    assert set(doc["geomean"]) == {"instr_per_hybrid", "instr_per_zero_rule"}
+        for key in ratios:      # one rep: its ratio is the median and both quartiles
+            assert row[f"{key}_iqr"] == [row[key]] * 2 and row[key] > 0, (fn, key)
+        assert type(row["gc_in_calls"]) is int and row["gc_in_calls"] >= 0, fn
+    assert set(doc["geomean"]) == ratios
+
+
+def test_fn_speedup_ratios_are_medians_of_paired_reps(capsys):
+    """Each ratio is the median of the reps' own ratios, between its
+    quartiles, and the table prints both."""
+    fn_speedup = _tool("fn_speedup")
+    doc = fn_speedup.table(reps=3, calls=1)
+    for fn, row in doc["rows"].items():
+        for key in ("instr_per_hybrid", "instr_per_zero_rule"):
+            q1, q3 = row[f"{key}_iqr"]
+            assert 0 < q1 <= row[key] <= q3, (fn, key)
+    fn_speedup.print_table(doc)
+    out = capsys.readouterr().out
+    assert "geomean" in out and f"({doc['rows']['memcpy']['instr_per_hybrid_iqr'][0]:.2f}-" in out

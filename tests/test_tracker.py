@@ -11,6 +11,7 @@ import operator
 import random
 import re
 import struct
+import sys
 import weakref
 
 import pytest
@@ -2223,12 +2224,13 @@ entry:
 }
 """
 MEM_PAGES = 16
-WRITE_PATHS = ("store", "alloca", "write_bytes", "slice", "stepped", "index")
+WRITE_PATHS = ("store", "alloca", "write_bytes", "slice", "stepped", "index", "move")
 
 
 def _write(machine, path, addr, data):
     """Write `data` (or its first 1, 2, 4 or 8 bytes) at `addr` through one
-    of the machine's write paths; "alloca" zeroes the top 5000 bytes."""
+    of the machine's write paths; "alloca" zeroes the top 5000 bytes, and
+    "move" moves `data` from the start of page 1, which it writes first."""
     mem, w = machine.memory, min(1 << (len(data).bit_length() - 1), 8)
     value = int.from_bytes(data[:w], "little")
     if path == "store":
@@ -2241,6 +2243,9 @@ def _write(machine, path, addr, data):
         mem[addr:addr + len(data)] = data
     elif path == "stepped":     # backwards, every third byte
         mem[addr + 3 * (len(data) - 1):addr - 1:-3] = data
+    elif path == "move":
+        mem[PAGE:PAGE + len(data)] = data
+        mem.move(addr, PAGE, len(data))
     else:       # by a negative index when the value is odd
         mem[addr - len(mem) if value & 1 else addr] = data[0]
 
@@ -2911,3 +2916,276 @@ class TestLeanCode:
                         assert result == ("trap", "undefined temporary", None), budget
                     else:       # %u is 3, as @buf[2] is
                         assert result.exit_value == 3 + (entry == "main")
+
+
+_TOP = 1 << 16      # the memory size of the bulk-round runs
+BULK_LOOPS = ("memcpy", "memset_a", "strcpy_a", "strlen_a", "copy_twice")
+
+
+def _rounds_returned(run) -> list[int]:
+    """What each `_rounds` call returned while `run()` ran: the rounds a
+    loop's bulk form ran, 0 where its guard left them to the loop."""
+    got = []
+
+    def watch(frame, event, arg):
+        if event == "return" and frame.f_code is tracker._rounds.__code__:
+            got.append(arg)
+    sys.setprofile(watch)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return got
+
+
+def _bulk_call(fn, src, dst, n, data, other=3 * PAGE + 512, byte=0x41):
+    """The arguments of a call of libcorpus `fn` on those buffers, and a
+    machine set-up that writes `data` at `src`, clipped to memory."""
+    args = {"memcpy": [dst, src, n], "memset_a": [dst, byte, n], "strcpy_a": [dst, src],
+            "strlen_a": [src], "copy_twice": [dst, other, src, n]}[fn]
+
+    def before(m):
+        lo, hi = max(src, GLOBALS_BASE), min(src + len(data), _TOP)
+        if lo < hi:
+            m.write_bytes(lo, data[lo - src:hi - src])
+    return args, before
+
+
+@st.composite
+def bulk_runs(draw):
+    """A call of a libcorpus copy, fill or scan loop on buffers anywhere
+    from below the globals to past the top of memory: across a page, over
+    the loop's promoted slots at the top of the stack, overlapping either
+    way; with counts of 0, 1 and below 0, binary bytes with embedded NULs,
+    and a step budget that may cut the loop anywhere."""
+    def addr():
+        return draw(st.one_of(
+            st.integers(GLOBALS_BASE - 8, GLOBALS_BASE + 40),      # the bottom of memory
+            st.integers(2 * PAGE - 40, 2 * PAGE + 8),              # across a page
+            st.integers(_TOP - 120, _TOP + 8),     # the promoted slots and the top
+            st.integers(3 * PAGE, 3 * PAGE + 200), st.integers(4 * PAGE, 5 * PAGE)))
+    fn, src = draw(st.sampled_from(BULK_LOOPS)), addr()
+    dst = draw(st.one_of(st.integers(src - 48, src + 48), st.just(addr()), st.just(addr())))
+    n = draw(st.one_of(st.sampled_from([0, 1, -1, -9]), st.integers(2, 90), st.integers(2, 90)))
+    data = draw(st.binary(max_size=100))
+    budget = draw(st.one_of(st.integers(1, 2000), st.just(4000)))      # or every round
+    return (fn, *_bulk_call(fn, src, dst, n, data, addr(), draw(st.integers(-300, 300))),
+            budget)
+
+
+OTHER_LOOPS = """\
+global @buf : [600 x char] = bytes(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
+
+fn @swap(%a: ptr(char), %b: ptr(char), %n: i64) -> i64 library {
+entry:
+  %ap = alloca ptr(char)
+  %bp = alloca ptr(char)
+  %np = alloca i64
+  store ptr(char) %a, %ap
+  store ptr(char) %b, %bp
+  store i64 %n, %np
+  jmp loop
+loop:
+  %x = load ptr(char), %ap
+  %y = load ptr(char), %bp
+  %c = load char, %y
+  store char %c, %x
+  %y1 = gep char, %y, 1
+  store ptr(char) %y1, %ap
+  %x1 = gep char, %x, 1
+  store ptr(char) %x1, %bp
+  %n0 = load i64, %np
+  %n1 = sub i64 %n0, 1
+  store i64 %n1, %np
+  %z = cmp i64 %n1, 0
+  br %z, done, loop
+done:
+  ret i64 %n1
+}
+
+fn @fill(%d: ptr(char), %n: i64, %s: i64) -> i64 library {
+entry:
+  %dp = alloca ptr(char)
+  %np = alloca i64
+  store ptr(char) %d, %dp
+  store i64 %n, %np
+  jmp loop
+loop:
+  %p = load ptr(char), %dp
+  store char 7, %p
+  %p1 = gep char, %p, %s
+  store ptr(char) %p1, %dp
+  %n0 = load i64, %np
+  %n1 = sub i64 %n0, 1
+  store i64 %n1, %np
+  %z = cmp i8 %n1, 0
+  br %z, done, loop
+done:
+  ret i64 %n0
+}
+
+fn @up(%d: ptr(char), %n: i64) -> i64 library {
+entry:
+  %dp = alloca ptr(char)
+  %ip = alloca i64
+  %m = sub i64 0, %n
+  store ptr(char) %d, %dp
+  store i64 %m, %ip
+  jmp loop
+loop:
+  %p = load ptr(char), %dp
+  store char %n, %p
+  %p1 = gep char, %p, 1
+  store ptr(char) %p1, %dp
+  %i0 = load i64, %ip
+  %i1 = add i64 %i0, 1
+  store i64 %i1, %ip
+  %z = cmp i64 %i1, 0
+  br %z, done, loop
+done:
+  ret i64 %i1
+}
+
+fn @spin(%n: i64) -> i64 library {
+entry:
+  %np = alloca i64
+  store i64 %n, %np
+  jmp loop
+loop:
+  %n0 = load i64, %np
+  %n1 = sub i64 %n0, 1
+  store i64 %n1, %np
+  %z = cmp i64 %n1, 0
+  br %z, done, loop
+done:
+  ret i64 %n0
+}
+"""
+
+
+class TestBulkRounds:
+    """Untracked, a recognized copy, fill or scan loop runs every round but
+    its last in one slice operation when the guard holds, and as a loop
+    otherwise; either way it leaves the memory, pages marked written,
+    counters, return value and trap that the step interpreter leaves."""
+
+    @staticmethod
+    def _runs(libcorpus, lib_rules, fn, args, before, **kw):
+        return [outcome(cls, libcorpus, fn, args, mode="hybrid", rule_programs=lib_rules,
+                        mem_size=_TOP, before=before, **kw)
+                for cls in (Machine, ReferenceMachine)]
+
+    @pytest.mark.parametrize("fn, args, bulk", [
+        ("swap", [0, 100, 20], False),      # pointers that trade places each round
+        ("fill", [0, 20, 2], False),        # a store that moves by 2
+        ("fill", [0, 300, 1], False),       # a count compared as i8: 256 rounds short
+        ("up", [0, 30], True),              # a count up to 0
+        ("spin", [40], True),               # no memory
+    ])
+    def test_other_loops(self, fn, args, bulk):
+        """Only a loop whose values move by a fixed step and whose count is
+        read whole gets the bulk form; any other, and every budget that
+        cuts one, leaves what the step interpreter leaves."""
+        m = parse_module(OTHER_LOOPS)
+        rules, _ = compile_library(m)
+        writer = _Writer(_shared(m), m.functions[fn], False, _TOP)
+        writer.code()
+        assert ("_rounds(" in "\n".join(writer.src)) == bulk
+        pointers = {"swap": 2, "fill": 1, "up": 1, "spin": 0}[fn]
+        args = [a + _shared(m).global_addr["buf"] * (i < pointers) for i, a in enumerate(args)]
+        total = outcome(Machine, m, fn, args, mode="hybrid", rule_programs=rules,
+                        mem_size=_TOP)[1]
+        for budget in [*range(1, min(total, 400) + 2), total, None]:
+            got = [outcome(cls, m, fn, args, mode="hybrid", rule_programs=rules, mem_size=_TOP,
+                           **_budget(budget)) for cls in (Machine, ReferenceMachine)]
+            assert got[0] == got[1], budget
+
+    @pytest.mark.parametrize("program", corpus.NAMES)
+    def test_only_untracked_code_runs_rounds_at_once(self, program):
+        """Tracked code keeps every round of every loop; untracked, each
+        corpus copy, fill and scan loop gets the bulk form."""
+        module = corpus.load_module(program)
+        for fn in module.functions:
+            for live in (True, False):
+                writer = _Writer(_shared(module), module.functions[fn], live, DEFAULT_MEMORY)
+                writer.code()
+                bulk = "_rounds(" in "\n".join(writer.src)
+                assert bulk == (not live and fn in BULK_LOOPS[:4]), (program, fn, live)
+
+    def test_bench_memcpy_counts_every_instruction(self, bench_memcpy):
+        """At n=2048 hybrid still reports the instructions that the loop
+        form runs, nearly all of them in `@memcpy`'s untracked rounds."""
+        rules, _ = compile_library(bench_memcpy)
+        got = {}
+        for mode in ("instr", "hybrid"):
+            m = Machine(bench_memcpy, mode=mode, rule_programs=rules)
+            ran = _rounds_returned(lambda: m.call_entry("main", [2048]))
+            got[mode] = (m.instr_total, m.instr_unins, ran, m.memory)
+        assert got["instr"][:3] == (28691, 0, [])
+        assert got["hybrid"][:3] == (28691, 28685, [2047])
+        assert got["instr"][3] == got["hybrid"][3]
+
+    @settings(max_examples=400, deadline=None)
+    @given(bulk_runs())
+    def test_random_buffers_match_the_step_interpreter(self, libcorpus, lib_rules, run):
+        fn, args, before, budget = run
+        runs = self._runs(libcorpus, lib_rules, fn, args, before, step_budget=budget)
+        assert runs[0][0] == runs[1][0], fn
+        assert runs[0] == runs[1], fn
+
+    @pytest.mark.parametrize("fn, src, dst, n, data, rounds", [
+        ("memcpy", 3 * PAGE, 3 * PAGE + 256, 40, b"x" * 40, [39]),
+        ("memcpy", 2 * PAGE - 20, 3 * PAGE + 5, 40, bytes(range(40)), [39]),   # across a page
+        ("memcpy", 3 * PAGE + 8, 3 * PAGE + 5, 40, b"\0\1" * 20, [39]),  # dst below src
+        ("memcpy", 3 * PAGE, 3 * PAGE, 40, b"ab" * 20, [39]),
+        ("memcpy", 3 * PAGE, 3 * PAGE + 3, 40, b"abc" * 14, [0]),     # dst above, inside src
+        ("memcpy", 3 * PAGE, 3 * PAGE + 38, 40, b"abc" * 14, [0]),
+        ("memcpy", 3 * PAGE, 3 * PAGE + 39, 40, b"abc" * 14, [39]),  # only the last round's
+        ("memcpy", 3 * PAGE, 3 * PAGE + 40, 40, b"abc" * 14, [39]),
+        ("memcpy", 3 * PAGE, _TOP - 60, 40, b"abc" * 14, [0]),     # onto its promoted slots
+        ("memcpy", _TOP - 30, 3 * PAGE, 40, b"abc" * 14, [0]),     # from them, past the top
+        ("memcpy", GLOBALS_BASE - 4, 3 * PAGE, 40, b"", [0]),     # from below memory
+        ("memcpy", 3 * PAGE, 3 * PAGE + 64, 0, b"", []),
+        ("memcpy", 3 * PAGE, 3 * PAGE + 64, 1, b"q", [0]),
+        ("memcpy", _TOP - 74, 3 * PAGE, -3, b"q", [0]),     # until it loads past the top
+        ("memset_a", 0, 2 * PAGE - 7, 30, b"", [29]),
+        ("memset_a", 0, _TOP - 40, 30, b"", [0]),
+        ("strcpy_a", 3 * PAGE, 3 * PAGE + 64, 0, b"abcdef\0gh\0", [5]),
+        ("strcpy_a", _TOP - 200, _TOP - 198, 0, b"abcdef\0gh\0", [0]),
+        ("strcpy_a", 3 * PAGE + 2, 3 * PAGE, 0, b"abcdef\0gh\0", [5]),
+        ("strcpy_a", 3 * PAGE, 3 * PAGE + 7, 0, b"abcdef\0gh\0", [5]),   # the NUL's round
+        ("strcpy_a", 3 * PAGE, 3 * PAGE + 64, 0, b"a\0", [0]),
+        ("strlen_a", 2 * PAGE - 5, 0, 0, b"\xff" * 9 + b"\0", [8]),
+        ("strlen_a", _TOP - 90, 0, 0, b"\xff" * 90, [81]),  # up to its slot, left to the loop
+        ("copy_twice", 3 * PAGE, 2 * PAGE - 3, 9, b"\0" * 9, [8, 8]),
+    ])
+    def test_guard(self, libcorpus, lib_rules, fn, src, dst, n, data, rounds):
+        """The rounds the bulk form runs: all but the last when the guard
+        holds, none when a store would reach a byte a later round loads,
+        the promoted range or past memory."""
+        args, before = _bulk_call(fn, src, dst, n, data)
+        got = []
+        assert _rounds_returned(lambda: got.extend(self._runs(
+            libcorpus, lib_rules, fn, args, before))) == rounds
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("fn, src, dst, n, data", [
+        ("memcpy", 2 * PAGE - 3, 3 * PAGE, 6, b"ab\0cd\0"),
+        ("memset_a", 0, 2 * PAGE - 3, 6, b""),
+        ("strcpy_a", 2 * PAGE - 3, 2 * PAGE - 5, 0, b"ab\xffcd\0"),
+        ("strlen_a", 2 * PAGE - 3, 0, 0, b"ab\xffcd\0"),
+        ("copy_twice", 2 * PAGE - 3, 3 * PAGE + 7, 5, b"abcde"),
+    ])
+    def test_every_budget(self, libcorpus, lib_rules, fn, src, dst, n, data):
+        """A budget that cuts the loop leaves every round to it; one that
+        holds them all lets the bulk form run all but the last."""
+        args, before = _bulk_call(fn, src, dst, n, data)
+        total = outcome(Machine, libcorpus, fn, args, mode="hybrid", rule_programs=lib_rules,
+                        mem_size=_TOP, before=before)[1]
+        bulk = set()
+        for budget in range(1, total + 2):
+            got = []
+            bulk.update(_rounds_returned(lambda: got.extend(self._runs(
+                libcorpus, lib_rules, fn, args, before, step_budget=budget))))
+            assert got[0] == got[1], budget
+        assert len(bulk - {0}) == 1, bulk

@@ -11,8 +11,10 @@ the parent.  The JSON last line of every run is kept as it was printed
 (`runs`), and `summary` gives, per workload and end-to-end metric of the
 change tree's BENCHMARK.json, each side's median and quartiles (inclusive
 method) and the number of pairs in which the change did better, plus each
-run's (correct, failed checks); `host` is the environment line the runs
-print.  The file is rewritten after every pair, so an interrupted run
+run's (correct, failed checks); `peak_rss_mb` also gets each pair's shift,
+change minus parent, in the 256 KiB steps the allocator's arenas grow by.
+`host` is the environment line the runs print, and `loc` each tree's source
+lines per module of `src/taintsum`.  The file is rewritten after every pair, so an interrupted run
 keeps the pairs it finished.  Standard library only.
 """
 
@@ -26,6 +28,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+ARENA_MB = 0.25      # the allocator maps memory in 256 KiB arenas
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
@@ -60,9 +63,19 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         out[name] = {"unit": m["unit"],
                      **{side: quartiles(values[side]) for side in SIDES},
                      "change_better_pairs": f"{better}/{len(pairs)}"}
+        if name == "peak_rss_mb":
+            shifts = [(c - p) / ARENA_MB for p, c in zip(values["parent"], values["change"])]
+            out[name]["shift_arenas"] = {**quartiles(sorted(shifts)), "pairs": shifts}
     out["correct_failed"] = {side: [[p[side]["correct"], p[side]["failed"]] for p in pairs]
                              for side in SIDES}
     return out
+
+
+def lines_of_code(tree: Path) -> dict[str, int]:
+    """Source lines of each module of the tree's package, and their total."""
+    loc = {p.stem: len(p.read_text(encoding="utf-8").splitlines())
+           for p in sorted((tree / "src" / "taintsum").glob("*.py"))}
+    return {**loc, "total": sum(loc.values())}
 
 
 def main(argv=None) -> int:
@@ -81,7 +94,8 @@ def main(argv=None) -> int:
     doc = {"what": args.what,
            "command": f"python3 perfbench/run.py --workload <name> --seed {args.seed}"
                       f" --seconds {args.seconds:g} --trace 0",
-           "host": "", "summary": {}, "runs": {}}
+           "host": "", "summary": {}, "runs": {},
+           "loc": {side: lines_of_code(tree) for side, tree in trees.items()}}
     out = Path(f"BENCH_{args.pr}.json")
     for workload in args.workloads:
         pairs = doc["runs"][workload] = []
