@@ -395,16 +395,19 @@ def _undefined(name: str) -> MachineTrap:
 # one-byte access cannot cross a page, and a one-byte unsigned load indexes
 # the memory directly.  A promoted slot (`_Writer.promote`), a scalar alloca
 # that only its own loads and stores use, keeps its value in the local `P_x`
-# and its tag vector in `T_x`; a store of a nonzero vector still makes the
-# slot's absent Tagmap page.  Its bytes are written back (`_spill`) before a
-# call, a return and any other access that overlaps the frame's promoted range
-# [R_lo, R_hi), and read back (`_fill`) after a call and such a store; a
-# return then drops the locals, and a run that raises writes back what its
-# innermost generated frame still held.  An access from GLOBALS_BASE up to the
-# fast bound `R_f`, R_lo - 8, is in bounds and below that range, so only one
-# outside it is bounds-checked and overlap-tested.  A segment runs from a
-# block's start or from just after a call up to and including the next call or
-# terminator; the step budget is checked once per segment, also in a copy.
+# and its tag vector in `T_x`, and a store sets only these.  Its bytes are
+# written back (`_spill`) before a call, a return and any other access that
+# overlaps the frame's promoted range [R_lo, R_hi), and read back (`_fill`)
+# after a call and such a store; a return then drops the locals, and a run
+# that raises writes back what its innermost generated frame still held.  A
+# write-back makes the slot's absent Tagmap page only for a nonzero vector,
+# so an all-zero page counts as an absent one.  An access from GLOBALS_BASE up
+# to the fast bound `R_f`, R_lo - 8, is in bounds and below that range, so
+# only one outside it is bounds-checked and overlap-tested.  A segment runs
+# from a block's start or from just after a call up to and including the next
+# call or terminator.  A run is a segment and the copy that replaces its
+# `jmp` (`_Writer.run`): the step budget is checked, and the shadow ops are
+# counted, once per run.
 # Untracked, a loop that copies, fills or scans bytes (`_Writer.bulk`) runs
 # every round but its last in one slice operation before its `while`.  Each
 # value a round computes must be a constant plus values it starts with, and
@@ -415,7 +418,7 @@ def _undefined(name: str) -> MachineTrap:
 # loads.  They count as executed, and the loop runs the last round, or every
 # round when the guard fails, so traps and budget cuts stay exact.  The
 # instruction and shadow-op counts are locals, written to the machine before
-# each call and return.  When the budget runs out in a segment, `Machine._cut`
+# each call and return.  When the budget runs out in a run, `Machine._cut`
 # runs the prefix that fits from the function's locals (`_Writer.cut`) and
 # traps.  When a run raises, the line its innermost generated frame stopped on
 # gives the instructions it did not run and the shadow ops it did not count.
@@ -432,16 +435,17 @@ _PROLOGUE = (("t", "f.temps"), ("tg", "f.tags"), ("mem", "m.memory"),
              ("tm", "m.tagmap"), ("pages", "m.tagmap.pages"), ("dirty", "mem.dirty"))
 _ATOM = re.compile(r"[\w.]+|\(-[\w.]+\)")
 _LOCAL = re.compile(r"'([vg]_[^']+)'")      # a temp's local in a NameError
-_COUNT = object()      # where a segment's shadow count goes
+_COUNT = object()      # where a run's shadow count goes
 
 
 def _spill(m, c: str, a: int, value, vec: Optional[bytes] = None) -> None:
     """Writes a promoted slot back: its value, of struct format `c`, at `a`
-    and, when tracked, its tag vector.  A slot never crosses a page, and a
-    nonzero vector made its page when it was stored, so an absent page
-    keeps zeros."""
+    and, when tracked, its tag vector.  A slot never crosses a page, and
+    its absent page is made only for a nonzero vector."""
     _STRUCTS[c].pack_into(m.memory, a, value)
     page = m.tagmap.pages.get(a >> _PAGE_SHIFT)
+    if vec is not None and page is None and any(vec):
+        page = m.tagmap.pages[a >> _PAGE_SHIFT] = bytearray(PAGE)
     if vec is not None and page is not None:
         page[a & PAGE - 1:(a & PAGE - 1) + len(vec)] = vec
 
@@ -567,8 +571,8 @@ def _lit(v) -> str:
 
 class _Writer:
     """Writes one function as Python, tracked when `live`.  The lines of an
-    instruction that ends a segment hold `_COUNT` where the segment's shadow
-    count goes: after what it reads, before what it changes."""
+    instruction that ends a run hold `_COUNT` where the run's shadow count
+    goes: after what it reads, before what it changes."""
 
     def __init__(self, shared: "_Shared", fn: Function, live: bool, mem_size: int):
         self.shared, self.fn, self.live, self.mem_size = shared, fn, live, mem_size
@@ -708,13 +712,14 @@ class _Writer:
         return self.namespace()["F"]
 
     def cut(self, i: int, j: int, local: dict):
-        """Segment `i` cut to its first `j` instructions and then the budget
-        trap on the next, as a function of the machine, the frame and the
-        locals its function had when the budget ran out, `local`."""
-        self.used = set()
-        lines, marks, done, tail = self.instructions(self.segs[i][1][:j])
+        """The run from segment `i` cut to its first `j` instructions and
+        then the budget trap on the next, as a function of the machine, the
+        frame and the locals its function had when the budget ran out,
+        `local`."""
+        self.used, run = set(), self.run(i)
+        lines, marks, done, tail = self.instructions(run[:j])
         if tail is not None:
-            uid = self.segs[i][1][j].uid
+            uid = run[j].uid
             lines += [f"s += {done}"] * bool(done) + [
                 f"n += 1; raise MachineTrap('step budget exhausted', {uid!r})"]
         prologue = self.prologue() + [f"{v} = L[{v!r}]" for v in local if v[1:2] == "_"]
@@ -746,26 +751,19 @@ class _Writer:
             body += [(depth + d, line, mark) for d, line, mark in lines[blocks[0]]]
 
     def block(self, b: int, depth: int, body: list) -> list[int]:
-        """The lines running block `b` and, in place of a `jmp` to a block
-        of one segment that ends in a terminator, that block's; body gets
-        (indent, line, mark) for each.  When the last transfer leads back to
-        `b`, they run in an inner `while` that only the other edge leaves.
-        Returns the blocks the lines set `i` to."""
-        lines, js = [], [*range(self.starts[b], self.starts[b + 1])]
-        end = self.segments(self.starts[b], lines)
-        h = self.labels.get(end.label) if type(end) is Jmp else None
-        if h not in (None, b) and self.starts[h + 1] - self.starts[h] == 1 and type(
-                (self.segs[self.starts[h]][1] or [None])[-1]) in (Br, Jmp, Ret):
-            end = self.segments(self.starts[h], lines)
-            js.append(self.starts[h])
+        """The lines running block `b` and a copy its last run holds
+        (`run`); body gets (indent, line, mark) for each.  When the last
+        transfer leads back to `b`, they run in an inner `while` that only
+        the other edge leaves.  Returns the blocks the lines set `i` to."""
+        lines = []
+        end, instrs = self.segments(self.starts[b], lines)
         labels = ((end.then_label, end.else_label) if type(end) is Br else
                   (end.label,) * 2 if type(end) is Jmp else (None, None))
         then, other = (label and self.target(label, end) for label in labels)
         cond = self.val(end.cond, _I64) if type(end) is Br else None
         loop = (here := str(b)) in (then, other)
         if not self.live and cond and other == here != then:    # leaves when cond holds
-            body += [(depth, line, (0, 0)) for line in self.bulk(
-                [ins for j in js for ins in self.segs[j][1]])]
+            body += [(depth, line, (0, 0)) for line in self.bulk(instrs)]
         body += [(depth, "while True:", (0, 0))] * loop
         body += [(depth + loop, line, mark) for line, mark in lines]
         if then is not None and not loop:
@@ -833,12 +831,26 @@ class _Writer:
                 "except NameError: K = 0", f"if K: {put * (dst is not False)}n += "
                 f"{len(instrs)} * K; [{', '.join(sets)}] = E"]
 
-    def segments(self, j: int, lines: list) -> Optional[Instr]:
-        """Appends the (line, mark) of segment `j`, and of the next after one
-        that ends in a call, to `lines`; returns the last instruction when
-        decoded, leaving a `br` or `jmp`'s transfer to `block`."""
+    def run(self, j: int) -> list[Instr]:
+        """Segment `j` and, in place of a `jmp` that ends it to another
+        block of one segment ending in a terminator, a copy of that
+        segment: one budget check and one shadow count."""
+        b, instrs = self.segs[j]
+        h = self.labels.get(instrs[-1].label) if instrs and type(instrs[-1]) is Jmp else None
+        if h in (None, b) or self.starts[h + 1] - self.starts[h] != 1 or type(
+                (self.segs[self.starts[h]][1] or [None])[-1]) not in (Br, Jmp, Ret):
+            return instrs
+        return instrs + self.segs[self.starts[h]][1]
+
+    def segments(self, j: int, lines: list) -> tuple[Optional[Instr], list[Instr]]:
+        """Appends the (line, mark) of the run from segment `j`, and of the
+        next after one that ends in a call, to `lines`; returns the last
+        instruction when decoded, leaving a `br` or `jmp`'s transfer to
+        `block`, and the instructions of the runs."""
+        ran = []
         while True:
-            b, instrs = self.segs[j]
+            b, instrs = self.segs[j][0], self.run(j)
+            ran += instrs
             if instrs:      # the budget runs out here: run what fits elsewhere
                 k = len(instrs)
                 lines.append((f"if (n := n + {k}) > b: n -= {k}; m._cut("
@@ -851,17 +863,18 @@ class _Writer:
                 head += [f"s += {done}"] * bool(done) + tail
             lines += zip(head, marks + [(0, 0)] * (len(head) - len(marks)))
             if type(end) is not Call:
-                return end
+                return end, ran
             j += 1
 
     def instructions(self, instrs: list[Instr]) -> tuple[list, list, int, Optional[list]]:
         """The lines of `instrs` up to the shadow count of one that ends a
-        segment with their (instructions not run, shadow ops not counted),
-        that count, and the lines after it; none after `instrs` that end
-        without a terminator, None after one that cannot be decoded."""
+        run with their (instructions not run, shadow ops not counted), that
+        count, and the lines after it; none after `instrs` that end without
+        a terminator, None after one that cannot be decoded."""
         head, marks, done = [], [], 0
         for p, ins in enumerate(instrs):
-            left = len(instrs) - p - 1
+            if (left := len(instrs) - p - 1) and type(ins) is Jmp:      # a run's copy follows
+                continue
             try:
                 lines = _EMIT.get(type(ins), _Writer.unknown)(self, ins)
             except Exception as e:      # undecodable: raises the same whenever it runs
@@ -922,15 +935,9 @@ class _Writer:
         slot = type(ins.addr) is Temp and ins.addr.name in self.slots and ins.addr.name
         a, lines = ("", []) if slot else self.atom(self.val(ins.addr, _PTR), "a")
         x = self.val(ins.value, _kind(ins.ty), wrap_globals=True)
-        if slot:
-            p, t = _local("P", slot), _local("T", slot)
-            if not self.live:
-                return [f"{p} = {x}"]
-            g = self.vec(ins.value, w)      # a nonzero vector makes the page now
-            self.used.add("pages")
-            return [f"{p} = {x}", f"{t} = {g}"] + [
-                f"if {t} != _Z{w} and (q := {_local('v', slot)} >> {_PAGE_SHIFT})"
-                f" not in pages: pages[q] = bytearray({PAGE})"] * (g != f"_Z{w}")
+        if slot:        # `_spill` makes the page of a nonzero vector
+            return [f"{_local('P', slot)} = {x}"] + [
+                f"{_local('T', slot)} = {self.vec(ins.value, w)}"] * self.live
         x, more = self.atom(x, "x")
         self.used.update(("mem", "dirty", "tm", "pages") if self.live else ("mem", "dirty"))
         lines += more + [*self.check(a, w, ins),
@@ -1421,8 +1428,9 @@ class Machine:
         return self.exit_value
 
     def _cut(self, fn: Function, live: bool, i: int, frame: _Frame, local: dict) -> None:
-        """Runs the prefix of segment `i` of `fn`'s code that the step budget
-        leaves, from the locals its budget check failed with, and traps."""
+        """Runs the prefix of the run from segment `i` of `fn`'s code that
+        the step budget leaves, from the locals its budget check failed
+        with, and traps."""
         writer = _Writer(self.shared, fn, live, self.mem_size)
         writer.cut(i, self.step_budget - local["n"], local)(self, frame, local)
 

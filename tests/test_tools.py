@@ -66,3 +66,32 @@ def test_fn_speedup_ratios_are_medians_of_paired_reps(capsys):
     fn_speedup.print_table(doc)
     out = capsys.readouterr().out
     assert "geomean" in out and f"({doc['rows']['memcpy']['instr_per_hybrid_iqr'][0]:.2f}-" in out
+
+
+def test_bench_pairs_paired_shift_on_fixed_lists():
+    """Differences 1..10: the median and the Hodges-Lehmann estimate are
+    5.5, and the interval runs from the 9th smallest Walsh average to the
+    9th largest, since P(T <= 8) = 25/1024 for 10 pairs.  Differences 1, 2,
+    3, 10, 20: five pairs admit no 95% tail, so the interval is the whole
+    range, and the estimate is the 8th of the 15 Walsh averages."""
+    bench_pairs = _tool("bench_pairs")
+    parent = [100.0 + k for k in range(10)]
+    assert bench_pairs.paired_shift(parent, [p + d for p, d in zip(parent, range(1, 11))]) == {
+        "median": 5.5, "hodges_lehmann": 5.5, "interval": [3.0, 8.0], "coverage": 1 - 50 / 1024}
+    assert bench_pairs.paired_shift([5.0] * 5, [6.0, 7.0, 8.0, 15.0, 25.0]) == {
+        "median": 3.0, "hodges_lehmann": 6.0, "interval": [1.0, 20.0], "coverage": 1 - 2 / 32}
+    assert bench_pairs.LEVEL == 0.95
+    assert bench_pairs.signed_rank_tail(6) == (1, 1 - 2 / 64)
+    assert bench_pairs.signed_rank_tail(20)[0] == 53     # the tables' 52, plus one
+
+
+def test_bench_pairs_summary_holds_the_shift():
+    bench_pairs = _tool("bench_pairs")
+    metrics = [{"name": "secondary_per_cal", "unit": "1/cal", "better": "higher"}]
+    pairs = [{side: {"metrics": {"secondary_per_cal": {"value": v + k}},
+                     "correct": 1, "failed": 0} for side, v in (("parent", 10), ("change", 12))}
+             for k in range(6)]
+    row = bench_pairs.summarize(pairs, metrics)["secondary_per_cal"]
+    assert row["change_better_pairs"] == "6/6"
+    assert row["shift"] == {"median": 2, "hodges_lehmann": 2, "interval": [2, 2],
+                            "coverage": 1 - 2 / 64}

@@ -1121,7 +1121,8 @@ class ReferenceMachine(Machine):
 
 def outcome(cls, module, entry, args, *, arg_tags=None, before=None, **kw):
     """Everything a run leaves behind: its RunReport or how it stopped,
-    the counters, final memory and the pages marked written, Tagmap pages,
+    the counters, final memory and the pages marked written, the Tagmap
+    pages that hold a nonzero tag (an all-zero page reads as an absent one),
     ret_shadow, sink hits, and a trap's detail."""
     m, detail = cls(module, **kw), None
     if before is not None:
@@ -1139,7 +1140,7 @@ def outcome(cls, module, entry, args, *, arg_tags=None, before=None, **kw):
             _fold(m.ret_shadow))
     return (result, m.instr_total, m.instr_unins, m.shadow_ops_instr,
             m.shadow_ops_rules, bytes(m.memory), sorted(m.memory.dirty),
-            {p: bytes(page) for p, page in m.tagmap.pages.items()},
+            {p: bytes(page) for p, page in m.tagmap.pages.items() if any(page)},
             m.ret_shadow, tuple(m.sink_hits), m.live, detail)
 
 
@@ -1761,6 +1762,27 @@ entry:
 """
 
 
+COPIED_HEADER_TRAP = """fn @lib(%a: i64) -> i64 library {
+entry:
+  %k = alloca i64
+  store i64 0, %k
+  jmp head
+head:
+  %i = load i64, %k
+  %p = add i64 %a, %i
+  %v = load u8, %p
+  %z = cmp i64 %i, 3
+  br %z, done, body
+body:
+  %i1 = add i64 %i, 1
+  store i64 %i1, %k
+  jmp head
+done:
+  ret i64 %v
+}
+"""
+
+
 WARM_UNDEFINED = """\
 fn @f(%a: i64) -> i64 {
 entry:
@@ -1799,6 +1821,30 @@ class TestExactTraps:
             assert got["instr"][0] == ("trap", want, uid), (entry, got["instr"][0])
             if entry == "main" and rules:   # a recursive @lib gets no summary
                 assert got["hybrid"][2] > 0     # counted while untracked
+
+    @pytest.mark.parametrize("entry, a, counts", [
+        ("lib", 16, {"instr": (6, 0, 3), "hybrid": (6, 6, 0)}),
+        ("lib", (1 << 16) - 2, {"instr": (22, 0, 15), "hybrid": (22, 22, 0)}),
+        ("main", 16, {"instr": (9, 0, 5), "hybrid": (9, 6, 2)}),
+        ("main", (1 << 16) - 2, {"instr": (25, 0, 17), "hybrid": (25, 22, 2)})])
+    def test_trap_in_a_copied_loop_header(self, entry, a, counts):
+        """The loop header's out-of-bounds load runs in the copies that
+        end the entry block (at %a 16) and the body (two rounds later),
+        each one run with the block before it: the trap leaves the
+        (instructions, uninstrumented ones, shadow ops) of the step
+        interpreter."""
+        m = parse_module(COPIED_HEADER_TRAP + MAIN_CALLS_LIB)
+        writer = _Writer(_shared(m), m.functions["lib"], True, DEFAULT_MEMORY)
+        for b in (0, 2):        # entry and body, each with the header after its `jmp`
+            run = writer.run(writer.starts[b])
+            assert len(run) == len(writer.segs[writer.starts[b]][1]) + 5
+            assert "lib:5" in [ins.uid for ins in run]
+        rules, _ = compile_library(m)
+        assert "lib" in rules
+        got = assert_same_runs(m, entry, [a], rules, arg_tags=[b"\x01"], mem_size=1 << 16)
+        for mode, run in got.items():
+            assert run[0] == ("trap", "out-of-bounds access", "lib:5"), mode
+            assert run[1:4] == counts[mode], mode
 
     def test_undefined_read_in_warm_code(self):
         """Once a function's code is warm the interpreter fuses the read of
@@ -1980,6 +2026,35 @@ class TestRegions:
         assert "t['n']" in source     # the parameter, once at entry
 
 
+CLEARED_SLOT = """fn @f(%p0: i8) -> i64 {
+entry:
+  %s0 = alloca i8
+  store i8 %p0, %s0
+  store i8 0, %s0
+  ret i64 0
+}
+"""
+SPILLED_SLOT = """fn @boom(%d: i64) -> i64 {
+entry:
+  %q = div i64 1, %d
+  ret i64 %q
+}
+
+fn @f(%x: i64, %d: i64) -> i64 {
+entry:
+  %s = alloca i64
+  store i64 %x, %s
+  %r = call i64 @boom(%d)
+  %v = add i64 %x, %d
+  store i64 %v, %s
+  %e = sub i64 %r, 1
+  %z = div i64 %r, %e
+  %w = load i64, %s
+  ret i64 %w
+}
+"""
+
+
 class TestPromotedSlots:
     """Scalar allocas used only by their own loads and stores live in
     locals; memory, Tagmap pages, counters and traps stay the step
@@ -2011,6 +2086,35 @@ class TestPromotedSlots:
                 assert f"P_{x} = " in source
                 assert not re.search(rf"(_check_bounds\(|_[up]\w\(mem, |pages\.get\()v_{x}\b",
                                      source), (live, x)
+
+    def test_a_cleared_slot_leaves_no_page(self):
+        """The step interpreter leaves an all-zero Tagmap page where the
+        slot held a tainted byte and then a clean one; the slot leaves no
+        page, and the outcomes, which drop all-zero pages, are equal."""
+        m = parse_module(CLEARED_SLOT)
+        assert list(_Writer(_shared(m), m.functions["f"], True, DEFAULT_MEMORY).slots) == ["s0"]
+        pages = {}
+        for cls in (Machine, ReferenceMachine):
+            machine = cls(m, mem_size=1 << 16)
+            machine.call_entry("f", [5], [b"\x01"])
+            pages[cls] = {p: bytes(page) for p, page in machine.tagmap.pages.items()}
+        assert pages == {Machine: {}, ReferenceMachine: {15: bytes(PAGE)}}
+        assert_same_runs(m, "f", [5], arg_tags=[b"\x01"], mem_size=1 << 16)
+
+    @pytest.mark.parametrize("d, at, tag", [(0, "a call", 1), (1, "a trap", 3),
+                                            (-1, "a return", 3)])
+    def test_a_tainted_slot_reaches_the_tagmap(self, d, at, tag):
+        """A slot's nonzero tag vector is written to its absent Tagmap page
+        at a call (whose callee traps), at a trap in the slot's own frame
+        and at a return: tag 1 was stored before the call, 3 after it."""
+        m = parse_module(SPILLED_SLOT)
+        assert list(_Writer(_shared(m), m.functions["f"], True, DEFAULT_MEMORY).slots) == ["s"]
+        got = assert_same_runs(m, "f", [7, d], arg_tags=[b"\x01", b"\x02"], mem_size=1 << 16)
+        slot = (1 << 16) - 8        # the entry frame's first alloca
+        for mode, run in got.items():
+            assert isinstance(run[0], RunReport) == (at == "a return"), mode
+            pages = run[7]
+            assert pages[slot >> 12][slot & PAGE - 1:][:8] == bytes([tag]) * 8, mode
 
     @pytest.mark.parametrize("body, promoted", [
         ("  %b = alloca i64\n  %a = alloca i32\n  %q = gep i32, %a, 0\n  ret i64 0\n", ["b"]),
@@ -2813,6 +2917,21 @@ class TestLeanCode:
                  if isinstance(node, ast.If) and isinstance(node.body[-1], ast.Break)]
         assert len(exits) == 1 and sets == exits[0].body[:1]
         assert exits[0] is inner[0].body[-1]
+
+    @pytest.mark.parametrize("program, fn, made", [("bench_user", "main", 0),
+                                                   ("bench_memcpy", "memcpy", 1)])
+    def test_one_budget_check_and_count_per_iteration(self, program, fn, made):
+        """The inner `while` runs the loop's body and the copy of its header
+        as one run: one budget check and, tracked, one shadow count per
+        iteration.  A store to a promoted slot makes no Tagmap page; the
+        only page made is memcpy's byte store to memory."""
+        for live in (True, False):
+            source = self._source(corpus.load_module(program), fn, live)
+            inner = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.While)][1]
+            lines = source.splitlines()[inner.lineno - 1:inner.end_lineno]
+            assert sum("if (n := n + " in line for line in lines) == 1, live
+            assert sum(line.lstrip().startswith("s += ") for line in lines) == live
+            assert sum("bytearray(4096)" in line for line in lines) == made * live
 
     @pytest.mark.parametrize("program", corpus.NAMES)
     def test_dispatch_holds_only_blocks_that_i_reaches(self, program):

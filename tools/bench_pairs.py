@@ -10,9 +10,11 @@ other; the side that runs first alternates from pair to pair, starting with
 the parent.  The JSON last line of every run is kept as it was printed
 (`runs`), and `summary` gives, per workload and end-to-end metric of the
 change tree's BENCHMARK.json, each side's median and quartiles (inclusive
-method) and the number of pairs in which the change did better, plus each
-run's (correct, failed checks); `peak_rss_mb` also gets each pair's shift,
-change minus parent, in the 256 KiB steps the allocator's arenas grow by.
+method), the number of pairs in which the change did better and the paired
+shift, change minus parent: the median of the pairs' differences and the
+Hodges-Lehmann estimate with its distribution-free interval at about
+`LEVEL` (`shift`); plus each run's (correct, failed checks).  `peak_rss_mb` also
+gets each pair's shift in the 256 KiB steps the allocator's arenas grow by.
 `host` is the environment line the runs print, and `loc` each tree's source
 lines per module of `src/taintsum`.  The file is rewritten after every pair, so an interrupted run
 keeps the pairs it finished.  Standard library only.
@@ -21,6 +23,7 @@ keeps the pairs it finished.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import statistics
 import subprocess
@@ -29,6 +32,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 ARENA_MB = 0.25      # the allocator maps memory in 256 KiB arenas
+LEVEL = 0.95        # the confidence the shift's interval aims at
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
@@ -50,6 +54,32 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def signed_rank_tail(n: int) -> tuple[int, float]:
+    """The largest c >= 1 with P(T < c) <= (1 - LEVEL) / 2 for the Wilcoxon
+    signed-rank statistic T of `n` pairs, or 1 when there is none, and the
+    two-sided coverage 1 - 2 P(T < c) of the interval it gives."""
+    counts = [1]        # counts[t]: the sign patterns of ranks 1..k with T = t
+    for k in range(1, n + 1):
+        counts = [a + (counts[t - k] if t >= k else 0)
+                  for t, a in enumerate(counts + [0] * k)]
+    below = list(itertools.accumulate(counts))      # below[t]: those with T <= t
+    c = max(1, sum(x <= (1 - LEVEL) / 2 * 2 ** n for x in below))
+    return c, 1 - 2 * below[c - 1] / 2 ** n
+
+
+def paired_shift(parent: list[float], change: list[float]) -> dict:
+    """Change minus parent over the pairs: the median difference, the
+    Hodges-Lehmann estimate (the median of the Walsh averages, the means
+    of every two differences and of each with itself) and the interval
+    between the c-th smallest and c-th largest Walsh average, c from
+    `signed_rank_tail`, with its exact coverage."""
+    d = [b - a for a, b in zip(parent, change)]
+    walsh = sorted((d[i] + d[j]) / 2 for i in range(len(d)) for j in range(i, len(d)))
+    c, coverage = signed_rank_tail(len(d))
+    return {"median": statistics.median(d), "hodges_lehmann": statistics.median(walsh),
+            "interval": [walsh[c - 1], walsh[-c]], "coverage": coverage}
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     out: dict = {}
     for m in metrics:
@@ -62,7 +92,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
                      for p, c in zip(values["parent"], values["change"]))
         out[name] = {"unit": m["unit"],
                      **{side: quartiles(values[side]) for side in SIDES},
-                     "change_better_pairs": f"{better}/{len(pairs)}"}
+                     "change_better_pairs": f"{better}/{len(pairs)}",
+                     "shift": paired_shift(values["parent"], values["change"])}
         if name == "peak_rss_mb":
             shifts = [(c - p) / ARENA_MB for p, c in zip(values["parent"], values["change"])]
             out[name]["shift_arenas"] = {**quartiles(sorted(shifts)), "pairs": shifts}
