@@ -8,7 +8,8 @@ ActualIn/ActualOut nodes and direct summary-induced dependency edges.
 Edge vocabulary: cdep, d_gnrl, d_alias, def_use, raw, p_form, p_act,
 p_fld, p_in, p_out, call.  Path traversal walks data edges plus the
 parameter connectors; d_alias and call edges are never traversed, and
-cdep only on request.
+cdep only on request.  So d_alias edges (two pointer definitions that may
+alias) are derived from the solved points-to sets only for `Pdg.edges`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .ir import (
     Alloca, BinOp, Br, Call, ConstInt, Function, Gep, GlobalRef, Instr,
@@ -30,6 +31,7 @@ TRAVERSABLE = frozenset(
 _EXIT = "<exit>"
 _PTS_PATH_CAP = 6
 _ANY = "*"
+_NONE: frozenset = frozenset()
 
 
 class PdgError(Exception):
@@ -108,11 +110,12 @@ class Pdg:
         self.function_name = root.name
         self.root = root
         self.nodes: dict[int, PdgNode] = {}
-        self.edges: list[PdgEdge] = []
         self.instr_index: dict[str, int] = {}
         self.included: dict[str, Function] = {}
         self.summarized_calls: dict[str, str] = {}   # call uid -> callee name
-        self._edge_seen: set[tuple[int, int, str]] = set()
+        self._keys: dict[tuple[int, int, str], None] = {}   # every edge but d_alias
+        self._edges: Optional[list[PdgEdge]] = None
+        self._pts: dict[tuple[str, str], set] = {}     # solved points-to sets
         self._entry: dict[str, int] = {}
         self._formal_in: dict[tuple[str, int], int] = {}
         self._formal_out: dict[tuple[str, int], int] = {}
@@ -138,11 +141,17 @@ class Pdg:
 
     def _add_edge(self, src: int, dst: int, kind: str) -> None:
         key = (src, dst, kind)
-        if key in self._edge_seen or src == dst:
-            return
-        self._edge_seen.add(key)
-        self.edges.append(PdgEdge(src, dst, kind))
-        self._succ.setdefault(src, []).append((dst, kind))
+        if src != dst and key not in self._keys:
+            self._keys[key] = None
+            self._succ.setdefault(src, []).append((dst, kind))
+
+    @property
+    def edges(self) -> list[PdgEdge]:
+        """Every edge, d_alias included, sorted; made when first read."""
+        if self._edges is None:
+            keys = sorted([*self._keys, *_alias_keys(self)])
+            self._edges = [PdgEdge(*key) for key in keys]
+        return self._edges
 
     # -- lookups --------------------------------------------------------------
 
@@ -184,6 +193,12 @@ class Pdg:
         if n.kind == "global_value" and n.call_uid is not None:
             return True
         return n.kind == "call_site" and n.instr in self.summarized_calls
+
+    def is_summary_input(self, node_id: int) -> bool:
+        """True when the node feeds a summarized callee (its outgoing d_gnrl
+        edges were induced by a callee summary)."""
+        return any(kind == "d_gnrl" and self.is_summary_output(dst)
+                   for dst, kind in self._succ.get(node_id, ()))
 
     def node_of_instr(self, uid: str) -> Optional[int]:
         return self.instr_index.get(uid)
@@ -270,7 +285,7 @@ class Pdg:
         for nid in sorted(self.nodes):
             label = self.label(nid).replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  n{nid} [label="{nid}: {label}"];')
-        for e in sorted(self.edges, key=lambda e: (e.src, e.dst, e.kind)):
+        for e in self.edges:
             lines.append(f'  n{e.src} -> n{e.dst} [label="{e.kind}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -286,7 +301,7 @@ class Pdg:
             ],
             "edges": [
                 {"src": e.src, "dst": e.dst, "kind": e.kind}
-                for e in sorted(self.edges, key=lambda e: (e.src, e.dst, e.kind))
+                for e in self.edges
             ],
         }
 
@@ -327,95 +342,86 @@ class _PointsTo:
     Roots: ("a", alloca uid), ("g", global), ("p", root param index).
     """
 
-    def __init__(self, pdg: Pdg, module: Module):
+    def __init__(self, pdg: Pdg):
         self.pdg = pdg
-        self.module = module
         self.pts: dict[tuple[str, str], set] = {}
         self.contents: dict[tuple, set] = {}
-
-    def _get(self, fn: str, name: str) -> set:
-        return self.pts.setdefault((fn, name), set())
+        self.read: set = set()          # pts keys read in the current pass
+        self.read_roots: set = set()    # contents keys read in the current pass
 
     def of_operand(self, fn: str, op: Operand) -> set:
         if isinstance(op, GlobalRef):
             return {(("g", op.name), ())}
         if isinstance(op, Temp):
-            return self.pts.get((fn, op.name), set())
-        return set()
+            key = (fn, op.name)
+            self.read.add(key)
+            return self.pts.get(key, _NONE)
+        return _NONE
 
     def solve(self) -> None:
+        """Passes over every included instruction in program order, until
+        one in which no set grew after a transfer of that pass, or the
+        growing transfer itself, had read it: every transfer then saw the
+        final value of each set it reads, so a further pass adds nothing."""
         for i, (pname, pty) in enumerate(self.pdg.root.params):
             if isinstance(pty, Ptr):
-                self._get(self.pdg.root.name, pname).add((("p", i), ()))
-        changed = True
-        while changed:
-            changed = False
-            for fn in self.pdg.included.values():
-                for ins in self.pdg.index(fn.name).instrs:
-                    changed |= self._transfer(fn, ins)
+                self.pts.setdefault((self.pdg.root.name, pname), set()).add((("p", i), ()))
+        instrs = [(fn.name, ins) for fn in self.pdg.included.values()
+                  for ins in self.pdg.index(fn.name).instrs]
+        self.again = True
+        while self.again:
+            self.again = False
+            self.read.clear()
+            self.read_roots.clear()
+            for fn, ins in instrs:
+                self._transfer(fn, ins)
 
-    def _union_into(self, dst: set, extra: Iterable) -> bool:
-        before = len(dst)
-        dst.update(extra)
-        return len(dst) != before
+    def _grow(self, table: dict, read: set, key, extra) -> None:
+        if extra:
+            dst = table.setdefault(key, set())
+            before = len(dst)
+            dst |= extra
+            if len(dst) != before and key in read:
+                self.again = True
 
-    def _transfer(self, fn: Function, ins: Instr) -> bool:
-        ch = False
+    def _transfer(self, fn: str, ins: Instr) -> None:
         if isinstance(ins, Alloca):
-            ch |= self._union_into(self._get(fn.name, ins.dest),
-                                   {(("a", ins.uid), ())})
+            self._grow(self.pts, self.read, (fn, ins.dest), {(("a", ins.uid), ())})
         elif isinstance(ins, Gep):
-            base = self.of_operand(fn.name, ins.base)
-            ext = {(r, _pts_extend(p, ins.indices)) for r, p in base}
-            ch |= self._union_into(self._get(fn.name, ins.dest), ext)
+            self._grow(self.pts, self.read, (fn, ins.dest),
+                       {(r, _pts_extend(p, ins.indices))
+                        for r, p in self.of_operand(fn, ins.base)})
         elif isinstance(ins, Load):
             src = set()
-            for r, _ in self.of_operand(fn.name, ins.addr):
-                src |= self.contents.get(r, set())
-            if src:
-                ch |= self._union_into(self._get(fn.name, ins.dest), src)
+            for r, _ in self.of_operand(fn, ins.addr):
+                self.read_roots.add(r)
+                src |= self.contents.get(r, _NONE)
+            self._grow(self.pts, self.read, (fn, ins.dest), src)
         elif isinstance(ins, Store):
-            val = self.of_operand(fn.name, ins.value)
+            val = self.of_operand(fn, ins.value)
             if val:
-                for r, _ in self.of_operand(fn.name, ins.addr):
-                    ch |= self._union_into(self.contents.setdefault(r, set()), val)
+                for r, _ in self.of_operand(fn, ins.addr):
+                    self._grow(self.contents, self.read_roots, r, val)
         elif isinstance(ins, BinOp):
-            blur = set()
-            for op in (ins.lhs, ins.rhs):
-                blur |= {(r, (_ANY,)) for r, _ in self.of_operand(fn.name, op)}
-            if blur:
-                ch |= self._union_into(self._get(fn.name, ins.dest), blur)
+            self._grow(self.pts, self.read, (fn, ins.dest),
+                       {(r, (_ANY,)) for op in (ins.lhs, ins.rhs)
+                        for r, _ in self.of_operand(fn, op)})
         elif isinstance(ins, Call):
-            callee = self.module.functions.get(ins.callee)
-            inlined = ins.uid not in self.pdg.summarized_calls and callee is not None
-            if inlined:
-                for j, (pname, _) in enumerate(callee.params):
-                    if j < len(ins.args):
-                        ch |= self._union_into(
-                            self._get(callee.name, pname),
-                            self.of_operand(fn.name, ins.args[j]))
+            callee = self.pdg.module.functions.get(ins.callee)
+            ret = set()
+            if ins.uid not in self.pdg.summarized_calls and callee is not None:
+                for (pname, _), a in zip(callee.params, ins.args):
+                    self._grow(self.pts, self.read, (callee.name, pname),
+                               self.of_operand(fn, a))
                 if ins.dest is not None:
-                    rets = set()
                     for cins in self.pdg.index(callee.name).instrs:
                         if isinstance(cins, Ret) and cins.value is not None:
-                            rets |= self.of_operand(callee.name, cins.value)
-                    if rets:
-                        ch |= self._union_into(self._get(fn.name, ins.dest), rets)
+                            ret |= self.of_operand(callee.name, cins.value)
             elif ins.dest is not None:
                 # a summarized callee may hand back any pointer argument
-                ret = set()
                 for a in ins.args:
-                    ret |= self.of_operand(fn.name, a)
-                if ret:
-                    ch |= self._union_into(self._get(fn.name, ins.dest), ret)
-        return ch
-
-    def regions_compat(self, rs1: set, rs2: set) -> bool:
-        for r1, p1 in rs1:
-            for r2, p2 in rs2:
-                if r1 == r2 and _pts_compat(p1, p2):
-                    return True
-        return False
+                    ret |= self.of_operand(fn, a)
+            self._grow(self.pts, self.read, (fn, ins.dest), ret)
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +558,9 @@ def build_pdg(module: Module, fn: Function | str,
     for f in g.included.values():
         _build_operand_edges(g, f)
 
-    pts = _PointsTo(g, module)
+    pts = _PointsTo(g)
     pts.solve()
+    g._pts = pts.pts
     _build_memory_edges(g, pts)
     _build_control_edges(g)
     return g
@@ -743,40 +750,35 @@ def _build_operand_edges(g: Pdg, fn: Function) -> None:
                 g._add_edge(src, dst, "d_gnrl")
 
 
-def _first_step(path: tuple):
-    """A points-to path's first step, or None when it may be any step."""
-    return path[0] if path and path[0] is not None and path[0] != _ANY else None
-
-
-def _region_buckets(entries: list[tuple[int, set]]) -> dict[tuple, list[int]]:
-    """Ascending entry indices by (root,) and by (root, first step)."""
-    buckets: dict[tuple, list[int]] = {}
+def _matcher(entries: list[tuple[int, set]]):
+    """Ascending indices of the entries whose regions may overlap given ones
+    (a shared root, paths `_pts_compat` accepts), tested once per exact
+    (root, path) class of the entries and kept per region set."""
+    classes: dict[tuple, dict[tuple, list[int]]] = {}
     for k, (_, regions) in enumerate(entries):
-        keys = {(r,) for r, _ in regions} | {(r, _first_step(p)) for r, p in regions}
-        for key in keys:
-            buckets.setdefault(key, []).append(k)
-    return buckets
+        for root, path in regions:
+            classes.setdefault(root, {}).setdefault(path, []).append(k)
+    memo: dict[frozenset, list[int]] = {}
 
-
-def _compat_candidates(buckets: dict[tuple, list[int]], regions: set) -> list[int]:
-    """Ascending indices of the bucketed entries that regions_compat can
-    accept: a shared root, with first steps that are equal or unknown."""
-    found: set[int] = set()
-    for r, p in regions:
-        step = _first_step(p)
-        if step is None:
-            found.update(buckets.get((r,), ()))
-        else:
-            found.update(buckets.get((r, step), ()))
-            found.update(buckets.get((r, None), ()))
-    return sorted(found)
+    def match(regions: set) -> list[int]:
+        key = frozenset(regions)
+        hit = memo.get(key)
+        if hit is None:
+            found: set[int] = set()
+            for root, path in regions:
+                for other, ks in classes.get(root, {}).items():
+                    if path == other or _pts_compat(path, other):
+                        found.update(ks)
+            hit = memo[key] = sorted(found)
+        return hit
+    return match
 
 
 def _build_memory_edges(g: Pdg, pts: _PointsTo) -> None:
+    """raw edges from each memory writer to each reader whose regions may
+    overlap, in reader order."""
     writers: list[tuple[int, set]] = []
     readers: list[tuple[int, set]] = []
-    ptr_defs: list[tuple[int, set]] = []
-
     for f in g.included.values():
         for ins in g.index(f.name).instrs:
             if isinstance(ins, Store):
@@ -792,11 +794,6 @@ def _build_memory_edges(g: Pdg, pts: _PointsTo) -> None:
                     regions = pts.of_operand(f.name, a)
                     if regions:
                         readers.append((g._ai[(ins.uid, j)], regions))
-            d = ins.defined_temp()
-            if d is not None:
-                rs = pts.pts.get((f.name, d), set())
-                if rs:
-                    ptr_defs.append((g.instr_index[ins.uid], rs))
 
     for cu in sorted(g._ao):
         for j, fp, nid in g.actual_out_nodes(cu):
@@ -810,30 +807,33 @@ def _build_memory_edges(g: Pdg, pts: _PointsTo) -> None:
             writers.append((nid, {(("g", gname), ())}))
     # static global nodes read by a callee summary act as memory readers;
     # plain address uses (operand edges into geps/stores) do not qualify
-    summary_reader_gvs = {
-        e.src for e in g.edges
-        if e.kind == "d_gnrl" and g.nodes[e.src].kind == "global_value"
-        and g.nodes[e.src].call_uid is None and g.is_summary_output(e.dst)
-    }
-    for nid in sorted(summary_reader_gvs):
-        readers.append((nid, {(("g", g.nodes[nid].global_name), ())}))
+    for nid in sorted(g._gv.values()):
+        if g.is_summary_input(nid):
+            readers.append((nid, {(("g", g.nodes[nid].global_name), ())}))
 
-    # candidates are visited in list order, so edges keep the order an
-    # all-pairs scan would give them
-    buckets = _region_buckets(readers)
+    match = _matcher(readers)
     for wnode, wregs in writers:
-        for k in _compat_candidates(buckets, wregs):
-            rnode, rregs = readers[k]
-            if wnode != rnode and pts.regions_compat(wregs, rregs):
-                g._add_edge(wnode, rnode, "raw")
+        for k in match(wregs):
+            g._add_edge(wnode, readers[k][0], "raw")
 
-    buckets = _region_buckets(ptr_defs)
-    for i, (n1, r1) in enumerate(ptr_defs):
-        later = _compat_candidates(buckets, r1)
+
+def _alias_keys(g: Pdg) -> list[tuple[int, int, str]]:
+    """(src, dst, "d_alias") for every two pointer definitions whose
+    points-to sets may overlap, the lower node id first."""
+    defs: list[tuple[int, set]] = []
+    for f in g.included.values():
+        for ins in g.index(f.name).instrs:
+            regions = g._pts.get((f.name, ins.defined_temp()))
+            if regions:
+                defs.append((g.instr_index[ins.uid], regions))
+    match = _matcher(defs)
+    keys = []
+    for i, (n1, r1) in enumerate(defs):
+        later = match(r1)
         for j in later[bisect_right(later, i):]:
-            n2, r2 = ptr_defs[j]
-            if n1 != n2 and pts.regions_compat(r1, r2):
-                g._add_edge(min(n1, n2), max(n1, n2), "d_alias")
+            n2 = defs[j][0]
+            keys.append((min(n1, n2), max(n1, n2), "d_alias"))
+    return keys
 
 
 def _build_control_edges(g: Pdg) -> None:

@@ -189,13 +189,6 @@ def _gep_field_names(module: Module, gep: Gep) -> tuple[tuple[str, ...], bool]:
     return tuple(names), imprecise
 
 
-def _is_summary_in(g: Pdg, node_id: int) -> bool:
-    """True when the node feeds a summarized callee (its outgoing d_gnrl
-    edges were induced by a callee summary)."""
-    return any(kind == "d_gnrl" and g.is_summary_output(dst)
-               for dst, kind in g.successors(node_id))
-
-
 # ---------------------------------------------------------------------------
 # Source and target node derivation
 # ---------------------------------------------------------------------------
@@ -303,7 +296,7 @@ def source_nodes(module: Module, fn: Function, g: Pdg) -> NodeBinding:
             ai = g.actual_in(uid, j)
             if ai not in reach:
                 continue
-            if _is_summary_in(g, ai):
+            if g.is_summary_input(ai):
                 binding.add_source(ai, _base_slot(module, fn, root, path))
             for aj, fp, fnode in g.actual_in_fields(uid):
                 if aj == j:
@@ -311,7 +304,7 @@ def source_nodes(module: Module, fn: Function, g: Pdg) -> NodeBinding:
                         fnode, _base_slot(module, fn, root, path + fp))
         if root[0] == "global":
             for n in nodes:
-                if _is_summary_in(g, n):
+                if g.is_summary_input(n):
                     binding.add_source(n, slot)
     binding.sources.sort()
     return binding

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from taintsum import build_pdg, corpus, parse_module
 from taintsum import pdg as pdg_module
-from taintsum.ir import Br, Jmp, Ret, Temp
+from taintsum.ir import Br, Jmp, Ptr, Ret, Temp
 from taintsum.pdg import (
     PdgError, TRAVERSABLE, control_dependencies, immediate_postdominators,
 )
@@ -595,6 +595,23 @@ class TestExports:
         assert {"id", "kind", "instr", "label"} <= set(doc["nodes"][0])
         assert {"src", "dst", "kind"} == set(doc["edges"][0])
 
+    def test_edges_are_made_once_when_first_read(self, libcorpus):
+        """Building a graph makes no edge object and no d_alias edge; the
+        first read of `edges` makes the sorted list both exports share."""
+        with mock.patch.object(pdg_module, "PdgEdge", wraps=pdg_module.PdgEdge) as made, \
+                mock.patch.object(pdg_module, "_alias_keys",
+                                  wraps=pdg_module._alias_keys) as aliases:
+            g = build_pdg(libcorpus, "memcpy", {})
+            assert all(kind != "d_alias"
+                       for n in g.nodes for _, kind in g.successors(n))
+            assert made.call_count == aliases.call_count == 0
+            dot, doc = g.export_dot(), g.export_json()
+            assert aliases.call_count == 1
+            assert made.call_count == len(g.edges) == len(doc["edges"])
+        assert g.edges == sorted(g.edges, key=lambda e: (e.src, e.dst, e.kind))
+        assert any(e.kind == "d_alias" for e in g.edges)
+        assert dot.count(" -> ") == len(g.edges)
+
 
 def brute_force_next_use(fn, uid):
     """Linear scan: the first later instruction, in program order, that
@@ -611,17 +628,25 @@ def brute_force_next_use(fn, uid):
     return None
 
 
-def _every_entry(buckets, regions):
-    """All-pairs stand-in for the bucket lookup: every entry is a
-    candidate, in list order."""
-    return sorted({k for ks in buckets.values() for k in ks})
+def _all_pairs_matcher(entries):
+    """All-pairs stand-in for the class lookup: each entry in list order,
+    kept when one of its regions and one of the query's share a root and
+    `_pts_compat` accepts their paths."""
+    def match(regions):
+        return [k for k, (_, rs) in enumerate(entries)
+                if any(r1 == r2 and pdg_module._pts_compat(p1, p2)
+                       for r1, p1 in regions for r2, p2 in rs)]
+    return match
 
 
 def build_all_pairs(module, name, summaries):
     """build_pdg with memory edges found by testing every writer against
-    every reader and every pointer def against every later one."""
-    with mock.patch.object(pdg_module, "_compat_candidates", _every_entry):
-        return build_pdg(module, name, summaries)
+    every reader, and its d_alias edges every pointer def against every
+    later one; the edges are read while the all-pairs lookup is in place."""
+    with mock.patch.object(pdg_module, "_matcher", _all_pairs_matcher):
+        g = build_pdg(module, name, summaries)
+        g.edges
+        return g
 
 
 @pytest.fixture(scope="module")
@@ -669,8 +694,31 @@ class TestIndexEquivalence:
     @given(st.one_of(_straightline_function(), _pointer_function()))
     def test_edge_order_matches_all_pairs_on_random_functions(self, src):
         m = parse_module(src)
-        assert _edge_list(build_pdg(m, "f", {})) == _edge_list(
-            build_all_pairs(m, "f", {}))
+        g, oracle = build_pdg(m, "f", {}), build_all_pairs(m, "f", {})
+        assert _edge_list(g) == _edge_list(oracle)
+        assert all(g.successors(n) == oracle.successors(n) for n in g.nodes)
+
+    @pytest.mark.parametrize("seed,size", [(1, 200), (1, 800), (5, 200),
+                                           (5, 800), (1, None)])
+    def test_matches_all_pairs_on_generated_modules(self, seed, size):
+        """`perfbench/gen.py` modules (`None`: the many small functions):
+        summaries, every closure and the exports, d_alias included."""
+        from test_summaries import _perfbench_gen
+        gen = _perfbench_gen()
+        gm = (gen.many_small_module(seed) if size is None
+              else gen.scaled_module(seed, size))
+        m = parse_module(gm.text)
+        summaries, _ = summarize_library(m, True)
+        with mock.patch.object(pdg_module, "_matcher", _all_pairs_matcher):
+            assert summarize_library(m, True)[0] == summaries
+        for name in sorted(m.functions):
+            callees = {k: v for k, v in summaries.items() if k != name}
+            g, oracle = build_pdg(m, name, callees), build_all_pairs(m, name, callees)
+            for n in g.nodes:
+                assert g.successors(n) == oracle.successors(n)
+                for cdeps in (False, True):
+                    assert g.reachable_from(n, cdeps) == oracle.reachable_from(n, cdeps)
+            assert g.export_json() == oracle.export_json(), name
 
     def test_reachable_from_result_is_not_shared_state(self, memcpy_pdg):
         g = memcpy_pdg
@@ -682,3 +730,119 @@ class TestIndexEquivalence:
         first |= {-1}
         assert -1 not in g.reachable_from(src)
         assert g.reachable_from(src) == want == brute_force_reachable(g, src)
+
+
+class _CountingPointsTo(pdg_module._PointsTo):
+    transfers = 0
+
+    def _transfer(self, fn, ins):
+        self.transfers += 1
+        super()._transfer(fn, ins)
+
+
+def _sets(table):
+    return {k: frozenset(v) for k, v in table.items() if v}
+
+
+def plain_points_to(g):
+    """Reference solve: whole passes over every included instruction, in
+    program order, until a pass changes no set; with its pass count."""
+    pts = _CountingPointsTo(g)
+    for i, (pname, pty) in enumerate(g.root.params):
+        if isinstance(pty, Ptr):
+            pts.pts[(g.root.name, pname)] = {(("p", i), ())}
+    instrs = [(fn.name, ins) for fn in g.included.values()
+              for ins in fn.instructions()]
+    passes = 0
+    while True:
+        before = (_sets(pts.pts), _sets(pts.contents))
+        for fn, ins in instrs:
+            pts._transfer(fn, ins)
+        passes += 1
+        if (_sets(pts.pts), _sets(pts.contents)) == before:
+            return pts, passes
+
+
+def assert_early_stop_matches_plain(m, name="f", summaries=None):
+    """The graph's points-to sets equal the plain solve's, reached in no
+    more passes; (early, plain) pass counts."""
+    g = build_pdg(m, name, summaries or {})
+    early = _CountingPointsTo(g)
+    early.solve()
+    plain, passes = plain_points_to(g)
+    assert _sets(g._pts) == _sets(early.pts) == _sets(plain.pts)
+    assert _sets(early.contents) == _sets(plain.contents)
+    per_pass = sum(len(g.index(fn).instrs) for fn in g.included)
+    assert early.transfers % per_pass == 0
+    assert early.transfers // per_pass <= passes
+    return early.transfers // per_pass, passes
+
+
+# the load of %q comes before, in program order, the store that feeds it
+LOAD_BEFORE_STORE_LOOP = """fn @f(%x: i64) -> i64 {
+entry:
+  %c = alloca i64
+  %q = alloca ptr(i64)
+  jmp loop
+loop:
+  %p = load ptr(i64), %q
+  store i64 %x, %p
+  store ptr(i64) %c, %q
+  %v = load i64, %c
+  br %v, loop, done
+done:
+  ret i64 %v
+}
+"""
+
+# @id's return value is set after the root's instructions in a pass, and
+# feeds the root's call of @put
+DESCENDED_RETURN = """fn @id(%p: ptr(i64)) -> ptr(i64) {
+entry:
+  %q = gep i64, %p, 0
+  ret ptr(i64) %q
+}
+fn @put(%d: ptr(i64), %v: i64) -> void {
+entry:
+  store i64 %v, %d
+  ret
+}
+fn @f(%x: i64) -> i64 {
+entry:
+  %c = alloca i64
+  %r = call ptr(i64) @id(%c)
+  call void @put(%r, %x)
+  %v = load i64, %c
+  ret i64 %v
+}
+"""
+
+
+class TestPointsToEarlyStop:
+    """`_PointsTo.solve` stops after the first pass in which no set grew
+    after a transfer had read it; a plain solve runs whole passes until one
+    changes nothing."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_pointer_function())
+    def test_matches_plain_solve_on_random_functions(self, src):
+        assert_early_stop_matches_plain(parse_module(src))
+
+    @pytest.mark.parametrize("src", [LOAD_BEFORE_STORE_LOOP, DESCENDED_RETURN],
+                             ids=["loop", "descended_return"])
+    def test_second_pass_is_kept_and_third_dropped(self, src):
+        assert assert_early_stop_matches_plain(parse_module(src)) == (2, 3)
+
+    def test_loop_store_reaches_the_earlier_load(self):
+        """`store i64 %x, %p` writes %c only once the second pass has
+        given %p the pointer stored after the load."""
+        g = build_pdg(parse_module(LOAD_BEFORE_STORE_LOOP), "f", {})
+        instrs = g.index("f").instrs
+        store_x = next(i for i in instrs if getattr(i, "value", None) == Temp("x"))
+        load_c = next(i for i in instrs if getattr(i, "dest", None) == "v")
+        assert ((g.node_of_instr(load_c.uid), "raw")
+                in g.successors(g.node_of_instr(store_x.uid)))
+
+    def test_corpus(self, corpus_graphs):
+        for m, name, summaries in corpus_graphs:
+            assert_early_stop_matches_plain(m, name, summaries)

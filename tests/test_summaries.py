@@ -23,7 +23,7 @@ from taintsum.ir import (
     StructDecl, StructRef, Temp, is_prim_type, is_struct_like, validate_module,
 )
 from taintsum.summaries import (
-    NodeBinding, SlotRef, Summary, _base_slot, _chain_root, _is_summary_in, flatten_prim_types, make_slot, source_nodes,
+    NodeBinding, SlotRef, Summary, _base_slot, _chain_root, flatten_prim_types, make_slot, source_nodes,
     summarize_function, summarize_library, summary_gen, target_nodes,
 )
 from test_pdg import brute_force_reachable
@@ -443,7 +443,7 @@ def _ref_call_arg_bindings(module, fn, g, root, cand_nodes):
                 base_path = chain[2]
                 ai = g.actual_in(ins.uid, j)
                 if ai is not None and ai in reach:
-                    if _is_summary_in(g, ai):
+                    if g.is_summary_input(ai):
                         ins_nodes.append(
                             (ai, _base_slot(module, fn, root, base_path)))
                     for aj, fp, fnode in g.actual_in_fields(ins.uid):
@@ -471,7 +471,7 @@ def reference_source_nodes(module, fn, g):
             binding.add_source(n, s)
         if root[0] == "global":
             for n in nodes:
-                if _is_summary_in(g, n):
+                if g.is_summary_input(n):
                     binding.add_source(n, slot)
     binding.sources.sort()
     return binding

@@ -95,3 +95,17 @@ def test_bench_pairs_summary_holds_the_shift():
     assert row["change_better_pairs"] == "6/6"
     assert row["shift"] == {"median": 2, "hodges_lehmann": 2, "interval": [2, 2],
                             "coverage": 1 - 2 / 64}
+
+
+def test_offline_scaling_worker_times_every_phase():
+    """One worker process on this tree: every column in cal, and the
+    generation-2 collection counts of the timed calls and calibrations."""
+    offline_scaling = _tool("offline_scaling")
+    proc = subprocess.run([sys.executable, str(TOOLS / "offline_scaling.py"), "--worker",
+                           str(TOOLS.parent), "--size", "800", "--seed", "11"],
+                          capture_output=True, text=True, check=True)
+    row = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert all(row[c] > 0 for c in offline_scaling.COLUMNS), row
+    assert all(type(row[f"gc2_{z}"]) is int and row[f"gc2_{z}"] >= 0
+               for z in offline_scaling.GC_ZONES), row
+    assert row["instructions"] > 0

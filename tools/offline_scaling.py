@@ -9,24 +9,29 @@ subprocess per tree times, on that tree's own `src/`:
 
   * `parse_module` of the module text;
   * `summarize_library` of the parsed module (control dependences on), and
-    inside it the time spent in each phase of `PHASES`: control
-    dependences, operand edges and memory edges of the PDG builder, and the
-    source/target binding.
+    inside it the time spent in each phase of `PHASES`: the PDG builder's
+    nodes and instruction indexes, control dependences, operand edges,
+    points-to solve and memory (raw) edges, and the source/target binding.
 
 Each time is taken in calibration units (`cal`, `workloads.calibrate` of
 the tree's `perfbench/`, measured just before and just after the timed
-call); a size below 6,400 is timed 6,400 // size times in its process and
-the least time of each phase kept.  The subprocesses run one after the
+call, which starts right after a full collection as `offline-scaled`'s
+units do); a size below 6,400 is timed 6,400 // size times in its process
+and the least time of each phase kept.  The subprocesses run one after the
 other, and the tree that runs first alternates from repetition to
 repetition.  The table gives each tree's median over the repetitions,
 then the log-log slope between consecutive sizes (the exponent k of
 time ~ n^k over one doubling) and over the whole range (least squares),
-where n is the module's instruction count.  Standard library only.
+where n is the module's instruction count.  A last table counts the
+generation-2 collections (`gc.callbacks`) of each process that fell inside
+the timed calls and inside the calibrations just after them, summed over
+its timings, median over the repetitions.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import math
@@ -38,14 +43,17 @@ from statistics import median
 
 SIDES = ("parent", "change")
 SIZES = (800, 1600, 3200, 6400, 12800, 25600)
-# phase inside summarize_library -> the (module, function) calls it times
+# phase inside summarize_library -> the (module, dotted attribute) calls it times
 PHASES = {
+    "nodes": (("pdg", "_build_function_nodes"), ("pdg", "FunctionIndex.__init__")),
     "cdep": (("pdg", "control_dependencies"),),
     "operand": (("pdg", "_build_operand_edges"),),
+    "pts": (("pdg", "_PointsTo.solve"),),
     "memory": (("pdg", "_build_memory_edges"),),
     "bind": (("summaries", "source_nodes"), ("summaries", "target_nodes")),
 }
 COLUMNS = ("parse", "summarize") + tuple(PHASES)
+GC_ZONES = ("call", "cal")      # the timed call, the calibration just after it
 INNER_INSTR = 6400      # a size below this is timed 6400 // size times, best kept
 
 
@@ -69,17 +77,33 @@ def worker(tree: Path, size: int, seed: int) -> None:
 
     for phase, calls in PHASES.items():
         for module, name in calls:
-            mod = importlib.import_module(f"taintsum.{module}")
-            setattr(mod, name, timed(phase, getattr(mod, name)))
+            owner = importlib.import_module(f"taintsum.{module}")
+            *path, attr = name.split(".")
+            for part in path:
+                owner = getattr(owner, part)
+            setattr(owner, attr, timed(phase, getattr(owner, attr)))
     gm = gen.scaled_module(seed, size)
+
+    zone = [None]
+    gc2 = dict.fromkeys(GC_ZONES, 0)
+
+    def on_gc(phase, info):
+        if phase == "start" and info["generation"] == 2 and zone[0]:
+            gc2[zone[0]] += 1
+    gc.callbacks.append(on_gc)
 
     def in_cal(call):
         """The call's result, its wall seconds and the cal around it."""
+        gc.collect()
         before = calibrate()
+        zone[0] = "call"
         t0 = time.perf_counter()
         result = call()
         dt = time.perf_counter() - t0
-        return result, dt, (before + calibrate()) / 2
+        zone[0] = "cal"
+        after = calibrate()
+        zone[0] = None
+        return result, dt, (before + after) / 2
 
     best = {}
     for _ in range(max(1, INNER_INSTR // size)):
@@ -92,7 +116,8 @@ def worker(tree: Path, size: int, seed: int) -> None:
         times.update((phase, t / summarize_cal) for phase, t in phase_s.items())
         for column, t in times.items():
             best[column] = min(best.get(column, t), t)
-    print(json.dumps(dict(best, instructions=gm.instructions)))
+    print(json.dumps(dict(best, instructions=gm.instructions,
+                          **{f"gc2_{z}": n for z, n in gc2.items()})))
 
 
 def run_worker(tree: Path, size: int, seed: int) -> dict:
@@ -137,8 +162,9 @@ def main(argv=None) -> int:
                 instructions[size] = r["instructions"]
                 runs[side, size].append(r)
                 print(f"# rep {k + 1}/{args.reps} size {size} {side}:"
-                      + "".join(f" {c} {r[c]:.3f}" for c in COLUMNS), file=sys.stderr,
-                      flush=True)
+                      + "".join(f" {c} {r[c]:.3f}" for c in COLUMNS)
+                      + "".join(f" gc2_{z} {r[f'gc2_{z}']}" for z in GC_ZONES),
+                      file=sys.stderr, flush=True)
 
     med = {(side, size, p): median(r[p] for r in runs[side, size])
            for side, size in runs for p in COLUMNS}
@@ -164,6 +190,16 @@ def main(argv=None) -> int:
           for p in COLUMNS for side in SIDES]
     print(f"| {instructions[SIZES[0]]} | {instructions[SIZES[-1]]} (fit) | "
           + " | ".join(f"{k:.2f}" for k in ks) + " |")
+    print()
+    print("generation-2 collections per process, median: in the timed calls (call)"
+          " and in the calibrations just after them (cal)")
+    print("| instructions | " + " | ".join(f"{z} {side}" for z in GC_ZONES for side in SIDES)
+          + " |")
+    print("|" + " --- |" * (1 + len(GC_ZONES) * len(SIDES)))
+    for size in SIZES:
+        print(f"| {instructions[size]} | "
+              + " | ".join(f"{median(r[f'gc2_{z}'] for r in runs[side, size]):g}"
+                           for z in GC_ZONES for side in SIDES) + " |")
     return 0
 
 
