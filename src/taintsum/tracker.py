@@ -355,9 +355,9 @@ def _resize_vec(vec: bytes, n: int) -> bytes:
 class _Frame:
     fn: Function
     temps: dict[str, object]    # the parameters; a redefined one is stored back
-    # the parameters' tag vectors and, around a call, its temp arguments',
-    # which a parameter source may widen
-    tags: dict[str, bytes]
+    # the parameters' tag vectors and, around a call, its temp arguments'
+    # tags, an int for a folded temp, which a parameter source may widen
+    tags: dict[str, object]
     stack_mark: int
     call_ins: Optional[Call]
     code: object        # fn compiled, tracked or untracked: code(machine, frame)
@@ -384,18 +384,24 @@ def _undefined(name: str) -> MachineTrap:
 # a Python call of the callee's function, so each IR frame is one Python
 # frame, and temps stay locals.  What an instruction fixes is a literal there:
 # constants, global addresses, widths, masks, gep offsets, block indices.  A
-# temp %x is the local `v_x`, its tag vector `g_x`, bound only when a line
-# reads it (`_Writer.tagged`).  A value is wrapped only where its producer's
-# range does not fit the kind read.  The parameters are read from the frame at
-# entry and a redefined one is stored back, since rule sources read it; a
-# tracked call passes its temp arguments' tag vectors through `f.tags`, where
-# a parameter source may widen them.  A read no path defined finds its local
-# unbound, which `Machine._run` turns into the undefined-temporary trap.
-# Tracked loads, stores and allocas do the Tagmap's one-page work inline; a
-# one-byte access cannot cross a page, and a one-byte unsigned load indexes
-# the memory directly.  A promoted slot (`_Writer.promote`), a scalar alloca
-# that only its own loads and stores use, keeps its value in the local `P_x`
-# and its tag vector in `T_x`, and a store sets only these.  Its bytes are
+# temp %x is the local `v_x`, its tag `g_x`, bound only when a line reads it
+# (`_Writer.tagged`): an int for a folded temp (`_Writer.fold`), which only
+# binops, geps, allocas, one-byte loads and loads of folded slots define,
+# splat where a vector leaves the locals (a store to memory, a call, a return,
+# a write-back), and else the vector.  A value is wrapped only where its
+# producer's range does not fit the kind read.  The parameters are read from
+# the frame at entry and a redefined one is stored back, since rule sources
+# read it; a tracked call passes a temp argument's tag through `f.tags`, where
+# a parameter source may widen it, and back when a line it may run before
+# reads it.  A read no path defined finds its local unbound, which
+# `Machine._run` turns into the undefined-temporary trap.  Tracked loads,
+# stores and allocas do the Tagmap's one-page work inline; a one-byte access
+# cannot cross a page, and a one-byte unsigned load indexes the memory
+# directly.  A promoted slot (`_Writer.promote`), a scalar alloca that only its
+# own loads and stores use, keeps its value in the local `P_x` and its tag in
+# `T_x`, an int when the slot is folded: every store to it stores a constant
+# or a folded temp, and its function has no call and no store to memory, after
+# which slots are read back.  A store sets only these.  Its bytes are
 # written back (`_spill`) before a call, a return and any other access that
 # overlaps the frame's promoted range [R_lo, R_hi), and read back (`_fill`)
 # after a call and such a store; a return then drops the locals, and a run
@@ -429,6 +435,7 @@ _SOURCE = "<taintsum function>"
 _MASK64 = 2 ** 64 - 1
 _PTR, _I64 = (0, _MASK64), (1 << 63, _MASK64)
 _PTR_TY = Ptr(Void())
+_BYTES = (Char(), Int(8), Int(8, False))      # the one-byte types
 _STRUCTS = {c: _struct.Struct("<" + c) for c in "bBhHiIqQfd"}
 _OPS = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^"}
 _PROLOGUE = (("t", "f.temps"), ("tg", "f.tags"), ("mem", "m.memory"),
@@ -438,11 +445,12 @@ _LOCAL = re.compile(r"'([vg]_[^']+)'")      # a temp's local in a NameError
 _COUNT = object()      # where a run's shadow count goes
 
 
-def _spill(m, c: str, a: int, value, vec: Optional[bytes] = None) -> None:
+def _spill(m, c: str, a: int, value, vec=None) -> None:
     """Writes a promoted slot back: its value, of struct format `c`, at `a`
-    and, when tracked, its tag vector.  A slot never crosses a page, and
-    its absent page is made only for a nonzero vector."""
+    and, when tracked, its tag vector or an int tag's splat.  A slot never
+    crosses a page, and its absent page is made only for a nonzero vector."""
     _STRUCTS[c].pack_into(m.memory, a, value)
+    vec = bytes((vec,)) * _STRUCTS[c].size if type(vec) is int else vec
     page = m.tagmap.pages.get(a >> _PAGE_SHIFT)
     if vec is not None and page is None and any(vec):
         page = m.tagmap.pages[a >> _PAGE_SHIFT] = bytearray(PAGE)
@@ -519,8 +527,8 @@ class _Uniform(dict):
 @functools.cache
 def _helpers() -> dict:
     """The names generated code uses besides its own constants: `_S<w>[t]`
-    is the w-byte tag vector of tag t, `_Z<w>` the zero one, `_U[vec]` the
-    fold of any vector and `_tag` that of a vector cut to w (>= 1) bytes."""
+    is the w-byte tag vector of tag t, `_Z<w>` the zero one and `_U[vec]`
+    the fold of any vector."""
     splat = [tuple(bytes([t]) * w for t in range(256)) for w in range(9)]
     uniform = _Uniform((vec, t) for row in splat[1:] for t, vec in enumerate(row))
     f32 = _STRUCTS["f"]
@@ -535,7 +543,6 @@ def _helpers() -> dict:
         raise MachineTrap(kind, uid)
     ns = {"MachineTrap": MachineTrap, "_resize": _resize_vec, "_idiv": idiv, "_bad": bad,
           "_spill": _spill, "_fill": _fill, "_rounds": _rounds, "_wrap": _wrap, "_U": uniform,
-          "_tag": lambda vec, w: uniform[vec[:w]],
           "_irem": lambda a, b, uid: a - idiv(a, b, uid) * b,
           "_fdiv": lambda a, b: (a / b if b != 0.0 else
                                  math.copysign(math.inf, a) if a else math.nan),
@@ -583,13 +590,21 @@ class _Writer:
         self.kinds, self.width, reads, self.ns = {}, {}, set(), {}
         # what each binop or gep's tag vector is made from, and the temps
         # whose tag vectors a line reads: the values stored, returned, passed
-        feeds, work, self.tagged = {}, [], set()
+        feeds, work, self.tagged, self.last = {}, [], set(), {}
         for name, ty in fn.params:
             self.note(name, ty)
         # (block index, instructions) of each segment; what follows a
         # terminator never runs, and a segment without one falls off its block
         self.segs: list[tuple[int, list[Instr]]] = []
         self.starts = []        # each block's first segment
+        self.order = {id(ins): k for k, ins in enumerate(fn.instructions())}
+        self.labels = {block.label: b for b, block in enumerate(fn.blocks)}
+        self.edges = [(e, self.labels[t]) for e, block in enumerate(fn.blocks)     # branches
+                      for ins in block.instrs for t in (getattr(ins, k, None) for k in (
+                          "label", "then_label", "else_label")) if t in self.labels]
+        # the blocks from a branch back to its target; `last`: how late a line
+        # reading each temp's tag may run, after anything in such a block
+        looped = {b for e, t in self.edges for b in range(t, e + 1)}
         for b, block in enumerate(fn.blocks):
             self.starts.append(len(self.segs))
             seg, dead = [], False
@@ -616,6 +631,9 @@ class _Writer:
                     feeds.setdefault(ins.dest, []).extend(ops)
                 elif kind in (Store, Ret, Call):
                     work += ops
+                for x in ops if kind in (BinOp, Gep, Store, Ret, Call) else ():
+                    self.last[x] = max(self.last.get(x, -1),
+                                       math.inf if b in looped else self.order[id(ins)])
                 dead = kind in (Br, Jmp, Ret)
                 if kind is Call:
                     seg = []
@@ -625,13 +643,12 @@ class _Writer:
             if (x := work.pop()) not in self.tagged:
                 self.tagged.add(x)
                 work += feeds.get(x, ())
-        self.labels = {block.label: b for b, block in enumerate(fn.blocks)}
         params = [name for name, _ in fn.params]
         self.read_params = [name for name in params if name in reads]
         self.spill = set(params) & {ins.defined_temp() for ins in fn.instructions()}
         self.fn_const = self.const(fn)
-        self.order = {id(ins): k for k, ins in enumerate(fn.instructions())}
         self.slots = self.promote(params)
+        self.folded, self.folded_slots = self.fold(params)
 
     def promote(self, params: list[str]) -> dict[str, Alloca]:
         """The promoted slots by temp: each alloca that runs in the entry
@@ -640,9 +657,7 @@ class _Writer:
         of loads and stores of that type."""
         fn, order = self.fn, self.order
         defs = [ins.defined_temp() for ins in fn.instructions()]
-        if fn.blocks and any(fn.blocks[0].label in (getattr(ins, "label", None),
-                             getattr(ins, "then_label", None), getattr(ins, "else_label", None))
-                             for ins in fn.instructions()):
+        if any(t == 0 for _, t in self.edges):
             return {}
         slots = {ins.dest: ins for b, seg in self.segs if b == 0 for ins in seg
                  if type(ins) is Alloca and type(ins.ty) in (Int, Char, Ptr)
@@ -655,6 +670,24 @@ class _Writer:
                                           and order[id(ins)] > order[id(a)]):
                     del slots[op.name]
         return slots
+
+    def fold(self, params: list[str]) -> tuple[set[str], set[str]]:
+        """The folded temps and slots (see the header comment), from every
+        promoted slot down to those whose stores all store folded temps."""
+        instrs = list(self.fn.instructions())
+        at = {id(i): type(i.addr) is Temp and i.addr.name in self.slots and i.addr.name
+              for i in instrs if type(i) in (Load, Store)}     # the slot each accesses
+        slots = set() if any(type(i) is Call or type(i) is Store and not at[id(i)]
+                             for i in instrs) else set(self.slots)
+        while True:
+            folded = {i.dest for i in instrs if type(i) in (Alloca, Load, Gep, BinOp)} - set(
+                params) - {i.dest for i in instrs if type(i) is Call or type(i) is Load and (
+                    at[id(i)] not in slots if at[id(i)] else i.ty not in _BYTES)}
+            kept = {x for x in slots if all(type(i.value) is not Temp or i.value.name in folded
+                                            for i in instrs if type(i) is Store and at[id(i)] == x)}
+            if kept == slots:
+                return folded, slots
+            slots = kept
 
     def held(self, ins: Instr) -> list[str]:
         """The promoted slots allocated before `ins` runs."""
@@ -908,9 +941,10 @@ class _Writer:
                       f"if (o := a & {PAGE - 1}) > {PAGE - sz}: mem.mark(a, {sz});"
                       f" tm.set_vector(a, {zeros})",
                       f"elif (p := pages.get(q)) is not None: p[o:o + {sz}] = {zeros}"]
-        lines += self.define(ins.dest, "a", 8, tag="0")
+        lines += self.define(ins.dest, "a", 8)
         if ins.dest in self.slots:      # zero, like its bytes; the range grows down
-            lines.append(f"{_local('P', ins.dest)} = 0" + f"; {_local('T', ins.dest)} = _Z{sz}"
+            zero = "0" if ins.dest in self.folded_slots else f"_Z{sz}"
+            lines.append(f"{_local('P', ins.dest)} = 0" + f"; {_local('T', ins.dest)} = {zero}"
                          * self.live + "; R_lo, R_f = a, a - 8"
                          + f"; R_hi = a + {sz}" * (not self.held(ins)))
         return lines
@@ -919,16 +953,17 @@ class _Writer:
         w = _width(ins.ty)
         if type(ins.addr) is Temp and ins.addr.name in self.slots:
             x = ins.addr.name
-            return self.define(ins.dest, _local("P", x), w, vec=_local("T", x))
+            return self.define(ins.dest, _local("P", x), w, _local("T", x),
+                               x not in self.folded_slots)
         a, lines = self.atom(self.val(ins.addr, _PTR), "a")
         self.used.update(("mem", "tm", "pages") if self.live else ("mem",))
-        c, pick = _fmt(ins.ty), f"_Z{w} if (p := pages.get({a} >> {_PAGE_SHIFT})) is None else "
-        vec = (pick + f"_S1[p[{a} & {PAGE - 1}]]" if w == 1 else    # a byte is on one page
-               f"tm.get_vector({a}, {w}) if (o := {a} & {PAGE - 1}) > {PAGE - w} else "
-               + pick + f"bytes(p[o:o + {w}])")
+        c, pick = _fmt(ins.ty), f" if (p := pages.get({a} >> {_PAGE_SHIFT})) is None else "
+        tag = f"0{pick}p[{a} & {PAGE - 1}]" if w == 1 else (    # a byte is on one page
+            f"tm.get_vector({a}, {w}) if (o := {a} & {PAGE - 1}) > {PAGE - w} else "
+            f"_Z{w}{pick}bytes(p[o:o + {w}])")
         return lines + self.check(a, w, ins) + (
             self.define(ins.dest, f"mem[{a}]" if c == "B" else f"_u{c}(mem, {a})[0]"
-                        if w else "0", w, vec=vec))
+                        if w else "0", w, tag, w != 1))
 
     def store(self, ins: Store) -> list:
         w = _width(ins.ty)
@@ -936,8 +971,8 @@ class _Writer:
         a, lines = ("", []) if slot else self.atom(self.val(ins.addr, _PTR), "a")
         x = self.val(ins.value, _kind(ins.ty), wrap_globals=True)
         if slot:        # `_spill` makes the page of a nonzero vector
-            return [f"{_local('P', slot)} = {x}"] + [
-                f"{_local('T', slot)} = {self.vec(ins.value, w)}"] * self.live
+            g = self.tag(ins.value, w) if slot in self.folded_slots else self.vec(ins.value, w)
+            return [f"{_local('P', slot)} = {x}"] + [f"{_local('T', slot)} = {g}"] * self.live
         x, more = self.atom(x, "x")
         self.used.update(("mem", "dirty", "tm", "pages") if self.live else ("mem", "dirty"))
         lines += more + [*self.check(a, w, ins),
@@ -948,12 +983,13 @@ class _Writer:
         after = [f"if {a} > R_f and R_lo - {w} < {a} < R_hi: {self.read_back(held)}"] * bool(held)
         if not self.live:
             return lines + [cross] * (w > 1) + after
-        g, more = self.atom(self.vec(ins.value, w), "g")
-        put = f"p[{a} & {PAGE - 1}] = {g}[0]" if w == 1 else f"p[o:o + {w}] = {g}"
+        g, more = self.atom(self.tag(ins.value, 1) if w == 1 else self.vec(ins.value, w), "g")
+        put, zero = (f"p[{a} & {PAGE - 1}] = {g}", "0") if w == 1 else (    # a byte's is an int
+            f"p[o:o + {w}] = {g}", f"_Z{w}")
         lines += more + [f"{cross}; tm.set_vector({a}, {g})"] * (w != 1) + [
             f"{'el' * (w != 1)}if (p := pages.get(q)) is not None: {put}"]
-        if g != f"_Z{w}":       # the page is made only for a nonzero vector
-            lines.append(f"elif {g} != _Z{w}: p = pages[q] = bytearray({PAGE}); {put}")
+        if g != zero:       # the page is made only for a nonzero tag
+            lines.append(f"elif {g} != {zero}: p = pages[q] = bytearray({PAGE}); {put}")
         return lines + after
 
     def gep(self, ins: Gep) -> list:
@@ -1018,15 +1054,15 @@ class _Writer:
         pairs = list(zip(callee.params, ins.args))
         args = ", ".join(self.val(op, _kind(pty), True) for (_, pty), op in pairs)
         lines = [f"args = [{args}]"]
-        temps = list(dict.fromkeys(op.name for op in ins.args if type(op) is Temp))
-        vecs, after = "()", []
-        if self.live:       # the temp arguments' tag vectors go round through f.tags
+        temps = [x for x in dict.fromkeys(op.name for op in ins.args if type(op) is Temp)
+                 if self.last[x] > self.order[id(ins)]]     # whose tag a later line reads
+        vecs, after = "vecs" if self.live else "()", []
+        if self.live:       # those tags go round through f.tags
             lines.append("vecs = [" + ", ".join(self.vec(op, _width(pty))
                                                 for (_, pty), op in pairs) + "]")
             lines += [f"tg[{x!r}] = {_local('g', x)}" for x in temps]
             after = [f"{_local('g', x)} = tg[{x!r}]" for x in temps]
-            vecs = "vecs"
-            self.used.add("tg")
+            self.used.update(("tg",) * bool(temps))
         run = "c.code(m, c)"
         if ins.dest:
             run = f"{_local('v', ins.dest)} = {run}"
@@ -1076,14 +1112,14 @@ class _Writer:
         return [f"if not {GLOBALS_BASE} <= {a} <= R_f:", "    " + check,
                 f"    if R_lo - {w} < {a} < R_hi: {self.write_back(held)}"] if held else [check]
 
-    def define(self, name: str, value: str, width: int, vec: str = "",
-               tag: str = "") -> list[str]:
+    def define(self, name: str, value: str, width: int, tag: str = "0",
+               vec: bool = False) -> list[str]:
         """Lines binding temp `name` to `value` and, when tracked and a line
-        reads it, to a tag vector of `width` bytes: `vec`, or the splat of
-        the int tag `tag`."""
+        reads it, to its tag `tag`: a vector when `vec`, else an int, splat
+        to `width` bytes unless `name` is folded."""
         v, g = _local("v", name), _local("g", name)
-        lines = [f"{v} = {value}"] + [f"{g} = {vec or f'_S{width}[{tag}]'}"] * (
-            self.live and name in self.tagged)
+        tag = tag if vec or name in self.folded else f"_S{width}[{tag}]"
+        lines = [f"{v} = {value}"] + [f"{g} = {tag}"] * (self.live and name in self.tagged)
         if name in self.spill:      # a redefined parameter, which rule sources read
             lines.append(f"t[{name!r}] = {v}")
             self.used.add("t")
@@ -1116,7 +1152,8 @@ class _Writer:
         if type(op) is not Temp:
             return f"_Z{w}"
         g = _local("g", op.name)
-        return g if self.width.get(op.name) == w else f"_resize({g}, {w})"
+        return f"_S{w}[{g}]" if op.name in self.folded else g if self.width.get(
+            op.name) == w else f"_resize({g}, {w})"
 
     def tag(self, op: Operand, w: int) -> str:
         """An expression of the fold of the operand's tag vector resized to
@@ -1124,7 +1161,8 @@ class _Writer:
         if type(op) is not Temp:
             return "0"
         g, width = _local("g", op.name), self.width.get(op.name)
-        return f"_U[{g}]" if width is not None and width <= w else f"_tag({g}, {w})"
+        return g if op.name in self.folded else f"{g}[0]" if w == 1 and width else (
+            f"_U[{g}]" if width is not None and width <= w else f"_U[{g}[:{w}]]")
 
     def target(self, label: str, ins: Instr) -> str:
         """The segment a branch to `label` goes to; a label the function
@@ -1390,8 +1428,9 @@ class Machine:
             elif caller is not None and frame.call_ins is not None:
                 op = frame.call_ins.args[i]
                 if isinstance(op, Temp):
-                    vec = _resize_vec(caller.tags.get(op.name, bytes(_width(pty))), _width(pty))
-                    caller.tags[op.name] = bytes(map(spec.label.__or__, vec))
+                    vec = caller.tags.get(op.name, bytes(_width(pty)))
+                    caller.tags[op.name] = spec.label | vec if type(vec) is int else bytes(
+                        map(spec.label.__or__, _resize_vec(vec, _width(pty))))
 
     def _param_region(self, ty: Type, value) -> Optional[tuple[int, int]]:
         """Shadow region named by a pointer-typed parameter value, as a rule

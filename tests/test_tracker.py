@@ -1281,7 +1281,8 @@ def looped_function(draw):
     temps of other widths than the helper's parameters, whose tag vectors
     `LOOP_CFG`'s sources resize.  The loop's header may hold a call too,
     so no `jmp` into it copies it, and its join block may loop on itself,
-    counting the counter down to below zero, with or without the call.
+    counting the counter down to below zero, with or without the call.  A
+    temp the call passes where a source widens it may be read just after.
     Returns (source, entry argument count)."""
     n_params = draw(st.integers(1, 3))
     params, temps = ["%p0: i64"], [("p0", "i64")]
@@ -1322,12 +1323,17 @@ def looped_function(draw):
 
     def call():
         if draw(st.booleans()):
-            line = f"  %c = call i16 @h({operand('i32')}, {operand('u8')})"
-            temps.append(("c", "i16"))
+            arg = operand('i32')
+            line = f"  %c = call i16 @h({arg}, {operand('u8')})"
         else:
-            line = f"  %c = call i64 @k({operand('f64')}, {operand('i8')})"
-            temps.append(("c", "i64"))
-        return [line]
+            arg = operand('i8')
+            line = f"  %c = call i64 @k({operand('f64')}, {arg})"
+        temps.append(("c", "i16" if "@h" in line else "i64"))
+        if not arg.startswith("%") or draw(st.booleans()):
+            return [line]
+        counter[0] += 1         # reads the argument a source widened
+        temps.append((f"t{counter[0]}", "i64"))
+        return [line, f"  %t{counter[0]} = or i64 {arg}, 0"]
 
     entry = ["  %pad = alloca [16 x char]", "  %cnt = and i64 %p0, 3"]
     entry += define("acc") + steps() + ["  jmp head"]
@@ -1355,7 +1361,9 @@ def looped_function(draw):
 
 _SLOT_TYPES = _INT_TYPES + ("ptr(char)", "ptr(i64)")
 _SLOT_OPS = ("load", "load", "store", "store", "zero", "wild load", "wild store",
-             "saved", "call", "put", "divide", "stray")
+             "saved", "call", "put", "divide", "mix", "stray")
+# what a function whose slots may fold leaves out: a call or a store to memory
+_UNFOLDING = ("wild store", "saved", "call", "put")
 # @put reads and writes through its pointer, and `SLOT_CFG` makes it a sink
 # and, on the memory behind it, a source
 PUT = """
@@ -1382,11 +1390,13 @@ def slotted_function(draw):
     below the lowest one, in %buf or past the top of memory, directly or
     through a pointer saved in %sp, or through a gep within 8 bytes of the
     first global, at the bottom of memory; calls to @h and @k, and to @put,
-    which writes through such a pointer; divisions that may trap; and rare
-    loads through %p0, which trap out of bounds.  The loop is a header
-    before the body, or a header holding a call, which no `jmp` into it
-    copies, or a body that branches to itself.  Returns (source, entry
-    argument count, slot names)."""
+    which writes through such a pointer; divisions that may trap; binops
+    over operands of any width, narrower ones too; and rare loads through
+    %p0, which trap out of bounds.  The loop is a header before the body,
+    or a header holding a call, which no `jmp` into it copies, or a body
+    that branches to itself.  Or, so that slots may keep int tags, no step
+    calls or stores to memory and the header holds no call.  Returns
+    (source, entry argument count, slot names)."""
     params, temps = ["%p0: i64"], [("p0", "i64")]
     for i in range(1, draw(st.integers(1, 3))):
         ty = draw(st.sampled_from(_INT_TYPES + _FLOAT_TYPES))
@@ -1394,7 +1404,8 @@ def slotted_function(draw):
         temps.append((f"p{i}", ty))
     slots = [("sp", "ptr(char)")] + [(f"s{j}", draw(st.sampled_from(_SLOT_TYPES)))
                                      for j in range(draw(st.integers(1, 3)))]
-    counter = [0]
+    counter, folding = [0], draw(st.booleans())
+    kinds = [k for k in _SLOT_OPS if not (folding and k in _UNFOLDING)]
 
     def operand(ty):
         if draw(st.integers(0, 9)) < 7:
@@ -1416,7 +1427,7 @@ def slotted_function(draw):
         for _ in range(draw(st.integers(0, 5))):
             counter[0] += 1
             t = f"t{counter[0]}"
-            kind = draw(st.sampled_from(_SLOT_OPS))
+            kind = draw(st.sampled_from(kinds))
             slot, sty = draw(st.sampled_from(slots + [("ctr", "i64")] * (kind == "load")))
             wty = draw(st.sampled_from(_INT_TYPES))
             if kind == "load":
@@ -1445,8 +1456,10 @@ def slotted_function(draw):
                 w, lines = wild()
                 out += lines + [f"  %{t} = call i64 @put(%{w}, {operand('i64')})"]
                 temps.append((t, "i64"))
-            elif kind == "divide":
-                out.append(f"  %{t} = div {wty} {operand(wty)}, {operand(wty)}")
+            elif kind in ("divide", "mix"):
+                op = "div" if kind == "divide" else draw(st.sampled_from(
+                    _INT_OP_NAMES[:3] + _INT_OP_NAMES[5:]))       # no division
+                out.append(f"  %{t} = {op} {wty} {operand(wty)}, {operand(wty)}")
                 temps.append((t, wty))
             elif draw(st.integers(0, 3)) == 0:      # stray
                 out.append(f"  %{t} = load i32, %p0")
@@ -1456,7 +1469,7 @@ def slotted_function(draw):
     entry += [f"  %{name} = alloca {ty}" for name, ty in slots]
     entry += [f"  store {ty} {operand(ty)}, %{name}" for name, ty in slots if draw(st.booleans())]
     entry += ["  %n = and i64 %p0, 3"] + steps() + ["  store i64 0, %ctr", "  jmp head"]
-    shape = draw(st.sampled_from(("header", "called header", "self-loop")))
+    shape = draw(st.sampled_from(("header", "self-loop") + ("called header",) * (not folding)))
     head = ["  %i = load i64, %ctr", "  %z = cmp i64 %i, %n", "  br %z, exit, body"]
     if shape == "called header":
         head[:0] = [f"  %hc = call i16 @h({operand('i32')}, {operand('u8')})"]
@@ -2034,6 +2047,47 @@ entry:
   ret i64 0
 }
 """
+# @f's slots hold constants, binops and bytes of @buf, so their tags stay
+# uniform; %o reads %wp and %bp, just above %pad, and when %i is 8 the load
+# at %q runs past the top of a 64 KiB memory
+FOLDED_SLOTS = """global @buf : [8 x char] = bytes(9, 8, 7, 6, 5, 4, 3, 2)
+fn @f(%n: i64) -> i64 {
+entry:
+  %ip = alloca i64
+  %bp = alloca i8
+  %wp = alloca i32
+  %pad = alloca [8 x char]
+  %over = gep [8 x char], %pad, 0, 8
+  store i64 0, %ip
+  jmp head
+head:
+  %i = load i64, %ip
+  %z = cmp i64 %i, %n
+  br %z, done, body
+body:
+  %s = gep [8 x char], @buf, 0, %i
+  %e = cmp i64 %i, 8
+  %k = mul i64 %e, 65536
+  %q = gep char, %s, %k
+  %c = load char, %q
+  %b = load i8, %bp
+  %b1 = or i8 %b, %c
+  store i8 %b1, %bp
+  %o = load i64, %over
+  %w = load i32, %wp
+  %w0 = add i32 %w, %c
+  %w1 = add i32 %w0, %o
+  store i32 %w1, %wp
+  %i1 = add i64 %i, 1
+  store i64 %i1, %ip
+  jmp head
+done:
+  %w2 = load i32, %wp
+  %b2 = load i8, %bp
+  %r = add i64 %w2, %b2
+  ret i64 %r
+}
+"""
 SPILLED_SLOT = """fn @boom(%d: i64) -> i64 {
 entry:
   %q = div i64 1, %d
@@ -2115,6 +2169,60 @@ class TestPromotedSlots:
             assert isinstance(run[0], RunReport) == (at == "a return"), mode
             pages = run[7]
             assert pages[slot >> 12][slot & PAGE - 1:][:8] == bytes([tag]) * 8, mode
+
+    @pytest.mark.parametrize("body, folded", [
+        ("  %t = add i32 %x, 1\n  store i32 %t, %a\n  store i64 2, %b\n", ["a", "b"]),
+        ("  store i32 %x, %a\n  store i64 2, %b\n", ["b"]),     # a parameter's vector
+        ("  %g = gep [8 x char], @buf, 0, 0\n  %c = load char, %g\n  store i32 %c, %a\n"
+         "  %w = load i64, %g\n  store i64 %w, %b\n", ["a"]),     # a byte, then 8 bytes
+        ("  store i32 %x, %a\n  %v = load i32, %a\n  %u = add i64 %v, 0\n  store i64 %u, %b\n",
+         ["b"]),        # a binop of a vector slot's load
+        ("  %v = load i64, %b\n  store i32 %v, %a\n  %u = load i32, %a\n  store i64 %u, %b\n",
+         ["a", "b"]),   # each stores the other's load: neither ever holds a vector
+        ("  %v = load i64, %b\n  store i32 %v, %a\n  %u = load i32, %a\n  store i64 %u, %b\n"
+         "  store i32 %x, %a\n", []),
+        ("  %t = add i32 %x, 1\n  store i32 %t, %a\n  %g = gep [8 x char], @buf, 0, 0\n"
+         "  store char 1, %g\n", []),       # a store to memory may reach a slot
+        ("  %t = add i32 %x, 1\n  store i32 %t, %a\n  %r = call i64 @id(%t)\n", []),
+    ])
+    def test_which_slots_fold(self, body, folded):
+        """A slot keeps an int tag when every store to it stores a constant
+        or a temp whose tag is always uniform, in a function with no call
+        and no store to memory; any other keeps a vector.  Runs with mixed
+        tags on the parameter stay the step interpreter's."""
+        m = parse_module("global @buf : [8 x char] = bytes(1, 2, 3)\n"
+                         "fn @id(%v: i64) -> i64 {\nentry:\n  ret i64 %v\n}\n"
+                         "fn @f(%x: i32) -> i64 {\nentry:\n  %a = alloca i32\n  %b = alloca i64\n"
+                         + body + "  %y = load i32, %a\n  %z = load i64, %b\n"
+                         "  %r = add i64 %y, %z\n  ret i64 %r\n}\n")
+        writer = _Writer(_shared(m), m.functions["f"], True, DEFAULT_MEMORY)
+        assert list(writer.slots) == ["a", "b"]
+        assert sorted(writer.folded_slots) == folded
+
+        def before(machine):
+            machine.tagmap.set_vector(machine.global_addr["buf"], bytes(range(1, 9)))
+        assert_same_runs(m, "f", [7], arg_tags=[b"\x01\x02\x04"], before=before,
+                         mem_size=1 << 16)
+
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_folded_frame_at_every_budget(self, n):
+        """A loop whose slots of three widths keep int tags, over bytes of
+        differing tags, reading the slots' splats back through an escaped
+        buffer: every step budget, and with n = 9 a load past the top of
+        memory, stops where the step interpreter does."""
+        m = parse_module(FOLDED_SLOTS)
+        assert sorted(_Writer(_shared(m), m.functions["f"], True, 1 << 16).folded_slots) == [
+            "bp", "ip", "wp"]
+
+        def before(machine):
+            machine.tagmap.set_vector(machine.global_addr["buf"], bytes(range(1, 9)))
+        total = outcome(Machine, m, "f", [n], before=before, mem_size=1 << 16)[1]
+        for budget in range(1, total + 2):
+            got = assert_same_runs(m, "f", [n], arg_tags=[b"\x10"], before=before,
+                                   mem_size=1 << 16, step_budget=budget)
+            result = got["instr"][0]
+            trapped = isinstance(result, tuple) and result[:2] == ("trap", "out-of-bounds access")
+            assert trapped == (n == 9 and budget >= total), budget
 
     @pytest.mark.parametrize("body, promoted", [
         ("  %b = alloca i64\n  %a = alloca i32\n  %q = gep i32, %a, 0\n  ret i64 0\n", ["b"]),
@@ -2867,11 +2975,11 @@ LOOPS = [("bench_user", "main"), ("bench_memcpy", "memcpy"), ("libcorpus", "strc
 
 
 class TestLeanCode:
-    """The tracked code binds a tag vector only where a line reads it,
-    reads a byte straight from memory, and wraps a value only where its
-    producer's range does not fit; a loop runs as a Python loop and an
-    access in a frame holding promoted slots makes one range test on its
-    fast path; runs stay the step interpreter's."""
+    """The tracked code binds a tag only where a line reads it, holds a
+    uniform tag as an int, reads a byte straight from memory, and wraps a
+    value only where its producer's range does not fit; a loop runs as a
+    Python loop and an access in a frame holding promoted slots makes one
+    range test on its fast path; runs stay the step interpreter's."""
 
     @staticmethod
     def _source(module, fn, live=True):
@@ -2901,6 +3009,34 @@ class TestLeanCode:
         assert "_uB(" not in source and "mem[" in source
         assert not re.search(r"\bg_(z|cp)\b", source)
         assert "> 4095" not in source       # no straddle test of a byte
+
+    def test_folded_loop_holds_tags_as_ints(self):
+        """bench_user's slots and temps are folded: its loop unions int
+        tags, and no vector is built, looked up or compared in it."""
+        source = self._source(corpus.load_module("bench_user"), "main")
+        inner = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.While)][1]
+        body = "\n".join(source.splitlines()[inner.lineno - 1:inner.end_lineno])
+        assert "g_s1 = g_s0 | g_ch" in body
+        assert not re.search(r"\b_[USZ]", body), body
+
+    def test_byte_load_and_store_move_an_int_tag(self):
+        """memcpy's byte load takes its tag from the page as an int, and its
+        byte store puts that int back, with no splat and no index."""
+        lines = [line.strip() for line in self._source(
+            corpus.load_module("bench_memcpy"), "memcpy").splitlines()]
+        load = next(line for line in lines if line.startswith("g_ch = "))
+        store = [line for line in lines if "p[v_dp0 & 4095] = " in line]
+        assert len(store) == 2
+        for line in [load] + store:
+            assert "_S1[" not in line and "[0]" not in line, line
+
+    def test_call_reads_back_only_a_tag_read_later(self):
+        """A temp argument's tag goes round through `f.tags` only when a
+        line the call may run before reads it: student_flow's main reads
+        none of its arguments' tags after their calls."""
+        source = self._source(corpus.load_module("student_flow"), "main")
+        for x in ("sid", "s", "gid"):
+            assert f"g_{x} = tg[" not in source and f"tg[{x!r}]" not in source, x
 
     @pytest.mark.parametrize("live", [True, False])
     @pytest.mark.parametrize("program, fn", LOOPS)

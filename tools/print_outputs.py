@@ -25,7 +25,13 @@ can be diffed to show a change leaves them byte-identical:
   * for a small module whose scalar allocas the tracker keeps in locals
     while pointers off an escaped buffer, and a summarized call, alias
     them, in both modes at every step budget up to its whole run: the exit
-    value or the trap, the counters and the tagged bytes.
+    value or the trap, the counters and the tagged bytes;
+  * for two small modules over a byte array tainted with a different tag
+    per byte, one whose loop keeps int tags in its slots of mixed widths,
+    with no call and no store to memory, and one whose slot a store to
+    memory overwrites with mixed tags, in both modes at every step budget
+    up to the whole run: the exit value or the trap, the counters, the
+    return tag and the tagged bytes.
 
 Usage, from the root of each tree:
 
@@ -296,6 +302,85 @@ done:
   ret i64 %f
 }
 """
+# @data's bytes each carry their own tag.  @fold's slots of five widths
+# hold only constants, binops and loads of single bytes and of each other,
+# so their tags stay uniform; its i64 load at %over reads the bytes of
+# %cp, %wp and %hp, below it, and past 16 rounds the division traps.
+# @smash's i32 store at %over overwrites %kp with four bytes of @data,
+# whose tags differ, and reads it back.
+FOLDED = """\
+global @data : [64 x char] = bytes(3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3)
+fn @fold(%n: i64) -> i64 {
+entry:
+  %ip = alloca i64
+  %bp = alloca i8
+  %hp = alloca i16
+  %wp = alloca i32
+  %cp = alloca char
+  %buf = alloca [8 x char]
+  %over = gep [8 x char], %buf, 0, 8
+  store i64 0, %ip
+  store i16 7, %hp
+  jmp head
+head:
+  %i = load i64, %ip
+  %z = cmp i64 %i, %n
+  br %z, done, body
+body:
+  %q = gep [64 x char], @data, 0, %i
+  %c = load char, %q
+  %b = load i8, %bp
+  %b1 = xor i8 %b, %c
+  store i8 %b1, %bp
+  %h = load i16, %hp
+  %h1 = mul i16 %h, %c
+  store i16 %h1, %hp
+  %o = load i64, %over
+  %w = load i32, %wp
+  %w0 = add i32 %w, %o
+  %w1 = add i32 %w0, %h1
+  store i32 %w1, %wp
+  store char %c, %cp
+  %i1 = add i64 %i, 1
+  store i64 %i1, %ip
+  jmp head
+done:
+  %w2 = load i32, %wp
+  %c2 = load char, %cp
+  %d = div i64 %w2, %c2
+  %b2 = load i8, %bp
+  %r = add i64 %d, %b2
+  ret i64 %r
+}
+fn @smash(%n: i64) -> i64 {
+entry:
+  %sp = alloca i64
+  %kp = alloca i32
+  %buf = alloca [8 x char]
+  %over = gep [8 x char], %buf, 0, 8
+  store i64 0, %sp
+  store i32 1, %kp
+  jmp head
+head:
+  %s = load i64, %sp
+  %z = cmp i64 %s, %n
+  br %z, done, body
+body:
+  %q = gep [64 x char], @data, 0, %s
+  %v = load i32, %q
+  %k = load i32, %kp
+  %k1 = add i32 %k, %s
+  store i32 %k1, %kp
+  store i32 %v, %over
+  %s1 = add i64 %s, 1
+  store i64 %s1, %sp
+  jmp head
+done:
+  %k2 = load i32, %kp
+  %r = add i64 %k2, %s
+  ret i64 %r
+}
+"""
 TAG = b"\x02"       # of the entry's argument
 DEEP_CFG = {"sources": [{"fn": "down", "where": "param", "index": 0, "label": 1},
                         {"fn": "inc", "where": "ret", "label": 4}]}
@@ -332,10 +417,13 @@ def recursive_outputs(tmp: Path) -> None:
     print(re.sub(r",[0-9.]+\n", ",<s>\n", cli(tmp, "bench", module, "--args", "2")), end="")
 
 
-def machine_run(module, entry: str, arg: int, arg_tags=None, **kw) -> tuple[str, Machine]:
-    """The exit value or the trap and the counters of one machine run, and
-    the machine."""
+def machine_run(module, entry: str, arg: int, arg_tags=None, before=None,
+                **kw) -> tuple[str, Machine]:
+    """The exit value or the trap and the counters of one machine run, which
+    `before` may prepare, and the machine."""
     m = Machine(module, mem_size=1 << 16, **kw)
+    if before is not None:
+        before(m)
     try:
         exit_value = m.call_entry(entry, [arg], arg_tags)
         result = f"exit {exit_value} ret tag {max(m.ret_shadow, default=0)}"
@@ -395,6 +483,25 @@ def wild_outputs() -> None:
                     step_budget=budget)[0])
 
 
+def folded_outputs() -> None:
+    """Runs of @fold and @smash whose argument has tag `TAG`, over @data
+    tagged 1, 2, 4, ... per byte: the exit value or trap, the counters, the
+    return tag and the tagged bytes at every budget up to the whole run."""
+    module = parse_module(FOLDED)
+    rules = compile_library(module)[0]
+
+    def before(m):
+        m.tagmap.set_vector(m.global_addr["data"], bytes(1 << (i % 8) for i in range(64)))
+    for entry in ("fold", "smash"):
+        for mode in ("instr", "hybrid"):
+            for n in (5, 17):
+                kw = {"mode": mode, "rule_programs": rules, "before": before}
+                total = machine_run(module, entry, n, [TAG], **kw)[1].instr_total
+                for budget in range(1, total + 1):
+                    print(f"{entry} {mode} n={n} budget={budget}:", machine_run(
+                        module, entry, n, [TAG], step_budget=budget, **kw)[0])
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -427,6 +534,7 @@ def main() -> None:
     looped_outputs()
     recursion_outputs()
     wild_outputs()
+    folded_outputs()
     lib_module = corpus.load_module("libcorpus")
     rules = default_rules(lib_module)
     for fn in sorted(corpus.DRIVERS):
