@@ -30,7 +30,7 @@ from itertools import compress
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .ir import (
-    Alloca, Array, BinOp, Br, Call, Char, Float, Function, Gep, GlobalRef,
+    Alloca, Array, BinOp, Br, Call, Char, ConstInt, Float, Function, Gep, GlobalRef,
     Instr, Int, Jmp, Load, Module, Operand, Ptr, Ret, Store, StructRef, Temp,
     Type, Void, align_of, align_up, field_offset, field_path_offset, size_of, type_str,
     validate_module,
@@ -380,13 +380,14 @@ def _undefined(name: str) -> MachineTrap:
 # a terminator runs a copy of that block's lines, and a block whose last
 # transfer leads back to itself is an inner `while` that sets `i` only on its
 # way out: a loop's iterations never pass through the dispatch, which holds
-# block 0 and each block one of its blocks sets `i` to.  An IR call is
+# block 0 and each block one of its blocks sets `i` to.  A compare that only
+# the `br` after it reads is that branch's test.  An IR call is
 # a Python call of the callee's function, so each IR frame is one Python
 # frame, and temps stay locals.  What an instruction fixes is a literal there:
 # constants, global addresses, widths, masks, gep offsets, block indices.  A
 # temp %x is the local `v_x`, its tag `g_x`, bound only when a line reads it
 # (`_Writer.tagged`): an int for a folded temp (`_Writer.fold`), which only
-# binops, geps, allocas, one-byte loads and loads of folded slots define,
+# binops, geps, allocas, one-byte loads and loads of slots with a fold define,
 # splat where a vector leaves the locals (a store to memory, a call, a return,
 # a write-back), and else the vector.  A value is wrapped only where its
 # producer's range does not fit the kind read.  The parameters are read from
@@ -399,17 +400,21 @@ def _undefined(name: str) -> MachineTrap:
 # cannot cross a page, and a one-byte unsigned load indexes the memory
 # directly.  A promoted slot (`_Writer.promote`), a scalar alloca that only its
 # own loads and stores use, keeps its value in the local `P_x` and its tag in
-# `T_x`, an int when the slot is folded: every store to it stores a constant
-# or a folded temp, and its function has no call and no store to memory, after
-# which slots are read back.  A store sets only these.  Its bytes are
+# `T_x`: the vector last stored, or an int.  It is always an int in a folded
+# slot: every store to it stores a constant or a folded temp, and its function
+# has no call and no store to memory, after which slots are read back.  A
+# fold-read slot, whose loads' tags are only folded at its width or wider, also
+# keeps the fold of `T_x` in `U_x` for its loads to read (a folded slot's `U_x`
+# is `T_x`).  A store sets only these.  Its bytes are
 # written back (`_spill`) before a call, a return and any other access that
 # overlaps the frame's promoted range [R_lo, R_hi), and read back (`_fill`)
 # after a call and such a store; a return then drops the locals, and a run
 # that raises writes back what its innermost generated frame still held.  A
 # write-back makes the slot's absent Tagmap page only for a nonzero vector,
 # so an all-zero page counts as an absent one.  An access from GLOBALS_BASE up
-# to the fast bound `R_f`, R_lo - 8, is in bounds and below that range, so
-# only one outside it is bounds-checked and overlap-tested.  A segment runs
+# to the fast bound `R_f`, R_lo - 8, or from R_hi to the top of memory, is in
+# bounds and clear of that range, so only one outside both is bounds-checked
+# and overlap-tested.  A segment runs
 # from a block's start or from just after a call up to and including the next
 # call or terminator.  A run is a segment and the copy that replaces its
 # `jmp` (`_Writer.run`): the step budget is checked, and the shadow ops are
@@ -434,7 +439,7 @@ def _undefined(name: str) -> MachineTrap:
 _SOURCE = "<taintsum function>"
 _MASK64 = 2 ** 64 - 1
 _PTR, _I64 = (0, _MASK64), (1 << 63, _MASK64)
-_PTR_TY = Ptr(Void())
+_PTR_TY, _ZERO = Ptr(Void()), ConstInt(0)
 _BYTES = (Char(), Int(8), Int(8, False))      # the one-byte types
 _STRUCTS = {c: _struct.Struct("<" + c) for c in "bBhHiIqQfd"}
 _OPS = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^"}
@@ -587,10 +592,10 @@ class _Writer:
         # the kind of value each temp holds and the width of its tag vector,
         # None where its definitions differ; the temps read; the constants
         # the source names
-        self.kinds, self.width, reads, self.ns = {}, {}, set(), {}
-        # what each binop or gep's tag vector is made from, and the temps
-        # whose tag vectors a line reads: the values stored, returned, passed
-        feeds, work, self.tagged, self.last = {}, [], set(), {}
+        self.kinds, self.width, reads, self.ns = {}, {}, [], {}
+        # what each binop or gep's tag vector is made from; the temps whose tag vectors a
+        # line reads (the values stored, returned, passed); each temp's narrowest tag read
+        feeds, work, self.tagged, self.last, self.narrow = {}, [], set(), {}, {}
         for name, ty in fn.params:
             self.note(name, ty)
         # (block index, instructions) of each segment; what follows a
@@ -611,7 +616,7 @@ class _Writer:
             self.segs.append((b, seg))
             for ins in block.instrs:
                 kind = type(ins)
-                reads.update(op.name for op in ins.operands() if type(op) is Temp)
+                reads += (op.name for op in ins.operands() if type(op) is Temp)
                 if kind in (Gep, Alloca, Load, BinOp):
                     self.note(ins.dest, _PTR_TY if kind in (Gep, Alloca) else ins.ty)
                 elif kind is Call and ins.callee in functions:
@@ -631,9 +636,11 @@ class _Writer:
                     feeds.setdefault(ins.dest, []).extend(ops)
                 elif kind in (Store, Ret, Call):
                     work += ops
+                w = 8 if kind is Gep else kind is BinOp and self.width[ins.dest] or 0
                 for x in ops if kind in (BinOp, Gep, Store, Ret, Call) else ():
                     self.last[x] = max(self.last.get(x, -1),
                                        math.inf if b in looped else self.order[id(ins)])
+                    self.narrow[x] = min(self.narrow.get(x, 8), w)
                 dead = kind in (Br, Jmp, Ret)
                 if kind is Call:
                     seg = []
@@ -646,9 +653,13 @@ class _Writer:
         params = [name for name, _ in fn.params]
         self.read_params = [name for name in params if name in reads]
         self.spill = set(params) & {ins.defined_temp() for ins in fn.instructions()}
+        self.fused, self.fuse = None, {     # the compares that only the `br` after them reads
+            id(c) for _, seg in self.segs for c, br in zip(seg, seg[1:]) if type(br) is Br
+            and getattr(c, "op", "") == "cmp" and br.cond == Temp(c.dest)
+            and reads.count(c.dest) == 1 and c.dest not in self.spill}
         self.fn_const = self.const(fn)
         self.slots = self.promote(params)
-        self.folded, self.folded_slots = self.fold(params)
+        self.folded, self.folded_slots, self.folds = self.fold(params)
 
     def promote(self, params: list[str]) -> dict[str, Alloca]:
         """The promoted slots by temp: each alloca that runs in the entry
@@ -671,23 +682,28 @@ class _Writer:
                     del slots[op.name]
         return slots
 
-    def fold(self, params: list[str]) -> tuple[set[str], set[str]]:
-        """The folded temps and slots (see the header comment), from every
-        promoted slot down to those whose stores all store folded temps."""
+    def fold(self, params: list[str]) -> tuple[set[str], set[str], dict[str, str]]:
+        """The folded temps and slots, and each slot's local holding its fold
+        (see the header comment): from every promoted slot down to those whose
+        stores all store folded temps, or whose loads all define folded temps."""
         instrs = list(self.fn.instructions())
         at = {id(i): type(i.addr) is Temp and i.addr.name in self.slots and i.addr.name
               for i in instrs if type(i) in (Load, Store)}     # the slot each accesses
-        slots = set() if any(type(i) is Call or type(i) is Store and not at[id(i)]
-                             for i in instrs) else set(self.slots)
+        flat = set() if any(type(i) is Call or type(i) is Store and not at[id(i)]
+                            for i in instrs) else set(self.slots)
+        reads = {x for x in self.slots if all(self.narrow.get(i.dest, 8) >= _width(self.slots[x].ty)
+                                              for i in instrs if type(i) is Load and at[id(i)] == x)}
         while True:
             folded = {i.dest for i in instrs if type(i) in (Alloca, Load, Gep, BinOp)} - set(
                 params) - {i.dest for i in instrs if type(i) is Call or type(i) is Load and (
-                    at[id(i)] not in slots if at[id(i)] else i.ty not in _BYTES)}
-            kept = {x for x in slots if all(type(i.value) is not Temp or i.value.name in folded
-                                            for i in instrs if type(i) is Store and at[id(i)] == x)}
-            if kept == slots:
-                return folded, slots
-            slots = kept
+                    at[id(i)] not in flat | reads if at[id(i)] else i.ty not in _BYTES)}
+            kept = ({x for x in flat if all(type(i.value) is not Temp or i.value.name in folded
+                                            for i in instrs if type(i) is Store and at[id(i)] == x)},
+                    {x for x in reads if all(i.dest in folded for i in instrs
+                                             if type(i) is Load and at[id(i)] == x)})
+            if kept == (flat, reads):
+                return folded, flat, {x: _local("T" if x in flat else "U", x) for x in flat | reads}
+            flat, reads = kept
 
     def held(self, ins: Instr) -> list[str]:
         """The promoted slots allocated before `ins` runs."""
@@ -704,7 +720,16 @@ class _Writer:
         """A statement reading the `held` slots back into their locals."""
         return "; ".join(", ".join(_local(k, x) for k in "PT"[:1 + self.live])
                          + f" = _fill(m, {_fmt(self.slots[x].ty)!r}, {_local('v', x)},"
-                         f" {_width(self.slots[x].ty)})" + "[0]" * (not self.live) for x in held)
+                         f" {_width(self.slots[x].ty)})" + "[0]" * (not self.live)
+                         + f"; {self.folds.get(x)} = _U[{_local('T', x)}]" * (
+                             self.live and x in self.folds) for x in held)
+
+    def set_tag(self, x: str, op: Operand, w: int) -> str:
+        """A statement setting slot `x`'s tag, and its fold, to operand `op`'s."""
+        t, u = _local("T", x), self.folds.get(x)
+        if u is None or type(op) is Temp and op.name not in self.folded:      # a vector
+            return f"{t} = {self.vec(op, w)}" + f"; {u} = _U[{t}]" * bool(u)
+        return " = ".join(dict.fromkeys((t, u))) + f" = {self.tag(op, w)}"
 
     def note(self, name: str, ty: Type, kind: bool = True) -> None:
         """Notes a definition of `name` of type `ty`: its tag vector's width
@@ -793,19 +818,19 @@ class _Writer:
         labels = ((end.then_label, end.else_label) if type(end) is Br else
                   (end.label,) * 2 if type(end) is Jmp else (None, None))
         then, other = (label and self.target(label, end) for label in labels)
-        cond = self.val(end.cond, _I64) if type(end) is Br else None
+        tests, mark = self.tests if type(end) is Br else (None, (0, 0))
         loop = (here := str(b)) in (then, other)
-        if not self.live and cond and other == here != then:    # leaves when cond holds
+        if not self.live and tests and other == here != then:    # leaves when cond holds
             body += [(depth, line, (0, 0)) for line in self.bulk(instrs)]
         body += [(depth, "while True:", (0, 0))] * loop
         body += [(depth + loop, line, mark) for line, mark in lines]
         if then is not None and not loop:
-            body.append((depth, f"i = {then}" if cond is None else
-                         f"i = {then} if {cond} != 0 else {other}", (0, 0)))
-        elif cond is not None:      # the edge out, which still reads the condition
+            body.append((depth, f"i = {then}" if not tests else
+                         f"i = {then} if {tests[0]} else {other}", mark))
+        elif tests:      # the edge out, which still reads the condition
             out = other if then == here else then
-            body.append((depth + 1, f"if {cond} {'==' if then == here else '!='} 0: "
-                         + (f"i = {out}; break" if out != here else "pass"), (0, 0)))
+            body.append((depth + 1, f"if {tests[then == here]}: "
+                         + (f"i = {out}; break" if out != here else "pass"), mark))
         return [int(t) for t in (then, other) if t and t != here and t.isdigit()]
 
     def bulk(self, instrs: list[Instr]) -> list[str]:
@@ -910,6 +935,7 @@ class _Writer:
                 continue
             try:
                 lines = _EMIT.get(type(ins), _Writer.unknown)(self, ins)
+                lines = [] if left == 1 and id(ins) in self.fuse else lines     # `block` writes it
             except Exception as e:      # undecodable: raises the same whenever it runs
                 args = (e.kind, e.instr, e.detail) if isinstance(e, MachineTrap) else e.args
                 head.append(f"raise {self.const(functools.partial(type(e), *args))}()")
@@ -942,19 +968,17 @@ class _Writer:
                       f" tm.set_vector(a, {zeros})",
                       f"elif (p := pages.get(q)) is not None: p[o:o + {sz}] = {zeros}"]
         lines += self.define(ins.dest, "a", 8)
-        if ins.dest in self.slots:      # zero, like its bytes; the range grows down
-            zero = "0" if ins.dest in self.folded_slots else f"_Z{sz}"
-            lines.append(f"{_local('P', ins.dest)} = 0" + f"; {_local('T', ins.dest)} = {zero}"
-                         * self.live + "; R_lo, R_f = a, a - 8"
-                         + f"; R_hi = a + {sz}" * (not self.held(ins)))
+        if (x := ins.dest) in self.slots:      # zero, like its bytes; the range grows down
+            lines.append(f"{_local('P', x)} = 0" + f"; {self.set_tag(x, _ZERO, sz)}" * self.live
+                         + "; R_lo, R_f = a, a - 8" + f"; R_hi = a + {sz}" * (not self.held(ins)))
         return lines
 
     def load(self, ins: Load) -> list:
         w = _width(ins.ty)
         if type(ins.addr) is Temp and ins.addr.name in self.slots:
             x = ins.addr.name
-            return self.define(ins.dest, _local("P", x), w, _local("T", x),
-                               x not in self.folded_slots)
+            return self.define(ins.dest, _local("P", x), w, self.folds.get(x, _local("T", x)),
+                               x not in self.folds)
         a, lines = self.atom(self.val(ins.addr, _PTR), "a")
         self.used.update(("mem", "tm", "pages") if self.live else ("mem",))
         c, pick = _fmt(ins.ty), f" if (p := pages.get({a} >> {_PAGE_SHIFT})) is None else "
@@ -971,8 +995,7 @@ class _Writer:
         a, lines = ("", []) if slot else self.atom(self.val(ins.addr, _PTR), "a")
         x = self.val(ins.value, _kind(ins.ty), wrap_globals=True)
         if slot:        # `_spill` makes the page of a nonzero vector
-            g = self.tag(ins.value, w) if slot in self.folded_slots else self.vec(ins.value, w)
-            return [f"{_local('P', slot)} = {x}"] + [f"{_local('T', slot)} = {g}"] * self.live
+            return [f"{_local('P', slot)} = {x}"] + [self.set_tag(slot, ins.value, w)] * self.live
         x, more = self.atom(x, "x")
         self.used.update(("mem", "dirty", "tm", "pages") if self.live else ("mem", "dirty"))
         lines += more + [*self.check(a, w, ins),
@@ -1020,6 +1043,8 @@ class _Writer:
         kind, w, op, uid = _kind(ins.ty), _width(ins.ty), ins.op, repr(ins.uid)
         a, b = self.val(ins.lhs, kind), self.val(ins.rhs, kind)
         if op == "cmp":
+            if id(ins) in self.fuse:    # the next `br`'s tests; a trap on their line counts
+                self.fused = (f"{a} == {b}", f"{a} != {b}"), (1, -self.live)   # as one here
             e = f"1.0 if {a} == {b} else 0.0" if kind == "f" else f"1 if {a} == {b} else 0"
         elif op in _OPS and (kind != "f" or op in ("add", "sub", "mul")):
             e = f"{a} {_OPS[op]} {b}"
@@ -1039,8 +1064,9 @@ class _Writer:
         return self.define(ins.dest, e, w, tag=" | ".join(tags) or "0")
 
     def br(self, ins: Br) -> list:
-        self.val(ins.cond, _I64)        # raises now when it cannot be decoded
-        return [_COUNT]                 # `block` writes the transfer
+        c = self.val(ins.cond, _I64)    # raises now when it cannot be decoded
+        self.tests, self.fused = self.fused or ((f"{c} != 0", f"{c} == 0"), (0, 0)), None
+        return [_COUNT]                 # `block` writes the transfer from `tests`
 
     def jmp(self, ins: Jmp) -> list:
         return [_COUNT]
@@ -1105,11 +1131,10 @@ class _Writer:
     def check(self, a: str, w: int, ins: Instr) -> list[str]:
         """The bounds check of a `w`-byte access at `a` and, where slots are
         held, the write-back of an access overlapping the promoted range,
-        both run only for an access outside [GLOBALS_BASE, R_f]."""
-        check = (f"if not {GLOBALS_BASE} <= {a} <= {self.mem_size - w}:"
-                 f" m._check_bounds({a}, {w}, {ins.uid!r})")
-        held = self.held(ins)
-        return [f"if not {GLOBALS_BASE} <= {a} <= R_f:", "    " + check,
+        both run only outside [GLOBALS_BASE, R_f] and [R_hi, mem_size - w]."""
+        top, held = self.mem_size - w, self.held(ins)
+        check = f"if not {GLOBALS_BASE} <= {a} <= {top}: m._check_bounds({a}, {w}, {ins.uid!r})"
+        return [f"if not ({GLOBALS_BASE} <= {a} <= R_f or R_hi <= {a} <= {top}):", "    " + check,
                 f"    if R_lo - {w} < {a} < R_hi: {self.write_back(held)}"] if held else [check]
 
     def define(self, name: str, value: str, width: int, tag: str = "0",

@@ -1364,6 +1364,9 @@ _SLOT_OPS = ("load", "load", "store", "store", "zero", "wild load", "wild store"
              "saved", "call", "put", "divide", "mix", "stray")
 # what a function whose slots may fold leaves out: a call or a store to memory
 _UNFOLDING = ("wild store", "saved", "call", "put")
+# a fold-read draw's loads of a slot, in place of "load": one read only as its
+# fold at the slot's width or wider, or one that keeps the slot from it
+_FOLD_READ_OPS = ("fold", "fold", "leak")
 # @put reads and writes through its pointer, and `SLOT_CFG` makes it a sink
 # and, on the memory behind it, a source
 PUT = """
@@ -1379,7 +1382,7 @@ SLOT_CFG = TaintConfig(LOOP_CFG.sources + (SourceSpec("put", "param", 0, 8),),
 
 
 @st.composite
-def slotted_function(draw):
+def slotted_function(draw, fold_read=False):
     """A random entry `@f` whose scalar allocas are all promoted: a loop of
     at most three iterations whose counter is the slot %ctr, and in the
     entry, loop body and exit, drawn steps on the slots (%sp, a `ptr(char)`,
@@ -1395,17 +1398,24 @@ def slotted_function(draw):
     %p0, which trap out of bounds.  The loop is a header before the body,
     or a header holding a call, which no `jmp` into it copies, or a body
     that branches to itself.  Or, so that slots may keep int tags, no step
-    calls or stores to memory and the header holds no call.  Returns
-    (source, entry argument count, slot names)."""
+    calls or stores to memory and the header holds no call.  With
+    `fold_read`, parameters of widths 1, 2, 4 and 8 follow %p0 and each slot
+    first stores one of them, every load of a slot is a "fold" or a "leak"
+    (`_FOLD_READ_OPS`), and the loop body starts with a call to @put.
+    Returns (source, entry argument count, slot names, and with `fold_read`
+    %ctr and the slots no leak loads, else None)."""
     params, temps = ["%p0: i64"], [("p0", "i64")]
-    for i in range(1, draw(st.integers(1, 3))):
-        ty = draw(st.sampled_from(_INT_TYPES + _FLOAT_TYPES))
+    widths = [("i8", "u8", "char"), ("i16", "u16"), ("i32", "u32"), ("i64", "u64")]
+    for i in range(1, 5 if fold_read else draw(st.integers(1, 3))):
+        ty = draw(st.sampled_from(widths[i - 1] if fold_read else _INT_TYPES + _FLOAT_TYPES))
         params.append(f"%p{i}: {ty}")
         temps.append((f"p{i}", ty))
     slots = [("sp", "ptr(char)")] + [(f"s{j}", draw(st.sampled_from(_SLOT_TYPES)))
                                      for j in range(draw(st.integers(1, 3)))]
-    counter, folding = [0], draw(st.booleans())
+    counter, folding, leaked = [0], not fold_read and draw(st.booleans()), set()
     kinds = [k for k in _SLOT_OPS if not (folding and k in _UNFOLDING)]
+    if fold_read:
+        kinds = [k for k in kinds if k != "load"] + list(_FOLD_READ_OPS)
 
     def operand(ty):
         if draw(st.integers(0, 9)) < 7:
@@ -1433,6 +1443,26 @@ def slotted_function(draw):
             if kind == "load":
                 out.append(f"  %{t} = load {sty}, %{slot}")
                 temps.append((t, sty))
+            elif kind == "fold":        # the loaded tag read through a binop or gep alone
+                uty = sty if sty.startswith("ptr") else draw(st.sampled_from(
+                    [ty for ty in _INT_TYPES if _size(ty) >= _size(sty)]))
+                out += [f"  %{t} = load {sty}, %{slot}",
+                        f"  %{t}u = gep char, %{t}, {operand('i64')}" if uty.startswith("ptr")
+                        else f"  %{t}u = {draw(st.sampled_from(('add', 'xor', 'mul')))} {uty}"
+                        f" %{t}, {operand(uty)}", f"  store {sty} %{t}u, %{slot}"]
+                temps.append((f"{t}u", uty))
+            elif kind == "leak":        # stored, passed, or read narrower
+                leaked.add(slot)
+                out.append(f"  %{t} = load {sty}, %{slot}")
+                how = draw(st.sampled_from(("store", "put") + ("narrow",) * (_size(sty) > 1)))
+                if how == "narrow":
+                    nty = draw(st.sampled_from([ty for ty in _INT_TYPES if _size(ty) < _size(sty)]))
+                    out.append(f"  %{t}n = add {nty} %{t}, 1")
+                    temps.append((f"{t}n", nty))
+                else:
+                    w, lines = wild()
+                    out += lines + [f"  store {sty} %{t}, %{w}" if how == "store"
+                                    else f"  %{t}p = call i64 @put(%{w}, %{t})"]
             elif kind in ("store", "zero"):
                 value = operand(sty) if kind == "store" else "0"
                 out.append(f"  store {sty} {value}, %{slot}")
@@ -1468,12 +1498,17 @@ def slotted_function(draw):
     entry = ["  %buf = alloca [16 x char]", "  %ctr = alloca i64"]
     entry += [f"  %{name} = alloca {ty}" for name, ty in slots]
     entry += [f"  store {ty} {operand(ty)}, %{name}" for name, ty in slots if draw(st.booleans())]
+    if fold_read:       # each slot takes a parameter's mixed tag vector
+        entry += [f"  store {ty} %p{draw(st.integers(1, 4))}, %{name}" for name, ty in slots]
     entry += ["  %n = and i64 %p0, 3"] + steps() + ["  store i64 0, %ctr", "  jmp head"]
     shape = draw(st.sampled_from(("header", "self-loop") + ("called header",) * (not folding)))
     head = ["  %i = load i64, %ctr", "  %z = cmp i64 %i, %n", "  br %z, exit, body"]
     if shape == "called header":
         head[:0] = [f"  %hc = call i16 @h({operand('i32')}, {operand('u8')})"]
     body = steps() + ["  %i1 = add i64 %i, 1", "  store i64 %i1, %ctr", "  jmp head"]
+    if fold_read:       # a call and, through @put, a store that may reach the slots
+        w, lines = wild()
+        body[:0] = lines + [f"  %{w}p = call i64 @put(%{w}, %p0)"]
     if shape == "self-loop":    # %n + 1 iterations, the test at the bottom
         entry[-1:] = ["  %m = add i64 %n, 1", "  jmp body"]
         head = None
@@ -1485,7 +1520,8 @@ def slotted_function(draw):
            + "".join(f"{label}:\n" + "\n".join(lines) + "\n"
                      for label, lines in blocks.items() if lines is not None)
            + "}\n")
-    return src, len(params), ["ctr"] + [name for name, _ in slots]
+    names = ["ctr"] + [name for name, _ in slots]
+    return src, len(params), names, set(names) - leaked if fold_read else None
 
 
 def _arg_values(rng, n):
@@ -2117,13 +2153,35 @@ class TestPromotedSlots:
     @settings(max_examples=300, deadline=None)
     @given(slotted_function(), st.integers(0, 2 ** 32), BUDGETS, st.booleans())
     def test_random_slotted_functions(self, fn_src, seed, budget, sources):
-        src, n, slots = fn_src
+        src, n, slots, _ = fn_src
         m = parse_module(src)
         for live in (True, False):
             assert list(_Writer(_shared(m), m.functions["f"], live, DEFAULT_MEMORY).slots) == slots
         rules, _ = compile_library(m)
         rng = random.Random(seed)
         assert_same_runs(m, "f", _arg_values(rng, n), rules, arg_tags=_arg_tags(rng, n),
+                         taint_config=SLOT_CFG if sources else None, mem_size=1 << 16,
+                         **_budget(budget))
+
+    @settings(max_examples=200, deadline=None)
+    @given(slotted_function(fold_read=True), st.integers(0, 2 ** 32), BUDGETS, st.booleans())
+    def test_fold_read_slots(self, fn_src, seed, budget, sources):
+        """A slot whose loads' tags are read only as folds at its width or
+        wider keeps that fold in `U_x` beside its exact tag `T_x`: from the
+        parameters' mixed tag vectors of widths 1 to 8, from the loop's
+        binops and geps, and from what a call or a store to memory that may
+        overlap it leaves, read back.  A leak keeps the slot out.  Runs at
+        any budget, and those that trap out of bounds, stay the step
+        interpreter's."""
+        src, n, _, fold_read = fn_src
+        m = parse_module(src)
+        writer = _Writer(_shared(m), m.functions["f"], True, DEFAULT_MEMORY)
+        assert set(writer.folds) - writer.folded_slots == fold_read
+        rules, _ = compile_library(m)
+        rng = random.Random(seed)
+        tags = [bytes(1 << rng.randrange(8) for _ in range(size_of(ty, m.structs)))
+                for _, ty in m.functions["f"].params]
+        assert_same_runs(m, "f", _arg_values(rng, n), rules, arg_tags=tags,
                          taint_config=SLOT_CFG if sources else None, mem_size=1 << 16,
                          **_budget(budget))
 
@@ -2960,6 +3018,11 @@ def _value_type(name):
                         ).functions["f"].params[0][1]
 
 
+def _size(name):
+    """The bytes of an int, char or pointer type, from its name alone."""
+    return 8 if name.startswith("ptr") else 1 if name == "char" else int(name[1:]) // 8
+
+
 def _range(name):
     """The values of an int, char or pointer type, from its name alone."""
     if name == "char":
@@ -3018,6 +3081,30 @@ class TestLeanCode:
         body = "\n".join(source.splitlines()[inner.lineno - 1:inner.end_lineno])
         assert "g_s1 = g_s0 | g_ch" in body
         assert not re.search(r"\b_[USZ]", body), body
+
+    def test_memcpy_loop_does_no_vector_work(self):
+        """memcpy's slots are fold-read: its loop reads each one's fold as an
+        int and stores an int, and folds a vector only on the read-back after
+        a store into the promoted range."""
+        module = corpus.load_module("bench_memcpy")
+        writer = _Writer(_shared(module), module.functions["memcpy"], True, DEFAULT_MEMORY)
+        assert writer.folds == {x: f"U_{x}" for x in ("dp", "sp", "np")}
+        source = self._source(module, "memcpy")
+        inner = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.While)][1]
+        lines = source.splitlines()[inner.lineno - 1:inner.end_lineno]
+        assert "g_sp0 = U_sp" in source and "T_sp = U_sp = g_sp1" in source
+        assert [line for line in lines if "_U[" in line or "_S8[" in line] == [
+            line for line in lines if "= _fill(" in line], lines
+
+    @pytest.mark.parametrize("live", [True, False])
+    def test_loop_exit_holds_the_comparison(self, live):
+        """A compare that only the `br` after it reads is that branch's
+        test: bench_user's loop exit is one `if` holding the comparison, and
+        no line binds the compare's temp."""
+        source = self._source(corpus.load_module("bench_user"), "main", live)
+        inner = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.While)][1]
+        assert ast.unparse(inner.body[-1]) == "if v_i == v_n:\n    i = 3\n    break"
+        assert "v_z" not in source and "i = 3 if v_i == v_n else 2" in source
 
     def test_byte_load_and_store_move_an_int_tag(self):
         """memcpy's byte load takes its tag from the page as an int, and its
@@ -3096,16 +3183,18 @@ class TestLeanCode:
     @pytest.mark.parametrize("program, fn", LOOPS)
     def test_one_range_test_on_the_fast_path(self, program, fn, live):
         """Each load and store of memory first tests its address against
-        `GLOBALS_BASE` and the fast bound `R_f`; the bounds check and the
-        overlap tests with the promoted range run only past that test."""
+        `GLOBALS_BASE` and the fast bound `R_f`, and against `R_hi` and the
+        top of memory; the bounds check and the overlap tests with the
+        promoted range run only past that test."""
         tree = ast.parse(self._source(corpus.load_module(program), fn, live))
         parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
 
         def fast(node):
-            return (isinstance(node, ast.If) and
-                    re.fullmatch(rf"not {GLOBALS_BASE} <= \w+ <= R_f", ast.unparse(node.test)))
+            return isinstance(node, ast.If) and re.fullmatch(
+                rf"not \({GLOBALS_BASE} <= (\w+) <= R_f or R_hi <= \1 <= \d+\)",
+                ast.unparse(node.test))
         tests = [node for node in ast.walk(tree) if fast(node)]
-        checks = [node for node in ast.walk(tree) if isinstance(node, ast.If) and (
+        checks = [node for node in ast.walk(tree) if isinstance(node, ast.If) and not fast(node) and (
                   "R_hi" in ast.unparse(node.test)
                   or ast.unparse(node.body[0]).startswith("m._check_bounds("))]
         assert tests and len(checks) >= 2 * len(tests)
@@ -3114,6 +3203,45 @@ class TestLeanCode:
                 ast.unparse(node))
         assert [ast.unparse(node.body[0].body[0]).startswith("m._check_bounds(")
                 for node in tests] == [True] * len(tests)
+
+    @pytest.mark.parametrize("mode", ["instr", "hybrid"])
+    def test_accesses_above_the_promoted_range_take_the_fast_path(
+            self, student_flow, student_flow_rules, mode):
+        """An access from `R_hi` up to the top of memory is in bounds and
+        clear of the promoted range: student_flow's accesses into main's
+        stack buffer, from frames holding promoted slots, enter no slow
+        path (the lines past the fast test), counted by line tracing."""
+        m = Machine(student_flow, mode=mode, rule_programs=student_flow_rules,
+                    taint_config=FLOW_CFG, mem_size=1 << 20)
+        hits = {}
+
+        def trace(frame, event, arg):
+            if frame.f_code.co_filename != "<taintsum function>":
+                return None
+
+            def line(frame, event, arg):
+                if event == "line":
+                    key = frame.f_code, frame.f_lineno
+                    hits[key] = hits.get(key, 0) + 1
+                return line
+            return line
+        old = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            m.call_entry("main", [])
+        finally:
+            sys.settrace(old)
+        fast, slow = 0, {}
+        for (name, live, mem_size), code in m.shared.code.items():
+            writer = _Writer(m.shared, student_flow.functions[name], live, mem_size)
+            writer.code()
+            for k, text in enumerate(writer.src[:-1]):
+                runs = hits.get((code.__code__, k + 1), 0)
+                if text.lstrip().startswith("if not ") and text.endswith("R_f:") or (
+                        "<= R_f or R_hi <= " in text) and runs:
+                    fast += runs
+                    slow[name, k] = hits.get((code.__code__, k + 2), 0)
+        assert fast >= 16 and set(slow.values()) == {0}, slow
 
     @pytest.mark.parametrize("src", _INT_TYPES + ("ptr(i8)",))
     def test_wrap_omitted_exactly_when_the_range_fits(self, src):

@@ -31,7 +31,12 @@ can be diffed to show a change leaves them byte-identical:
     with no call and no store to memory, and one whose slot a store to
     memory overwrites with mixed tags, in both modes at every step budget
     up to the whole run: the exit value or the trap, the counters, the
-    return tag and the tagged bytes.
+    return tag and the tagged bytes;
+  * for a small memcpy-like loop whose pointer and count parameters carry
+    tag vectors that differ per byte, and whose slots the loop reads only
+    through geps and binops, copying to a global and over one of its own
+    slots, in both modes at every step budget up to the whole run: the
+    same.
 
 Usage, from the root of each tree:
 
@@ -381,6 +386,57 @@ done:
   ret i64 %r
 }
 """
+# @copy's slots take its parameters' mixed tag vectors, which each call to
+# @note writes back until the loop's first stores; copying over %kp reads
+# the slot back with @data's mixed tags
+FOLD_READ = """\
+global @data : [16 x char] = bytes(3, 1, 4, 1, 5, 9, 2, 6)
+global @out : [16 x char]
+fn @note(%c: char) -> i64 library {
+entry:
+  %r = add i64 %c, 1
+  ret i64 %r
+}
+fn @copy(%dest: ptr(char), %src: ptr(char), %n: i64) -> i64 {
+entry:
+  %dp = alloca ptr(char)
+  %sp = alloca ptr(char)
+  %np = alloca i64
+  %kp = alloca i64
+  store ptr(char) %dest, %dp
+  store ptr(char) %src, %sp
+  store i64 %n, %np
+  store i64 0, %kp
+  jmp cond
+cond:
+  %n0 = load i64, %np
+  %n1 = sub i64 %n0, 1
+  store i64 %n1, %np
+  %z = cmp i64 %n0, 0
+  br %z, done, loop
+loop:
+  %sp0 = load ptr(char), %sp
+  %dp0 = load ptr(char), %dp
+  %ch = load char, %sp0
+  store char %ch, %dp0
+  %t = call i64 @note(%ch)
+  %k0 = load i64, %kp
+  %k1 = add i64 %k0, %ch
+  store i64 %k1, %kp
+  %sp1 = gep char, %sp0, 1
+  store ptr(char) %sp1, %sp
+  %dp1 = gep char, %dp0, 1
+  store ptr(char) %dp1, %dp
+  jmp cond
+done:
+  %kf = load i64, %kp
+  %r = add i64 %kf, 0
+  ret i64 %r
+}
+"""
+# @copy's argument tag vectors, whose bytes' tags differ
+MIXED = [bytes([1, 2, 4, 8, 16, 32, 64, 128]), bytes([8, 4, 2, 1, 0, 0, 0, 16]),
+         bytes([0, 32, 0, 0, 0, 0, 0, 1])]
 TAG = b"\x02"       # of the entry's argument
 DEEP_CFG = {"sources": [{"fn": "down", "where": "param", "index": 0, "label": 1},
                         {"fn": "inc", "where": "ret", "label": 4}]}
@@ -417,7 +473,7 @@ def recursive_outputs(tmp: Path) -> None:
     print(re.sub(r",[0-9.]+\n", ",<s>\n", cli(tmp, "bench", module, "--args", "2")), end="")
 
 
-def machine_run(module, entry: str, arg: int, arg_tags=None, before=None,
+def machine_run(module, entry: str, args: list, arg_tags=None, before=None,
                 **kw) -> tuple[str, Machine]:
     """The exit value or the trap and the counters of one machine run, which
     `before` may prepare, and the machine."""
@@ -425,7 +481,7 @@ def machine_run(module, entry: str, arg: int, arg_tags=None, before=None,
     if before is not None:
         before(m)
     try:
-        exit_value = m.call_entry(entry, [arg], arg_tags)
+        exit_value = m.call_entry(entry, args, arg_tags)
         result = f"exit {exit_value} ret tag {max(m.ret_shadow, default=0)}"
     except MachineTrap as e:
         result = f"trap {e}"
@@ -444,7 +500,7 @@ def looped_outputs() -> None:
         for n in (0, 3):
             budgets = [None]
             for budget in budgets:
-                result, m = machine_run(module, "main", n, mode=mode, **kw,
+                result, m = machine_run(module, "main", [n], mode=mode, **kw,
                                         **({} if budget is None else {"step_budget": budget}))
                 if budget is None:      # 9 runs out inside @sum's loop
                     total = m.instr_total
@@ -460,12 +516,12 @@ def recursion_outputs() -> None:
           "taint_config": TaintConfig.from_json(DEEP_CFG)}
     for mode in ("instr", "hybrid"):
         for n in (500, MAX_FRAMES):
-            print(f"deep {mode} down({n}):", machine_run(module, "down", n, [TAG], mode=mode,
+            print(f"deep {mode} down({n}):", machine_run(module, "down", [n], [TAG], mode=mode,
                                                         **kw)[0])
-        total = machine_run(module, "loop", 5, [TAG], mode=mode, **kw)[1].instr_total
+        total = machine_run(module, "loop", [5], [TAG], mode=mode, **kw)[1].instr_total
         for budget in range(1, total + 1):
             print(f"deep {mode} loop(5) budget={budget}:", machine_run(
-                module, "loop", 5, [TAG], mode=mode, step_budget=budget, **kw)[0])
+                module, "loop", [5], [TAG], mode=mode, step_budget=budget, **kw)[0])
 
 
 def wild_outputs() -> None:
@@ -475,11 +531,11 @@ def wild_outputs() -> None:
     rules = compile_library(module)[0]
     for mode in ("instr", "hybrid"):
         for n in (3, 5):
-            total = machine_run(module, "wild", n, [TAG], mode=mode,
+            total = machine_run(module, "wild", [n], [TAG], mode=mode,
                                 rule_programs=rules)[1].instr_total
             for budget in range(1, total + 1):
                 print(f"wild {mode} n={n} budget={budget}:", machine_run(
-                    module, "wild", n, [TAG], mode=mode, rule_programs=rules,
+                    module, "wild", [n], [TAG], mode=mode, rule_programs=rules,
                     step_budget=budget)[0])
 
 
@@ -496,10 +552,31 @@ def folded_outputs() -> None:
         for mode in ("instr", "hybrid"):
             for n in (5, 17):
                 kw = {"mode": mode, "rule_programs": rules, "before": before}
-                total = machine_run(module, entry, n, [TAG], **kw)[1].instr_total
+                total = machine_run(module, entry, [n], [TAG], **kw)[1].instr_total
                 for budget in range(1, total + 1):
                     print(f"{entry} {mode} n={n} budget={budget}:", machine_run(
-                        module, entry, n, [TAG], step_budget=budget, **kw)[0])
+                        module, entry, [n], [TAG], step_budget=budget, **kw)[0])
+
+
+def fold_read_outputs() -> None:
+    """Runs of @copy over @data tagged 1, 2, 4, ... per byte, with mixed
+    tags on its arguments, to @out and over the low bytes of %kp, the
+    frame's lowest slot: the exit value or trap, the counters, the return
+    tag and the tagged bytes at every budget up to the whole run."""
+    module = parse_module(FOLD_READ)
+    rules = compile_library(module)[0]
+
+    def before(m):
+        m.tagmap.set_vector(m.global_addr["data"], bytes(1 << (i % 8) for i in range(16)))
+    at = Machine(module, mem_size=1 << 16).global_addr
+    for mode in ("instr", "hybrid"):
+        for dest, n in (("out", 5), ((1 << 16) - 33, 3)):
+            args = [at.get(dest, dest), at["data"], n]
+            kw = {"mode": mode, "rule_programs": rules, "before": before}
+            total = machine_run(module, "copy", args, MIXED, **kw)[1].instr_total
+            for budget in range(1, total + 1):
+                print(f"copy {mode} dest={dest} n={n} budget={budget}:", machine_run(
+                    module, "copy", args, MIXED, step_budget=budget, **kw)[0])
 
 
 def main() -> None:
@@ -535,6 +612,7 @@ def main() -> None:
     recursion_outputs()
     wild_outputs()
     folded_outputs()
+    fold_read_outputs()
     lib_module = corpus.load_module("libcorpus")
     rules = default_rules(lib_module)
     for fn in sorted(corpus.DRIVERS):
