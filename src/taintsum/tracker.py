@@ -338,6 +338,12 @@ def _wrap(v, kind):
     return float(v) if kind == "f" else ((int(v) + kind[0]) & kind[1]) - kind[0]
 
 
+def _norm(e: str, kind) -> str:
+    """Int `e` wrapped to `kind`, by `_wrap`'s bias and mask only when out of range."""
+    out = f"(z + {kind[0]} & {kind[1]:#x}) - {kind[0]}" if kind[0] else f"z & {kind[1]:#x}"
+    return f"z if {-kind[0]} <= (z := {e}) <= {kind[1] - kind[0]} else {out}"
+
+
 def _fold(vec: bytes) -> int:
     tag = 0
     for b in set(vec):      # distinct tags: at most 256, whatever the length
@@ -390,7 +396,8 @@ def _undefined(name: str) -> MachineTrap:
 # binops, geps, allocas, one-byte loads and loads of slots with a fold define,
 # splat where a vector leaves the locals (a store to memory, a call, a return,
 # a write-back), and else the vector.  A value is wrapped only where its
-# producer's range does not fit the kind read.  The parameters are read from
+# producer's range does not fit the kind read, and a wrap masks only a value
+# that a range test finds outside it (`_norm`).  The parameters are read from
 # the frame at entry and a redefined one is stored back, since rule sources
 # read it; a tracked call passes a temp argument's tag through `f.tags`, where
 # a parameter source may widen it, and back when a line it may run before
@@ -547,7 +554,7 @@ def _helpers() -> dict:
     def bad(kind, uid, *operands):
         raise MachineTrap(kind, uid)
     ns = {"MachineTrap": MachineTrap, "_resize": _resize_vec, "_idiv": idiv, "_bad": bad,
-          "_spill": _spill, "_fill": _fill, "_rounds": _rounds, "_wrap": _wrap, "_U": uniform,
+          "_spill": _spill, "_fill": _fill, "_rounds": _rounds, "_U": uniform,
           "_irem": lambda a, b, uid: a - idiv(a, b, uid) * b,
           "_fdiv": lambda a, b: (a / b if b != 0.0 else
                                  math.copysign(math.inf, a) if a else math.nan),
@@ -881,7 +888,7 @@ class _Writer:
                 env[v] is None or env[v][:2] != ("+", (v,)) or env[v][2] and k not in (_PTR, _I64)
                 for v, k in moves.items()) or (None, None) in sets.values():
             return []       # what a round reads before it sets moves by the same step each round
-        new = ", ".join(f"_wrap({e} + {n} * (K - 1), {kinds[v]})" for v, (e, n) in sets.items())
+        new = ", ".join(_norm(f"{e} + {n} * (K - 1)", kinds[v]) for v, (e, n) in sets.items())
         put = f"mem[{d}:{d} + K] = V * K; " if fill else f"mem.move({d}, {s}, K); "
         return [f"try: {f'V = bytes(({fill[0]},)); ' if fill else ''}K = _rounds(mem, "
                 + (count if x[0] == "*" else f"{-step} * ({count})") + f", (b - n) // "
@@ -996,14 +1003,15 @@ class _Writer:
         x = self.val(ins.value, _kind(ins.ty), wrap_globals=True)
         if slot:        # `_spill` makes the page of a nonzero vector
             return [f"{_local('P', slot)} = {x}"] + [self.set_tag(slot, ins.value, w)] * self.live
-        x, more = self.atom(x, "x")
+        # a temp is read before the bounds check, as the step interpreter reads it
+        x, more = self.atom(x, "x") if type(ins.value) is not Temp else ("x", [f"x = {x}"])
         self.used.update(("mem", "dirty", "tm", "pages") if self.live else ("mem", "dirty"))
         lines += more + [*self.check(a, w, ins),
                          f"_p{_fmt(ins.ty)}(mem, {a}, {x})",
                          f"dirty.add(q := {a} >> {_PAGE_SHIFT})"]
         cross = f"if (o := {a} & {PAGE - 1}) > {PAGE - w}: dirty.add(q + 1)"
         held = self.held(ins)       # read back after a store that passed the fast bound
-        after = [f"if {a} > R_f and R_lo - {w} < {a} < R_hi: {self.read_back(held)}"] * bool(held)
+        after = [f"if R_f < {a} < R_hi and R_lo - {w} < {a}: {self.read_back(held)}"] * bool(held)
         if not self.live:
             return lines + [cross] * (w > 1) + after
         g, more = self.atom(self.tag(ins.value, 1) if w == 1 else self.vec(ins.value, w), "g")
@@ -1037,7 +1045,7 @@ class _Writer:
         terms[1:1] = [_lit(off)] * (off != 0)
         tags = [self.tag(op, 8) for op in (ins.base, *ins.indices) if type(op) is Temp]
         return self.define(ins.dest, terms[0] if len(terms) == 1 else   # a pointer already
-                           f"({' + '.join(terms)}) & {_MASK64:#x}", 8, tag=" | ".join(tags) or "0")
+                           _norm(" + ".join(terms), _PTR), 8, tag=" | ".join(tags) or "0")
 
     def binop(self, ins: BinOp) -> list:
         kind, w, op, uid = _kind(ins.ty), _width(ins.ty), ins.op, repr(ins.uid)
@@ -1058,8 +1066,7 @@ class _Writer:
         if kind == "f" and ins.ty.bits == 32 and op != "cmp":
             e = f"_f32({e})"
         elif kind != "f" and op != "cmp":
-            bias, mask = kind
-            e = f"(({e}) + {bias} & {mask:#x}) - {bias}" if bias else f"({e}) & {mask:#x}"
+            e = _norm(e, kind)
         tags = [t for t in (self.tag(ins.lhs, w), self.tag(ins.rhs, w)) if t != "0"]
         return self.define(ins.dest, e, w, tag=" | ".join(tags) or "0")
 
@@ -1168,9 +1175,7 @@ class _Writer:
             return e        # its producer normalized it to a range inside `kind`'s
         if kind == "f":
             return f"float({e})"
-        bias, mask = kind
-        e = e if isinstance(have, tuple) else f"int({e})"
-        return f"(({e} + {bias} & {mask:#x}) - {bias})" if bias else f"({e} & {mask:#x})"
+        return f"({_norm(e if isinstance(have, tuple) else f'int({e})', kind)})"
 
     def vec(self, op: Operand, w: int) -> str:
         """An expression of the operand's tag vector resized to `w` bytes."""

@@ -1848,6 +1848,26 @@ use:
 """
 
 
+# %t is defined only on the branch an argument of 0 skips
+STORE_UNDEFINED = """\
+global @gv : [8 x i32]
+
+fn @f(%n: i64) -> i64 {{
+entry:
+{slot}  %z = cmp i64 %n, 0
+  br %z, exit, body
+body:
+  %t = load i8, @gv
+  jmp exit
+exit:
+  %e = gep [8 x i32], @gv, 0, 0
+  %w = gep char, %e, -1
+  store i8 %t, %w
+  ret i64 %n
+}}
+"""
+
+
 class TestExactTraps:
     """Every trap inside a segment leaves the instruction counts, shadow-op
     counts, memory and Tagmap the step interpreter leaves, as does a step
@@ -1906,6 +1926,21 @@ class TestExactTraps:
         for _ in range(20):
             for mode, reference in want.items():
                 assert outcome(Machine, m, "f", [1], mode=mode, mem_size=1 << 16) == reference, mode
+
+    @pytest.mark.parametrize("slot", ["", "  %s = alloca i64\n  store i64 %n, %s\n"],
+                             ids=["no-slot", "slot"])
+    def test_store_of_an_undefined_temp_out_of_bounds(self, slot):
+        """A store reads its value before it checks its address: a temp no
+        path defined, stored below memory, traps as undefined, with or
+        without a promoted slot held, at every step budget."""
+        m = parse_module(STORE_UNDEFINED.format(slot=slot))
+        assert bool(_Writer(_shared(m), m.functions["f"], True, DEFAULT_MEMORY).slots) == bool(slot)
+        total = outcome(ReferenceMachine, m, "f", [0], mem_size=1 << 16)[1]
+        for budget in range(1, total + 2):
+            got = assert_same_runs(m, "f", [0], arg_tags=[b"\x01"], mem_size=1 << 16,
+                                   step_budget=budget)
+            if budget >= total:
+                assert got["instr"][0] == ("trap", "undefined temporary", None)
 
     def test_every_budget_on_bench_memcpy(self, bench_memcpy):
         rules, _ = compile_library(bench_memcpy)
@@ -3035,6 +3070,9 @@ def _range(name):
 
 LOOPS = [("bench_user", "main"), ("bench_memcpy", "memcpy"), ("libcorpus", "strcpy_a"),
          ("libcorpus", "strlen_a"), ("libcorpus", "memset_a")]
+# a temp bound to an int wrapped by a range test, masked only out of range
+_RANGE_TESTED = re.compile(r"v_\w+ = z if -?\d+ <= \(z := .+\) <= \d+ else "
+                           r"(\(z \+ \d+ & 0x[0-9a-f]+\) - \d+|z & 0x[0-9a-f]+)")
 
 
 class TestLeanCode:
@@ -3199,8 +3237,8 @@ class TestLeanCode:
                   or ast.unparse(node.body[0]).startswith("m._check_bounds("))]
         assert tests and len(checks) >= 2 * len(tests)
         for node in checks:
-            assert fast(parent[node]) or re.match(r"\w+ > R_f and ", ast.unparse(node.test)), (
-                ast.unparse(node))
+            assert fast(parent[node]) or re.match(r"R_f < \w+ < R_hi and ",
+                                                  ast.unparse(node.test)), ast.unparse(node)
         assert [ast.unparse(node.body[0].body[0]).startswith("m._check_bounds(")
                 for node in tests] == [True] * len(tests)
 
@@ -3242,6 +3280,24 @@ class TestLeanCode:
                     fast += runs
                     slow[name, k] = hits.get((code.__code__, k + 2), 0)
         assert fast >= 16 and set(slow.values()) == {0}, slow
+
+    @pytest.mark.parametrize("live", [True, False])
+    @pytest.mark.parametrize("program, fn", LOOPS[:2])
+    def test_loop_masks_only_out_of_range(self, program, fn, live):
+        """The benchmark loops wrap an int with a range test: a mask is
+        only on the branch a value outside its type's range takes."""
+        source = self._source(corpus.load_module(program), fn, live)
+        inner = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.While)][1]
+        lines = [line.strip() for line in source.splitlines()[inner.lineno - 1:inner.end_lineno]]
+        masked = [line for line in lines if "& 0x" in line]
+        assert masked and all(_RANGE_TESTED.fullmatch(line) for line in masked), masked
+
+    def test_bulk_rounds_call_no_wrap(self):
+        """The values a loop's bulk rounds leave are range-tested inline."""
+        bulk = [line for program, fn in LOOPS for line in self._source(
+            corpus.load_module(program), fn, False).splitlines() if "_rounds(" in line]
+        assert len(bulk) == 4 and not any("_wrap(" in line for line in bulk), bulk
+        assert all(" else z & 0x" in line or " else (z + " in line for line in bulk), bulk
 
     @pytest.mark.parametrize("src", _INT_TYPES + ("ptr(i8)",))
     def test_wrap_omitted_exactly_when_the_range_fits(self, src):
@@ -3299,6 +3355,101 @@ class TestLeanCode:
                         assert result == ("trap", "undefined temporary", None), budget
                     else:       # %u is 3, as @buf[2] is
                         assert result.exit_value == 3 + (entry == "main")
+
+
+WRAPS = """\
+global @out : [4 x i64] = bytes(5, 0, 0, 0, 0, 0, 0, 0, 7)
+
+fn @f(%x: {t}, %y: {t}, %k: {t}) -> {t} library {{
+entry:
+  %a = add {t} %x, 1
+  %b = sub {t} %y, 1
+  %c = mul {t} %x, %x
+  %d = shl {t} %x, %k
+  %p = gep [4 x i64], @out, 0, 1
+  store {t} %b, %p
+  %q = gep [4 x i64], @out, 0, 2
+  store {t} %c, %q
+  %r = gep [4 x i64], @out, 0, 3
+  store {t} %d, %r
+  ret {t} %a
+}}
+
+fn @g(%p: ptr(i64), %i: i64, %j: i64) -> i64 library {{
+entry:
+  %q = gep i64, %p, %i
+  %v = load i64, %q
+  %r = gep i64, %p, %j
+  %w = load i64, %r
+  %s = add i64 %v, %w
+  ret i64 %s
+}}
+"""
+
+
+class TestRangeTestedWrap:
+    """Generated code wraps an int with a range test, and `_wrap`'s bias
+    and mask only on the branch a value outside the range takes: the value
+    bias-and-mask arithmetic gives for every int kind, and runs that stay
+    the step interpreter's, whose wrap is arithmetic."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(_INT_TYPES + ("ptr(i8)",)), st.data())
+    def test_emitted_expression_is_bias_and_mask(self, name, data):
+        """The line a binop of `name` binds its temp with, on each end of
+        the range, one past and one inside it, 0, a product of two 64-bit
+        values and a shift by 63."""
+        lo, hi = _range(name)
+        word = st.integers(-2 ** 63, 2 ** 64 - 1)
+        v = data.draw(st.one_of(
+            st.sampled_from([lo - 1, lo, lo + 1, 0, hi - 1, hi, hi + 1]),
+            st.builds(operator.mul, word, word), st.builds(lambda x: x << 63, word)))
+        bits = 8 * _size(name)
+        bias, mask = (1 << bits - 1 if lo else 0), (1 << bits) - 1
+        m = parse_module(f"fn @f(%x: {name}) -> {name} {{\nentry:\n"
+                         f"  %r = add {name} %x, 0\n  ret {name} %r\n}}\n")
+        writer = _Writer(_shared(m), m.functions["f"], True, DEFAULT_MEMORY)
+        line = writer.binop(m.functions["f"].blocks[0].instrs[0])[0]
+        assert _RANGE_TESTED.fullmatch(line), line
+        scope = {"v_x": v}
+        exec(line, scope)
+        assert scope["v_r"] == ((v + bias) & mask) - bias and lo <= scope["v_r"] <= hi
+
+    @pytest.mark.parametrize("name", _INT_TYPES + ("ptr(i8)",))
+    @pytest.mark.parametrize("ends", [True, False])
+    def test_overflow_matches_the_step_interpreter(self, name, ends):
+        """Add at the type's maximum, sub at its minimum, a mul that
+        overflows and a shl past the width, or the same on values inside
+        the range: every step budget, both modes."""
+        m = parse_module(WRAPS.format(t=name))
+        rules, _ = compile_library(m)
+        lo, hi = _range(name)
+        args = [hi, lo, 8 * _size(name) - 1] if ends else [3, 9, 2]
+        total = outcome(Machine, m, "f", args, mem_size=1 << 16)[1]
+        for budget in range(1, total + 2):
+            got = assert_same_runs(m, "f", args, rules, arg_tags=[b"\x01", b"\x02", b"\x04"],
+                                   mem_size=1 << 16, step_budget=budget)
+            if budget >= total:
+                assert got["instr"][0].exit_value == (lo if ends else 4)
+
+    @pytest.mark.parametrize("i, j, want", [
+        (2 ** 61 + 1, -2 ** 63, 12),       # p + 8 and p, each past 2 ** 64
+        (-2 ** 63 + 1, None, "addr=0xfffffffffffffff0 size=8"),    # p + 8, and below 0
+    ])
+    def test_gep_index_wraps_the_address(self, i, j, want):
+        """A gep whose index carries the address past 2 ** 64 lands where
+        the wrapped sum does: on @out, or below memory, where the load
+        traps with the wrapped address; every step budget, both modes."""
+        m = parse_module(WRAPS.format(t="i64"))
+        rules, _ = compile_library(m)
+        p = _shared(m).global_addr["out"]
+        args = [p, i, -(p // 8) - 2 if j is None else j]
+        total = outcome(Machine, m, "g", args, mem_size=1 << 16)[1]
+        for budget in range(1, total + 2):
+            got = assert_same_runs(m, "g", args, rules, arg_tags=[b"\x01", b"\x02", b"\x04"],
+                                   mem_size=1 << 16, step_budget=budget)
+            if budget >= total:
+                assert (got["instr"][-1] if j is None else got["instr"][0].exit_value) == want
 
 
 _TOP = 1 << 16      # the memory size of the bulk-round runs

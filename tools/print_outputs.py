@@ -36,7 +36,11 @@ can be diffed to show a change leaves them byte-identical:
     tag vectors that differ per byte, and whose slots the loop reads only
     through geps and binops, copying to a global and over one of its own
     slots, in both modes at every step budget up to the whole run: the
-    same.
+    same;
+  * for each int type (i8 to i64, u8 to u64, char and pointer), every int
+    binop on operands at and around the ends of its range, in both modes
+    at every step budget up to the whole run: the exit value or the trap,
+    the counters, the tagged bytes and the results it stored.
 
 Usage, from the root of each tree:
 
@@ -434,6 +438,17 @@ done:
   ret i64 %r
 }
 """
+# every int binop of one type, each result stored to @res; div and rem
+# last, since a zero divisor traps
+OPS = ("add", "sub", "mul", "and", "or", "xor", "shl", "shr", "cmp", "div", "rem")
+BINOPS = ("global @res : [11 x i64]\nfn @ops(%x: {t}, %y: {t}) -> {t} library {{\nentry:\n"
+          + "".join(f"  %{op} = {op} {{t}} %x, %y\n  %p{k} = gep [11 x i64], @res, 0, {k}\n"
+                    f"  store {{t}} %{op}, %p{k}\n" for k, op in enumerate(OPS))
+          + "  %s = add {t} %add, %mul\n  ret {t} %s\n}}\n")
+INT_TYPES = {"i8": (-128, 127), "u8": (0, 255), "i16": (-1 << 15, (1 << 15) - 1),
+             "u16": (0, (1 << 16) - 1), "i32": (-1 << 31, (1 << 31) - 1),
+             "u32": (0, (1 << 32) - 1), "i64": (-1 << 63, (1 << 63) - 1),
+             "u64": (0, (1 << 64) - 1), "char": (0, 255), "ptr(i8)": (0, (1 << 64) - 1)}
 # @copy's argument tag vectors, whose bytes' tags differ
 MIXED = [bytes([1, 2, 4, 8, 16, 32, 64, 128]), bytes([8, 4, 2, 1, 0, 0, 0, 16]),
          bytes([0, 32, 0, 0, 0, 0, 0, 1])]
@@ -579,6 +594,24 @@ def fold_read_outputs() -> None:
                     module, "copy", args, MIXED, step_budget=budget, **kw)[0])
 
 
+def binop_outputs() -> None:
+    """Runs of @ops at each int type on operands at, inside and past the
+    ends of its range, tagged 1 and 2: the exit value or trap, the counters,
+    the tagged bytes and @res at every budget up to the whole run."""
+    for t, (lo, hi) in INT_TYPES.items():
+        module = parse_module(BINOPS.format(t=t))
+        rules = compile_library(module)[0]
+        for args in ([hi, 1], [lo, 1], [hi, hi], [lo, -1], [lo + 1, hi - 1], [hi, 0]):
+            for mode in ("instr", "hybrid"):
+                kw = {"mode": mode, "rule_programs": rules}
+                total = machine_run(module, "ops", args, [b"\x01", b"\x02"], **kw)[1].instr_total
+                for budget in range(1, total + 1):
+                    result, m = machine_run(module, "ops", args, [b"\x01", b"\x02"],
+                                            step_budget=budget, **kw)
+                    res = m.read_bytes(m.global_addr["res"], 8 * len(OPS)).hex()
+                    print(f"ops {t} {mode} {args} budget={budget}: {result} res {res}")
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -613,6 +646,7 @@ def main() -> None:
     wild_outputs()
     folded_outputs()
     fold_read_outputs()
+    binop_outputs()
     lib_module = corpus.load_module("libcorpus")
     rules = default_rules(lib_module)
     for fn in sorted(corpus.DRIVERS):
