@@ -480,7 +480,7 @@ class Diagnostic:
 
 
 def _check_struct_recursion(m: Module) -> list[Diagnostic]:
-    # A struct may only reach itself через pointer indirection.
+    # A struct may only reach itself through pointer indirection.
     def direct_refs(t: Type) -> set[str]:
         if isinstance(t, StructRef):
             return {t.name}

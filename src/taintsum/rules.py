@@ -64,8 +64,8 @@ class RuleParseError(Exception):
     pass
 
 
-def slot_extent(slot: SlotRef, module: Module) -> tuple[str, Optional[int]]:
-    """("string", None) for scanned extents, else ("fixed", nbytes).
+def slot_extent(slot: SlotRef, module: Module) -> Optional[int]:
+    """The slot's extent in bytes, or None for a string scanned to its NUL.
 
     Return slots cover the value register, global slots their own storage,
     field-path slots the field; whole pointer parameters cover the pointee
@@ -73,20 +73,20 @@ def slot_extent(slot: SlotRef, module: Module) -> tuple[str, Optional[int]]:
     """
     t = slot.ty
 
-    def sized(ty) -> tuple[str, Optional[int]]:
+    def sized(ty) -> int:
         if isinstance(ty, Void):
-            return ("fixed", 0)
+            return 0
         try:
-            return ("fixed", size_of(ty, module.structs))
+            return size_of(ty, module.structs)
         except Exception as e:
             raise RuleGenError(f"unresolvable slot type {slot}: {e}") from e
 
     if slot.kind == "ret":
-        return ("fixed", 8) if isinstance(t, Ptr) else sized(t)
+        return 8 if isinstance(t, Ptr) else sized(t)
     if slot.kind == "global" or slot.field_path:
         return sized(t)
     if is_char_or_void_ptr(t):
-        return ("string", None)
+        return None
     if isinstance(t, Ptr):
         return sized(t.pointee)
     return sized(t)

@@ -27,7 +27,7 @@ import re
 import struct as _struct
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .ir import (
     Alloca, Array, BinOp, Br, Call, Char, ConstInt, Float, Function, Gep, GlobalRef,
@@ -116,30 +116,20 @@ class Tagmap:
     def __init__(self):
         self.pages: dict[int, bytearray] = {}
 
-    @staticmethod
-    def _pieces(addr: int, sz: int) -> Iterator[tuple[int, int, int, int]]:
-        """(page number, page offset, range offset, length) for each page
-        piece of [addr, addr + sz)."""
-        i = 0
-        while i < sz:
-            pno, off = divmod(addr + i, PAGE)
-            n = min(sz - i, PAGE - off)
-            yield pno, off, i, n
-            i += n
-
     def get_vector(self, addr: int, sz: int) -> bytes:
         off = addr & (PAGE - 1)
         if off + sz <= PAGE:        # one page: nearly every load and store
             page = self.pages.get(addr >> _PAGE_SHIFT)
             return bytes(sz) if page is None else bytes(page[off:off + sz])
-        return b"".join(self.get_vector(pno * PAGE + off, n)
-                        for pno, off, _, n in self._pieces(addr, sz))
+        cuts = [0, *range(PAGE - off, sz, PAGE), sz]      # each piece takes the one-page path
+        return b"".join([self.get_vector(addr + i, j - i) for i, j in zip(cuts, cuts[1:])])
 
     def set_vector(self, addr: int, vec: bytes) -> None:
         off, n = addr & (PAGE - 1), len(vec)
         if off + n > PAGE:          # each piece takes the one-page path
-            for pno, off, i, k in self._pieces(addr, n):
-                self.set_vector(pno * PAGE + off, vec[i:i + k])
+            cuts = [0, *range(PAGE - off, n, PAGE), n]
+            for i, j in zip(cuts, cuts[1:]):
+                self.set_vector(addr + i, vec[i:j])
             return
         page = self.pages.get(addr >> _PAGE_SHIFT)
         if page is None:
@@ -473,9 +463,7 @@ def _spill(m, c: str, a: int, value, vec=None) -> None:
 def _fill(m, c: str, a: int, w: int) -> tuple:
     """A promoted slot's value, of struct format `c` at `a`, and its `w`-byte
     tag vector, read back after code that may have written them."""
-    page, o = m.tagmap.pages.get(a >> _PAGE_SHIFT), a & (PAGE - 1)
-    return (_STRUCTS[c].unpack_from(m.memory, a)[0],
-            bytes(w) if page is None else bytes(page[o:o + w]))
+    return _STRUCTS[c].unpack_from(m.memory, a)[0], m.tagmap.get_vector(a, w)
 
 
 def _rounds(mem: Memory, k: Optional[int], room: int, src: Optional[int],
@@ -1003,10 +991,9 @@ class _Writer:
         x = self.val(ins.value, _kind(ins.ty), wrap_globals=True)
         if slot:        # `_spill` makes the page of a nonzero vector
             return [f"{_local('P', slot)} = {x}"] + [self.set_tag(slot, ins.value, w)] * self.live
-        # a temp is read before the bounds check, as the step interpreter reads it
-        x, more = self.atom(x, "x") if type(ins.value) is not Temp else ("x", [f"x = {x}"])
+        x, more = self.atom(x, "x")
         self.used.update(("mem", "dirty", "tm", "pages") if self.live else ("mem", "dirty"))
-        lines += more + [*self.check(a, w, ins),
+        lines += more + [*self.check(a, w, ins, x if type(ins.value) is Temp and not more else ""),
                          f"_p{_fmt(ins.ty)}(mem, {a}, {x})",
                          f"dirty.add(q := {a} >> {_PAGE_SHIFT})"]
         cross = f"if (o := {a} & {PAGE - 1}) > {PAGE - w}: dirty.add(q + 1)"
@@ -1135,12 +1122,14 @@ class _Writer:
 
     # Operands and temps
 
-    def check(self, a: str, w: int, ins: Instr) -> list[str]:
-        """The bounds check of a `w`-byte access at `a` and, where slots are
-        held, the write-back of an access overlapping the promoted range,
+    def check(self, a: str, w: int, ins: Instr, x: str = "") -> list[str]:
+        """The bounds check of a `w`-byte access at `a`, reading a stored
+        temp's local `x` first as the step interpreter does, and, where slots
+        are held, the write-back of an access overlapping the promoted range,
         both run only outside [GLOBALS_BASE, R_f] and [R_hi, mem_size - w]."""
         top, held = self.mem_size - w, self.held(ins)
-        check = f"if not {GLOBALS_BASE} <= {a} <= {top}: m._check_bounds({a}, {w}, {ins.uid!r})"
+        check = (f"if not {GLOBALS_BASE} <= {a} <= {top}: "
+                 f"m._check_bounds({a}, {w}, {ins.uid!r}{x and ', ' + x})")
         return [f"if not ({GLOBALS_BASE} <= {a} <= R_f or R_hi <= {a} <= {top}):", "    " + check,
                 f"    if R_lo - {w} < {a} < R_hi: {self.write_back(held)}"] if held else [check]
 
@@ -1269,7 +1258,7 @@ class _Shared:
                     base_ty = module.functions[prog.function].params[where][1]
                 if slot.field_path:
                     off += field_path_offset(base_ty, slot.field_path, module.structs)[0]
-                return kind, where, off, slot_extent(slot, module)[1]
+                return kind, where, off, slot_extent(slot, module)
 
             entries = tuple((*map(region, ins), region(out)) for out, ins in prog.entries)
             hit = self.bindings[prog.function] = (prog, len(prog.steps), entries)
@@ -1362,7 +1351,8 @@ class Machine:
         self.heap_ptr = addr + n
         return addr
 
-    def _check_bounds(self, addr: int, sz: int, uid: Optional[str]) -> None:
+    def _check_bounds(self, addr: int, sz: int, uid: Optional[str], value=None) -> None:
+        """Traps unless [addr, addr + sz) is in memory; `value` is ignored."""
         if addr < GLOBALS_BASE or addr + sz > self.mem_size:
             raise MachineTrap("out-of-bounds access", uid,
                               f"addr=0x{addr:x} size={sz}")
@@ -1469,10 +1459,10 @@ class Machine:
         if not isinstance(ty, Ptr) or not isinstance(value, int) or value == 0:
             return None
         try:
-            kind, n = slot_extent(SlotRef("param", ty=ty), self.module)
+            n = slot_extent(SlotRef("param", ty=ty), self.module)
         except RuleGenError:
             return None
-        return (value, self.scan_string(value, self.default_len) if kind == "string" else n)
+        return (value, self.scan_string(value, self.default_len) if n is None else n)
 
     # -- interpreter -------------------------------------------------------------
 

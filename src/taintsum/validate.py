@@ -20,7 +20,7 @@ from .ir import (
     Array, Char, Float, Function, Int, Module, StructRef, Type, Void,
     field_offset, size_of,
 )
-from .rules import DEFAULT_STRING_CAP, TaintRuleProgram, compile_library
+from .rules import TaintRuleProgram, compile_library
 from .tracker import GLOBALS_BASE, PAGE, Machine, Tagmap, run
 
 HARNESS_MEMORY = 1 * 1024 * 1024
@@ -194,9 +194,8 @@ def _run_trial(machine: Machine, fn_name: str, plan,
     return regions
 
 
-def default_rules(module: Module, include_control_deps: bool = True,
-                  default_len: int = DEFAULT_STRING_CAP) -> dict[str, TaintRuleProgram]:
-    return compile_library(module, include_control_deps, default_len)[0]
+def default_rules(module: Module) -> dict[str, TaintRuleProgram]:
+    return compile_library(module)[0]
 
 
 def _function(module: Module, fn_name: str) -> Function:
@@ -273,7 +272,6 @@ def _uncovered(tm: Tagmap, other: Tagmap, ranges: Sequence[tuple[int, int]]) -> 
 def oracle_compare(module: Module, fn_name: str, trials: int = 100,
                    seed: int = 0,
                    rule_programs: Optional[Mapping[str, TaintRuleProgram]] = None,
-                   mem_size: int = HARNESS_MEMORY,
                    drivers: Optional[Mapping[str, tuple]] = None,
                    ) -> ComparisonReport:
     """Run the function under both modes with parameter-sized tainting over
@@ -281,7 +279,7 @@ def oracle_compare(module: Module, fn_name: str, trials: int = 100,
     asserting that rules never miss a persistent byte the instruction-level
     oracle taints."""
     subsets = _subsets(len(_function(module, fn_name).params))
-    kw = dict(rule_programs=_rules(module, rule_programs), mem_size=mem_size)
+    kw = dict(rule_programs=_rules(module, rule_programs), mem_size=HARNESS_MEMORY)
     m_i, m_h = Machine(module, **kw), Machine(module, mode="hybrid", **kw)
     drawers = _resolve_driver(module, fn_name, drivers)
     sum_i = sum_h = 0
@@ -366,15 +364,12 @@ def _high_roots(entries, tainted_param: int) -> set[tuple]:
 def noninterference_check(
         module: Module, fn_name: str, trials: int = 100, seed: int = 0,
         rule_programs: Optional[Mapping[str, TaintRuleProgram]] = None,
-        mem_size: int = HARNESS_MEMORY,
         drivers: Optional[Mapping[str, tuple]] = None) -> NIReport:
     """Twin executions with equal low inputs and independent high inputs;
     any concrete difference on an output the rules classify as untainted
     is a noninterference violation."""
     fn = _function(module, fn_name)
-    rules = (dict(rule_programs) if rule_programs is not None
-             else default_rules(module))
-    prog = rules.get(fn_name)
+    prog = _rules(module, rule_programs).get(fn_name)
     if prog is None:
         raise HarnessError(f"@{fn_name} has no rule program")
     if not fn.params:
@@ -383,7 +378,7 @@ def noninterference_check(
     violations: list[NIViolation] = []
     nparams = len(fn.params)
     highs = [_high_roots(prog.entries, p) for p in range(nparams)]
-    m_a, m_b = Machine(module, mem_size=mem_size), Machine(module, mem_size=mem_size)
+    m_a, m_b = Machine(module, mem_size=HARNESS_MEMORY), Machine(module, mem_size=HARNESS_MEMORY)
     drawers = _resolve_driver(module, fn_name, drivers)
     sizes = [(g, addr, size_of(module.globals[g].ty, module.structs))
              for g, addr in m_a.global_addr.items()]
@@ -460,7 +455,7 @@ class BenchReport:
 def bench(module: Module, entry: str = "main", args: Sequence[int] = (),
           rule_programs: Optional[Mapping[str, TaintRuleProgram]] = None,
           **run_kw) -> BenchReport:
-    rules = dict(rule_programs) if rule_programs is not None else default_rules(module)
+    rules = _rules(module, rule_programs)
     rows = []
     for mode in ("instr", "hybrid"):
         t0 = time.perf_counter()
@@ -472,22 +467,22 @@ def bench(module: Module, entry: str = "main", args: Sequence[int] = (),
     return BenchReport(entry, tuple(args), tuple(rows))
 
 
-def _both_modes(module: Module, rules, mem_size: int, entry: str, args_of) -> list[tuple]:
+def _both_modes(module: Module, rules, entry: str, args_of) -> list[tuple]:
     """(exit value, final memory) of an instr and then a hybrid machine of
     `module`, each called with `args_of(machine)`."""
     out = []
     for mode in ("instr", "hybrid"):
-        m = Machine(module, mode=mode, rule_programs=rules, mem_size=mem_size)
+        m = Machine(module, mode=mode, rule_programs=rules, mem_size=HARNESS_MEMORY)
         out.append((m.call_entry(entry, args_of(m)), m.memory))
     return out
 
 
 def transparency_check(module: Module, entry: str, args: Sequence[int],
                        rule_programs: Optional[Mapping[str, TaintRuleProgram]] = None,
-                       mem_size: int = HARNESS_MEMORY) -> list[str]:
+                       ) -> list[str]:
     """Concrete exit value and final memory must not depend on the mode."""
     (x_i, mem_i), (x_h, mem_h) = _both_modes(
-        module, _rules(module, rule_programs), mem_size, entry, lambda m: list(args))
+        module, _rules(module, rule_programs), entry, lambda m: list(args))
     mismatches = []
     if x_i != x_h:
         mismatches.append(f"exit value differs: {x_i} vs {x_h}")
@@ -499,11 +494,10 @@ def transparency_check(module: Module, entry: str, args: Sequence[int],
 def transparency_check_fn(
         module: Module, fn_name: str, seed: int,
         rule_programs: Optional[Mapping[str, TaintRuleProgram]] = None,
-        mem_size: int = HARNESS_MEMORY,
         drivers: Optional[Mapping[str, tuple]] = None) -> list[str]:
     """Driver-based variant for library functions with generated inputs."""
     plan = build_plan(module, fn_name, random.Random(f"transparency:{seed}:{fn_name}"),
                       drivers)
-    instr, hybrid = _both_modes(module, _rules(module, rule_programs), mem_size, fn_name,
+    instr, hybrid = _both_modes(module, _rules(module, rule_programs), fn_name,
                                 lambda m: materialize_plan(m, plan)[0])
     return [f"@{fn_name} diverges between modes (seed {seed})"] if instr != hybrid else []

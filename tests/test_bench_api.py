@@ -63,3 +63,11 @@ def test_traced_rule_figures():
     assert figures["rules.steps"] == mean(len(p.steps) for p in progs.values())
     assert (figures["tracker.shadow_ops_rules.hybrid"] == report.shadow_ops_rules
             == len(progs["student_cpy"].steps) > 0)
+
+
+def test_harness_round_passes_its_checks():
+    """One round of `harness-libcorpus`, which calls the harnesses with
+    positional arguments on the rules of `validate.default_rules(lib)`."""
+    checks = workloads.Checks()
+    workloads.Harness(taintsum, 0, checks).round(0)
+    assert checks.attempted == 3 * len(corpus.DRIVERS) and checks.failures == []

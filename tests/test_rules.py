@@ -204,7 +204,7 @@ class TestDirectSerialization:
         all occur."""
         slots = [(slot, m) for m in rule_modules() for p in compile_library(m)[0].values()
                  for out, ins in p.entries for slot in (out, *ins)]
-        assert {slot_extent(s, m)[0] for s, m in slots} == {"string", "fixed"}
+        assert {slot_extent(s, m) is None for s, m in slots} == {True, False}
         assert any(s.field_path for s, _ in slots)
         assert any(s.kind == "global" for s, _ in slots)
         assert any(s.kind == "ret" for s, _ in slots)

@@ -109,3 +109,17 @@ def test_offline_scaling_worker_times_every_phase():
     assert all(type(row[f"gc2_{z}"]) is int and row[f"gc2_{z}"] >= 0
                for z in offline_scaling.GC_ZONES), row
     assert row["instructions"] > 0
+
+
+def test_print_outputs_machine_runs_repeat(capsys):
+    """`print_outputs.py`, which a change's byte-identity check diffs
+    between trees: three of its machine-run sections print something, and
+    the same in a second run."""
+    print_outputs = _tool("print_outputs")
+    for section in (print_outputs.looped_outputs, print_outputs.recursion_outputs,
+                    print_outputs.wild_outputs):
+        runs = []
+        for _ in range(2):
+            section()
+            runs.append(capsys.readouterr().out)
+        assert runs[0] and runs[0] == runs[1], section.__name__

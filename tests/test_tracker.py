@@ -190,6 +190,46 @@ class TestTagmapAlgebra:
                     assert tm.get_vector(addr, n) == bytes(
                         model.get(addr + i, 0) for i in range(n))
 
+    def test_ranges_of_three_or_more_pages(self):
+        """`set_vector`, `set_taint` and `get_vector` over ranges of three to
+        six pages, each starting anywhere in its first page, against a
+        byte-at-a-time model of eight pages; a page exists exactly when a
+        nonzero tag has landed on it."""
+        rng = random.Random(32)
+        zero_low = bytes(0 if b < 96 else b for b in range(256))
+        tm, model, touched = Tagmap(), bytearray(8 * PAGE), set()
+        for step in range(24):
+            addr, n = rng.randrange(PAGE, 2 * PAGE), rng.randrange(2 * PAGE + 1, 5 * PAGE)
+            if step % 2:        # zero and nonzero bytes mixed, and a page's length of zeros
+                vec = bytearray(rng.randbytes(n).translate(zero_low))
+                vec[PAGE:2 * PAGE] = bytes(PAGE)
+                tm.set_vector(addr, bytes(vec))
+            else:
+                vec = bytes([rng.choice((0, rng.randrange(1, 256)))]) * n
+                tm.set_taint(addr, vec[0], n)
+            for i, t in enumerate(vec):
+                model[addr + i] = t
+                if t:
+                    touched.add((addr + i) // PAGE)
+            assert set(tm.pages) == touched
+            lo = rng.randrange(2 * PAGE)
+            hi = rng.randrange(lo + 2 * PAGE + 1, 8 * PAGE + 1)
+            assert tm.get_vector(lo, hi - lo) == bytes(model[lo:hi])
+        assert tm.get_vector(0, 8 * PAGE) == bytes(model)
+
+    def test_set_taint_over_all_of_a_default_machine(self, bench_user):
+        """One `set_taint` over every byte of a `DEFAULT_MEMORY` machine
+        makes every page and tags every byte; one of tag 0 clears them."""
+        m = Machine(bench_user)
+        tm = m.tagmap
+        assert m.mem_size == DEFAULT_MEMORY
+        tm.set_taint(0, 0x21, DEFAULT_MEMORY)
+        assert sorted(tm.pages) == list(range(DEFAULT_MEMORY // PAGE))
+        assert tm.get_vector(0, DEFAULT_MEMORY) == b"\x21" * DEFAULT_MEMORY
+        tm.set_taint(0, 0, DEFAULT_MEMORY)
+        assert tm.get_vector(0, DEFAULT_MEMORY) == bytes(DEFAULT_MEMORY)
+        assert tm.count_nonzero() == 0
+
 
 FLOW_CFG = TaintConfig.from_json({
     "sources": [{"fn": "fgets_a", "where": "param", "index": 0, "label": 1}],
